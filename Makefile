@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench trace-demo chaos-demo controlroom-demo sla-demo federation-demo verify fmt
+.PHONY: build test bench trace-demo chaos-demo controlroom-demo sla-demo federation-demo verify fmt clean
 
 build:
 	$(GO) build ./...
@@ -63,3 +63,10 @@ fmt:
 # and compiled out), race-detector test run. See scripts/verify.sh.
 verify:
 	sh scripts/verify.sh
+
+# Remove what the benchmark leaves behind. bench/run.sh rebuilds only
+# when a source file is newer than .bench_build's binary, so a binary
+# left by another checkout or an older commit is reused silently: clean
+# before measuring.
+clean:
+	rm -rf .bench_build bench/out

@@ -109,13 +109,15 @@ func fastPathFixture(b *testing.B) (agent.IndicationSender, chan struct{}, func(
 	}
 }
 
-// BenchmarkIndicationFastPath measures the end-to-end indication path —
-// SM payload already encoded, E2AP encode, pipe transport, server
-// envelope dispatch, subscription callback — with telemetry compiled in
-// and tracing unsampled, i.e. the production configuration. verify.sh
-// gates this at ≤2 allocs/op: the zero/near-zero-allocation contract of
-// the whole pipeline (encode-append into a reused buffer, pooled pipe
-// frames, recycled receive buffers, reused envelope views).
+// BenchmarkIndicationFastPath measures the E2AP leg of the indication
+// path in isolation — SM payload already encoded, FB E2AP encode, pipe
+// transport, server envelope dispatch, subscription callback — with
+// telemetry compiled in and tracing unsampled, i.e. the production
+// configuration. verify.sh gates this at ≤2 allocs/op: encode-append
+// into a reused buffer, pooled pipe frames, recycled receive buffers,
+// reused envelope views. It sees neither the SM report build nor the
+// ASN.1 codec nor the TCP transport; the system-level gate over those
+// is TestIndicationPathAllocs in internal/ctrl.
 func BenchmarkIndicationFastPath(b *testing.B) {
 	if trace.SampleEvery() != 0 {
 		b.Fatal("trace sampling enabled; the fast path benchmark measures the unsampled configuration")

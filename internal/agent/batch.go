@@ -98,8 +98,16 @@ func (b *IndicationBatch) Flush() error {
 		return nil
 	}
 	c := b.s.conn
+	var err error
 	c.sendMu.Lock()
-	err := transport.SendBatch(c.tc, b.frames)
+	if b.n == 1 {
+		// A batch of one is a plain send: same frame on the wire, and
+		// the transport.send span a direct SendIndication would record
+		// (b.ind still carries the lone indication's trace context).
+		err = transport.TracedSend(c.tc, b.frames[0], b.ind.Trace)
+	} else {
+		err = transport.SendBatch(c.tc, b.frames)
+	}
 	c.sendMu.Unlock()
 	// Transports do not retain the batch: frames go back to the pool.
 	for i, f := range b.frames {

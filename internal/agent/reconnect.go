@@ -52,9 +52,11 @@ func (c *conn) supervise() {
 			if telemetry.Enabled {
 				agentTel.reconnectBackoff.Observe(d)
 			}
+			wait := time.NewTimer(d)
 			select {
-			case <-time.After(d):
+			case <-wait.C:
 			case <-a.closeCh:
+				wait.Stop()
 				return
 			}
 			continue

@@ -375,10 +375,12 @@ func (c *SlicingController) apply(id server.AgentID, ctl *sm.SliceControl) error
 		func(_ []byte, err error) { errCh <- err }); err != nil {
 		return err
 	}
+	timeout := time.NewTimer(5 * time.Second)
+	defer timeout.Stop()
 	select {
 	case err := <-errCh:
 		return err
-	case <-time.After(5 * time.Second):
+	case <-timeout.C:
 		return errors.New("slice control timed out")
 	}
 }

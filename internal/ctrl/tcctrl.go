@@ -189,10 +189,12 @@ func (c *TCController) apply(id server.AgentID, ctl *sm.TCControl) ([]byte, erro
 		func(out []byte, err error) { ch <- res{out, err} }); err != nil {
 		return nil, err
 	}
+	timeout := time.NewTimer(5 * time.Second)
+	defer timeout.Stop()
 	select {
 	case r := <-ch:
 		return r.out, r.err
-	case <-time.After(5 * time.Second):
+	case <-timeout.C:
 		return nil, errors.New("tc control timed out")
 	}
 }

@@ -103,7 +103,8 @@ func TestEncodeAppendIndicationProperty(t *testing.T) {
 }
 
 // FuzzEncodeAppendIndication drives the same identity with fuzzed
-// buffers (run with `go test -fuzz=FuzzEncodeAppendIndication`; seeds
+// buffers, then reads the appended message back through the Envelope
+// view (run with `go test -fuzz=FuzzEncodeAppendIndication`; seeds
 // execute as regular unit tests).
 func FuzzEncodeAppendIndication(f *testing.F) {
 	f.Add([]byte{}, []byte{1, 2}, []byte{3, 4, 5})
@@ -131,6 +132,22 @@ func FuzzEncodeAppendIndication(f *testing.F) {
 			}
 			if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want) {
 				t.Fatalf("%s: appended encoding diverges from Encode", c.Name())
+			}
+			env, err := c.Envelope(out[len(prefix):])
+			if err != nil {
+				t.Fatalf("%s envelope: %v", c.Name(), err)
+			}
+			if env.Type() != TypeIndication || env.RequestID() != pdu.RequestID || env.RANFunctionID() != pdu.RANFunctionID ||
+				!bytes.Equal(env.IndicationHeader(), header) || !bytes.Equal(env.IndicationPayload(), payload) {
+				t.Fatalf("%s: envelope view diverges from the encoded indication", c.Name())
+			}
+			got, err := env.PDU()
+			if err != nil {
+				t.Fatalf("%s envelope PDU: %v", c.Name(), err)
+			}
+			if m := got.(*Indication); m.SN != pdu.SN || m.ActionID != pdu.ActionID || m.Class != pdu.Class ||
+				!bytes.Equal(m.Header, header) || !bytes.Equal(m.Payload, payload) {
+				t.Fatalf("%s: envelope PDU diverges from the encoded indication", c.Name())
 			}
 		}
 	})

@@ -38,13 +38,14 @@ type Codec interface {
 	// Envelope extracts the routing information (type, request ID, RAN
 	// function ID) needed to dispatch a message. For zero-copy formats
 	// this is O(1) and defers everything else; for formats with an
-	// explicit decode pass it is equivalent to Decode. This asymmetry is
+	// explicit decode pass it parses every field. This asymmetry is
 	// the controller-scalability effect measured in Fig. 8b. The
-	// returned Envelope is a reused view: it (and any PDU or payload
-	// slice obtained through it that aliases wire) is valid only until
-	// the next Envelope call on this codec — receive loops dispatch one
-	// message fully before reading the next, which is what lets them
-	// recycle frame buffers.
+	// returned Envelope is a reused view: it, and for an indication
+	// the header and payload slices obtained through it (which alias
+	// wire under both schemes), are valid only until the next Envelope
+	// call on this codec — receive loops dispatch one message fully
+	// before reading the next, which is what lets them recycle frame
+	// buffers. A PDU obtained through it belongs to the caller.
 	Envelope(wire []byte) (Envelope, error)
 }
 
@@ -59,7 +60,8 @@ type Envelope interface {
 	// RANFunctionID returns the addressed RAN function for functional
 	// procedures (zero otherwise).
 	RANFunctionID() uint16
-	// PDU fully decodes the message. Implementations may cache.
+	// PDU fully decodes the message into one the caller owns (nothing
+	// in it aliases the wire buffer). Implementations may cache.
 	PDU() (PDU, error)
 	// IndicationPayload returns the SM-encoded indication message for
 	// TypeIndication envelopes without materializing the PDU; nil
@@ -90,14 +92,18 @@ func TraceOf(pdu PDU) trace.Context {
 }
 
 // decodedEnvelope wraps an already-materialized PDU (used by codecs with
-// an explicit decode pass, where Envelope == Decode).
+// an explicit decode pass).
 type decodedEnvelope struct {
 	pdu PDU
+	// view marks pdu as a codec-owned *Indication whose octet strings
+	// alias the wire buffer: the accessors hand those out as they are,
+	// PDU() hands out a copy the caller owns.
+	view bool
 }
 
-func (d decodedEnvelope) Type() MessageType { return d.pdu.MsgType() }
+func (d *decodedEnvelope) Type() MessageType { return d.pdu.MsgType() }
 
-func (d decodedEnvelope) RequestID() RequestID {
+func (d *decodedEnvelope) RequestID() RequestID {
 	switch m := d.pdu.(type) {
 	case *SubscriptionRequest:
 		return m.RequestID
@@ -126,7 +132,7 @@ func (d decodedEnvelope) RequestID() RequestID {
 	}
 }
 
-func (d decodedEnvelope) RANFunctionID() uint16 {
+func (d *decodedEnvelope) RANFunctionID() uint16 {
 	switch m := d.pdu.(type) {
 	case *SubscriptionRequest:
 		return m.RANFunctionID
@@ -155,23 +161,41 @@ func (d decodedEnvelope) RANFunctionID() uint16 {
 	}
 }
 
-func (d decodedEnvelope) PDU() (PDU, error) { return d.pdu, nil }
+func (d *decodedEnvelope) PDU() (PDU, error) {
+	if d.view {
+		m := *d.pdu.(*Indication)
+		m.Header = cloneOctets(m.Header)
+		m.Payload = cloneOctets(m.Payload)
+		m.CallProcessID = cloneOctets(m.CallProcessID)
+		d.pdu, d.view = &m, false
+	}
+	return d.pdu, nil
+}
 
-func (d decodedEnvelope) IndicationPayload() []byte {
+// cloneOctets copies b the way a decoding pass materializes an octet
+// string: empty decodes as nil.
+func cloneOctets(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+func (d *decodedEnvelope) IndicationPayload() []byte {
 	if m, ok := d.pdu.(*Indication); ok {
 		return m.Payload
 	}
 	return nil
 }
 
-func (d decodedEnvelope) IndicationHeader() []byte {
+func (d *decodedEnvelope) IndicationHeader() []byte {
 	if m, ok := d.pdu.(*Indication); ok {
 		return m.Header
 	}
 	return nil
 }
 
-func (d decodedEnvelope) Trace() trace.Context { return TraceOf(d.pdu) }
+func (d *decodedEnvelope) Trace() trace.Context { return TraceOf(d.pdu) }
 
 // Scheme names the two encoding schemes the SDK ships.
 type Scheme string

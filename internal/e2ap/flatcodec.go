@@ -440,14 +440,7 @@ func (e *flatEnvelope) PDU() (PDU, error) {
 }
 
 func flatDecodeBody(tab flat.Table, t MessageType) (PDU, error) {
-	cp := func(b []byte) []byte {
-		if len(b) == 0 {
-			return nil
-		}
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out
-	}
+	cp := cloneOctets
 	switch t {
 	case TypeSetupRequest:
 		return &SetupRequest{

@@ -11,7 +11,9 @@ import (
 // Envelope() performs a full decode pass (PER fields are bit-packed
 // sequentially, so routing fields cannot be reached without parsing),
 // which is the CPU cost the paper attributes to ASN.1 on the controller
-// (Fig. 8b). Not safe for concurrent use.
+// (Fig. 8b). For indications that pass parses every field but copies
+// none: the octet strings of the codec-owned view alias the frame. Not
+// safe for concurrent use.
 type PERCodec struct {
 	w asn1per.Writer
 	// wa is the append-path writer: it adopts the caller's destination
@@ -19,9 +21,11 @@ type PERCodec struct {
 	// (and the Encode contract) untouched.
 	wa asn1per.Writer
 	r  asn1per.Reader
-	// denv is the reused dispatch view handed out by envelope(); see
-	// the Codec.Envelope validity contract.
+	// denv is the reused dispatch view handed out by envelope(), and ind
+	// the indication it points at when the message is one; see the
+	// Codec.Envelope validity contract.
 	denv decodedEnvelope
+	ind  Indication
 }
 
 // NewPERCodec returns a PER-style codec with preallocated scratch space.
@@ -235,32 +239,91 @@ func (c *PERCodec) encodeBody(w *asn1per.Writer, pdu PDU) error {
 	return nil
 }
 
-func (c *PERCodec) decode(wire []byte) (PDU, error) {
-	r := &c.r
-	r.Reset(wire)
-	tv, err := r.ReadBits(8)
+// readType positions the codec's reader after the leading message type.
+func (c *PERCodec) readType(wire []byte) (MessageType, error) {
+	c.r.Reset(wire)
+	tv, err := c.r.ReadBits(8)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
+		return 0, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if tv >= uint64(NumMessageTypes) {
-		return nil, fmt.Errorf("%w: type %d", ErrUnknownType, tv)
+		return 0, fmt.Errorf("%w: type %d", ErrUnknownType, tv)
 	}
-	pdu, err := perDecodeBody(r, MessageType(tv))
+	return MessageType(tv), nil
+}
+
+func (c *PERCodec) decode(wire []byte) (PDU, error) {
+	t, err := c.readType(wire)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, MessageType(tv), err)
+		return nil, err
+	}
+	pdu, err := perDecodeBody(&c.r, t)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, t, err)
 	}
 	return pdu, nil
 }
 
 func (c *PERCodec) envelope(wire []byte) (Envelope, error) {
-	pdu, err := c.decode(wire)
+	t, err := c.readType(wire)
 	if err != nil {
 		return nil, err
 	}
+	var pdu PDU
+	view := t == TypeIndication
+	if view {
+		c.ind = Indication{}
+		pdu, err = &c.ind, perGetIndication(&c.r, &c.ind, (*asn1per.Reader).ReadOctetsZeroCopy)
+	} else {
+		pdu, err = perDecodeBody(&c.r, t)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, t, err)
+	}
 	// Reuse the codec-owned view instead of boxing a fresh one per
 	// message (see the Codec.Envelope validity contract).
-	c.denv.pdu = pdu
+	c.denv = decodedEnvelope{pdu: pdu, view: view}
 	return &c.denv, nil
+}
+
+// perGetIndication parses an indication body into m, reading its octet
+// strings with octets: ReadOctets for a caller-owned message,
+// ReadOctetsZeroCopy for a view whose strings alias the input.
+func perGetIndication(r *asn1per.Reader, m *Indication, octets func(*asn1per.Reader) ([]byte, error)) error {
+	var err error
+	if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
+		return err
+	}
+	if err = perGetU8(r, &m.ActionID); err != nil {
+		return err
+	}
+	sn, err := r.ReadBits(32)
+	if err != nil {
+		return err
+	}
+	m.SN = uint32(sn)
+	cl, err := r.ReadEnum(2)
+	if err != nil {
+		return err
+	}
+	m.Class = IndicationClass(cl)
+	if m.Header, err = octets(r); err != nil {
+		return err
+	}
+	if m.Payload, err = octets(r); err != nil {
+		return err
+	}
+	has, err := r.ReadBool()
+	if err != nil {
+		return err
+	}
+	if has {
+		if m.CallProcessID, err = octets(r); err != nil {
+			return err
+		}
+	}
+	m.Trace, err = perGetTrace(r)
+	return err
 }
 
 func perDecodeBody(r *asn1per.Reader, t MessageType) (PDU, error) {
@@ -644,41 +707,7 @@ func perDecodeBody(r *asn1per.Reader, t MessageType) (PDU, error) {
 		return m, nil
 	case TypeIndication:
 		m := &Indication{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		a, err := r.ReadBits(8)
-		if err != nil {
-			return nil, err
-		}
-		m.ActionID = uint8(a)
-		sn, err := r.ReadBits(32)
-		if err != nil {
-			return nil, err
-		}
-		m.SN = uint32(sn)
-		cl, err := r.ReadEnum(2)
-		if err != nil {
-			return nil, err
-		}
-		m.Class = IndicationClass(cl)
-		if m.Header, err = r.ReadOctets(); err != nil {
-			return nil, err
-		}
-		if m.Payload, err = r.ReadOctets(); err != nil {
-			return nil, err
-		}
-		has, err := r.ReadBool()
-		if err != nil {
-			return nil, err
-		}
-		if has {
-			if m.CallProcessID, err = r.ReadOctets(); err != nil {
-				return nil, err
-			}
-		}
-		if m.Trace, err = perGetTrace(r); err != nil {
+		if err := perGetIndication(r, m, (*asn1per.Reader).ReadOctets); err != nil {
 			return nil, err
 		}
 		return m, nil

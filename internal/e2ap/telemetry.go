@@ -148,8 +148,10 @@ func (c *PERCodec) Decode(wire []byte) (PDU, error) {
 	return pdu, nil
 }
 
-// Envelope implements Codec. PER has no random access: the full decode
-// pass is unavoidable, and the envelope histogram records its cost.
+// Envelope implements Codec. PER has no random access: the full parsing
+// pass is unavoidable, and the envelope histogram records its cost. An
+// indication is parsed into a codec-owned view whose octet strings alias
+// wire (see the Codec.Envelope contract); every other type is decoded.
 func (c *PERCodec) Envelope(wire []byte) (Envelope, error) {
 	if !telemetry.Enabled {
 		return c.envelope(wire)

@@ -3,6 +3,7 @@ package asn1per
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -371,6 +372,37 @@ func BenchmarkReadBits(b *testing.B) {
 			if _, err := r.ReadBits(11); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// WriteBits has a whole-octet fast path for byte-aligned writes. Over
+// random mixes of aligned and unaligned fields it must produce exactly
+// the stream a bit-at-a-time writer produces, with or without a Grow
+// reservation in front.
+func TestWriteBitsMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	widths := []int{0, 1, 3, 7, 8, 9, 16, 24, 31, 32, 40, 56, 63, 64}
+	for iter := 0; iter < 300; iter++ {
+		var fast, slow Writer
+		if iter%2 == 0 {
+			fast.Grow(rng.Intn(256))
+		}
+		for f := 0; f < 1+rng.Intn(20); f++ {
+			n := widths[rng.Intn(len(widths))]
+			v := rng.Uint64() // high bits beyond n must be ignored
+			fast.WriteBits(v, n)
+			for i := n - 1; i >= 0; i-- {
+				slow.WriteBit(v>>uint(i)&1 == 1)
+			}
+			if rng.Intn(4) == 0 {
+				fast.Align()
+				slow.Align()
+			}
+		}
+		if !bytes.Equal(fast.Bytes(), slow.Bytes()) || fast.BitLen() != slow.BitLen() {
+			t.Fatalf("iter %d: WriteBits %x (%d bits), bit by bit %x (%d bits)",
+				iter, fast.Bytes(), fast.BitLen(), slow.Bytes(), slow.BitLen())
 		}
 	}
 }

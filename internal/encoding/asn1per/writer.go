@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Common codec errors.
@@ -60,6 +61,11 @@ func (w *Writer) ResetAppend(dst []byte) {
 	w.nbit = 0
 }
 
+// Grow ensures room for n more bytes without another allocation.
+// Encoders that can bound their output from their input call it once up
+// front, so a cold buffer grows once instead of doubling its way up.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
 // Bytes returns the encoded bit stream padded to a whole number of bytes.
 // The returned slice aliases the writer's buffer and is valid until the
 // next mutation.
@@ -98,6 +104,13 @@ func (w *Writer) WriteBit(b bool) {
 func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("asn1per: WriteBits n=%d", n))
+	}
+	if w.nbit == 0 && n&7 == 0 {
+		// Byte-aligned whole octets: no bit splicing needed.
+		for s := n - 8; s >= 0; s -= 8 {
+			w.buf = append(w.buf, byte(v>>uint(s)))
+		}
+		return
 	}
 	for n > 0 {
 		if w.nbit == 0 {

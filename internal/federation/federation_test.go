@@ -51,11 +51,11 @@ type testAgent struct {
 
 func startTestAgent(t *testing.T, nodeID uint64, ring *Ring, addrs map[string]string) *testAgent {
 	t.Helper()
-	fn := sm.NewStatsFunction(sm.IDMACStats, "test-mac", func(_ agent.ControllerID, now int64) [][]byte {
+	fn := sm.NewStatsFunction(sm.IDMACStats, "test-mac", func(_ agent.ControllerID, now int64, emit func([]byte)) {
 		rep := &sm.MACReport{CellTimeMS: now, UEs: []sm.MACUEEntry{{
 			RNTI: 5, CQI: 10, ThroughputBps: float64(nodeID*1000 + uint64(now%97)),
 		}}}
-		return [][]byte{sm.EncodeMACReport(sm.SchemeFB, rep)}
+		emit(sm.EncodeMACReport(sm.SchemeFB, rep))
 	})
 	pl := NewPlacer(ring, addrs, nodeID)
 	ta := &testAgent{fn: fn, stop: make(chan struct{})}

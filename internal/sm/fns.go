@@ -49,28 +49,55 @@ type subKey struct {
 }
 
 type subState struct {
-	tx       agent.IndicationSender
-	actionID uint8
+	ctrl     agent.ControllerID
 	periodMS int64
 	nextDue  int64
-	// batch coalesces multi-payload reports (one per UE shard) into a
-	// single transport operation; lazily created when tx supports it.
-	batch *agent.IndicationBatch
+	// emit sends one payload of the report being built; flush ends the
+	// report. Both are bound once, at subscription time, so a tick
+	// allocates no closure.
+	emit  func(payload []byte)
+	flush func()
 }
 
+// bind wires emit and flush to tx. A sender that batches gets the whole
+// report (one payload per UE shard) coalesced into a single transport
+// operation; any other sender gets one send per payload.
+func (st *subState) bind(tx agent.IndicationSender, actionID uint8) {
+	if bs, ok := tx.(agent.BatchIndicationSender); ok {
+		b := bs.NewBatch()
+		st.emit = func(payload []byte) { _ = b.Add(actionID, e2ap.IndicationReport, nil, payload) }
+		st.flush = func() { _ = b.Flush() }
+		return
+	}
+	st.emit = func(payload []byte) { _ = tx.SendIndication(actionID, e2ap.IndicationReport, nil, payload) }
+	st.flush = func() {}
+}
+
+// BuildFunc produces the indication payload(s) of one report for one
+// controller, handing each to emit. A payload is valid only during the
+// emit call — emit encodes it into the outgoing message and retains
+// nothing — so a builder may reuse one buffer for every payload. Builds
+// of one StatsFunction never run concurrently, so that buffer and any
+// other scratch can live in the builder's closure.
+type BuildFunc func(ctrl agent.ControllerID, now int64, emit func(payload []byte))
+
 // StatsFunction is a generic periodic-report RAN function: the shared
-// machinery of the MAC/RLC/PDCP/TC/KPM monitoring SMs. The build
-// callback produces the indication payload(s) for one controller.
+// machinery of the MAC/RLC/PDCP/TC/KPM monitoring SMs.
 type StatsFunction struct {
 	def   e2ap.RANFunctionItem
-	build func(ctrl agent.ControllerID, now int64) [][]byte
+	build BuildFunc
 
 	mu   sync.Mutex
 	subs map[subKey]*subState
+
+	// tickMu serializes Tick. It guards dues and the subscriptions'
+	// batches, and is what lets builders keep scratch across ticks.
+	tickMu sync.Mutex
+	dues   []*subState
 }
 
 // NewStatsFunction returns a periodic reporter with the given identity.
-func NewStatsFunction(id uint16, oid string, build func(ctrl agent.ControllerID, now int64) [][]byte) *StatsFunction {
+func NewStatsFunction(id uint16, oid string, build BuildFunc) *StatsFunction {
 	return &StatsFunction{
 		def:   e2ap.RANFunctionItem{ID: id, Revision: 1, OID: oid},
 		build: build,
@@ -95,12 +122,10 @@ func (f *StatsFunction) OnSubscription(ctrl agent.ControllerID, req *e2ap.Subscr
 	if len(req.Actions) > 0 {
 		actionID = req.Actions[0].ID
 	}
+	st := &subState{ctrl: ctrl, periodMS: int64(trig.PeriodMS)}
+	st.bind(tx, actionID)
 	f.mu.Lock()
-	f.subs[subKey{ctrl, req.RequestID}] = &subState{
-		tx:       tx,
-		actionID: actionID,
-		periodMS: int64(trig.PeriodMS),
-	}
+	f.subs[subKey{ctrl, req.RequestID}] = st
 	f.mu.Unlock()
 	return nil
 }
@@ -125,39 +150,22 @@ func (f *StatsFunction) OnControl(agent.ControllerID, *e2ap.ControlRequest) ([]b
 
 // Tick implements Ticker: emits due reports.
 func (f *StatsFunction) Tick(now int64) {
+	f.tickMu.Lock()
+	defer f.tickMu.Unlock()
 	f.mu.Lock()
-	type due struct {
-		st   *subState
-		ctrl agent.ControllerID
-	}
-	var dues []due
-	for k, st := range f.subs {
+	for _, st := range f.subs {
 		if now >= st.nextDue {
 			st.nextDue = now + st.periodMS
-			dues = append(dues, due{st, k.ctrl})
+			f.dues = append(f.dues, st)
 		}
 	}
 	f.mu.Unlock()
-	for _, d := range dues {
-		payloads := f.build(d.ctrl, now)
-		if len(payloads) > 1 {
-			if d.st.batch == nil {
-				if bs, ok := d.st.tx.(agent.BatchIndicationSender); ok {
-					d.st.batch = bs.NewBatch()
-				}
-			}
-			if b := d.st.batch; b != nil {
-				for _, payload := range payloads {
-					_ = b.Add(d.st.actionID, e2ap.IndicationReport, nil, payload)
-				}
-				_ = b.Flush()
-				continue
-			}
-		}
-		for _, payload := range payloads {
-			_ = d.st.tx.SendIndication(d.st.actionID, e2ap.IndicationReport, nil, payload)
-		}
+	for _, st := range f.dues {
+		f.build(st.ctrl, now, st.emit)
+		st.flush()
 	}
+	clear(f.dues) // do not pin a deleted subscription until it is overwritten
+	f.dues = f.dues[:0]
 }
 
 // Subscriptions reports the number of active subscriptions.
@@ -167,119 +175,103 @@ func (f *StatsFunction) Subscriptions() int {
 	return len(f.subs)
 }
 
-// NewMACStats returns the MAC monitoring SM bound to a cell. Reports are
-// built per UE shard — each shard's UEs become one indication payload
-// (same wire format, same CellTimeMS) so large cells stream as a batch
-// of bounded messages instead of one monolithic report; a cell with no
-// visible UEs still emits one empty report as a heartbeat.
-func NewMACStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
-	return NewStatsFunction(IDMACStats, "1.3.6.1.4.1.53148.1.2.2.142",
-		func(ctrl agent.ControllerID, now int64) [][]byte {
-			var out [][]byte
-			for si := 0; si < cell.NumShards(); si++ {
-				rep := &MACReport{CellTimeMS: now}
-				cell.WithShardUEs(si, func(ues []*ran.UE) {
-					for _, u := range ues {
-						if !visible(vis, ctrl, u.RNTI) {
-							continue
-						}
-						m := u.MACStats()
-						rep.UEs = append(rep.UEs, MACUEEntry{
-							RNTI:          m.RNTI,
-							CQI:           uint8(m.CQI),
-							MCS:           uint8(m.MCS),
-							RBsUsed:       m.RBsUsed,
-							TxBits:        m.TxBits,
-							ThroughputBps: m.ThroughputBps,
-						})
+// newShardStats returns the periodic reporter shared by the MAC, RLC and
+// PDCP monitoring SMs. Reports are built per UE shard — each shard's
+// visible UEs become one indication payload (same wire format, same
+// CellTimeMS) so large cells stream as a batch of bounded messages
+// instead of one monolithic report; a cell with no visible UEs still
+// emits one empty report as a heartbeat. entry reads one UE's counters;
+// enc encodes a report of such entries after dst, through fb when the
+// scheme is FlatBuffers. The entry list, the encode buffer and fb are
+// reused from report to report.
+func newShardStats[E any](id uint16, oid string, cell *ran.Cell, scheme Scheme, vis Visibility,
+	entry func(u *ran.UE, now int64) E,
+	enc func(dst []byte, s Scheme, cellTimeMS int64, ues []E, fb *fbScratch) []byte) *StatsFunction {
+	var (
+		ues []E
+		buf []byte
+		fb  fbScratch
+	)
+	return NewStatsFunction(id, oid, func(ctrl agent.ControllerID, now int64, emit func([]byte)) {
+		sent := false
+		for si := 0; si < cell.NumShards(); si++ {
+			ues = ues[:0]
+			cell.WithShardUEs(si, func(shard []*ran.UE) {
+				for _, u := range shard {
+					if visible(vis, ctrl, u.RNTI) {
+						ues = append(ues, entry(u, now))
 					}
-				})
-				if len(rep.UEs) > 0 {
-					out = append(out, EncodeMACReport(scheme, rep))
 				}
+			})
+			if len(ues) > 0 {
+				buf = enc(buf[:0], scheme, now, ues, &fb)
+				emit(buf)
+				sent = true
 			}
-			if len(out) == 0 {
-				out = [][]byte{EncodeMACReport(scheme, &MACReport{CellTimeMS: now})}
+		}
+		if !sent {
+			buf = enc(buf[:0], scheme, now, nil, &fb)
+			emit(buf)
+		}
+	})
+}
+
+// NewMACStats returns the MAC monitoring SM bound to a cell, reporting
+// per UE shard (see newShardStats).
+func NewMACStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
+	return newShardStats(IDMACStats, "1.3.6.1.4.1.53148.1.2.2.142", cell, scheme, vis,
+		func(u *ran.UE, _ int64) MACUEEntry {
+			m := u.MACStats()
+			return MACUEEntry{
+				RNTI:          m.RNTI,
+				CQI:           uint8(m.CQI),
+				MCS:           uint8(m.MCS),
+				RBsUsed:       m.RBsUsed,
+				TxBits:        m.TxBits,
+				ThroughputBps: m.ThroughputBps,
 			}
-			return out
-		})
+		},
+		appendMACReport)
 }
 
 // NewRLCStats returns the RLC monitoring SM bound to a cell, reporting
-// per UE shard like NewMACStats.
+// per UE shard (see newShardStats).
 func NewRLCStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
-	return NewStatsFunction(IDRLCStats, "1.3.6.1.4.1.53148.1.2.2.143",
-		func(ctrl agent.ControllerID, now int64) [][]byte {
-			var out [][]byte
-			for si := 0; si < cell.NumShards(); si++ {
-				rep := &RLCReport{CellTimeMS: now}
-				cell.WithShardUEs(si, func(ues []*ran.UE) {
-					for _, u := range ues {
-						if !visible(vis, ctrl, u.RNTI) {
-							continue
-						}
-						st := u.RLC().Stats()
-						rep.UEs = append(rep.UEs, RLCUEEntry{
-							RNTI:        u.RNTI,
-							TxPackets:   st.TxPackets,
-							TxBytes:     st.TxBytes,
-							RxPackets:   st.RxPackets,
-							RxBytes:     st.RxBytes,
-							DropPackets: st.DropPackets,
-							DropBytes:   st.DropBytes,
-							BufferBytes: uint64(st.BufferBytes),
-							BufferPkts:  uint64(st.BufferPkts),
-							SojournMS:   u.RLC().OldestSojournMS(now),
-						})
-					}
-				})
-				if len(rep.UEs) > 0 {
-					out = append(out, EncodeRLCReport(scheme, rep))
-				}
+	return newShardStats(IDRLCStats, "1.3.6.1.4.1.53148.1.2.2.143", cell, scheme, vis,
+		func(u *ran.UE, now int64) RLCUEEntry {
+			st := u.RLC().Stats()
+			return RLCUEEntry{
+				RNTI:        u.RNTI,
+				TxPackets:   st.TxPackets,
+				TxBytes:     st.TxBytes,
+				RxPackets:   st.RxPackets,
+				RxBytes:     st.RxBytes,
+				DropPackets: st.DropPackets,
+				DropBytes:   st.DropBytes,
+				BufferBytes: uint64(st.BufferBytes),
+				BufferPkts:  uint64(st.BufferPkts),
+				SojournMS:   u.RLC().OldestSojournMS(now),
 			}
-			if len(out) == 0 {
-				out = [][]byte{EncodeRLCReport(scheme, &RLCReport{CellTimeMS: now})}
-			}
-			return out
-		})
+		},
+		appendRLCReport)
 }
 
 // NewPDCPStats returns the PDCP monitoring SM bound to a cell, reporting
-// per UE shard like NewMACStats.
+// per UE shard (see newShardStats).
 func NewPDCPStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
-	return NewStatsFunction(IDPDCPStats, "1.3.6.1.4.1.53148.1.2.2.144",
-		func(ctrl agent.ControllerID, now int64) [][]byte {
-			var out [][]byte
-			for si := 0; si < cell.NumShards(); si++ {
-				rep := &PDCPReport{CellTimeMS: now}
-				cell.WithShardUEs(si, func(ues []*ran.UE) {
-					for _, u := range ues {
-						if !visible(vis, ctrl, u.RNTI) {
-							continue
-						}
-						st := u.PDCPStats()
-						rep.UEs = append(rep.UEs, PDCPUEEntry{
-							RNTI:      u.RNTI,
-							TxPackets: st.TxPackets,
-							TxBytes:   st.TxBytes,
-						})
-					}
-				})
-				if len(rep.UEs) > 0 {
-					out = append(out, EncodePDCPReport(scheme, rep))
-				}
-			}
-			if len(out) == 0 {
-				out = [][]byte{EncodePDCPReport(scheme, &PDCPReport{CellTimeMS: now})}
-			}
-			return out
-		})
+	return newShardStats(IDPDCPStats, "1.3.6.1.4.1.53148.1.2.2.144", cell, scheme, vis,
+		func(u *ran.UE, _ int64) PDCPUEEntry {
+			st := u.PDCPStats()
+			return PDCPUEEntry{RNTI: u.RNTI, TxPackets: st.TxPackets, TxBytes: st.TxBytes}
+		},
+		appendPDCPReport)
 }
 
 // NewTCStats returns the TC monitoring SM (one report per UE per period).
 func NewTCStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
 	return NewStatsFunction(IDTrafficCtrl+100, "1.3.6.1.4.1.53148.1.2.2.246",
-		func(ctrl agent.ControllerID, now int64) [][]byte {
+		func(ctrl agent.ControllerID, now int64, emit func([]byte)) {
+			// Encoded under the cell lock, sent after it is released.
 			var out [][]byte
 			cell.WithUEs(func(ues []*ran.UE) {
 				for _, u := range ues {
@@ -310,14 +302,16 @@ func NewTCStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
 					out = append(out, EncodeTCReport(scheme, rep))
 				}
 			})
-			return out
+			for _, payload := range out {
+				emit(payload)
+			}
 		})
 }
 
 // NewKPM returns an O-RAN-KPM-style SM reporting cell aggregates.
 func NewKPM(cell *ran.Cell, scheme Scheme) *StatsFunction {
 	return NewStatsFunction(IDKPM, "1.3.6.1.4.1.53148.1.2.2.147",
-		func(ctrl agent.ControllerID, now int64) [][]byte {
+		func(ctrl agent.ControllerID, now int64, emit func([]byte)) {
 			rep := &KPMReport{CellTimeMS: now, GranularityMS: 1}
 			nUE := 0.0
 			cell.WithUEs(func(ues []*ran.UE) { nUE = float64(len(ues)) })
@@ -325,7 +319,7 @@ func NewKPM(cell *ran.Cell, scheme Scheme) *StatsFunction {
 				{Name: "DRB.UEThpDl", Value: float64(cell.TotalTxBits())},
 				{Name: "RRC.ConnMean", Value: nUE},
 			}
-			return [][]byte{EncodeKPMReport(scheme, rep)}
+			emit(EncodeKPMReport(scheme, rep))
 		})
 }
 
@@ -385,14 +379,14 @@ type SliceCtrlFunction struct {
 // NewSliceCtrl returns the slicing control SM.
 func NewSliceCtrl(cell *ran.Cell, scheme Scheme) *SliceCtrlFunction {
 	stats := NewStatsFunction(IDSliceCtrl, "1.3.6.1.4.1.53148.1.2.2.145",
-		func(ctrl agent.ControllerID, now int64) [][]byte {
+		func(ctrl agent.ControllerID, now int64, emit func([]byte)) {
 			st := &SliceStatus{Algo: cell.SliceMode().String(), Slices: ParamsFromNVS(cell.Slices())}
 			cell.WithUEs(func(ues []*ran.UE) {
 				for _, u := range ues {
 					st.UEs = append(st.UEs, UESliceAssoc{RNTI: u.RNTI, SliceID: u.SliceID})
 				}
 			})
-			return [][]byte{EncodeSliceStatus(scheme, st)}
+			emit(EncodeSliceStatus(scheme, st))
 		})
 	return &SliceCtrlFunction{StatsFunction: stats, cell: cell}
 }

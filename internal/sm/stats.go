@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"flexric/internal/encoding/asn1per"
 	"flexric/internal/encoding/flat"
@@ -13,6 +14,55 @@ import (
 // counters the §5.1 experiments export at 1 ms frequency ("PDCP/RLC
 // packet and byte counters, MAC statistics such as CQI and used resource
 // blocks").
+
+// The three reports share one shape — a cell time and a per-UE entry
+// list — so their encoders share the framing below and differ only in
+// the entry fields.
+
+// fbScratch is the FlatBuffers encode state that outlives one report
+// when the caller keeps it: the builder's slot table and the entry
+// reference list. A periodic reporter holds one and encodes every
+// report through it without allocating; the exported Append*Report
+// functions pass a fresh one.
+type fbScratch struct {
+	b    flat.Builder
+	refs []uint32
+}
+
+// start begins a report of n entries after dst and the scheme byte.
+// The caller writes entry i's table and stores its position in refs[i].
+func (f *fbScratch) start(dst []byte, n int) *flat.Builder {
+	f.b.ResetAppend(append(dst, byte(SchemeFB)))
+	f.refs = slices.Grow(f.refs[:0], n)[:n]
+	return &f.b
+}
+
+// finish writes the root table over the entries and hands the buffer
+// back: the builder keeps no reference to it.
+func (f *fbScratch) finish(cellTimeMS int64) []byte {
+	b := &f.b
+	vec := b.CreateRefVector(f.refs)
+	b.StartTable(2)
+	b.AddInt64(0, cellTimeMS)
+	b.AddRef(1, vec)
+	b.Finish(b.EndTable())
+	out := b.BytesWithPrefix()
+	b.Detach()
+	return out
+}
+
+// startPERReport begins a PER report after dst: scheme byte, cell time
+// and entry count, with room reserved for n entries of at most
+// entryMax octets so a cold dst grows once.
+func startPERReport(dst []byte, cellTimeMS int64, n, entryMax int) asn1per.Writer {
+	var w asn1per.Writer
+	w.ResetAppend(dst)
+	w.Grow(14 + n*entryMax) // scheme 1 + time ≤ 9 + count ≤ 4
+	w.WriteBits(uint64(SchemeASN), 8)
+	w.WriteInt(cellTimeMS)
+	w.WriteLength(n)
+	return w
+}
 
 // MACUEEntry is one UE's MAC statistics.
 type MACUEEntry struct {
@@ -40,12 +90,14 @@ func EncodeMACReport(s Scheme, r *MACReport) []byte {
 // nothing is retained — the per-TTI encoder of the indication fast path
 // (see docs/PERFORMANCE.md).
 func AppendMACReport(dst []byte, s Scheme, r *MACReport) []byte {
+	return appendMACReport(dst, s, r.CellTimeMS, r.UEs, &fbScratch{})
+}
+
+func appendMACReport(dst []byte, s Scheme, cellTimeMS int64, ues []MACUEEntry, fb *fbScratch) []byte {
 	switch s {
 	case SchemeFB:
-		var b flat.Builder
-		b.ResetAppend(append(dst, byte(SchemeFB)))
-		refs := make([]uint32, len(r.UEs))
-		for i, u := range r.UEs {
+		b := fb.start(dst, len(ues))
+		for i, u := range ues {
 			b.StartTable(6)
 			b.AddUint32(0, uint32(u.RNTI))
 			b.AddUint8(1, u.CQI)
@@ -53,21 +105,13 @@ func AppendMACReport(dst []byte, s Scheme, r *MACReport) []byte {
 			b.AddUint64(3, u.RBsUsed)
 			b.AddUint64(4, u.TxBits)
 			b.AddFloat64(5, u.ThroughputBps)
-			refs[i] = b.EndTable()
+			fb.refs[i] = b.EndTable()
 		}
-		vec := b.CreateRefVector(refs)
-		b.StartTable(2)
-		b.AddInt64(0, r.CellTimeMS)
-		b.AddRef(1, vec)
-		b.Finish(b.EndTable())
-		return b.BytesWithPrefix()
+		return fb.finish(cellTimeMS)
 	default:
-		var w asn1per.Writer
-		w.ResetAppend(dst)
-		w.WriteBits(uint64(SchemeASN), 8)
-		w.WriteInt(r.CellTimeMS)
-		w.WriteLength(len(r.UEs))
-		for _, u := range r.UEs {
+		// Worst case per UE: 4 fixed octets, two 9-octet uints, a float.
+		w := startPERReport(dst, cellTimeMS, len(ues), 30)
+		for _, u := range ues {
 			w.WriteBits(uint64(u.RNTI), 16)
 			w.WriteBits(uint64(u.CQI), 8)
 			w.WriteBits(uint64(u.MCS), 8)
@@ -179,12 +223,14 @@ func EncodeRLCReport(s Scheme, r *RLCReport) []byte {
 // be nil) and returns the extended slice. The caller owns the result;
 // nothing is retained.
 func AppendRLCReport(dst []byte, s Scheme, r *RLCReport) []byte {
+	return appendRLCReport(dst, s, r.CellTimeMS, r.UEs, &fbScratch{})
+}
+
+func appendRLCReport(dst []byte, s Scheme, cellTimeMS int64, ues []RLCUEEntry, fb *fbScratch) []byte {
 	switch s {
 	case SchemeFB:
-		var b flat.Builder
-		b.ResetAppend(append(dst, byte(SchemeFB)))
-		refs := make([]uint32, len(r.UEs))
-		for i, u := range r.UEs {
+		b := fb.start(dst, len(ues))
+		for i, u := range ues {
 			b.StartTable(10)
 			b.AddUint32(0, uint32(u.RNTI))
 			b.AddUint64(1, u.TxPackets)
@@ -196,21 +242,13 @@ func AppendRLCReport(dst []byte, s Scheme, r *RLCReport) []byte {
 			b.AddUint64(7, u.BufferBytes)
 			b.AddUint64(8, u.BufferPkts)
 			b.AddInt64(9, u.SojournMS)
-			refs[i] = b.EndTable()
+			fb.refs[i] = b.EndTable()
 		}
-		vec := b.CreateRefVector(refs)
-		b.StartTable(2)
-		b.AddInt64(0, r.CellTimeMS)
-		b.AddRef(1, vec)
-		b.Finish(b.EndTable())
-		return b.BytesWithPrefix()
+		return fb.finish(cellTimeMS)
 	default:
-		var w asn1per.Writer
-		w.ResetAppend(dst)
-		w.WriteBits(uint64(SchemeASN), 8)
-		w.WriteInt(r.CellTimeMS)
-		w.WriteLength(len(r.UEs))
-		for _, u := range r.UEs {
+		// Worst case per UE: 2 fixed octets and nine 9-octet integers.
+		w := startPERReport(dst, cellTimeMS, len(ues), 83)
+		for _, u := range ues {
 			w.WriteBits(uint64(u.RNTI), 16)
 			w.WriteUint(u.TxPackets)
 			w.WriteUint(u.TxBytes)
@@ -316,31 +354,25 @@ func EncodePDCPReport(s Scheme, r *PDCPReport) []byte {
 // may be nil) and returns the extended slice. The caller owns the
 // result; nothing is retained.
 func AppendPDCPReport(dst []byte, s Scheme, r *PDCPReport) []byte {
+	return appendPDCPReport(dst, s, r.CellTimeMS, r.UEs, &fbScratch{})
+}
+
+func appendPDCPReport(dst []byte, s Scheme, cellTimeMS int64, ues []PDCPUEEntry, fb *fbScratch) []byte {
 	switch s {
 	case SchemeFB:
-		var b flat.Builder
-		b.ResetAppend(append(dst, byte(SchemeFB)))
-		refs := make([]uint32, len(r.UEs))
-		for i, u := range r.UEs {
+		b := fb.start(dst, len(ues))
+		for i, u := range ues {
 			b.StartTable(3)
 			b.AddUint32(0, uint32(u.RNTI))
 			b.AddUint64(1, u.TxPackets)
 			b.AddUint64(2, u.TxBytes)
-			refs[i] = b.EndTable()
+			fb.refs[i] = b.EndTable()
 		}
-		vec := b.CreateRefVector(refs)
-		b.StartTable(2)
-		b.AddInt64(0, r.CellTimeMS)
-		b.AddRef(1, vec)
-		b.Finish(b.EndTable())
-		return b.BytesWithPrefix()
+		return fb.finish(cellTimeMS)
 	default:
-		var w asn1per.Writer
-		w.ResetAppend(dst)
-		w.WriteBits(uint64(SchemeASN), 8)
-		w.WriteInt(r.CellTimeMS)
-		w.WriteLength(len(r.UEs))
-		for _, u := range r.UEs {
+		// Worst case per UE: 2 fixed octets and two 9-octet uints.
+		w := startPERReport(dst, cellTimeMS, len(ues), 20)
+		for _, u := range ues {
 			w.WriteBits(uint64(u.RNTI), 16)
 			w.WriteUint(u.TxPackets)
 			w.WriteUint(u.TxBytes)

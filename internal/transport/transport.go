@@ -155,10 +155,13 @@ type streamConn struct {
 
 	sendMu sync.Mutex
 	hdr    [4]byte
-	// SendBatch scratch, reused across calls under sendMu. Entries of
-	// iov are nilled after the write so caller payloads are not retained.
+	// Vectored-write scratch, reused across sends under sendMu. wr is
+	// the view of iov that WriteTo consumes: it advances the slice it is
+	// called on, and calling it on a field rather than a local keeps
+	// that slice header off the heap. Entries of iov are nilled after
+	// the write so caller payloads are not retained.
 	batchHdrs [][4]byte
-	batchIov  net.Buffers
+	iov, wr   net.Buffers
 
 	recvMu  sync.Mutex
 	recvHdr [4]byte
@@ -193,8 +196,8 @@ func (s *streamConn) Send(b []byte) error {
 	binary.BigEndian.PutUint32(s.hdr[:], uint32(len(b)))
 	// Two writes would allow the kernel to emit a tiny header segment;
 	// use a vectored write so header+payload go out together.
-	bufs := net.Buffers{s.hdr[:], b}
-	if _, err := bufs.WriteTo(s.c); err != nil {
+	s.iov = append(s.iov[:0], s.hdr[:], b)
+	if err := s.writeIov(); err != nil {
 		return mapErr(err)
 	}
 	if telemetry.Enabled {
@@ -229,23 +232,29 @@ func (s *streamConn) SendBatch(msgs [][]byte) error {
 		s.batchHdrs = make([][4]byte, len(msgs))
 	}
 	hdrs := s.batchHdrs[:len(msgs)]
-	iov := s.batchIov[:0]
+	s.iov = s.iov[:0]
 	for i, b := range msgs {
 		binary.BigEndian.PutUint32(hdrs[i][:], uint32(len(b)))
-		iov = append(iov, hdrs[i][:], b)
+		s.iov = append(s.iov, hdrs[i][:], b)
 	}
-	s.batchIov = iov           // keep the grown capacity for the next batch
-	_, err := iov.WriteTo(s.c) // consumes iov's local header; batchIov keeps full length
-	for i := range s.batchIov {
-		s.batchIov[i] = nil
-	}
-	if err != nil {
+	if err := s.writeIov(); err != nil {
 		return mapErr(err)
 	}
 	if telemetry.Enabled {
 		s.stats.sentBatch(len(msgs), total, time.Since(t0))
 	}
 	return nil
+}
+
+// writeIov sends s.iov in one vectored write. Called under sendMu.
+func (s *streamConn) writeIov() error {
+	s.wr = s.iov
+	_, err := s.wr.WriteTo(s.c)
+	s.wr = nil
+	for i := range s.iov {
+		s.iov[i] = nil
+	}
+	return err
 }
 
 // Recv implements Conn.

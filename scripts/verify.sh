@@ -111,7 +111,7 @@ if ! echo "$res_out" | grep 'BenchmarkResilienceSendHotPath' | grep -q ' 0 alloc
 fi
 
 echo "==> indication fast path (<=2 allocs/op gate, all build modes)"
-# The end-to-end indication pipeline — agent encode-append, pipe
+# The E2AP leg of the indication pipeline — agent encode-append, pipe
 # transport, server envelope dispatch, subscription callback — must stay
 # (near-)allocation-free with telemetry compiled in and tracing
 # unsampled, and in every stripped build mode. The gate accepts 0, 1 or
@@ -135,6 +135,23 @@ for tags in "" "notelemetry" "notrace"; do
         exit 1
     fi
 done
+
+echo "==> indication path, system level (<=0.25 mallocs/indication gate)"
+# The gate above feeds one pre-encoded payload over the FB codec and the
+# pipe transport. This one runs the loop a deployment runs — the real
+# MAC/RLC/PDCP SMs over a sharded cell, agent batching, loopback TCP,
+# server dispatch, monitor raw archive — under both schemes and bounds
+# the process-wide mallocs per indication received.
+ip_out=$(go test -count=1 -run 'TestIndicationPathAllocs$' -v ./internal/ctrl/ 2>&1) || {
+    echo "$ip_out"
+    echo "verify: indication path exceeds 0.25 mallocs per indication" >&2
+    exit 1
+}
+echo "$ip_out" | grep -E '(mallocs per indication|^--- (PASS|FAIL)|^ok)'
+if ! echo "$ip_out" | grep -q -- '--- PASS: TestIndicationPathAllocs'; then
+    echo "verify: TestIndicationPathAllocs did not run" >&2
+    exit 1
+fi
 
 echo "==> tsdb append (<=1 alloc/op gate, all build modes)"
 # Steady-state time-series ingest — the per-UE-field appends the monitor
