@@ -8,12 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Paper figure suite + hot-path microbenches with -benchmem; writes
-# BENCH_pr10.json (name -> ns/op, B/op, allocs/op). Tunables:
-# FIG_BENCHTIME, HOT_BENCHTIME, MICRO_BENCHTIME, OUT. See
-# scripts/bench.sh and docs/PERFORMANCE.md.
+# The benchmark BENCHMARK.json declares: five fixed-work workloads over
+# loopback TCP, each printing its end-to-end metrics and a counts line
+# (bench/README.md). Pass arguments through ARGS, e.g.
+# make bench ARGS='--workload fed_query --seed 1'. The paper-figure and
+# micro-benchmark suite stays `sh scripts/bench.sh` (docs/PERFORMANCE.md).
 bench:
-	sh scripts/bench.sh
+	bash bench/run.sh $(ARGS)
 
 # End-to-end tracing demo: drives a monitoring control loop per encoding
 # scheme and asserts the linked span tree (agent.indication ->

@@ -3,6 +3,7 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -323,14 +324,55 @@ func (r *Root) liveObsAddrs() []string {
 	return out
 }
 
-// fanOutPartial queries every live shard's /tsdb/partial with the given
-// parameters and merges the responses. shardsHit counts shards that
-// answered, series the matched series across them.
-func (r *Root) fanOutPartial(params url.Values) (merged partialEnvelope, shardsHit int, err error) {
+// readLeg decodes one shard's /tsdb/partial answer and checks it before
+// the merge trusts it: a series count that is not negative, exactly the
+// bucket grid the root asked for (none for an aggregate), and partials
+// that pass tsdb validation — so a corrupt or hostile leg can neither
+// panic the merge nor grow a histogram past the finite bucket range.
+func readLeg(r io.Reader, grid []tsdb.PartialBucket) (partialEnvelope, error) {
+	var env partialEnvelope
+	if err := json.NewDecoder(r).Decode(&env); err != nil {
+		return env, fmt.Errorf("federation: shard answer: %w", err)
+	}
+	if env.Series < 0 || len(env.Buckets) != len(grid) {
+		return env, fmt.Errorf("federation: shard answer: %d series, %d buckets for %d asked", env.Series, len(env.Buckets), len(grid))
+	}
+	if err := env.Agg.Validate(); err != nil {
+		return env, fmt.Errorf("federation: shard answer: %w", err)
+	}
+	for i := range env.Buckets {
+		b := &env.Buckets[i]
+		if b.FromTS != grid[i].FromTS || b.ToTS != grid[i].ToTS {
+			return env, fmt.Errorf("federation: shard answer: bucket %d is [%d, %d), asked [%d, %d)", i, b.FromTS, b.ToTS, grid[i].FromTS, grid[i].ToTS)
+		}
+		if err := b.Agg.Validate(); err != nil {
+			return env, fmt.Errorf("federation: shard answer: bucket %d: %w", i, err)
+		}
+	}
+	return env, nil
+}
+
+// merge folds a checked leg into m.
+func (m *partialEnvelope) merge(leg *partialEnvelope) {
+	m.Series += leg.Series
+	m.Agg.Merge(&leg.Agg)
+	m.Buckets = tsdb.MergePartialWindows(m.Buckets, leg.Buckets)
+}
+
+// fanOutPartial queries every live shard's /tsdb/partial for the
+// matching series over [from, to] — or, with stepNS > 0, its step
+// windows over [from, to) — and merges the answers into the root's own
+// bucket grid. shardsHit counts shards that answered with a valid leg,
+// series the matched series across them.
+func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64) (merged partialEnvelope, shardsHit int, err error) {
 	addrs := r.liveObsAddrs()
 	if len(addrs) == 0 {
 		return merged, 0, fmt.Errorf("federation: no live shards")
 	}
+	// Shards take the step in whole milliseconds; the grid must match.
+	stepMS := stepNS / int64(time.Millisecond)
+	merged.Buckets = tsdb.NewPartialWindow(from, to, stepMS*int64(time.Millisecond))
+	query := partialParams(agent, fn, ue, field, from, to, stepMS).Encode()
 	type result struct {
 		env partialEnvelope
 		err error
@@ -341,7 +383,7 @@ func (r *Root) fanOutPartial(params url.Values) (merged partialEnvelope, shardsH
 		wg.Add(1)
 		go func(i int, base string) {
 			defer wg.Done()
-			resp, err := r.client.Get(base + "/tsdb/partial?" + params.Encode())
+			resp, err := r.client.Get(base + "/tsdb/partial?" + query)
 			if err != nil {
 				results[i].err = err
 				return
@@ -351,20 +393,19 @@ func (r *Root) fanOutPartial(params url.Values) (merged partialEnvelope, shardsH
 				results[i].err = fmt.Errorf("federation: shard query: %s", resp.Status)
 				return
 			}
-			results[i].err = json.NewDecoder(resp.Body).Decode(&results[i].env)
+			results[i].env, results[i].err = readLeg(resp.Body, merged.Buckets)
 		}(i, base)
 	}
 	wg.Wait()
-	for _, res := range results {
-		if res.err != nil {
-			// A shard dying mid-query is expected during failover; the
-			// merge proceeds over the shards that answered.
+	for i := range results {
+		if results[i].err != nil {
+			// A shard dying mid-query is expected during failover, and a
+			// leg that fails its checks is dropped the same way; the merge
+			// proceeds over the shards that answered.
 			continue
 		}
 		shardsHit++
-		merged.Series += res.env.Series
-		merged.Agg.Merge(&res.env.Agg)
-		merged.Buckets = tsdb.MergePartialWindows(merged.Buckets, res.env.Buckets)
+		merged.merge(&results[i].env)
 	}
 	if shardsHit == 0 {
 		return merged, 0, fmt.Errorf("federation: every shard query failed")
@@ -372,7 +413,7 @@ func (r *Root) fanOutPartial(params url.Values) (merged partialEnvelope, shardsH
 	return merged, shardsHit, nil
 }
 
-func partialParams(agent, fn, ue, field string, from, to, stepNS int64) url.Values {
+func partialParams(agent, fn, ue, field string, from, to, stepMS int64) url.Values {
 	v := url.Values{}
 	v.Set("agent", agent)
 	v.Set("fn", fn)
@@ -380,8 +421,8 @@ func partialParams(agent, fn, ue, field string, from, to, stepNS int64) url.Valu
 	v.Set("field", field)
 	v.Set("from", strconv.FormatInt(from, 10))
 	v.Set("to", strconv.FormatInt(to, 10))
-	if stepNS > 0 {
-		v.Set("step_ms", strconv.FormatInt(stepNS/int64(time.Millisecond), 10))
+	if stepMS > 0 {
+		v.Set("step_ms", strconv.FormatInt(stepMS, 10))
 	}
 	return v
 }
@@ -390,7 +431,7 @@ func partialParams(agent, fn, ue, field string, from, to, stepNS int64) url.Valu
 // series across live shards. agent and ue accept "all" or a number; fn
 // a number or mac/rlc/pdcp alias.
 func (r *Root) FederatedAggregate(agent, fn, ue, field string, from, to int64) (tsdb.Agg, bool, error) {
-	env, _, err := r.fanOutPartial(partialParams(agent, fn, ue, field, from, to, 0))
+	env, _, err := r.fanOutPartial(agent, fn, ue, field, from, to, 0)
 	if err != nil {
 		return tsdb.Agg{}, false, err
 	}
@@ -401,7 +442,7 @@ func (r *Root) FederatedAggregate(agent, fn, ue, field string, from, to int64) (
 // FederatedWindow is the windowed form: aligned shard windows merged
 // bucket-by-bucket.
 func (r *Root) FederatedWindow(agent, fn, ue, field string, from, to, stepNS int64) ([]tsdb.Bucket, error) {
-	env, _, err := r.fanOutPartial(partialParams(agent, fn, ue, field, from, to, stepNS))
+	env, _, err := r.fanOutPartial(agent, fn, ue, field, from, to, stepNS)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +514,7 @@ func (r *Root) QueryHandler() http.HandlerFunc {
 			http.Error(w, "need last, window_ms, or from/to", http.StatusBadRequest)
 			return
 		}
-		env, hit, err := r.fanOutPartial(partialParams(agent, fn, ue, field, from, to, stepNS))
+		env, hit, err := r.fanOutPartial(agent, fn, ue, field, from, to, stepNS)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return

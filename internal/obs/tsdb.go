@@ -38,10 +38,11 @@ func parseFn(v string) (uint16, bool) {
 }
 
 // handleTSDBPartial serves GET /tsdb/partial: the federation fan-out
-// endpoint. It merges every matching series into one mergeable
-// tsdb.PartialAgg (or, with step_ms, aligned PartialBuckets) that the
-// root combines across shards. agent and ue accept "all" as wildcards
-// (fn and field stay required — a cross-field merge is meaningless);
+// endpoint. It folds every matching series into one mergeable
+// tsdb.PartialAgg (or, with step_ms, one list of aligned
+// PartialBuckets, always the full [from, to) grid) that the root
+// combines across shards. agent and ue accept "all" as wildcards (fn
+// and field stay required — a cross-field merge is meaningless);
 // from/to are absolute Unix-ns bounds.
 //
 //	GET /tsdb/partial?agent=all&fn=mac&ue=all&field=throughput_bps&from=N&to=N[&step_ms=S]
@@ -94,18 +95,16 @@ func handleTSDBPartial(st *tsdb.Store) http.HandlerFunc {
 			stepNS = n * int64(time.Millisecond)
 		}
 
-		var resp partialResponse
-		for _, info := range st.List(agent, fn) {
-			k := info.Key
-			if k.Field != field || (ue >= 0 && k.UE != uint16(ue)) {
-				continue
-			}
-			resp.Series++
-			if stepNS > 0 {
-				resp.Buckets = tsdb.MergePartialWindows(resp.Buckets, st.PartialWindow(k, from, to, stepNS))
-			} else if p, ok := st.PartialAggregate(k, from, to); ok {
-				resp.Agg.Merge(&p)
-			}
+		keys := st.Keys(func(k tsdb.SeriesKey) bool {
+			return k.Fn == fn && k.Field == field &&
+				(agent < 0 || k.Agent == uint32(agent)) && (ue < 0 || k.UE == uint16(ue))
+		})
+		resp := partialResponse{Series: len(keys)}
+		if stepNS > 0 {
+			resp.Buckets = tsdb.NewPartialWindow(from, to, stepNS)
+			st.FoldPartialWindow(keys, resp.Buckets)
+		} else {
+			st.FoldPartial(keys, from, to, &resp.Agg)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(resp)

@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -261,6 +263,138 @@ func TestPartialTierDegradation(t *testing.T) {
 	got, _ := p.Finish()
 	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max || got.Mean != want.Mean {
 		t.Fatalf("tier merge mismatch:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestPartialInfinitePercentile pins the ±Inf buckets: +Inf lands in
+// the top finite bucket, whose representative clamps to Max, so a p99
+// that the exact aggregate answers with +Inf is +Inf in the partial too
+// (and -Inf symmetrically at the bottom).
+func TestPartialInfinitePercentile(t *testing.T) {
+	s := New(Config{})
+	up, down := pkey(1, 0), pkey(1, 1)
+	for i := int64(0); i < 9; i++ {
+		s.Append(up, i, float64(5+i))
+		s.Append(down, i, -float64(5+i))
+	}
+	s.Append(up, 9, math.Inf(1))
+	s.Append(down, 9, math.Inf(-1))
+	exact, _ := s.Aggregate(up, 0, 9)
+	p, _ := s.PartialAggregate(up, 0, 9)
+	if got, _ := p.Finish(); !math.IsInf(exact.P99, 1) || got.P99 != exact.P99 {
+		t.Fatalf("{5…13, +Inf}: partial p99 %v, exact %v", got.P99, exact.P99)
+	}
+	p, _ = s.PartialAggregate(down, 0, 9)
+	if got := p.quantile(0); !math.IsInf(got, -1) {
+		t.Fatalf("{-13…-5, -Inf}: partial p0 %v, want -Inf", got)
+	}
+	if histIdx(math.Inf(1)) != histMaxIdx || histIdx(math.MaxFloat64) != histMaxIdx ||
+		histIdx(math.SmallestNonzeroFloat64) != histMinIdx || histIdx(1e-310) != histMinIdx {
+		t.Fatalf("finite range: Inf %d Max %d subnormals %d %d, want [%d, %d]", histIdx(math.Inf(1)), histIdx(math.MaxFloat64),
+			histIdx(math.SmallestNonzeroFloat64), histIdx(1e-310), histMinIdx, histMaxIdx)
+	}
+	// The wire contract: the root validates shard answers against this
+	// range, so it must not depend on the platform's math.Log.
+	if histMinIdx != -9205 || histMaxIdx != 9222 {
+		t.Fatalf("finite range [%d, %d], want [-9205, 9222]", histMinIdx, histMaxIdx)
+	}
+}
+
+// TestPartialValidate accepts what stores produce and rejects partials
+// no store could have produced — the checks the federation root runs on
+// every shard answer before merging it.
+func TestPartialValidate(t *testing.T) {
+	s := New(Config{})
+	k := pkey(2, 0)
+	for i := int64(0); i < 300; i++ {
+		s.Append(k, i, float64(i%17)-8)
+	}
+	good, _ := s.PartialAggregate(k, 0, 1<<62)
+	if err := good.Validate(); err != nil {
+		t.Fatalf("store partial rejected: %v", err)
+	}
+	var empty PartialAgg
+	if err := empty.Validate(); err != nil {
+		t.Fatalf("empty partial rejected: %v", err)
+	}
+	for name, mut := range map[string]func(p *PartialAgg){
+		"lo far below":      func(p *PartialAgg) { p.Pos.Lo = -1e9 },
+		"lo far above":      func(p *PartialAgg) { p.Neg.Lo = 1e9 },
+		"run past the top":  func(p *PartialAgg) { p.Pos.Lo = histMaxIdx - 1 },
+		"negative count":    func(p *PartialAgg) { p.Pos.N[0], p.Pos.N[1] = -1, p.Pos.N[1]+p.Pos.N[0]+1 },
+		"counts exceed raw": func(p *PartialAgg) { p.Neg.N[0] += 1 << 40 },
+		"counts short":      func(p *PartialAgg) { p.RawN++; p.Count++ },
+		"raw above count":   func(p *PartialAgg) { p.RawN = p.Count + 1 },
+		"negative zeros":    func(p *PartialAgg) { p.Zeros = -1 },
+		"negative count sum": func(p *PartialAgg) {
+			p.Count, p.RawN, p.Zeros, p.Pos, p.Neg = -1, -1, 0, Hist{}, Hist{}
+		},
+	} {
+		p := good
+		p.Pos.N = append([]int(nil), good.Pos.N...)
+		p.Neg.N = append([]int(nil), good.Neg.N...)
+		mut(&p)
+		if err := p.Validate(); !errors.Is(err, ErrBadPartial) {
+			t.Errorf("%s: Validate = %v, want ErrBadPartial", name, err)
+		}
+	}
+}
+
+// foldStores builds the stores the fold-in-place tests run on: an
+// uncompressed ring and a compressed store whose oldest data has folded
+// into tiers, both fed the same integer-valued samples (negatives and
+// zeros included) for 4 agents × 3 UEs, 400 samples 10 ms apart.
+func foldStores() []*Store {
+	ring := New(Config{})
+	comp := New(Config{Capacity: 32, Compress: true, MaxChunks: 2})
+	partialStream(func(agent uint32, ue uint16, ts int64, v float64) {
+		if agent > 4 {
+			return
+		}
+		v = float64(int64(v)%2001) - 1000
+		ring.Append(pkey(agent, ue), ts, v)
+		comp.Append(pkey(agent, ue), ts, v)
+	})
+	return []*Store{ring, comp}
+}
+
+// TestFoldPartialWindowMatchesMerge pins the relation the federation
+// handler and the benchmark oracle rely on: folding every series into
+// one bucket list equals merging one PartialWindow per series, field
+// for field, over windows with raw data, empty buckets, and ranges the
+// compressed store serves from tiers alone.
+func TestFoldPartialWindowMatchesMerge(t *testing.T) {
+	for si, s := range foldStores() {
+		keys := s.Keys(func(SeriesKey) bool { return true })
+		if len(keys) != 12 {
+			t.Fatalf("store %d: %d keys", si, len(keys))
+		}
+		for _, win := range [][3]int64{
+			{1_000_000_000, 5_000_000_000, 500_000_000}, // all data, 8 buckets
+			{4_500_000_000, 6_500_000_000, 250_000_000}, // tail, then empty buckets
+			{0, 2_000_000_000, 1_000_000_000},           // tier-only on the compressed store
+			{7_000_000_000, 9_000_000_000, 1_000_000_000},
+		} {
+			from, to, step := win[0], win[1], win[2]
+			var merged []PartialBucket
+			for _, k := range keys {
+				merged = MergePartialWindows(merged, s.PartialWindow(k, from, to, step))
+			}
+			folded := NewPartialWindow(from, to, step)
+			s.FoldPartialWindow(keys, folded)
+			if !reflect.DeepEqual(folded, merged) {
+				t.Fatalf("store %d window %v: fold-in-place differs from the per-series merge:\n fold  %+v\n merge %+v", si, win, folded, merged)
+			}
+			var mergedAgg, foldedAgg PartialAgg
+			for _, k := range keys {
+				p, _ := s.PartialAggregate(k, from, to)
+				mergedAgg.Merge(&p)
+			}
+			s.FoldPartial(keys, from, to, &foldedAgg)
+			if !reflect.DeepEqual(foldedAgg, mergedAgg) {
+				t.Fatalf("store %d range %v: FoldPartial differs from the per-series merge:\n fold  %+v\n merge %+v", si, win, foldedAgg, mergedAgg)
+			}
+		}
 	}
 }
 

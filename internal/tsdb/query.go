@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -148,7 +150,10 @@ func (a *aggState) finish() (Agg, bool) {
 // entirely outside [from, to] are skipped on their headers without
 // decompression), then the write head — restricted to [from, to]
 // inclusive. Tier summaries go to bucket (nil skips tiers), raw
-// samples to sample. Caller holds se.mu.
+// samples to sample. A write head known to be in timestamp order is
+// binary-searched for from and left at the first sample past to, so a
+// short window over a long ring costs the samples in it; an unordered
+// head is scanned end to end. Caller holds se.mu.
 func (se *series) visitLocked(from, to int64, bucket func(start int64, count uint32, min, max, sum float64), sample func(ts int64, v float64)) {
 	if bucket != nil {
 		if se.t2 != nil {
@@ -171,10 +176,21 @@ func (se *series) visitLocked(from, to int64, bucket func(start int64, count uin
 		}
 	}
 	c := len(se.ts)
-	for i := 0; i < se.n; i++ {
+	if se.unordered {
+		for i := 0; i < se.n; i++ {
+			j := (se.head + i) % c
+			if se.ts[j] < from || se.ts[j] > to {
+				continue
+			}
+			sample(se.ts[j], se.vs[j])
+		}
+		return
+	}
+	i := sort.Search(se.n, func(i int) bool { return se.ts[(se.head+i)%c] >= from })
+	for ; i < se.n; i++ {
 		j := (se.head + i) % c
-		if se.ts[j] < from || se.ts[j] > to {
-			continue
+		if se.ts[j] > to {
+			break
 		}
 		sample(se.ts[j], se.vs[j])
 	}
@@ -276,14 +292,9 @@ func (s *Store) Aggregate(k SeriesKey, from, to int64) (Agg, bool) {
 // not O(samples × windows).
 func (s *Store) Window(k SeriesKey, from, to, step int64) []Bucket {
 	defer observeQuery(time.Now())
-	if step <= 0 || to <= from {
+	nb, to := windowBuckets(from, to, step)
+	if nb == 0 {
 		return nil
-	}
-	const maxBuckets = 4096
-	nb := (to - from + step - 1) / step
-	if nb > maxBuckets {
-		nb = maxBuckets
-		to = from + nb*step
 	}
 	states := make([]aggState, nb)
 	if se := s.lookup(k); se != nil {
@@ -310,60 +321,71 @@ func (s *Store) Window(k SeriesKey, from, to, step int64) []Bucket {
 	return out
 }
 
+// walk calls fn for every live series whose key match accepts, each
+// shard under its read lock. fn must not take a shard lock.
+func (s *Store) walk(match func(SeriesKey) bool, fn func(SeriesKey, *series)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for k, se := range sh.series {
+			if match(k) {
+				fn(k, se)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// compareKeys orders keys by agent, function, UE, then field.
+func compareKeys(a, b SeriesKey) int {
+	return cmp.Or(cmp.Compare(a.Agent, b.Agent), cmp.Compare(a.Fn, b.Fn),
+		cmp.Compare(a.UE, b.UE), cmp.Compare(a.Field, b.Field))
+}
+
+// Keys returns the keys of the live series match accepts, sorted by
+// agent, function, UE and field — the selection a multi-series query
+// folds, in an order that keeps its float sums reproducible. It reads
+// keys only: no series lock is taken.
+func (s *Store) Keys(match func(SeriesKey) bool) []SeriesKey {
+	var keys []SeriesKey
+	s.walk(match, func(k SeriesKey, _ *series) { keys = append(keys, k) })
+	slices.SortFunc(keys, compareKeys)
+	return keys
+}
+
 // List enumerates live series, optionally filtered: agent < 0 matches
 // all agents, fn == 0 all functions. The result is sorted by key for
 // stable output.
 func (s *Store) List(agent int64, fn uint16) []SeriesInfo {
 	defer observeQuery(time.Now())
 	var out []SeriesInfo
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, se := range sh.series {
-			if agent >= 0 && k.Agent != uint32(agent) {
-				continue
-			}
-			if fn != 0 && k.Fn != fn {
-				continue
-			}
-			se.mu.Lock()
-			info := SeriesInfo{
-				Key:    k,
-				Field:  k.Field.String(),
-				Count:  se.n + se.chunkSamples(),
-				Chunks: len(se.chunks),
-			}
-			if se.t1 != nil {
-				info.TierSamples = se.t1.samples() + se.t2.samples()
-			}
-			switch {
-			case len(se.chunks) > 0:
-				info.OldestTS = se.chunks[0].firstTS
-			case se.n > 0:
-				info.OldestTS = se.ts[se.head]
-			}
-			if se.n > 0 {
-				info.NewestTS = se.ts[(se.head+se.n-1)%len(se.ts)]
-			} else if nc := len(se.chunks); nc > 0 {
-				info.NewestTS = se.chunks[nc-1].lastTS
-			}
-			se.mu.Unlock()
-			out = append(out, info)
+	s.walk(func(k SeriesKey) bool {
+		return (agent < 0 || k.Agent == uint32(agent)) && (fn == 0 || k.Fn == fn)
+	}, func(k SeriesKey, se *series) {
+		se.mu.Lock()
+		info := SeriesInfo{
+			Key:    k,
+			Field:  k.Field.String(),
+			Count:  se.n + se.chunkSamples(),
+			Chunks: len(se.chunks),
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Agent != b.Agent {
-			return a.Agent < b.Agent
+		if se.t1 != nil {
+			info.TierSamples = se.t1.samples() + se.t2.samples()
 		}
-		if a.Fn != b.Fn {
-			return a.Fn < b.Fn
+		switch {
+		case len(se.chunks) > 0:
+			info.OldestTS = se.chunks[0].firstTS
+		case se.n > 0:
+			info.OldestTS = se.ts[se.head]
 		}
-		if a.UE != b.UE {
-			return a.UE < b.UE
+		if se.n > 0 {
+			info.NewestTS = se.ts[(se.head+se.n-1)%len(se.ts)]
+		} else if nc := len(se.chunks); nc > 0 {
+			info.NewestTS = se.chunks[nc-1].lastTS
 		}
-		return a.Field < b.Field
+		se.mu.Unlock()
+		out = append(out, info)
 	})
+	slices.SortFunc(out, func(a, b SeriesInfo) int { return compareKeys(a.Key, b.Key) })
 	return out
 }

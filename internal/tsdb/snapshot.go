@@ -276,15 +276,11 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 			// Keep the newest Capacity samples: overwrite-oldest on
 			// overflow regardless of the compression mode (the restore
 			// path must not seal — chunk state comes next).
-			c := len(se.ts)
-			if se.n == c {
+			if c := len(se.ts); se.n == c {
 				se.head = (se.head + 1) % c
 				se.n--
 			}
-			p := (se.head + se.n) % c
-			se.ts[p] = ts
-			se.vs[p] = v
-			se.n++
+			se.pushLocked(ts, v)
 		}
 		// Chunks.
 		cn := sr.u32()

@@ -198,6 +198,33 @@ type series struct {
 	n      int
 	chunks []*chunk
 	t1, t2 *tier
+	// unordered records that a sample entered the write head below the
+	// head's newest timestamp; until the head next empties, queries scan
+	// it end to end instead of binary-searching it.
+	unordered bool
+}
+
+// pushLocked writes (ts, v) after the head's newest sample; the head
+// must have room. It keeps unordered current: cleared when the sample
+// lands in an empty head, set when it lands below the newest one.
+// Caller holds se.mu.
+func (se *series) pushLocked(ts int64, v float64) {
+	c := len(se.ts)
+	i := (se.head + se.n) % c
+	if se.n == 0 {
+		se.unordered = false
+	} else {
+		prev := i - 1
+		if prev < 0 {
+			prev = c - 1
+		}
+		if ts < se.ts[prev] {
+			se.unordered = true
+		}
+	}
+	se.ts[i] = ts
+	se.vs[i] = v
+	se.n++
 }
 
 // chunkSamples is the total sample count across sealed chunks.
@@ -279,7 +306,9 @@ func (s *Store) shardForRaw(k rawKey) *shard {
 
 // Append records one sample. Samples are expected in non-decreasing
 // timestamp order per series; an out-of-order sample is still stored
-// (rings do not re-sort) but age pruning keys off the newest TS seen.
+// (rings do not re-sort, and queries fall back to scanning the whole
+// write head until it next empties) but age pruning keys off the newest
+// TS seen.
 // Steady-state cost: one shard RLock, one map lookup, one series lock,
 // two ring writes — zero allocations once the series exists.
 func (s *Store) Append(k SeriesKey, ts int64, v float64) {
@@ -299,6 +328,11 @@ func (s *Store) Append(k SeriesKey, ts int64, v float64) {
 		sh.mu.Unlock()
 	}
 	se.mu.Lock()
+	if s.maxAge > 0 && !s.cfg.Compress {
+		// Age pruning first, so that a head which aged out entirely is
+		// empty when the new sample lands (and known to be ordered).
+		se.pruneLocked(ts - s.maxAge)
+	}
 	c := len(se.ts)
 	if se.n == c {
 		if s.cfg.Compress {
@@ -319,13 +353,7 @@ func (s *Store) Append(k SeriesKey, ts int64, v float64) {
 		// retention folds it into tiers instead of deleting it.
 		s.sealLocked(se, ts)
 	}
-	i := (se.head + se.n) % c
-	se.ts[i] = ts
-	se.vs[i] = v
-	se.n++
-	if s.maxAge > 0 && !s.cfg.Compress {
-		se.pruneLocked(ts - s.maxAge)
-	}
+	se.pushLocked(ts, v)
 	se.mu.Unlock()
 	tel.appends.Inc()
 	if h := s.hook.Load(); h != nil {

@@ -12,7 +12,7 @@
 # fleet stepped by the sharded core vs the frozen pre-change per-UE
 # loop, with ue_slots/s, p99_slot_ns and bytes/ue ReportMetrics), and
 # the federation tier (consistent-hash placement and mergeable-partial
-# union), all with -benchmem, and writes BENCH_pr10.json mapping
+# union), all with -benchmem, and writes a JSON file mapping
 # benchmark name ->
 # ns/op, B/op, allocs/op (plus any custom b.ReportMetric units, e.g.
 # ue_slots/s -> ue_slots_s). The JSON also embeds two baselines so a
@@ -32,7 +32,8 @@
 #   SCALE_CELLS, SCALE_UES_PER_CELL, SCALE_IDLE_PCT, SCALE_SHARDS
 #                    scale-tier fleet shape (default 1000 cells x 1000
 #                    UEs = 1M UEs at 99% idle, 4 shards per cell)
-#   OUT              output file (default BENCH_pr10.json)
+#   OUT              output file (default .bench_build/bench-suite.json;
+#                    the committed BENCH_pr*.json are earlier runs)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,7 +48,8 @@ SCALE_UES_PER_CELL=${SCALE_UES_PER_CELL:-1000}
 SCALE_IDLE_PCT=${SCALE_IDLE_PCT:-99}
 SCALE_SHARDS=${SCALE_SHARDS:-4}
 export SCALE_CELLS SCALE_UES_PER_CELL SCALE_IDLE_PCT SCALE_SHARDS
-OUT=${OUT:-BENCH_pr10.json}
+OUT=${OUT:-.bench_build/bench-suite.json}
+mkdir -p "$(dirname "$OUT")"
 
 TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT INT TERM

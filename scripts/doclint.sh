@@ -12,6 +12,10 @@
 #      cmd/*/main.go, so the docs cannot drift ahead of (or behind) the
 #      binaries. Go toolchain flags (-tags, -bench, -race, ...) are
 #      allowlisted.
+#   3. Every BENCH_*.json named in the documents that describe the
+#      tree (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md,
+#      bench/README.md), the Makefile or a script exists in the tree, so
+#      none points at a benchmark record that was never committed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -57,6 +61,16 @@ for df in $(grep -rhoE '`-[a-z][a-z0-9-]*' README.md docs/*.md 2>/dev/null |
         echo "doclint: documented flag -$df not defined in any cmd/*/main.go" >&2
         echo x >>"$fail"
     fi
+done
+
+echo "--- BENCH_*.json references"
+for f in README.md DESIGN.md EXPERIMENTS.md docs/*.md bench/README.md Makefile scripts/*.sh; do
+    for name in $(grep -oE 'BENCH_[A-Za-z0-9_]+\.json' "$f" | sort -u); do
+        if [ -z "$(find . -name "$name" -not -path './.git/*' -not -path './.bench_build/*' -print -quit)" ]; then
+            echo "doclint: $f: names $name, which is not in the tree" >&2
+            echo x >>"$fail"
+        fi
+    done
 done
 
 if [ -s "$fail" ]; then

@@ -193,7 +193,22 @@ if ! echo "$hk_out" | grep 'BenchmarkTSDBAppendHooked' | grep -Eq ' [0-1] allocs
     exit 1
 fi
 
-echo "==> doc lint (markdown links + documented flags)"
+echo "==> federated partial leg (allocations flat in matching series)"
+# A windowed /tsdb/partial call folds every matching series into one
+# bucket list: its allocations at 128 series may exceed those at 8 by at
+# most 8 (a per-series merge cost ~3 100 at 128).
+pa_out=$(go test -count=1 -run 'TestPartialHandlerAllocs$' -v ./internal/obs/ 2>&1) || {
+    echo "$pa_out"
+    echo "verify: /tsdb/partial allocations grow with matching series" >&2
+    exit 1
+}
+echo "$pa_out" | grep -E '(allocs per windowed|^--- (PASS|FAIL)|^ok)'
+if ! echo "$pa_out" | grep -q -- '--- PASS: TestPartialHandlerAllocs'; then
+    echo "verify: TestPartialHandlerAllocs did not run" >&2
+    exit 1
+fi
+
+echo "==> doc lint (markdown links, documented flags, BENCH_*.json names)"
 sh scripts/doclint.sh
 
 echo "==> bench suite smoke run"
