@@ -271,113 +271,95 @@ func (m *Monitor) ingestOne(tc trace.Context, agent server.AgentID, fnID uint16,
 	}
 	switch fnID {
 	case sm.IDMACStats:
-		if rep, err := sm.DecodeMACReport(payload); err == nil {
-			m.ingestMAC(tc, agent, rep) // only this shard's UEs, pre-merge
-			m.mu.Lock()
-			if cur := m.mac[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
-				rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
-			}
-			m.mac[agent] = rep
-			m.mu.Unlock()
-		}
+		macLayer.ingest(m, tc, agent, payload)
 	case sm.IDRLCStats:
-		if rep, err := sm.DecodeRLCReport(payload); err == nil {
-			m.ingestRLC(tc, agent, rep)
-			m.mu.Lock()
-			if cur := m.rlc[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
-				rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
-			}
-			m.rlc[agent] = rep
-			m.mu.Unlock()
-		}
+		rlcLayer.ingest(m, tc, agent, payload)
 	case sm.IDPDCPStats:
-		if rep, err := sm.DecodePDCPReport(payload); err == nil {
-			m.ingestPDCP(tc, agent, rep)
-			m.mu.Lock()
-			if cur := m.pdcp[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
-				rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
-			}
-			m.pdcp[agent] = rep
-			m.mu.Unlock()
+		pdcpLayer.ingest(m, tc, agent, payload)
+	}
+}
+
+// maxRowFields is the widest UE row of the monitoring SMs (RLC's).
+const maxRowFields = 9
+
+// layerTable is the static description of one monitoring SM that
+// drives ingest: its decoder, the report's cell time and UE list, the
+// latest-report map it keeps, and its series mapping — the tsdb field of
+// each column of a UE row and the extractor that reads a UE entry's
+// RNTI and values in field order.
+type layerTable[R, E any] struct {
+	fn     uint16
+	fields []tsdb.Field
+	decode func([]byte) (*R, error)
+	report func(*R) (cellTimeMS int64, ues *[]E)
+	row    func(*E) (rnti uint16, vs [maxRowFields]float64)
+	latest func(*Monitor) map[server.AgentID]*R
+}
+
+var macLayer = layerTable[sm.MACReport, sm.MACUEEntry]{
+	fn:     sm.IDMACStats,
+	fields: []tsdb.Field{tsdb.FieldCQI, tsdb.FieldMCS, tsdb.FieldRBsUsed, tsdb.FieldTxBits, tsdb.FieldThroughputBps},
+	decode: sm.DecodeMACReport,
+	report: func(r *sm.MACReport) (int64, *[]sm.MACUEEntry) { return r.CellTimeMS, &r.UEs },
+	row: func(u *sm.MACUEEntry) (uint16, [maxRowFields]float64) {
+		return u.RNTI, [maxRowFields]float64{float64(u.CQI), float64(u.MCS), float64(u.RBsUsed), float64(u.TxBits), u.ThroughputBps}
+	},
+	latest: func(m *Monitor) map[server.AgentID]*sm.MACReport { return m.mac },
+}
+
+var rlcLayer = layerTable[sm.RLCReport, sm.RLCUEEntry]{
+	fn: sm.IDRLCStats,
+	fields: []tsdb.Field{tsdb.FieldTxPackets, tsdb.FieldTxBytes, tsdb.FieldRxPackets, tsdb.FieldRxBytes,
+		tsdb.FieldDropPackets, tsdb.FieldDropBytes, tsdb.FieldBufferBytes, tsdb.FieldBufferPkts, tsdb.FieldSojournMS},
+	decode: sm.DecodeRLCReport,
+	report: func(r *sm.RLCReport) (int64, *[]sm.RLCUEEntry) { return r.CellTimeMS, &r.UEs },
+	row: func(u *sm.RLCUEEntry) (uint16, [maxRowFields]float64) {
+		return u.RNTI, [maxRowFields]float64{float64(u.TxPackets), float64(u.TxBytes), float64(u.RxPackets), float64(u.RxBytes),
+			float64(u.DropPackets), float64(u.DropBytes), float64(u.BufferBytes), float64(u.BufferPkts), float64(u.SojournMS)}
+	},
+	latest: func(m *Monitor) map[server.AgentID]*sm.RLCReport { return m.rlc },
+}
+
+var pdcpLayer = layerTable[sm.PDCPReport, sm.PDCPUEEntry]{
+	fn:     sm.IDPDCPStats,
+	fields: []tsdb.Field{tsdb.FieldTxPackets, tsdb.FieldTxBytes},
+	decode: sm.DecodePDCPReport,
+	report: func(r *sm.PDCPReport) (int64, *[]sm.PDCPUEEntry) { return r.CellTimeMS, &r.UEs },
+	row: func(u *sm.PDCPUEEntry) (uint16, [maxRowFields]float64) {
+		return u.RNTI, [maxRowFields]float64{float64(u.TxPackets), float64(u.TxBytes)}
+	},
+	latest: func(m *Monitor) map[server.AgentID]*sm.PDCPReport { return m.pdcp },
+}
+
+// ingest decodes one report, appends one tsdb row per UE (only this
+// shard's UEs, before the merge), then makes the report the agent's
+// latest of its layer.
+func (l *layerTable[R, E]) ingest(m *Monitor, tc trace.Context, agent server.AgentID, payload []byte) {
+	rep, err := l.decode(payload)
+	if err != nil {
+		return
+	}
+	cellTimeMS, ues := l.report(rep)
+	if m.db != nil {
+		asp := trace.StartChild(tc, "tsdb.append")
+		now := time.Now().UnixNano()
+		k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: l.fn}
+		for i := range *ues {
+			var vs [maxRowFields]float64
+			k.UE, vs = l.row(&(*ues)[i])
+			m.db.AppendRow(k, l.fields, now, vs[:len(l.fields)])
+		}
+		asp.End()
+	}
+	m.mu.Lock()
+	latest := l.latest(m)
+	if cur := latest[agent]; cur != nil {
+		if curTimeMS, curUEs := l.report(cur); curTimeMS == cellTimeMS {
+			*ues = append((*curUEs)[:len(*curUEs):len(*curUEs)], *ues...)
 		}
 	}
-}
-
-// ingestMAC fans a decoded MAC report into per-UE, per-field series.
-func (m *Monitor) ingestMAC(tc trace.Context, agent server.AgentID, rep *sm.MACReport) {
-	if m.db == nil {
-		return
-	}
-	asp := trace.StartChild(tc, "tsdb.append")
-	defer asp.End()
-	now := time.Now().UnixNano()
-	k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: sm.IDMACStats}
-	for i := range rep.UEs {
-		u := &rep.UEs[i]
-		k.UE = u.RNTI
-		k.Field = tsdb.FieldCQI
-		m.db.Append(k, now, float64(u.CQI))
-		k.Field = tsdb.FieldMCS
-		m.db.Append(k, now, float64(u.MCS))
-		k.Field = tsdb.FieldRBsUsed
-		m.db.Append(k, now, float64(u.RBsUsed))
-		k.Field = tsdb.FieldTxBits
-		m.db.Append(k, now, float64(u.TxBits))
-		k.Field = tsdb.FieldThroughputBps
-		m.db.Append(k, now, u.ThroughputBps)
-	}
-}
-
-// ingestRLC fans a decoded RLC report into per-UE, per-field series.
-func (m *Monitor) ingestRLC(tc trace.Context, agent server.AgentID, rep *sm.RLCReport) {
-	if m.db == nil {
-		return
-	}
-	asp := trace.StartChild(tc, "tsdb.append")
-	defer asp.End()
-	now := time.Now().UnixNano()
-	k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: sm.IDRLCStats}
-	for i := range rep.UEs {
-		u := &rep.UEs[i]
-		k.UE = u.RNTI
-		k.Field = tsdb.FieldTxPackets
-		m.db.Append(k, now, float64(u.TxPackets))
-		k.Field = tsdb.FieldTxBytes
-		m.db.Append(k, now, float64(u.TxBytes))
-		k.Field = tsdb.FieldRxPackets
-		m.db.Append(k, now, float64(u.RxPackets))
-		k.Field = tsdb.FieldRxBytes
-		m.db.Append(k, now, float64(u.RxBytes))
-		k.Field = tsdb.FieldDropPackets
-		m.db.Append(k, now, float64(u.DropPackets))
-		k.Field = tsdb.FieldDropBytes
-		m.db.Append(k, now, float64(u.DropBytes))
-		k.Field = tsdb.FieldBufferBytes
-		m.db.Append(k, now, float64(u.BufferBytes))
-		k.Field = tsdb.FieldBufferPkts
-		m.db.Append(k, now, float64(u.BufferPkts))
-		k.Field = tsdb.FieldSojournMS
-		m.db.Append(k, now, float64(u.SojournMS))
-	}
-}
-
-// ingestPDCP fans a decoded PDCP report into per-UE, per-field series.
-func (m *Monitor) ingestPDCP(tc trace.Context, agent server.AgentID, rep *sm.PDCPReport) {
-	if m.db == nil {
-		return
-	}
-	asp := trace.StartChild(tc, "tsdb.append")
-	defer asp.End()
-	now := time.Now().UnixNano()
-	k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: sm.IDPDCPStats}
-	for i := range rep.UEs {
-		u := &rep.UEs[i]
-		k.UE = u.RNTI
-		k.Field = tsdb.FieldTxPackets
-		m.db.Append(k, now, float64(u.TxPackets))
-		k.Field = tsdb.FieldTxBytes
-		m.db.Append(k, now, float64(u.TxBytes))
-	}
+	latest[agent] = rep
+	m.mu.Unlock()
 }
 
 // MAC returns the latest MAC report for an agent (decode mode only).

@@ -254,16 +254,16 @@ func (c *SlicingController) handleStatsAgg(w http.ResponseWriter, r *http.Reques
 		http.Error(w, "unknown field", http.StatusBadRequest)
 		return
 	}
-	windowMS := int64(1000)
+	windowNS := int64(time.Second)
 	if v := q.Get("window_ms"); v != "" {
-		if windowMS, err = strconv.ParseInt(v, 10, 64); err != nil || windowMS <= 0 {
+		if windowNS, ok = tsdb.ParseMS(v); !ok {
 			http.Error(w, "bad window_ms parameter", http.StatusBadRequest)
 			return
 		}
 	}
 	now := time.Now().UnixNano()
 	k := tsdb.SeriesKey{Agent: uint32(id), Fn: sm.IDMACStats, UE: uint16(ue), Field: field}
-	agg, ok := c.store.Aggregate(k, now-windowMS*int64(time.Millisecond), now)
+	agg, ok := c.store.Aggregate(k, now-windowNS, now)
 	if !ok {
 		http.Error(w, "no samples in window", http.StatusNotFound)
 		return

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -163,4 +164,57 @@ func FuzzPartialLegJSON(f *testing.F) {
 			p.Finish()
 		}
 	})
+}
+
+// TestQueryHandlerWideWindows: the federated /tsdb/query answers a
+// from/to span wider than MaxInt64 nanoseconds with the shards' capped
+// grid, and rejects a step_ms or window_ms whose nanoseconds overflow
+// with 400 before fanning out.
+func TestQueryHandlerWideWindows(t *testing.T) {
+	st := tsdb.New(tsdb.Config{})
+	k := tsdb.SeriesKey{Agent: 5, Fn: 142, UE: 1, Field: tsdb.FieldCQI}
+	st.Append(k, -8e18, 3)
+	st.Append(k, 8e18, 5)
+	s, err := obs.NewServer("127.0.0.1:0", obs.WithTSDB(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := &Root{client: &http.Client{Timeout: 5 * time.Second}, shards: map[string]*shardState{
+		"0": {alive: true, obs: "http://" + s.Addr()},
+	}}
+	const sel = "/tsdb/query?agent=5&fn=mac&ue=1&field=cqi&"
+	const wide = "from=-9000000000000000000&to=9000000000000000000"
+	for _, c := range []struct {
+		url     string
+		code    int
+		buckets int
+	}{
+		{sel + wide + "&step_ms=10000000000", 200, 1800},
+		{sel + wide + "&step_ms=1000", 200, 4096},
+		{sel + wide + "&step_ms=18446744073710", 400, 0},
+		{sel + wide + "&step_ms=9223372036855", 400, 0},
+		{sel + "window_ms=9223372036855", 400, 0},
+		{sel + "window_ms=18446744073710&step_ms=1000", 400, 0},
+	} {
+		rec := httptest.NewRecorder()
+		r.QueryHandler()(rec, httptest.NewRequest("GET", c.url, nil))
+		if rec.Code != c.code {
+			t.Errorf("GET %s: %d %s, want %d", c.url, rec.Code, rec.Body, c.code)
+			continue
+		}
+		if c.code != 200 {
+			continue
+		}
+		var resp fedQueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("GET %s: %v", c.url, err)
+		}
+		if len(resp.Buckets) != c.buckets || resp.Shards != 1 {
+			t.Errorf("GET %s: %d buckets from %d shards, want %d from 1", c.url, len(resp.Buckets), resp.Shards, c.buckets)
+		}
+		if c.buckets == 1800 && (resp.Buckets[100].Agg.Count != 1 || resp.Buckets[1700].Agg.Count != 1) {
+			t.Errorf("GET %s: samples at ±8e18 not in buckets 100 and 1700", c.url)
+		}
+	}
 }

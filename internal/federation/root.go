@@ -482,12 +482,11 @@ func (r *Root) QueryHandler() http.HandlerFunc {
 		}
 		stepNS := int64(0)
 		if v := q.Get("step_ms"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n <= 0 {
+			var ok bool
+			if stepNS, ok = tsdb.ParseMS(v); !ok {
 				http.Error(w, "bad step_ms parameter", http.StatusBadRequest)
 				return
 			}
-			stepNS = n * int64(time.Millisecond)
 		}
 		var from, to int64
 		switch {
@@ -495,13 +494,13 @@ func (r *Root) QueryHandler() http.HandlerFunc {
 			r.proxyLast(w, req, agent)
 			return
 		case q.Get("window_ms") != "":
-			wms, err := strconv.ParseInt(q.Get("window_ms"), 10, 64)
-			if err != nil || wms <= 0 {
+			windowNS, ok := tsdb.ParseMS(q.Get("window_ms"))
+			if !ok {
 				http.Error(w, "bad window_ms parameter", http.StatusBadRequest)
 				return
 			}
 			to = time.Now().UnixNano()
-			from = to - wms*int64(time.Millisecond)
+			from = to - windowNS
 		case q.Get("from") != "" && q.Get("to") != "":
 			var err1, err2 error
 			from, err1 = strconv.ParseInt(q.Get("from"), 10, 64)

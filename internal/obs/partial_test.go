@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,6 +119,63 @@ func TestPartialHandlerMatchesMerge(t *testing.T) {
 		}
 		if whole.Series != want.Series || !reflect.DeepEqual(whole.Agg, wantBack.Agg) || whole.Buckets != nil {
 			t.Fatalf("agent=%s ue=%s aggregate: handler %+v\n per-series merge %+v", sel.agent, sel.ue, whole, wantBack)
+		}
+	}
+}
+
+// TestTSDBHandlersWideWindows: a query whose from/to span more than
+// MaxInt64 nanoseconds answers a capped bucket grid instead of
+// panicking, and a step_ms or window_ms whose nanoseconds overflow is a
+// 400 rather than a silently wrapped step, on both /tsdb/query and
+// /tsdb/partial.
+func TestTSDBHandlersWideWindows(t *testing.T) {
+	st := tsdb.New(tsdb.Config{})
+	k := tsdb.SeriesKey{Agent: 1, Fn: 142, UE: 2, Field: tsdb.FieldCQI}
+	st.Append(k, -8e18, 3)
+	st.Append(k, 8e18, 5)
+	const wide = "from=-9000000000000000000&to=9000000000000000000"
+	for _, c := range []struct {
+		url     string
+		code    int
+		buckets int
+	}{
+		{"/tsdb/query?agent=1&fn=mac&ue=2&field=cqi&" + wide + "&step_ms=1000", 200, 4096},
+		{"/tsdb/query?agent=1&fn=mac&ue=2&field=cqi&" + wide + "&step_ms=10000000000", 200, 1800},
+		{"/tsdb/query?agent=1&fn=mac&ue=2&field=cqi&" + wide + "&step_ms=18446744073710", 400, 0},
+		{"/tsdb/query?agent=1&fn=mac&ue=2&field=cqi&" + wide + "&step_ms=9223372036855", 400, 0},
+		{"/tsdb/query?agent=1&fn=mac&ue=2&field=cqi&window_ms=9223372036855", 400, 0},
+		{"/tsdb/query?agent=1&fn=mac&ue=2&field=cqi&window_ms=9223372036854&step_ms=9223372036854", 200, 1},
+		{"/tsdb/partial?agent=all&fn=mac&ue=all&field=cqi&" + wide + "&step_ms=1000", 200, 4096},
+		{"/tsdb/partial?agent=all&fn=mac&ue=all&field=cqi&" + wide + "&step_ms=10000000000", 200, 1800},
+		{"/tsdb/partial?agent=all&fn=mac&ue=all&field=cqi&" + wide + "&step_ms=18446744073710", 400, 0},
+		{"/tsdb/partial?agent=all&fn=mac&ue=all&field=cqi&" + wide + "&step_ms=9223372036855", 400, 0},
+	} {
+		h := handleTSDBQuery(st)
+		if strings.HasPrefix(c.url, "/tsdb/partial") {
+			h = handleTSDBPartial(st)
+		}
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest("GET", c.url, nil))
+		if rec.Code != c.code {
+			t.Errorf("GET %s: %d %s, want %d", c.url, rec.Code, rec.Body, c.code)
+			continue
+		}
+		if c.code != 200 {
+			continue
+		}
+		var resp struct {
+			Buckets []struct {
+				Agg struct{ Count int } `json:"agg"`
+			} `json:"buckets"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("GET %s: %v", c.url, err)
+		}
+		if len(resp.Buckets) != c.buckets {
+			t.Errorf("GET %s: %d buckets, want %d", c.url, len(resp.Buckets), c.buckets)
+		}
+		if c.buckets == 1800 && (resp.Buckets[100].Agg.Count != 1 || resp.Buckets[1700].Agg.Count != 1) {
+			t.Errorf("GET %s: samples at ±8e18 not in buckets 100 and 1700", c.url)
 		}
 	}
 }

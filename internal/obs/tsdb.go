@@ -87,12 +87,10 @@ func handleTSDBPartial(st *tsdb.Store) http.HandlerFunc {
 		}
 		stepNS := int64(0)
 		if v := q.Get("step_ms"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n <= 0 {
+			if stepNS, ok = tsdb.ParseMS(v); !ok {
 				http.Error(w, "bad step_ms parameter", http.StatusBadRequest)
 				return
 			}
-			stepNS = n * int64(time.Millisecond)
 		}
 
 		keys := st.Keys(func(k tsdb.SeriesKey) bool {
@@ -208,12 +206,10 @@ func handleTSDBQuery(st *tsdb.Store) http.HandlerFunc {
 
 		stepNS := int64(0)
 		if v := q.Get("step_ms"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n <= 0 {
+			if stepNS, ok = tsdb.ParseMS(v); !ok {
 				http.Error(w, "bad step_ms parameter", http.StatusBadRequest)
 				return
 			}
-			stepNS = n * int64(time.Millisecond)
 		}
 
 		switch {
@@ -229,13 +225,13 @@ func handleTSDBQuery(st *tsdb.Store) http.HandlerFunc {
 				return
 			}
 		case q.Get("window_ms") != "":
-			wms, err := strconv.ParseInt(q.Get("window_ms"), 10, 64)
-			if err != nil || wms <= 0 {
+			windowNS, ok := tsdb.ParseMS(q.Get("window_ms"))
+			if !ok {
 				http.Error(w, "bad window_ms parameter", http.StatusBadRequest)
 				return
 			}
 			now := time.Now().UnixNano()
-			from := now - wms*int64(time.Millisecond)
+			from := now - windowNS
 			if stepNS > 0 {
 				resp.Buckets = st.Window(k, from, now, stepNS)
 			} else {

@@ -58,6 +58,44 @@ func BenchmarkTSDBAppendHooked(b *testing.B) {
 	}
 }
 
+// BenchmarkTSDBAppendRow is the monitor's ingest unit: one nine-field
+// RLC row per op into a warm series set, with and without the stream
+// hub's hook registered. scripts/verify.sh gates both at 0 allocs/op
+// in every build mode.
+func BenchmarkTSDBAppendRow(b *testing.B) {
+	fields := []Field{FieldTxPackets, FieldTxBytes, FieldRxPackets, FieldRxBytes,
+		FieldDropPackets, FieldDropBytes, FieldBufferBytes, FieldBufferPkts, FieldSojournMS}
+	for _, hooked := range []bool{false, true} {
+		name := "hook=off"
+		if hooked {
+			name = "hook=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := New(Config{Capacity: 4096})
+			var mu sync.Mutex
+			var ring [1024]hookRec
+			n := 0
+			if hooked {
+				s.SetAppendHook(func(k SeriesKey, ts int64, v float64) {
+					mu.Lock()
+					ring[n&1023] = hookRec{k, ts, v}
+					n++
+					mu.Unlock()
+				})
+			}
+			k := SeriesKey{Agent: 1, Fn: 143, UE: 3}
+			vs := make([]float64, len(fields))
+			s.AppendRow(k, fields, 0, vs) // create the series outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vs[0] = float64(i)
+				s.AppendRow(k, fields, int64(i), vs)
+			}
+		})
+	}
+}
+
 // BenchmarkTSDBAppendParallel measures contention across shards: each
 // goroutine writes its own key set so lock striping can spread them.
 func BenchmarkTSDBAppendParallel(b *testing.B) {
@@ -158,6 +196,9 @@ func BenchmarkTSDBCompressedAppend(b *testing.B) {
 // BenchmarkTSDBChunkSeal is the seal operation in isolation: one op
 // compresses a full 4096-sample counter-like ring into a chunk. The
 // bytes/sample metric is the headline compression ratio (16 bytes raw).
+// With the encoder's pooled scratch warm, a seal allocates the chunk
+// and its exact-size bits only; scripts/verify.sh gates it at ≤ 2
+// allocs/op.
 func BenchmarkTSDBChunkSeal(b *testing.B) {
 	const n = 4096
 	ts, vs := counterSeries(n)

@@ -23,6 +23,7 @@ package tsdb
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // chunk is one sealed, immutable, compressed block of a series.
@@ -121,9 +122,18 @@ func predictBits(prevBits, prevPrevBits uint64) uint64 {
 
 // --- encoder -----------------------------------------------------------
 
+// sealScratch holds the buffers encoders write their bits into. An
+// encoder borrows one at its first sample and returns it at seal, after
+// copying the bits out at their exact size: the scratch never escapes
+// into a chunk, and a warm scratch makes a seal two allocations (the
+// chunk and its bits) however long the chunk. Pointers, so that Get and
+// Put box nothing.
+var sealScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // chunkEncoder compresses a time-ordered sample stream into a chunk.
-// Zero value is ready to use; call add for each sample, then seal.
+// Zero value is ready to use; call add for each sample, then seal once.
 type chunkEncoder struct {
+	scratch       *[]byte // borrowed from sealScratch; w.b writes into it
 	w             bitWriter
 	count         int
 	firstTS       int64
@@ -143,6 +153,10 @@ type chunkEncoder struct {
 // for well-behaved writers — but any int64 TS sequence round-trips.
 func (e *chunkEncoder) add(ts int64, v float64) {
 	vb := math.Float64bits(v)
+	if e.scratch == nil {
+		e.scratch = sealScratch.Get().(*[]byte)
+		e.w.b = (*e.scratch)[:0]
+	}
 	if e.count == 0 {
 		// Sample 0: raw 64-bit timestamp, raw 64-bit value bits. The
 		// stream is self-contained; the header duplicates firstTS for
@@ -215,9 +229,11 @@ func (e *chunkEncoder) add(ts int64, v float64) {
 	e.count++
 }
 
-// seal finalizes the encoder into an immutable chunk.
+// seal finalizes the encoder into an immutable chunk that owns an
+// exact-size copy of the bits, and returns the scratch to the pool. The
+// encoder is spent afterwards.
 func (e *chunkEncoder) seal() *chunk {
-	return &chunk{
+	ck := &chunk{
 		count:   e.count,
 		firstTS: e.firstTS,
 		lastTS:  e.prevTS,
@@ -226,9 +242,16 @@ func (e *chunkEncoder) seal() *chunk {
 		sum:     e.sum,
 		first:   e.first,
 		last:    e.last,
-		bits:    e.w.b,
+		bits:    make([]byte, len(e.w.b)),
 		nbits:   e.w.nbits,
 	}
+	copy(ck.bits, e.w.b)
+	if e.scratch != nil {
+		*e.scratch = e.w.b[:0] // keep the grown buffer for the next seal
+		sealScratch.Put(e.scratch)
+		e.scratch, e.w.b = nil, nil
+	}
+	return ck
 }
 
 // --- decoder -----------------------------------------------------------

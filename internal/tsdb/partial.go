@@ -411,15 +411,35 @@ const maxWindowBuckets = 4096
 
 // windowBuckets returns the bucket count of [from, to) in step-wide
 // buckets, capped at maxWindowBuckets, and the end of the last bucket.
+// The span to − from is taken in uint64: it exceeds MaxInt64 when from
+// and to lie far apart on either side of zero. A capped end lies below
+// to, so the wrapping int64 arithmetic that computes it lands on it.
 func windowBuckets(from, to, step int64) (nb, end int64) {
 	if step <= 0 || to <= from {
 		return 0, to
 	}
-	nb = (to - from + step - 1) / step
-	if nb > maxWindowBuckets {
+	n := (uint64(to)-uint64(from)-1)/uint64(step) + 1
+	if n > maxWindowBuckets {
 		return maxWindowBuckets, from + maxWindowBuckets*step
 	}
-	return nb, to
+	return int64(n), to
+}
+
+// bucketOf returns the index of the step-wide bucket of a window
+// starting at from that holds ts ≥ from, without overflowing on spans
+// wider than MaxInt64.
+func bucketOf(ts, from, step int64) uint64 {
+	return (uint64(ts) - uint64(from)) / uint64(step)
+}
+
+// bucketBounds returns bucket b of the window [from, to): it starts at
+// from + b·step and ends step later or at to, whichever comes first.
+func bucketBounds(from, to, step, b int64) (lo, hi int64) {
+	lo = from + b*step
+	if uint64(to)-uint64(lo) <= uint64(step) {
+		return lo, to
+	}
+	return lo, lo + step
 }
 
 // NewPartialWindow returns [from, to) sliced into step-wide empty
@@ -433,8 +453,8 @@ func NewPartialWindow(from, to, step int64) []PartialBucket {
 	}
 	out := make([]PartialBucket, nb)
 	for b := range out {
-		lo := from + int64(b)*step
-		out[b] = PartialBucket{FromTS: lo, ToTS: min(lo+step, to)}
+		lo, hi := bucketBounds(from, to, step, int64(b))
+		out[b] = PartialBucket{FromTS: lo, ToTS: hi}
 	}
 	return out
 }
@@ -452,9 +472,9 @@ func (s *Store) FoldPartialWindow(keys []SeriesKey, w []PartialBucket) {
 	from, to := w[0].FromTS, w[len(w)-1].ToTS
 	step := w[0].ToTS - from
 	s.visitKeys(keys, from, to-1, func(start int64, count uint32, min, max, sum float64) {
-		w[(start-from)/step].Agg.observeBucket(start, count, min, max, sum)
+		w[bucketOf(start, from, step)].Agg.observeBucket(start, count, min, max, sum)
 	}, func(ts int64, v float64) {
-		w[(ts-from)/step].Agg.observe(ts, v)
+		w[bucketOf(ts, from, step)].Agg.observe(ts, v)
 	})
 }
 

@@ -2,8 +2,10 @@ package tsdb
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"flexric/internal/metrics"
@@ -54,6 +56,18 @@ type SeriesInfo struct {
 	TierSamples int       `json:"tier_samples,omitempty"`
 	OldestTS    int64     `json:"oldest_ts"`
 	NewestTS    int64     `json:"newest_ts"`
+}
+
+// ParseMS parses a positive millisecond count — the window_ms and
+// step_ms parameters of the query APIs — and returns it in nanoseconds.
+// ok is false for anything else, including a count whose nanoseconds
+// would not fit in an int64.
+func ParseMS(s string) (ns int64, ok bool) {
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || n <= 0 || n > math.MaxInt64/int64(time.Millisecond) {
+		return 0, false
+	}
+	return n * int64(time.Millisecond), true
 }
 
 // lookup returns the series for k, or nil.
@@ -300,19 +314,15 @@ func (s *Store) Window(k SeriesKey, from, to, step int64) []Bucket {
 	if se := s.lookup(k); se != nil {
 		se.mu.Lock()
 		se.visitLocked(from, to-1, func(start int64, count uint32, min, max, sum float64) {
-			states[(start-from)/step].addBucket(start, count, min, max, sum)
+			states[bucketOf(start, from, step)].addBucket(start, count, min, max, sum)
 		}, func(ts int64, v float64) {
-			states[(ts-from)/step].addSample(ts, v)
+			states[bucketOf(ts, from, step)].addSample(ts, v)
 		})
 		se.mu.Unlock()
 	}
 	out := make([]Bucket, nb)
 	for b := int64(0); b < nb; b++ {
-		lo := from + b*step
-		hi := lo + step
-		if hi > to {
-			hi = to
-		}
+		lo, hi := bucketBounds(from, to, step, b)
 		out[b] = Bucket{FromTS: lo, ToTS: hi}
 		if agg, ok := states[b].finish(); ok {
 			out[b].Agg = agg

@@ -14,28 +14,39 @@
 //
 // # Design
 //
-//   - Lock-striped: series are filed into power-of-two shards by key
-//     hash. A shard's RWMutex guards only its map; each series carries
-//     its own mutex for ring operations, so appends to different series
-//     never serialize on a shard and a long query never blocks ingest
-//     on anything but the one series it reads.
+//   - Row-striped: series are filed into power-of-two shards by the
+//     hash of their row — (agent, RAN function, UE), not the field — so
+//     every field of one UE report row lives in one shard. A shard's
+//     RWMutex guards only its map; each series carries its own mutex
+//     for ring operations, so appends to different series never
+//     serialize on a shard and a long query never blocks ingest on
+//     anything but the one series it reads.
+//   - Row-at-a-time ingest: AppendRow stores one UE row under one shard
+//     read lock for all its lookups, one telemetry update and one hook
+//     load; Append is its one-field case. Both create series and push
+//     samples through the same two functions, so the ring and seal
+//     logic exists once.
 //   - Bounded: each series is a fixed-capacity ring (Config.Capacity)
 //     with optional age-based retention (Config.MaxAge) pruned lazily
 //     on append and query. Memory is O(series × capacity), independent
 //     of run length.
-//   - Allocation-free at steady state: once a series exists, Append is
-//     a map lookup plus two ring writes — no allocation (gated by
-//     BenchmarkTSDBAppend in scripts/verify.sh). Raw payload archiving
-//     copies into internal/bufpool buffers and recycles the buffer it
-//     overwrites, so a steady indication stream archives without
-//     touching the heap.
+//   - Allocation-free at steady state: once a row's series exist,
+//     AppendRow is a map lookup plus two ring writes per field — no
+//     allocation (gated by BenchmarkTSDBAppend and
+//     BenchmarkTSDBAppendRow in scripts/verify.sh). Raw payload
+//     archiving copies into internal/bufpool buffers and recycles the
+//     buffer it overwrites, so a steady indication stream archives
+//     without touching the heap.
 //
 // # Ownership
 //
 // Buffers inside the raw archive belong to the store: AppendRaw copies
 // the caller's payload, and readers receive fresh copies (or append
-// into a caller-provided slice). See docs/PERFORMANCE.md for the full
-// buffer-ownership chain.
+// into a caller-provided slice). A seal encodes into a scratch buffer
+// borrowed from a package pool and gives the chunk an exact-size copy
+// of the bits: the scratch never leaves the encoder, and a chunk owns
+// its bits. See docs/PERFORMANCE.md for the full buffer-ownership
+// chain.
 package tsdb
 
 import (
@@ -210,7 +221,10 @@ type series struct {
 // Caller holds se.mu.
 func (se *series) pushLocked(ts int64, v float64) {
 	c := len(se.ts)
-	i := (se.head + se.n) % c
+	i := se.head + se.n // < 2c: a wrap is one subtraction, not a division
+	if i >= c {
+		i -= c
+	}
 	if se.n == 0 {
 		se.unordered = false
 	} else {
@@ -292,9 +306,12 @@ func New(cfg Config) *Store {
 // Config returns the store's resolved configuration.
 func (s *Store) Config() Config { return s.cfg }
 
+// shardFor returns the stripe of k's row: it hashes (Agent, Fn, UE) and
+// ignores Field, so every field of one UE report row shares a stripe and
+// AppendRow looks the whole row up under one read lock.
 func (s *Store) shardFor(k SeriesKey) *shard {
-	h := k.Agent*0x9e3779b1 ^ uint32(k.Fn)<<16 ^ uint32(k.UE)<<3 ^ uint32(k.Field)
-	h ^= h >> 13
+	h := (k.Agent*0x9e3779b1 ^ uint32(k.Fn)<<16 ^ uint32(k.UE)) * 0x85ebca6b
+	h ^= h >> 15
 	return &s.shards[h&s.mask]
 }
 
@@ -304,29 +321,92 @@ func (s *Store) shardForRaw(k rawKey) *shard {
 	return &s.shards[h&s.mask]
 }
 
-// Append records one sample. Samples are expected in non-decreasing
-// timestamp order per series; an out-of-order sample is still stored
-// (rings do not re-sort, and queries fall back to scanning the whole
-// write head until it next empties) but age pruning keys off the newest
-// TS seen.
+// Append records one sample: the one-field case of AppendRow. Samples
+// are expected in non-decreasing timestamp order per series; an
+// out-of-order sample is still stored (rings do not re-sort, and queries
+// fall back to scanning the whole write head until it next empties) but
+// age pruning keys off the newest TS seen.
 // Steady-state cost: one shard RLock, one map lookup, one series lock,
 // two ring writes — zero allocations once the series exists.
 func (s *Store) Append(k SeriesKey, ts int64, v float64) {
+	se := s.lookup(k)
+	if se == nil {
+		se = s.createSeries(s.shardFor(k), k)
+	}
+	if s.pushSample(se, ts, v) {
+		tel.overwritten.Inc()
+	}
+	tel.appends.Inc()
+	if h := s.hook.Load(); h != nil {
+		(*h)(k, ts, v)
+	}
+}
+
+// AppendRow records one report row: vs[i] goes to the series k with
+// Field = fields[i] (k.Field is ignored), all at timestamp ts. The row's
+// series share a stripe (see shardFor), so one read lock covers every
+// lookup; each series then takes its own lock for its push. The append
+// hook sees the row's samples in field order, after all of them are
+// stored. fields and vs must have the same length, no more than the
+// number of Fields; anything else is a programming error and panics.
+// Steady-state cost per row: one shard RLock, one map lookup and one
+// series lock per field — zero allocations once the series exist.
+func (s *Store) AppendRow(k SeriesKey, fields []Field, ts int64, vs []float64) {
+	if len(fields) != len(vs) || len(fields) > int(numFields) {
+		panic("tsdb: AppendRow: fields and values differ in length or exceed the field count")
+	}
+	var row [numFields]*series
 	sh := s.shardFor(k)
 	sh.mu.RLock()
-	se := sh.series[k]
-	sh.mu.RUnlock()
-	if se == nil {
-		se = s.newSeries()
-		sh.mu.Lock()
-		if cur := sh.series[k]; cur != nil {
-			se = cur // lost the race; use the winner
-		} else {
-			sh.series[k] = se
-			tel.series.Add(1)
-		}
-		sh.mu.Unlock()
+	for i, f := range fields {
+		k.Field = f
+		row[i] = sh.series[k]
 	}
+	sh.mu.RUnlock()
+	for i, f := range fields {
+		if row[i] == nil {
+			k.Field = f
+			row[i] = s.createSeries(sh, k)
+		}
+	}
+	overwritten := uint64(0)
+	for i, se := range row[:len(fields)] {
+		if s.pushSample(se, ts, vs[i]) {
+			overwritten++
+		}
+	}
+	tel.appends.Add(uint64(len(fields)))
+	if overwritten > 0 {
+		tel.overwritten.Add(overwritten)
+	}
+	if h := s.hook.Load(); h != nil {
+		for i, f := range fields {
+			k.Field = f
+			(*h)(k, ts, vs[i])
+		}
+	}
+}
+
+// createSeries returns the series filed under k in sh, creating it when
+// no writer has yet: the one place series come into being on ingest.
+func (s *Store) createSeries(sh *shard, k SeriesKey) *series {
+	se := s.newSeries()
+	sh.mu.Lock()
+	if cur := sh.series[k]; cur != nil {
+		se = cur // lost the race; use the winner
+	} else {
+		sh.series[k] = se
+		tel.series.Add(1)
+	}
+	sh.mu.Unlock()
+	return se
+}
+
+// pushSample stores one sample in se under its lock: age pruning, then
+// a seal (compressed) or an overwrite of the oldest sample (ring) when
+// the write head is full, then the push. It reports an overwrite, which
+// the caller counts (once per row, not once per sample).
+func (s *Store) pushSample(se *series, ts int64, v float64) (overwrote bool) {
 	se.mu.Lock()
 	if s.maxAge > 0 && !s.cfg.Compress {
 		// Age pruning first, so that a head which aged out entirely is
@@ -342,9 +422,11 @@ func (s *Store) Append(k SeriesKey, ts int64, v float64) {
 			s.sealLocked(se, ts)
 		} else {
 			// Ring full: overwrite the oldest.
-			se.head = (se.head + 1) % c
+			if se.head++; se.head == c {
+				se.head = 0
+			}
 			se.n--
-			tel.overwritten.Inc()
+			overwrote = true
 		}
 	}
 	if s.maxAge > 0 && s.cfg.Compress && se.n > 0 && se.ts[se.head] < ts-s.maxAge {
@@ -355,10 +437,7 @@ func (s *Store) Append(k SeriesKey, ts int64, v float64) {
 	}
 	se.pushLocked(ts, v)
 	se.mu.Unlock()
-	tel.appends.Inc()
-	if h := s.hook.Load(); h != nil {
-		(*h)(k, ts, v)
-	}
+	return overwrote
 }
 
 // SetAppendHook installs (or, with nil, removes) the store's append

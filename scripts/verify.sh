@@ -153,30 +153,51 @@ if ! echo "$ip_out" | grep -q -- '--- PASS: TestIndicationPathAllocs'; then
     exit 1
 fi
 
-echo "==> tsdb append (<=1 alloc/op gate, all build modes)"
-# Steady-state time-series ingest — the per-UE-field appends the monitor
-# performs on every decoded report — must stay allocation-free whether
-# telemetry and tracing are compiled in or out. The gate accepts 0 or 1
-# allocs/op.
+echo "==> tsdb append (<=1 alloc/op) and row append (0 allocs/op) gates, all build modes"
+# Steady-state time-series ingest must stay allocation-free whether
+# telemetry and tracing are compiled in or out: a single-sample Append
+# (the gate accepts 0 or 1 allocs/op), and the nine-field AppendRow the
+# monitor performs per UE of every decoded report, with and without the
+# stream hub's hook (0 allocs/op).
 for tags in "" "notelemetry" "notrace"; do
     if [ -n "$tags" ]; then
         label="-tags $tags"
-        ts_out=$(go test -tags "$tags" -run xxx -bench 'BenchmarkTSDBAppend$' -benchtime 10000x ./internal/tsdb/ 2>&1)
+        ts_out=$(go test -tags "$tags" -run xxx -bench 'BenchmarkTSDBAppend$|BenchmarkTSDBAppendRow$' -benchtime 10000x ./internal/tsdb/ 2>&1)
     else
         label="default build"
-        ts_out=$(go test -run xxx -bench 'BenchmarkTSDBAppend$' -benchtime 10000x ./internal/tsdb/ 2>&1)
+        ts_out=$(go test -run xxx -bench 'BenchmarkTSDBAppend$|BenchmarkTSDBAppendRow$' -benchtime 10000x ./internal/tsdb/ 2>&1)
     fi
     echo "--- $label"
     echo "$ts_out"
-    if ! echo "$ts_out" | grep -q 'BenchmarkTSDBAppend'; then
-        echo "verify: BenchmarkTSDBAppend did not run ($label)" >&2
+    append=$(echo "$ts_out" | grep -E '^BenchmarkTSDBAppend(-[0-9]+)?[[:space:]]' || true)
+    rows=$(echo "$ts_out" | grep -E '^BenchmarkTSDBAppendRow/hook=(on|off)' || true)
+    if [ -z "$append" ] || [ "$(echo "$rows" | grep -c .)" -ne 2 ]; then
+        echo "verify: BenchmarkTSDBAppend or BenchmarkTSDBAppendRow did not run ($label)" >&2
         exit 1
     fi
-    if ! echo "$ts_out" | grep 'BenchmarkTSDBAppend' | grep -Eq ' [0-1] allocs/op'; then
+    if ! echo "$append" | grep -Eq ' [0-1] allocs/op'; then
         echo "verify: tsdb append exceeds 1 alloc/op ($label)" >&2
         exit 1
     fi
+    if echo "$rows" | grep -vq ' 0 allocs/op'; then
+        echo "verify: tsdb row append allocates ($label)" >&2
+        exit 1
+    fi
 done
+
+echo "==> tsdb chunk seal (<=2 allocs/op gate)"
+# A seal encodes into a pooled scratch buffer and allocates only the
+# chunk and its exact-size bits.
+seal_out=$(go test -run xxx -bench 'BenchmarkTSDBChunkSeal$' -benchtime 200x ./internal/tsdb/ 2>&1)
+echo "$seal_out"
+if ! echo "$seal_out" | grep -q 'BenchmarkTSDBChunkSeal'; then
+    echo "verify: BenchmarkTSDBChunkSeal did not run" >&2
+    exit 1
+fi
+if ! echo "$seal_out" | grep 'BenchmarkTSDBChunkSeal' | grep -Eq ' [0-2] allocs/op'; then
+    echo "verify: tsdb chunk seal exceeds 2 allocs/op" >&2
+    exit 1
+fi
 
 echo "==> tsdb append with stream hook registered (<=1 alloc/op gate)"
 # The control-room hub taps every Append through SetAppendHook; the gate
