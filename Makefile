@@ -11,8 +11,8 @@ test:
 # The benchmark BENCHMARK.json declares: five fixed-work workloads over
 # loopback TCP, each printing its end-to-end metrics and a counts line
 # (bench/README.md). Pass arguments through ARGS, e.g.
-# make bench ARGS='--workload fed_query --seed 1'. The paper-figure and
-# micro-benchmark suite stays `sh scripts/bench.sh` (docs/PERFORMANCE.md).
+# make bench ARGS='--workload fed_query --seed 1'. Its history is
+# BENCH_TRAJECTORY.json (docs/PERFORMANCE.md).
 bench:
 	bash bench/run.sh $(ARGS)
 

@@ -15,12 +15,8 @@
 //	flexric-bench fig13a [-phase 15000]
 //	flexric-bench fig13b [-sim 60000]
 //	flexric-bench fig15  [-sim 50000]
-//	flexric-bench tsdbload [-agents 10] [-readers 4] [-dur 5s] [-compress]
-//	flexric-bench streamload [-agents 10] [-clients 8] [-dur 5s]
-//	flexric-bench scaleload [-cells 32] [-ues 500] [-idle 95] [-shards 4] [-ingest-workers 4] [-dur 5s]
 //	flexric-bench chaos  [-scheme asn] [-connplan drop@120,drop@120] [-lisplan blackout@1=2]
 //	flexric-bench slaload [-scheme asn] [-connplan drop@1500,drop@1500,drop@1500]
-//	flexric-bench fedload [-scheme fb] [-fed-shards 3] [-fleet 4,8] [-dur 5s]
 //	flexric-bench all    (reduced scale)
 package main
 
@@ -28,8 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"flexric/internal/e2ap"
@@ -49,17 +43,7 @@ func main() {
 	agents := fs.Int("agents", 10, "dummy agent count")
 	dur := fs.Duration("dur", 5*time.Second, "measurement window")
 	phase := fs.Int("phase", 15000, "per-phase simulated ms (fig13a)")
-	readers := fs.Int("readers", 4, "concurrent query readers (tsdbload)")
-	clients := fs.Int("clients", 8, "concurrent WebSocket stream consumers (streamload)")
-	compress := fs.Bool("compress", false, "run the time-series store in chunk-compression mode (tsdbload)")
-	cellsN := fs.Int("cells", 32, "cells in the fleet, one agent each (scaleload)")
-	ues := fs.Int("ues", 500, "UEs attached per cell (scaleload)")
-	idle := fs.Int("idle", 95, "percent of UEs with sparse traffic (scaleload)")
-	shards := fs.Int("shards", 4, "UE shards per cell (scaleload)")
-	ingestWorkers := fs.Int("ingest-workers", 4, "monitor ingest pipeline goroutines (scaleload)")
-	scheme := fs.String("scheme", "asn", "encoding scheme: asn or fb (chaos, slaload, fedload)")
-	fedShards := fs.Int("fed-shards", 3, "federated controller-plane size (fedload)")
-	fleet := fs.String("fleet", "", "comma-separated fleet sizes to sweep, e.g. 4,8 (fedload; empty = default)")
+	scheme := fs.String("scheme", "asn", "encoding scheme: asn or fb (chaos, slaload)")
 	connPlan := fs.String("connplan", "", "connection fault plan (chaos, slaload; empty = per-experiment default)")
 	lisPlan := fs.String("lisplan", "", "listener fault plan (chaos; empty = blackout@1=2)")
 	tel := fs.Bool("telemetry", false, "print the telemetry snapshot after each experiment")
@@ -133,24 +117,6 @@ func main() {
 		"fig15": func() {
 			run("fig15", func() (fmt.Stringer, error) { return experiments.Fig15(simOr(50000)) })
 		},
-		"tsdbload": func() {
-			run("tsdbload", func() (fmt.Stringer, error) {
-				return experiments.TSDBLoad(*agents, *readers, *dur, *compress)
-			})
-		},
-		"streamload": func() {
-			run("streamload", func() (fmt.Stringer, error) {
-				return experiments.StreamLoad(*agents, *clients, *dur)
-			})
-		},
-		"scaleload": func() {
-			run("scaleload", func() (fmt.Stringer, error) {
-				return experiments.ScaleLoad(experiments.ScaleLoadOptions{
-					Cells: *cellsN, UEsPerCell: *ues, IdlePct: *idle, Shards: *shards,
-					IngestWorkers: *ingestWorkers, Duration: *dur,
-				})
-			})
-		},
 		"chaos": func() {
 			e2s, sms := e2ap.SchemeASN, sm.SchemeASN
 			if *scheme == "fb" {
@@ -171,23 +137,6 @@ func main() {
 			run("slaload", func() (fmt.Stringer, error) {
 				return experiments.SLALoad(experiments.SLALoadOptions{
 					E2Scheme: e2s, SMScheme: sms, ConnPlan: *connPlan,
-				})
-			})
-		},
-		"fedload": func() {
-			e2s, sms := e2ap.SchemeASN, sm.SchemeASN
-			if *scheme == "fb" {
-				e2s, sms = e2ap.SchemeFB, sm.SchemeFB
-			}
-			sizes, err := parseFleet(*fleet)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fedload: %v\n", err)
-				os.Exit(2)
-			}
-			run("fedload", func() (fmt.Stringer, error) {
-				return experiments.FedLoad(experiments.FedLoadOptions{
-					E2Scheme: e2s, SMScheme: sms,
-					Shards: *fedShards, Agents: sizes, Duration: *dur,
 				})
 			})
 		},
@@ -213,26 +162,6 @@ func main() {
 		run("fig13a", func() (fmt.Stringer, error) { return experiments.Fig13a(8000) })
 		run("fig13b", func() (fmt.Stringer, error) { return experiments.Fig13b(30000) })
 		run("fig15", func() (fmt.Stringer, error) { return experiments.Fig15(30000) })
-		run("tsdbload", func() (fmt.Stringer, error) {
-			return experiments.TSDBLoad(4, 4, 2*time.Second, false)
-		})
-		run("tsdbload -compress", func() (fmt.Stringer, error) {
-			return experiments.TSDBLoad(4, 4, 2*time.Second, true)
-		})
-		run("streamload", func() (fmt.Stringer, error) {
-			return experiments.StreamLoad(4, 4, 2*time.Second)
-		})
-		run("scaleload", func() (fmt.Stringer, error) {
-			return experiments.ScaleLoad(experiments.ScaleLoadOptions{
-				Cells: 8, UEsPerCell: 200, Duration: 2 * time.Second, IngestWorkers: 2,
-			})
-		})
-		run("fedload", func() (fmt.Stringer, error) {
-			return experiments.FedLoad(experiments.FedLoadOptions{
-				E2Scheme: e2ap.SchemeFB, SMScheme: sm.SchemeFB,
-				Shards: 2, Agents: []int{2, 4}, Duration: 200 * time.Millisecond,
-			})
-		})
 	default:
 		f, ok := experimentsByName[cmd]
 		if !ok {
@@ -241,22 +170,6 @@ func main() {
 		}
 		f()
 	}
-}
-
-// parseFleet parses the -fleet sweep list ("4,8" -> [4, 8]).
-func parseFleet(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad fleet size %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func usage() {
@@ -276,11 +189,7 @@ experiments:
   fig13a  slicing isolation timeline
   fig13b  static slicing vs NVS sharing
   fig15   recursive slicing: dedicated vs shared infrastructure
-  tsdbload  time-series store under windowed queries vs live ingest
-  streamload  control-room WebSocket fan-out of live deltas
-  scaleload  sharded fleet with per-shard reports into pipelined ingest
   chaos   resilience under a scripted fault plan (drops + blackout)
   slaload   A1 SLA closed loop: violate, remedy, survive a reconnect storm
-  fedload   agents-per-controller sweep, single vs federated plane
   all     everything, reduced scale`)
 }

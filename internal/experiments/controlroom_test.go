@@ -195,16 +195,3 @@ func TestControlRoomDemo(t *testing.T) {
 func globLikeMAC(name string) bool {
 	return len(name) >= 4 && name[:4] == "mac."
 }
-
-// TestStreamLoadSmall smoke-tests the streamload experiment at reduced
-// scale so the bench subcommand's path stays covered by `go test`.
-func TestStreamLoadSmall(t *testing.T) {
-	res, err := StreamLoad(2, 3, 1500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frames == 0 || res.Samples == 0 {
-		t.Fatalf("no data delivered: %+v", res)
-	}
-	t.Log("\n" + res.String())
-}

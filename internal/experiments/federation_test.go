@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"testing"
-	"time"
 
 	"flexric/internal/e2ap"
 	"flexric/internal/sm"
@@ -47,30 +46,4 @@ func TestFederationDemo(t *testing.T) {
 			t.Log("\n" + res.String())
 		})
 	}
-}
-
-// TestFedLoad is a smoke run of the scaling sweep at reduced size.
-func TestFedLoad(t *testing.T) {
-	res, err := FedLoad(FedLoadOptions{
-		E2Scheme: e2ap.SchemeFB, SMScheme: sm.SchemeFB,
-		Shards: 2, Agents: []int{2}, Duration: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (single + federated)", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.IndsPerS <= 0 {
-			t.Errorf("%s: no ingest measured", row.Mode)
-		}
-		if row.Count == 0 {
-			t.Errorf("%s: fleet query returned no samples", row.Mode)
-		}
-		if row.QueryMS <= 0 {
-			t.Errorf("%s: no query latency measured", row.Mode)
-		}
-	}
-	t.Log("\n" + res.String())
 }

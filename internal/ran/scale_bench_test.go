@@ -10,9 +10,11 @@ import (
 
 // The scale tier: benchmarks the sharded/active-set core against the
 // frozen pre-change per-UE loop (baseline.go) on a cells × UEs fleet
-// with a configurable idle fraction. scripts/bench.sh drives the full
-// footprint (SCALE_CELLS=1000 SCALE_UES_PER_CELL=1000, i.e. 1M UEs on
-// one box); the defaults keep `go test -bench` runs small.
+// with a configurable idle fraction. The defaults keep `go test -bench`
+// runs small; the full footprint (1M UEs on one box) is
+//
+//	SCALE_CELLS=1000 SCALE_UES_PER_CELL=1000 SCALE_IDLE_PCT=99 \
+//	    go test -run xxx -bench 'BenchmarkScale' -benchmem ./internal/ran/
 //
 //	SCALE_CELLS         cells in the fleet            (default 4)
 //	SCALE_UES_PER_CELL  UEs attached per cell         (default 1000)

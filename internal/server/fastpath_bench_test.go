@@ -1,4 +1,4 @@
-package main
+package server_test
 
 import (
 	"bytes"
@@ -113,7 +113,7 @@ func fastPathFixture(b *testing.B) (agent.IndicationSender, chan struct{}, func(
 // path in isolation — SM payload already encoded, FB E2AP encode, pipe
 // transport, server envelope dispatch, subscription callback — with
 // telemetry compiled in and tracing unsampled, i.e. the production
-// configuration. verify.sh gates this at ≤2 allocs/op: encode-append
+// configuration. scripts/verify.sh gates this at ≤2 allocs/op: encode-append
 // into a reused buffer, pooled pipe frames, recycled receive buffers,
 // reused envelope views. It sees neither the SM report build nor the
 // ASN.1 codec nor the TCP transport; the system-level gate over those

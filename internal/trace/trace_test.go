@@ -165,6 +165,27 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkTraceDisabled exercises the full span choreography of one
+// E2 indication — root, child send, retroactive recv, end — with
+// sampling off (the production default). scripts/verify.sh gates on
+// this reporting 0 allocs/op: unsampled tracing must be free on the
+// hot path.
+func BenchmarkTraceDisabled(b *testing.B) {
+	if SampleEvery() != 0 {
+		b.Fatal("trace sampling unexpectedly enabled; BenchmarkTraceDisabled measures the off path")
+	}
+	t0 := time.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp := StartRoot("bench.indication")
+		child := StartChild(sp.Context(), "bench.send")
+		child.End()
+		Record(sp.Context(), "bench.recv", t0, time.Microsecond)
+		sp.End()
+	}
+}
+
 // The sampled path must not allocate either: spans are values and the
 // ring is pre-allocated.
 func TestSampledPathZeroAlloc(t *testing.T) {

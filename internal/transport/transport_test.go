@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flexric/internal/telemetry"
 )
 
 func kinds() []struct {
@@ -367,6 +369,66 @@ func benchSendRecv(b *testing.B, kind Kind, addr string) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTransportHotPath measures the framed-TCP echo round trip and
+// cross-checks it against the telemetry layer's own view of the same
+// packets: the reported p95_send_us comes from the
+// transport.sctpish.send_latency histogram, so a telemetry-induced
+// regression shows up in both ns/op and the histogram's self-measured
+// cost.
+func BenchmarkTransportHotPath(b *testing.B) {
+	telemetry.Reset()
+	lis, err := Listen(KindSCTPish, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		// Recycled-buffer echo: Send does not retain m, so the frame just
+		// echoed is immediately reusable as the next receive buffer.
+		var buf []byte
+		for {
+			m, err := RecvBuf(c, buf)
+			if err != nil {
+				return
+			}
+			if err := c.Send(m); err != nil {
+				return
+			}
+			buf = m
+		}
+	}()
+	c, err := Dial(KindSCTPish, lis.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	msg := bytes.Repeat([]byte{0x5C}, 1500)
+	var rbuf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Send(msg); err != nil {
+			b.Fatal(err)
+		}
+		m, err := RecvBuf(c, rbuf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rbuf = m
+	}
+	b.StopTimer()
+	h := telemetry.TakeSnapshot().Histogram("transport.sctpish.send_latency")
+	if h.Count == 0 {
+		b.Fatal("no send latency recorded")
+	}
+	b.ReportMetric(float64(h.Percentile(95).Microseconds()), "p95_send_us")
 }
 
 // TestOversizeFrameHeaderOnRecv drives a malformed frame header (length

@@ -12,6 +12,12 @@
 // lines of one workload differ between runs, or when a head median is
 // worse than the ref median by more than the metric's BENCHMARK.json
 // bound.
+//
+//	go run ./scripts/benchpair -check BENCH_TRAJECTORY.json -head B
+//
+// instead runs every workload once through B with the trajectory
+// file's small check footprint and exits 1 unless each counts: line
+// and allocs_m match the file (check.go); scripts/verify.sh runs it.
 package main
 
 import (
@@ -52,12 +58,12 @@ func main() {
 	refBin := flag.String("ref", "", "benchmark binary of the reference build")
 	headBin := flag.String("head", "", "benchmark binary of the change")
 	n := flag.Int("n", 10, "number of pairs")
+	checkFile := flag.String("check", "", "trajectory file: check -head's counts and allocs_m against it instead of pairing")
 	flag.Parse()
-	if *refBin == "" || *headBin == "" || *n < 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchpair -ref BIN -head BIN -n N -- [bench args]")
+	if *headBin == "" || (*checkFile == "" && (*refBin == "" || *n < 1)) {
+		fmt.Fprintln(os.Stderr, "usage: benchpair -ref BIN -head BIN -n N -- [bench args]\n       benchpair -check FILE -head BIN")
 		os.Exit(2)
 	}
-	const out = ".bench_build/pairs"
 	var sp spec
 	b, err := os.ReadFile("BENCHMARK.json")
 	if err == nil {
@@ -67,6 +73,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(2)
 	}
+	if *checkFile != "" {
+		if !check(*checkFile, *headBin, sp) {
+			os.Exit(1)
+		}
+		return
+	}
+	const out = ".bench_build/pairs"
 	workloads, args := splitWorkload(flag.Args())
 	if len(workloads) == 0 {
 		for _, w := range sp.Workloads {
