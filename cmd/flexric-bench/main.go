@@ -15,8 +15,6 @@
 //	flexric-bench fig13a [-phase 15000]
 //	flexric-bench fig13b [-sim 60000]
 //	flexric-bench fig15  [-sim 50000]
-//	flexric-bench chaos  [-scheme asn] [-connplan drop@120,drop@120] [-lisplan blackout@1=2]
-//	flexric-bench slaload [-scheme asn] [-connplan drop@1500,drop@1500,drop@1500]
 //	flexric-bench all    (reduced scale)
 package main
 
@@ -26,9 +24,7 @@ import (
 	"os"
 	"time"
 
-	"flexric/internal/e2ap"
 	"flexric/internal/experiments"
-	"flexric/internal/sm"
 )
 
 func main() {
@@ -43,9 +39,6 @@ func main() {
 	agents := fs.Int("agents", 10, "dummy agent count")
 	dur := fs.Duration("dur", 5*time.Second, "measurement window")
 	phase := fs.Int("phase", 15000, "per-phase simulated ms (fig13a)")
-	scheme := fs.String("scheme", "asn", "encoding scheme: asn or fb (chaos, slaload)")
-	connPlan := fs.String("connplan", "", "connection fault plan (chaos, slaload; empty = per-experiment default)")
-	lisPlan := fs.String("lisplan", "", "listener fault plan (chaos; empty = blackout@1=2)")
 	tel := fs.Bool("telemetry", false, "print the telemetry snapshot after each experiment")
 	_ = fs.Parse(os.Args[2:])
 
@@ -117,29 +110,6 @@ func main() {
 		"fig15": func() {
 			run("fig15", func() (fmt.Stringer, error) { return experiments.Fig15(simOr(50000)) })
 		},
-		"chaos": func() {
-			e2s, sms := e2ap.SchemeASN, sm.SchemeASN
-			if *scheme == "fb" {
-				e2s, sms = e2ap.SchemeFB, sm.SchemeFB
-			}
-			run("chaos", func() (fmt.Stringer, error) {
-				return experiments.Chaos(experiments.ChaosOptions{
-					E2Scheme: e2s, SMScheme: sms,
-					ConnPlan: *connPlan, ListenerPlan: *lisPlan,
-				})
-			})
-		},
-		"slaload": func() {
-			e2s, sms := e2ap.SchemeASN, sm.SchemeASN
-			if *scheme == "fb" {
-				e2s, sms = e2ap.SchemeFB, sm.SchemeFB
-			}
-			run("slaload", func() (fmt.Stringer, error) {
-				return experiments.SLALoad(experiments.SLALoadOptions{
-					E2Scheme: e2s, SMScheme: sms, ConnPlan: *connPlan,
-				})
-			})
-		},
 	}
 
 	switch cmd {
@@ -189,7 +159,5 @@ experiments:
   fig13a  slicing isolation timeline
   fig13b  static slicing vs NVS sharing
   fig15   recursive slicing: dedicated vs shared infrastructure
-  chaos   resilience under a scripted fault plan (drops + blackout)
-  slaload   A1 SLA closed loop: violate, remedy, survive a reconnect storm
   all     everything, reduced scale`)
 }

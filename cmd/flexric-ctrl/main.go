@@ -38,7 +38,7 @@ func main() {
 	slicing := flag.String("slicing", "", "REST address for the slicing specialization (empty = off)")
 	tc := flag.String("tc", "", "REST address for the traffic-control specialization (empty = off)")
 	brokerAddr := flag.String("broker", "", "message broker to publish stats to (empty = start one)")
-	period := flag.Uint("period", 100, "monitoring period in ms")
+	period := flag.Uint("period", 100, "monitoring period in ms; also sets the freshness of -slicing's /stats and the rate of -tc's RLC broker feed (use ~10 with -tc: the TC xApp judges a 200 ms sojourn window)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "monitor ingest pipeline goroutines, hashed by (agent, function); 0 = decode inline on receive loops")
 	telemetryDump := flag.Bool("telemetry", false, "dump the telemetry snapshot on exit")
 	telemetryEvery := flag.Duration("telemetry-every", 0, "also dump telemetry periodically (0 = off)")
@@ -161,13 +161,7 @@ func main() {
 
 	var sc *ctrl.SlicingController
 	if *slicing != "" {
-		// Share the process-wide store (fed by the main monitor) with
-		// the slicing northbound's /stats/agg when it exists.
-		var so []ctrl.SlicingOption
-		if store != nil {
-			so = append(so, ctrl.WithTSDB(store))
-		}
-		sc, err = ctrl.NewSlicingController(srv, sms, *slicing, so...)
+		sc, err = ctrl.NewSlicingController(srv, sms, *slicing, ctrl.WithMonitor(mon))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -186,7 +180,7 @@ func main() {
 			ba = bAddr
 			log.Printf("message broker on %s", ba)
 		}
-		tcc, err = ctrl.NewTCController(srv, sms, ba, *tc)
+		tcc, err = ctrl.NewTCController(mon, ba, *tc)
 		if err != nil {
 			log.Fatal(err)
 		}

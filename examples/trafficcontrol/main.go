@@ -30,15 +30,17 @@ func main() {
 	}
 	defer brk.Close()
 
-	// Controller: server library + TC specialization (stats→broker
-	// iApps, TC SM manager with REST).
+	// Controller: server library + RLC monitor + TC specialization
+	// (stats→broker iApps, TC SM manager with REST). The monitor's
+	// 10 ms period is the rate of the RLC feed the xApp watches.
 	srv := server.New(server.Config{Scheme: e2ap.SchemeFB})
 	e2Addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	tcc, err := ctrl.NewTCController(srv, sm.SchemeFB, brkAddr, "127.0.0.1:0")
+	mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 10, Layers: ctrl.MonRLC})
+	tcc, err := ctrl.NewTCController(mon, brkAddr, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -266,7 +266,8 @@ func TestTCControllerBrokerAndREST(t *testing.T) {
 	}
 	defer brk.Close()
 	s, addr := startSrv(t)
-	tcc, err := ctrl.NewTCController(s, sm.SchemeFB, brkAddr, "127.0.0.1:0")
+	mon := ctrl.NewMonitor(s, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 10, Layers: ctrl.MonRLC})
+	tcc, err := ctrl.NewTCController(mon, brkAddr, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +364,11 @@ func TestRelayTwoHopPing(t *testing.T) {
 
 	relayID := parent.Agents()[0].ID
 	pongs := make(chan *sm.HWPing, 4)
+	admitted := make(chan struct{})
 	_, err = parent.Subscribe(relayID, sm.IDHelloWorld,
 		sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,
 		server.SubscriptionCallbacks{
+			OnAdmitted: func(*e2ap.SubscriptionResponse) { close(admitted) },
 			OnIndication: func(ev server.IndicationEvent) {
 				if p, err := sm.DecodeHWPing(ev.Env.IndicationPayload()); err == nil {
 					pongs <- p
@@ -375,7 +378,13 @@ func TestRelayTwoHopPing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	// The relay answers only after it has sent the subscription south;
+	// the ping then follows it down the same connection.
+	select {
+	case <-admitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay subscription not admitted")
+	}
 	ping := &sm.HWPing{Seq: 11, T0: time.Now().UnixNano(), Data: make([]byte, 100)}
 	if err := parent.Control(relayID, sm.IDHelloWorld, nil, sm.EncodeHWPing(sm.SchemeASN, ping), false, nil); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@
 package ctrl
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +34,9 @@ const (
 
 // MonAll subscribes to all monitoring SMs.
 const MonAll = MonMAC | MonRLC | MonPDCP
+
+// monLayers lists the monitoring SMs in MonitorLayers bit order.
+var monLayers = [...]uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats}
 
 // Monitor is the statistics controller specialization of §5.3: an iApp
 // that subscribes to the monitoring SMs of every connecting agent and
@@ -61,6 +65,10 @@ type Monitor struct {
 	pdcp map[server.AgentID]*sm.PDCPReport
 	raw  map[server.AgentID]map[uint16][]byte
 	sid  map[server.AgentID]uint32 // SeriesAgent remap, when configured
+
+	// taps holds the OnIndication callback per monitoring SM, in
+	// monLayers order.
+	taps [len(monLayers)]atomic.Pointer[func(server.IndicationEvent)]
 
 	// pipes, when non-nil, carry decode + tsdb-ingest work off the
 	// server's receive goroutines onto a fixed worker pool, hashed by
@@ -195,29 +203,40 @@ func (m *Monitor) onAgent(info server.AgentInfo) {
 		m.sid[info.ID] = mapped
 		m.mu.Unlock()
 	}
-	type layerSub struct {
-		flag MonitorLayers
-		fnID uint16
-	}
-	for _, l := range []layerSub{
-		{MonMAC, sm.IDMACStats},
-		{MonRLC, sm.IDRLCStats},
-		{MonPDCP, sm.IDPDCPStats},
-	} {
-		if m.layers&l.flag == 0 || !info.HasFunction(l.fnID) {
+	for i, fnID := range monLayers {
+		if m.layers&(1<<i) == 0 || !info.HasFunction(fnID) {
 			continue
 		}
-		fnID := l.fnID
+		tap := &m.taps[i]
 		_, _ = m.srv.Subscribe(info.ID, fnID,
 			sm.EncodeTrigger(m.scheme, sm.Trigger{PeriodMS: m.periodMS}),
 			[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}},
 			server.SubscriptionCallbacks{
-				OnIndication: func(ev server.IndicationEvent) { m.store(ev, fnID) },
+				OnIndication: func(ev server.IndicationEvent) { m.store(ev, fnID, tap) },
 			})
 	}
 }
 
-func (m *Monitor) store(ev server.IndicationEvent, fnID uint16) {
+// OnIndication makes fn see every indication of the monitoring SM fnID
+// on the server's receive goroutine, before the monitor decodes it: the
+// iApps that share the monitor's subscription hook in here instead of
+// subscribing again. The event's payload aliases the receive buffer and
+// is valid only during the call. fn replaces any earlier callback for
+// fnID. It is an error when the monitor does not subscribe to fnID.
+func (m *Monitor) OnIndication(fnID uint16, fn func(server.IndicationEvent)) error {
+	for i, id := range monLayers {
+		if id == fnID && m.layers&(1<<i) != 0 {
+			m.taps[i].Store(&fn)
+			return nil
+		}
+	}
+	return fmt.Errorf("ctrl: monitor does not subscribe to RAN function %d", fnID)
+}
+
+func (m *Monitor) store(ev server.IndicationEvent, fnID uint16, tap *atomic.Pointer[func(server.IndicationEvent)]) {
+	if fn := tap.Load(); fn != nil {
+		(*fn)(ev)
+	}
 	// The controller-callback stage of the per-indication trace: SM
 	// decode (when enabled) + database update.
 	sp := trace.StartChild(ev.Trace, "ctrl.monitor.store")

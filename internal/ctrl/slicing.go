@@ -37,7 +37,6 @@ type SlicingController struct {
 	scheme sm.Scheme
 	http   *http.Server
 	lis    net.Listener
-	store  *tsdb.Store
 
 	mu     sync.Mutex
 	status map[server.AgentID]*sm.SliceStatus
@@ -47,15 +46,15 @@ type SlicingController struct {
 type SlicingOption func(*slicingOptions)
 
 type slicingOptions struct {
-	store *tsdb.Store
+	mon *Monitor
 }
 
-// WithTSDB serves /stats/agg from an externally owned store (fed by the
-// caller's Monitor) instead of a private one fed by the controller's
-// internal MAC monitor. Use it when one process-wide store backs both
-// the observability endpoints and the slicing northbound.
-func WithTSDB(st *tsdb.Store) SlicingOption {
-	return func(o *slicingOptions) { o.store = st }
+// WithMonitor serves /stats from mon's latest MAC reports and
+// /stats/agg from mon's store instead of a private MAC subscription, so
+// a process with one monitor subscribes to each agent's MAC once. mon
+// must subscribe to MAC and decode.
+func WithMonitor(mon *Monitor) SlicingOption {
+	return func(o *slicingOptions) { o.mon = mon }
 }
 
 // SliceConfigJSON is the REST body for POST /slices.
@@ -88,23 +87,21 @@ func NewSlicingController(srv *server.Server, scheme sm.Scheme, httpAddr string,
 	for _, opt := range opts {
 		opt(&o)
 	}
+	if o.mon != nil && (o.mon.layers&MonMAC == 0 || !o.mon.decode) {
+		return nil, errors.New("ctrl: slicing needs a monitor that subscribes to MAC and decodes")
+	}
 	c := &SlicingController{
 		srv:    srv,
+		mon:    o.mon,
 		scheme: scheme,
 		status: make(map[server.AgentID]*sm.SliceStatus),
 	}
-	// Internal DB for RAN stats, as in Table 4. Without WithTSDB the
-	// controller owns its store and its monitor feeds it; with it, the
-	// external store is already fed by the caller's monitor and the
-	// internal one only keeps the latest-report map for /stats.
-	monCfg := MonitorConfig{Scheme: scheme, PeriodMS: 10, Layers: MonMAC, Decode: true}
-	if o.store != nil {
-		c.store = o.store
-	} else {
-		c.store = tsdb.New(tsdb.Config{})
-		monCfg.TSDB = c.store
+	if c.mon == nil {
+		// Internal DB for RAN stats, as in Table 4.
+		c.mon = NewMonitor(srv, MonitorConfig{
+			Scheme: scheme, PeriodMS: 10, Layers: MonMAC, Decode: true, TSDB: tsdb.New(tsdb.Config{}),
+		})
 	}
-	c.mon = NewMonitor(srv, monCfg)
 	// Evict the per-agent slice status when an agent leaves; without
 	// this the map grows forever under agent churn (the monitor maps
 	// and tsdb series are evicted by the Monitor's own hook).
@@ -143,7 +140,7 @@ func NewSlicingController(srv *server.Server, scheme sm.Scheme, httpAddr string,
 		return nil, err
 	}
 	c.lis = lis
-	c.http = &http.Server{Handler: mux}
+	c.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = c.http.Serve(lis) }()
 	return c, nil
 }
@@ -167,11 +164,12 @@ func (c *SlicingController) Status() map[server.AgentID]*sm.SliceStatus {
 	return out
 }
 
-// Monitor exposes the internal stats DB.
+// Monitor exposes the stats DB behind /stats.
 func (c *SlicingController) Monitor() *Monitor { return c.mon }
 
-// TSDB exposes the time-series store behind /stats/agg.
-func (c *SlicingController) TSDB() *tsdb.Store { return c.store }
+// TSDB exposes the time-series store behind /stats/agg, or nil when the
+// shared monitor has none.
+func (c *SlicingController) TSDB() *tsdb.Store { return c.mon.TSDB() }
 
 func agentParam(r *http.Request) (server.AgentID, error) {
 	v := r.URL.Query().Get("agent")
@@ -200,6 +198,26 @@ func requireJSON(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	return true
+}
+
+// maxBodyBytes bounds a northbound request body.
+const maxBodyBytes = 64 << 10
+
+// readJSON decodes a request body of at most maxBodyBytes into v,
+// answering 413 for a longer body and 400 for malformed JSON. It reports
+// whether v holds the body.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+	return false
 }
 
 func (c *SlicingController) handleAgents(w http.ResponseWriter, r *http.Request) {
@@ -243,6 +261,11 @@ func (c *SlicingController) handleStatsAgg(w http.ResponseWriter, r *http.Reques
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	store := c.mon.TSDB()
+	if store == nil {
+		http.Error(w, "no time-series store", http.StatusServiceUnavailable)
+		return
+	}
 	q := r.URL.Query()
 	ue, err := strconv.Atoi(q.Get("ue"))
 	if err != nil || ue < 0 || ue > 0xFFFF {
@@ -263,7 +286,7 @@ func (c *SlicingController) handleStatsAgg(w http.ResponseWriter, r *http.Reques
 	}
 	now := time.Now().UnixNano()
 	k := tsdb.SeriesKey{Agent: uint32(id), Fn: sm.IDMACStats, UE: uint16(ue), Field: field}
-	agg, ok := c.store.Aggregate(k, now-windowNS, now)
+	agg, ok := store.Aggregate(k, now-windowNS, now)
 	if !ok {
 		http.Error(w, "no samples in window", http.StatusNotFound)
 		return
@@ -297,8 +320,7 @@ func (c *SlicingController) handleSlices(w http.ResponseWriter, r *http.Request)
 			return
 		}
 		var body SliceConfigJSON
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readJSON(w, r, &body) {
 			return
 		}
 		ctl, err := sliceControlFromJSON(&body)
@@ -329,8 +351,7 @@ func (c *SlicingController) handleAssoc(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var body AssocJSON
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &body) {
 		return
 	}
 	ctl := &sm.SliceControl{Op: sm.OpAssociateUE, RNTI: body.RNTI, SliceID: body.SliceID}

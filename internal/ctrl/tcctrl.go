@@ -1,11 +1,11 @@
 package ctrl
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"flexric/internal/broker"
@@ -23,11 +23,12 @@ import (
 // Broker channels: "stats.rlc.<agent>" and "stats.tc.<agent>" carry raw
 // SM payloads. REST: POST /tc?agent=N with TCCommandJSON.
 type TCController struct {
-	srv    *server.Server
-	scheme sm.Scheme
-	pub    *broker.Client
-	http   *http.Server
-	lis    net.Listener
+	mon  *Monitor
+	pub  *broker.Client
+	http *http.Server
+	lis  net.Listener
+
+	rlcChans sync.Map // server.AgentID → "stats.rlc.<agent>"
 }
 
 // TCCommandJSON is the REST body for POST /tc.
@@ -53,31 +54,35 @@ type TCCommandResult struct {
 	Queue uint32 `json:"queue,omitempty"`
 }
 
-// NewTCController attaches the TC specialization: stats forwarding to
-// the broker at brokerAddr and a REST endpoint on httpAddr.
-func NewTCController(srv *server.Server, scheme sm.Scheme, brokerAddr, httpAddr string) (*TCController, error) {
+// NewTCController attaches the TC specialization to mon's server:
+// stats forwarding to the broker at brokerAddr and a REST endpoint on
+// httpAddr. RLC reports are forwarded from mon's RLC subscription, at
+// mon's period, so mon must subscribe to RLC; the TC SM, which nothing
+// else reads, gets a subscription of its own.
+func NewTCController(mon *Monitor, brokerAddr, httpAddr string) (*TCController, error) {
 	pub, err := broker.Dial(brokerAddr)
 	if err != nil {
 		return nil, err
 	}
-	c := &TCController{srv: srv, scheme: scheme, pub: pub}
+	lis, err := net.Listen("tcp", httpAddr)
+	if err != nil {
+		pub.Close()
+		return nil, err
+	}
+	c := &TCController{mon: mon, pub: pub, lis: lis}
+	if err := mon.OnIndication(sm.IDRLCStats, func(ev server.IndicationEvent) {
+		_ = c.pub.PublishTraced(c.rlcChannel(ev.Agent), ev.Env.IndicationPayload(), ev.Trace)
+	}); err != nil {
+		lis.Close()
+		pub.Close()
+		return nil, err
+	}
 
-	srv.OnAgentConnect(func(info server.AgentInfo) {
-		if info.HasFunction(sm.IDRLCStats) {
-			ch := fmt.Sprintf("stats.rlc.%d", info.ID)
-			_, _ = srv.Subscribe(info.ID, sm.IDRLCStats,
-				sm.EncodeTrigger(scheme, sm.Trigger{PeriodMS: 10}),
-				[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}},
-				server.SubscriptionCallbacks{
-					OnIndication: func(ev server.IndicationEvent) {
-						_ = c.pub.PublishTraced(ch, ev.Env.IndicationPayload(), ev.Trace)
-					},
-				})
-		}
+	mon.srv.OnAgentConnect(func(info server.AgentInfo) {
 		if info.HasFunction(sm.IDTrafficCtrl) {
 			ch := fmt.Sprintf("stats.tc.%d", info.ID)
-			_, _ = srv.Subscribe(info.ID, sm.IDTrafficCtrl,
-				sm.EncodeTrigger(scheme, sm.Trigger{PeriodMS: 10}),
+			_, _ = mon.srv.Subscribe(info.ID, sm.IDTrafficCtrl,
+				sm.EncodeTrigger(mon.scheme, sm.Trigger{PeriodMS: 10}),
 				[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}},
 				server.SubscriptionCallbacks{
 					OnIndication: func(ev server.IndicationEvent) {
@@ -89,15 +94,20 @@ func NewTCController(srv *server.Server, scheme sm.Scheme, brokerAddr, httpAddr 
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/tc", c.handleTC)
-	lis, err := net.Listen("tcp", httpAddr)
-	if err != nil {
-		pub.Close()
-		return nil, err
-	}
-	c.lis = lis
-	c.http = &http.Server{Handler: mux}
+	c.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = c.http.Serve(lis) }()
 	return c, nil
+}
+
+// rlcChannel returns the broker channel of an agent's RLC reports,
+// built on the agent's first report.
+func (c *TCController) rlcChannel(id server.AgentID) string {
+	if ch, ok := c.rlcChans.Load(id); ok {
+		return ch.(string)
+	}
+	ch := fmt.Sprintf("stats.rlc.%d", id)
+	c.rlcChans.Store(id, ch)
+	return ch
 }
 
 // Addr returns the REST northbound address.
@@ -111,6 +121,7 @@ func (c *TCController) Close() error {
 
 func (c *TCController) handleTC(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
@@ -120,8 +131,7 @@ func (c *TCController) handleTC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body TCCommandJSON
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, &body) {
 		return
 	}
 	ctl, err := tcControlFromJSON(&body)
@@ -184,8 +194,8 @@ func (c *TCController) apply(id server.AgentID, ctl *sm.TCControl) ([]byte, erro
 		err error
 	}
 	ch := make(chan res, 1)
-	if err := c.srv.Control(id, sm.IDTrafficCtrl, nil,
-		sm.EncodeTCControl(c.scheme, ctl), true,
+	if err := c.mon.srv.Control(id, sm.IDTrafficCtrl, nil,
+		sm.EncodeTCControl(c.mon.scheme, ctl), true,
 		func(out []byte, err error) { ch <- res{out, err} }); err != nil {
 		return nil, err
 	}

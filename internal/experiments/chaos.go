@@ -29,14 +29,6 @@ import (
 type ChaosOptions struct {
 	E2Scheme e2ap.Scheme
 	SMScheme sm.Scheme
-	// ConnPlan scripts faults on the agent's controller connections
-	// (default "drop@120,drop@120": two cuts, each after 120 frames).
-	ConnPlan string
-	// ListenerPlan scripts faults on the controller's listener (default
-	// "blackout@1=2": after the first accept, reject two redials).
-	ListenerPlan string
-	// Timeout bounds each phase (default 30s).
-	Timeout time.Duration
 }
 
 // ChaosResult reports what the scripted faults did and how the system
@@ -81,20 +73,13 @@ func activeSubs() int64 {
 // Chaos runs the scripted fault timeline against a live monitoring loop
 // and returns the recovery evidence.
 func Chaos(opts ChaosOptions) (*ChaosResult, error) {
-	if opts.ConnPlan == "" {
-		opts.ConnPlan = "drop@120,drop@120"
-	}
-	if opts.ListenerPlan == "" {
-		opts.ListenerPlan = "blackout@1=2"
-	}
-	if opts.Timeout == 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	connPlan, err := faultinject.Parse(opts.ConnPlan)
+	// Two cuts of the agent's controller connection, each after 120
+	// frames; after the first accept, the listener rejects two redials.
+	connPlan, err := faultinject.Parse("drop@120,drop@120")
 	if err != nil {
 		return nil, err
 	}
-	lisPlan, err := faultinject.Parse(opts.ListenerPlan)
+	lisPlan, err := faultinject.Parse("blackout@1=2")
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +134,7 @@ func Chaos(opts ChaosOptions) (*ChaosResult, error) {
 	// while polling cond; the supervisor and the server react in real
 	// time underneath.
 	drive := func(what string, cond func() bool) error {
-		deadline := time.Now().Add(opts.Timeout)
+		deadline := time.Now().Add(30 * time.Second)
 		for !cond() {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("chaos: timeout waiting for %s", what)

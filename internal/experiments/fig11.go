@@ -78,7 +78,8 @@ func fig11Run(useXApp bool, simMS int) (*Fig11Run, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	tcc, err := ctrl.NewTCController(srv, sm.SchemeFB, brkAddr, "127.0.0.1:0")
+	mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 10, Layers: ctrl.MonRLC})
+	tcc, err := ctrl.NewTCController(mon, brkAddr, "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}

@@ -48,11 +48,6 @@ import (
 type SLALoadOptions struct {
 	E2Scheme e2ap.Scheme
 	SMScheme sm.Scheme
-	// ConnPlan scripts the reconnect storm on the agent's connections
-	// (default "drop@1500,drop@1500,drop@1500").
-	ConnPlan string
-	// Timeout bounds each phase (default 30s).
-	Timeout time.Duration
 }
 
 // SLALoadResult is the closed-loop evidence.
@@ -71,7 +66,10 @@ type SLALoadResult struct {
 	SawEnforced  bool    // ENFORCED observed on the stream channel
 	Drops        uint64  // reconnect-storm drops fired
 	Reconnects   uint64  // re-admissions observed by the server
-	FinalStatus  string
+	// Subscriptions is the server's E2 subscription count at the end:
+	// the shared monitor's MAC one and the slicing controller's SC one.
+	Subscriptions int
+	FinalStatus   string
 }
 
 // String renders the result table.
@@ -79,7 +77,7 @@ func (r *SLALoadResult) String() string {
 	return fmt.Sprintf("slaload — A1 closed loop, slice-1 SLA %.0f Mbps, scheme %s\n", r.TargetMbps, r.Scheme) +
 		Table(
 			[]string{"baseline", "surge", "remedied", "share before", "share after",
-				"remedies", "transitions", "a1 events", "drops", "reconnects", "final"},
+				"remedies", "transitions", "a1 events", "drops", "reconnects", "subs", "final"},
 			[][]string{{
 				fmt.Sprintf("%.1f", r.BaselineMbps),
 				fmt.Sprintf("%.1f", r.SurgeMbps),
@@ -91,6 +89,7 @@ func (r *SLALoadResult) String() string {
 				fmt.Sprint(r.StreamEvents),
 				fmt.Sprint(r.Drops),
 				fmt.Sprint(r.Reconnects),
+				fmt.Sprint(r.Subscriptions),
 				r.FinalStatus,
 			}},
 		)
@@ -167,13 +166,8 @@ func (o *a1Observer) stats() (n int, sawViolated, sawEnforced bool) {
 
 // SLALoad runs the closed-loop timeline and returns the evidence.
 func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
-	if opts.ConnPlan == "" {
-		opts.ConnPlan = "drop@1500,drop@1500,drop@1500"
-	}
-	if opts.Timeout == 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	connPlan, err := faultinject.Parse(opts.ConnPlan)
+	// The reconnect storm scripted on the agent's connections.
+	connPlan, err := faultinject.Parse("drop@1500,drop@1500,drop@1500")
 	if err != nil {
 		return nil, err
 	}
@@ -184,8 +178,9 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 	res := &SLALoadResult{Scheme: string(opts.E2Scheme), TargetMbps: targetMbps}
 
 	// Controller side: E2 server with resilience, a monitor feeding the
-	// shared store, the slicing northbound, the policy store, and the
-	// obs server with both the control room and the A1 northbound.
+	// shared store, the slicing northbound reading that monitor, the
+	// policy store, and the obs server with both the control room and
+	// the A1 northbound.
 	resCfg := &resilience.Config{
 		Backoff: resilience.BackoffPolicy{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 	}
@@ -202,7 +197,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 	mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{
 		Scheme: opts.SMScheme, PeriodMS: 1, Layers: ctrl.MonMAC, Decode: true, TSDB: store,
 	})
-	sc, err := ctrl.NewSlicingController(srv, opts.SMScheme, "127.0.0.1:0", ctrl.WithTSDB(store))
+	sc, err := ctrl.NewSlicingController(srv, opts.SMScheme, "127.0.0.1:0", ctrl.WithMonitor(mon))
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +320,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 	// drive advances the simulated cell (~20 sim ms per wall ms) and
 	// runs one enforcement tick per wall millisecond while polling cond.
 	drive := func(what string, cond func() bool) error {
-		deadline := time.Now().Add(opts.Timeout)
+		deadline := time.Now().Add(30 * time.Second)
 		for !cond() {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("slaload: timeout waiting for %s", what)
@@ -435,6 +430,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 	res.Remedies = telemetry.TakeSnapshot().Counter("a1.enforce.remedies") - remedies0
 	res.Drops = connPlan.DropsFired()
 	res.Reconnects = reconnects.Load()
+	res.Subscriptions = srv.NumSubscriptions()
 
 	// Give the hub one flush tick to deliver the tail before reading the
 	// observer.

@@ -58,6 +58,12 @@ func TestSLADemo(t *testing.T) {
 			if res.Drops != 3 || res.Reconnects < 3 {
 				t.Errorf("reconnect storm: drops=%d reconnects=%d, want 3 / >=3", res.Drops, res.Reconnects)
 			}
+			// One subscription per (agent, function): the slicing
+			// controller reads the monitor's MAC reports instead of
+			// subscribing to MAC again.
+			if res.Subscriptions != 2 {
+				t.Errorf("subscriptions = %d, want 2 (MAC, SC)", res.Subscriptions)
+			}
 			if res.StreamEvents == 0 || !res.SawViolated || !res.SawEnforced {
 				t.Errorf("a1 stream channel: events=%d violated=%v enforced=%v",
 					res.StreamEvents, res.SawViolated, res.SawEnforced)

@@ -29,7 +29,8 @@ func TestTCXAppAppliesRemedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tcc, err := ctrl.NewTCController(srv, sm.SchemeFB, brkAddr, "127.0.0.1:0")
+	mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 10, Layers: ctrl.MonRLC})
+	tcc, err := ctrl.NewTCController(mon, brkAddr, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
