@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +63,9 @@ const (
 	clientAccCap = 16384
 	// backfillMaxSeries caps how many series one subscribe backfills.
 	backfillMaxSeries = 512
+	// maxNamedSeries bounds the flush loop's series-name cache; it is
+	// reset when full, so a storm of fresh keys cannot grow it.
+	maxNamedSeries = 1 << 16
 )
 
 var streamTel = struct {
@@ -68,18 +73,22 @@ var streamTel = struct {
 	frames      *telemetry.Counter
 	dropped     *telemetry.Counter
 	ringDropped *telemetry.Counter
+	nonfinite   *telemetry.Counter
 	fanout      *telemetry.Histogram
 }{
 	clients:     telemetry.NewGauge("obs.stream.clients"),
 	frames:      telemetry.NewCounter("obs.stream.frames"),
 	dropped:     telemetry.NewCounter("obs.stream.dropped_frames"),
 	ringDropped: telemetry.NewCounter("obs.stream.ring_dropped"),
+	nonfinite:   telemetry.NewCounter("obs.stream.nonfinite"),
 	fanout:      telemetry.NewHistogram("obs.stream.fanout"),
 }
 
-// delta is one tsdb append captured by the hook.
+// delta is one tsdb append captured by the hook. The flush loop fills
+// in its series label; the hook leaves it nil.
 type delta struct {
 	k  tsdb.SeriesKey
+	l  *seriesLabel
 	ts int64
 	v  float64
 }
@@ -119,6 +128,16 @@ type Hub struct {
 
 	stop chan struct{}
 	done chan struct{}
+
+	// Flush-loop state: only tick touches it, so it needs no lock.
+	names        map[tsdb.SeriesKey]*seriesLabel
+	nextID       uint64
+	deltaScratch []delta
+	spanScratch  []trace.SpanData
+	a1Scratch    []a1.Event
+	clientsTick  []*streamClient
+	order        []uint64
+	runs         []seriesRun
 
 	// appendHookFn keeps the installed hook reachable so SetAppendHook
 	// uninstall can be matched in tests; trace tail hook is global.
@@ -271,6 +290,7 @@ type streamClient struct {
 	tick     uint64
 	acc      []delta // pending tsdb deltas for this client
 	accDrop  bool
+	frameLen int // length of the last tsdb frame, to presize the next
 	spanAcc  []trace.SpanData
 	a1Acc    []a1.Event
 	prevTel  map[string]float64
@@ -514,6 +534,34 @@ func seriesName(k tsdb.SeriesKey) string {
 		strconv.FormatUint(uint64(k.UE), 10) + "." + k.Field.String()
 }
 
+// seriesLabel is a series' wire name, rendered once per key by the
+// flush loop. id is unique per label: the hub never reuses one.
+type seriesLabel struct {
+	id     uint64
+	name   string
+	quoted []byte // name as encoding/json writes a string
+}
+
+// label returns k's series label from the flush loop's cache.
+func (h *Hub) label(k tsdb.SeriesKey) *seriesLabel {
+	if l := h.names[k]; l != nil {
+		return l
+	}
+	if h.names == nil || len(h.names) >= maxNamedSeries {
+		h.names = make(map[tsdb.SeriesKey]*seriesLabel)
+	}
+	name := seriesName(k)
+	l := &seriesLabel{id: h.nextID, name: name, quoted: quoteName(name)}
+	h.nextID++
+	h.names[k] = l
+	return l
+}
+
+func quoteName(name string) []byte {
+	b, _ := json.Marshal(name) // a string always marshals
+	return b
+}
+
 // globMatch reports whether s matches pattern, where '*' matches any
 // run of characters (including empty and across dots).
 func globMatch(pattern, s string) bool {
@@ -546,26 +594,176 @@ func globMatch(pattern, s string) bool {
 // ---------------------------------------------------------------------
 // Frame building
 
-// samplePair is one (timestamp, value) pair on the wire. The timestamp
-// is Unix *milliseconds* so it survives the float64 JSON round-trip
-// exactly (Unix nanoseconds exceed 2^53).
-type samplePair [2]float64
-
-func pair(tsNS int64, v float64) samplePair {
-	return samplePair{float64(tsNS / int64(time.Millisecond)), v}
+// tsdbWriter appends one tsdb frame, byte for byte what encoding/json
+// writes for
+//
+//	{"ch":"tsdb","series":[{"name":…,"samples":[[ms,v],…]},…],
+//	 "backfill":true,"partial":true,"dropped":true}
+//
+// with "series":null when no series is written and each flag omitted
+// when false. A sample's timestamp is Unix *milliseconds*, so it
+// survives the float64 JSON round-trip exactly (Unix nanoseconds exceed
+// 2^53). Non-finite values have no JSON form: they are skipped and
+// counted, and a series left with no samples is omitted.
+type tsdbWriter struct {
+	b       []byte
+	series  int // series written
+	mark    int // len(b) before the open series
+	samples int // samples in the open series
 }
 
-type seriesFrameEntry struct {
-	Name    string       `json:"name"`
-	Samples []samplePair `json:"samples"`
+type tsdbFlags struct{ backfill, partial, dropped bool }
+
+func (w *tsdbWriter) begin(b []byte) {
+	w.b = append(b[:0], `{"ch":"tsdb","series":`...)
+	w.series = 0
 }
 
-type tsdbFrame struct {
-	Ch       string             `json:"ch"`
-	Series   []seriesFrameEntry `json:"series"`
-	Backfill bool               `json:"backfill,omitempty"`
-	Partial  bool               `json:"partial,omitempty"`
-	Dropped  bool               `json:"dropped,omitempty"`
+func (w *tsdbWriter) openSeries(quoted []byte) {
+	w.mark = len(w.b)
+	w.samples = 0
+	if w.series == 0 {
+		w.b = append(w.b, '[')
+	} else {
+		w.b = append(w.b, ',')
+	}
+	w.b = append(w.b, `{"name":`...)
+	w.b = append(w.b, quoted...)
+	w.b = append(w.b, `,"samples":[`...)
+}
+
+func (w *tsdbWriter) sample(tsNS int64, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		streamTel.nonfinite.Inc()
+		return
+	}
+	if w.samples > 0 {
+		w.b = append(w.b, ',')
+	}
+	w.samples++
+	// |ms| < 2^53: encoding/json prints its float64 as this integer.
+	w.b = append(w.b, '[')
+	w.b = strconv.AppendInt(w.b, tsNS/int64(time.Millisecond), 10)
+	w.b = append(w.b, ',')
+	w.b = appendJSONFloat(w.b, v)
+	w.b = append(w.b, ']')
+}
+
+func (w *tsdbWriter) closeSeries() {
+	if w.samples == 0 {
+		w.b = w.b[:w.mark]
+		return
+	}
+	w.b = append(w.b, "]}"...)
+	w.series++
+}
+
+func (w *tsdbWriter) finish(f tsdbFlags) []byte {
+	if w.series == 0 {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.b = append(w.b, ']')
+	}
+	if f.backfill {
+		w.b = append(w.b, `,"backfill":true`...)
+	}
+	if f.partial {
+		w.b = append(w.b, `,"partial":true`...)
+	}
+	if f.dropped {
+		w.b = append(w.b, `,"dropped":true`...)
+	}
+	return append(w.b, '}')
+}
+
+// appendJSONFloat appends a finite f as encoding/json does: shortest
+// round-trip digits, exponent form below 1e-6 and from 1e21, and a
+// two-digit negative exponent trimmed to one (e-09 → e-9).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// writeLive sorts by label id and accumulator index, which must fit
+// the low accIndexBits of one uint64.
+const (
+	accIndexBits = 16
+	accIndexMask = 1<<accIndexBits - 1
+)
+
+const _ uint = accIndexMask + 1 - clientAccCap // the accumulator fits
+
+// seriesRun is one label's stretch of Hub.order.
+type seriesRun struct {
+	l      *seriesLabel
+	lo, hi int
+}
+
+// writeLive appends acc (at most clientAccCap deltas) as one live
+// frame into buf: one series per name, sorted, with its samples in
+// arrival order. It reports whether the frame holds any series.
+func (h *Hub) writeLive(buf []byte, acc []delta, dropped bool) ([]byte, bool) {
+	// One integer sort puts each label's samples together, in arrival
+	// order; then the runs are ordered by name.
+	h.order = h.order[:0]
+	for i, d := range acc {
+		h.order = append(h.order, d.l.id<<accIndexBits|uint64(i))
+	}
+	slices.Sort(h.order)
+	h.runs = h.runs[:0]
+	for lo := 0; lo < len(h.order); {
+		id := h.order[lo] >> accIndexBits
+		hi := lo + 1
+		for hi < len(h.order) && h.order[hi]>>accIndexBits == id {
+			hi++
+		}
+		h.runs = append(h.runs, seriesRun{l: acc[h.order[lo]&accIndexMask].l, lo: lo, hi: hi})
+		lo = hi
+	}
+	slices.SortFunc(h.runs, func(a, b seriesRun) int { return strings.Compare(a.l.name, b.l.name) })
+
+	var w tsdbWriter
+	var merged []uint64
+	w.begin(buf)
+	for i := 0; i < len(h.runs); {
+		idx := h.order[h.runs[i].lo:h.runs[i].hi]
+		j := i + 1
+		for j < len(h.runs) && h.runs[j].l.name == h.runs[i].l.name {
+			j++
+		}
+		if j > i+1 {
+			// Labels that share a name (unknown fields, or one key
+			// labelled again after a cache reset) are one series: merge
+			// their samples back into arrival order.
+			merged = merged[:0]
+			for _, r := range h.runs[i:j] {
+				for _, o := range h.order[r.lo:r.hi] {
+					merged = append(merged, o&accIndexMask)
+				}
+			}
+			slices.Sort(merged)
+			idx = merged
+		}
+		w.openSeries(h.runs[i].l.quoted)
+		for _, o := range idx {
+			d := &acc[o&accIndexMask]
+			w.sample(d.ts, d.v)
+		}
+		w.closeSeries()
+		i = j
+	}
+	return w.finish(tsdbFlags{dropped: dropped}), w.series > 0
 }
 
 type telemetryFrame struct {
@@ -636,34 +834,51 @@ func (c *streamClient) backfillA1(glob string) {
 	c.enqueue(marshalFrame(frame))
 }
 
+// backfillSeries is one series of a backfill frame.
+type backfillSeries struct {
+	name    string
+	samples []tsdb.Sample
+}
+
 // backfill sends the recent history of every series matching glob as
 // one frame, so a fresh dashboard starts with context instead of an
 // empty chart.
 func (c *streamClient) backfill(glob string, windowMS int64) {
 	now := time.Now().UnixNano()
 	from := now - windowMS*int64(time.Millisecond)
-	frame := tsdbFrame{Ch: ChanTSDB, Backfill: true}
+	var series []backfillSeries
+	partial := false
 	for _, info := range c.h.store.List(-1, 0) {
 		name := seriesName(info.Key)
 		if !globMatch(glob, name) {
 			continue
 		}
-		if len(frame.Series) == backfillMaxSeries {
-			frame.Partial = true
+		if len(series) == backfillMaxSeries {
+			partial = true
 			break
 		}
 		samples := c.h.store.Range(info.Key, from, now, nil)
 		if len(samples) == 0 {
 			continue
 		}
-		e := seriesFrameEntry{Name: name, Samples: make([]samplePair, len(samples))}
-		for i, s := range samples {
-			e.Samples[i] = pair(s.TS, s.V)
-		}
-		frame.Series = append(frame.Series, e)
+		series = append(series, backfillSeries{name: name, samples: samples})
 	}
-	sort.Slice(frame.Series, func(i, j int) bool { return frame.Series[i].Name < frame.Series[j].Name })
-	c.enqueue(marshalFrame(frame))
+	c.enqueue(writeBackfill(series, partial))
+}
+
+// writeBackfill writes one backfill frame of series, sorted by name.
+func writeBackfill(series []backfillSeries, partial bool) []byte {
+	slices.SortFunc(series, func(a, b backfillSeries) int { return strings.Compare(a.name, b.name) })
+	var w tsdbWriter
+	w.begin(nil)
+	for _, s := range series {
+		w.openSeries(quoteName(s.name))
+		for _, p := range s.samples {
+			w.sample(p.TS, p.V)
+		}
+		w.closeSeries()
+	}
+	return w.finish(tsdbFlags{backfill: true, partial: partial})
 }
 
 // flattenTelemetry walks a snapshot tree into dotted-name scalars.
@@ -692,118 +907,113 @@ func (h *Hub) flushLoop() {
 	defer close(h.done)
 	tick := time.NewTicker(h.baseTick)
 	defer tick.Stop()
-	var (
-		deltaScratch []delta
-		nameScratch  []string
-		spanScratch  []trace.SpanData
-		a1Scratch    []a1.Event
-	)
 	for {
 		select {
 		case <-h.stop:
 			return
 		case <-tick.C:
 		}
-		t0 := time.Now()
-
-		// Drain the producer rings into scratch buffers.
-		deltaScratch = deltaScratch[:0]
-		h.dmu.Lock()
-		for i := 0; i < h.dLen; i++ {
-			deltaScratch = append(deltaScratch, h.deltas[(h.dHead+i)%len(h.deltas)])
-		}
-		h.dHead, h.dLen = 0, 0
-		h.dmu.Unlock()
-		nameScratch = nameScratch[:0]
-		for _, d := range deltaScratch {
-			nameScratch = append(nameScratch, seriesName(d.k))
-		}
-
-		spanScratch = spanScratch[:0]
-		h.smu.Lock()
-		for i := 0; i < h.spLen; i++ {
-			spanScratch = append(spanScratch, h.spans[(h.spHead+i)%len(h.spans)])
-		}
-		h.spHead, h.spLen = 0, 0
-		h.smu.Unlock()
-
-		a1Scratch = a1Scratch[:0]
-		h.amu.Lock()
-		for i := 0; i < h.a1Len; i++ {
-			a1Scratch = append(a1Scratch, h.a1Evs[(h.a1Head+i)%len(h.a1Evs)])
-		}
-		h.a1Head, h.a1Len = 0, 0
-		h.amu.Unlock()
-
-		h.cmu.Lock()
-		clients := make([]*streamClient, 0, len(h.clients))
-		for c := range h.clients {
-			clients = append(clients, c)
-		}
-		h.cmu.Unlock()
-
-		// Per-tick lazies, shared across clients due this tick.
-		var telFlat map[string]float64
-		var topoBytes []byte
-		for _, c := range clients {
-			c.flushTick(deltaScratch, nameScratch, spanScratch, a1Scratch, &telFlat, &topoBytes)
-		}
-		streamTel.fanout.Observe(time.Since(t0))
+		h.tick()
 	}
+}
+
+// tick drains the producer rings and flushes every client due. Only the
+// flush loop calls it, or a test whose hub ticker never fires.
+func (h *Hub) tick() {
+	t0 := time.Now()
+
+	// Drain the producer rings into scratch buffers.
+	h.deltaScratch = h.deltaScratch[:0]
+	h.dmu.Lock()
+	for i := 0; i < h.dLen; i++ {
+		h.deltaScratch = append(h.deltaScratch, h.deltas[(h.dHead+i)%len(h.deltas)])
+	}
+	h.dHead, h.dLen = 0, 0
+	h.dmu.Unlock()
+	if h.tsdbSubs.Load() == 0 {
+		// Nobody streams series: let go of the names and the scratch.
+		h.names, h.deltaScratch = nil, nil
+		h.order, h.runs = nil, nil
+	}
+	for i := range h.deltaScratch {
+		h.deltaScratch[i].l = h.label(h.deltaScratch[i].k)
+	}
+
+	h.spanScratch = h.spanScratch[:0]
+	h.smu.Lock()
+	for i := 0; i < h.spLen; i++ {
+		h.spanScratch = append(h.spanScratch, h.spans[(h.spHead+i)%len(h.spans)])
+	}
+	h.spHead, h.spLen = 0, 0
+	h.smu.Unlock()
+
+	h.a1Scratch = h.a1Scratch[:0]
+	h.amu.Lock()
+	for i := 0; i < h.a1Len; i++ {
+		h.a1Scratch = append(h.a1Scratch, h.a1Evs[(h.a1Head+i)%len(h.a1Evs)])
+	}
+	h.a1Head, h.a1Len = 0, 0
+	h.amu.Unlock()
+
+	h.cmu.Lock()
+	h.clientsTick = h.clientsTick[:0]
+	for c := range h.clients {
+		h.clientsTick = append(h.clientsTick, c)
+	}
+	h.cmu.Unlock()
+
+	// Per-tick lazies, shared across clients due this tick.
+	var telFlat map[string]float64
+	var topoBytes []byte
+	for _, c := range h.clientsTick {
+		c.flushTick(&telFlat, &topoBytes)
+	}
+	clear(h.clientsTick) // do not pin detached clients until the next tick
+	streamTel.fanout.Observe(time.Since(t0))
 }
 
 // flushTick accumulates this tick's data into the client and emits
 // frames for every subscription due on this tick.
-func (c *streamClient) flushTick(deltas []delta, names []string, spans []trace.SpanData, a1Evs []a1.Event, telFlat *map[string]float64, topoBytes *[]byte) {
+func (c *streamClient) flushTick(telFlat *map[string]float64, topoBytes *[]byte) {
+	h := c.h
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick++
 
 	// Accumulate into per-client buffers (bounded, drop-oldest).
 	if sub := c.subs[ChanTSDB]; sub != nil {
-		for i, d := range deltas {
-			if !globMatch(sub.glob, names[i]) {
-				continue
+		for _, d := range h.deltaScratch {
+			if sub.glob == "*" || globMatch(sub.glob, d.l.name) {
+				c.acc = append(c.acc, d)
 			}
-			if len(c.acc) == clientAccCap {
-				copy(c.acc, c.acc[1:])
-				c.acc = c.acc[:clientAccCap-1]
-				c.accDrop = true
-				streamTel.ringDropped.Inc()
-			}
-			c.acc = append(c.acc, d)
+		}
+		if n := len(c.acc) - clientAccCap; n > 0 {
+			c.acc = c.acc[:copy(c.acc, c.acc[n:])]
+			c.accDrop = true
+			streamTel.ringDropped.Add(uint64(n))
 		}
 	}
 	if c.subs[ChanSpans] != nil {
-		c.spanAcc = append(c.spanAcc, spans...)
+		c.spanAcc = append(c.spanAcc, h.spanScratch...)
 		if len(c.spanAcc) > clientAccCap {
 			c.spanAcc = c.spanAcc[len(c.spanAcc)-clientAccCap:]
 		}
 	}
 	if c.subs[ChanA1] != nil {
-		c.a1Acc = append(c.a1Acc, a1Evs...)
+		c.a1Acc = append(c.a1Acc, h.a1Scratch...)
 		if len(c.a1Acc) > clientAccCap {
 			c.a1Acc = c.a1Acc[len(c.a1Acc)-clientAccCap:]
 		}
 	}
 
 	if sub := c.subs[ChanTSDB]; sub != nil && c.tick%uint64(sub.every) == 0 && len(c.acc) > 0 {
-		frame := tsdbFrame{Ch: ChanTSDB, Dropped: c.accDrop}
-		byName := make(map[string]int)
-		for _, d := range c.acc {
-			name := seriesName(d.k)
-			idx, ok := byName[name]
-			if !ok {
-				idx = len(frame.Series)
-				byName[name] = idx
-				frame.Series = append(frame.Series, seriesFrameEntry{Name: name})
-			}
-			frame.Series[idx].Samples = append(frame.Series[idx].Samples, pair(d.ts, d.v))
-		}
-		sort.Slice(frame.Series, func(i, j int) bool { return frame.Series[i].Name < frame.Series[j].Name })
+		b, ok := h.writeLive(make([]byte, 0, c.frameLen+c.frameLen/8), c.acc, c.accDrop)
 		c.acc = c.acc[:0]
 		c.accDrop = false
-		c.enqueue(marshalFrame(frame))
+		if ok {
+			c.frameLen = len(b)
+			c.enqueue(b)
+		}
 	}
 
 	if sub := c.subs[ChanTelemetry]; sub != nil && c.tick%uint64(sub.every) == 0 {

@@ -191,6 +191,39 @@ if ! echo "$pa_out" | grep -q -- '--- PASS: TestPartialHandlerAllocs'; then
     exit 1
 fi
 
+echo "==> control-room hub tick (allocations flat in series, <=4 per tick)"
+# One steady-state flush of the tsdb channel writes its frame into one
+# presized buffer, without reflection: TestHubTickAllocs requires equal
+# allocations per tick at 64 and 8192 series and at most 4, and
+# BenchmarkHubTickTSDB (8192 series, one `*` client) at most 4 allocs/op.
+ht_out=$(go test -count=1 -run 'TestHubTickAllocs$' -bench 'BenchmarkHubTickTSDB$' -benchtime 50x -v ./internal/obs/ 2>&1) || {
+    echo "$ht_out"
+    echo "verify: hub tick allocations grow with series or exceed 4" >&2
+    exit 1
+}
+echo "$ht_out" | grep -E '(allocs per tick|^BenchmarkHubTickTSDB|^--- (PASS|FAIL)|^ok)'
+if ! echo "$ht_out" | grep -q -- '--- PASS: TestHubTickAllocs'; then
+    echo "verify: TestHubTickAllocs did not run" >&2
+    exit 1
+fi
+if ! echo "$ht_out" | grep '^BenchmarkHubTickTSDB' | grep -Eq ' [0-4] allocs/op'; then
+    echo "verify: hub tick exceeds 4 allocs/op" >&2
+    exit 1
+fi
+
+echo "==> fuzz targets (3 s each)"
+# Each target's checked-in corpus already runs in the tier-1 suite; this
+# step mutates beyond it briefly. A failing input lands in the package's
+# testdata/fuzz directory.
+for target in \
+    'FuzzEncodeAppendIndication ./internal/e2ap/' \
+    'FuzzChunkRoundTrip ./internal/tsdb/' \
+    'FuzzPartialLegJSON ./internal/federation/' \
+    'FuzzTSDBFrame ./internal/obs/'; do
+    set -- $target
+    go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
+done
+
 echo "==> doc lint (markdown links, documented flags, BENCH_*.json names)"
 sh scripts/doclint.sh
 
