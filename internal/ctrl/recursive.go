@@ -30,23 +30,15 @@ import (
 type VirtCtrl struct {
 	srv   *server.Server
 	north *agent.Agent
+	proxy *Proxy
 
 	scheme  sm.Scheme
 	tenants []Tenant
 	virt    []*nvs.Virtualizer
 
-	mu         sync.Mutex
-	south      server.AgentID
-	southReady bool
+	mu sync.Mutex
 	// virtSlices holds each tenant's current virtual slice set.
 	virtSlices [][]nvs.Config
-	// northSubs maps (tenant, north request) → south subscription.
-	northSubs map[vSubKey]server.SubID
-}
-
-type vSubKey struct {
-	tenant int
-	req    e2ap.RequestID
 }
 
 // Tenant is one guest operator of the shared infrastructure.
@@ -89,7 +81,6 @@ func NewVirtCtrl(cfg VirtConfig) (*VirtCtrl, string, error) {
 		scheme:     cfg.Scheme,
 		tenants:    cfg.Tenants,
 		virtSlices: make([][]nvs.Config, len(cfg.Tenants)),
-		northSubs:  make(map[vSubKey]server.SubID),
 	}
 	for i, t := range cfg.Tenants {
 		vr, err := nvs.NewVirtualizer(uint32(i), t.SLA)
@@ -104,12 +95,6 @@ func NewVirtCtrl(cfg VirtConfig) (*VirtCtrl, string, error) {
 	}
 
 	v.srv = server.New(server.Config{Scheme: cfg.E2Scheme, Transport: cfg.Transport, Resilience: cfg.Resilience})
-	v.srv.OnAgentConnect(func(info server.AgentInfo) { v.onSouthAgent(info) })
-	addr, err := v.srv.Start(cfg.SouthAddr)
-	if err != nil {
-		return nil, "", err
-	}
-
 	v.north = agent.New(agent.Config{
 		NodeID: e2ap.GlobalE2NodeID{
 			PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 8000,
@@ -117,17 +102,42 @@ func NewVirtCtrl(cfg VirtConfig) (*VirtCtrl, string, error) {
 		Scheme:    cfg.E2Scheme,
 		Transport: cfg.Transport,
 	})
-	fns := []agent.RANFunction{
-		&vSliceFn{v: v},
-		&vStatsFn{v: v, fnID: sm.IDMACStats, oid: "virt-mac"},
+	var err error
+	v.proxy, err = NewProxy(v.srv, v.north,
+		ProxyFn{
+			Def:     e2ap.RANFunctionItem{ID: sm.IDSliceCtrl, Revision: 1, OID: "virt-sc"},
+			Route:   v.route,
+			Rewrite: v.virtualizeStatus,
+			Control: v.sliceControl,
+		},
+		ProxyFn{
+			Def:     e2ap.RANFunctionItem{ID: sm.IDMACStats, Revision: 1, OID: "virt-mac"},
+			Route:   v.route,
+			Rewrite: v.partitionMAC,
+		})
+	if err != nil {
+		return nil, "", err
 	}
-	for _, fn := range fns {
-		if err := v.north.RegisterFunction(fn); err != nil {
-			v.srv.Close()
-			return nil, "", err
-		}
+	// Registered after the proxy's hooks, so the proxy has recorded the
+	// agent by the time onSouthAgent pushes slices to it.
+	v.srv.OnAgentConnect(v.onSouthAgent)
+	addr, err := v.srv.Start(cfg.SouthAddr)
+	if err != nil {
+		return nil, "", err
 	}
 	return v, addr, nil
+}
+
+// slicedAgent matches the infrastructure agent: the one exposing the
+// SC SM.
+func slicedAgent(info server.AgentInfo) bool { return info.HasFunction(sm.IDSliceCtrl) }
+
+// route sends every tenant subscription to the infrastructure agent.
+func (v *VirtCtrl) route(ctrl agent.ControllerID, trigger []byte) (func(server.AgentInfo) bool, []byte, error) {
+	if int(ctrl) >= len(v.tenants) {
+		return nil, nil, fmt.Errorf("ctrl: unknown tenant %d", ctrl)
+	}
+	return slicedAgent, trigger, nil
 }
 
 // ConnectTenant attaches tenant i's guest controller (connect in tenant
@@ -156,12 +166,10 @@ func (v *VirtCtrl) Close() error {
 // default slice per tenant at its SLA, with every subscriber associated,
 // so inter-tenant isolation holds before tenants configure anything.
 func (v *VirtCtrl) onSouthAgent(info server.AgentInfo) {
-	if !info.HasFunction(sm.IDSliceCtrl) {
+	if !slicedAgent(info) {
 		return
 	}
 	v.mu.Lock()
-	v.south = info.ID
-	v.southReady = true
 	for i := range v.tenants {
 		if v.virtSlices[i] == nil {
 			v.virtSlices[i] = []nvs.Config{{ID: 0, Kind: nvs.KindCapacity, Capacity: 1.0, UESched: "pf"}}
@@ -175,12 +183,11 @@ func (v *VirtCtrl) onSouthAgent(info server.AgentInfo) {
 // pushPhysical recomputes the combined physical slice set from all
 // tenants' virtual sets and installs it on the infrastructure.
 func (v *VirtCtrl) pushPhysical() error {
-	v.mu.Lock()
-	if !v.southReady {
-		v.mu.Unlock()
-		return fmt.Errorf("ctrl: no southbound agent")
+	south, ok := v.proxy.south(slicedAgent)
+	if !ok {
+		return errNoSouth
 	}
-	south := v.south
+	v.mu.Lock()
 	var phys []nvs.Config
 	for i := range v.tenants {
 		p, err := v.virt[i].ToPhysical(v.virtSlices[i])
@@ -192,14 +199,18 @@ func (v *VirtCtrl) pushPhysical() error {
 	}
 	v.mu.Unlock()
 	ctl := &sm.SliceControl{Op: sm.OpConfigureSlices, Slices: sm.ParamsFromNVS(phys)}
-	return v.controlSouth(south, sm.IDSliceCtrl, sm.EncodeSliceControl(v.scheme, ctl))
+	_, err := v.srv.ControlWait(south, sm.IDSliceCtrl, nil, sm.EncodeSliceControl(v.scheme, ctl))
+	return err
 }
 
 // syncAssociations points every subscriber at its tenant's default
 // physical slice (virtual slice 0).
 func (v *VirtCtrl) syncAssociations() {
+	south, ok := v.proxy.south(slicedAgent)
+	if !ok {
+		return
+	}
 	v.mu.Lock()
-	south := v.south
 	type assoc struct {
 		rnti uint16
 		phys uint32
@@ -217,68 +228,20 @@ func (v *VirtCtrl) syncAssociations() {
 	v.mu.Unlock()
 	for _, a := range all {
 		ctl := &sm.SliceControl{Op: sm.OpAssociateUE, RNTI: a.rnti, SliceID: a.phys}
-		_ = v.controlSouth(south, sm.IDSliceCtrl, sm.EncodeSliceControl(v.scheme, ctl))
+		_, _ = v.srv.ControlWait(south, sm.IDSliceCtrl, nil, sm.EncodeSliceControl(v.scheme, ctl))
 	}
-}
-
-func (v *VirtCtrl) controlSouth(south server.AgentID, fnID uint16, payload []byte) error {
-	ch := make(chan error, 1)
-	if err := v.srv.Control(south, fnID, nil, payload, true,
-		func(_ []byte, err error) { ch <- err }); err != nil {
-		return err
-	}
-	return <-ch
 }
 
 // --- SC SM virtualization iApp ---
 
-type vSliceFn struct {
-	v *VirtCtrl
-}
-
-// Definition implements agent.RANFunction.
-func (f *vSliceFn) Definition() e2ap.RANFunctionItem {
-	return e2ap.RANFunctionItem{ID: sm.IDSliceCtrl, Revision: 1, OID: "virt-sc"}
-}
-
-// OnSubscription proxies SC SM status reports, mapped into the tenant's
-// virtual view.
-func (f *vSliceFn) OnSubscription(ctrl agent.ControllerID, req *e2ap.SubscriptionRequest, tx agent.IndicationSender) error {
-	v := f.v
-	tenant := int(ctrl)
-	if tenant >= len(v.tenants) {
-		return fmt.Errorf("ctrl: unknown tenant %d", tenant)
-	}
-	v.mu.Lock()
-	ready := v.southReady
-	south := v.south
-	v.mu.Unlock()
-	if !ready {
-		return fmt.Errorf("ctrl: no southbound agent")
-	}
-	sub, err := v.srv.Subscribe(south, sm.IDSliceCtrl, req.EventTrigger, req.Actions,
-		server.SubscriptionCallbacks{
-			OnIndication: func(ev server.IndicationEvent) {
-				st, err := sm.DecodeSliceStatus(ev.Env.IndicationPayload())
-				if err != nil {
-					return
-				}
-				vst := v.virtualizeStatus(tenant, st)
-				_ = tx.SendIndication(1, e2ap.IndicationReport, nil, sm.EncodeSliceStatus(v.scheme, vst))
-			},
-		})
+// virtualizeStatus filters and rescales a physical slice status report
+// into the tenant's virtual view.
+func (v *VirtCtrl) virtualizeStatus(ctrl agent.ControllerID, payload []byte) ([]byte, error) {
+	st, err := sm.DecodeSliceStatus(payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	v.mu.Lock()
-	v.northSubs[vSubKey{tenant, req.RequestID}] = sub
-	v.mu.Unlock()
-	return nil
-}
-
-// virtualizeStatus filters and rescales a physical slice status into the
-// tenant's virtual view.
-func (v *VirtCtrl) virtualizeStatus(tenant int, st *sm.SliceStatus) *sm.SliceStatus {
+	tenant := int(ctrl)
 	phys := sm.ToNVS(st.Slices)
 	virt := v.virt[tenant].ToVirtual(phys)
 	out := &sm.SliceStatus{Algo: st.Algo, Slices: sm.ParamsFromNVS(virt)}
@@ -292,29 +255,11 @@ func (v *VirtCtrl) virtualizeStatus(tenant int, st *sm.SliceStatus) *sm.SliceSta
 		}
 		out.UEs = append(out.UEs, sm.UESliceAssoc{RNTI: ua.RNTI, SliceID: vid})
 	}
-	return out
+	return sm.EncodeSliceStatus(v.scheme, out), nil
 }
 
-// OnSubscriptionDelete implements agent.RANFunction.
-func (f *vSliceFn) OnSubscriptionDelete(ctrl agent.ControllerID, req *e2ap.SubscriptionDeleteRequest) error {
-	return f.v.deleteNorthSub(int(ctrl), req.RequestID, sm.IDSliceCtrl)
-}
-
-func (v *VirtCtrl) deleteNorthSub(tenant int, req e2ap.RequestID, fnID uint16) error {
-	key := vSubKey{tenant, req}
-	v.mu.Lock()
-	sub, ok := v.northSubs[key]
-	delete(v.northSubs, key)
-	v.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("ctrl: unknown subscription")
-	}
-	return v.srv.Unsubscribe(sub, fnID)
-}
-
-// OnControl applies a tenant's virtual slice control.
-func (f *vSliceFn) OnControl(ctrl agent.ControllerID, req *e2ap.ControlRequest) ([]byte, error) {
-	v := f.v
+// sliceControl applies a tenant's virtual slice control.
+func (v *VirtCtrl) sliceControl(ctrl agent.ControllerID, req *e2ap.ControlRequest) ([]byte, error) {
 	tenant := int(ctrl)
 	if tenant >= len(v.tenants) {
 		return nil, fmt.Errorf("ctrl: unknown tenant %d", tenant)
@@ -346,15 +291,13 @@ func (f *vSliceFn) OnControl(ctrl agent.ControllerID, req *e2ap.ControlRequest) 
 		if err != nil {
 			return nil, err
 		}
-		v.mu.Lock()
-		south := v.south
-		ready := v.southReady
-		v.mu.Unlock()
-		if !ready {
-			return nil, fmt.Errorf("ctrl: no southbound agent")
+		south, ok := v.proxy.south(slicedAgent)
+		if !ok {
+			return nil, errNoSouth
 		}
 		ctl := &sm.SliceControl{Op: sm.OpAssociateUE, RNTI: c.RNTI, SliceID: pid}
-		return nil, v.controlSouth(south, sm.IDSliceCtrl, sm.EncodeSliceControl(v.scheme, ctl))
+		_, err = v.srv.ControlWait(south, sm.IDSliceCtrl, nil, sm.EncodeSliceControl(v.scheme, ctl))
+		return nil, err
 	case sm.OpDisableSlicing:
 		return nil, fmt.Errorf("ctrl: tenants cannot disable shared-infrastructure slicing")
 	default:
@@ -364,64 +307,19 @@ func (f *vSliceFn) OnControl(ctrl agent.ControllerID, req *e2ap.ControlRequest) 
 
 // --- MAC statistics partitioning iApp ---
 
-type vStatsFn struct {
-	v    *VirtCtrl
-	fnID uint16
-	oid  string
-}
-
-// Definition implements agent.RANFunction.
-func (f *vStatsFn) Definition() e2ap.RANFunctionItem {
-	return e2ap.RANFunctionItem{ID: f.fnID, Revision: 1, OID: f.oid}
-}
-
-// OnSubscription proxies MAC stats southbound and partitions the reports
-// per tenant: "the MAC statistics SM is sliced by only revealing UEs to
-// a controller which are among the respective operator's subscribers."
-func (f *vStatsFn) OnSubscription(ctrl agent.ControllerID, req *e2ap.SubscriptionRequest, tx agent.IndicationSender) error {
-	v := f.v
-	tenant := int(ctrl)
-	if tenant >= len(v.tenants) {
-		return fmt.Errorf("ctrl: unknown tenant %d", tenant)
-	}
-	v.mu.Lock()
-	ready := v.southReady
-	south := v.south
-	v.mu.Unlock()
-	if !ready {
-		return fmt.Errorf("ctrl: no southbound agent")
-	}
-	sub, err := v.srv.Subscribe(south, f.fnID, req.EventTrigger, req.Actions,
-		server.SubscriptionCallbacks{
-			OnIndication: func(ev server.IndicationEvent) {
-				rep, err := sm.DecodeMACReport(ev.Env.IndicationPayload())
-				if err != nil {
-					return
-				}
-				part := &sm.MACReport{CellTimeMS: rep.CellTimeMS}
-				for _, u := range rep.UEs {
-					if v.tenants[tenant].owns(u.RNTI) {
-						part.UEs = append(part.UEs, u)
-					}
-				}
-				_ = tx.SendIndication(1, e2ap.IndicationReport, nil, sm.EncodeMACReport(v.scheme, part))
-			},
-		})
+// partitionMAC keeps only the tenant's subscribers in a MAC report: "the
+// MAC statistics SM is sliced by only revealing UEs to a controller
+// which are among the respective operator's subscribers."
+func (v *VirtCtrl) partitionMAC(ctrl agent.ControllerID, payload []byte) ([]byte, error) {
+	rep, err := sm.DecodeMACReport(payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	v.mu.Lock()
-	v.northSubs[vSubKey{tenant, req.RequestID}] = sub
-	v.mu.Unlock()
-	return nil
-}
-
-// OnSubscriptionDelete implements agent.RANFunction.
-func (f *vStatsFn) OnSubscriptionDelete(ctrl agent.ControllerID, req *e2ap.SubscriptionDeleteRequest) error {
-	return f.v.deleteNorthSub(int(ctrl), req.RequestID, f.fnID)
-}
-
-// OnControl implements agent.RANFunction.
-func (f *vStatsFn) OnControl(agent.ControllerID, *e2ap.ControlRequest) ([]byte, error) {
-	return nil, fmt.Errorf("ctrl: stats partitioning has no control endpoint")
+	part := &sm.MACReport{CellTimeMS: rep.CellTimeMS}
+	for _, u := range rep.UEs {
+		if v.tenants[ctrl].owns(u.RNTI) {
+			part.UEs = append(part.UEs, u)
+		}
+	}
+	return sm.EncodeMACReport(v.scheme, part), nil
 }

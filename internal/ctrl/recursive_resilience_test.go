@@ -90,9 +90,6 @@ func TestVirtCtrlSouthReconnect(t *testing.T) {
 	}()
 	defer func() { close(stop); <-done }()
 
-	// The VirtCtrl learns of its south agent in a connect hook that runs
-	// beside the receive loop; until it has, tenant subscriptions are
-	// refused ("no southbound agent").
 	await(t, "infra agent at virt layer", func() bool { return cell.SliceMode() == ran.SliceNVS })
 	if err := vc.ConnectTenant(0, tenantAddr); err != nil {
 		t.Fatal(err)

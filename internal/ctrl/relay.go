@@ -1,9 +1,6 @@
 package ctrl
 
 import (
-	"fmt"
-	"sync"
-
 	"flexric/internal/agent"
 	"flexric/internal/e2ap"
 	"flexric/internal/server"
@@ -15,64 +12,53 @@ import (
 // to a parent controller through the agent library on its northbound —
 // "we use a relaying controller to emulate two hops, which, unlike O-RAN
 // RIC, is not imposed by FlexRIC but added to carry out a fair
-// comparison". It demonstrates the recursive composition of Fig. 2.
+// comparison". It demonstrates the recursive composition of Fig. 2: a
+// Proxy whose functions pass everything through unchanged.
 type Relay struct {
 	srv       *server.Server
 	north     *agent.Agent
+	proxy     *Proxy
 	southAddr string
-
-	mu    sync.Mutex
-	south server.AgentID
-	ready bool
-	// northSubs maps northbound subscription → southbound subscription,
-	// so deletes can be forwarded.
-	northSubs map[e2ap.RequestID]server.SubID
 }
 
-// relayFn proxies one RAN function ID through the relay.
-type relayFn struct {
-	r    *Relay
-	def  e2ap.RANFunctionItem
-	fnID uint16
+func anyAgent(server.AgentInfo) bool { return true }
+
+// relayRoute sends every subscription to the south agent unchanged.
+func relayRoute(_ agent.ControllerID, trigger []byte) (func(server.AgentInfo) bool, []byte, error) {
+	return anyAgent, trigger, nil
 }
 
 // NewRelay builds a relay: it listens for agents on southAddr and
 // connects as an agent to the parent controller at parentAddr, exposing
-// the given RAN function IDs. The first southbound agent is the relayed
-// target.
+// the given RAN function IDs. The most recently connected southbound
+// agent is the relayed target.
 func NewRelay(southAddr, parentAddr string, scheme e2ap.Scheme, kind transport.Kind, fnIDs []uint16) (*Relay, error) {
-	r := &Relay{northSubs: make(map[e2ap.RequestID]server.SubID)}
-	r.srv = server.New(server.Config{Scheme: scheme, Transport: kind})
-	ready := make(chan struct{})
-	var once sync.Once
-	r.srv.OnAgentConnect(func(info server.AgentInfo) {
-		r.mu.Lock()
-		if !r.ready {
-			r.south = info.ID
-			r.ready = true
+	r := &Relay{
+		srv: server.New(server.Config{Scheme: scheme, Transport: kind}),
+		north: agent.New(agent.Config{
+			NodeID: e2ap.GlobalE2NodeID{
+				PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 9000,
+			},
+			Scheme:    scheme,
+			Transport: kind,
+		}),
+	}
+	fns := make([]ProxyFn, len(fnIDs))
+	for i, id := range fnIDs {
+		fns[i] = ProxyFn{
+			Def:   e2ap.RANFunctionItem{ID: id, Revision: 1, OID: "relay"},
+			Route: relayRoute,
+			Control: func(_ agent.ControllerID, req *e2ap.ControlRequest) ([]byte, error) {
+				return r.control(id, req)
+			},
 		}
-		r.mu.Unlock()
-		once.Do(func() { close(ready) })
-	})
-	bound, err := r.srv.Start(southAddr)
-	if err != nil {
+	}
+	var err error
+	if r.proxy, err = NewProxy(r.srv, r.north, fns...); err != nil {
 		return nil, err
 	}
-	r.southAddr = bound
-
-	r.north = agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{
-			PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 9000,
-		},
-		Scheme:    scheme,
-		Transport: kind,
-	})
-	for _, id := range fnIDs {
-		fn := &relayFn{r: r, fnID: id, def: e2ap.RANFunctionItem{ID: id, Revision: 1, OID: "relay"}}
-		if err := r.north.RegisterFunction(fn); err != nil {
-			r.srv.Close()
-			return nil, err
-		}
+	if r.southAddr, err = r.srv.Start(southAddr); err != nil {
+		return nil, err
 	}
 	if _, err := r.north.Connect(parentAddr); err != nil {
 		r.srv.Close()
@@ -94,73 +80,14 @@ func (r *Relay) Close() error {
 // via Agents, or for tests).
 func (r *Relay) Server() *server.Server { return r.srv }
 
-func (r *Relay) target() (server.AgentID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.ready {
-		return 0, fmt.Errorf("ctrl: relay has no southbound agent yet")
-	}
-	return r.south, nil
-}
-
-// Definition implements agent.RANFunction.
-func (f *relayFn) Definition() e2ap.RANFunctionItem { return f.def }
-
-// OnSubscription implements agent.RANFunction: proxy the subscription to
-// the southbound agent and pump indications back up.
-func (f *relayFn) OnSubscription(ctrl agent.ControllerID, req *e2ap.SubscriptionRequest, tx agent.IndicationSender) error {
-	south, err := f.r.target()
-	if err != nil {
-		return err
-	}
-	sub, err := f.r.srv.Subscribe(south, f.fnID, req.EventTrigger, req.Actions,
-		server.SubscriptionCallbacks{
-			OnIndication: func(ev server.IndicationEvent) {
-				// Relay hop: forward the SM payload upward unchanged.
-				_ = tx.SendIndication(1, e2ap.IndicationReport,
-					ev.Env.IndicationHeader(), ev.Env.IndicationPayload())
-			},
-		})
-	if err != nil {
-		return err
-	}
-	f.r.mu.Lock()
-	f.r.northSubs[req.RequestID] = sub
-	f.r.mu.Unlock()
-	return nil
-}
-
-// OnSubscriptionDelete implements agent.RANFunction.
-func (f *relayFn) OnSubscriptionDelete(ctrl agent.ControllerID, req *e2ap.SubscriptionDeleteRequest) error {
-	f.r.mu.Lock()
-	sub, ok := f.r.northSubs[req.RequestID]
-	delete(f.r.northSubs, req.RequestID)
-	f.r.mu.Unlock()
+// control forwards a control message to the southbound agent.
+func (r *Relay) control(fnID uint16, req *e2ap.ControlRequest) ([]byte, error) {
+	south, ok := r.proxy.south(anyAgent)
 	if !ok {
-		return fmt.Errorf("ctrl: relay: unknown subscription")
-	}
-	return f.r.srv.Unsubscribe(sub, f.fnID)
-}
-
-// OnControl implements agent.RANFunction: forward the control message to
-// the southbound agent.
-func (f *relayFn) OnControl(ctrl agent.ControllerID, req *e2ap.ControlRequest) ([]byte, error) {
-	south, err := f.r.target()
-	if err != nil {
-		return nil, err
+		return nil, errNoSouth
 	}
 	if !req.AckRequested {
-		return nil, f.r.srv.Control(south, f.fnID, req.Header, req.Payload, false, nil)
+		return nil, r.srv.Control(south, fnID, req.Header, req.Payload, false, nil)
 	}
-	type res struct {
-		out []byte
-		err error
-	}
-	ch := make(chan res, 1)
-	if err := f.r.srv.Control(south, f.fnID, req.Header, req.Payload, true,
-		func(out []byte, err error) { ch <- res{out, err} }); err != nil {
-		return nil, err
-	}
-	rr := <-ch
-	return rr.out, rr.err
+	return r.srv.ControlWait(south, fnID, req.Header, req.Payload)
 }

@@ -390,18 +390,6 @@ func sliceControlFromJSON(body *SliceConfigJSON) (*sm.SliceControl, error) {
 
 // apply sends an SC SM control and waits for the ack.
 func (c *SlicingController) apply(id server.AgentID, ctl *sm.SliceControl) error {
-	errCh := make(chan error, 1)
-	if err := c.srv.Control(id, sm.IDSliceCtrl, nil,
-		sm.EncodeSliceControl(c.scheme, ctl), true,
-		func(_ []byte, err error) { errCh <- err }); err != nil {
-		return err
-	}
-	timeout := time.NewTimer(5 * time.Second)
-	defer timeout.Stop()
-	select {
-	case err := <-errCh:
-		return err
-	case <-timeout.C:
-		return errors.New("slice control timed out")
-	}
+	_, err := c.srv.ControlWait(id, sm.IDSliceCtrl, nil, sm.EncodeSliceControl(c.scheme, ctl))
+	return err
 }

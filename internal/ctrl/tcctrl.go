@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -189,22 +188,5 @@ func tcControlFromJSON(body *TCCommandJSON) (*sm.TCControl, error) {
 }
 
 func (c *TCController) apply(id server.AgentID, ctl *sm.TCControl) ([]byte, error) {
-	type res struct {
-		out []byte
-		err error
-	}
-	ch := make(chan res, 1)
-	if err := c.mon.srv.Control(id, sm.IDTrafficCtrl, nil,
-		sm.EncodeTCControl(c.mon.scheme, ctl), true,
-		func(out []byte, err error) { ch <- res{out, err} }); err != nil {
-		return nil, err
-	}
-	timeout := time.NewTimer(5 * time.Second)
-	defer timeout.Stop()
-	select {
-	case r := <-ch:
-		return r.out, r.err
-	case <-timeout.C:
-		return nil, errors.New("tc control timed out")
-	}
+	return c.mon.srv.ControlWait(id, sm.IDTrafficCtrl, nil, sm.EncodeTCControl(c.mon.scheme, ctl))
 }

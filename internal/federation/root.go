@@ -226,11 +226,7 @@ func (r *Root) failover(name string) {
 	r.mu.Unlock()
 
 	for _, o := range orders {
-		ch := make(chan error, 1)
-		if err := r.srv.Control(o.agentID, IDFedCoord, nil, o.payload, true,
-			func(_ []byte, err error) { ch <- err }); err == nil {
-			<-ch
-		}
+		_, _ = r.srv.ControlWait(o.agentID, IDFedCoord, nil, o.payload)
 	}
 	for _, fs := range orphanLegs {
 		_ = r.replaceLeg(fs)

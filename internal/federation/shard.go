@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,8 +52,9 @@ type ShardConfig struct {
 // Shard is one near-RT controller of the federation: a full controller
 // core (server + monitor + tsdb + obs) for the agents consistent
 // hashing assigns it, plus a northbound agent presenting those agents
-// to the root through proxy RAN functions — the recursive.go idiom one
-// level up.
+// to the root through a ctrl.Proxy — the recursive composition one
+// level up. A root leg whose agent has not re-homed here yet (the
+// failover window) is parked by the proxy until the agent arrives.
 type Shard struct {
 	cfg       ShardConfig
 	srv       *server.Server
@@ -60,39 +62,13 @@ type Shard struct {
 	db        *tsdb.Store
 	obsSrv    *obs.Server
 	north     *agent.Agent
+	proxy     *ctrl.Proxy
 	southAddr string
-
-	mu     sync.Mutex
-	byNode map[uint64]server.AgentID
-	nodeOf map[server.AgentID]uint64
-	// pending holds root subscription legs whose target agent has not
-	// connected yet — the window during failover between the root
-	// re-placing a leg and the orphaned agent re-homing here. Fulfilled
-	// in onAgent.
-	pending []*pendingLeg
-	// northSubs maps root-side requests to the local subscriptions
-	// backing them, RequestID-remapped like recursive.go's northSubs.
-	northSubs map[legKey]server.SubID
 
 	stopCh    chan struct{}
 	snapDone  <-chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-}
-
-type legKey struct {
-	ctrl agent.ControllerID
-	req  e2ap.RequestID
-	fnID uint16
-}
-
-type pendingLeg struct {
-	key     uint64
-	fnID    uint16
-	inner   []byte
-	actions []e2ap.Action
-	tx      agent.IndicationSender
-	lk      legKey
 }
 
 // NewShard starts the shard's south server, monitor, obs server, and
@@ -102,12 +78,9 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		return nil, fmt.Errorf("federation: shard needs a name")
 	}
 	s := &Shard{
-		cfg:       cfg,
-		db:        tsdb.New(tsdb.Config{}),
-		byNode:    make(map[uint64]server.AgentID),
-		nodeOf:    make(map[server.AgentID]uint64),
-		northSubs: make(map[legKey]server.SubID),
-		stopCh:    make(chan struct{}),
+		cfg:    cfg,
+		db:     tsdb.New(tsdb.Config{}),
+		stopCh: make(chan struct{}),
 	}
 	s.srv = server.New(server.Config{
 		Scheme:     cfg.E2Scheme,
@@ -129,20 +102,6 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		// instead.
 		SeriesAgent: func(info server.AgentInfo) uint32 { return uint32(info.NodeID.NodeID) },
 	})
-	s.srv.OnAgentConnect(func(info server.AgentInfo) { s.onAgent(info) })
-	s.srv.OnAgentDisconnect(func(info server.AgentInfo) { s.onAgentGone(info) })
-
-	addr, err := s.srv.Start(cfg.SouthAddr)
-	if err != nil {
-		return nil, err
-	}
-	s.southAddr = addr
-	s.obsSrv, err = obs.NewServer(cfg.ObsAddr, obs.WithTSDB(s.db))
-	if err != nil {
-		s.srv.Close()
-		return nil, err
-	}
-
 	s.north = agent.New(agent.Config{
 		NodeID: e2ap.GlobalE2NodeID{
 			PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB,
@@ -152,18 +111,28 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		Transport:  cfg.Transport,
 		Resilience: cfg.Resilience,
 	})
-	fns := []agent.RANFunction{
-		&proxyFn{s: s, fnID: sm.IDMACStats, oid: "fed-mac"},
-		&proxyFn{s: s, fnID: sm.IDRLCStats, oid: "fed-rlc"},
-		&proxyFn{s: s, fnID: sm.IDPDCPStats, oid: "fed-pdcp"},
-		&coordFn{s: s},
+	// Root legs carry a WrapTrigger'd agent key; indications pass
+	// through unchanged, so the root sees exactly what a direct
+	// subscription would deliver.
+	var err error
+	s.proxy, err = ctrl.NewProxy(s.srv, s.north,
+		ctrl.ProxyFn{Def: e2ap.RANFunctionItem{ID: sm.IDMACStats, Revision: 1, OID: "fed-mac"}, Route: routeByNode},
+		ctrl.ProxyFn{Def: e2ap.RANFunctionItem{ID: sm.IDRLCStats, Revision: 1, OID: "fed-rlc"}, Route: routeByNode},
+		ctrl.ProxyFn{Def: e2ap.RANFunctionItem{ID: sm.IDPDCPStats, Revision: 1, OID: "fed-pdcp"}, Route: routeByNode})
+	if err != nil {
+		return nil, err
 	}
-	for _, fn := range fns {
-		if err := s.north.RegisterFunction(fn); err != nil {
-			s.obsSrv.Close()
-			s.srv.Close()
-			return nil, err
-		}
+	if err := s.north.RegisterFunction(&coordFn{s: s}); err != nil {
+		return nil, err
+	}
+
+	if s.southAddr, err = s.srv.Start(cfg.SouthAddr); err != nil {
+		return nil, err
+	}
+	s.obsSrv, err = obs.NewServer(cfg.ObsAddr, obs.WithTSDB(s.db))
+	if err != nil {
+		s.srv.Close()
+		return nil, err
 	}
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery > 0 {
 		s.snapDone = s.db.SnapshotEvery(SnapshotFile(cfg.SnapshotDir, cfg.Name),
@@ -195,11 +164,12 @@ func (s *Shard) Monitor() *ctrl.Monitor { return s.mon }
 
 // AgentKeys returns the global node IDs of the currently served agents.
 func (s *Shard) AgentKeys() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, 0, len(s.byNode))
-	for k := range s.byNode {
-		out = append(out, k)
+	agents := s.proxy.Agents()
+	out := make([]uint64, 0, len(agents))
+	for _, info := range agents {
+		if k := info.NodeID.NodeID; !slices.Contains(out, k) {
+			out = append(out, k)
+		}
 	}
 	return out
 }
@@ -235,56 +205,6 @@ func (s *Shard) Close() error {
 	return err
 }
 
-// onAgent registers a new south agent and fulfills any root legs parked
-// for it — the failover path where the root re-placed a subscription
-// before the orphaned agent finished re-homing.
-func (s *Shard) onAgent(info server.AgentInfo) {
-	key := info.NodeID.NodeID
-	s.mu.Lock()
-	s.byNode[key] = info.ID
-	s.nodeOf[info.ID] = key
-	var due []*pendingLeg
-	rest := s.pending[:0]
-	for _, p := range s.pending {
-		if p.key == key {
-			due = append(due, p)
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	s.pending = rest
-	s.mu.Unlock()
-	for _, p := range due {
-		if sub, err := s.placeLeg(info.ID, p.fnID, p.inner, p.actions, p.tx); err == nil {
-			s.mu.Lock()
-			s.northSubs[p.lk] = sub
-			s.mu.Unlock()
-		}
-	}
-}
-
-func (s *Shard) onAgentGone(info server.AgentInfo) {
-	s.mu.Lock()
-	if key, ok := s.nodeOf[info.ID]; ok {
-		delete(s.nodeOf, info.ID)
-		if s.byNode[key] == info.ID {
-			delete(s.byNode, key)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// placeLeg subscribes southbound and pumps every indication north
-// unchanged — header and payload pass through byte-for-byte, so the
-// root sees exactly what a direct subscription would deliver.
-func (s *Shard) placeLeg(aid server.AgentID, fnID uint16, inner []byte, actions []e2ap.Action, tx agent.IndicationSender) (server.SubID, error) {
-	return s.srv.Subscribe(aid, fnID, inner, actions, server.SubscriptionCallbacks{
-		OnIndication: func(ev server.IndicationEvent) {
-			_ = tx.SendIndication(1, e2ap.IndicationReport, ev.Env.IndicationHeader(), ev.Env.IndicationPayload())
-		},
-	})
-}
-
 // adopt executes a takeover order: restore the dead shard's snapshot,
 // then evict every restored agent that re-homed to some other shard so
 // each key's history lives on exactly one shard.
@@ -303,11 +223,9 @@ func (s *Shard) adopt(t *Takeover) error {
 	for _, k := range t.Agents {
 		adopted[uint32(k)] = true
 	}
-	s.mu.Lock()
-	for k := range s.byNode {
+	for _, k := range s.AgentKeys() {
 		adopted[uint32(k)] = true
 	}
-	s.mu.Unlock()
 	seen := make(map[uint32]bool)
 	for _, info := range s.db.List(-1, 0) {
 		seen[info.Key.Agent] = true
@@ -320,81 +238,13 @@ func (s *Shard) adopt(t *Takeover) error {
 	return nil
 }
 
-// --- northbound proxy RAN function ---
-
-// proxyFn exposes one monitoring SM to the root: subscriptions carry a
-// WrapTrigger'd agent key, indications pass through unchanged.
-type proxyFn struct {
-	s    *Shard
-	fnID uint16
-	oid  string
-}
-
-func (f *proxyFn) Definition() e2ap.RANFunctionItem {
-	return e2ap.RANFunctionItem{ID: f.fnID, Revision: 1, OID: f.oid}
-}
-
-func (f *proxyFn) OnSubscription(ctrl agent.ControllerID, req *e2ap.SubscriptionRequest, tx agent.IndicationSender) error {
-	s := f.s
-	key, inner, err := UnwrapTrigger(req.EventTrigger)
+// routeByNode sends a root leg to the agent its wrapped key names.
+func routeByNode(_ agent.ControllerID, trigger []byte) (func(server.AgentInfo) bool, []byte, error) {
+	key, inner, err := UnwrapTrigger(trigger)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	// The request's byte slices alias codec buffers; copy what outlives
-	// this call (the pending stash and the southbound subscribe).
-	inner = append([]byte(nil), inner...)
-	actions := make([]e2ap.Action, len(req.Actions))
-	for i, a := range req.Actions {
-		actions[i] = a
-		actions[i].Definition = append([]byte(nil), a.Definition...)
-	}
-	lk := legKey{ctrl: ctrl, req: req.RequestID, fnID: f.fnID}
-	s.mu.Lock()
-	aid, connected := s.byNode[key]
-	if !connected {
-		s.pending = append(s.pending, &pendingLeg{
-			key: key, fnID: f.fnID, inner: inner, actions: actions, tx: tx, lk: lk,
-		})
-		s.mu.Unlock()
-		// Admit the leg: it completes when the agent arrives (the
-		// failover re-home window).
-		return nil
-	}
-	s.mu.Unlock()
-	sub, err := s.placeLeg(aid, f.fnID, inner, actions, tx)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.northSubs[lk] = sub
-	s.mu.Unlock()
-	return nil
-}
-
-func (f *proxyFn) OnSubscriptionDelete(ctrl agent.ControllerID, req *e2ap.SubscriptionDeleteRequest) error {
-	s := f.s
-	lk := legKey{ctrl: ctrl, req: req.RequestID, fnID: f.fnID}
-	s.mu.Lock()
-	sub, ok := s.northSubs[lk]
-	delete(s.northSubs, lk)
-	if !ok {
-		// Still parked: drop the pending leg instead.
-		for i, p := range s.pending {
-			if p.lk == lk {
-				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				s.mu.Unlock()
-				return nil
-			}
-		}
-		s.mu.Unlock()
-		return fmt.Errorf("federation: unknown subscription")
-	}
-	s.mu.Unlock()
-	return s.srv.Unsubscribe(sub, f.fnID)
-}
-
-func (f *proxyFn) OnControl(agent.ControllerID, *e2ap.ControlRequest) ([]byte, error) {
-	return nil, fmt.Errorf("federation: monitoring proxy has no control endpoint")
+	return func(info server.AgentInfo) bool { return info.NodeID.NodeID == key }, inner, nil
 }
 
 // --- coordination RAN function ---

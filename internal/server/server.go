@@ -310,9 +310,45 @@ func (s *Server) Unsubscribe(id SubID, fnID uint16) error {
 // with the outcome (or error) once the agent replies; with ack false,
 // done may be nil and nothing is awaited.
 func (s *Server) Control(agent AgentID, fnID uint16, header, payload []byte, ack bool, done func(outcome []byte, err error)) error {
+	_, err := s.control(agent, fnID, header, payload, ack, done)
+	return err
+}
+
+// controlTimeout bounds how long ControlWait waits for the agent's
+// answer.
+var controlTimeout = 5 * time.Second
+
+// ControlWait sends an acknowledged control request and blocks until
+// the agent answers or controlTimeout passes. A control that times out
+// is forgotten: a late answer finds no pending entry.
+func (s *Server) ControlWait(agent AgentID, fnID uint16, header, payload []byte) ([]byte, error) {
+	type result struct {
+		out []byte
+		err error
+	}
+	ch := make(chan result, 1)
+	req, err := s.control(agent, fnID, header, payload, true,
+		func(out []byte, err error) { ch <- result{out, err} })
+	id := SubID{Agent: agent, Req: req}
+	if err != nil {
+		s.subs.takeControl(id)
+		return nil, err
+	}
+	timeout := time.NewTimer(controlTimeout)
+	defer timeout.Stop()
+	select {
+	case r := <-ch:
+		return r.out, r.err
+	case <-timeout.C:
+		s.subs.takeControl(id)
+		return nil, fmt.Errorf("server: control of function %d on agent %d timed out", fnID, agent)
+	}
+}
+
+func (s *Server) control(agent AgentID, fnID uint16, header, payload []byte, ack bool, done func(outcome []byte, err error)) (e2ap.RequestID, error) {
 	c := s.agent(agent)
 	if c == nil {
-		return fmt.Errorf("server: no agent %d", agent)
+		return e2ap.RequestID{}, fmt.Errorf("server: no agent %d", agent)
 	}
 	var req e2ap.RequestID
 	if ack && done != nil {
@@ -330,7 +366,7 @@ func (s *Server) Control(agent AgentID, fnID uint16, header, payload []byte, ack
 		Trace:         sp.Context(),
 	})
 	sp.End()
-	return err
+	return req, err
 }
 
 func (s *Server) agent(id AgentID) *agentConn {

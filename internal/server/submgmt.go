@@ -69,12 +69,15 @@ func (m *subManager) create(agent AgentID, fnID uint16, trigger []byte, actions 
 	return req
 }
 
-func (m *subManager) remove(id SubID) {
+// remove forgets a subscription and returns it (nil if unknown).
+func (m *subManager) remove(id SubID) *subscription {
 	m.mu.Lock()
+	sub := m.subs[id]
 	delete(m.subs, id)
 	serverTel.subsActive.Set(int64(len(m.subs)))
 	m.mu.Unlock()
 	dropSubTelemetry(id)
+	return sub
 }
 
 func (m *subManager) createControl(agent AgentID, done func([]byte, error)) e2ap.RequestID {
@@ -84,6 +87,16 @@ func (m *subManager) createControl(agent AgentID, done func([]byte, error)) e2ap
 	req := e2ap.RequestID{Requestor: requestorControl, Instance: m.ctlSeq}
 	m.controls[SubID{Agent: agent, Req: req}] = done
 	return req
+}
+
+// takeControl forgets a pending control and returns its callback (nil
+// if unknown).
+func (m *subManager) takeControl(id SubID) func([]byte, error) {
+	m.mu.Lock()
+	done := m.controls[id]
+	delete(m.controls, id)
+	m.mu.Unlock()
+	return done
 }
 
 func (m *subManager) nextFireAndForget() e2ap.RequestID {
@@ -134,43 +147,20 @@ func (m *subManager) handleSubResponse(agent AgentID, resp *e2ap.SubscriptionRes
 }
 
 func (m *subManager) handleSubFailure(agent AgentID, f *e2ap.SubscriptionFailure) {
-	id := SubID{Agent: agent, Req: f.RequestID}
-	m.mu.Lock()
-	sub := m.subs[id]
-	delete(m.subs, id)
-	serverTel.subsActive.Set(int64(len(m.subs)))
-	m.mu.Unlock()
-	dropSubTelemetry(id)
-	if sub != nil && sub.cb.OnFailure != nil {
+	if sub := m.remove(SubID{Agent: agent, Req: f.RequestID}); sub != nil && sub.cb.OnFailure != nil {
 		sub.cb.OnFailure(f.Cause)
 	}
 }
 
 func (m *subManager) handleSubDeleted(agent AgentID, req e2ap.RequestID) {
-	id := SubID{Agent: agent, Req: req}
-	m.mu.Lock()
-	sub := m.subs[id]
-	delete(m.subs, id)
-	serverTel.subsActive.Set(int64(len(m.subs)))
-	m.mu.Unlock()
-	dropSubTelemetry(id)
-	if sub != nil && sub.cb.OnDeleted != nil {
+	if sub := m.remove(SubID{Agent: agent, Req: req}); sub != nil && sub.cb.OnDeleted != nil {
 		sub.cb.OnDeleted()
 	}
 }
 
 func (m *subManager) handleControlOutcome(agent AgentID, req e2ap.RequestID, outcome []byte, err error) {
-	id := SubID{Agent: agent, Req: req}
-	m.mu.Lock()
-	done := m.controls[id]
-	delete(m.controls, id)
-	m.mu.Unlock()
-	if done != nil {
-		if err != nil {
-			done(outcome, err)
-		} else {
-			done(outcome, nil)
-		}
+	if done := m.takeControl(SubID{Agent: agent, Req: req}); done != nil {
+		done(outcome, err)
 	}
 }
 
@@ -187,22 +177,13 @@ func (m *subManager) dropAgent(agent AgentID) {
 		}
 	}
 	serverTel.subsActive.Set(int64(len(m.subs)))
-	var aborted []func([]byte, error)
-	for id, done := range m.controls {
-		if id.Agent == agent {
-			aborted = append(aborted, done)
-			delete(m.controls, id)
-		}
-	}
 	m.mu.Unlock()
 	for _, sub := range deleted {
 		if sub.cb.OnDeleted != nil {
 			sub.cb.OnDeleted()
 		}
 	}
-	for _, done := range aborted {
-		done(nil, ErrClosed)
-	}
+	m.abortControls(agent)
 }
 
 // abortControls promptly fails the agent's pending controls with

@@ -29,6 +29,12 @@ echo "==> go test -race -short"
 # instrumentation overhead. Concurrency coverage is unaffected.
 go test -race -short ./...
 
+echo "==> proxy core under -race, ten runs"
+# A subscription that arrives before its south agent is parked and
+# placed by the agent's connect hook; that race between a north
+# subscription and a south connect rarely shows in a single run.
+go test -race -count=10 -run 'Proxy|Relay|VirtCtrl|Recursive|Parked' ./internal/ctrl/ ./internal/federation/
+
 echo "==> scale smoke (4 cells x 10k UEs, 95% idle; allocs/UE-slot gate)"
 # The sharded RAN core at a CI-sized footprint: 40k UEs step 400 slots
 # and the whole fleet — parked UEs, wake heap, packet emission — must
