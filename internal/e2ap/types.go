@@ -178,10 +178,21 @@ type Action struct {
 	Definition []byte // SM-encoded action definition
 }
 
+func (x *Action) walk(f fields) {
+	f.u8(0, &x.ID)
+	f.enum(1, (*uint8)(&x.Type), 3)
+	f.octets(2, &x.Definition)
+}
+
 // ActionNotAdmitted reports a rejected action.
 type ActionNotAdmitted struct {
 	ID    uint8
 	Cause Cause
+}
+
+func (x *ActionNotAdmitted) walk(f fields) {
+	f.u8(0, &x.ID)
+	f.cause(1, &x.Cause)
 }
 
 // RANFunctionItem describes a RAN function exposed by an E2 node.
@@ -192,10 +203,22 @@ type RANFunctionItem struct {
 	Definition []byte // SM-encoded RAN function definition
 }
 
+func (x *RANFunctionItem) walk(f fields) {
+	f.u16(0, &x.ID)
+	f.u16(1, &x.Revision)
+	f.str(2, &x.OID)
+	f.octets(3, &x.Definition)
+}
+
 // RejectedFunction reports a RAN function the RIC refused.
 type RejectedFunction struct {
 	ID    uint16
 	Cause Cause
+}
+
+func (x *RejectedFunction) walk(f fields) {
+	f.u16(0, &x.ID)
+	f.cause(1, &x.Cause)
 }
 
 // E2NodeComponentConfig carries per-component configuration for
@@ -207,16 +230,33 @@ type E2NodeComponentConfig struct {
 	Response      []byte
 }
 
+func (x *E2NodeComponentConfig) walk(f fields) {
+	f.u8(0, &x.InterfaceType)
+	f.str(1, &x.ComponentID)
+	f.octets(2, &x.Request)
+	f.octets(3, &x.Response)
+}
+
 // ConnectionItem describes a TNL association in connection updates.
 type ConnectionItem struct {
 	TNLAddress string // transport address, e.g. "host:port"
 	Usage      uint8  // RIC service, support, both
 }
 
+func (x *ConnectionItem) walk(f fields) {
+	f.str(0, &x.TNLAddress)
+	f.u8(1, &x.Usage)
+}
+
 // ConnectionFailedItem reports a TNL association that failed to set up.
 type ConnectionFailedItem struct {
 	Item  ConnectionItem
 	Cause Cause
+}
+
+func (x *ConnectionFailedItem) walk(f fields) {
+	x.Item.walk(f)
+	f.cause(2, &x.Cause)
 }
 
 // IndicationClass distinguishes report and insert indications.
@@ -239,6 +279,12 @@ type SetupRequest struct {
 }
 
 func (*SetupRequest) MsgType() MessageType { return TypeSetupRequest }
+func (m *SetupRequest) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	f.nodeID(slA, &m.NodeID)
+	listOf(f, slB, &m.RANFunctions)
+	listOf(f, slC, &m.Components)
+}
 
 // SetupResponse accepts the E2 association.
 type SetupResponse struct {
@@ -249,6 +295,12 @@ type SetupResponse struct {
 }
 
 func (*SetupResponse) MsgType() MessageType { return TypeSetupResponse }
+func (m *SetupResponse) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	f.ricID(slA, &m.RICID)
+	f.u16s(slB, &m.Accepted)
+	listOf(f, slC, &m.Rejected)
+}
 
 // SetupFailure rejects the E2 association.
 type SetupFailure struct {
@@ -258,6 +310,7 @@ type SetupFailure struct {
 }
 
 func (*SetupFailure) MsgType() MessageType { return TypeSetupFailure }
+func (m *SetupFailure) walk(f fields)      { walkFailure(f, &m.TransactionID, &m.Cause, &m.TimeToWaitMS) }
 
 // ResetRequest asks the peer to drop all E2 state.
 type ResetRequest struct {
@@ -266,6 +319,10 @@ type ResetRequest struct {
 }
 
 func (*ResetRequest) MsgType() MessageType { return TypeResetRequest }
+func (m *ResetRequest) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	f.cause(slCause, &m.Cause)
+}
 
 // ResetResponse confirms a reset.
 type ResetResponse struct {
@@ -273,6 +330,7 @@ type ResetResponse struct {
 }
 
 func (*ResetResponse) MsgType() MessageType { return TypeResetResponse }
+func (m *ResetResponse) walk(f fields)      { f.u8(slTransaction, &m.TransactionID) }
 
 // ErrorIndication reports a protocol error outside a procedure. All
 // fields are optional; zero values mean "not present" except HasRequestID.
@@ -285,6 +343,14 @@ type ErrorIndication struct {
 }
 
 func (*ErrorIndication) MsgType() MessageType { return TypeErrorIndication }
+func (m *ErrorIndication) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	if f.present(slReqID, &m.HasRequestID) {
+		f.reqID(&m.RequestID)
+	}
+	f.u16(slRANFunc, &m.RANFunctionID)
+	f.cause(slCause, &m.Cause)
+}
 
 // ServiceUpdate announces added/modified/deleted RAN functions.
 type ServiceUpdate struct {
@@ -295,6 +361,12 @@ type ServiceUpdate struct {
 }
 
 func (*ServiceUpdate) MsgType() MessageType { return TypeServiceUpdate }
+func (m *ServiceUpdate) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	listOf(f, slA, &m.Added)
+	listOf(f, slB, &m.Modified)
+	f.u16s(slC, &m.Deleted)
+}
 
 // ServiceUpdateAck acknowledges a service update.
 type ServiceUpdateAck struct {
@@ -304,6 +376,11 @@ type ServiceUpdateAck struct {
 }
 
 func (*ServiceUpdateAck) MsgType() MessageType { return TypeServiceUpdateAck }
+func (m *ServiceUpdateAck) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	f.u16s(slA, &m.Accepted)
+	listOf(f, slB, &m.Rejected)
+}
 
 // ServiceUpdateFailure rejects a service update.
 type ServiceUpdateFailure struct {
@@ -313,6 +390,9 @@ type ServiceUpdateFailure struct {
 }
 
 func (*ServiceUpdateFailure) MsgType() MessageType { return TypeServiceUpdateFailure }
+func (m *ServiceUpdateFailure) walk(f fields) {
+	walkFailure(f, &m.TransactionID, &m.Cause, &m.TimeToWaitMS)
+}
 
 // ServiceQuery asks the node to report its RAN functions.
 type ServiceQuery struct {
@@ -321,6 +401,10 @@ type ServiceQuery struct {
 }
 
 func (*ServiceQuery) MsgType() MessageType { return TypeServiceQuery }
+func (m *ServiceQuery) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	f.u16s(slA, &m.Accepted)
+}
 
 // NodeConfigUpdate announces component configuration changes.
 type NodeConfigUpdate struct {
@@ -329,6 +413,10 @@ type NodeConfigUpdate struct {
 }
 
 func (*NodeConfigUpdate) MsgType() MessageType { return TypeNodeConfigUpdate }
+func (m *NodeConfigUpdate) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	listOf(f, slA, &m.Components)
+}
 
 // NodeConfigUpdateAck acknowledges a configuration update.
 type NodeConfigUpdateAck struct {
@@ -337,6 +425,10 @@ type NodeConfigUpdateAck struct {
 }
 
 func (*NodeConfigUpdateAck) MsgType() MessageType { return TypeNodeConfigUpdateAck }
+func (m *NodeConfigUpdateAck) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	f.strs(slA, &m.Accepted)
+}
 
 // NodeConfigUpdateFailure rejects a configuration update.
 type NodeConfigUpdateFailure struct {
@@ -346,6 +438,9 @@ type NodeConfigUpdateFailure struct {
 }
 
 func (*NodeConfigUpdateFailure) MsgType() MessageType { return TypeNodeConfigUpdateFailure }
+func (m *NodeConfigUpdateFailure) walk(f fields) {
+	walkFailure(f, &m.TransactionID, &m.Cause, &m.TimeToWaitMS)
+}
 
 // ConnectionUpdate manages additional TNL associations (multi-controller).
 type ConnectionUpdate struct {
@@ -356,6 +451,12 @@ type ConnectionUpdate struct {
 }
 
 func (*ConnectionUpdate) MsgType() MessageType { return TypeConnectionUpdate }
+func (m *ConnectionUpdate) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	listOf(f, slA, &m.Add)
+	listOf(f, slB, &m.Remove)
+	listOf(f, slC, &m.Modify)
+}
 
 // ConnectionUpdateAck acknowledges a connection update.
 type ConnectionUpdateAck struct {
@@ -365,6 +466,11 @@ type ConnectionUpdateAck struct {
 }
 
 func (*ConnectionUpdateAck) MsgType() MessageType { return TypeConnectionUpdateAck }
+func (m *ConnectionUpdateAck) walk(f fields) {
+	f.u8(slTransaction, &m.TransactionID)
+	listOf(f, slA, &m.Setup)
+	listOf(f, slB, &m.Failed)
+}
 
 // ConnectionUpdateFailure rejects a connection update.
 type ConnectionUpdateFailure struct {
@@ -374,6 +480,9 @@ type ConnectionUpdateFailure struct {
 }
 
 func (*ConnectionUpdateFailure) MsgType() MessageType { return TypeConnectionUpdateFailure }
+func (m *ConnectionUpdateFailure) walk(f fields) {
+	walkFailure(f, &m.TransactionID, &m.Cause, &m.TimeToWaitMS)
+}
 
 // --- Functional procedures ---
 
@@ -389,6 +498,12 @@ type SubscriptionRequest struct {
 }
 
 func (*SubscriptionRequest) MsgType() MessageType { return TypeSubscriptionRequest }
+func (m *SubscriptionRequest) walk(f fields) {
+	walkFunc(f, &m.RequestID, &m.RANFunctionID)
+	f.octets(slA, &m.EventTrigger)
+	listOf(f, slB, &m.Actions)
+	f.traceCtx(&m.Trace)
+}
 
 // SubscriptionResponse admits (some) requested actions.
 type SubscriptionResponse struct {
@@ -399,6 +514,11 @@ type SubscriptionResponse struct {
 }
 
 func (*SubscriptionResponse) MsgType() MessageType { return TypeSubscriptionResponse }
+func (m *SubscriptionResponse) walk(f fields) {
+	walkFunc(f, &m.RequestID, &m.RANFunctionID)
+	f.octets(slA, &m.Admitted)
+	listOf(f, slB, &m.NotAdmitted)
+}
 
 // SubscriptionFailure rejects a subscription entirely.
 type SubscriptionFailure struct {
@@ -408,6 +528,10 @@ type SubscriptionFailure struct {
 }
 
 func (*SubscriptionFailure) MsgType() MessageType { return TypeSubscriptionFailure }
+func (m *SubscriptionFailure) walk(f fields) {
+	walkFunc(f, &m.RequestID, &m.RANFunctionID)
+	f.cause(slCause, &m.Cause)
+}
 
 // SubscriptionDeleteRequest removes a subscription.
 type SubscriptionDeleteRequest struct {
@@ -416,6 +540,7 @@ type SubscriptionDeleteRequest struct {
 }
 
 func (*SubscriptionDeleteRequest) MsgType() MessageType { return TypeSubscriptionDeleteRequest }
+func (m *SubscriptionDeleteRequest) walk(f fields)      { walkFunc(f, &m.RequestID, &m.RANFunctionID) }
 
 // SubscriptionDeleteResponse confirms a subscription removal.
 type SubscriptionDeleteResponse struct {
@@ -424,6 +549,7 @@ type SubscriptionDeleteResponse struct {
 }
 
 func (*SubscriptionDeleteResponse) MsgType() MessageType { return TypeSubscriptionDeleteResponse }
+func (m *SubscriptionDeleteResponse) walk(f fields)      { walkFunc(f, &m.RequestID, &m.RANFunctionID) }
 
 // SubscriptionDeleteFailure rejects a subscription removal.
 type SubscriptionDeleteFailure struct {
@@ -433,6 +559,10 @@ type SubscriptionDeleteFailure struct {
 }
 
 func (*SubscriptionDeleteFailure) MsgType() MessageType { return TypeSubscriptionDeleteFailure }
+func (m *SubscriptionDeleteFailure) walk(f fields) {
+	walkFunc(f, &m.RequestID, &m.RANFunctionID)
+	f.cause(slCause, &m.Cause)
+}
 
 // Indication carries SM report/insert data from node to RIC. Header and
 // Payload are SM-encoded: E2 enforces the double encoding the paper
@@ -488,3 +618,11 @@ type ControlFailure struct {
 }
 
 func (*ControlFailure) MsgType() MessageType { return TypeControlFailure }
+func (m *ControlFailure) walk(f fields) {
+	walkFunc(f, &m.RequestID, &m.RANFunctionID)
+	if has := m.CallProcessID != nil; f.present(slA, &has) {
+		f.octets(slA, &m.CallProcessID)
+	}
+	f.cause(slCause, &m.Cause)
+	f.octets(slB, &m.Outcome)
+}
