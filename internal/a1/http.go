@@ -1,8 +1,10 @@
 package a1
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"mime"
 	"net/http"
 	"strings"
@@ -22,9 +24,10 @@ import (
 //	GET    /a1/status         → StatusSummary
 //	GET    /a1/types          → registered policy-type schemas
 //
-// Bodies must be application/json (415 otherwise); wrong methods get
-// 405 with an Allow header; validation failures get 400 with every
-// schema violation listed. Each route counts a1.http.requests.<route>
+// Bodies must be application/json (415 otherwise) and at most
+// maxPolicyBytes (413 otherwise); wrong methods get 405 with an Allow
+// header; validation failures get 400 with every schema violation
+// listed. Each route counts a1.http.requests.<route>
 // and observes a1.http.latency.<route>, mirroring the obs mux.
 
 // Handler serves the /a1/* routes over a store.
@@ -94,6 +97,30 @@ func requireJSON(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// maxPolicyBytes bounds a policy request body.
+const maxPolicyBytes = 64 << 10
+
+// readPolicy decodes the request body as a policy. When the body is over
+// maxPolicyBytes (413) or not a policy (400) it writes the error and
+// returns nil.
+func readPolicy(w http.ResponseWriter, r *http.Request) *Policy {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBytes))
+	var p *Policy
+	if err == nil {
+		p, err = DecodePolicy(bytes.NewReader(body))
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
+		return nil
+	}
+	return p
+}
+
 func methodNotAllowed(w http.ResponseWriter, allow string) {
 	w.Header().Set("Allow", allow)
 	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -122,9 +149,8 @@ func (h *Handler) handlePolicies(w http.ResponseWriter, r *http.Request) {
 		if !requireJSON(w, r) {
 			return
 		}
-		p, err := DecodePolicy(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		p := readPolicy(w, r)
+		if p == nil {
 			return
 		}
 		st, err := h.store.Create(*p)
@@ -154,9 +180,8 @@ func (h *Handler) handlePolicy(w http.ResponseWriter, r *http.Request, id string
 		if !requireJSON(w, r) {
 			return
 		}
-		p, err := DecodePolicy(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		p := readPolicy(w, r)
+		if p == nil {
 			return
 		}
 		if p.ID != "" && p.ID != id {

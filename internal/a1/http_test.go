@@ -218,3 +218,38 @@ func TestHTTPTypes(t *testing.T) {
 		t.Fatalf("schema not valid JSON: %v", err)
 	}
 }
+
+// A body over maxPolicyBytes is refused with 413 on create and update,
+// before the decoder sees it; one just under the bound is decoded.
+func TestHTTPBodyBound(t *testing.T) {
+	st, srv := newTestServer(t)
+	c := srv.Client()
+	// Whitespace after the object is valid JSON, so only the size can
+	// refuse it.
+	pad := func(n int) string { return policyBody + strings.Repeat(" ", n-len(policyBody)) }
+	for _, tc := range []struct {
+		method, path string
+	}{{http.MethodPost, "/a1/policies"}, {http.MethodPut, "/a1/policies/p1"}} {
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(pad(maxPolicyBytes+1)))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s with a %d-byte body: status %d, want 413", tc.method, tc.path, maxPolicyBytes+1, resp.StatusCode)
+		}
+	}
+	if len(st.List()) != 0 {
+		t.Fatal("an oversized body created a policy")
+	}
+	resp, err := c.Post(srv.URL+"/a1/policies", "application/json", strings.NewReader(pad(maxPolicyBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("a %d-byte body: status %d, want 201", maxPolicyBytes, resp.StatusCode)
+	}
+}

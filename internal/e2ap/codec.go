@@ -103,63 +103,36 @@ type decodedEnvelope struct {
 
 func (d *decodedEnvelope) Type() MessageType { return d.pdu.MsgType() }
 
-func (d *decodedEnvelope) RequestID() RequestID {
-	switch m := d.pdu.(type) {
-	case *SubscriptionRequest:
-		return m.RequestID
-	case *SubscriptionResponse:
-		return m.RequestID
-	case *SubscriptionFailure:
-		return m.RequestID
-	case *SubscriptionDeleteRequest:
-		return m.RequestID
-	case *SubscriptionDeleteResponse:
-		return m.RequestID
-	case *SubscriptionDeleteFailure:
-		return m.RequestID
-	case *Indication:
-		return m.RequestID
-	case *ControlRequest:
-		return m.RequestID
-	case *ControlAck:
-		return m.RequestID
-	case *ControlFailure:
-		return m.RequestID
-	case *ErrorIndication:
-		return m.RequestID
-	default:
-		return RequestID{}
-	}
+func (d *decodedEnvelope) RequestID() RequestID { return route(d.pdu).id }
+
+func (d *decodedEnvelope) RANFunctionID() uint16 { return route(d.pdu).fn }
+
+// routing is what Envelope dispatches on: the request and RAN function
+// IDs of a functional procedure or an error indication.
+type routing struct {
+	id RequestID
+	fn uint16
 }
 
-func (d *decodedEnvelope) RANFunctionID() uint16 {
-	switch m := d.pdu.(type) {
-	case *SubscriptionRequest:
-		return m.RANFunctionID
-	case *SubscriptionResponse:
-		return m.RANFunctionID
-	case *SubscriptionFailure:
-		return m.RANFunctionID
-	case *SubscriptionDeleteRequest:
-		return m.RANFunctionID
-	case *SubscriptionDeleteResponse:
-		return m.RANFunctionID
-	case *SubscriptionDeleteFailure:
-		return m.RANFunctionID
-	case *Indication:
-		return m.RANFunctionID
-	case *ControlRequest:
-		return m.RANFunctionID
-	case *ControlAck:
-		return m.RANFunctionID
-	case *ControlFailure:
-		return m.RANFunctionID
-	case *ErrorIndication:
-		return m.RANFunctionID
-	default:
-		return 0
+// route returns pdu's routing fields; zero for a global procedure.
+func route(pdu PDU) routing {
+	if r, ok := pdu.(interface{ route() routing }); ok {
+		return r.route()
 	}
+	return routing{}
 }
+
+func (m *ErrorIndication) route() routing            { return routing{m.RequestID, m.RANFunctionID} }
+func (m *SubscriptionRequest) route() routing        { return routing{m.RequestID, m.RANFunctionID} }
+func (m *SubscriptionResponse) route() routing       { return routing{m.RequestID, m.RANFunctionID} }
+func (m *SubscriptionFailure) route() routing        { return routing{m.RequestID, m.RANFunctionID} }
+func (m *SubscriptionDeleteRequest) route() routing  { return routing{m.RequestID, m.RANFunctionID} }
+func (m *SubscriptionDeleteResponse) route() routing { return routing{m.RequestID, m.RANFunctionID} }
+func (m *SubscriptionDeleteFailure) route() routing  { return routing{m.RequestID, m.RANFunctionID} }
+func (m *Indication) route() routing                 { return routing{m.RequestID, m.RANFunctionID} }
+func (m *ControlRequest) route() routing             { return routing{m.RequestID, m.RANFunctionID} }
+func (m *ControlAck) route() routing                 { return routing{m.RequestID, m.RANFunctionID} }
+func (m *ControlFailure) route() routing             { return routing{m.RequestID, m.RANFunctionID} }
 
 func (d *decodedEnvelope) PDU() (PDU, error) {
 	if d.view {

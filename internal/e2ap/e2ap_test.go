@@ -87,6 +87,21 @@ func TestRoundTripAllMessagesBothCodecs(t *testing.T) {
 			}
 		}
 	}
+	// PER ≡ FB ≡ IR over random messages of every type: both codecs
+	// decode each to the message itself, empty octet strings and lists
+	// as nil.
+	for _, pdu := range sweepPDUs(20, 1) {
+		want := canonical(pdu)
+		for _, c := range codecs(t) {
+			got, err := c.Decode(encodeCopy(t, c, pdu))
+			if err != nil {
+				t.Fatalf("%s decode %s: %v", c.Name(), pdu.MsgType(), err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s round-trip %s:\n got %+v\nwant %+v", c.Name(), pdu.MsgType(), got, want)
+			}
+		}
+	}
 }
 
 func TestCrossCodecIndependence(t *testing.T) {
@@ -102,6 +117,15 @@ func TestCrossCodecIndependence(t *testing.T) {
 	if got, err := fb.Decode(append([]byte(nil), pw...)); err == nil {
 		if reflect.DeepEqual(got, pdu) {
 			t.Fatal("flat codec decoded PER bytes as the identical message")
+		}
+	}
+	// Random messages of every type, crossed both ways.
+	for _, pdu := range sweepPDUs(8, 2) {
+		for _, cs := range [][2]Codec{{per, fb}, {fb, per}} {
+			wire := encodeCopy(t, cs[0], pdu)
+			if got, err := cs[1].Decode(wire); err == nil && reflect.DeepEqual(got, canonical(pdu)) {
+				t.Fatalf("%s decoded %s bytes of %s as the identical message", cs[1].Name(), cs[0].Name(), pdu.MsgType())
+			}
 		}
 	}
 }

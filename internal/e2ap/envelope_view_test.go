@@ -147,7 +147,9 @@ func TestEnvelopeViewMatchesDecode(t *testing.T) {
 
 // Every truncation of a valid PER indication must fail closed through
 // the view path: an error, no panic, no read past the slice (the cap is
-// clipped so an over-read would fault).
+// clipped so an over-read would fault). The same holds for a PER message
+// of any type, and every truncation and seeded bit flip of a message of
+// any type passes the failsClosed oracle under both codecs.
 func TestPEREnvelopeTruncationFailsClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	c := NewPERCodec()
@@ -160,6 +162,27 @@ func TestPEREnvelopeTruncationFailsClosed(t *testing.T) {
 			}
 			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("iter %d: truncation to %d bytes: %v, want ErrBadMessage", i, n, err)
+			}
+		}
+	}
+	perType := 4
+	if testing.Short() {
+		perType = 2
+	}
+	for _, pdu := range sweepPDUs(perType, 14) {
+		for _, c := range codecs(t) {
+			wire := encodeCopy(t, c, pdu)
+			for n := 0; n < len(wire); n++ {
+				cut := wire[:n:n]
+				if _, err := c.Envelope(cut); c.Name() == "asn" && !errors.Is(err, ErrBadMessage) {
+					t.Fatalf("%s: truncation to %d of %d bytes: %v, want ErrBadMessage", pdu.MsgType(), n, len(wire), err)
+				}
+				failsClosed(t, c, cut)
+			}
+			for i := 0; i < 32; i++ {
+				flipped := append([]byte(nil), wire...)
+				flipped[rng.Intn(len(flipped))] ^= 1 << rng.Intn(8)
+				failsClosed(t, c, flipped)
 			}
 		}
 	}

@@ -47,6 +47,8 @@ func (f fill) octets(_ int, v *[]byte) {
 	}
 }
 
+func (f fill) optOctets(slot int, v *[]byte) { f.octets(slot, v) }
+
 func (f fill) present(_ int, has *bool) bool {
 	*has = f.rng.Intn(2) == 0
 	return *has
@@ -129,16 +131,22 @@ func randomPDU(rng *rand.Rand, t MessageType) PDU {
 		m.AckRequested = rng.Intn(2) == 0
 		f.traceCtx(&m.Trace)
 		return m
-	case TypeControlAck:
-		m := &ControlAck{}
-		walkFunc(f, &m.RequestID, &m.RANFunctionID)
-		f.octets(0, &m.CallProcessID)
-		f.octets(0, &m.Outcome)
-		return m
 	}
 	m := newMessage[t]()
 	m.walk(f)
 	return m
+}
+
+// sweepPDUs returns n random valid messages of every type.
+func sweepPDUs(n int, seed int64) []PDU {
+	rng := rand.New(rand.NewSource(seed))
+	var out []PDU
+	for t := MessageType(0); t < numMessageTypes; t++ {
+		for i := 0; i < n; i++ {
+			out = append(out, randomPDU(rng, t))
+		}
+	}
+	return out
 }
 
 // canonical returns what a decoder makes of pdu: every empty octet

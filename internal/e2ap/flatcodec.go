@@ -20,6 +20,10 @@ type FlatCodec struct {
 	// buffer for the duration of one encodeAppend, keeping b's scratch
 	// (and the Encode contract) untouched.
 	ab flat.Builder
+	// fw and rd walk the walked message types into the builder in use and
+	// out of env's table.
+	fw flatWriter
+	rd flatReader
 	// env is the reused dispatch view handed out by envelope(); see the
 	// Codec.Envelope validity contract.
 	env flatEnvelope
@@ -73,7 +77,7 @@ func unpackCause(v uint32) Cause { return Cause{Type: CauseType(v >> 8), Value: 
 func (c *FlatCodec) encode(pdu PDU) ([]byte, error) {
 	b := &c.b
 	b.Reset()
-	if err := encodeFlatInto(b, pdu); err != nil {
+	if err := c.encodeInto(b, pdu); err != nil {
 		return nil, err
 	}
 	return b.Bytes(), nil
@@ -82,7 +86,7 @@ func (c *FlatCodec) encode(pdu PDU) ([]byte, error) {
 func (c *FlatCodec) encodeAppend(dst []byte, pdu PDU) ([]byte, error) {
 	b := &c.ab
 	b.ResetAppend(dst)
-	err := encodeFlatInto(b, pdu)
+	err := c.encodeInto(b, pdu)
 	// Positions inside the message are base-relative, so the appended
 	// bytes are identical to a from-scratch Encode of the same PDU.
 	out := b.BytesWithPrefix()
@@ -93,9 +97,13 @@ func (c *FlatCodec) encodeAppend(dst []byte, pdu PDU) ([]byte, error) {
 	return out, nil
 }
 
-// encodeFlatInto builds pdu into b, which the caller has Reset (or
+// encodeInto builds pdu into b, which the caller has Reset (or
 // ResetAppend'ed).
-func encodeFlatInto(b *flat.Builder, pdu PDU) error {
+func (c *FlatCodec) encodeInto(b *flat.Builder, pdu PDU) error {
+	if m, ok := pdu.(message); ok {
+		c.fw.encode(b, m)
+		return nil
+	}
 	// Out-of-line values must exist before the root table starts, so each
 	// case first creates refs, then fills slots.
 	type ref struct {
@@ -111,186 +119,6 @@ func encodeFlatInto(b *flat.Builder, pdu PDU) error {
 	var scalars func(b *flat.Builder)
 
 	switch m := pdu.(type) {
-	case *SetupRequest:
-		addRef(slA, flatPutNodeID(b, m.NodeID))
-		addRef(slB, flatPutRANFunctions(b, m.RANFunctions))
-		addRef(slC, flatPutComponents(b, m.Components))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *SetupResponse:
-		addRef(slB, flatPutU16s(b, m.Accepted))
-		addRef(slC, flatPutRejected(b, m.Rejected))
-		tid, ric := m.TransactionID, m.RICID
-		scalars = func(b *flat.Builder) {
-			b.AddUint8(slTransaction, tid)
-			b.AddUint64(slA, uint64(packPLMN(ric.PLMN))<<32|uint64(ric.RICID))
-		}
-	case *SetupFailure:
-		tid, cause, ttw := m.TransactionID, m.Cause, m.TimeToWaitMS
-		scalars = func(b *flat.Builder) {
-			b.AddUint8(slTransaction, tid)
-			b.AddUint32(slCause, packCause(cause))
-			b.AddUint32(slA, ttw)
-		}
-	case *ResetRequest:
-		tid, cause := m.TransactionID, m.Cause
-		scalars = func(b *flat.Builder) {
-			b.AddUint8(slTransaction, tid)
-			b.AddUint32(slCause, packCause(cause))
-		}
-	case *ResetResponse:
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *ErrorIndication:
-		mm := *m
-		scalars = func(b *flat.Builder) {
-			b.AddUint8(slTransaction, mm.TransactionID)
-			if mm.HasRequestID {
-				b.AddUint32(slReqID, packReqID(mm.RequestID))
-			}
-			b.AddUint32(slRANFunc, uint32(mm.RANFunctionID))
-			b.AddUint32(slCause, packCause(mm.Cause))
-		}
-	case *ServiceUpdate:
-		addRef(slA, flatPutRANFunctions(b, m.Added))
-		addRef(slB, flatPutRANFunctions(b, m.Modified))
-		addRef(slC, flatPutU16s(b, m.Deleted))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *ServiceUpdateAck:
-		addRef(slA, flatPutU16s(b, m.Accepted))
-		addRef(slB, flatPutRejected(b, m.Rejected))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *ServiceUpdateFailure:
-		tid, cause, ttw := m.TransactionID, m.Cause, m.TimeToWaitMS
-		scalars = func(b *flat.Builder) {
-			b.AddUint8(slTransaction, tid)
-			b.AddUint32(slCause, packCause(cause))
-			b.AddUint32(slA, ttw)
-		}
-	case *ServiceQuery:
-		addRef(slA, flatPutU16s(b, m.Accepted))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *NodeConfigUpdate:
-		addRef(slA, flatPutComponents(b, m.Components))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *NodeConfigUpdateAck:
-		ids := make([]uint32, len(m.Accepted))
-		for i, s := range m.Accepted {
-			ids[i] = b.CreateString(s)
-		}
-		addRef(slA, b.CreateRefVector(ids))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *NodeConfigUpdateFailure:
-		tid, cause, ttw := m.TransactionID, m.Cause, m.TimeToWaitMS
-		scalars = func(b *flat.Builder) {
-			b.AddUint8(slTransaction, tid)
-			b.AddUint32(slCause, packCause(cause))
-			b.AddUint32(slA, ttw)
-		}
-	case *ConnectionUpdate:
-		addRef(slA, flatPutConnItems(b, m.Add))
-		addRef(slB, flatPutConnItems(b, m.Remove))
-		addRef(slC, flatPutConnItems(b, m.Modify))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *ConnectionUpdateAck:
-		addRef(slA, flatPutConnItems(b, m.Setup))
-		fails := make([]uint32, len(m.Failed))
-		for i, f := range m.Failed {
-			addr := b.CreateString(f.Item.TNLAddress)
-			b.StartTable(3)
-			b.AddRef(0, addr)
-			b.AddUint8(1, f.Item.Usage)
-			b.AddUint32(2, packCause(f.Cause))
-			fails[i] = b.EndTable()
-		}
-		addRef(slB, b.CreateRefVector(fails))
-		tid := m.TransactionID
-		scalars = func(b *flat.Builder) { b.AddUint8(slTransaction, tid) }
-	case *ConnectionUpdateFailure:
-		tid, cause, ttw := m.TransactionID, m.Cause, m.TimeToWaitMS
-		scalars = func(b *flat.Builder) {
-			b.AddUint8(slTransaction, tid)
-			b.AddUint32(slCause, packCause(cause))
-			b.AddUint32(slA, ttw)
-		}
-	case *SubscriptionRequest:
-		if m.EventTrigger != nil {
-			addRef(slA, b.CreateByteVector(m.EventTrigger))
-		}
-		acts := make([]uint32, len(m.Actions))
-		for i, a := range m.Actions {
-			var defRef uint32
-			hasDef := a.Definition != nil
-			if hasDef {
-				defRef = b.CreateByteVector(a.Definition)
-			}
-			b.StartTable(3)
-			b.AddUint8(0, a.ID)
-			b.AddUint8(1, uint8(a.Type))
-			if hasDef {
-				b.AddRef(2, defRef)
-			}
-			acts[i] = b.EndTable()
-		}
-		addRef(slB, b.CreateRefVector(acts))
-		id, rf, tr := m.RequestID, m.RANFunctionID, m.Trace
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-			if tr.Valid() {
-				b.AddUint64(slTraceID, tr.TraceID)
-				b.AddUint64(slTraceSpan, tr.SpanID)
-			}
-		}
-	case *SubscriptionResponse:
-		if m.Admitted != nil {
-			addRef(slA, b.CreateByteVector(m.Admitted))
-		}
-		nas := make([]uint32, len(m.NotAdmitted))
-		for i, na := range m.NotAdmitted {
-			b.StartTable(2)
-			b.AddUint8(0, na.ID)
-			b.AddUint32(1, packCause(na.Cause))
-			nas[i] = b.EndTable()
-		}
-		addRef(slB, b.CreateRefVector(nas))
-		id, rf := m.RequestID, m.RANFunctionID
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-		}
-	case *SubscriptionFailure:
-		id, rf, cause := m.RequestID, m.RANFunctionID, m.Cause
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-			b.AddUint32(slCause, packCause(cause))
-		}
-	case *SubscriptionDeleteRequest:
-		id, rf := m.RequestID, m.RANFunctionID
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-		}
-	case *SubscriptionDeleteResponse:
-		id, rf := m.RequestID, m.RANFunctionID
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-		}
-	case *SubscriptionDeleteFailure:
-		id, rf, cause := m.RequestID, m.RANFunctionID, m.Cause
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-			b.AddUint32(slCause, packCause(cause))
-		}
 	case *Indication:
 		if m.Header != nil {
 			addRef(slB, b.CreateByteVector(m.Header))
@@ -331,31 +159,6 @@ func encodeFlatInto(b *flat.Builder, pdu PDU) error {
 				b.AddUint64(slTraceSpan, tr.SpanID)
 			}
 		}
-	case *ControlAck:
-		if m.CallProcessID != nil {
-			addRef(slA, b.CreateByteVector(m.CallProcessID))
-		}
-		if m.Outcome != nil {
-			addRef(slB, b.CreateByteVector(m.Outcome))
-		}
-		id, rf := m.RequestID, m.RANFunctionID
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-		}
-	case *ControlFailure:
-		if m.CallProcessID != nil {
-			addRef(slA, b.CreateByteVector(m.CallProcessID))
-		}
-		if m.Outcome != nil {
-			addRef(slB, b.CreateByteVector(m.Outcome))
-		}
-		id, rf, cause := m.RequestID, m.RANFunctionID, m.Cause
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-			b.AddUint32(slCause, packCause(cause))
-		}
 	default:
 		return fmt.Errorf("%w: %T", ErrUnknownType, pdu)
 	}
@@ -384,7 +187,7 @@ func (c *FlatCodec) envelope(wire []byte) (Envelope, error) {
 	// Reuse the codec-owned view instead of allocating one per message;
 	// clearing the cached PDU is what keeps a stale full decode from
 	// leaking into the next message (see the Codec.Envelope contract).
-	c.env = flatEnvelope{tab: tab, typ: MessageType(t)}
+	c.env = flatEnvelope{tab: tab, typ: MessageType(t), rd: &c.rd}
 	return &c.env, nil
 }
 
@@ -401,6 +204,7 @@ type flatEnvelope struct {
 	tab flat.Table
 	typ MessageType
 	pdu PDU // cached full decode
+	rd  *flatReader
 }
 
 func (e *flatEnvelope) Type() MessageType { return e.typ }
@@ -423,193 +227,21 @@ func (e *flatEnvelope) IndicationHeader() []byte {
 	return e.tab.Bytes(slB)
 }
 
-func (e *flatEnvelope) Trace() trace.Context {
-	return trace.Context{TraceID: e.tab.Uint64(slTraceID), SpanID: e.tab.Uint64(slTraceSpan)}
-}
+func (e *flatEnvelope) Trace() trace.Context { return flatGetTrace(e.tab) }
 
+// PDU never fails: an absent or unreadable field decodes as its zero
+// value.
 func (e *flatEnvelope) PDU() (PDU, error) {
-	if e.pdu != nil {
-		return e.pdu, nil
+	if e.pdu == nil {
+		e.pdu = e.decode()
 	}
-	pdu, err := flatDecodeBody(e.tab, e.typ)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, e.typ, err)
-	}
-	e.pdu = pdu
-	return pdu, nil
+	return e.pdu, nil
 }
 
-func flatDecodeBody(tab flat.Table, t MessageType) (PDU, error) {
-	cp := cloneOctets
-	switch t {
-	case TypeSetupRequest:
-		return &SetupRequest{
-			TransactionID: tab.Uint8(slTransaction),
-			NodeID:        flatGetNodeID(tab.SubTable(slA)),
-			RANFunctions:  flatGetRANFunctions(tab, slB),
-			Components:    flatGetComponents(tab, slC),
-		}, nil
-	case TypeSetupResponse:
-		v := tab.Uint64(slA)
-		return &SetupResponse{
-			TransactionID: tab.Uint8(slTransaction),
-			RICID:         GlobalRICID{PLMN: unpackPLMN(uint32(v >> 32)), RICID: uint32(v)},
-			Accepted:      flatGetU16s(tab, slB),
-			Rejected:      flatGetRejected(tab, slC),
-		}, nil
-	case TypeSetupFailure:
-		return &SetupFailure{
-			TransactionID: tab.Uint8(slTransaction),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-			TimeToWaitMS:  tab.Uint32(slA),
-		}, nil
-	case TypeResetRequest:
-		return &ResetRequest{
-			TransactionID: tab.Uint8(slTransaction),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-		}, nil
-	case TypeResetResponse:
-		return &ResetResponse{TransactionID: tab.Uint8(slTransaction)}, nil
-	case TypeErrorIndication:
-		return &ErrorIndication{
-			TransactionID: tab.Uint8(slTransaction),
-			HasRequestID:  tab.Has(slReqID),
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-		}, nil
-	case TypeServiceUpdate:
-		return &ServiceUpdate{
-			TransactionID: tab.Uint8(slTransaction),
-			Added:         flatGetRANFunctions(tab, slA),
-			Modified:      flatGetRANFunctions(tab, slB),
-			Deleted:       flatGetU16s(tab, slC),
-		}, nil
-	case TypeServiceUpdateAck:
-		return &ServiceUpdateAck{
-			TransactionID: tab.Uint8(slTransaction),
-			Accepted:      flatGetU16s(tab, slA),
-			Rejected:      flatGetRejected(tab, slB),
-		}, nil
-	case TypeServiceUpdateFailure:
-		return &ServiceUpdateFailure{
-			TransactionID: tab.Uint8(slTransaction),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-			TimeToWaitMS:  tab.Uint32(slA),
-		}, nil
-	case TypeServiceQuery:
-		return &ServiceQuery{
-			TransactionID: tab.Uint8(slTransaction),
-			Accepted:      flatGetU16s(tab, slA),
-		}, nil
-	case TypeNodeConfigUpdate:
-		return &NodeConfigUpdate{
-			TransactionID: tab.Uint8(slTransaction),
-			Components:    flatGetComponents(tab, slA),
-		}, nil
-	case TypeNodeConfigUpdateAck:
-		m := &NodeConfigUpdateAck{TransactionID: tab.Uint8(slTransaction)}
-		n := tab.VectorLen(slA)
-		if n > 0 {
-			m.Accepted = make([]string, n)
-			for i := 0; i < n; i++ {
-				m.Accepted[i] = string(tab.BytesVectorAt(slA, i))
-			}
-		}
-		return m, nil
-	case TypeNodeConfigUpdateFailure:
-		return &NodeConfigUpdateFailure{
-			TransactionID: tab.Uint8(slTransaction),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-			TimeToWaitMS:  tab.Uint32(slA),
-		}, nil
-	case TypeConnectionUpdate:
-		return &ConnectionUpdate{
-			TransactionID: tab.Uint8(slTransaction),
-			Add:           flatGetConnItems(tab, slA),
-			Remove:        flatGetConnItems(tab, slB),
-			Modify:        flatGetConnItems(tab, slC),
-		}, nil
-	case TypeConnectionUpdateAck:
-		m := &ConnectionUpdateAck{
-			TransactionID: tab.Uint8(slTransaction),
-			Setup:         flatGetConnItems(tab, slA),
-		}
-		n := tab.VectorLen(slB)
-		if n > 0 {
-			m.Failed = make([]ConnectionFailedItem, n)
-			for i := 0; i < n; i++ {
-				ft := tab.RefVectorAt(slB, i)
-				m.Failed[i] = ConnectionFailedItem{
-					Item:  ConnectionItem{TNLAddress: ft.String(0), Usage: ft.Uint8(1)},
-					Cause: unpackCause(ft.Uint32(2)),
-				}
-			}
-		}
-		return m, nil
-	case TypeConnectionUpdateFailure:
-		return &ConnectionUpdateFailure{
-			TransactionID: tab.Uint8(slTransaction),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-			TimeToWaitMS:  tab.Uint32(slA),
-		}, nil
-	case TypeSubscriptionRequest:
-		m := &SubscriptionRequest{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			EventTrigger:  cp(tab.Bytes(slA)),
-			Trace:         flatGetTrace(tab),
-		}
-		n := tab.VectorLen(slB)
-		if n > 0 {
-			m.Actions = make([]Action, n)
-			for i := 0; i < n; i++ {
-				at := tab.RefVectorAt(slB, i)
-				m.Actions[i] = Action{
-					ID:         at.Uint8(0),
-					Type:       ActionType(at.Uint8(1)),
-					Definition: cp(at.Bytes(2)),
-				}
-			}
-		}
-		return m, nil
-	case TypeSubscriptionResponse:
-		m := &SubscriptionResponse{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			Admitted:      cp(tab.Bytes(slA)),
-		}
-		n := tab.VectorLen(slB)
-		if n > 0 {
-			m.NotAdmitted = make([]ActionNotAdmitted, n)
-			for i := 0; i < n; i++ {
-				at := tab.RefVectorAt(slB, i)
-				m.NotAdmitted[i] = ActionNotAdmitted{ID: at.Uint8(0), Cause: unpackCause(at.Uint32(1))}
-			}
-		}
-		return m, nil
-	case TypeSubscriptionFailure:
-		return &SubscriptionFailure{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-		}, nil
-	case TypeSubscriptionDeleteRequest:
-		return &SubscriptionDeleteRequest{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-		}, nil
-	case TypeSubscriptionDeleteResponse:
-		return &SubscriptionDeleteResponse{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-		}, nil
-	case TypeSubscriptionDeleteFailure:
-		return &SubscriptionDeleteFailure{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-		}, nil
+// decode materializes the message the envelope views.
+func (e *flatEnvelope) decode() PDU {
+	tab, cp := e.tab, cloneOctets
+	switch e.typ {
 	case TypeIndication:
 		v := tab.Uint64(slA)
 		return &Indication{
@@ -622,7 +254,7 @@ func flatDecodeBody(tab flat.Table, t MessageType) (PDU, error) {
 			Payload:       cp(tab.Bytes(slC)),
 			CallProcessID: cp(tab.Bytes(slD)),
 			Trace:         flatGetTrace(tab),
-		}, nil
+		}
 	case TypeControlRequest:
 		return &ControlRequest{
 			RequestID:     unpackReqID(tab.Uint32(slReqID)),
@@ -632,208 +264,241 @@ func flatDecodeBody(tab flat.Table, t MessageType) (PDU, error) {
 			Payload:       cp(tab.Bytes(slC)),
 			AckRequested:  tab.Bool(slD),
 			Trace:         flatGetTrace(tab),
-		}, nil
-	case TypeControlAck:
-		return &ControlAck{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			CallProcessID: cp(tab.Bytes(slA)),
-			Outcome:       cp(tab.Bytes(slB)),
-		}, nil
-	case TypeControlFailure:
-		return &ControlFailure{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			CallProcessID: cp(tab.Bytes(slA)),
-			Cause:         unpackCause(tab.Uint32(slCause)),
-			Outcome:       cp(tab.Bytes(slB)),
-		}, nil
-	default:
-		return nil, ErrUnknownType
+		}
 	}
+	m := newMessage[e.typ]()
+	e.rd.frames = append(e.rd.frames[:0], flatRead{tab: tab})
+	m.walk(e.rd)
+	return m
 }
 
-// --- shared helpers ---
-
 // flatGetTrace reads the trace-context slots; absent slots read as zero,
-// which is exactly the invalid Context.
+// which is exactly the invalid Context. Like PER, it reads a context
+// without a TraceID as none, so a decoded message re-encodes to itself.
 func flatGetTrace(tab flat.Table) trace.Context {
-	return trace.Context{TraceID: tab.Uint64(slTraceID), SpanID: tab.Uint64(slTraceSpan)}
+	if id := tab.Uint64(slTraceID); id != 0 {
+		return trace.Context{TraceID: id, SpanID: tab.Uint64(slTraceSpan)}
+	}
+	return trace.Context{}
 }
 
 func packPLMN(p PLMN) uint32   { return uint32(p.MCC)<<10 | uint32(p.MNC) }
 func unpackPLMN(v uint32) PLMN { return PLMN{MCC: uint16(v >> 10), MNC: uint16(v & 0x3FF)} }
 
-func flatPutNodeID(b *flat.Builder, n GlobalE2NodeID) uint32 {
-	b.StartTable(3)
-	b.AddUint32(0, packPLMN(n.PLMN))
-	b.AddUint8(1, uint8(n.Type))
-	b.AddUint64(2, n.NodeID)
-	return b.EndTable()
+// flatWriter is the flat encoder of a field walk. A flat.Builder builds
+// one table at a time, and every string, vector and sub-table a table
+// refers to must exist before the table starts. So the writer creates
+// out-of-line values as the walk meets them, and parks the slots of
+// every open table on a stack until the table ends. EndTable lays slots
+// out by index, so the order they are parked in changes no byte.
+type flatWriter struct {
+	b      *flat.Builder
+	slots  []parkedSlot // slots of every open table, innermost last
+	frames []flatFrame  // open tables and lists, innermost last
+	refs   []uint32     // finished items of every open list
+	u64s   []uint64     // scratch for u16s
 }
 
-func flatGetNodeID(t flat.Table) GlobalE2NodeID {
-	return GlobalE2NodeID{
-		PLMN:   unpackPLMN(t.Uint32(0)),
-		Type:   NodeType(t.Uint8(1)),
-		NodeID: t.Uint64(2),
+// parkedSlot is a slot of an open table: size is 1, 4 or 8 bytes. A
+// reference is a u32 in the table, so it parks as one.
+type parkedSlot struct {
+	slot int
+	size uint8
+	val  uint64
+}
+
+// flatFrame is an open table (mark: its first parked slot; width: one
+// past the highest slot its walk named) or list (mark: its first ref;
+// slot: its slot in the enclosing table).
+type flatFrame struct {
+	list       bool
+	slot, mark int
+	width      int
+}
+
+// encode builds m into b as the root table.
+func (w *flatWriter) encode(b *flat.Builder, m message) {
+	w.b = b
+	w.slots, w.refs = w.slots[:0], w.refs[:0]
+	w.frames = append(w.frames[:0], flatFrame{width: numSlots})
+	w.put(slType, 1, uint64(m.MsgType()))
+	m.walk(w)
+	b.Finish(w.table(w.frames[0]))
+}
+
+// at widens the innermost table to hold slot.
+func (w *flatWriter) at(slot int) {
+	f := &w.frames[len(w.frames)-1]
+	f.width = max(f.width, slot+1)
+}
+
+func (w *flatWriter) put(slot int, size uint8, v uint64) {
+	w.at(slot)
+	w.slots = append(w.slots, parkedSlot{slot, size, v})
+}
+
+// table builds frame f's parked slots into a table.
+func (w *flatWriter) table(f flatFrame) uint32 {
+	w.b.StartTable(f.width)
+	for _, s := range w.slots[f.mark:] {
+		switch s.size {
+		case 1:
+			w.b.AddUint8(s.slot, uint8(s.val))
+		case 4:
+			w.b.AddUint32(s.slot, uint32(s.val))
+		default:
+			w.b.AddUint64(s.slot, s.val)
+		}
+	}
+	w.slots = w.slots[:f.mark]
+	return w.b.EndTable()
+}
+
+func (w *flatWriter) u8(slot int, v *uint8)          { w.put(slot, 1, uint64(*v)) }
+func (w *flatWriter) u16(slot int, v *uint16)        { w.put(slot, 4, uint64(*v)) }
+func (w *flatWriter) u32(slot int, v *uint32)        { w.put(slot, 4, uint64(*v)) }
+func (w *flatWriter) enum(slot int, v *uint8, _ int) { w.u8(slot, v) }
+func (w *flatWriter) str(slot int, v *string)        { w.put(slot, 4, uint64(w.b.CreateString(*v))) }
+
+func (w *flatWriter) octets(slot int, v *[]byte) {
+	if *v == nil {
+		w.at(slot)
+		return
+	}
+	w.put(slot, 4, uint64(w.b.CreateByteVector(*v)))
+}
+
+func (w *flatWriter) optOctets(slot int, v *[]byte) { w.octets(slot, v) }
+
+func (w *flatWriter) present(slot int, has *bool) bool {
+	w.at(slot)
+	return *has
+}
+
+func (w *flatWriter) cause(slot int, v *Cause) { w.put(slot, 4, uint64(packCause(*v))) }
+func (w *flatWriter) reqID(v *RequestID)       { w.put(slReqID, 4, uint64(packReqID(*v))) }
+
+func (w *flatWriter) nodeID(slot int, v *GlobalE2NodeID) {
+	w.b.StartTable(3)
+	w.b.AddUint32(0, packPLMN(v.PLMN))
+	w.b.AddUint8(1, uint8(v.Type))
+	w.b.AddUint64(2, v.NodeID)
+	w.put(slot, 4, uint64(w.b.EndTable()))
+}
+
+func (w *flatWriter) ricID(slot int, v *GlobalRICID) {
+	w.put(slot, 8, uint64(packPLMN(v.PLMN))<<32|uint64(v.RICID))
+}
+
+func (w *flatWriter) traceCtx(v *trace.Context) {
+	if v.Valid() {
+		w.put(slTraceID, 8, v.TraceID)
+		w.put(slTraceSpan, 8, v.SpanID)
 	}
 }
 
-func flatPutRANFunctions(b *flat.Builder, fns []RANFunctionItem) uint32 {
-	refs := make([]uint32, len(fns))
-	for i, f := range fns {
-		oid := b.CreateString(f.OID)
-		var def uint32
-		hasDef := f.Definition != nil
-		if hasDef {
-			def = b.CreateByteVector(f.Definition)
-		}
-		b.StartTable(4)
-		b.AddUint32(0, uint32(f.ID))
-		b.AddUint32(1, uint32(f.Revision))
-		b.AddRef(2, oid)
-		if hasDef {
-			b.AddRef(3, def)
-		}
-		refs[i] = b.EndTable()
+func (w *flatWriter) u16s(slot int, v *[]uint16) {
+	w.u64s = w.u64s[:0]
+	for _, x := range *v {
+		w.u64s = append(w.u64s, uint64(x))
 	}
-	return b.CreateRefVector(refs)
+	w.put(slot, 4, uint64(w.b.CreateUint64Vector(w.u64s)))
 }
 
-func flatGetRANFunctions(tab flat.Table, slot int) []RANFunctionItem {
-	n := tab.VectorLen(slot)
-	if n == 0 {
-		return nil
+func (w *flatWriter) strs(slot int, v *[]string) {
+	w.list(slot, len(*v))
+	for _, s := range *v {
+		w.refs = append(w.refs, w.b.CreateString(s))
 	}
-	out := make([]RANFunctionItem, n)
-	for i := 0; i < n; i++ {
-		ft := tab.RefVectorAt(slot, i)
-		out[i] = RANFunctionItem{
-			ID:       uint16(ft.Uint32(0)),
-			Revision: uint16(ft.Uint32(1)),
-			OID:      ft.String(2),
-		}
-		if d := ft.Bytes(3); len(d) > 0 {
-			out[i].Definition = append([]byte(nil), d...)
-		}
-	}
-	return out
+	w.end()
 }
 
-func flatPutComponents(b *flat.Builder, cs []E2NodeComponentConfig) uint32 {
-	refs := make([]uint32, len(cs))
-	for i, c := range cs {
-		id := b.CreateString(c.ComponentID)
-		var req, resp uint32
-		hasReq, hasResp := c.Request != nil, c.Response != nil
-		if hasReq {
-			req = b.CreateByteVector(c.Request)
-		}
-		if hasResp {
-			resp = b.CreateByteVector(c.Response)
-		}
-		b.StartTable(4)
-		b.AddUint8(0, c.InterfaceType)
-		b.AddRef(1, id)
-		if hasReq {
-			b.AddRef(2, req)
-		}
-		if hasResp {
-			b.AddRef(3, resp)
-		}
-		refs[i] = b.EndTable()
-	}
-	return b.CreateRefVector(refs)
+func (w *flatWriter) list(slot, n int) int {
+	w.frames = append(w.frames, flatFrame{list: true, slot: slot, mark: len(w.refs)})
+	return n
 }
 
-func flatGetComponents(tab flat.Table, slot int) []E2NodeComponentConfig {
-	n := tab.VectorLen(slot)
-	if n == 0 {
-		return nil
+func (w *flatWriter) item(int) { w.frames = append(w.frames, flatFrame{mark: len(w.slots)}) }
+
+func (w *flatWriter) end() {
+	f := w.frames[len(w.frames)-1]
+	w.frames = w.frames[:len(w.frames)-1]
+	if !f.list {
+		w.refs = append(w.refs, w.table(f))
+		return
 	}
-	out := make([]E2NodeComponentConfig, n)
-	for i := 0; i < n; i++ {
-		ft := tab.RefVectorAt(slot, i)
-		out[i] = E2NodeComponentConfig{
-			InterfaceType: ft.Uint8(0),
-			ComponentID:   ft.String(1),
+	ref := w.b.CreateRefVector(w.refs[f.mark:])
+	w.refs = w.refs[:f.mark]
+	w.put(f.slot, 4, uint64(ref))
+}
+
+// flatReader is the flat decoder of a field walk: a stack of the tables
+// being read, each with the slot of the list vector it is open on.
+type flatReader struct{ frames []flatRead }
+
+type flatRead struct {
+	tab  flat.Table
+	slot int
+}
+
+func (r *flatReader) top() flat.Table { return r.frames[len(r.frames)-1].tab }
+
+func (r *flatReader) u8(slot int, v *uint8)          { *v = r.top().Uint8(slot) }
+func (r *flatReader) u16(slot int, v *uint16)        { *v = uint16(r.top().Uint32(slot)) }
+func (r *flatReader) u32(slot int, v *uint32)        { *v = r.top().Uint32(slot) }
+func (r *flatReader) enum(slot int, v *uint8, _ int) { r.u8(slot, v) }
+func (r *flatReader) str(slot int, v *string)        { *v = r.top().String(slot) }
+func (r *flatReader) octets(slot int, v *[]byte)     { *v = cloneOctets(r.top().Bytes(slot)) }
+func (r *flatReader) cause(slot int, v *Cause)       { *v = unpackCause(r.top().Uint32(slot)) }
+func (r *flatReader) reqID(v *RequestID)             { *v = unpackReqID(r.top().Uint32(slReqID)) }
+func (r *flatReader) traceCtx(v *trace.Context)      { *v = flatGetTrace(r.top()) }
+
+func (r *flatReader) optOctets(slot int, v *[]byte) { r.octets(slot, v) }
+
+func (r *flatReader) present(slot int, has *bool) bool {
+	*has = r.top().Has(slot)
+	return *has
+}
+
+func (r *flatReader) nodeID(slot int, v *GlobalE2NodeID) {
+	t := r.top().SubTable(slot)
+	*v = GlobalE2NodeID{PLMN: unpackPLMN(t.Uint32(0)), Type: NodeType(t.Uint8(1)), NodeID: t.Uint64(2)}
+}
+
+func (r *flatReader) ricID(slot int, v *GlobalRICID) {
+	x := r.top().Uint64(slot)
+	*v = GlobalRICID{PLMN: unpackPLMN(uint32(x >> 32)), RICID: uint32(x)}
+}
+
+func (r *flatReader) u16s(slot int, v *[]uint16) {
+	t := r.top()
+	if n := t.VectorLen(slot); n > 0 {
+		*v = make([]uint16, n)
+		for i := range *v {
+			(*v)[i] = uint16(t.Uint64VectorAt(slot, i))
 		}
-		if d := ft.Bytes(2); len(d) > 0 {
-			out[i].Request = append([]byte(nil), d...)
+	}
+}
+
+func (r *flatReader) strs(slot int, v *[]string) {
+	t := r.top()
+	if n := t.VectorLen(slot); n > 0 {
+		*v = make([]string, n)
+		for i := range *v {
+			(*v)[i] = string(t.BytesVectorAt(slot, i))
 		}
-		if d := ft.Bytes(3); len(d) > 0 {
-			out[i].Response = append([]byte(nil), d...)
-		}
 	}
-	return out
 }
 
-func flatPutConnItems(b *flat.Builder, items []ConnectionItem) uint32 {
-	refs := make([]uint32, len(items))
-	for i, it := range items {
-		addr := b.CreateString(it.TNLAddress)
-		b.StartTable(2)
-		b.AddRef(0, addr)
-		b.AddUint8(1, it.Usage)
-		refs[i] = b.EndTable()
-	}
-	return b.CreateRefVector(refs)
+func (r *flatReader) list(slot, _ int) int {
+	t := r.top()
+	r.frames = append(r.frames, flatRead{tab: t, slot: slot})
+	return t.VectorLen(slot)
 }
 
-func flatGetConnItems(tab flat.Table, slot int) []ConnectionItem {
-	n := tab.VectorLen(slot)
-	if n == 0 {
-		return nil
-	}
-	out := make([]ConnectionItem, n)
-	for i := 0; i < n; i++ {
-		ft := tab.RefVectorAt(slot, i)
-		out[i] = ConnectionItem{TNLAddress: ft.String(0), Usage: ft.Uint8(1)}
-	}
-	return out
+func (r *flatReader) item(i int) {
+	l := r.frames[len(r.frames)-1]
+	r.frames = append(r.frames, flatRead{tab: l.tab.RefVectorAt(l.slot, i)})
 }
 
-func flatPutRejected(b *flat.Builder, rj []RejectedFunction) uint32 {
-	refs := make([]uint32, len(rj))
-	for i, r := range rj {
-		b.StartTable(2)
-		b.AddUint32(0, uint32(r.ID))
-		b.AddUint32(1, packCause(r.Cause))
-		refs[i] = b.EndTable()
-	}
-	return b.CreateRefVector(refs)
-}
-
-func flatGetRejected(tab flat.Table, slot int) []RejectedFunction {
-	n := tab.VectorLen(slot)
-	if n == 0 {
-		return nil
-	}
-	out := make([]RejectedFunction, n)
-	for i := 0; i < n; i++ {
-		ft := tab.RefVectorAt(slot, i)
-		out[i] = RejectedFunction{ID: uint16(ft.Uint32(0)), Cause: unpackCause(ft.Uint32(1))}
-	}
-	return out
-}
-
-func flatPutU16s(b *flat.Builder, vals []uint16) uint32 {
-	u := make([]uint64, len(vals))
-	for i, v := range vals {
-		u[i] = uint64(v)
-	}
-	return b.CreateUint64Vector(u)
-}
-
-func flatGetU16s(tab flat.Table, slot int) []uint16 {
-	n := tab.VectorLen(slot)
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint16, n)
-	for i := 0; i < n; i++ {
-		out[i] = uint16(tab.Uint64VectorAt(slot, i))
-	}
-	return out
-}
+func (r *flatReader) end() { r.frames = r.frames[:len(r.frames)-1] }

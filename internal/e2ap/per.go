@@ -21,6 +21,9 @@ type PERCodec struct {
 	// (and the Encode contract) untouched.
 	wa asn1per.Writer
 	r  asn1per.Reader
+	// pw and pr walk the walked message types over the writer in use and r.
+	pw perWriter
+	pr perReader
 	// denv is the reused dispatch view handed out by envelope(), and ind
 	// the indication it points at when the message is one; see the
 	// Codec.Envelope validity contract.
@@ -56,140 +59,6 @@ func (c *PERCodec) encodeInto(w *asn1per.Writer, pdu PDU) ([]byte, error) {
 
 func (c *PERCodec) encodeBody(w *asn1per.Writer, pdu PDU) error {
 	switch m := pdu.(type) {
-	case *SetupRequest:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutNodeID(w, m.NodeID)
-		w.WriteLength(len(m.RANFunctions))
-		for i := range m.RANFunctions {
-			perPutRANFunction(w, &m.RANFunctions[i])
-		}
-		w.WriteLength(len(m.Components))
-		for i := range m.Components {
-			perPutComponent(w, &m.Components[i])
-		}
-	case *SetupResponse:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutPLMN(w, m.RICID.PLMN)
-		w.WriteBits(uint64(m.RICID.RICID), 20)
-		perPutU16s(w, m.Accepted)
-		w.WriteLength(len(m.Rejected))
-		for _, rj := range m.Rejected {
-			w.WriteBits(uint64(rj.ID), 16)
-			perPutCause(w, rj.Cause)
-		}
-	case *SetupFailure:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutCause(w, m.Cause)
-		w.WriteBits(uint64(m.TimeToWaitMS), 32)
-	case *ResetRequest:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutCause(w, m.Cause)
-	case *ResetResponse:
-		w.WriteBits(uint64(m.TransactionID), 8)
-	case *ErrorIndication:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		w.WriteBool(m.HasRequestID)
-		if m.HasRequestID {
-			perPutReqID(w, m.RequestID)
-		}
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		perPutCause(w, m.Cause)
-	case *ServiceUpdate:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		w.WriteLength(len(m.Added))
-		for i := range m.Added {
-			perPutRANFunction(w, &m.Added[i])
-		}
-		w.WriteLength(len(m.Modified))
-		for i := range m.Modified {
-			perPutRANFunction(w, &m.Modified[i])
-		}
-		perPutU16s(w, m.Deleted)
-	case *ServiceUpdateAck:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutU16s(w, m.Accepted)
-		w.WriteLength(len(m.Rejected))
-		for _, rj := range m.Rejected {
-			w.WriteBits(uint64(rj.ID), 16)
-			perPutCause(w, rj.Cause)
-		}
-	case *ServiceUpdateFailure:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutCause(w, m.Cause)
-		w.WriteBits(uint64(m.TimeToWaitMS), 32)
-	case *ServiceQuery:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutU16s(w, m.Accepted)
-	case *NodeConfigUpdate:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		w.WriteLength(len(m.Components))
-		for i := range m.Components {
-			perPutComponent(w, &m.Components[i])
-		}
-	case *NodeConfigUpdateAck:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		w.WriteLength(len(m.Accepted))
-		for _, id := range m.Accepted {
-			w.WriteString(id)
-		}
-	case *NodeConfigUpdateFailure:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutCause(w, m.Cause)
-		w.WriteBits(uint64(m.TimeToWaitMS), 32)
-	case *ConnectionUpdate:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutConnItems(w, m.Add)
-		perPutConnItems(w, m.Remove)
-		perPutConnItems(w, m.Modify)
-	case *ConnectionUpdateAck:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutConnItems(w, m.Setup)
-		w.WriteLength(len(m.Failed))
-		for _, f := range m.Failed {
-			w.WriteString(f.Item.TNLAddress)
-			w.WriteBits(uint64(f.Item.Usage), 8)
-			perPutCause(w, f.Cause)
-		}
-	case *ConnectionUpdateFailure:
-		w.WriteBits(uint64(m.TransactionID), 8)
-		perPutCause(w, m.Cause)
-		w.WriteBits(uint64(m.TimeToWaitMS), 32)
-	case *SubscriptionRequest:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		w.WriteOctets(m.EventTrigger)
-		w.WriteLength(len(m.Actions))
-		for _, a := range m.Actions {
-			w.WriteBits(uint64(a.ID), 8)
-			if err := w.WriteEnum(int(a.Type), 3); err != nil {
-				return err
-			}
-			w.WriteOctets(a.Definition)
-		}
-		perPutTrace(w, m.Trace)
-	case *SubscriptionResponse:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		w.WriteOctets(m.Admitted)
-		w.WriteLength(len(m.NotAdmitted))
-		for _, na := range m.NotAdmitted {
-			w.WriteBits(uint64(na.ID), 8)
-			perPutCause(w, na.Cause)
-		}
-	case *SubscriptionFailure:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		perPutCause(w, m.Cause)
-	case *SubscriptionDeleteRequest:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-	case *SubscriptionDeleteResponse:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-	case *SubscriptionDeleteFailure:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		perPutCause(w, m.Cause)
 	case *Indication:
 		perPutReqID(w, m.RequestID)
 		w.WriteBits(uint64(m.RANFunctionID), 16)
@@ -216,23 +85,10 @@ func (c *PERCodec) encodeBody(w *asn1per.Writer, pdu PDU) error {
 		w.WriteOctets(m.Payload)
 		w.WriteBool(m.AckRequested)
 		perPutTrace(w, m.Trace)
-	case *ControlAck:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		w.WriteBool(m.CallProcessID != nil)
-		if m.CallProcessID != nil {
-			w.WriteOctets(m.CallProcessID)
-		}
-		w.WriteOctets(m.Outcome)
-	case *ControlFailure:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		w.WriteBool(m.CallProcessID != nil)
-		if m.CallProcessID != nil {
-			w.WriteOctets(m.CallProcessID)
-		}
-		perPutCause(w, m.Cause)
-		w.WriteOctets(m.Outcome)
+	case message:
+		c.pw = perWriter{w: w}
+		m.walk(&c.pw)
+		return c.pw.err
 	default:
 		return fmt.Errorf("%w: %T", ErrUnknownType, pdu)
 	}
@@ -257,7 +113,7 @@ func (c *PERCodec) decode(wire []byte) (PDU, error) {
 	if err != nil {
 		return nil, err
 	}
-	pdu, err := perDecodeBody(&c.r, t)
+	pdu, err := c.decodeBody(t)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, t, err)
 	}
@@ -275,7 +131,7 @@ func (c *PERCodec) envelope(wire []byte) (Envelope, error) {
 		c.ind = Indication{}
 		pdu, err = &c.ind, perGetIndication(&c.r, &c.ind, (*asn1per.Reader).ReadOctetsZeroCopy)
 	} else {
-		pdu, err = perDecodeBody(&c.r, t)
+		pdu, err = c.decodeBody(t)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, t, err)
@@ -326,466 +182,32 @@ func perGetIndication(r *asn1per.Reader, m *Indication, octets func(*asn1per.Rea
 	return err
 }
 
-func perDecodeBody(r *asn1per.Reader, t MessageType) (PDU, error) {
-	switch t {
-	case TypeSetupRequest:
-		m := &SetupRequest{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.NodeID, err = perGetNodeID(r); err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.RANFunctions = make([]RANFunctionItem, n)
-			for i := range m.RANFunctions {
-				if err := perGetRANFunction(r, &m.RANFunctions[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if n, err = r.ReadCount(); err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Components = make([]E2NodeComponentConfig, n)
-			for i := range m.Components {
-				if err := perGetComponent(r, &m.Components[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	case TypeSetupResponse:
-		m := &SetupResponse{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.RICID.PLMN, err = perGetPLMN(r); err != nil {
-			return nil, err
-		}
-		v, err := r.ReadBits(20)
-		if err != nil {
-			return nil, err
-		}
-		m.RICID.RICID = uint32(v)
-		if m.Accepted, err = perGetU16s(r); err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Rejected = make([]RejectedFunction, n)
-			for i := range m.Rejected {
-				id, err := r.ReadBits(16)
-				if err != nil {
-					return nil, err
-				}
-				m.Rejected[i].ID = uint16(id)
-				if m.Rejected[i].Cause, err = perGetCause(r); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	case TypeSetupFailure:
-		m := &SetupFailure{}
-		if err := perGetFailure(r, &m.TransactionID, &m.Cause, &m.TimeToWaitMS); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeResetRequest:
-		m := &ResetRequest{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Cause, err = perGetCause(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeResetResponse:
-		m := &ResetResponse{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeErrorIndication:
-		m := &ErrorIndication{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		has, err := r.ReadBool()
-		if err != nil {
-			return nil, err
-		}
-		m.HasRequestID = has
-		if has {
-			if m.RequestID, err = perGetReqID(r); err != nil {
-				return nil, err
-			}
-		}
-		rf, err := r.ReadBits(16)
-		if err != nil {
-			return nil, err
-		}
-		m.RANFunctionID = uint16(rf)
-		if m.Cause, err = perGetCause(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeServiceUpdate:
-		m := &ServiceUpdate{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Added, err = perGetRANFunctions(r); err != nil {
-			return nil, err
-		}
-		if m.Modified, err = perGetRANFunctions(r); err != nil {
-			return nil, err
-		}
-		if m.Deleted, err = perGetU16s(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeServiceUpdateAck:
-		m := &ServiceUpdateAck{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Accepted, err = perGetU16s(r); err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Rejected = make([]RejectedFunction, n)
-			for i := range m.Rejected {
-				id, err := r.ReadBits(16)
-				if err != nil {
-					return nil, err
-				}
-				m.Rejected[i].ID = uint16(id)
-				if m.Rejected[i].Cause, err = perGetCause(r); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	case TypeServiceUpdateFailure:
-		m := &ServiceUpdateFailure{}
-		if err := perGetFailure(r, &m.TransactionID, &m.Cause, &m.TimeToWaitMS); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeServiceQuery:
-		m := &ServiceQuery{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Accepted, err = perGetU16s(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeNodeConfigUpdate:
-		m := &NodeConfigUpdate{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Components = make([]E2NodeComponentConfig, n)
-			for i := range m.Components {
-				if err := perGetComponent(r, &m.Components[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	case TypeNodeConfigUpdateAck:
-		m := &NodeConfigUpdateAck{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Accepted = make([]string, n)
-			for i := range m.Accepted {
-				if m.Accepted[i], err = r.ReadString(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	case TypeNodeConfigUpdateFailure:
-		m := &NodeConfigUpdateFailure{}
-		if err := perGetFailure(r, &m.TransactionID, &m.Cause, &m.TimeToWaitMS); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeConnectionUpdate:
-		m := &ConnectionUpdate{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Add, err = perGetConnItems(r); err != nil {
-			return nil, err
-		}
-		if m.Remove, err = perGetConnItems(r); err != nil {
-			return nil, err
-		}
-		if m.Modify, err = perGetConnItems(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeConnectionUpdateAck:
-		m := &ConnectionUpdateAck{}
-		if err := perGetU8(r, &m.TransactionID); err != nil {
-			return nil, err
-		}
-		var err error
-		if m.Setup, err = perGetConnItems(r); err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Failed = make([]ConnectionFailedItem, n)
-			for i := range m.Failed {
-				if m.Failed[i].Item.TNLAddress, err = r.ReadString(); err != nil {
-					return nil, err
-				}
-				u, err := r.ReadBits(8)
-				if err != nil {
-					return nil, err
-				}
-				m.Failed[i].Item.Usage = uint8(u)
-				if m.Failed[i].Cause, err = perGetCause(r); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	case TypeConnectionUpdateFailure:
-		m := &ConnectionUpdateFailure{}
-		if err := perGetFailure(r, &m.TransactionID, &m.Cause, &m.TimeToWaitMS); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeSubscriptionRequest:
-		m := &SubscriptionRequest{}
-		var err error
-		if m.RequestID, err = perGetReqID(r); err != nil {
-			return nil, err
-		}
-		rf, err := r.ReadBits(16)
-		if err != nil {
-			return nil, err
-		}
-		m.RANFunctionID = uint16(rf)
-		if m.EventTrigger, err = r.ReadOctets(); err != nil {
-			return nil, err
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.Actions = make([]Action, n)
-			for i := range m.Actions {
-				id, err := r.ReadBits(8)
-				if err != nil {
-					return nil, err
-				}
-				m.Actions[i].ID = uint8(id)
-				at, err := r.ReadEnum(3)
-				if err != nil {
-					return nil, err
-				}
-				m.Actions[i].Type = ActionType(at)
-				if m.Actions[i].Definition, err = r.ReadOctets(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if m.Trace, err = perGetTrace(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeSubscriptionResponse:
-		m := &SubscriptionResponse{}
-		var err error
-		if m.RequestID, err = perGetReqID(r); err != nil {
-			return nil, err
-		}
-		rf, err := r.ReadBits(16)
-		if err != nil {
-			return nil, err
-		}
-		m.RANFunctionID = uint16(rf)
-		adm, err := r.ReadOctets()
-		if err != nil {
-			return nil, err
-		}
-		if len(adm) > 0 {
-			m.Admitted = adm
-		}
-		n, err := r.ReadCount()
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.NotAdmitted = make([]ActionNotAdmitted, n)
-			for i := range m.NotAdmitted {
-				id, err := r.ReadBits(8)
-				if err != nil {
-					return nil, err
-				}
-				m.NotAdmitted[i].ID = uint8(id)
-				if m.NotAdmitted[i].Cause, err = perGetCause(r); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return m, nil
-	case TypeSubscriptionFailure:
-		m := &SubscriptionFailure{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		if m.Cause, err = perGetCause(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeSubscriptionDeleteRequest:
-		m := &SubscriptionDeleteRequest{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeSubscriptionDeleteResponse:
-		m := &SubscriptionDeleteResponse{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeSubscriptionDeleteFailure:
-		m := &SubscriptionDeleteFailure{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		if m.Cause, err = perGetCause(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeIndication:
+// decodeBody decodes the body of a type-t message from c.r.
+func (c *PERCodec) decodeBody(t MessageType) (PDU, error) {
+	if t == TypeIndication {
 		m := &Indication{}
-		if err := perGetIndication(r, m, (*asn1per.Reader).ReadOctets); err != nil {
+		if err := perGetIndication(&c.r, m, (*asn1per.Reader).ReadOctets); err != nil {
 			return nil, err
 		}
 		return m, nil
-	case TypeControlRequest:
-		m := &ControlRequest{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		has, err := r.ReadBool()
-		if err != nil {
-			return nil, err
-		}
-		if has {
-			if m.CallProcessID, err = r.ReadOctets(); err != nil {
-				return nil, err
-			}
-		}
-		if m.Header, err = r.ReadOctets(); err != nil {
-			return nil, err
-		}
-		if m.Payload, err = r.ReadOctets(); err != nil {
-			return nil, err
-		}
-		if m.AckRequested, err = r.ReadBool(); err != nil {
-			return nil, err
-		}
-		if m.Trace, err = perGetTrace(r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeControlAck:
-		m := &ControlAck{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		has, err := r.ReadBool()
-		if err != nil {
-			return nil, err
-		}
-		if has {
-			if m.CallProcessID, err = r.ReadOctets(); err != nil {
-				return nil, err
-			}
-		}
-		if m.Outcome, err = r.ReadOctets(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeControlFailure:
-		m := &ControlFailure{}
-		var err error
-		if m.RequestID, m.RANFunctionID, err = perGetFuncHdr(r); err != nil {
-			return nil, err
-		}
-		has, err := r.ReadBool()
-		if err != nil {
-			return nil, err
-		}
-		if has {
-			if m.CallProcessID, err = r.ReadOctets(); err != nil {
-				return nil, err
-			}
-		}
-		if m.Cause, err = perGetCause(r); err != nil {
-			return nil, err
-		}
-		if m.Outcome, err = r.ReadOctets(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
-		return nil, ErrUnknownType
 	}
+	p := &c.pr
+	*p = perReader{r: &c.r}
+	if t != TypeControlRequest {
+		m := newMessage[t]()
+		m.walk(p)
+		return m, p.err
+	}
+	// Hand-written like its encoder; AckRequested is a bare bit.
+	m := &ControlRequest{}
+	walkFunc(p, &m.RequestID, &m.RANFunctionID)
+	p.optOctets(slA, &m.CallProcessID)
+	p.octets(slB, &m.Header)
+	p.octets(slC, &m.Payload)
+	p.present(slD, &m.AckRequested)
+	p.traceCtx(&m.Trace)
+	return m, p.err
 }
-
-// --- shared field helpers ---
 
 func perPutReqID(w *asn1per.Writer, id RequestID) {
 	w.WriteBits(uint64(id.Requestor), 16)
@@ -816,183 +238,6 @@ func perGetFuncHdr(r *asn1per.Reader) (RequestID, uint16, error) {
 	return id, uint16(rf), nil
 }
 
-func perPutCause(w *asn1per.Writer, c Cause) {
-	_ = w.WriteEnum(int(c.Type), 5)
-	w.WriteBits(uint64(c.Value), 8)
-}
-
-func perGetCause(r *asn1per.Reader) (Cause, error) {
-	t, err := r.ReadEnum(5)
-	if err != nil {
-		return Cause{}, err
-	}
-	v, err := r.ReadBits(8)
-	if err != nil {
-		return Cause{}, err
-	}
-	return Cause{Type: CauseType(t), Value: uint8(v)}, nil
-}
-
-func perPutPLMN(w *asn1per.Writer, p PLMN) {
-	_ = w.WriteConstrainedInt(int64(p.MCC), 0, 999)
-	_ = w.WriteConstrainedInt(int64(p.MNC), 0, 999)
-}
-
-func perGetPLMN(r *asn1per.Reader) (PLMN, error) {
-	mcc, err := r.ReadConstrainedInt(0, 999)
-	if err != nil {
-		return PLMN{}, err
-	}
-	mnc, err := r.ReadConstrainedInt(0, 999)
-	if err != nil {
-		return PLMN{}, err
-	}
-	return PLMN{MCC: uint16(mcc), MNC: uint16(mnc)}, nil
-}
-
-func perPutNodeID(w *asn1per.Writer, n GlobalE2NodeID) {
-	perPutPLMN(w, n.PLMN)
-	_ = w.WriteEnum(int(n.Type), 6)
-	w.WriteUint(n.NodeID)
-}
-
-func perGetNodeID(r *asn1per.Reader) (GlobalE2NodeID, error) {
-	p, err := perGetPLMN(r)
-	if err != nil {
-		return GlobalE2NodeID{}, err
-	}
-	t, err := r.ReadEnum(6)
-	if err != nil {
-		return GlobalE2NodeID{}, err
-	}
-	id, err := r.ReadUint()
-	if err != nil {
-		return GlobalE2NodeID{}, err
-	}
-	return GlobalE2NodeID{PLMN: p, Type: NodeType(t), NodeID: id}, nil
-}
-
-func perPutRANFunction(w *asn1per.Writer, f *RANFunctionItem) {
-	w.WriteBits(uint64(f.ID), 16)
-	w.WriteBits(uint64(f.Revision), 16)
-	w.WriteString(f.OID)
-	w.WriteOctets(f.Definition)
-}
-
-func perGetRANFunction(r *asn1per.Reader, f *RANFunctionItem) error {
-	id, err := r.ReadBits(16)
-	if err != nil {
-		return err
-	}
-	f.ID = uint16(id)
-	rev, err := r.ReadBits(16)
-	if err != nil {
-		return err
-	}
-	f.Revision = uint16(rev)
-	if f.OID, err = r.ReadString(); err != nil {
-		return err
-	}
-	f.Definition, err = r.ReadOctets()
-	return err
-}
-
-func perGetRANFunctions(r *asn1per.Reader) ([]RANFunctionItem, error) {
-	n, err := r.ReadCount()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]RANFunctionItem, n)
-	for i := range out {
-		if err := perGetRANFunction(r, &out[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func perPutComponent(w *asn1per.Writer, c *E2NodeComponentConfig) {
-	w.WriteBits(uint64(c.InterfaceType), 8)
-	w.WriteString(c.ComponentID)
-	w.WriteOctets(c.Request)
-	w.WriteOctets(c.Response)
-}
-
-func perGetComponent(r *asn1per.Reader, c *E2NodeComponentConfig) error {
-	it, err := r.ReadBits(8)
-	if err != nil {
-		return err
-	}
-	c.InterfaceType = uint8(it)
-	if c.ComponentID, err = r.ReadString(); err != nil {
-		return err
-	}
-	if c.Request, err = r.ReadOctets(); err != nil {
-		return err
-	}
-	c.Response, err = r.ReadOctets()
-	return err
-}
-
-func perPutConnItems(w *asn1per.Writer, items []ConnectionItem) {
-	w.WriteLength(len(items))
-	for _, it := range items {
-		w.WriteString(it.TNLAddress)
-		w.WriteBits(uint64(it.Usage), 8)
-	}
-}
-
-func perGetConnItems(r *asn1per.Reader) ([]ConnectionItem, error) {
-	n, err := r.ReadCount()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]ConnectionItem, n)
-	for i := range out {
-		if out[i].TNLAddress, err = r.ReadString(); err != nil {
-			return nil, err
-		}
-		u, err := r.ReadBits(8)
-		if err != nil {
-			return nil, err
-		}
-		out[i].Usage = uint8(u)
-	}
-	return out, nil
-}
-
-func perPutU16s(w *asn1per.Writer, vals []uint16) {
-	w.WriteLength(len(vals))
-	for _, v := range vals {
-		w.WriteBits(uint64(v), 16)
-	}
-}
-
-func perGetU16s(r *asn1per.Reader) ([]uint16, error) {
-	n, err := r.ReadCount()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		v, err := r.ReadBits(16)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = uint16(v)
-	}
-	return out, nil
-}
-
 func perGetU8(r *asn1per.Reader, dst *uint8) error {
 	v, err := r.ReadBits(8)
 	if err != nil {
@@ -1013,6 +258,8 @@ func perPutTrace(w *asn1per.Writer, tc trace.Context) {
 	}
 }
 
+// perGetTrace reads what perPutTrace wrote. A context without a TraceID
+// is no context, whatever the span bits say: no encoder writes one.
 func perGetTrace(r *asn1per.Reader) (trace.Context, error) {
 	has, err := r.ReadBool()
 	if err != nil || !has {
@@ -1022,25 +269,210 @@ func perGetTrace(r *asn1per.Reader) (trace.Context, error) {
 	if tc.TraceID, err = r.ReadBits(64); err != nil {
 		return trace.Context{}, err
 	}
-	if tc.SpanID, err = r.ReadBits(64); err != nil {
+	if tc.SpanID, err = r.ReadBits(64); err != nil || !tc.Valid() {
 		return trace.Context{}, err
 	}
 	return tc, nil
 }
 
-func perGetFailure(r *asn1per.Reader, tid *uint8, cause *Cause, ttw *uint32) error {
-	if err := perGetU8(r, tid); err != nil {
-		return err
-	}
-	c, err := perGetCause(r)
-	if err != nil {
-		return err
-	}
-	*cause = c
-	v, err := r.ReadBits(32)
-	if err != nil {
-		return err
-	}
-	*ttw = uint32(v)
-	return nil
+// perWriter is the PER encoder of a field walk.
+type perWriter struct {
+	w   *asn1per.Writer
+	err error
 }
+
+func (p *perWriter) u8(_ int, v *uint8)   { p.w.WriteBits(uint64(*v), 8) }
+func (p *perWriter) u16(_ int, v *uint16) { p.w.WriteBits(uint64(*v), 16) }
+func (p *perWriter) u32(_ int, v *uint32) { p.w.WriteBits(uint64(*v), 32) }
+
+func (p *perWriter) enum(_ int, v *uint8, card int) {
+	if err := p.w.WriteEnum(int(*v), card); err != nil && p.err == nil {
+		p.err = err
+	}
+}
+
+func (p *perWriter) str(_ int, v *string)    { p.w.WriteString(*v) }
+func (p *perWriter) octets(_ int, v *[]byte) { p.w.WriteOctets(*v) }
+
+func (p *perWriter) optOctets(slot int, v *[]byte) {
+	if p.w.WriteBool(*v != nil); *v != nil {
+		p.octets(slot, v)
+	}
+}
+
+func (p *perWriter) present(_ int, has *bool) bool {
+	p.w.WriteBool(*has)
+	return *has
+}
+
+func (p *perWriter) cause(_ int, v *Cause) {
+	_ = p.w.WriteEnum(int(v.Type), 5)
+	p.w.WriteBits(uint64(v.Value), 8)
+}
+
+func (p *perWriter) reqID(v *RequestID) { perPutReqID(p.w, *v) }
+
+func (p *perWriter) plmn(v PLMN) {
+	_ = p.w.WriteConstrainedInt(int64(v.MCC), 0, 999)
+	_ = p.w.WriteConstrainedInt(int64(v.MNC), 0, 999)
+}
+
+func (p *perWriter) nodeID(_ int, v *GlobalE2NodeID) {
+	p.plmn(v.PLMN)
+	_ = p.w.WriteEnum(int(v.Type), 6)
+	p.w.WriteUint(v.NodeID)
+}
+
+func (p *perWriter) ricID(_ int, v *GlobalRICID) {
+	p.plmn(v.PLMN)
+	p.w.WriteBits(uint64(v.RICID), 20)
+}
+
+func (p *perWriter) traceCtx(v *trace.Context) { perPutTrace(p.w, *v) }
+
+func (p *perWriter) u16s(_ int, v *[]uint16) {
+	p.w.WriteLength(len(*v))
+	for _, x := range *v {
+		p.w.WriteBits(uint64(x), 16)
+	}
+}
+
+func (p *perWriter) strs(_ int, v *[]string) {
+	p.w.WriteLength(len(*v))
+	for _, s := range *v {
+		p.w.WriteString(s)
+	}
+}
+
+func (p *perWriter) list(_, n int) int {
+	p.w.WriteLength(n)
+	return n
+}
+
+func (*perWriter) item(int) {}
+func (*perWriter) end()     {}
+
+// perReader is the PER decoder of a field walk. The first error sticks:
+// the walk runs on, but every list after it reads as empty, so a bad
+// message costs no more than its own length.
+type perReader struct {
+	r   *asn1per.Reader
+	err error
+}
+
+func (p *perReader) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+func (p *perReader) bits(n int) uint64 {
+	v, err := p.r.ReadBits(n)
+	p.fail(err)
+	return v
+}
+
+func (p *perReader) u8(_ int, v *uint8)   { *v = uint8(p.bits(8)) }
+func (p *perReader) u16(_ int, v *uint16) { *v = uint16(p.bits(16)) }
+func (p *perReader) u32(_ int, v *uint32) { *v = uint32(p.bits(32)) }
+
+func (p *perReader) enum(_ int, v *uint8, card int) {
+	e, err := p.r.ReadEnum(card)
+	*v = uint8(e)
+	p.fail(err)
+}
+
+func (p *perReader) str(_ int, v *string) {
+	s, err := p.r.ReadString()
+	*v = s
+	p.fail(err)
+}
+
+func (p *perReader) octets(_ int, v *[]byte) {
+	b, err := p.r.ReadOctets()
+	*v = b
+	p.fail(err)
+}
+
+func (p *perReader) optOctets(slot int, v *[]byte) {
+	if has, err := p.r.ReadBool(); has {
+		p.octets(slot, v)
+	} else {
+		p.fail(err)
+	}
+}
+
+func (p *perReader) present(_ int, has *bool) bool {
+	b, err := p.r.ReadBool()
+	*has = b
+	p.fail(err)
+	return b
+}
+
+func (p *perReader) cause(_ int, v *Cause) {
+	t, err := p.r.ReadEnum(5)
+	p.fail(err)
+	*v = Cause{Type: CauseType(t), Value: uint8(p.bits(8))}
+}
+
+func (p *perReader) reqID(v *RequestID) {
+	*v = RequestID{Requestor: uint16(p.bits(16)), Instance: uint16(p.bits(16))}
+}
+
+func (p *perReader) plmn() PLMN {
+	mcc, err := p.r.ReadConstrainedInt(0, 999)
+	p.fail(err)
+	mnc, err := p.r.ReadConstrainedInt(0, 999)
+	p.fail(err)
+	return PLMN{MCC: uint16(mcc), MNC: uint16(mnc)}
+}
+
+func (p *perReader) nodeID(_ int, v *GlobalE2NodeID) {
+	v.PLMN = p.plmn()
+	t, err := p.r.ReadEnum(6)
+	p.fail(err)
+	id, err := p.r.ReadUint()
+	p.fail(err)
+	v.Type, v.NodeID = NodeType(t), id
+}
+
+func (p *perReader) ricID(_ int, v *GlobalRICID) {
+	v.PLMN = p.plmn()
+	v.RICID = uint32(p.bits(20))
+}
+
+func (p *perReader) traceCtx(v *trace.Context) {
+	tc, err := perGetTrace(p.r)
+	*v = tc
+	p.fail(err)
+}
+
+// list reads a count of following items, checked against the bytes left.
+func (p *perReader) list(int, int) int {
+	n, err := p.r.ReadCount()
+	if p.fail(err); p.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (p *perReader) u16s(slot int, v *[]uint16) {
+	if n := p.list(slot, 0); n > 0 {
+		*v = make([]uint16, n)
+		for i := range *v {
+			p.u16(slot, &(*v)[i])
+		}
+	}
+}
+
+func (p *perReader) strs(slot int, v *[]string) {
+	if n := p.list(slot, 0); n > 0 {
+		*v = make([]string, n)
+		for i := range *v {
+			p.str(slot, &(*v)[i])
+		}
+	}
+}
+
+func (*perReader) item(int) {}
+func (*perReader) end()     {}

@@ -47,45 +47,16 @@ func (s Scheme) telemetryName() string {
 	return "asn"
 }
 
-// telHist lazily resolves a histogram cell. A creation race is benign:
-// the registry's get-or-create returns the same instance to every
-// racer.
-func telHist(p *atomic.Pointer[telemetry.Histogram], name func() string) *telemetry.Histogram {
-	h := p.Load()
-	if h == nil {
-		h = telemetry.NewHistogram(name())
-		p.Store(h)
+// telCell lazily resolves an instrument cell, made by mk. A creation
+// race is benign: the registry's get-or-create returns the same instance
+// to every racer.
+func telCell[T any](p *atomic.Pointer[T], mk func(string) *T, name func() string) *T {
+	v := p.Load()
+	if v == nil {
+		v = mk(name())
+		p.Store(v)
 	}
-	return h
-}
-
-func telCount(p *atomic.Pointer[telemetry.Counter], name func() string) *telemetry.Counter {
-	c := p.Load()
-	if c == nil {
-		c = telemetry.NewCounter(name())
-		p.Store(c)
-	}
-	return c
-}
-
-func observeCodec(scheme Scheme, op string, t MessageType, d time.Duration) {
-	i := schemeIdx(scheme)
-	var cell *atomic.Pointer[telemetry.Histogram]
-	if op == "encode" {
-		cell = &codecTel[i].enc[t]
-	} else {
-		cell = &codecTel[i].dec[t]
-	}
-	telHist(cell, func() string {
-		return "e2ap." + scheme.telemetryName() + "." + op + "." + t.String()
-	}).Observe(d)
-}
-
-func observeEnvelope(scheme Scheme, d time.Duration) {
-	i := schemeIdx(scheme)
-	telHist(&codecTel[i].env, func() string {
-		return "e2ap." + scheme.telemetryName() + ".envelope"
-	}).Observe(d)
+	return v
 }
 
 func countCodecError(scheme Scheme, op string) {
@@ -96,21 +67,46 @@ func countCodecError(scheme Scheme, op string) {
 	} else {
 		cell = &codecTel[i].decErr
 	}
-	telCount(cell, func() string {
+	telCell(cell, telemetry.NewCounter, func() string {
 		return "e2ap." + scheme.telemetryName() + "." + op + "_errors"
 	}).Inc()
+}
+
+// observed finishes an encode or decode of pdu begun at t0: it records
+// the latency in pdu's histogram, or counts the error. It returns err.
+func observed(scheme Scheme, op string, pdu PDU, t0 time.Time, err error) error {
+	if err != nil {
+		countCodecError(scheme, op)
+		return err
+	}
+	i, t := schemeIdx(scheme), pdu.MsgType()
+	cell := &codecTel[i].dec[t]
+	if op == "encode" {
+		cell = &codecTel[i].enc[t]
+	}
+	telCell(cell, telemetry.NewHistogram, func() string {
+		return "e2ap." + scheme.telemetryName() + "." + op + "." + t.String()
+	}).Observe(time.Since(t0))
+	return nil
+}
+
+// enveloped is observed for Envelope, whose histogram is typeless.
+func enveloped(scheme Scheme, t0 time.Time, err error) error {
+	if err != nil {
+		countCodecError(scheme, "decode")
+		return err
+	}
+	telCell(&codecTel[schemeIdx(scheme)].env, telemetry.NewHistogram, func() string {
+		return "e2ap." + scheme.telemetryName() + ".envelope"
+	}).Observe(time.Since(t0))
+	return nil
 }
 
 // Encode implements Codec.
 func (c *PERCodec) Encode(pdu PDU) ([]byte, error) {
 	t0 := time.Now()
 	wire, err := c.encode(pdu)
-	if err != nil {
-		countCodecError(SchemeASN, "encode")
-		return nil, err
-	}
-	observeCodec(SchemeASN, "encode", pdu.MsgType(), time.Since(t0))
-	return wire, nil
+	return wire, observed(SchemeASN, "encode", pdu, t0, err)
 }
 
 // EncodeAppend implements Codec. It shares Encode's histogram: the
@@ -118,24 +114,14 @@ func (c *PERCodec) Encode(pdu PDU) ([]byte, error) {
 func (c *PERCodec) EncodeAppend(dst []byte, pdu PDU) ([]byte, error) {
 	t0 := time.Now()
 	wire, err := c.encodeAppend(dst, pdu)
-	if err != nil {
-		countCodecError(SchemeASN, "encode")
-		return nil, err
-	}
-	observeCodec(SchemeASN, "encode", pdu.MsgType(), time.Since(t0))
-	return wire, nil
+	return wire, observed(SchemeASN, "encode", pdu, t0, err)
 }
 
 // Decode implements Codec.
 func (c *PERCodec) Decode(wire []byte) (PDU, error) {
 	t0 := time.Now()
 	pdu, err := c.decode(wire)
-	if err != nil {
-		countCodecError(SchemeASN, "decode")
-		return nil, err
-	}
-	observeCodec(SchemeASN, "decode", pdu.MsgType(), time.Since(t0))
-	return pdu, nil
+	return pdu, observed(SchemeASN, "decode", pdu, t0, err)
 }
 
 // Envelope implements Codec. PER has no random access: the full parsing
@@ -145,24 +131,14 @@ func (c *PERCodec) Decode(wire []byte) (PDU, error) {
 func (c *PERCodec) Envelope(wire []byte) (Envelope, error) {
 	t0 := time.Now()
 	env, err := c.envelope(wire)
-	if err != nil {
-		countCodecError(SchemeASN, "decode")
-		return nil, err
-	}
-	observeEnvelope(SchemeASN, time.Since(t0))
-	return env, nil
+	return env, enveloped(SchemeASN, t0, err)
 }
 
 // Encode implements Codec.
 func (c *FlatCodec) Encode(pdu PDU) ([]byte, error) {
 	t0 := time.Now()
 	wire, err := c.encode(pdu)
-	if err != nil {
-		countCodecError(SchemeFB, "encode")
-		return nil, err
-	}
-	observeCodec(SchemeFB, "encode", pdu.MsgType(), time.Since(t0))
-	return wire, nil
+	return wire, observed(SchemeFB, "encode", pdu, t0, err)
 }
 
 // EncodeAppend implements Codec. It shares Encode's histogram: the
@@ -170,24 +146,14 @@ func (c *FlatCodec) Encode(pdu PDU) ([]byte, error) {
 func (c *FlatCodec) EncodeAppend(dst []byte, pdu PDU) ([]byte, error) {
 	t0 := time.Now()
 	wire, err := c.encodeAppend(dst, pdu)
-	if err != nil {
-		countCodecError(SchemeFB, "encode")
-		return nil, err
-	}
-	observeCodec(SchemeFB, "encode", pdu.MsgType(), time.Since(t0))
-	return wire, nil
+	return wire, observed(SchemeFB, "encode", pdu, t0, err)
 }
 
 // Decode implements Codec.
 func (c *FlatCodec) Decode(wire []byte) (PDU, error) {
 	t0 := time.Now()
 	pdu, err := c.decode(wire)
-	if err != nil {
-		countCodecError(SchemeFB, "decode")
-		return nil, err
-	}
-	observeCodec(SchemeFB, "decode", pdu.MsgType(), time.Since(t0))
-	return pdu, nil
+	return pdu, observed(SchemeFB, "decode", pdu, t0, err)
 }
 
 // Envelope implements Codec: O(1) slot reads, no decode pass — the
@@ -195,10 +161,5 @@ func (c *FlatCodec) Decode(wire []byte) (PDU, error) {
 func (c *FlatCodec) Envelope(wire []byte) (Envelope, error) {
 	t0 := time.Now()
 	env, err := c.envelope(wire)
-	if err != nil {
-		countCodecError(SchemeFB, "decode")
-		return nil, err
-	}
-	observeEnvelope(SchemeFB, time.Since(t0))
-	return env, nil
+	return env, enveloped(SchemeFB, t0, err)
 }

@@ -607,6 +607,11 @@ type ControlAck struct {
 }
 
 func (*ControlAck) MsgType() MessageType { return TypeControlAck }
+func (m *ControlAck) walk(f fields) {
+	walkFunc(f, &m.RequestID, &m.RANFunctionID)
+	f.optOctets(slA, &m.CallProcessID)
+	f.octets(slB, &m.Outcome)
+}
 
 // ControlFailure rejects a control request.
 type ControlFailure struct {
@@ -620,9 +625,7 @@ type ControlFailure struct {
 func (*ControlFailure) MsgType() MessageType { return TypeControlFailure }
 func (m *ControlFailure) walk(f fields) {
 	walkFunc(f, &m.RequestID, &m.RANFunctionID)
-	if has := m.CallProcessID != nil; f.present(slA, &has) {
-		f.octets(slA, &m.CallProcessID)
-	}
+	f.optOctets(slA, &m.CallProcessID)
 	f.cause(slCause, &m.Cause)
 	f.octets(slB, &m.Outcome)
 }

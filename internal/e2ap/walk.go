@@ -2,15 +2,14 @@ package e2ap
 
 import "flexric/internal/trace"
 
-// Every cold message type (all but Indication, ControlRequest and
-// ControlAck, whose hand-written arms keep the hot paths allocation-free)
-// describes itself once, as a walk over its fields in wire order: the
-// walk methods beside each type in types.go. Four walkers interpret that
-// description: the PER writer and reader in per.go and the flat writer
-// and reader in flatcodec.go. A walker moves each field out of the
-// message (writers) or into it (readers) through the same pointer, so
-// one walk is both the encoder and the decoder of a type in both
-// schemes.
+// Every message type but Indication and ControlRequest, whose
+// hand-written arms keep the hot paths as they were, describes itself
+// once, as a walk over its fields in wire order: the walk methods beside
+// each type in types.go. Four walkers interpret that description: the
+// PER writer and reader in per.go and the flat writer and reader in
+// flatcodec.go. A walker moves each field out of the message (writers)
+// or into it (readers) through the same pointer, so one walk is the
+// encoder and the decoder of its type in both schemes.
 //
 // slot names a field's place in the flat table it belongs to: the shared
 // root layout (slReqID, slCause, slA, …) for message fields, its index
@@ -26,6 +25,9 @@ type fields interface {
 	// octets is an octet string; empty decodes as nil. The flat writer
 	// leaves a nil one out of the table.
 	octets(slot int, v *[]byte)
+	// optOctets is an optional octet string, present iff non-nil: PER
+	// spends a bit on its presence.
+	optOctets(slot int, v *[]byte)
 	// present walks whether an optional field follows: one PER bit, a
 	// set or absent flat slot. The caller walks the field only if true.
 	present(slot int, has *bool) bool
@@ -98,6 +100,7 @@ var newMessage = [NumMessageTypes]func() message{
 	TypeSubscriptionDeleteRequest:  newOf[SubscriptionDeleteRequest],
 	TypeSubscriptionDeleteResponse: newOf[SubscriptionDeleteResponse],
 	TypeSubscriptionDeleteFailure:  newOf[SubscriptionDeleteFailure],
+	TypeControlAck:                 newOf[ControlAck],
 	TypeControlFailure:             newOf[ControlFailure],
 }
 

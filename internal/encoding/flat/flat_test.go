@@ -2,6 +2,7 @@ package flat
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -285,5 +286,34 @@ func BenchmarkFieldAccess(b *testing.B) {
 		if tab.Uint64(0) != 99 || tab.Uint32(1) != 7 || len(tab.Bytes(2)) != 256 {
 			b.Fatal("bad read")
 		}
+	}
+}
+
+// A vector count is read off the wire before any element, and decoders
+// size a slice by it: a count whose elements cannot fit in the rest of
+// the buffer must read as 0, while one that fits exactly still reads
+// as itself.
+func TestVectorLenRejectsCountPastBuffer(t *testing.T) {
+	b := NewBuilder(64)
+	elem := b.CreateString("x")
+	refs := b.CreateRefVector([]uint32{elem})
+	b.StartTable(1)
+	b.AddRef(0, refs)
+	b.Finish(b.EndTable())
+	buf := append([]byte(nil), b.Bytes()...)
+	tab, err := GetRoot(buf)
+	if err != nil || tab.VectorLen(0) != 1 {
+		t.Fatalf("built vector: len %d, %v", tab.VectorLen(0), err)
+	}
+	room := uint32(len(buf)-int(refs)-4) / 4 // elements that still fit
+	for _, n := range []uint32{room + 1, 1 << 20, 0x7fffffff, math.MaxUint32} {
+		binary.LittleEndian.PutUint32(buf[refs:], n)
+		if got := tab.VectorLen(0); got != 0 {
+			t.Fatalf("count %#x in a %d-byte buffer: VectorLen %d, want 0", n, len(buf), got)
+		}
+	}
+	binary.LittleEndian.PutUint32(buf[refs:], room)
+	if got := tab.VectorLen(0); got != int(room) {
+		t.Fatalf("count %d fits the buffer: VectorLen %d", room, got)
 	}
 }

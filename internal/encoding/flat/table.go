@@ -136,13 +136,21 @@ func (t Table) SubTable(i int) Table {
 	return Table{buf: t.buf, pos: r}
 }
 
-// VectorLen returns the element count of the vector in slot i, or 0.
+// VectorLen returns the element count of the vector in slot i, or 0. A
+// count whose elements cannot fit in the rest of the buffer is corrupt
+// and reads as 0 too: every vector VectorLen is asked about holds refs
+// or 8-byte scalars, at least 4 bytes an element, so a decoder may size
+// a slice by the result before reading any element.
 func (t Table) VectorLen(i int) int {
 	r := t.ref(i)
 	if r == 0 {
 		return 0
 	}
-	return int(binary.LittleEndian.Uint32(t.buf[r:]))
+	n := binary.LittleEndian.Uint32(t.buf[r:])
+	if uint64(n)*4 > uint64(len(t.buf)-int(r)-4) {
+		return 0
+	}
+	return int(n)
 }
 
 // RefVectorAt returns element j of the reference vector in slot i as a

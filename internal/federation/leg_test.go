@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -216,5 +217,31 @@ func TestQueryHandlerWideWindows(t *testing.T) {
 		if c.buckets == 1800 && (resp.Buckets[100].Agg.Count != 1 || resp.Buckets[1700].Agg.Count != 1) {
 			t.Errorf("GET %s: samples at ±8e18 not in buckets 100 and 1700", c.url)
 		}
+	}
+}
+
+// spaces is an endless run of JSON whitespace, counting what was read.
+type spaces struct{ n int }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	s.n += len(p)
+	return len(p), nil
+}
+
+// A shard answer is read up to maxLegBytes and no further: an endless
+// one is dropped like a failed leg instead of growing the root's buffer.
+func TestLegBodyBounded(t *testing.T) {
+	endless := &spaces{}
+	if _, err := readLeg(endless, legGrid()); err == nil {
+		t.Fatal("an endless leg was accepted")
+	}
+	if endless.n > maxLegBytes+64<<10 {
+		t.Fatalf("read %d bytes of an endless leg, bound is %d", endless.n, maxLegBytes)
+	}
+	if _, err := readLeg(io.MultiReader(bytes.NewReader(bytes.Repeat([]byte(" "), 1<<20)), bytes.NewReader(goodLeg(t, true))), legGrid()); err != nil {
+		t.Fatalf("a padded leg under the bound was rejected: %v", err)
 	}
 }

@@ -320,14 +320,21 @@ func (r *Root) liveObsAddrs() []string {
 	return out
 }
 
+// maxLegBytes bounds one shard's /tsdb/partial answer. A windowed leg
+// holds at most 4096 buckets (tsdb's window cap), each a few hundred
+// bytes plus its histogram runs: about 10 MB even if every bucket spans
+// values from 1 to 1e9.
+const maxLegBytes = 16 << 20
+
 // readLeg decodes one shard's /tsdb/partial answer and checks it before
-// the merge trusts it: a series count that is not negative, exactly the
-// bucket grid the root asked for (none for an aggregate), and partials
-// that pass tsdb validation — so a corrupt or hostile leg can neither
-// panic the merge nor grow a histogram past the finite bucket range.
+// the merge trusts it: at most maxLegBytes, a series count that is not
+// negative, exactly the bucket grid the root asked for (none for an
+// aggregate), and partials that pass tsdb validation — so a corrupt or
+// hostile leg can neither exhaust the root's memory, panic the merge
+// nor grow a histogram past the finite bucket range.
 func readLeg(r io.Reader, grid []tsdb.PartialBucket) (partialEnvelope, error) {
 	var env partialEnvelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r, maxLegBytes)).Decode(&env); err != nil {
 		return env, fmt.Errorf("federation: shard answer: %w", err)
 	}
 	if env.Series < 0 || len(env.Buckets) != len(grid) {

@@ -1,0 +1,70 @@
+package sm
+
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+)
+
+// vectorCountAt returns the offset in an FB-encoded SM message (scheme
+// byte first) of the element count of the vector in root-table slot.
+func vectorCountAt(wire []byte, slot int) int {
+	body, le := wire[1:], binary.LittleEndian
+	root := le.Uint32(body)
+	vt := le.Uint32(body[root:])
+	off := le.Uint16(body[int(vt)+2+2*slot:])
+	return 1 + int(le.Uint32(body[int(root)+int(off):]))
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A flat vector count is read before any element, and every FB decoder
+// sizes its slice by it: a one-element message whose count claims a
+// million elements must decode in a bounded number of bytes, not
+// allocate a million entries.
+func TestFlatDecodersBoundHostileCounts(t *testing.T) {
+	cases := []struct {
+		name   string
+		wire   []byte
+		slot   int
+		decode func([]byte) error
+	}{
+		{"MAC", EncodeMACReport(SchemeFB, &MACReport{UEs: []MACUEEntry{{RNTI: 1}}}), 1,
+			func(b []byte) error { _, err := DecodeMACReport(b); return err }},
+		{"RLC", EncodeRLCReport(SchemeFB, &RLCReport{UEs: []RLCUEEntry{{RNTI: 1}}}), 1,
+			func(b []byte) error { _, err := DecodeRLCReport(b); return err }},
+		{"PDCP", EncodePDCPReport(SchemeFB, &PDCPReport{UEs: []PDCPUEEntry{{RNTI: 1}}}), 1,
+			func(b []byte) error { _, err := DecodePDCPReport(b); return err }},
+		{"SliceControl", EncodeSliceControl(SchemeFB, &SliceControl{Op: OpConfigureSlices, Slices: []SliceParams{{ID: 1}}}), 1,
+			func(b []byte) error { _, err := DecodeSliceControl(b); return err }},
+		{"SliceStatus.Slices", EncodeSliceStatus(SchemeFB, &SliceStatus{Slices: []SliceParams{{ID: 1}}, UEs: []UESliceAssoc{{RNTI: 1}}}), 1,
+			func(b []byte) error { _, err := DecodeSliceStatus(b); return err }},
+		{"SliceStatus.UEs", EncodeSliceStatus(SchemeFB, &SliceStatus{Slices: []SliceParams{{ID: 1}}, UEs: []UESliceAssoc{{RNTI: 1}}}), 2,
+			func(b []byte) error { _, err := DecodeSliceStatus(b); return err }},
+		{"KPM", EncodeKPMReport(SchemeFB, &KPMReport{Measurements: []KPMMeasurement{{Name: "x"}}}), 2,
+			func(b []byte) error { _, err := DecodeKPMReport(b); return err }},
+		{"TCReport", EncodeTCReport(SchemeFB, &TCReport{Queues: []TCQueueEntry{{ID: 1}}}), 5,
+			func(b []byte) error { _, err := DecodeTCReport(b); return err }},
+	}
+	for _, c := range cases {
+		at := vectorCountAt(c.wire, c.slot)
+		if n := binary.LittleEndian.Uint32(c.wire[at:]); n != 1 {
+			t.Fatalf("%s: count at %d reads %d, want the one element encoded", c.name, at, n)
+		}
+		binary.LittleEndian.PutUint32(c.wire[at:], 1<<20)
+		var err error
+		if got := allocatedBy(func() { err = c.decode(c.wire) }); got > 64<<10 {
+			t.Errorf("%s: decoding a count of 2^20 in %d bytes allocated %d bytes", c.name, len(c.wire), got)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}

@@ -223,6 +223,7 @@ echo "==> fuzz targets (3 s each)"
 # testdata/fuzz directory.
 for target in \
     'FuzzEncodeAppendIndication ./internal/e2ap/' \
+    'FuzzE2APDecode ./internal/e2ap/' \
     'FuzzChunkRoundTrip ./internal/tsdb/' \
     'FuzzPartialLegJSON ./internal/federation/' \
     'FuzzTSDBFrame ./internal/obs/'; do
