@@ -174,7 +174,7 @@ func TestPEREnvelopeTruncationFailsClosed(t *testing.T) {
 			wire := encodeCopy(t, c, pdu)
 			for n := 0; n < len(wire); n++ {
 				cut := wire[:n:n]
-				if _, err := c.Envelope(cut); c.Name() == "asn" && !errors.Is(err, ErrBadMessage) {
+				if _, err := c.Envelope(cut); c.Name() == string(SchemeASN) && !errors.Is(err, ErrBadMessage) {
 					t.Fatalf("%s: truncation to %d of %d bytes: %v, want ErrBadMessage", pdu.MsgType(), n, len(wire), err)
 				}
 				failsClosed(t, c, cut)

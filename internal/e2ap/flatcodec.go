@@ -20,8 +20,8 @@ type FlatCodec struct {
 	// buffer for the duration of one encodeAppend, keeping b's scratch
 	// (and the Encode contract) untouched.
 	ab flat.Builder
-	// fw and rd walk the walked message types into the builder in use and
-	// out of env's table.
+	// fw and rd interpret field walks into the builder in use and out of
+	// env's table.
 	fw flatWriter
 	rd flatReader
 	// env is the reused dispatch view handed out by envelope(); see the

@@ -21,7 +21,7 @@ type PERCodec struct {
 	// (and the Encode contract) untouched.
 	wa asn1per.Writer
 	r  asn1per.Reader
-	// pw and pr walk the walked message types over the writer in use and r.
+	// pw and pr interpret field walks over the writer in use and over r.
 	pw perWriter
 	pr perReader
 	// denv is the reused dispatch view handed out by envelope(), and ind
@@ -295,7 +295,7 @@ func (p *perWriter) str(_ int, v *string)    { p.w.WriteString(*v) }
 func (p *perWriter) octets(_ int, v *[]byte) { p.w.WriteOctets(*v) }
 
 func (p *perWriter) optOctets(slot int, v *[]byte) {
-	if p.w.WriteBool(*v != nil); *v != nil {
+	if has := *v != nil; p.present(slot, &has) {
 		p.octets(slot, v)
 	}
 }
@@ -395,10 +395,9 @@ func (p *perReader) octets(_ int, v *[]byte) {
 }
 
 func (p *perReader) optOctets(slot int, v *[]byte) {
-	if has, err := p.r.ReadBool(); has {
+	var has bool
+	if p.present(slot, &has) {
 		p.octets(slot, v)
-	} else {
-		p.fail(err)
 	}
 }
 

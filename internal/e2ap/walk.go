@@ -2,14 +2,16 @@ package e2ap
 
 import "flexric/internal/trace"
 
-// Every message type but Indication and ControlRequest, whose
-// hand-written arms keep the hot paths as they were, describes itself
+// Every message type but Indication and ControlRequest describes itself
 // once, as a walk over its fields in wire order: the walk methods beside
-// each type in types.go. Four walkers interpret that description: the
-// PER writer and reader in per.go and the flat writer and reader in
-// flatcodec.go. A walker moves each field out of the message (writers)
-// or into it (readers) through the same pointer, so one walk is the
-// encoder and the decoder of its type in both schemes.
+// each type in types.go. Those two keep hand-written arms: an indication
+// crosses the wire every TTI, a control request every control cycle,
+// and the PER envelope reads an indication without copying it. Four
+// walkers interpret a walk: the PER writer and reader in per.go and the
+// flat writer and reader in flatcodec.go. A walker moves each field out
+// of the message (writers) or into it (readers) through the same
+// pointer, so one walk is the encoder and the decoder of its type in
+// both schemes.
 //
 // slot names a field's place in the flat table it belongs to: the shared
 // root layout (slReqID, slCause, slA, …) for message fields, its index

@@ -66,9 +66,10 @@ func FuzzE2APDecode(f *testing.F) {
 	})
 }
 
-// ControlAck is a control-loop message walked like the cold ones: its
-// encode, decode and envelope allocate exactly what its hand-written
-// arms did.
+// ControlAck crosses the wire every control cycle and is walked: its
+// encodes allocate nothing, and a decode allocates the message and its
+// two octet strings, as does a PER envelope (a full decode); a flat
+// envelope allocates nothing.
 func TestControlAckWalkAllocs(t *testing.T) {
 	ack := &ControlAck{RequestID: RequestID{3, 4}, RANFunctionID: 142, CallProcessID: []byte{8}, Outcome: []byte{0, 1}}
 	for _, tc := range []struct {
