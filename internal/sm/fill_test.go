@@ -11,131 +11,6 @@ import (
 	"testing"
 )
 
-// fields is the walk interface: one method per wire kind, each taking
-// the field's table slot and a pointer to it.
-type fields interface {
-	u8(slot int, v *uint8)
-	u16(slot int, v *uint16)
-	u32(slot int, v *uint32)
-	u64(slot int, v *uint64)
-	i64(slot int, v *int64)
-	f64(slot int, v *float64)
-	bool(slot int, v *bool)
-	str(slot int, v *string)
-	octets(slot int, v *[]byte)
-	list(slot, n int) int
-	item(i int)
-	end()
-}
-
-// listOf walks the list of tables in slot, each element by its own walk.
-func listOf[T any, P interface {
-	*T
-	walk(fields)
-}](f fields, slot int, s *[]T) {
-	if n := f.list(slot, len(*s)); n != len(*s) {
-		*s = make([]T, n)
-	}
-	for i := range *s {
-		f.item(i)
-		P(&(*s)[i]).walk(f)
-		f.end()
-	}
-	f.end()
-}
-
-func (t *Trigger) walk(f fields) { f.u32(0, &t.PeriodMS) }
-
-func (p *HWPing) walk(f fields) {
-	f.u64(0, &p.Seq)
-	f.i64(1, &p.T0)
-	f.octets(2, &p.Data)
-}
-
-func (e *RRCEvent) walk(f fields) {
-	f.u8(0, (*uint8)(&e.Kind))
-	f.u16(1, &e.RNTI)
-	f.str(2, &e.PLMNID)
-	f.u32(3, &e.SNSSAI)
-	f.str(4, &e.IMSI)
-}
-
-func (m *KPMMeasurement) walk(f fields) {
-	f.str(0, &m.Name)
-	f.f64(1, &m.Value)
-}
-
-func (r *KPMReport) walk(f fields) {
-	f.i64(0, &r.CellTimeMS)
-	f.u32(1, &r.GranularityMS)
-	listOf(f, 2, &r.Measurements)
-}
-
-func (p *SliceParams) walk(f fields) {
-	f.u32(0, &p.ID)
-	f.u8(1, &p.Kind)
-	f.u32(2, &p.CapacityQ)
-	f.f64(3, &p.RateRsv)
-	f.f64(4, &p.RateRef)
-	f.bool(5, &p.NoSharing)
-	f.str(6, &p.UESched)
-}
-
-func (c *SliceControl) walk(f fields) {
-	f.u8(0, (*uint8)(&c.Op))
-	listOf(f, 1, &c.Slices)
-	f.u16(2, &c.RNTI)
-	f.u32(3, &c.SliceID)
-}
-
-func (u *UESliceAssoc) walk(f fields) {
-	f.u16(0, &u.RNTI)
-	f.u32(1, &u.SliceID)
-}
-
-func (st *SliceStatus) walk(f fields) {
-	f.str(0, &st.Algo)
-	listOf(f, 1, &st.Slices)
-	listOf(f, 2, &st.UEs)
-}
-
-func (c *TCControl) walk(f fields) {
-	f.u8(0, (*uint8)(&c.Op))
-	f.u16(1, &c.RNTI)
-	f.u32(2, &c.Queue)
-	f.u32(3, &c.SrcIP)
-	f.u32(4, &c.DstIP)
-	f.u16(5, &c.SrcPort)
-	f.u16(6, &c.DstPort)
-	f.u8(7, &c.Proto)
-	f.bool(8, &c.MatchProto)
-	f.u8(9, &c.Pacer)
-	f.u32(10, &c.PacerTargetMS)
-}
-
-func (o *TCOutcome) walk(f fields) { f.u32(0, &o.Queue) }
-
-func (q *TCQueueEntry) walk(f fields) {
-	f.u32(0, &q.ID)
-	f.u64(1, &q.EnqPackets)
-	f.u64(2, &q.EnqBytes)
-	f.u64(3, &q.DeqPackets)
-	f.u64(4, &q.DeqBytes)
-	f.u64(5, &q.DropPackets)
-	f.u64(6, &q.BufferBytes)
-	f.u64(7, &q.BufferPkts)
-	f.i64(8, &q.SojournMS)
-}
-
-func (r *TCReport) walk(f fields) {
-	f.i64(0, &r.CellTimeMS)
-	f.u16(1, &r.RNTI)
-	f.bool(2, &r.Active)
-	f.u8(3, &r.Pacer)
-	f.u32(4, &r.Filters)
-	listOf(f, 5, &r.Queues)
-}
-
 // fill is a fields walker that writes random valid values: the
 // generator behind the golden corpus. Integers spread over every PER
 // length, floats are finite (the corpus is JSON), octet strings come out

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"flexric/internal/agent"
@@ -364,10 +365,7 @@ func (f *HWFunction) OnControl(ctrl agent.ControllerID, req *e2ap.ControlRequest
 	if tx == nil {
 		return nil, fmt.Errorf("sm: hw: no subscription from controller %d", ctrl)
 	}
-	if err := tx.SendIndication(1, e2ap.IndicationReport, req.Header, req.Payload); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	return nil, tx.SendIndication(1, e2ap.IndicationReport, req.Header, req.Payload)
 }
 
 // SliceCtrlFunction is the SC SM bound to a cell.
@@ -505,18 +503,11 @@ func (f *RRCFunction) OnControl(agent.ControllerID, *e2ap.ControlRequest) ([]byt
 func (f *RRCFunction) emit(ev *RRCEvent) {
 	payload := EncodeRRCEvent(f.scheme, ev)
 	f.mu.Lock()
-	type dst struct {
-		tx   agent.IndicationSender
-		ctrl agent.ControllerID
-	}
-	var dsts []dst
-	for k, tx := range f.senders {
-		dsts = append(dsts, dst{tx, k.ctrl})
-	}
+	senders := maps.Clone(f.senders) // send outside the lock
 	f.mu.Unlock()
-	for _, d := range dsts {
-		if visible(f.vis, d.ctrl, ev.RNTI) {
-			_ = d.tx.SendIndication(1, e2ap.IndicationReport, nil, payload)
+	for k, tx := range senders {
+		if visible(f.vis, k.ctrl, ev.RNTI) {
+			_ = tx.SendIndication(1, e2ap.IndicationReport, nil, payload)
 		}
 	}
 }

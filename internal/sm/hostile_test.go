@@ -2,8 +2,12 @@ package sm
 
 import (
 	"encoding/binary"
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
+
+	"flexric/internal/encoding/flat"
 )
 
 // vectorCountAt returns the offset in an FB-encoded SM message (scheme
@@ -66,5 +70,34 @@ func TestFlatDecodersBoundHostileCounts(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
+	}
+}
+
+// A flat buffer can point every element of a list at one sub-table, and
+// so at one string: a KPM report of 5 kB whose thousand measurements all
+// name the same kilobyte would decode to a megabyte of copies. Encoded
+// strings never share bytes, so the walked decoders stop copying once
+// the strings read outgrow the buffer.
+func TestFlatDecodersBoundAliasedStrings(t *testing.T) {
+	b := flat.NewBuilder(0)
+	name := b.CreateString(strings.Repeat("x", 1000))
+	b.StartTable(2)
+	b.AddRef(0, name)
+	m := b.EndTable()
+	refs := make([]uint32, 1000)
+	for i := range refs {
+		refs[i] = m
+	}
+	vec := b.CreateRefVector(refs)
+	b.StartTable(3)
+	b.AddRef(2, vec)
+	b.Finish(b.EndTable())
+	wire := append([]byte{byte(SchemeFB)}, b.Bytes()...)
+	var err error
+	if got := allocatedBy(func() { _, err = DecodeKPMReport(wire) }); got > 64*uint64(len(wire)) {
+		t.Errorf("decoding %d bytes allocated %d bytes", len(wire), got)
+	}
+	if !errors.Is(err, ErrBadPayload) {
+		t.Errorf("err %v, want ErrBadPayload", err)
 	}
 }

@@ -1,18 +1,6 @@
 package sm
 
-import (
-	"fmt"
-
-	"flexric/internal/encoding/asn1per"
-	"flexric/internal/encoding/flat"
-)
-
-// This file carries the remaining shipped SMs: the Hello-World ping SM
-// used by the §5.2 encoding experiments, the RRC UE-notification SM that
-// lets slicing xApps discover UE-to-service associations (§6.1.2), and an
-// O-RAN-style KPM SM (Appendix A.4).
-
-// HWPing is the Hello-World SM payload: the paper's modified HW-E2SM
+// HWPing is the Hello-World SM payload (§5.2): the paper's modified HW-E2SM
 // "performs a ping by sending a control message to the RAN function, to
 // which the agent responds with an indication message."
 type HWPing struct {
@@ -23,65 +11,17 @@ type HWPing struct {
 	Data []byte
 }
 
-// EncodeHWPing serializes a ping payload.
-func EncodeHWPing(s Scheme, p *HWPing) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(64 + len(p.Data))
-		var data uint32
-		hasData := p.Data != nil
-		if hasData {
-			data = b.CreateByteVector(p.Data)
-		}
-		b.StartTable(3)
-		b.AddUint64(0, p.Seq)
-		b.AddInt64(1, p.T0)
-		if hasData {
-			b.AddRef(2, data)
-		}
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(32 + len(p.Data))
-		w.WriteUint(p.Seq)
-		w.WriteInt(p.T0)
-		w.WriteOctets(p.Data)
-		return append([]byte(nil), w.Bytes()...)
-	}
+func (p *HWPing) walk(f fields) {
+	f.u64(0, &p.Seq)
+	f.i64(1, &p.T0)
+	f.octets(2, &p.Data)
 }
 
+// EncodeHWPing serializes a ping payload.
+func EncodeHWPing(s Scheme, p *HWPing) []byte { return appendWalk(nil, s, p) }
+
 // DecodeHWPing parses a ping payload.
-func DecodeHWPing(b []byte) (*HWPing, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		p := &HWPing{Seq: tab.Uint64(0), T0: tab.Int64(1)}
-		if d := tab.Bytes(2); len(d) > 0 {
-			p.Data = append([]byte(nil), d...)
-		}
-		return p, nil
-	default:
-		rd := asn1per.NewReader(body)
-		p := &HWPing{}
-		if p.Seq, err = rd.ReadUint(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if p.T0, err = rd.ReadInt(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if p.Data, err = rd.ReadOctets(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return p, nil
-	}
-}
+func DecodeHWPing(b []byte) (*HWPing, error) { return decodeNew[HWPing](b) }
 
 // RRCEventKind distinguishes UE lifecycle notifications.
 type RRCEventKind uint8
@@ -104,81 +44,29 @@ type RRCEvent struct {
 	IMSI   string
 }
 
-// EncodeRRCEvent serializes an RRC UE notification.
-func EncodeRRCEvent(s Scheme, e *RRCEvent) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(96)
-		plmn := b.CreateString(e.PLMNID)
-		imsi := b.CreateString(e.IMSI)
-		b.StartTable(5)
-		b.AddUint8(0, uint8(e.Kind))
-		b.AddUint32(1, uint32(e.RNTI))
-		b.AddRef(2, plmn)
-		b.AddUint32(3, e.SNSSAI)
-		b.AddRef(4, imsi)
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(64)
-		w.WriteBits(uint64(e.Kind), 8)
-		w.WriteBits(uint64(e.RNTI), 16)
-		w.WriteString(e.PLMNID)
-		w.WriteBits(uint64(e.SNSSAI), 32)
-		w.WriteString(e.IMSI)
-		return append([]byte(nil), w.Bytes()...)
-	}
+func (e *RRCEvent) walk(f fields) {
+	f.u8(0, (*uint8)(&e.Kind))
+	f.u16(1, &e.RNTI)
+	f.str(2, &e.PLMNID)
+	f.u32(3, &e.SNSSAI)
+	f.str(4, &e.IMSI)
 }
 
+// EncodeRRCEvent serializes an RRC UE notification.
+func EncodeRRCEvent(s Scheme, e *RRCEvent) []byte { return appendWalk(nil, s, e) }
+
 // DecodeRRCEvent parses an RRC UE notification.
-func DecodeRRCEvent(b []byte) (*RRCEvent, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return &RRCEvent{
-			Kind:   RRCEventKind(tab.Uint8(0)),
-			RNTI:   uint16(tab.Uint32(1)),
-			PLMNID: tab.String(2),
-			SNSSAI: tab.Uint32(3),
-			IMSI:   tab.String(4),
-		}, nil
-	default:
-		rd := asn1per.NewReader(body)
-		e := &RRCEvent{}
-		v, err := rd.ReadBits(8)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		e.Kind = RRCEventKind(v)
-		if v, err = rd.ReadBits(16); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		e.RNTI = uint16(v)
-		if e.PLMNID, err = rd.ReadString(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if v, err = rd.ReadBits(32); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		e.SNSSAI = uint32(v)
-		if e.IMSI, err = rd.ReadString(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return e, nil
-	}
-}
+func DecodeRRCEvent(b []byte) (*RRCEvent, error) { return decodeNew[RRCEvent](b) }
 
 // KPMMeasurement is one named measurement in a KPM report.
 type KPMMeasurement struct {
 	Name  string
 	Value float64
+}
+
+func (m *KPMMeasurement) walk(f fields) {
+	f.str(0, &m.Name)
+	f.f64(1, &m.Value)
 }
 
 // KPMReport is an O-RAN-E2SM-KPM-style report: named performance
@@ -189,87 +77,14 @@ type KPMReport struct {
 	Measurements  []KPMMeasurement
 }
 
-// EncodeKPMReport serializes a KPM report.
-func EncodeKPMReport(s Scheme, r *KPMReport) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(64 + 48*len(r.Measurements))
-		refs := make([]uint32, len(r.Measurements))
-		for i, m := range r.Measurements {
-			name := b.CreateString(m.Name)
-			b.StartTable(2)
-			b.AddRef(0, name)
-			b.AddFloat64(1, m.Value)
-			refs[i] = b.EndTable()
-		}
-		vec := b.CreateRefVector(refs)
-		b.StartTable(3)
-		b.AddInt64(0, r.CellTimeMS)
-		b.AddUint32(1, r.GranularityMS)
-		b.AddRef(2, vec)
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(32 + 32*len(r.Measurements))
-		w.WriteInt(r.CellTimeMS)
-		w.WriteBits(uint64(r.GranularityMS), 32)
-		w.WriteLength(len(r.Measurements))
-		for _, m := range r.Measurements {
-			w.WriteString(m.Name)
-			w.WriteFloat(m.Value)
-		}
-		return append([]byte(nil), w.Bytes()...)
-	}
+func (r *KPMReport) walk(f fields) {
+	f.i64(0, &r.CellTimeMS)
+	f.u32(1, &r.GranularityMS)
+	listOf(f, 2, &r.Measurements)
 }
 
+// EncodeKPMReport serializes a KPM report.
+func EncodeKPMReport(s Scheme, r *KPMReport) []byte { return appendWalk(nil, s, r) }
+
 // DecodeKPMReport parses a KPM report.
-func DecodeKPMReport(b []byte) (*KPMReport, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		r := &KPMReport{CellTimeMS: tab.Int64(0), GranularityMS: tab.Uint32(1)}
-		n := tab.VectorLen(2)
-		if n > 0 {
-			r.Measurements = make([]KPMMeasurement, n)
-			for i := 0; i < n; i++ {
-				t := tab.RefVectorAt(2, i)
-				r.Measurements[i] = KPMMeasurement{Name: t.String(0), Value: t.Float64(1)}
-			}
-		}
-		return r, nil
-	default:
-		rd := asn1per.NewReader(body)
-		r := &KPMReport{}
-		if r.CellTimeMS, err = rd.ReadInt(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		v, err := rd.ReadBits(32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		r.GranularityMS = uint32(v)
-		n, err := rd.ReadCount()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if n > 0 {
-			r.Measurements = make([]KPMMeasurement, n)
-			for i := range r.Measurements {
-				if r.Measurements[i].Name, err = rd.ReadString(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				if r.Measurements[i].Value, err = rd.ReadFloat(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-			}
-		}
-		return r, nil
-	}
-}
+func DecodeKPMReport(b []byte) (*KPMReport, error) { return decodeNew[KPMReport](b) }

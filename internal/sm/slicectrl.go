@@ -1,11 +1,8 @@
 package sm
 
 import (
-	"fmt"
 	"math"
 
-	"flexric/internal/encoding/asn1per"
-	"flexric/internal/encoding/flat"
 	"flexric/internal/nvs"
 )
 
@@ -38,6 +35,16 @@ type SliceParams struct {
 	RateRef   float64
 	NoSharing bool
 	UESched   string
+}
+
+func (p *SliceParams) walk(f fields) {
+	f.u32(0, &p.ID)
+	f.u8(1, &p.Kind)
+	f.u32(2, &p.CapacityQ)
+	f.f64(3, &p.RateRsv)
+	f.f64(4, &p.RateRef)
+	f.bool(5, &p.NoSharing)
+	f.str(6, &p.UESched)
 }
 
 // capacityScale fixes the SM wire representation of capacity fractions
@@ -88,138 +95,18 @@ type SliceControl struct {
 	SliceID uint32
 }
 
-// EncodeSliceControl serializes an SC SM control payload.
-func EncodeSliceControl(s Scheme, c *SliceControl) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(64 + 48*len(c.Slices))
-		refs := make([]uint32, len(c.Slices))
-		for i, sl := range c.Slices {
-			sched := b.CreateString(sl.UESched)
-			b.StartTable(7)
-			b.AddUint32(0, sl.ID)
-			b.AddUint8(1, sl.Kind)
-			b.AddUint32(2, sl.CapacityQ)
-			b.AddFloat64(3, sl.RateRsv)
-			b.AddFloat64(4, sl.RateRef)
-			b.AddBool(5, sl.NoSharing)
-			b.AddRef(6, sched)
-			refs[i] = b.EndTable()
-		}
-		vec := b.CreateRefVector(refs)
-		b.StartTable(4)
-		b.AddUint8(0, uint8(c.Op))
-		b.AddRef(1, vec)
-		b.AddUint32(2, uint32(c.RNTI))
-		b.AddUint32(3, c.SliceID)
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(32 + 48*len(c.Slices))
-		w.WriteBits(uint64(c.Op), 8)
-		w.WriteLength(len(c.Slices))
-		for _, sl := range c.Slices {
-			w.WriteBits(uint64(sl.ID), 32)
-			w.WriteBits(uint64(sl.Kind), 8)
-			w.WriteBits(uint64(sl.CapacityQ), 32)
-			w.WriteFloat(sl.RateRsv)
-			w.WriteFloat(sl.RateRef)
-			w.WriteBool(sl.NoSharing)
-			w.WriteString(sl.UESched)
-		}
-		w.WriteBits(uint64(c.RNTI), 16)
-		w.WriteBits(uint64(c.SliceID), 32)
-		return append([]byte(nil), w.Bytes()...)
-	}
+func (c *SliceControl) walk(f fields) {
+	f.u8(0, (*uint8)(&c.Op))
+	listOf(f, 1, &c.Slices)
+	f.u16(2, &c.RNTI)
+	f.u32(3, &c.SliceID)
 }
 
+// EncodeSliceControl serializes an SC SM control payload.
+func EncodeSliceControl(s Scheme, c *SliceControl) []byte { return appendWalk(nil, s, c) }
+
 // DecodeSliceControl parses an SC SM control payload.
-func DecodeSliceControl(b []byte) (*SliceControl, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		c := &SliceControl{
-			Op:      SliceOp(tab.Uint8(0)),
-			RNTI:    uint16(tab.Uint32(2)),
-			SliceID: tab.Uint32(3),
-		}
-		n := tab.VectorLen(1)
-		if n > 0 {
-			c.Slices = make([]SliceParams, n)
-			for i := 0; i < n; i++ {
-				st := tab.RefVectorAt(1, i)
-				c.Slices[i] = SliceParams{
-					ID:        st.Uint32(0),
-					Kind:      st.Uint8(1),
-					CapacityQ: st.Uint32(2),
-					RateRsv:   st.Float64(3),
-					RateRef:   st.Float64(4),
-					NoSharing: st.Bool(5),
-					UESched:   st.String(6),
-				}
-			}
-		}
-		return c, nil
-	default:
-		rd := asn1per.NewReader(body)
-		c := &SliceControl{}
-		v, err := rd.ReadBits(8)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		c.Op = SliceOp(v)
-		n, err := rd.ReadCount()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if n > 0 {
-			c.Slices = make([]SliceParams, n)
-			for i := range c.Slices {
-				sl := &c.Slices[i]
-				if v, err = rd.ReadBits(32); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				sl.ID = uint32(v)
-				if v, err = rd.ReadBits(8); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				sl.Kind = uint8(v)
-				if v, err = rd.ReadBits(32); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				sl.CapacityQ = uint32(v)
-				if sl.RateRsv, err = rd.ReadFloat(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				if sl.RateRef, err = rd.ReadFloat(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				if sl.NoSharing, err = rd.ReadBool(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				if sl.UESched, err = rd.ReadString(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-			}
-		}
-		if v, err = rd.ReadBits(16); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		c.RNTI = uint16(v)
-		if v, err = rd.ReadBits(32); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		c.SliceID = uint32(v)
-		return c, nil
-	}
-}
+func DecodeSliceControl(b []byte) (*SliceControl, error) { return decodeNew[SliceControl](b) }
 
 // SliceStatus is the SC SM report payload: the installed configuration
 // plus UE associations.
@@ -235,159 +122,19 @@ type UESliceAssoc struct {
 	SliceID uint32
 }
 
-// EncodeSliceStatus serializes an SC SM status report.
-func EncodeSliceStatus(s Scheme, st *SliceStatus) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(128)
-		algo := b.CreateString(st.Algo)
-		srefs := make([]uint32, len(st.Slices))
-		for i, sl := range st.Slices {
-			sched := b.CreateString(sl.UESched)
-			b.StartTable(7)
-			b.AddUint32(0, sl.ID)
-			b.AddUint8(1, sl.Kind)
-			b.AddUint32(2, sl.CapacityQ)
-			b.AddFloat64(3, sl.RateRsv)
-			b.AddFloat64(4, sl.RateRef)
-			b.AddBool(5, sl.NoSharing)
-			b.AddRef(6, sched)
-			srefs[i] = b.EndTable()
-		}
-		svec := b.CreateRefVector(srefs)
-		urefs := make([]uint32, len(st.UEs))
-		for i, u := range st.UEs {
-			b.StartTable(2)
-			b.AddUint32(0, uint32(u.RNTI))
-			b.AddUint32(1, u.SliceID)
-			urefs[i] = b.EndTable()
-		}
-		uvec := b.CreateRefVector(urefs)
-		b.StartTable(3)
-		b.AddRef(0, algo)
-		b.AddRef(1, svec)
-		b.AddRef(2, uvec)
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(128)
-		w.WriteString(st.Algo)
-		w.WriteLength(len(st.Slices))
-		for _, sl := range st.Slices {
-			w.WriteBits(uint64(sl.ID), 32)
-			w.WriteBits(uint64(sl.Kind), 8)
-			w.WriteBits(uint64(sl.CapacityQ), 32)
-			w.WriteFloat(sl.RateRsv)
-			w.WriteFloat(sl.RateRef)
-			w.WriteBool(sl.NoSharing)
-			w.WriteString(sl.UESched)
-		}
-		w.WriteLength(len(st.UEs))
-		for _, u := range st.UEs {
-			w.WriteBits(uint64(u.RNTI), 16)
-			w.WriteBits(uint64(u.SliceID), 32)
-		}
-		return append([]byte(nil), w.Bytes()...)
-	}
+func (st *SliceStatus) walk(f fields) {
+	f.str(0, &st.Algo)
+	listOf(f, 1, &st.Slices)
+	listOf(f, 2, &st.UEs)
 }
 
-// DecodeSliceStatus parses an SC SM status report.
-func DecodeSliceStatus(b []byte) (*SliceStatus, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		st := &SliceStatus{Algo: tab.String(0)}
-		n := tab.VectorLen(1)
-		if n > 0 {
-			st.Slices = make([]SliceParams, n)
-			for i := 0; i < n; i++ {
-				t := tab.RefVectorAt(1, i)
-				st.Slices[i] = SliceParams{
-					ID:        t.Uint32(0),
-					Kind:      t.Uint8(1),
-					CapacityQ: t.Uint32(2),
-					RateRsv:   t.Float64(3),
-					RateRef:   t.Float64(4),
-					NoSharing: t.Bool(5),
-					UESched:   t.String(6),
-				}
-			}
-		}
-		m := tab.VectorLen(2)
-		if m > 0 {
-			st.UEs = make([]UESliceAssoc, m)
-			for i := 0; i < m; i++ {
-				t := tab.RefVectorAt(2, i)
-				st.UEs[i] = UESliceAssoc{RNTI: uint16(t.Uint32(0)), SliceID: t.Uint32(1)}
-			}
-		}
-		return st, nil
-	default:
-		rd := asn1per.NewReader(body)
-		st := &SliceStatus{}
-		if st.Algo, err = rd.ReadString(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		n, err := rd.ReadCount()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if n > 0 {
-			st.Slices = make([]SliceParams, n)
-			for i := range st.Slices {
-				sl := &st.Slices[i]
-				var v uint64
-				if v, err = rd.ReadBits(32); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				sl.ID = uint32(v)
-				if v, err = rd.ReadBits(8); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				sl.Kind = uint8(v)
-				if v, err = rd.ReadBits(32); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				sl.CapacityQ = uint32(v)
-				if sl.RateRsv, err = rd.ReadFloat(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				if sl.RateRef, err = rd.ReadFloat(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				if sl.NoSharing, err = rd.ReadBool(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				if sl.UESched, err = rd.ReadString(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-			}
-		}
-		m, err := rd.ReadCount()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if m > 0 {
-			st.UEs = make([]UESliceAssoc, m)
-			for i := range st.UEs {
-				v, err := rd.ReadBits(16)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				st.UEs[i].RNTI = uint16(v)
-				if v, err = rd.ReadBits(32); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				st.UEs[i].SliceID = uint32(v)
-			}
-		}
-		return st, nil
-	}
+func (u *UESliceAssoc) walk(f fields) {
+	f.u16(0, &u.RNTI)
+	f.u32(1, &u.SliceID)
 }
+
+// EncodeSliceStatus serializes an SC SM status report.
+func EncodeSliceStatus(s Scheme, st *SliceStatus) []byte { return appendWalk(nil, s, st) }
+
+// DecodeSliceStatus parses an SC SM status report.
+func DecodeSliceStatus(b []byte) (*SliceStatus, error) { return decodeNew[SliceStatus](b) }

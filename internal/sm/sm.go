@@ -15,9 +15,6 @@ package sm
 import (
 	"errors"
 	"fmt"
-
-	"flexric/internal/encoding/asn1per"
-	"flexric/internal/encoding/flat"
 )
 
 // Well-known RAN function IDs for the shipped service models.
@@ -68,78 +65,28 @@ func schemeOf(b []byte) (Scheme, []byte, error) {
 	return s, b[1:], nil
 }
 
-// newPER returns a writer pre-seeded with the ASN scheme byte.
-func newPER(capacity int) *asn1per.Writer {
-	w := asn1per.NewWriter(capacity)
-	w.WriteBits(uint64(SchemeASN), 8)
-	return w
-}
-
-// newFB returns a flat builder; the scheme byte is prepended by fbBytes.
-func newFB(capacity int) *flat.Builder { return flat.NewBuilder(capacity) }
-
-// fbBytes prefixes the FB scheme byte. The copy is the price of the
-// self-describing prefix; the flat buffer body itself is still read
-// zero-copy by receivers (the prefix only shifts the view).
-func fbBytes(b *flat.Builder) []byte {
-	out := make([]byte, 1+b.Len())
-	out[0] = byte(SchemeFB)
-	copy(out[1:], b.Bytes())
-	return out
-}
-
 // Trigger is the event trigger definition shared by the periodic
 // monitoring SMs: report every PeriodMS milliseconds.
 type Trigger struct {
 	PeriodMS uint32
 }
 
+func (t *Trigger) walk(f fields) { f.u32(0, &t.PeriodMS) }
+
 // EncodeTrigger serializes a periodic event trigger.
-func EncodeTrigger(s Scheme, t Trigger) []byte {
-	return AppendTrigger(nil, s, t)
-}
+func EncodeTrigger(s Scheme, t Trigger) []byte { return AppendTrigger(nil, s, t) }
 
 // AppendTrigger appends an encoded periodic event trigger to dst
 // (which may be nil) and returns the extended slice. Like all Append*
 // SM encoders it retains nothing: the caller owns the result, which is
 // what makes pooled-buffer reuse safe.
-func AppendTrigger(dst []byte, s Scheme, t Trigger) []byte {
-	switch s {
-	case SchemeFB:
-		var b flat.Builder
-		b.ResetAppend(append(dst, byte(SchemeFB)))
-		b.StartTable(1)
-		b.AddUint32(0, t.PeriodMS)
-		b.Finish(b.EndTable())
-		return b.BytesWithPrefix()
-	default:
-		var w asn1per.Writer
-		w.ResetAppend(dst)
-		w.WriteBits(uint64(SchemeASN), 8)
-		w.WriteBits(uint64(t.PeriodMS), 32)
-		return w.Bytes()
-	}
-}
+func AppendTrigger(dst []byte, s Scheme, t Trigger) []byte { return appendWalk(dst, s, &t) }
 
 // DecodeTrigger parses a periodic event trigger.
 func DecodeTrigger(b []byte) (Trigger, error) {
-	s, body, err := schemeOf(b)
+	t, err := decodeNew[Trigger](b)
 	if err != nil {
 		return Trigger{}, err
 	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return Trigger{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return Trigger{PeriodMS: tab.Uint32(0)}, nil
-	default:
-		r := asn1per.NewReader(body)
-		v, err := r.ReadBits(32)
-		if err != nil {
-			return Trigger{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return Trigger{PeriodMS: uint32(v)}, nil
-	}
+	return *t, nil
 }

@@ -1,12 +1,6 @@
 package sm
 
-import (
-	"fmt"
-
-	"flexric/internal/encoding/asn1per"
-	"flexric/internal/encoding/flat"
-	"flexric/internal/ran"
-)
+import "flexric/internal/ran"
 
 // The traffic control SM (TC SM, §6.1.1) abstracts per-UE flow
 // configuration: queues, 5-tuple classifier filters, and pacers. Its
@@ -57,97 +51,25 @@ func (c *TCControl) Match() ran.TCMatch {
 	}
 }
 
-// EncodeTCControl serializes a TC SM control payload.
-func EncodeTCControl(s Scheme, c *TCControl) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(96)
-		b.StartTable(11)
-		b.AddUint8(0, uint8(c.Op))
-		b.AddUint32(1, uint32(c.RNTI))
-		b.AddUint32(2, c.Queue)
-		b.AddUint32(3, c.SrcIP)
-		b.AddUint32(4, c.DstIP)
-		b.AddUint32(5, uint32(c.SrcPort))
-		b.AddUint32(6, uint32(c.DstPort))
-		b.AddUint8(7, c.Proto)
-		b.AddBool(8, c.MatchProto)
-		b.AddUint8(9, c.Pacer)
-		b.AddUint32(10, c.PacerTargetMS)
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(48)
-		w.WriteBits(uint64(c.Op), 8)
-		w.WriteBits(uint64(c.RNTI), 16)
-		w.WriteBits(uint64(c.Queue), 32)
-		w.WriteBits(uint64(c.SrcIP), 32)
-		w.WriteBits(uint64(c.DstIP), 32)
-		w.WriteBits(uint64(c.SrcPort), 16)
-		w.WriteBits(uint64(c.DstPort), 16)
-		w.WriteBits(uint64(c.Proto), 8)
-		w.WriteBool(c.MatchProto)
-		w.WriteBits(uint64(c.Pacer), 8)
-		w.WriteBits(uint64(c.PacerTargetMS), 32)
-		return append([]byte(nil), w.Bytes()...)
-	}
+func (c *TCControl) walk(f fields) {
+	f.u8(0, (*uint8)(&c.Op))
+	f.u16(1, &c.RNTI)
+	f.u32(2, &c.Queue)
+	f.u32(3, &c.SrcIP)
+	f.u32(4, &c.DstIP)
+	f.u16(5, &c.SrcPort)
+	f.u16(6, &c.DstPort)
+	f.u8(7, &c.Proto)
+	f.bool(8, &c.MatchProto)
+	f.u8(9, &c.Pacer)
+	f.u32(10, &c.PacerTargetMS)
 }
 
+// EncodeTCControl serializes a TC SM control payload.
+func EncodeTCControl(s Scheme, c *TCControl) []byte { return appendWalk(nil, s, c) }
+
 // DecodeTCControl parses a TC SM control payload.
-func DecodeTCControl(b []byte) (*TCControl, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return &TCControl{
-			Op:            TCOp(tab.Uint8(0)),
-			RNTI:          uint16(tab.Uint32(1)),
-			Queue:         tab.Uint32(2),
-			SrcIP:         tab.Uint32(3),
-			DstIP:         tab.Uint32(4),
-			SrcPort:       uint16(tab.Uint32(5)),
-			DstPort:       uint16(tab.Uint32(6)),
-			Proto:         tab.Uint8(7),
-			MatchProto:    tab.Bool(8),
-			Pacer:         tab.Uint8(9),
-			PacerTargetMS: tab.Uint32(10),
-		}, nil
-	default:
-		rd := asn1per.NewReader(body)
-		c := &TCControl{}
-		read := func(bits int) uint64 {
-			if err != nil {
-				return 0
-			}
-			var v uint64
-			v, err = rd.ReadBits(bits)
-			return v
-		}
-		c.Op = TCOp(read(8))
-		c.RNTI = uint16(read(16))
-		c.Queue = uint32(read(32))
-		c.SrcIP = uint32(read(32))
-		c.DstIP = uint32(read(32))
-		c.SrcPort = uint16(read(16))
-		c.DstPort = uint16(read(16))
-		c.Proto = uint8(read(8))
-		if err == nil {
-			c.MatchProto, err = rd.ReadBool()
-		}
-		c.Pacer = uint8(read(8))
-		c.PacerTargetMS = uint32(read(32))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return c, nil
-	}
-}
+func DecodeTCControl(b []byte) (*TCControl, error) { return decodeNew[TCControl](b) }
 
 // TCOutcome is the TC SM control outcome (e.g. the queue ID returned by
 // OpAddQueue).
@@ -155,44 +77,13 @@ type TCOutcome struct {
 	Queue uint32
 }
 
+func (o *TCOutcome) walk(f fields) { f.u32(0, &o.Queue) }
+
 // EncodeTCOutcome serializes a TC SM control outcome.
-func EncodeTCOutcome(s Scheme, o *TCOutcome) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(16)
-		b.StartTable(1)
-		b.AddUint32(0, o.Queue)
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(8)
-		w.WriteBits(uint64(o.Queue), 32)
-		return append([]byte(nil), w.Bytes()...)
-	}
-}
+func EncodeTCOutcome(s Scheme, o *TCOutcome) []byte { return appendWalk(nil, s, o) }
 
 // DecodeTCOutcome parses a TC SM control outcome.
-func DecodeTCOutcome(b []byte) (*TCOutcome, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return &TCOutcome{Queue: tab.Uint32(0)}, nil
-	default:
-		rd := asn1per.NewReader(body)
-		v, err := rd.ReadBits(32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		return &TCOutcome{Queue: uint32(v)}, nil
-	}
-}
+func DecodeTCOutcome(b []byte) (*TCOutcome, error) { return decodeNew[TCOutcome](b) }
 
 // TCQueueEntry is one queue's statistics in a TC report.
 type TCQueueEntry struct {
@@ -207,6 +98,18 @@ type TCQueueEntry struct {
 	SojournMS   int64
 }
 
+func (q *TCQueueEntry) walk(f fields) {
+	f.u32(0, &q.ID)
+	f.u64(1, &q.EnqPackets)
+	f.u64(2, &q.EnqBytes)
+	f.u64(3, &q.DeqPackets)
+	f.u64(4, &q.DeqBytes)
+	f.u64(5, &q.DropPackets)
+	f.u64(6, &q.BufferBytes)
+	f.u64(7, &q.BufferPkts)
+	f.i64(8, &q.SojournMS)
+}
+
 // TCReport is the TC SM indication payload for one UE.
 type TCReport struct {
 	CellTimeMS int64
@@ -217,141 +120,17 @@ type TCReport struct {
 	Queues     []TCQueueEntry
 }
 
-// EncodeTCReport serializes a TC SM report.
-func EncodeTCReport(s Scheme, r *TCReport) []byte {
-	switch s {
-	case SchemeFB:
-		b := newFB(96 + 80*len(r.Queues))
-		refs := make([]uint32, len(r.Queues))
-		for i, q := range r.Queues {
-			b.StartTable(9)
-			b.AddUint32(0, q.ID)
-			b.AddUint64(1, q.EnqPackets)
-			b.AddUint64(2, q.EnqBytes)
-			b.AddUint64(3, q.DeqPackets)
-			b.AddUint64(4, q.DeqBytes)
-			b.AddUint64(5, q.DropPackets)
-			b.AddUint64(6, q.BufferBytes)
-			b.AddUint64(7, q.BufferPkts)
-			b.AddInt64(8, q.SojournMS)
-			refs[i] = b.EndTable()
-		}
-		vec := b.CreateRefVector(refs)
-		b.StartTable(6)
-		b.AddInt64(0, r.CellTimeMS)
-		b.AddUint32(1, uint32(r.RNTI))
-		b.AddBool(2, r.Active)
-		b.AddUint8(3, r.Pacer)
-		b.AddUint32(4, r.Filters)
-		b.AddRef(5, vec)
-		b.Finish(b.EndTable())
-		return fbBytes(b)
-	default:
-		w := newPER(64 + 64*len(r.Queues))
-		w.WriteInt(r.CellTimeMS)
-		w.WriteBits(uint64(r.RNTI), 16)
-		w.WriteBool(r.Active)
-		w.WriteBits(uint64(r.Pacer), 8)
-		w.WriteBits(uint64(r.Filters), 32)
-		w.WriteLength(len(r.Queues))
-		for _, q := range r.Queues {
-			w.WriteBits(uint64(q.ID), 32)
-			w.WriteUint(q.EnqPackets)
-			w.WriteUint(q.EnqBytes)
-			w.WriteUint(q.DeqPackets)
-			w.WriteUint(q.DeqBytes)
-			w.WriteUint(q.DropPackets)
-			w.WriteUint(q.BufferBytes)
-			w.WriteUint(q.BufferPkts)
-			w.WriteInt(q.SojournMS)
-		}
-		return append([]byte(nil), w.Bytes()...)
-	}
+func (r *TCReport) walk(f fields) {
+	f.i64(0, &r.CellTimeMS)
+	f.u16(1, &r.RNTI)
+	f.bool(2, &r.Active)
+	f.u8(3, &r.Pacer)
+	f.u32(4, &r.Filters)
+	listOf(f, 5, &r.Queues)
 }
 
+// EncodeTCReport serializes a TC SM report.
+func EncodeTCReport(s Scheme, r *TCReport) []byte { return appendWalk(nil, s, r) }
+
 // DecodeTCReport parses a TC SM report.
-func DecodeTCReport(b []byte) (*TCReport, error) {
-	s, body, err := schemeOf(b)
-	if err != nil {
-		return nil, err
-	}
-	switch s {
-	case SchemeFB:
-		tab, err := flat.GetRoot(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		r := &TCReport{
-			CellTimeMS: tab.Int64(0),
-			RNTI:       uint16(tab.Uint32(1)),
-			Active:     tab.Bool(2),
-			Pacer:      tab.Uint8(3),
-			Filters:    tab.Uint32(4),
-		}
-		n := tab.VectorLen(5)
-		if n > 0 {
-			r.Queues = make([]TCQueueEntry, n)
-			for i := 0; i < n; i++ {
-				t := tab.RefVectorAt(5, i)
-				r.Queues[i] = TCQueueEntry{
-					ID:          t.Uint32(0),
-					EnqPackets:  t.Uint64(1),
-					EnqBytes:    t.Uint64(2),
-					DeqPackets:  t.Uint64(3),
-					DeqBytes:    t.Uint64(4),
-					DropPackets: t.Uint64(5),
-					BufferBytes: t.Uint64(6),
-					BufferPkts:  t.Uint64(7),
-					SojournMS:   t.Int64(8),
-				}
-			}
-		}
-		return r, nil
-	default:
-		rd := asn1per.NewReader(body)
-		r := &TCReport{}
-		if r.CellTimeMS, err = rd.ReadInt(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		v, err := rd.ReadBits(16)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		r.RNTI = uint16(v)
-		if r.Active, err = rd.ReadBool(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if v, err = rd.ReadBits(8); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		r.Pacer = uint8(v)
-		if v, err = rd.ReadBits(32); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		r.Filters = uint32(v)
-		n, err := rd.ReadCount()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-		}
-		if n > 0 {
-			r.Queues = make([]TCQueueEntry, n)
-			for i := range r.Queues {
-				q := &r.Queues[i]
-				if v, err = rd.ReadBits(32); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-				q.ID = uint32(v)
-				for _, f := range []*uint64{&q.EnqPackets, &q.EnqBytes, &q.DeqPackets,
-					&q.DeqBytes, &q.DropPackets, &q.BufferBytes, &q.BufferPkts} {
-					if *f, err = rd.ReadUint(); err != nil {
-						return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-					}
-				}
-				if q.SojournMS, err = rd.ReadInt(); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
-				}
-			}
-		}
-		return r, nil
-	}
-}
+func DecodeTCReport(b []byte) (*TCReport, error) { return decodeNew[TCReport](b) }
