@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -257,6 +258,41 @@ func TestSlicingControllerREST(t *testing.T) {
 		t.Fatalf("overbooked: %s", resp.Status)
 	}
 	resp.Body.Close()
+}
+
+// A capacity share outside (0, 1] is refused at the northbound with 400
+// and never reaches the agent. Sent on in parts per million, 4295.467296
+// would wrap to a valid 0.5 share, and a negative one to another.
+func TestSlicingRESTRejectsCapacityOutOfRange(t *testing.T) {
+	s, addr := startSrv(t)
+	sc, err := ctrl.NewSlicingController(s, sm.SchemeASN, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	b := startBS(t, addr, 1, sm.SchemeASN, 25)
+	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
+	url := "http://" + sc.Addr() + "/slices?agent=0"
+	resp := postJSON(t, url, ctrl.SliceConfigJSON{Algo: "nvs", Slices: []ctrl.SliceParamJSON{
+		{ID: 1, Kind: "capacity", Capacity: 0.25}, {ID: 2, Kind: "capacity", Capacity: 0.75},
+	}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("valid POST /slices: %s", resp.Status)
+	}
+	want := b.cell.Slices()
+	for _, capacity := range []float64{4295.467296, -0.5, 1.5} {
+		resp := postJSON(t, url, ctrl.SliceConfigJSON{Algo: "nvs", Slices: []ctrl.SliceParamJSON{
+			{ID: 1, Kind: "capacity", Capacity: capacity},
+		}})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("capacity %v: %s, want 400", capacity, resp.Status)
+		}
+		if got := b.cell.Slices(); !reflect.DeepEqual(got, want) {
+			t.Errorf("capacity %v: cell slices %+v, want %+v", capacity, got, want)
+		}
+	}
 }
 
 func TestTCControllerBrokerAndREST(t *testing.T) {

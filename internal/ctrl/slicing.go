@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"flexric/internal/nvs"
 	"flexric/internal/server"
 	"flexric/internal/sm"
 	"flexric/internal/tsdb"
@@ -369,23 +370,25 @@ func sliceControlFromJSON(body *SliceConfigJSON) (*sm.SliceControl, error) {
 	if body.Algo != "nvs" && body.Algo != "" {
 		return nil, fmt.Errorf("unknown algo %q", body.Algo)
 	}
-	ctl := &sm.SliceControl{Op: sm.OpConfigureSlices}
+	cfgs := make([]nvs.Config, 0, len(body.Slices))
 	for _, s := range body.Slices {
-		p := sm.SliceParams{ID: s.ID, NoSharing: s.NoSharing, UESched: s.UESched}
+		c := nvs.Config{ID: s.ID, NoSharing: s.NoSharing, UESched: s.UESched}
 		switch s.Kind {
 		case "", "capacity":
-			p.Kind = 0
-			p.CapacityQ = uint32(s.Capacity * 1_000_000)
+			// Checked here: past the wire's parts per million, an
+			// out-of-range share would wrap into a valid one.
+			if !(s.Capacity > 0 && s.Capacity <= 1) {
+				return nil, fmt.Errorf("slice %d: capacity %v outside (0, 1]", s.ID, s.Capacity)
+			}
+			c.Kind, c.Capacity = nvs.KindCapacity, s.Capacity
 		case "rate":
-			p.Kind = 1
-			p.RateRsv = s.RateRsv
-			p.RateRef = s.RateRef
+			c.Kind, c.RateRsv, c.RateRef = nvs.KindRate, s.RateRsv, s.RateRef
 		default:
 			return nil, fmt.Errorf("unknown slice kind %q", s.Kind)
 		}
-		ctl.Slices = append(ctl.Slices, p)
+		cfgs = append(cfgs, c)
 	}
-	return ctl, nil
+	return &sm.SliceControl{Op: sm.OpConfigureSlices, Slices: sm.ParamsFromNVS(cfgs)}, nil
 }
 
 // apply sends an SC SM control and waits for the ack.

@@ -276,9 +276,11 @@ func TestRRCNotificationEndToEnd(t *testing.T) {
 	agentID := waitAgents(t, s, 1)
 
 	events := make(chan *sm.RRCEvent, 4)
+	admitted := make(chan struct{})
 	if _, err := s.Subscribe(agentID, sm.IDRRC,
 		sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,
 		server.SubscriptionCallbacks{
+			OnAdmitted: func(*e2ap.SubscriptionResponse) { close(admitted) },
 			OnIndication: func(ev server.IndicationEvent) {
 				e, err := sm.DecodeRRCEvent(ev.Env.IndicationPayload())
 				if err == nil {
@@ -288,8 +290,8 @@ func TestRRCNotificationEndToEnd(t *testing.T) {
 		}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the subscription a moment to be admitted before attaching.
-	time.Sleep(50 * time.Millisecond)
+	// Attach only once the agent has admitted the subscription.
+	awaitClosed(t, admitted, "RRC subscription admitted")
 	if _, err := bs.cell.Attach(33, "imsi-33", "208.95", 20); err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +311,10 @@ func TestHWPingEndToEnd(t *testing.T) {
 	agentID := waitAgents(t, s, 1)
 
 	pongs := make(chan *sm.HWPing, 4)
+	admitted := make(chan struct{})
 	if _, err := s.Subscribe(agentID, sm.IDHelloWorld, sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,
 		server.SubscriptionCallbacks{
+			OnAdmitted: func(*e2ap.SubscriptionResponse) { close(admitted) },
 			OnIndication: func(ev server.IndicationEvent) {
 				p, err := sm.DecodeHWPing(ev.Env.IndicationPayload())
 				if err == nil {
@@ -320,7 +324,7 @@ func TestHWPingEndToEnd(t *testing.T) {
 		}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	awaitClosed(t, admitted, "HW subscription admitted")
 	ping := &sm.HWPing{Seq: 7, T0: time.Now().UnixNano(), Data: make([]byte, 100)}
 	if err := s.Control(agentID, sm.IDHelloWorld, nil, sm.EncodeHWPing(sm.SchemeASN, ping), false, nil); err != nil {
 		t.Fatal(err)
@@ -341,11 +345,30 @@ func TestStatsSubscriptionDelete(t *testing.T) {
 	agentID := waitAgents(t, s, 1)
 	macFn := bs.fns[0].(*sm.StatsFunction)
 
-	var count atomic.Int64
+	// Nothing is delivered after a delete is acknowledged (DESIGN.md §5):
+	// an indication after OnDeleted fails the test, however late it
+	// comes, up to the server's shutdown.
+	var count, late atomic.Int64
+	var deleted atomic.Bool
+	acked := make(chan struct{})
+	t.Cleanup(func() {
+		if n := late.Load(); n > 0 {
+			t.Errorf("%d indications delivered after the delete was acknowledged", n)
+		}
+	})
 	sub, err := s.Subscribe(agentID, sm.IDMACStats,
 		sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,
 		server.SubscriptionCallbacks{
-			OnIndication: func(server.IndicationEvent) { count.Add(1) },
+			OnIndication: func(server.IndicationEvent) {
+				if deleted.Load() {
+					late.Add(1)
+				}
+				count.Add(1)
+			},
+			OnDeleted: func() {
+				deleted.Store(true)
+				close(acked)
+			},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -363,19 +386,19 @@ func TestStatsSubscriptionDelete(t *testing.T) {
 	if err := s.Unsubscribe(sub, sm.IDMACStats); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && macFn.Subscriptions() != 0 {
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitClosed(t, acked, "delete acknowledged")
 	if macFn.Subscriptions() != 0 {
 		t.Fatal("agent-side subscription not removed")
 	}
-	// Reports stop (allow in-flight drain).
-	time.Sleep(50 * time.Millisecond)
-	before := count.Load()
-	time.Sleep(100 * time.Millisecond)
-	if count.Load() != before {
-		t.Fatal("reports kept flowing after unsubscribe")
+}
+
+// awaitClosed waits for ch to close, failing after a generous bound.
+func awaitClosed(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting: %s", what)
 	}
 }
 

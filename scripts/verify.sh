@@ -224,6 +224,7 @@ echo "==> fuzz targets (3 s each)"
 for target in \
     'FuzzEncodeAppendIndication ./internal/e2ap/' \
     'FuzzE2APDecode ./internal/e2ap/' \
+    'FuzzSMDecode ./internal/sm/' \
     'FuzzChunkRoundTrip ./internal/tsdb/' \
     'FuzzPartialLegJSON ./internal/federation/' \
     'FuzzTSDBFrame ./internal/obs/'; do
