@@ -396,7 +396,10 @@ func TestRelayTwoHopPing(t *testing.T) {
 	// port: NewRelay used 127.0.0.1:0, so retrieve via test hook.
 	southAddr := relaySouthAddr(t, relay)
 	startBS(t, southAddr, 5, sm.SchemeASN, 25)
-	await(t, "BS at relay", func() bool { return len(relay.Server().Agents()) == 1 })
+	// The relay's proxy learns of the BS from a connect hook that runs
+	// after its server lists the agent. A subscription that came first
+	// would be parked, and the ping, which does not park, lost.
+	await(t, "BS at relay", func() bool { return len(ctrl.RelayAgents(relay)) == 1 })
 
 	relayID := parent.Agents()[0].ID
 	pongs := make(chan *sm.HWPing, 4)

@@ -340,14 +340,10 @@ func TestHWPingEndToEnd(t *testing.T) {
 }
 
 func TestStatsSubscriptionDelete(t *testing.T) {
-	s, addr := startRIC(t)
-	bs := startBS(t, addr, sm.SchemeASN)
-	agentID := waitAgents(t, s, 1)
-	macFn := bs.fns[0].(*sm.StatsFunction)
-
 	// Nothing is delivered after a delete is acknowledged (DESIGN.md §5):
 	// an indication after OnDeleted fails the test, however late it
-	// comes, up to the server's shutdown.
+	// comes. Registered first, the check runs after the server's
+	// shutdown.
 	var count, late atomic.Int64
 	var deleted atomic.Bool
 	acked := make(chan struct{})
@@ -356,6 +352,11 @@ func TestStatsSubscriptionDelete(t *testing.T) {
 			t.Errorf("%d indications delivered after the delete was acknowledged", n)
 		}
 	})
+	s, addr := startRIC(t)
+	bs := startBS(t, addr, sm.SchemeASN)
+	agentID := waitAgents(t, s, 1)
+	macFn := bs.fns[0].(*sm.StatsFunction)
+
 	sub, err := s.Subscribe(agentID, sm.IDMACStats,
 		sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,
 		server.SubscriptionCallbacks{

@@ -17,17 +17,16 @@ import (
 // nil, empty or filled.
 type fill struct{ rng *rand.Rand }
 
-func (f fill) u8(_ int, v *uint8)      { *v = uint8(f.rng.Uint32()) }
-func (f fill) u16(_ int, v *uint16)    { *v = uint16(f.rng.Uint32()) }
-func (f fill) u32(_ int, v *uint32)    { *v = f.rng.Uint32() }
-func (f fill) u64(_ int, v *uint64)    { *v = f.rng.Uint64() >> f.rng.Intn(64) }
-func (f fill) i64(_ int, v *int64)     { *v = int64(f.rng.Uint64()) >> f.rng.Intn(64) }
-func (f fill) f64(_ int, v *float64)   { *v = f.rng.NormFloat64() * 1e6 }
-func (f fill) bool(_ int, v *bool)     { *v = f.rng.Intn(2) == 0 }
-func (f fill) list(int, int) int       { return f.rng.Intn(4) }
-func (fill) item(int)                  {}
-func (fill) end()                      {}
-func (f fill) octets(_ int, v *[]byte) { *v = f.bytes() }
+func (f fill) u8(_ int, v *uint8)    { *v = uint8(f.rng.Uint32()) }
+func (f fill) u16(_ int, v *uint16)  { *v = uint16(f.rng.Uint32()) }
+func (f fill) u32(_ int, v *uint32)  { *v = f.rng.Uint32() }
+func (f fill) u64(_ int, v *uint64)  { *v = f.rng.Uint64() >> f.rng.Intn(64) }
+func (f fill) i64(_ int, v *int64)   { *v = int64(f.rng.Uint64()) >> f.rng.Intn(64) }
+func (f fill) f64(_ int, v *float64) { *v = f.rng.NormFloat64() * 1e6 }
+func (f fill) bool(_ int, v *bool)   { *v = f.rng.Intn(2) == 0 }
+func (f fill) list(int, int) int     { return f.rng.Intn(4) }
+func (fill) item(int)                {}
+func (fill) end()                    {}
 
 func (f fill) str(_ int, v *string) {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789.:-"
@@ -38,16 +37,16 @@ func (f fill) str(_ int, v *string) {
 	*v = string(b)
 }
 
-func (f fill) bytes() []byte {
+func (f fill) octets(_ int, v *[]byte) {
 	switch f.rng.Intn(3) {
 	case 0:
-		return nil
+		*v = nil
 	case 1:
-		return []byte{}
+		*v = []byte{}
+	default:
+		*v = make([]byte, 1+f.rng.Intn(8))
+		f.rng.Read(*v)
 	}
-	b := make([]byte, 1+f.rng.Intn(8))
-	f.rng.Read(b)
-	return b
 }
 
 // rows fills a list the way listOf does for the hand-written reports,

@@ -87,7 +87,7 @@ func nilEmpty(v reflect.Value) {
 // Random values of every type survive both schemes, and every strict
 // prefix of their wires fails closed.
 func TestWalkRoundTripSweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
+	rng := rand.New(rand.NewSource(1))
 	for _, st := range smTypes {
 		for i := 0; i < 12; i++ {
 			v := st.random(rng)
