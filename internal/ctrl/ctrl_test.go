@@ -417,8 +417,10 @@ func TestRelayTwoHopPing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The relay answers only after it has sent the subscription south;
-	// the ping then follows it down the same connection.
+	// The proxy knows the BS, so the relay answers only after it has sent
+	// the subscription south, and the ping follows it down the same
+	// connection. Had the subscription been parked, it would have been
+	// admitted before anything went south (TestRelayParkedLegControl).
 	select {
 	case <-admitted:
 	case <-time.After(10 * time.Second):
@@ -435,6 +437,56 @@ func TestRelayTwoHopPing(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("no pong through the relay")
+	}
+}
+
+// A control sent after OnAdmitted is lost while the leg is parked: the
+// relay admits a subscription before any south agent exists, then drops
+// a fire-and-forget control with errNoSouth. A north caller cannot tell
+// admitted from placed (ROADMAP 4, proxy-core leftovers).
+func TestRelayParkedLegControl(t *testing.T) {
+	t.Skip("known defect, ROADMAP 4: a control to an admitted but parked relay leg is dropped")
+	parent, parentAddr := startSrv(t)
+	relay, err := ctrl.NewRelay("127.0.0.1:0", parentAddr, e2ap.SchemeASN, transport.KindSCTPish,
+		[]uint16{sm.IDHelloWorld})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	await(t, "relay registered at parent", func() bool { return len(parent.Agents()) == 1 })
+
+	relayID := parent.Agents()[0].ID
+	pongs := make(chan *sm.HWPing, 4)
+	admitted := make(chan struct{})
+	if _, err := parent.Subscribe(relayID, sm.IDHelloWorld,
+		sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,
+		server.SubscriptionCallbacks{
+			OnAdmitted: func(*e2ap.SubscriptionResponse) { close(admitted) },
+			OnIndication: func(ev server.IndicationEvent) {
+				if p, err := sm.DecodeHWPing(ev.Env.IndicationPayload()); err == nil {
+					pongs <- p
+				}
+			},
+		}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-admitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked subscription not admitted")
+	}
+	ping := &sm.HWPing{Seq: 12, T0: time.Now().UnixNano(), Data: make([]byte, 100)}
+	if err := parent.Control(relayID, sm.IDHelloWorld, nil, sm.EncodeHWPing(sm.SchemeASN, ping), false, nil); err != nil {
+		t.Fatal(err)
+	}
+	startBS(t, relaySouthAddr(t, relay), 5, sm.SchemeASN, 25)
+	select {
+	case p := <-pongs:
+		if p.Seq != 12 {
+			t.Fatalf("pong seq %d", p.Seq)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the control sent to the parked leg never reached the BS")
 	}
 }
 

@@ -341,17 +341,14 @@ func TestHWPingEndToEnd(t *testing.T) {
 
 func TestStatsSubscriptionDelete(t *testing.T) {
 	// Nothing is delivered after a delete is acknowledged (DESIGN.md §5):
-	// an indication after OnDeleted fails the test, however late it
-	// comes. Registered first, the check runs after the server's
-	// shutdown.
-	var count, late atomic.Int64
+	// an indication after OnDeleted fails the test. A second MAC
+	// subscription on the same connection is the barrier: the server
+	// dispatches one connection's messages in order, so once it has
+	// delivered three indications after OnDeleted, any late indication
+	// for the deleted subscription would already have been counted.
+	var count, late, after atomic.Int64
 	var deleted atomic.Bool
-	acked := make(chan struct{})
-	t.Cleanup(func() {
-		if n := late.Load(); n > 0 {
-			t.Errorf("%d indications delivered after the delete was acknowledged", n)
-		}
-	})
+	acked, drained := make(chan struct{}), make(chan struct{})
 	s, addr := startRIC(t)
 	bs := startBS(t, addr, sm.SchemeASN)
 	agentID := waitAgents(t, s, 1)
@@ -374,22 +371,37 @@ func TestStatsSubscriptionDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Subscribe(agentID, sm.IDMACStats,
+		sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,
+		server.SubscriptionCallbacks{
+			OnIndication: func(server.IndicationEvent) {
+				if deleted.Load() && after.Add(1) == 3 {
+					close(drained)
+				}
+			},
+		}); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && count.Load() < 10 {
+	for time.Now().Before(deadline) && (count.Load() < 10 || macFn.Subscriptions() < 2) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if count.Load() < 10 {
 		t.Fatal("no reports flowing")
 	}
-	if macFn.Subscriptions() != 1 {
+	if macFn.Subscriptions() != 2 {
 		t.Fatalf("agent-side subscriptions: %d", macFn.Subscriptions())
 	}
 	if err := s.Unsubscribe(sub, sm.IDMACStats); err != nil {
 		t.Fatal(err)
 	}
 	awaitClosed(t, acked, "delete acknowledged")
-	if macFn.Subscriptions() != 0 {
+	if macFn.Subscriptions() != 1 {
 		t.Fatal("agent-side subscription not removed")
+	}
+	awaitClosed(t, drained, "three indications of the kept subscription after the delete")
+	if n := late.Load(); n > 0 {
+		t.Errorf("%d indications delivered after the delete was acknowledged", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package sm
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 
 	"flexric/internal/agent"
@@ -365,7 +364,10 @@ func (f *HWFunction) OnControl(ctrl agent.ControllerID, req *e2ap.ControlRequest
 	if tx == nil {
 		return nil, fmt.Errorf("sm: hw: no subscription from controller %d", ctrl)
 	}
-	return nil, tx.SendIndication(1, e2ap.IndicationReport, req.Header, req.Payload)
+	if err := tx.SendIndication(1, e2ap.IndicationReport, req.Header, req.Payload); err != nil {
+		return nil, err
+	}
+	return nil, nil
 }
 
 // SliceCtrlFunction is the SC SM bound to a cell.
@@ -503,11 +505,18 @@ func (f *RRCFunction) OnControl(agent.ControllerID, *e2ap.ControlRequest) ([]byt
 func (f *RRCFunction) emit(ev *RRCEvent) {
 	payload := EncodeRRCEvent(f.scheme, ev)
 	f.mu.Lock()
-	senders := maps.Clone(f.senders) // send outside the lock
+	type dst struct {
+		tx   agent.IndicationSender
+		ctrl agent.ControllerID
+	}
+	var dsts []dst
+	for k, tx := range f.senders {
+		dsts = append(dsts, dst{tx, k.ctrl})
+	}
 	f.mu.Unlock()
-	for k, tx := range senders {
-		if visible(f.vis, k.ctrl, ev.RNTI) {
-			_ = tx.SendIndication(1, e2ap.IndicationReport, nil, payload)
+	for _, d := range dsts {
+		if visible(f.vis, d.ctrl, ev.RNTI) {
+			_ = d.tx.SendIndication(1, e2ap.IndicationReport, nil, payload)
 		}
 	}
 }

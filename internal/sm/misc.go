@@ -1,6 +1,11 @@
 package sm
 
-// HWPing is the Hello-World SM payload (§5.2): the paper's modified HW-E2SM
+// This file carries the remaining shipped SMs: the Hello-World ping SM
+// used by the §5.2 encoding experiments, the RRC UE-notification SM that
+// lets slicing xApps discover UE-to-service associations (§6.1.2), and an
+// O-RAN-style KPM SM (Appendix A.4).
+
+// HWPing is the Hello-World SM payload: the paper's modified HW-E2SM
 // "performs a ping by sending a control message to the RAN function, to
 // which the agent responds with an indication message."
 type HWPing struct {

@@ -74,13 +74,7 @@ type Trigger struct {
 func (t *Trigger) walk(f fields) { f.u32(0, &t.PeriodMS) }
 
 // EncodeTrigger serializes a periodic event trigger.
-func EncodeTrigger(s Scheme, t Trigger) []byte { return AppendTrigger(nil, s, t) }
-
-// AppendTrigger appends an encoded periodic event trigger to dst
-// (which may be nil) and returns the extended slice. Like all Append*
-// SM encoders it retains nothing: the caller owns the result, which is
-// what makes pooled-buffer reuse safe.
-func AppendTrigger(dst []byte, s Scheme, t Trigger) []byte { return appendWalk(dst, s, &t) }
+func EncodeTrigger(s Scheme, t Trigger) []byte { return appendWalk(nil, s, &t) }
 
 // DecodeTrigger parses a periodic event trigger.
 func DecodeTrigger(b []byte) (Trigger, error) {

@@ -1,7 +1,6 @@
 package sm
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -82,7 +81,9 @@ type MACReport struct {
 }
 
 // EncodeMACReport serializes a MAC stats report in the given scheme.
-func EncodeMACReport(s Scheme, r *MACReport) []byte { return AppendMACReport(nil, s, r) }
+func EncodeMACReport(s Scheme, r *MACReport) []byte {
+	return AppendMACReport(nil, s, r)
+}
 
 // AppendMACReport appends an encoded MAC stats report to dst (which may
 // be nil) and returns the extended slice. The caller owns the result;
@@ -128,46 +129,69 @@ func DecodeMACReport(b []byte) (*MACReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s == SchemeFB {
+	switch s {
+	case SchemeFB:
 		tab, err := flat.GetRoot(body)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		r := &MACReport{CellTimeMS: tab.Int64(0)}
-		if n := tab.VectorLen(1); n > 0 {
+		n := tab.VectorLen(1)
+		if n > 0 {
+			r.UEs = make([]MACUEEntry, n)
+		}
+		for i := 0; i < n; i++ {
+			ut := tab.RefVectorAt(1, i)
+			r.UEs[i] = MACUEEntry{
+				RNTI:          uint16(ut.Uint32(0)),
+				CQI:           ut.Uint8(1),
+				MCS:           ut.Uint8(2),
+				RBsUsed:       ut.Uint64(3),
+				TxBits:        ut.Uint64(4),
+				ThroughputBps: ut.Float64(5),
+			}
+		}
+		return r, nil
+	default:
+		rd := asn1per.NewReader(body)
+		r := &MACReport{}
+		if r.CellTimeMS, err = rd.ReadInt(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+		}
+		n, err := rd.ReadCount()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+		}
+		if n > 0 {
 			r.UEs = make([]MACUEEntry, n)
 		}
 		for i := range r.UEs {
-			t := tab.RefVectorAt(1, i)
-			r.UEs[i] = MACUEEntry{RNTI: uint16(t.Uint32(0)), CQI: t.Uint8(1), MCS: t.Uint8(2),
-				RBsUsed: t.Uint64(3), TxBits: t.Uint64(4), ThroughputBps: t.Float64(5)}
+			u := &r.UEs[i]
+			var v uint64
+			if v, err = rd.ReadBits(16); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			u.RNTI = uint16(v)
+			if v, err = rd.ReadBits(8); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			u.CQI = uint8(v)
+			if v, err = rd.ReadBits(8); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			u.MCS = uint8(v)
+			if u.RBsUsed, err = rd.ReadUint(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			if u.TxBits, err = rd.ReadUint(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			if u.ThroughputBps, err = rd.ReadFloat(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
 		}
 		return r, nil
 	}
-	rd := asn1per.NewReader(body)
-	cellTimeMS, e1 := rd.ReadInt()
-	n, e2 := rd.ReadCount()
-	if e1 != nil || e2 != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, cmp.Or(e1, e2))
-	}
-	r := &MACReport{CellTimeMS: cellTimeMS}
-	if n > 0 {
-		r.UEs = make([]MACUEEntry, n)
-	}
-	for i := range r.UEs {
-		rnti, e1 := rd.ReadBits(16)
-		cqi, e2 := rd.ReadBits(8)
-		mcs, e3 := rd.ReadBits(8)
-		rbs, e4 := rd.ReadUint()
-		tx, e5 := rd.ReadUint()
-		thr, e6 := rd.ReadFloat()
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || e5 != nil || e6 != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, cmp.Or(e1, e2, e3, e4, e5, e6))
-		}
-		r.UEs[i] = MACUEEntry{RNTI: uint16(rnti), CQI: uint8(cqi), MCS: uint8(mcs),
-			RBsUsed: rbs, TxBits: tx, ThroughputBps: thr}
-	}
-	return r, nil
 }
 
 // RLCUEEntry is one UE's RLC statistics.
@@ -191,7 +215,9 @@ type RLCReport struct {
 }
 
 // EncodeRLCReport serializes an RLC stats report.
-func EncodeRLCReport(s Scheme, r *RLCReport) []byte { return AppendRLCReport(nil, s, r) }
+func EncodeRLCReport(s Scheme, r *RLCReport) []byte {
+	return AppendRLCReport(nil, s, r)
+}
 
 // AppendRLCReport appends an encoded RLC stats report to dst (which may
 // be nil) and returns the extended slice. The caller owns the result;
@@ -244,51 +270,66 @@ func DecodeRLCReport(b []byte) (*RLCReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s == SchemeFB {
+	switch s {
+	case SchemeFB:
 		tab, err := flat.GetRoot(body)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		r := &RLCReport{CellTimeMS: tab.Int64(0)}
-		if n := tab.VectorLen(1); n > 0 {
+		n := tab.VectorLen(1)
+		if n > 0 {
 			r.UEs = make([]RLCUEEntry, n)
 		}
-		for i := range r.UEs {
-			t := tab.RefVectorAt(1, i)
-			r.UEs[i] = RLCUEEntry{RNTI: uint16(t.Uint32(0)), TxPackets: t.Uint64(1), TxBytes: t.Uint64(2),
-				RxPackets: t.Uint64(3), RxBytes: t.Uint64(4), DropPackets: t.Uint64(5), DropBytes: t.Uint64(6),
-				BufferBytes: t.Uint64(7), BufferPkts: t.Uint64(8), SojournMS: t.Int64(9)}
-		}
-		return r, nil
-	}
-	rd := asn1per.NewReader(body)
-	cellTimeMS, e1 := rd.ReadInt()
-	n, e2 := rd.ReadCount()
-	if e1 != nil || e2 != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, cmp.Or(e1, e2))
-	}
-	r := &RLCReport{CellTimeMS: cellTimeMS}
-	if n > 0 {
-		r.UEs = make([]RLCUEEntry, n)
-	}
-	for i := range r.UEs {
-		u := &r.UEs[i]
-		rnti, err := rd.ReadBits(16)
-		u.RNTI = uint16(rnti)
-		for _, f := range []*uint64{&u.TxPackets, &u.TxBytes, &u.RxPackets, &u.RxBytes,
-			&u.DropPackets, &u.DropBytes, &u.BufferBytes, &u.BufferPkts} {
-			if err == nil {
-				*f, err = rd.ReadUint()
+		for i := 0; i < n; i++ {
+			ut := tab.RefVectorAt(1, i)
+			r.UEs[i] = RLCUEEntry{
+				RNTI:        uint16(ut.Uint32(0)),
+				TxPackets:   ut.Uint64(1),
+				TxBytes:     ut.Uint64(2),
+				RxPackets:   ut.Uint64(3),
+				RxBytes:     ut.Uint64(4),
+				DropPackets: ut.Uint64(5),
+				DropBytes:   ut.Uint64(6),
+				BufferBytes: ut.Uint64(7),
+				BufferPkts:  ut.Uint64(8),
+				SojournMS:   ut.Int64(9),
 			}
 		}
-		if err == nil {
-			u.SojournMS, err = rd.ReadInt()
+		return r, nil
+	default:
+		rd := asn1per.NewReader(body)
+		r := &RLCReport{}
+		if r.CellTimeMS, err = rd.ReadInt(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
+		n, err := rd.ReadCount()
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
+		if n > 0 {
+			r.UEs = make([]RLCUEEntry, n)
+		}
+		for i := range r.UEs {
+			u := &r.UEs[i]
+			v, err := rd.ReadBits(16)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			u.RNTI = uint16(v)
+			fields := []*uint64{&u.TxPackets, &u.TxBytes, &u.RxPackets, &u.RxBytes,
+				&u.DropPackets, &u.DropBytes, &u.BufferBytes, &u.BufferPkts}
+			for _, f := range fields {
+				if *f, err = rd.ReadUint(); err != nil {
+					return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+				}
+			}
+			if u.SojournMS, err = rd.ReadInt(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+		}
+		return r, nil
 	}
-	return r, nil
 }
 
 // PDCPUEEntry is one UE's PDCP statistics.
@@ -305,7 +346,9 @@ type PDCPReport struct {
 }
 
 // EncodePDCPReport serializes a PDCP stats report.
-func EncodePDCPReport(s Scheme, r *PDCPReport) []byte { return AppendPDCPReport(nil, s, r) }
+func EncodePDCPReport(s Scheme, r *PDCPReport) []byte {
+	return AppendPDCPReport(nil, s, r)
+}
 
 // AppendPDCPReport appends an encoded PDCP stats report to dst (which
 // may be nil) and returns the extended slice. The caller owns the
@@ -344,39 +387,53 @@ func DecodePDCPReport(b []byte) (*PDCPReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s == SchemeFB {
+	switch s {
+	case SchemeFB:
 		tab, err := flat.GetRoot(body)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		r := &PDCPReport{CellTimeMS: tab.Int64(0)}
-		if n := tab.VectorLen(1); n > 0 {
+		n := tab.VectorLen(1)
+		if n > 0 {
+			r.UEs = make([]PDCPUEEntry, n)
+		}
+		for i := 0; i < n; i++ {
+			ut := tab.RefVectorAt(1, i)
+			r.UEs[i] = PDCPUEEntry{
+				RNTI:      uint16(ut.Uint32(0)),
+				TxPackets: ut.Uint64(1),
+				TxBytes:   ut.Uint64(2),
+			}
+		}
+		return r, nil
+	default:
+		rd := asn1per.NewReader(body)
+		r := &PDCPReport{}
+		if r.CellTimeMS, err = rd.ReadInt(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+		}
+		n, err := rd.ReadCount()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+		}
+		if n > 0 {
 			r.UEs = make([]PDCPUEEntry, n)
 		}
 		for i := range r.UEs {
-			t := tab.RefVectorAt(1, i)
-			r.UEs[i] = PDCPUEEntry{RNTI: uint16(t.Uint32(0)), TxPackets: t.Uint64(1), TxBytes: t.Uint64(2)}
+			u := &r.UEs[i]
+			v, err := rd.ReadBits(16)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			u.RNTI = uint16(v)
+			if u.TxPackets, err = rd.ReadUint(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
+			if u.TxBytes, err = rd.ReadUint(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+			}
 		}
 		return r, nil
 	}
-	rd := asn1per.NewReader(body)
-	cellTimeMS, e1 := rd.ReadInt()
-	n, e2 := rd.ReadCount()
-	if e1 != nil || e2 != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, cmp.Or(e1, e2))
-	}
-	r := &PDCPReport{CellTimeMS: cellTimeMS}
-	if n > 0 {
-		r.UEs = make([]PDCPUEEntry, n)
-	}
-	for i := range r.UEs {
-		rnti, e1 := rd.ReadBits(16)
-		txp, e2 := rd.ReadUint()
-		txb, e3 := rd.ReadUint()
-		if e1 != nil || e2 != nil || e3 != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadPayload, cmp.Or(e1, e2, e3))
-		}
-		r.UEs[i] = PDCPUEEntry{RNTI: uint16(rnti), TxPackets: txp, TxBytes: txb}
-	}
-	return r, nil
 }

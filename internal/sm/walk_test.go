@@ -108,27 +108,48 @@ func TestWalkRoundTripSweep(t *testing.T) {
 	}
 }
 
-// SliceControl crosses the wire every control cycle (ctrl_loop) and is
-// walked: an encode allocates only its result, where the hand-written
-// arms allocated 2 (PER) and 4 (flat) objects, and a decode allocates
-// the message, its slice list and the one non-empty scheduler name, as
-// the hand-written arms did.
-func TestSliceControlWalkAllocs(t *testing.T) {
+// walkAllocs checks what one encode and one decode of m allocate in
+// each scheme, as AllocsPerRun counts them.
+func walkAllocs[T any](t *testing.T, m *T, enc func(Scheme, *T) []byte, dec func([]byte) (*T, error), want [2]float64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	c := &SliceControl{Op: OpConfigureSlices, Slices: []SliceParams{
-		{ID: 1, CapacityQ: 750_000, UESched: "pf"},
-		{ID: 2, CapacityQ: 250_000},
-	}}
 	for _, s := range schemes() {
-		wire := EncodeSliceControl(s, c)
+		wire := enc(s, m)
 		got := [2]float64{
-			testing.AllocsPerRun(100, func() { EncodeSliceControl(s, c) }),
-			testing.AllocsPerRun(100, func() { DecodeSliceControl(wire) }),
+			testing.AllocsPerRun(100, func() { enc(s, m) }),
+			testing.AllocsPerRun(100, func() { dec(wire) }),
 		}
-		if want := [2]float64{1, 3}; got != want {
+		if got != want {
 			t.Errorf("%s: encode, decode allocate %v per message, want %v", s, got, want)
 		}
 	}
+}
+
+// The two walked types a steady state runs are the slicing SM's: in
+// the ctrl_loop benchmark every control cycle encodes and decodes one
+// SliceControl, and each agent's 100 ms status subscription one
+// SliceStatus per 100 cycles. An encode allocates only its result, where
+// the hand-written arms allocated more; a decode allocates what they
+// did.
+
+// A SliceControl decode allocates the message, its slice list and the
+// one non-empty scheduler name (hand-written encode: 2 PER, 4 flat).
+func TestSliceControlWalkAllocs(t *testing.T) {
+	walkAllocs(t, &SliceControl{Op: OpConfigureSlices, Slices: []SliceParams{
+		{ID: 1, CapacityQ: 750_000, UESched: "pf"},
+		{ID: 2, CapacityQ: 250_000},
+	}}, EncodeSliceControl, DecodeSliceControl, [2]float64{1, 3})
+}
+
+// A SliceStatus of ctrl_loop's shape, two slices and 32 UEs: its decode
+// allocates the message, the algorithm name and the two lists
+// (hand-written encode: 3 PER, 8 flat).
+func TestSliceStatusWalkAllocs(t *testing.T) {
+	st := &SliceStatus{Algo: "nvs", Slices: []SliceParams{{ID: 1, CapacityQ: 500_000}, {ID: 2, CapacityQ: 500_000}}}
+	for rnti := 1; rnti <= 32; rnti++ {
+		st.UEs = append(st.UEs, UESliceAssoc{RNTI: uint16(rnti), SliceID: uint32(1 + rnti%2)})
+	}
+	walkAllocs(t, st, EncodeSliceStatus, DecodeSliceStatus, [2]float64{1, 4})
 }

@@ -156,6 +156,14 @@ func TestSliceXApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	// The agent's setup completes before the server lists it; a POST in
+	// between answers 502 "no agent 0".
+	for deadline := time.Now().Add(5 * time.Second); len(srv.Agents()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("agent not listed by the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if _, err := cell.Attach(1, "", "208.95", 20); err != nil {
 		t.Fatal(err)
 	}
