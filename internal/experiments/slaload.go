@@ -142,10 +142,13 @@ func newA1Observer(addr string) (*a1Observer, error) {
 	return o, nil
 }
 
+// close ends the stream. Only one goroutine may read a ws.Conn, so the
+// reader goroutine, not CloseHandshake, drains for the peer's echo.
 func (o *a1Observer) close() {
-	_ = o.conn.CloseHandshake(ws.CloseNormal, "done", 2*time.Second)
-	o.conn.Close()
+	_ = o.conn.WriteClose(ws.CloseNormal, "done")
+	_ = o.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	<-o.done
+	o.conn.Close()
 }
 
 func (o *a1Observer) stats() (n int, sawViolated, sawEnforced bool) {
