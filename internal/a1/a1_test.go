@@ -101,26 +101,6 @@ func TestValidateAggregatesIssues(t *testing.T) {
 	}
 }
 
-func TestDecodePolicyStrict(t *testing.T) {
-	if _, err := DecodePolicy(strings.NewReader(
-		`{"id":"p","typeId":"slice_sla_v1","agent":0,"windowMs":100,"targets":[{"sliceId":1,"minThroughputMbps":1}],"bogusField":true}`,
-	)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := DecodePolicy(strings.NewReader(`{"id":"p"} trailing`)); err == nil {
-		t.Fatal("trailing data accepted")
-	}
-	p, err := DecodePolicy(strings.NewReader(
-		`{"id":"p","typeId":"slice_sla_v1","agent":2,"windowMs":100,"targets":[{"sliceId":1,"maxLatencyMs":50}]}`,
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Agent != 2 || len(p.Targets) != 1 || p.Targets[0].MaxLatencyMS != 50 {
-		t.Fatalf("decoded %+v", p)
-	}
-}
-
 func TestStoreCRUDAndVersions(t *testing.T) {
 	s := NewStore()
 	st, err := s.Create(validPolicy())

@@ -6,12 +6,16 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"flexric/internal/rest"
 )
 
 func newTestServer(t *testing.T) (*Store, *httptest.Server) {
 	t.Helper()
 	st := NewStore()
-	srv := httptest.NewServer(NewHandler(st))
+	mux := http.NewServeMux()
+	rest.Handle(mux, "a1.http", Routes(st))
+	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return st, srv
 }
@@ -136,14 +140,14 @@ func TestHTTPMethodAndContentEnforcement(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if allow := resp.Header.Get("Allow"); allow != "GET, POST" {
+	if allow := resp.Header.Get("Allow"); allow != "GET, HEAD, POST" {
 		t.Fatalf("Allow = %q", allow)
 	}
 	resp.Body.Close()
 
 	req, _ = http.NewRequest(http.MethodPost, srv.URL+"/a1/status", nil)
 	resp, _ = c.Do(req)
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" {
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD" {
 		t.Fatalf("status route: %d Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 	resp.Body.Close()
@@ -151,7 +155,7 @@ func TestHTTPMethodAndContentEnforcement(t *testing.T) {
 	req, _ = http.NewRequest(http.MethodPost, srv.URL+"/a1/policies/p1", strings.NewReader(policyBody))
 	req.Header.Set("Content-Type", "application/json")
 	resp, _ = c.Do(req)
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, PUT, DELETE" {
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "DELETE, GET, HEAD, PUT" {
 		t.Fatalf("policy route: %d Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 	resp.Body.Close()
@@ -219,7 +223,7 @@ func TestHTTPTypes(t *testing.T) {
 	}
 }
 
-// A body over maxPolicyBytes is refused with 413 on create and update,
+// A body over rest.MaxBody is refused with 413 on create and update,
 // before the decoder sees it; one just under the bound is decoded.
 func TestHTTPBodyBound(t *testing.T) {
 	st, srv := newTestServer(t)
@@ -230,7 +234,7 @@ func TestHTTPBodyBound(t *testing.T) {
 	for _, tc := range []struct {
 		method, path string
 	}{{http.MethodPost, "/a1/policies"}, {http.MethodPut, "/a1/policies/p1"}} {
-		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(pad(maxPolicyBytes+1)))
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(pad(rest.MaxBody+1)))
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := c.Do(req)
 		if err != nil {
@@ -238,18 +242,18 @@ func TestHTTPBodyBound(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s %s with a %d-byte body: status %d, want 413", tc.method, tc.path, maxPolicyBytes+1, resp.StatusCode)
+			t.Fatalf("%s %s with a %d-byte body: status %d, want 413", tc.method, tc.path, rest.MaxBody+1, resp.StatusCode)
 		}
 	}
 	if len(st.List()) != 0 {
 		t.Fatal("an oversized body created a policy")
 	}
-	resp, err := c.Post(srv.URL+"/a1/policies", "application/json", strings.NewReader(pad(maxPolicyBytes)))
+	resp, err := c.Post(srv.URL+"/a1/policies", "application/json", strings.NewReader(pad(rest.MaxBody)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("a %d-byte body: status %d, want 201", maxPolicyBytes, resp.StatusCode)
+		t.Fatalf("a %d-byte body: status %d, want 201", rest.MaxBody, resp.StatusCode)
 	}
 }

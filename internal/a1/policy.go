@@ -14,9 +14,7 @@ package a1
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 )
@@ -173,23 +171,6 @@ func validID(s string) bool {
 
 func finiteNonNeg(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
-}
-
-// DecodePolicy reads one policy from JSON, rejecting unknown fields —
-// a typo'd target name must fail loudly, not silently leave a policy
-// without targets.
-func DecodePolicy(r io.Reader) (*Policy, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var p Policy
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("bad policy JSON: %w", err)
-	}
-	// Reject trailing garbage after the object.
-	if dec.More() {
-		return nil, errors.New("bad policy JSON: trailing data after policy object")
-	}
-	return &p, nil
 }
 
 // TypeSchema describes one registered policy type for GET /a1/types.

@@ -140,7 +140,10 @@ func TestSharedMonitorRequirements(t *testing.T) {
 }
 
 // TestRESTBodyLimit: every northbound route with a body reads at most
-// 64 KiB of it and answers 413 beyond that; /tc's 405 names its method.
+// 64 KiB of it and answers 413 beyond that, even when the body also
+// holds an unknown field; it answers 415 for a body that is not JSON,
+// and 400 for an unknown field or trailing data. /tc's 405 names its
+// method.
 func TestRESTBodyLimit(t *testing.T) {
 	brk, brkAddr, err := broker.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -161,18 +164,29 @@ func TestRESTBodyLimit(t *testing.T) {
 	defer tcc.Close()
 
 	huge := strings.Repeat("x", 65<<10)
-	for _, c := range []struct{ url, body string }{
-		{"http://" + sc.Addr() + "/slices?agent=0", `{"algo":"` + huge + `"}`},
-		{"http://" + sc.Addr() + "/assoc?agent=0", `{"rnti":1,"pad":"` + huge + `"}`},
-		{"http://" + tcc.Addr() + "/tc?agent=0", `{"op":"` + huge + `"}`},
+	slices, assoc, tc := "http://"+sc.Addr()+"/slices?agent=0", "http://"+sc.Addr()+"/assoc?agent=0", "http://"+tcc.Addr()+"/tc?agent=0"
+	for _, c := range []struct {
+		url, ctype, body string
+		code             int
+	}{
+		{slices, "application/json", `{"algo":"` + huge + `"}`, http.StatusRequestEntityTooLarge},
+		{assoc, "application/json", `{"rnti":1,"pad":"` + huge + `"}`, http.StatusRequestEntityTooLarge},
+		{tc, "application/json", `{"op":"` + huge + `"}`, http.StatusRequestEntityTooLarge},
+		{tc, "text/plain", `{"op":"addQueue","rnti":1}`, http.StatusUnsupportedMediaType},
+		{slices, "application/json", `{"algo":"none","bogus":1}`, http.StatusBadRequest},
+		{assoc, "application/json", `{"rnti":1,"sliceId":2,"bogus":1}`, http.StatusBadRequest},
+		{tc, "application/json", `{"op":"addQueue","rnti":1,"bogus":1}`, http.StatusBadRequest},
+		{slices, "application/json", `{"algo":"none"} {}`, http.StatusBadRequest},
+		{assoc, "application/json", `{"rnti":1,"sliceId":2}x`, http.StatusBadRequest},
+		{tc, "application/json", `{"op":"addQueue","rnti":1}{"op":"addQueue"}`, http.StatusBadRequest},
 	} {
-		resp, err := http.Post(c.url, "application/json", strings.NewReader(c.body))
+		resp, err := http.Post(c.url, c.ctype, strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s with a %d B body: %s", c.url, len(c.body), resp.Status)
+		if resp.StatusCode != c.code {
+			t.Errorf("%s with a %d B %s body: %s, want %d", c.url, len(c.body), c.ctype, resp.Status, c.code)
 		}
 	}
 

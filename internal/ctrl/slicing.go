@@ -1,10 +1,8 @@
 package ctrl
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"mime"
 	"net"
 	"net/http"
 	"strconv"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"flexric/internal/nvs"
+	"flexric/internal/rest"
 	"flexric/internal/server"
 	"flexric/internal/sm"
 	"flexric/internal/tsdb"
@@ -131,11 +130,7 @@ func NewSlicingController(srv *server.Server, scheme sm.Scheme, httpAddr string,
 	})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/agents", c.handleAgents)
-	mux.HandleFunc("/stats", c.handleStats)
-	mux.HandleFunc("/stats/agg", c.handleStatsAgg)
-	mux.HandleFunc("/slices", c.handleSlices)
-	mux.HandleFunc("/assoc", c.handleAssoc)
+	rest.Handle(mux, "ctrl.http", c.routes())
 	lis, err := net.Listen("tcp", httpAddr)
 	if err != nil {
 		return nil, err
@@ -144,6 +139,19 @@ func NewSlicingController(srv *server.Server, scheme sm.Scheme, httpAddr string,
 	c.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = c.http.Serve(lis) }()
 	return c, nil
+}
+
+// routes lists the REST northbound; each route counts
+// ctrl.http.requests.<label> and observes ctrl.http.latency.<label>.
+func (c *SlicingController) routes() []rest.Route {
+	return []rest.Route{
+		{Pattern: "GET /agents", Label: "agents", Handler: c.handleAgents},
+		{Pattern: "GET /stats", Label: "stats", Handler: c.handleStats},
+		{Pattern: "GET /stats/agg", Label: "stats_agg", Handler: c.handleStatsAgg},
+		{Pattern: "GET /slices", Label: "slices", Handler: c.handleSliceStatus},
+		{Pattern: "POST /slices", Label: "slices", Handler: c.handleSlices},
+		{Pattern: "POST /assoc", Label: "assoc", Handler: c.handleAssoc},
+	}
 }
 
 // Addr returns the REST northbound address.
@@ -184,41 +192,15 @@ func agentParam(r *http.Request) (server.AgentID, error) {
 	return server.AgentID(n), nil
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// requireJSON gates POST bodies on Content-Type application/json (any
-// charset); anything else is 415, matching the A1 northbound's body
-// handling.
-func requireJSON(w http.ResponseWriter, r *http.Request) bool {
-	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != "application/json" {
-		http.Error(w, "unsupported content type: want application/json", http.StatusUnsupportedMediaType)
-		return false
-	}
-	return true
-}
-
-// maxBodyBytes bounds a northbound request body.
-const maxBodyBytes = 64 << 10
-
-// readJSON decodes a request body of at most maxBodyBytes into v,
-// answering 413 for a longer body and 400 for malformed JSON. It reports
-// whether v holds the body.
+// readJSON decodes a request body into v under rest.ReadJSON's rules,
+// answering the client itself when it cannot. It reports whether v
+// holds the body.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	if err == nil {
-		return true
+	code, err := rest.ReadJSON(w, r, v)
+	if err != nil {
+		http.Error(w, err.Error(), code)
 	}
-	code := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	http.Error(w, err.Error(), code)
-	return false
+	return err == nil
 }
 
 func (c *SlicingController) handleAgents(w http.ResponseWriter, r *http.Request) {
@@ -236,7 +218,7 @@ func (c *SlicingController) handleAgents(w http.ResponseWriter, r *http.Request)
 		}
 		out = append(out, aj)
 	}
-	writeJSON(w, out)
+	rest.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *SlicingController) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -250,14 +232,21 @@ func (c *SlicingController) handleStats(w http.ResponseWriter, r *http.Request) 
 		http.Error(w, "no stats yet", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, rep)
+	rest.WriteJSON(w, http.StatusOK, rep)
 }
 
 // handleStatsAgg serves windowed aggregates over a UE's MAC series: the
 // decision input for slicing policies that want a stable signal instead
 // of the single latest report.
 func (c *SlicingController) handleStatsAgg(w http.ResponseWriter, r *http.Request) {
-	id, err := agentParam(r)
+	// /stats/agg reads the MAC series only, over the last second unless
+	// window_ms says otherwise.
+	v := r.URL.Query()
+	v.Set("fn", "mac")
+	if v.Get("window_ms") == "" {
+		v.Set("window_ms", "1000")
+	}
+	q, err := tsdb.ParseQuery(v, tsdb.FormWindow)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -267,88 +256,57 @@ func (c *SlicingController) handleStatsAgg(w http.ResponseWriter, r *http.Reques
 		http.Error(w, "no time-series store", http.StatusServiceUnavailable)
 		return
 	}
-	q := r.URL.Query()
-	ue, err := strconv.Atoi(q.Get("ue"))
-	if err != nil || ue < 0 || ue > 0xFFFF {
-		http.Error(w, "bad ue parameter", http.StatusBadRequest)
-		return
-	}
-	field, ok := tsdb.ParseField(q.Get("field"))
-	if !ok {
-		http.Error(w, "unknown field", http.StatusBadRequest)
-		return
-	}
-	windowNS := int64(time.Second)
-	if v := q.Get("window_ms"); v != "" {
-		if windowNS, ok = tsdb.ParseMS(v); !ok {
-			http.Error(w, "bad window_ms parameter", http.StatusBadRequest)
-			return
-		}
-	}
-	now := time.Now().UnixNano()
-	k := tsdb.SeriesKey{Agent: uint32(id), Fn: sm.IDMACStats, UE: uint16(ue), Field: field}
-	agg, ok := store.Aggregate(k, now-windowNS, now)
+	k := tsdb.SeriesKey{Agent: uint32(q.Agent), Fn: q.Fn, UE: uint16(q.UE), Field: q.Field}
+	agg, ok := store.Aggregate(k, q.From, q.To)
 	if !ok {
 		http.Error(w, "no samples in window", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, agg)
+	rest.WriteJSON(w, http.StatusOK, agg)
+}
+
+func (c *SlicingController) handleSliceStatus(w http.ResponseWriter, r *http.Request) {
+	id, err := agentParam(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	c.mu.Lock()
+	st := c.status[id]
+	c.mu.Unlock()
+	if st == nil {
+		http.Error(w, "no slice status yet", http.StatusNotFound)
+		return
+	}
+	rest.WriteJSON(w, http.StatusOK, st)
 }
 
 func (c *SlicingController) handleSlices(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	id, err := agentParam(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		c.mu.Lock()
-		st := c.status[id]
-		c.mu.Unlock()
-		if st == nil {
-			http.Error(w, "no slice status yet", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, st)
-	case http.MethodPost:
-		if !requireJSON(w, r) {
-			return
-		}
-		var body SliceConfigJSON
-		if !readJSON(w, r, &body) {
-			return
-		}
-		ctl, err := sliceControlFromJSON(&body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := c.apply(id, ctl); err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+	var body SliceConfigJSON
+	if !readJSON(w, r, &body) {
+		return
 	}
+	ctl, err := sliceControlFromJSON(&body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := c.apply(id, ctl); err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *SlicingController) handleAssoc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	id, err := agentParam(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !requireJSON(w, r) {
 		return
 	}
 	var body AssocJSON

@@ -1,6 +1,7 @@
 package ctrl_test
 
 import (
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -54,12 +55,28 @@ func TestSlicingRESTMethodAndContentEnforcement(t *testing.T) {
 
 	// 405 with Allow on both mutating routes.
 	resp := do(http.MethodDelete, base+"/slices?agent=0", "", "")
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, POST" {
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD, POST" {
 		t.Fatalf("DELETE /slices: %s allow=%q", resp.Status, resp.Header.Get("Allow"))
 	}
 	resp = do(http.MethodGet, base+"/assoc?agent=0", "", "")
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" {
 		t.Fatalf("GET /assoc: %s allow=%q", resp.Status, resp.Header.Get("Allow"))
+	}
+	// The read-only routes answer GET and HEAD only.
+	for _, c := range []struct{ method, path string }{
+		{http.MethodDelete, "/agents"},
+		{http.MethodPost, "/stats?agent=0"},
+		{http.MethodPut, "/stats/agg?agent=0&ue=1&field=cqi"},
+	} {
+		resp = do(c.method, base+c.path, "application/json", "{}")
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD" {
+			t.Fatalf("%s %s: %s allow=%q", c.method, c.path, resp.Status, resp.Header.Get("Allow"))
+		}
+	}
+	// HEAD on a GET route answers like GET, without a body.
+	resp = do(http.MethodHead, base+"/agents", "", "")
+	if b, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK || len(b) != 0 {
+		t.Fatalf("HEAD /agents: %s with %d body bytes", resp.Status, len(b))
 	}
 
 	// 415 for non-JSON and missing content types.

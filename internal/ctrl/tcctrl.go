@@ -9,6 +9,7 @@ import (
 
 	"flexric/internal/broker"
 	"flexric/internal/e2ap"
+	"flexric/internal/rest"
 	"flexric/internal/server"
 	"flexric/internal/sm"
 )
@@ -92,7 +93,7 @@ func NewTCController(mon *Monitor, brokerAddr, httpAddr string) (*TCController, 
 	})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/tc", c.handleTC)
+	rest.Handle(mux, "ctrl.http", c.routes())
 	c.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = c.http.Serve(lis) }()
 	return c, nil
@@ -118,12 +119,12 @@ func (c *TCController) Close() error {
 	return c.http.Close()
 }
 
+// routes lists the REST northbound, counted like the slicing routes.
+func (c *TCController) routes() []rest.Route {
+	return []rest.Route{{Pattern: "POST /tc", Label: "tc", Handler: c.handleTC}}
+}
+
 func (c *TCController) handleTC(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	id, err := agentParam(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -149,7 +150,7 @@ func (c *TCController) handleTC(w http.ResponseWriter, r *http.Request) {
 			res.Queue = oc.Queue
 		}
 	}
-	writeJSON(w, res)
+	rest.WriteJSON(w, http.StatusOK, res)
 }
 
 func tcControlFromJSON(body *TCCommandJSON) (*sm.TCControl, error) {

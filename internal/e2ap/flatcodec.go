@@ -1,8 +1,10 @@
 package e2ap
 
 import (
+	"errors"
 	"fmt"
 
+	"flexric/internal/encoding/asn1per"
 	"flexric/internal/encoding/flat"
 	"flexric/internal/trace"
 )
@@ -187,7 +189,12 @@ func (c *FlatCodec) envelope(wire []byte) (Envelope, error) {
 	// Reuse the codec-owned view instead of allocating one per message;
 	// clearing the cached PDU is what keeps a stale full decode from
 	// leaking into the next message (see the Codec.Envelope contract).
-	c.env = flatEnvelope{tab: tab, typ: MessageType(t), rd: &c.rd}
+	c.env = flatEnvelope{tab: tab, typ: MessageType(t), size: len(wire), rd: &c.rd}
+	if manyRefs[t] {
+		if _, err := c.env.PDU(); err != nil {
+			return nil, err
+		}
+	}
 	return &c.env, nil
 }
 
@@ -201,10 +208,11 @@ func (c *FlatCodec) decode(wire []byte) (PDU, error) {
 
 // flatEnvelope is a lazy view over a flat-encoded message.
 type flatEnvelope struct {
-	tab flat.Table
-	typ MessageType
-	pdu PDU // cached full decode
-	rd  *flatReader
+	tab  flat.Table
+	typ  MessageType
+	size int // of the wire message
+	pdu  PDU // cached full decode
+	rd   *flatReader
 }
 
 func (e *flatEnvelope) Type() MessageType { return e.typ }
@@ -229,17 +237,23 @@ func (e *flatEnvelope) IndicationHeader() []byte {
 
 func (e *flatEnvelope) Trace() trace.Context { return flatGetTrace(e.tab) }
 
-// PDU never fails: an absent or unreadable field decodes as its zero
-// value.
+// PDU fails only when the copies outgrow the copy budget (see
+// flatReader); an absent or unreadable field decodes as its zero value.
+// A type that can outgrow it is decoded by Envelope, so PDU never fails
+// on an envelope Envelope returned.
 func (e *flatEnvelope) PDU() (PDU, error) {
 	if e.pdu == nil {
-		e.pdu = e.decode()
+		pdu, err := e.decode()
+		if err != nil {
+			return nil, err
+		}
+		e.pdu = pdu
 	}
 	return e.pdu, nil
 }
 
 // decode materializes the message the envelope views.
-func (e *flatEnvelope) decode() PDU {
+func (e *flatEnvelope) decode() (PDU, error) {
 	tab, cp := e.tab, cloneOctets
 	switch e.typ {
 	case TypeIndication:
@@ -254,7 +268,7 @@ func (e *flatEnvelope) decode() PDU {
 			Payload:       cp(tab.Bytes(slC)),
 			CallProcessID: cp(tab.Bytes(slD)),
 			Trace:         flatGetTrace(tab),
-		}
+		}, nil
 	case TypeControlRequest:
 		return &ControlRequest{
 			RequestID:     unpackReqID(tab.Uint32(slReqID)),
@@ -264,12 +278,16 @@ func (e *flatEnvelope) decode() PDU {
 			Payload:       cp(tab.Bytes(slC)),
 			AckRequested:  tab.Bool(slD),
 			Trace:         flatGetTrace(tab),
-		}
+		}, nil
 	}
 	m := newMessage[e.typ]()
 	e.rd.frames = append(e.rd.frames[:0], flatRead{tab: tab})
+	e.rd.left, e.rd.err = e.size, nil
 	m.walk(e.rd)
-	return m
+	if e.rd.err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, e.typ, e.rd.err)
+	}
+	return m, nil
 }
 
 // flatGetTrace reads the trace-context slots; absent slots read as zero,
@@ -433,8 +451,39 @@ func (w *flatWriter) end() {
 }
 
 // flatReader is the flat decoder of a field walk: a stack of the tables
-// being read, each with the slot of the list vector it is open on.
-type flatReader struct{ frames []flatRead }
+// being read, each with the slot of the list vector it is open on. left
+// is what the body can still hold of the strings and octets copied out
+// of list items and string lists. Those are the reads a message can
+// repeat, since every item can refer to one string; so copying more
+// than the body holds means a hostile buffer, and err is set. A read
+// outside them happens once per slot and is not counted.
+type flatReader struct {
+	frames []flatRead
+	left   int
+	err    error
+}
+
+// errCopyBudget reports a flat message whose copies outgrow its body.
+var errCopyBudget = errors.New("strings copied outgrow the message")
+
+// charge counts a copy of n bytes against the budget.
+func (r *flatReader) charge(n int) bool {
+	if r.left -= n; r.left < 0 {
+		r.err = errCopyBudget
+		return false
+	}
+	return true
+}
+
+// bytes returns the octets in slot, or nil once the copies made in list
+// items outgrow the body.
+func (r *flatReader) bytes(slot int) []byte {
+	b := r.top().Bytes(slot)
+	if len(r.frames) > 1 && !r.charge(len(b)) {
+		return nil
+	}
+	return b
+}
 
 type flatRead struct {
 	tab  flat.Table
@@ -447,8 +496,8 @@ func (r *flatReader) u8(slot int, v *uint8)          { *v = r.top().Uint8(slot) 
 func (r *flatReader) u16(slot int, v *uint16)        { *v = uint16(r.top().Uint32(slot)) }
 func (r *flatReader) u32(slot int, v *uint32)        { *v = r.top().Uint32(slot) }
 func (r *flatReader) enum(slot int, v *uint8, _ int) { r.u8(slot, v) }
-func (r *flatReader) str(slot int, v *string)        { *v = r.top().String(slot) }
-func (r *flatReader) octets(slot int, v *[]byte)     { *v = cloneOctets(r.top().Bytes(slot)) }
+func (r *flatReader) str(slot int, v *string)        { *v = string(r.bytes(slot)) }
+func (r *flatReader) octets(slot int, v *[]byte)     { *v = cloneOctets(r.bytes(slot)) }
 func (r *flatReader) cause(slot int, v *Cause)       { *v = unpackCause(r.top().Uint32(slot)) }
 func (r *flatReader) reqID(v *RequestID)             { *v = unpackReqID(r.top().Uint32(slReqID)) }
 func (r *flatReader) traceCtx(v *trace.Context)      { *v = flatGetTrace(r.top()) }
@@ -485,7 +534,12 @@ func (r *flatReader) strs(slot int, v *[]string) {
 	if n := t.VectorLen(slot); n > 0 {
 		*v = make([]string, n)
 		for i := range *v {
-			(*v)[i] = string(t.BytesVectorAt(slot, i))
+			b := t.BytesVectorAt(slot, i)
+			if !r.charge(len(b)) {
+				*v = nil
+				return
+			}
+			(*v)[i] = string(b)
 		}
 	}
 }
@@ -502,3 +556,34 @@ func (r *flatReader) item(i int) {
 }
 
 func (r *flatReader) end() { r.frames = r.frames[:len(r.frames)-1] }
+
+// manyRefs marks the walked types whose walk opens a list or a string
+// list: their flat messages can refer to one string from many places,
+// so only a full decode tells whether the copies fit the budget, and
+// their flat Envelope decodes at once. The others stay lazy.
+var manyRefs = func() (m [NumMessageTypes]bool) {
+	for t, newM := range newMessage {
+		if newM != nil {
+			p := refProbe{fields: &perWriter{w: asn1per.NewWriter(64)}}
+			newM().walk(&p)
+			m[t] = p.found
+		}
+	}
+	return m
+}()
+
+// refProbe walks a zero message, noting a list or a string list.
+type refProbe struct {
+	fields
+	found bool
+}
+
+func (p *refProbe) list(slot, n int) int {
+	p.found = true
+	return p.fields.list(slot, n)
+}
+
+func (p *refProbe) strs(slot int, v *[]string) {
+	p.found = true
+	p.fields.strs(slot, v)
+}

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+
+	"flexric/internal/encoding/flat"
 )
 
 // allocatedBy returns the bytes the heap handed out while f ran.
@@ -59,6 +62,8 @@ func FuzzE2APDecode(f *testing.F) {
 		f.Add(e.ASN)
 		f.Add(e.FB)
 	}
+	f.Add(aliasedSetup(1000, 10000))
+	f.Add(aliasedAck(1000, 10000))
 	per, fb := NewPERCodec(), NewFlatCodec()
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		failsClosed(t, per, wire)
@@ -118,6 +123,58 @@ func TestFlatHostileVectorCount(t *testing.T) {
 			t.Fatalf("%s: count at %d reads %d, want the one element encoded", m.pdu.MsgType(), at, n)
 		}
 		binary.LittleEndian.PutUint32(wire[at:], 1<<20)
+		failsClosed(t, c, wire)
+	}
+}
+
+// aliasedSetup is a flat SetupRequest whose RAN-function list holds n
+// references to one item, and that item's OID is oidLen bytes long: a
+// small message that names one string n times.
+func aliasedSetup(n, oidLen int) []byte {
+	b := flat.NewBuilder(oidLen + 4*n + 256)
+	oid := b.CreateString(strings.Repeat("o", oidLen))
+	b.StartTable(4)
+	b.AddUint32(0, 142)
+	b.AddRef(2, oid)
+	item := b.EndTable()
+	refs := make([]uint32, n)
+	for i := range refs {
+		refs[i] = item
+	}
+	list := b.CreateRefVector(refs)
+	b.StartTable(numSlots)
+	b.AddUint8(slType, uint8(TypeSetupRequest))
+	b.AddRef(slB, list)
+	b.Finish(b.EndTable())
+	return append([]byte(nil), b.Bytes()...)
+}
+
+// aliasedAck is a flat NodeConfigUpdateAck whose string list names one
+// sLen-byte string n times.
+func aliasedAck(n, sLen int) []byte {
+	b := flat.NewBuilder(sLen + 4*n + 256)
+	str := b.CreateString(strings.Repeat("s", sLen))
+	refs := make([]uint32, n)
+	for i := range refs {
+		refs[i] = str
+	}
+	list := b.CreateRefVector(refs)
+	b.StartTable(numSlots)
+	b.AddUint8(slType, uint8(TypeNodeConfigUpdateAck))
+	b.AddRef(slA, list)
+	b.Finish(b.EndTable())
+	return append([]byte(nil), b.Bytes()...)
+}
+
+// A flat message that names one long string from many list items or
+// string-list entries would decode into a copy per reference; it fails
+// closed once the copies outgrow the message.
+func TestFlatAliasedStringsFailClosed(t *testing.T) {
+	c := NewFlatCodec()
+	for _, wire := range [][]byte{aliasedSetup(1000, 10000), aliasedAck(1000, 10000)} {
+		if _, err := c.Decode(wire); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%d-byte aliased message: Decode error %v, want ErrBadMessage", len(wire), err)
+		}
 		failsClosed(t, c, wire)
 	}
 }

@@ -169,8 +169,8 @@ func FuzzPartialLegJSON(f *testing.F) {
 
 // TestQueryHandlerWideWindows: the federated /tsdb/query answers a
 // from/to span wider than MaxInt64 nanoseconds with the shards' capped
-// grid, and rejects a step_ms or window_ms whose nanoseconds overflow
-// with 400 before fanning out.
+// grid, and rejects a step_ms or window_ms whose nanoseconds overflow,
+// or a bad agent, fn or field, with 400 before fanning out.
 func TestQueryHandlerWideWindows(t *testing.T) {
 	st := tsdb.New(tsdb.Config{})
 	k := tsdb.SeriesKey{Agent: 5, Fn: 142, UE: 1, Field: tsdb.FieldCQI}
@@ -197,6 +197,9 @@ func TestQueryHandlerWideWindows(t *testing.T) {
 		{sel + wide + "&step_ms=9223372036855", 400, 0},
 		{sel + "window_ms=9223372036855", 400, 0},
 		{sel + "window_ms=18446744073710&step_ms=1000", 400, 0},
+		{"/tsdb/query?agent=5&fn=mac&ue=1&field=bogus&" + wide + "&step_ms=1000", 400, 0},
+		{"/tsdb/query?agent=-1&fn=mac&ue=1&field=cqi&" + wide + "&step_ms=1000", 400, 0},
+		{"/tsdb/query?agent=5&fn=bogus&ue=1&field=cqi&" + wide + "&step_ms=1000", 400, 0},
 	} {
 		rec := httptest.NewRecorder()
 		r.QueryHandler()(rec, httptest.NewRequest("GET", c.url, nil))

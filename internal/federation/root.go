@@ -13,6 +13,7 @@ import (
 
 	"flexric/internal/e2ap"
 	"flexric/internal/resilience"
+	"flexric/internal/rest"
 	"flexric/internal/server"
 	"flexric/internal/transport"
 	"flexric/internal/tsdb"
@@ -449,14 +450,20 @@ func (r *Root) FederatedWindow(agent, fn, ue, field string, from, to, stepNS int
 	if err != nil {
 		return nil, err
 	}
-	out := make([]tsdb.Bucket, len(env.Buckets))
-	for i := range env.Buckets {
-		out[i] = tsdb.Bucket{FromTS: env.Buckets[i].FromTS, ToTS: env.Buckets[i].ToTS}
-		if agg, ok := env.Buckets[i].Agg.Finish(); ok {
+	return finishBuckets(env.Buckets), nil
+}
+
+// finishBuckets turns merged partial buckets into answer buckets; an
+// empty bucket keeps a zero Agg.
+func finishBuckets(pb []tsdb.PartialBucket) []tsdb.Bucket {
+	out := make([]tsdb.Bucket, len(pb))
+	for i := range pb {
+		out[i] = tsdb.Bucket{FromTS: pb[i].FromTS, ToTS: pb[i].ToTS}
+		if agg, ok := pb[i].Agg.Finish(); ok {
 			out[i].Agg = agg
 		}
 	}
-	return out, nil
+	return out
 }
 
 // fedQueryResponse is the federated /tsdb/query envelope. It mirrors
@@ -476,60 +483,25 @@ type fedQueryResponse struct {
 // obs.WithFederatedQuery.
 func (r *Root) QueryHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query()
-		agent, fn, ue := q.Get("agent"), q.Get("fn"), q.Get("ue")
-		field := q.Get("field")
-		if agent == "" || fn == "" || ue == "" || field == "" {
-			http.Error(w, "need agent, fn, ue, field", http.StatusBadRequest)
+		v := req.URL.Query()
+		q, err := tsdb.ParseQuery(v, tsdb.FormLast|tsdb.FormWindow|tsdb.FormRange|tsdb.FormAll)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		stepNS := int64(0)
-		if v := q.Get("step_ms"); v != "" {
-			var ok bool
-			if stepNS, ok = tsdb.ParseMS(v); !ok {
-				http.Error(w, "bad step_ms parameter", http.StatusBadRequest)
-				return
-			}
-		}
-		var from, to int64
-		switch {
-		case q.Get("last") != "":
-			r.proxyLast(w, req, agent)
-			return
-		case q.Get("window_ms") != "":
-			windowNS, ok := tsdb.ParseMS(q.Get("window_ms"))
-			if !ok {
-				http.Error(w, "bad window_ms parameter", http.StatusBadRequest)
-				return
-			}
-			to = time.Now().UnixNano()
-			from = to - windowNS
-		case q.Get("from") != "" && q.Get("to") != "":
-			var err1, err2 error
-			from, err1 = strconv.ParseInt(q.Get("from"), 10, 64)
-			to, err2 = strconv.ParseInt(q.Get("to"), 10, 64)
-			if err1 != nil || err2 != nil || to <= from {
-				http.Error(w, "bad from/to parameters", http.StatusBadRequest)
-				return
-			}
-		default:
-			http.Error(w, "need last, window_ms, or from/to", http.StatusBadRequest)
+		if q.Last > 0 {
+			r.proxyLast(w, req, q.Agent)
 			return
 		}
-		env, hit, err := r.fanOutPartial(agent, fn, ue, field, from, to, stepNS)
+		field := v.Get("field")
+		env, hit, err := r.fanOutPartial(v.Get("agent"), v.Get("fn"), v.Get("ue"), field, q.From, q.To, q.StepNS)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		resp := fedQueryResponse{Field: field, Shards: hit, Series: env.Series}
-		if stepNS > 0 {
-			resp.Buckets = make([]tsdb.Bucket, len(env.Buckets))
-			for i := range env.Buckets {
-				resp.Buckets[i] = tsdb.Bucket{FromTS: env.Buckets[i].FromTS, ToTS: env.Buckets[i].ToTS}
-				if agg, ok := env.Buckets[i].Agg.Finish(); ok {
-					resp.Buckets[i].Agg = agg
-				}
-			}
+		if q.StepNS > 0 {
+			resp.Buckets = finishBuckets(env.Buckets)
 		} else {
 			agg, ok := env.Agg.Finish()
 			if !ok {
@@ -538,21 +510,19 @@ func (r *Root) QueryHandler() http.HandlerFunc {
 			}
 			resp.Agg = &agg
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		rest.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
 // proxyLast forwards a last=K query to the shard owning the agent (the
 // raw-sample mode has no cross-shard merge: one shard holds the series).
-func (r *Root) proxyLast(w http.ResponseWriter, req *http.Request, agent string) {
-	key, err := strconv.ParseUint(agent, 10, 64)
-	if err != nil {
+func (r *Root) proxyLast(w http.ResponseWriter, req *http.Request, agent int64) {
+	if agent < 0 {
 		http.Error(w, "last=K needs a numeric agent", http.StatusBadRequest)
 		return
 	}
 	r.mu.Lock()
-	owner := r.liveOwnerLocked(key)
+	owner := r.liveOwnerLocked(uint64(agent))
 	var base string
 	if owner != "" {
 		base = r.shards[owner].obs

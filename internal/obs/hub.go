@@ -514,10 +514,10 @@ func (c *streamClient) unsubscribe(ch string) {
 // ---------------------------------------------------------------------
 // Series naming and glob matching
 
-// fnAliasNames is the reverse of fnAliases, for series-name rendering.
+// fnAliasNames is the reverse of tsdb.FnAliases, for series-name rendering.
 var fnAliasNames = func() map[uint16]string {
-	m := make(map[uint16]string, len(fnAliases))
-	for name, id := range fnAliases {
+	m := make(map[uint16]string, len(tsdb.FnAliases))
+	for name, id := range tsdb.FnAliases {
 		m[id] = name
 	}
 	return m

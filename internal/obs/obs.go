@@ -17,27 +17,27 @@
 //	GET /tsdb/partial     mergeable partial aggregates for federation fan-out
 //	GET /topology.json    controller topology snapshot (WithTopology only)
 //	GET /federation.json  federation-tier snapshot (WithFederation only)
-//	GET /a1/...           A1 policy northbound (WithA1 only; see internal/a1)
+//	    /a1/...           A1 policy northbound (WithA1 only; see internal/a1)
 //	GET /stream/ws        WebSocket push stream (WithStream only)
 //	GET /debug/pprof/     standard pprof index (profile, heap, trace, ...)
 //
-// All endpoints except /a1/ are GET-only; other methods get 405 with
-// an Allow header. Each route counts obs.http.requests.<route> and
-// observes obs.http.latency.<route> (for the stream route the
-// "latency" is the connection lifetime); the /a1/ routes do their own
-// method enforcement (they accept POST/PUT/DELETE) and count under
-// a1.http.* instead.
+// Every route but pprof is registered with its method on the mux
+// (internal/rest): a wrong method gets 405 with an Allow header, and a
+// GET route also answers HEAD. Each route counts
+// obs.http.requests.<route> and observes obs.http.latency.<route> (for
+// the stream route the "latency" is the connection lifetime); the /a1/
+// routes count under a1.http.* instead.
 package obs
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"time"
 
 	"flexric/internal/a1"
+	"flexric/internal/rest"
 	"flexric/internal/telemetry"
 	"flexric/internal/tsdb"
 )
@@ -110,24 +110,6 @@ func WithFederatedQuery(h http.HandlerFunc) Option {
 	return func(o *options) { o.fedQuery = h }
 }
 
-// route wraps a handler with per-endpoint telemetry and uniform
-// method enforcement.
-func route(label string, h http.HandlerFunc) http.HandlerFunc {
-	reqs := telemetry.NewCounter("obs.http.requests." + label)
-	lat := telemetry.NewHistogram("obs.http.latency." + label)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		reqs.Inc()
-		t0 := time.Now()
-		h(w, r)
-		lat.Observe(time.Since(t0))
-	}
-}
-
 // NewServer binds addr (e.g. ":9090", "127.0.0.1:0") and starts serving.
 func NewServer(addr string, opts ...Option) (*Server, error) {
 	var o options
@@ -138,38 +120,18 @@ func NewServer(addr string, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", route("metrics", handleMetrics))
-	mux.HandleFunc("/snapshot.json", route("snapshot", handleSnapshot))
-	mux.HandleFunc("/traces", route("traces", handleTraces))
-	if o.store != nil {
-		mux.HandleFunc("/tsdb/series", route("tsdb_series", handleTSDBSeries(o.store)))
-		mux.HandleFunc("/tsdb/query", route("tsdb_query", handleTSDBQuery(o.store)))
-		mux.HandleFunc("/tsdb/stats", route("tsdb_stats", handleTSDBStats(o.store)))
-		mux.HandleFunc("/tsdb/partial", route("tsdb_partial", handleTSDBPartial(o.store)))
-	} else if o.fedQuery != nil {
-		mux.HandleFunc("/tsdb/query", route("tsdb_query", o.fedQuery))
-	}
-	if o.topoFn != nil {
-		mux.HandleFunc("/topology.json", route("topology", handleTopology(o.topoFn)))
-	}
-	if o.fedFn != nil {
-		mux.HandleFunc("/federation.json", route("federation", handleTopology(o.fedFn)))
-	}
-	if o.a1Store != nil {
-		// The a1 handler owns its method enforcement and telemetry (it
-		// accepts POST/PUT/DELETE, so the GET-only route wrapper does
-		// not apply).
-		mux.Handle("/a1/", a1.NewHandler(o.a1Store))
-	}
 	s := &Server{lis: lis}
 	if o.stream {
 		s.hub = newHub(o.store, o.topoFn, o.a1Store, o.flushMS)
-		mux.HandleFunc("/stream/ws", route("stream_ws", handleStreamWS(s.hub)))
-		mux.HandleFunc("/", route("root", handleDashboard))
+	}
+	mux := http.NewServeMux()
+	rest.Handle(mux, "obs.http", s.routes(&o))
+	if o.a1Store != nil {
+		rest.Handle(mux, "a1.http", a1.Routes(o.a1Store))
 	}
 	// pprof registers on the default mux only; re-mount explicitly so a
-	// custom mux works and nothing else leaks in.
+	// custom mux works and nothing else leaks in. These stay method-less:
+	// the symbol lookup also takes POST.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -178,6 +140,36 @@ func NewServer(addr string, opts ...Option) (*Server, error) {
 	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = s.http.Serve(lis) }()
 	return s, nil
+}
+
+// routes lists the server's own routes under the options given.
+func (s *Server) routes(o *options) []rest.Route {
+	rs := []rest.Route{
+		{Pattern: "GET /metrics", Label: "metrics", Handler: handleMetrics},
+		{Pattern: "GET /snapshot.json", Label: "snapshot", Handler: handleSnapshot},
+		{Pattern: "GET /traces", Label: "traces", Handler: handleTraces},
+	}
+	if o.store != nil {
+		rs = append(rs,
+			rest.Route{Pattern: "GET /tsdb/series", Label: "tsdb_series", Handler: handleTSDBSeries(o.store)},
+			rest.Route{Pattern: "GET /tsdb/query", Label: "tsdb_query", Handler: handleTSDBQuery(o.store)},
+			rest.Route{Pattern: "GET /tsdb/stats", Label: "tsdb_stats", Handler: handleTSDBStats(o.store)},
+			rest.Route{Pattern: "GET /tsdb/partial", Label: "tsdb_partial", Handler: handleTSDBPartial(o.store)})
+	} else if o.fedQuery != nil {
+		rs = append(rs, rest.Route{Pattern: "GET /tsdb/query", Label: "tsdb_query", Handler: o.fedQuery})
+	}
+	if o.topoFn != nil {
+		rs = append(rs, rest.Route{Pattern: "GET /topology.json", Label: "topology", Handler: handleTopology(o.topoFn)})
+	}
+	if o.fedFn != nil {
+		rs = append(rs, rest.Route{Pattern: "GET /federation.json", Label: "federation", Handler: handleTopology(o.fedFn)})
+	}
+	if s.hub != nil {
+		rs = append(rs,
+			rest.Route{Pattern: "GET /stream/ws", Label: "stream_ws", Handler: handleStreamWS(s.hub)},
+			rest.Route{Pattern: "GET /{$}", Label: "root", Handler: handleDashboard})
+	}
+	return rs
 }
 
 // Addr returns the bound address, e.g. to print a startup banner.
@@ -223,7 +215,6 @@ func handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 // snapshot the dashboard's topology panel renders.
 func handleTopology(fn func() any) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(fn())
+		rest.WriteJSON(w, http.StatusOK, fn())
 	}
 }

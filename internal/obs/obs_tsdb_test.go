@@ -13,7 +13,7 @@ import (
 )
 
 // TestFnAliasesMatchSM pins the curl-friendly fn aliases to the sm
-// package's real RAN-function IDs (obs keeps a local table to stay
+// package's real RAN-function IDs (tsdb keeps a local table to stay
 // decoupled from sm).
 func TestFnAliasesMatchSM(t *testing.T) {
 	for name, want := range map[string]uint16{
@@ -21,12 +21,12 @@ func TestFnAliasesMatchSM(t *testing.T) {
 		"rlc":  sm.IDRLCStats,
 		"pdcp": sm.IDPDCPStats,
 	} {
-		got, ok := obs.FnAlias(name)
+		got, ok := tsdb.FnAliases[name]
 		if !ok || got != want {
 			t.Fatalf("alias %q = %d (ok=%v), want %d", name, got, ok, want)
 		}
 	}
-	if _, ok := obs.FnAlias("bogus"); ok {
+	if _, ok := tsdb.FnAliases["bogus"]; ok {
 		t.Fatal("bogus alias resolved")
 	}
 }

@@ -129,8 +129,8 @@ func TestMethodEnforcement(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s: status %d, want 405", path, resp.StatusCode)
 		}
-		if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
-			t.Errorf("POST %s: Allow = %q, want GET", path, allow)
+		if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+			t.Errorf("POST %s: Allow = %q, want GET, HEAD", path, allow)
 		}
 	}
 }

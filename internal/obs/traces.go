@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
 
+	"flexric/internal/rest"
 	"flexric/internal/trace"
 )
 
@@ -39,8 +39,7 @@ func handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(BuildTraceTrees(trace.Snapshot(), limit))
+	rest.WriteJSON(w, http.StatusOK, BuildTraceTrees(trace.Snapshot(), limit))
 }
 
 // BuildTraceTrees groups spans by trace and nests them by parent span
@@ -49,7 +48,7 @@ func handleTraces(w http.ResponseWriter, r *http.Request) {
 // surface as additional roots rather than being dropped.
 func BuildTraceTrees(spans []trace.SpanData, limit int) []TraceTree {
 	// spans is oldest-first; walk backwards to rank traces by recency.
-	order := make([]uint64, 0, limit)
+	order := make([]uint64, 0, min(limit, len(spans)))
 	seen := make(map[uint64]bool)
 	for i := len(spans) - 1; i >= 0 && len(order) < limit; i-- {
 		id := spans[i].TraceID

@@ -1,41 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
-	"time"
 
+	"flexric/internal/rest"
 	"flexric/internal/trace"
 	"flexric/internal/tsdb"
 )
-
-// RAN-function aliases accepted wherever a numeric fn is expected, so
-// curl users can say fn=mac instead of fn=142. The IDs mirror the sm
-// package's registry (obs stays decoupled from it; a test cross-checks
-// the values).
-var fnAliases = map[string]uint16{
-	"mac":  142,
-	"rlc":  143,
-	"pdcp": 144,
-}
-
-// FnAlias resolves a RAN-function alias for tests and tooling.
-func FnAlias(name string) (uint16, bool) {
-	fn, ok := fnAliases[name]
-	return fn, ok
-}
-
-func parseFn(v string) (uint16, bool) {
-	if fn, ok := fnAliases[v]; ok {
-		return fn, true
-	}
-	n, err := strconv.ParseUint(v, 10, 16)
-	if err != nil {
-		return 0, false
-	}
-	return uint16(n), true
-}
 
 // handleTSDBPartial serves GET /tsdb/partial: the federation fan-out
 // endpoint. It folds every matching series into one mergeable
@@ -50,62 +21,23 @@ func handleTSDBPartial(st *tsdb.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sp := trace.StartRoot("obs.tsdb.partial")
 		defer sp.End()
-		q := r.URL.Query()
-		agent := int64(-1)
-		if v := q.Get("agent"); v != "all" {
-			n, err := strconv.ParseUint(v, 10, 32)
-			if err != nil {
-				http.Error(w, "bad agent parameter", http.StatusBadRequest)
-				return
-			}
-			agent = int64(n)
-		}
-		fn, ok := parseFn(q.Get("fn"))
-		if !ok {
-			http.Error(w, "bad fn parameter", http.StatusBadRequest)
+		q, err := tsdb.ParseQuery(r.URL.Query(), tsdb.FormRange|tsdb.FormAll)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ue := int64(-1)
-		if v := q.Get("ue"); v != "all" {
-			n, err := strconv.ParseUint(v, 10, 16)
-			if err != nil {
-				http.Error(w, "bad ue parameter", http.StatusBadRequest)
-				return
-			}
-			ue = int64(n)
-		}
-		field, ok := tsdb.ParseField(q.Get("field"))
-		if !ok {
-			http.Error(w, "unknown field", http.StatusBadRequest)
-			return
-		}
-		from, err1 := strconv.ParseInt(q.Get("from"), 10, 64)
-		to, err2 := strconv.ParseInt(q.Get("to"), 10, 64)
-		if err1 != nil || err2 != nil || to <= from {
-			http.Error(w, "bad from/to parameters", http.StatusBadRequest)
-			return
-		}
-		stepNS := int64(0)
-		if v := q.Get("step_ms"); v != "" {
-			if stepNS, ok = tsdb.ParseMS(v); !ok {
-				http.Error(w, "bad step_ms parameter", http.StatusBadRequest)
-				return
-			}
-		}
-
 		keys := st.Keys(func(k tsdb.SeriesKey) bool {
-			return k.Fn == fn && k.Field == field &&
-				(agent < 0 || k.Agent == uint32(agent)) && (ue < 0 || k.UE == uint16(ue))
+			return k.Fn == q.Fn && k.Field == q.Field &&
+				(q.Agent < 0 || k.Agent == uint32(q.Agent)) && (q.UE < 0 || k.UE == uint16(q.UE))
 		})
 		resp := partialResponse{Series: len(keys)}
-		if stepNS > 0 {
-			resp.Buckets = tsdb.NewPartialWindow(from, to, stepNS)
+		if q.StepNS > 0 {
+			resp.Buckets = tsdb.NewPartialWindow(q.From, q.To, q.StepNS)
 			st.FoldPartialWindow(keys, resp.Buckets)
 		} else {
-			st.FoldPartial(keys, from, to, &resp.Agg)
+			st.FoldPartial(keys, q.From, q.To, &resp.Agg)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		rest.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -124,25 +56,12 @@ func handleTSDBSeries(st *tsdb.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sp := trace.StartRoot("obs.tsdb.series")
 		defer sp.End()
-		agent := int64(-1)
-		if v := r.URL.Query().Get("agent"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 0 {
-				http.Error(w, "bad agent parameter", http.StatusBadRequest)
-				return
-			}
-			agent = n
+		q, err := tsdb.ParseQuery(r.URL.Query(), 0)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		var fn uint16
-		if v := r.URL.Query().Get("fn"); v != "" {
-			var ok bool
-			if fn, ok = parseFn(v); !ok {
-				http.Error(w, "bad fn parameter", http.StatusBadRequest)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(st.List(agent, fn))
+		rest.WriteJSON(w, http.StatusOK, st.List(q.Agent, q.Fn))
 	}
 }
 
@@ -153,8 +72,7 @@ func handleTSDBStats(st *tsdb.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sp := trace.StartRoot("obs.tsdb.stats")
 		defer sp.End()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(st.Stats())
+		rest.WriteJSON(w, http.StatusOK, st.Stats())
 	}
 }
 
@@ -180,90 +98,30 @@ func handleTSDBQuery(st *tsdb.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sp := trace.StartRoot("obs.tsdb.query")
 		defer sp.End()
-		q := r.URL.Query()
-		agent, err := strconv.ParseUint(q.Get("agent"), 10, 32)
+		q, err := tsdb.ParseQuery(r.URL.Query(), tsdb.FormLast|tsdb.FormWindow|tsdb.FormRange)
 		if err != nil {
-			http.Error(w, "bad agent parameter", http.StatusBadRequest)
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		fn, ok := parseFn(q.Get("fn"))
-		if !ok {
-			http.Error(w, "bad fn parameter", http.StatusBadRequest)
-			return
-		}
-		ue, err := strconv.ParseUint(q.Get("ue"), 10, 16)
-		if err != nil {
-			http.Error(w, "bad ue parameter", http.StatusBadRequest)
-			return
-		}
-		field, ok := tsdb.ParseField(q.Get("field"))
-		if !ok {
-			http.Error(w, "unknown field", http.StatusBadRequest)
-			return
-		}
-		k := tsdb.SeriesKey{Agent: uint32(agent), Fn: fn, UE: uint16(ue), Field: field}
-		resp := queryResponse{Key: k, Field: field.String()}
-
-		stepNS := int64(0)
-		if v := q.Get("step_ms"); v != "" {
-			if stepNS, ok = tsdb.ParseMS(v); !ok {
-				http.Error(w, "bad step_ms parameter", http.StatusBadRequest)
-				return
-			}
-		}
-
+		k := tsdb.SeriesKey{Agent: uint32(q.Agent), Fn: q.Fn, UE: uint16(q.UE), Field: q.Field}
+		resp := queryResponse{Key: k, Field: q.Field.String()}
 		switch {
-		case q.Get("last") != "":
-			n, err := strconv.Atoi(q.Get("last"))
-			if err != nil || n <= 0 {
-				http.Error(w, "bad last parameter", http.StatusBadRequest)
-				return
-			}
-			resp.Samples = st.LastK(k, n, nil)
+		case q.Last > 0:
+			resp.Samples = st.LastK(k, q.Last, nil)
 			if len(resp.Samples) == 0 {
 				http.Error(w, "no samples", http.StatusNotFound)
 				return
 			}
-		case q.Get("window_ms") != "":
-			windowNS, ok := tsdb.ParseMS(q.Get("window_ms"))
-			if !ok {
-				http.Error(w, "bad window_ms parameter", http.StatusBadRequest)
-				return
-			}
-			now := time.Now().UnixNano()
-			from := now - windowNS
-			if stepNS > 0 {
-				resp.Buckets = st.Window(k, from, now, stepNS)
-			} else {
-				agg, ok := st.Aggregate(k, from, now)
-				if !ok {
-					http.Error(w, "no samples in window", http.StatusNotFound)
-					return
-				}
-				resp.Agg = &agg
-			}
-		case q.Get("from") != "" && q.Get("to") != "":
-			from, err1 := strconv.ParseInt(q.Get("from"), 10, 64)
-			to, err2 := strconv.ParseInt(q.Get("to"), 10, 64)
-			if err1 != nil || err2 != nil || to <= from {
-				http.Error(w, "bad from/to parameters", http.StatusBadRequest)
-				return
-			}
-			if stepNS > 0 {
-				resp.Buckets = st.Window(k, from, to, stepNS)
-			} else {
-				agg, ok := st.Aggregate(k, from, to)
-				if !ok {
-					http.Error(w, "no samples in range", http.StatusNotFound)
-					return
-				}
-				resp.Agg = &agg
-			}
+		case q.StepNS > 0:
+			resp.Buckets = st.Window(k, q.From, q.To, q.StepNS)
 		default:
-			http.Error(w, "need last, window_ms, or from/to", http.StatusBadRequest)
-			return
+			agg, ok := st.Aggregate(k, q.From, q.To)
+			if !ok {
+				http.Error(w, "no samples in range", http.StatusNotFound)
+				return
+			}
+			resp.Agg = &agg
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		rest.WriteJSON(w, http.StatusOK, resp)
 	}
 }

@@ -2,10 +2,13 @@ package tsdb
 
 import (
 	"cmp"
+	"errors"
 	"math"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"flexric/internal/metrics"
@@ -71,6 +74,139 @@ func ParseMS(s string) (ns int64, ok bool) {
 		return 0, false
 	}
 	return n * int64(time.Millisecond), true
+}
+
+// FnAliases are the RAN-function names a query accepts in place of a
+// numeric fn, so curl users can say fn=mac instead of fn=142. The IDs
+// mirror the sm package's registry (tsdb stays decoupled from it; a
+// test cross-checks the values).
+var FnAliases = map[string]uint16{
+	"mac":  142,
+	"rlc":  143,
+	"pdcp": 144,
+}
+
+// Query is a parsed query string of the tsdb read routes: /tsdb/query,
+// /tsdb/partial and /tsdb/series, the federated /tsdb/query, and
+// /stats/agg. It holds a series selector and a time range.
+type Query struct {
+	// Agent and UE select one agent and one UE, or every one when -1:
+	// agent=all and ue=all, or no agent on the series inventory.
+	Agent, UE int64
+	// Fn is the RAN function; 0 when the inventory takes every one.
+	Fn    uint16
+	Field Field
+	// Last > 0 asks for the newest Last samples. Otherwise the query
+	// covers [From, To) in Unix ns, in StepNS-wide buckets when
+	// StepNS > 0.
+	Last     int
+	From, To int64
+	StepNS   int64
+}
+
+// Forms is the set of query forms a route accepts.
+type Forms uint8
+
+const (
+	FormLast   Forms = 1 << iota // last=K: the newest K samples
+	FormWindow                   // window_ms=W: the W ms before now
+	FormRange                    // from=NS&to=NS: an absolute range
+	FormAll                      // agent=all and ue=all select every agent and UE
+)
+
+// ParseQuery parses q under the forms a route accepts. A route that
+// accepts no time range is the series inventory: it takes an optional
+// agent and fn only. Every other route needs agent, fn (a number or an
+// alias), ue and field, takes an optional step_ms, and needs one of its
+// time ranges; the first given of last, window_ms and from/to applies.
+// An error is the client's: answer it with 400.
+func ParseQuery(q url.Values, forms Forms) (Query, error) {
+	p := Query{Agent: -1, UE: -1}
+	var ok bool
+	if forms&(FormLast|FormWindow|FormRange) == 0 {
+		if v := q.Get("agent"); v != "" {
+			if p.Agent, ok = parseID(v, 32, false); !ok {
+				return p, errors.New("bad agent parameter")
+			}
+		}
+		if v := q.Get("fn"); v != "" {
+			if p.Fn, ok = parseFn(v); !ok {
+				return p, errors.New("bad fn parameter")
+			}
+		}
+		return p, nil
+	}
+	all := forms&FormAll != 0
+	if p.Agent, ok = parseID(q.Get("agent"), 32, all); !ok {
+		return p, errors.New("bad agent parameter")
+	}
+	if p.Fn, ok = parseFn(q.Get("fn")); !ok {
+		return p, errors.New("bad fn parameter")
+	}
+	if p.UE, ok = parseID(q.Get("ue"), 16, all); !ok {
+		return p, errors.New("bad ue parameter")
+	}
+	if p.Field, ok = ParseField(q.Get("field")); !ok {
+		return p, errors.New("unknown field")
+	}
+	if v := q.Get("step_ms"); v != "" {
+		if p.StepNS, ok = ParseMS(v); !ok {
+			return p, errors.New("bad step_ms parameter")
+		}
+	}
+	switch {
+	case forms&FormLast != 0 && q.Get("last") != "":
+		n, err := strconv.Atoi(q.Get("last"))
+		if err != nil || n <= 0 {
+			return p, errors.New("bad last parameter")
+		}
+		p.Last = n
+	case forms&FormWindow != 0 && q.Get("window_ms") != "":
+		w, ok := ParseMS(q.Get("window_ms"))
+		if !ok {
+			return p, errors.New("bad window_ms parameter")
+		}
+		p.To = time.Now().UnixNano()
+		p.From = p.To - w
+	case forms&FormRange != 0 && (q.Get("from") != "" || q.Get("to") != ""):
+		from, err1 := strconv.ParseInt(q.Get("from"), 10, 64)
+		to, err2 := strconv.ParseInt(q.Get("to"), 10, 64)
+		if err1 != nil || err2 != nil || to <= from {
+			return p, errors.New("bad from/to parameters")
+		}
+		p.From, p.To = from, to
+	default:
+		var need []string
+		for _, f := range [...]struct {
+			form Forms
+			name string
+		}{{FormLast, "last"}, {FormWindow, "window_ms"}, {FormRange, "from/to"}} {
+			if forms&f.form != 0 {
+				need = append(need, f.name)
+			}
+		}
+		return p, errors.New("need " + strings.Join(need, " or "))
+	}
+	return p, nil
+}
+
+// parseID parses a decimal ID of the given bit size, or "all" as -1
+// when all is set.
+func parseID(v string, bits int, all bool) (int64, bool) {
+	if all && v == "all" {
+		return -1, true
+	}
+	n, err := strconv.ParseUint(v, 10, bits)
+	return int64(n), err == nil
+}
+
+// parseFn parses a numeric RAN-function ID or one of FnAliases.
+func parseFn(v string) (uint16, bool) {
+	if fn, ok := FnAliases[v]; ok {
+		return fn, true
+	}
+	n, err := strconv.ParseUint(v, 10, 16)
+	return uint16(n), err == nil
 }
 
 // lookup returns the series for k, or nil.

@@ -227,7 +227,9 @@ for target in \
     'FuzzSMDecode ./internal/sm/' \
     'FuzzChunkRoundTrip ./internal/tsdb/' \
     'FuzzPartialLegJSON ./internal/federation/' \
-    'FuzzTSDBFrame ./internal/obs/'; do
+    'FuzzTSDBFrame ./internal/obs/' \
+    'FuzzObsRoutes ./internal/obs/' \
+    'FuzzCtrlRoutes ./internal/ctrl/'; do
     set -- $target
     go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
 done
