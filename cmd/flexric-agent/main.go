@@ -23,9 +23,16 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/resilience"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/trace"
 	"flexric/internal/tsdb"
 )
+
+// smIDs is the full SM bundle, in registration order.
+var smIDs = []uint16{
+	sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats, sm.IDSliceCtrl,
+	sm.IDTrafficCtrl, sm.IDRRC, sm.IDKPM, sm.IDHelloWorld,
+}
 
 func main() {
 	controller := flag.String("controller", "127.0.0.1:36421", "controller E2 address")
@@ -63,10 +70,6 @@ func main() {
 		r = ran.RAT5G
 	}
 
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: r, NumRB: *numRB})
-	if err != nil {
-		log.Fatal(err)
-	}
 	var resCfg *resilience.Config
 	if *resOn {
 		resCfg = &resilience.Config{KeepaliveInterval: *keepalive, MaxAttempts: *reconnectMax}
@@ -76,9 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	acfg := agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{
-			PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: *nodeID,
-		},
+		NodeID:      station.Node(e2ap.NodeENB, *nodeID),
 		Scheme:      e2s,
 		Resilience:  resCfg,
 		DialTimeout: *dialTimeout,
@@ -86,26 +87,14 @@ func main() {
 	if plan != nil {
 		acfg.WrapConn = plan.WrapConn
 	}
-	a := agent.New(acfg)
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, sms, a),
-		sm.NewRLCStats(cell, sms, a),
-		sm.NewPDCPStats(cell, sms, a),
-		sm.NewSliceCtrl(cell, sms),
-		sm.NewTCCtrl(cell, sms, a),
-		sm.NewRRC(cell, sms, a),
-		sm.NewKPM(cell, sms),
-		sm.NewHW(),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(*controller); err != nil {
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: r, NumRB: *numRB}, Agent: acfg,
+		SM: sms, SMs: smIDs, Controller: *controller,
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	defer a.Close()
+	defer bs.Close()
 	log.Printf("connected to %s as node %d (%s, %d RB, scheme %s)",
 		*controller, *nodeID, r, *numRB, *scheme)
 
@@ -129,10 +118,10 @@ func main() {
 
 	for i := 1; i <= *ues; i++ {
 		rnti := uint16(i)
-		if _, err := cell.Attach(rnti, "", "208.95", *mcs); err != nil {
+		if _, err := bs.Cell.Attach(rnti, "", "208.95", *mcs); err != nil {
 			log.Fatal(err)
 		}
-		if err := cell.AddTraffic(rnti, &ran.Saturating{
+		if err := bs.Cell.AddTraffic(rnti, &ran.Saturating{
 			Flow:           ran.FiveTuple{DstIP: uint32(rnti), DstPort: 5001, Proto: ran.ProtoUDP},
 			RateBytesPerMS: 1 << 20,
 		}); err != nil {
@@ -160,7 +149,7 @@ func main() {
 				now := time.Now().UnixNano()
 				for i := 1; i <= *ues; i++ {
 					rnti := uint16(i)
-					_ = cell.WithUE(rnti, func(u *ran.UE) error {
+					_ = bs.Cell.WithUE(rnti, func(u *ran.UE) error {
 						ms := u.MACStats()
 						k := tsdb.SeriesKey{Agent: uint32(*nodeID), Fn: sm.IDMACStats, UE: rnti}
 						k.Field = tsdb.FieldCQI
@@ -177,7 +166,7 @@ func main() {
 						k.Field = tsdb.FieldBufferBytes
 						store.Append(k, now, float64(u.RLC().Backlog()))
 						k.Field = tsdb.FieldSojournMS
-						store.Append(k, now, float64(u.RLC().OldestSojournMS(cell.Now())))
+						store.Append(k, now, float64(u.RLC().OldestSojournMS(bs.Cell.Now())))
 						return nil
 					})
 				}
@@ -205,8 +194,7 @@ func main() {
 				default:
 				}
 			}
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
+			bs.Step(1)
 		}
 	}()
 

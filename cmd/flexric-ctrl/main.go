@@ -27,6 +27,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/snapfile"
 	"flexric/internal/trace"
 	"flexric/internal/tsdb"
 	"flexric/internal/xapp"
@@ -74,14 +75,14 @@ func main() {
 	if *tsdbCap > 0 {
 		store = tsdb.New(tsdb.Config{Capacity: *tsdbCap, MaxAge: *tsdbAge, Compress: *tsdbCompress})
 		if *tsdbSnapshot != "" {
-			if err := store.LoadFile(*tsdbSnapshot); err != nil {
+			if err := snapfile.Load(store, *tsdbSnapshot); err != nil {
 				log.Fatalf("tsdb snapshot load: %v", err)
 			}
 			if n := store.NumSeries(); n > 0 {
 				log.Printf("tsdb: restored %d series from %s", n, *tsdbSnapshot)
 			}
 			snapStop = make(chan struct{})
-			snapDone = store.SnapshotEvery(*tsdbSnapshot, *tsdbSnapshotEvery, snapStop, func(err error) {
+			snapDone = snapfile.Every(store, *tsdbSnapshot, *tsdbSnapshotEvery, snapStop, func(err error) {
 				log.Printf("tsdb snapshot write: %v", err)
 			})
 		}
@@ -200,14 +201,14 @@ func main() {
 		}
 		polStore = a1.NewStore()
 		if *a1Snapshot != "" {
-			if err := polStore.LoadFile(*a1Snapshot); err != nil {
+			if err := snapfile.Load(polStore, *a1Snapshot); err != nil {
 				log.Fatalf("a1 snapshot load: %v", err)
 			}
 			if n := polStore.Len(); n > 0 {
 				log.Printf("a1: restored %d policies from %s", n, *a1Snapshot)
 			}
 			a1SnapStop = make(chan struct{})
-			a1SnapDone = polStore.SnapshotEvery(*a1Snapshot, *a1SnapshotEvery, a1SnapStop, func(err error) {
+			a1SnapDone = snapfile.Every(polStore, *a1Snapshot, *a1SnapshotEvery, a1SnapStop, func(err error) {
 				log.Printf("a1 snapshot write: %v", err)
 			})
 		}

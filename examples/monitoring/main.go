@@ -19,6 +19,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/telemetry"
 )
 
@@ -34,37 +35,21 @@ func main() {
 		fmt.Printf("RAN entity complete: node %d with %d part(s)\n", e.NodeID, len(e.Parts))
 	})
 
-	plmn := e2ap.PLMN{MCC: 208, MNC: 95}
-	var cells []*ran.Cell
-	var allFns []agent.RANFunction
-	var agents []*agent.Agent
-
 	// Two monolithic eNBs.
+	var enbs []*station.Station
 	for id := uint64(1); id <= 2; id++ {
-		cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+		bs, err := station.New(station.Spec{
+			Cell:       ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25},
+			Agent:      agent.Config{NodeID: station.Node(e2ap.NodeENB, id), Scheme: e2ap.SchemeFB},
+			SM:         sm.SchemeFB,
+			SMs:        []uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats},
+			Controller: addr,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		a := agent.New(agent.Config{
-			NodeID: e2ap.GlobalE2NodeID{PLMN: plmn, Type: e2ap.NodeENB, NodeID: id},
-			Scheme: e2ap.SchemeFB,
-		})
-		fns := []agent.RANFunction{
-			sm.NewMACStats(cell, sm.SchemeFB, a),
-			sm.NewRLCStats(cell, sm.SchemeFB, a),
-			sm.NewPDCPStats(cell, sm.SchemeFB, a),
-		}
-		for _, fn := range fns {
-			if err := a.RegisterFunction(fn); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if _, err := a.Connect(addr); err != nil {
-			log.Fatal(err)
-		}
-		cells = append(cells, cell)
-		allFns = append(allFns, fns...)
-		agents = append(agents, a)
+		defer bs.Close()
+		enbs = append(enbs, bs)
 	}
 
 	// One disaggregated station: CU and DU run separate agents over the
@@ -75,12 +60,12 @@ func main() {
 	}
 	cu, du := ran.Split(3, cell)
 	cuAgent := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: plmn, Type: e2ap.NodeCU, NodeID: cu.BSID},
+		NodeID: station.Node(e2ap.NodeCU, cu.BSID),
 		Scheme: e2ap.SchemeFB,
 	})
 	cuFns := []agent.RANFunction{sm.NewPDCPStats(cell, sm.SchemeFB, cuAgent)}
 	duAgent := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: plmn, Type: e2ap.NodeDU, NodeID: du.BSID},
+		NodeID: station.Node(e2ap.NodeDU, du.BSID),
 		Scheme: e2ap.SchemeFB,
 	})
 	duFns := []agent.RANFunction{
@@ -103,17 +88,12 @@ func main() {
 	if _, err := duAgent.Connect(addr); err != nil {
 		log.Fatal(err)
 	}
-	cells = append(cells, cell)
-	allFns = append(allFns, cuFns...)
-	allFns = append(allFns, duFns...)
-	agents = append(agents, cuAgent, duAgent)
-	defer func() {
-		for _, a := range agents {
-			a.Close()
-		}
-	}()
+	defer cuAgent.Close()
+	defer duAgent.Close()
+	cuduFns := append(cuFns, duFns...)
 
 	// Attach a saturated UE to every cell and run.
+	cells := []*ran.Cell{enbs[0].Cell, enbs[1].Cell, cell}
 	for i, c := range cells {
 		rnti := uint16(i + 1)
 		if _, err := c.Attach(rnti, "", "208.95", 20+2*i); err != nil {
@@ -127,10 +107,11 @@ func main() {
 		}
 	}
 	for t := 0; t < 2000; t++ {
-		for _, c := range cells {
-			c.Step(1)
+		for _, bs := range enbs {
+			bs.Step(1)
 		}
-		sm.TickAll(allFns, cells[0].Now())
+		cell.Step(1)
+		sm.TickAll(cuduFns, cell.Now())
 	}
 	time.Sleep(50 * time.Millisecond)
 

@@ -18,6 +18,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 )
 
 func main() {
@@ -34,34 +35,23 @@ func main() {
 
 	// 2. Base station: simulated 5 MHz LTE cell + agent library with the
 	// MAC/RLC/PDCP monitoring SMs.
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25, Band: 7})
+	bs, err := station.New(station.Spec{
+		Cell:       ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25, Band: 7},
+		Agent:      agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeFB},
+		SM:         sm.SchemeFB,
+		SMs:        []uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats},
+		Controller: addr,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-		Scheme: e2ap.SchemeFB,
-	})
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, sm.SchemeFB, a),
-		sm.NewRLCStats(cell, sm.SchemeFB, a),
-		sm.NewPDCPStats(cell, sm.SchemeFB, a),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
-		log.Fatal(err)
-	}
-	defer a.Close()
+	defer bs.Close()
 
 	// 3. One UE at MCS 28 with a saturating downlink flow.
-	if _, err := cell.Attach(1, "imsi-001010000000001", "208.95", 28); err != nil {
+	if _, err := bs.Cell.Attach(1, "imsi-001010000000001", "208.95", 28); err != nil {
 		log.Fatal(err)
 	}
-	if err := cell.AddTraffic(1, &ran.Saturating{
+	if err := bs.Cell.AddTraffic(1, &ran.Saturating{
 		Flow:           ran.FiveTuple{DstIP: 1, DstPort: 5001, Proto: ran.ProtoUDP},
 		RateBytesPerMS: 1 << 20,
 	}); err != nil {
@@ -71,8 +61,7 @@ func main() {
 	// 4. Run the slot loop: 2000 TTIs (= 2 s of air time), printing the
 	// controller's view twice per simulated second.
 	for tti := 1; tti <= 2000; tti++ {
-		cell.Step(1)
-		sm.TickAll(fns, cell.Now())
+		bs.Step(1)
 		if tti%500 == 0 {
 			// Give the socket path a moment to deliver.
 			time.Sleep(20 * time.Millisecond)
@@ -81,7 +70,7 @@ func main() {
 				if rep == nil {
 					continue
 				}
-				fmt.Printf("t=%4dms agent %s:", cell.Now(), info.NodeID)
+				fmt.Printf("t=%4dms agent %s:", bs.Cell.Now(), info.NodeID)
 				for _, ue := range rep.UEs {
 					fmt.Printf(" UE%d thpt=%.1fMbps cqi=%d", ue.RNTI, ue.ThroughputBps/1e6, ue.CQI)
 				}

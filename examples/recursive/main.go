@@ -19,6 +19,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/xapp"
 )
 
@@ -60,41 +61,35 @@ func main() {
 	defer vc.Close()
 
 	// Shared infrastructure: one 50 RB (10 MHz) eNB, four saturated UEs.
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 50, Band: 7})
+	// Its agent connects once the UEs are attached.
+	bs, err := station.New(station.Spec{
+		Cell:  ran.PHYConfig{RAT: ran.RAT4G, NumRB: 50, Band: 7},
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1)},
+		SM:    sm.SchemeASN,
+		SMs:   []uint16{sm.IDMACStats, sm.IDSliceCtrl},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-	})
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, sm.SchemeASN, a),
-		sm.NewSliceCtrl(cell, sm.SchemeASN),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			log.Fatal(err)
-		}
-	}
+	defer bs.Close()
 	for i := uint16(1); i <= 4; i++ {
-		if _, err := cell.Attach(i, "", "208.95", 28); err != nil {
+		if _, err := bs.Cell.Attach(i, "", "208.95", 28); err != nil {
 			log.Fatal(err)
 		}
-		if err := cell.AddTraffic(i, &ran.Saturating{
+		if err := bs.Cell.AddTraffic(i, &ran.Saturating{
 			Flow:           ran.FiveTuple{DstIP: uint32(i), DstPort: 5001, Proto: ran.ProtoUDP},
 			RateBytesPerMS: 1 << 20,
 		}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if _, err := a.Connect(southAddr); err != nil {
+	if _, err := bs.Agent.Connect(southAddr); err != nil {
 		log.Fatal(err)
 	}
-	defer a.Close()
 
 	// Wait for the virtualization layer to install per-tenant slices,
 	// then attach the tenant controllers (in tenant order).
-	for cell.SliceMode() != ran.SliceNVS {
+	for bs.Cell.SliceMode() != ran.SliceNVS {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := vc.ConnectTenant(0, addrA); err != nil {
@@ -107,15 +102,12 @@ func main() {
 	report := func(label string, ms int) {
 		start := make(map[uint16]uint64)
 		for i := uint16(1); i <= 4; i++ {
-			start[i] = cell.UEDeliveredBits(i)
+			start[i] = bs.Cell.UEDeliveredBits(i)
 		}
-		for t := 0; t < ms; t++ {
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
-		}
+		bs.Step(ms)
 		fmt.Printf("%-34s", label)
 		for i := uint16(1); i <= 4; i++ {
-			mbps := float64(cell.UEDeliveredBits(i)-start[i]) / float64(ms) * 1000 / 1e6
+			mbps := float64(bs.Cell.UEDeliveredBits(i)-start[i]) / float64(ms) * 1000 / 1e6
 			fmt.Printf("  UE%d %5.1f", i, mbps)
 		}
 		fmt.Println(" (Mbps)")
@@ -149,7 +141,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("physical slices at the eNB:  ")
-	for _, s := range cell.Slices() {
+	for _, s := range bs.Cell.Slices() {
 		fmt.Printf("[id=%d cap=%.0f%%] ", s.ID, s.Capacity*100)
 	}
 	fmt.Println()

@@ -16,6 +16,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/xapp"
 )
 
@@ -36,33 +37,24 @@ func main() {
 	fmt.Println("slicing controller REST on http://" + sc.Addr())
 
 	// Base station: 106 RB NR cell with MAC stats + SC SM.
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106, Band: 78})
+	bs, err := station.New(station.Spec{
+		Cell:       ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106, Band: 78},
+		Agent:      agent.Config{NodeID: station.Node(e2ap.NodeGNB, 1)},
+		SM:         sm.SchemeASN,
+		SMs:        []uint16{sm.IDMACStats, sm.IDSliceCtrl},
+		Controller: e2Addr,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeGNB, NodeID: 1},
-	})
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, sm.SchemeASN, a),
-		sm.NewSliceCtrl(cell, sm.SchemeASN),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(e2Addr); err != nil {
-		log.Fatal(err)
-	}
-	defer a.Close()
+	defer bs.Close()
 
 	// Three saturated UEs at MCS 20, like the paper's Pixel-5 setup.
 	for i := uint16(1); i <= 3; i++ {
-		if _, err := cell.Attach(i, "", "208.95", 20); err != nil {
+		if _, err := bs.Cell.Attach(i, "", "208.95", 20); err != nil {
 			log.Fatal(err)
 		}
-		if err := cell.AddTraffic(i, &ran.Saturating{
+		if err := bs.Cell.AddTraffic(i, &ran.Saturating{
 			Flow:           ran.FiveTuple{DstIP: uint32(i), DstPort: 5001, Proto: ran.ProtoUDP},
 			RateBytesPerMS: 1 << 20,
 		}); err != nil {
@@ -73,15 +65,12 @@ func main() {
 	run := func(label string, ms int) {
 		start := make(map[uint16]uint64)
 		for i := uint16(1); i <= 3; i++ {
-			start[i] = cell.UEDeliveredBits(i)
+			start[i] = bs.Cell.UEDeliveredBits(i)
 		}
-		for t := 0; t < ms; t++ {
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
-		}
+		bs.Step(ms)
 		fmt.Printf("%-22s", label)
 		for i := uint16(1); i <= 3; i++ {
-			mbps := float64(cell.UEDeliveredBits(i)-start[i]) / float64(ms) * 1000 / 1e6
+			mbps := float64(bs.Cell.UEDeliveredBits(i)-start[i]) / float64(ms) * 1000 / 1e6
 			fmt.Printf("  UE%d %5.1f Mbps", i, mbps)
 		}
 		fmt.Println()

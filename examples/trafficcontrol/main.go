@@ -19,6 +19,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/xapp"
 )
 
@@ -47,31 +48,21 @@ func main() {
 	defer tcc.Close()
 
 	// Base station with RLC stats + TC SM.
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25, Band: 7})
+	bs, err := station.New(station.Spec{
+		Cell:       ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25, Band: 7},
+		Agent:      agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeFB},
+		SM:         sm.SchemeFB,
+		SMs:        []uint16{sm.IDRLCStats, sm.IDTrafficCtrl},
+		Controller: e2Addr,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-		Scheme: e2ap.SchemeFB,
-	})
-	fns := []agent.RANFunction{
-		sm.NewRLCStats(cell, sm.SchemeFB, a),
-		sm.NewTCCtrl(cell, sm.SchemeFB, a),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(e2Addr); err != nil {
-		log.Fatal(err)
-	}
-	defer a.Close()
+	defer bs.Close()
 
 	// UE with a VoIP flow (G.711: 172 B / 20 ms) and, 5 s in, a greedy
 	// Cubic transfer sharing the same bearer.
-	if _, err := cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := bs.Cell.Attach(1, "", "208.95", 28); err != nil {
 		log.Fatal(err)
 	}
 	voip := &ran.CBR{
@@ -80,10 +71,10 @@ func main() {
 		IntervalMS:    20,
 		ReturnDelayMS: 10,
 	}
-	if err := cell.AddTraffic(1, voip); err != nil {
+	if err := bs.Cell.AddTraffic(1, voip); err != nil {
 		log.Fatal(err)
 	}
-	if err := cell.AddTraffic(1, &ran.CubicFlow{
+	if err := bs.Cell.AddTraffic(1, &ran.CubicFlow{
 		Flow:    ran.FiveTuple{DstIP: 1, DstPort: 5001, Proto: ran.ProtoTCP},
 		StartMS: 5000,
 	}); err != nil {
@@ -108,16 +99,15 @@ func main() {
 	// (simulated) second.
 	fmt.Println("t(s)  RLC sojourn(ms)  TC backlog(B)  remedy")
 	for t := 1; t <= 30000; t++ {
-		cell.Step(1)
-		sm.TickAll(fns, cell.Now())
+		bs.Step(1)
 		if t%10 == 0 {
 			time.Sleep(100 * time.Microsecond) // let the broker/xApp path run
 		}
 		if t%1000 == 0 {
 			var sojourn int64
 			var backlog int
-			_ = cell.WithUE(1, func(u *ran.UE) error {
-				sojourn = u.RLC().OldestSojournMS(cell.Now())
+			_ = bs.Cell.WithUE(1, func(u *ran.UE) error {
+				sojourn = u.RLC().OldestSojournMS(bs.Cell.Now())
 				for _, q := range u.TC().Stats().Queues {
 					backlog += q.BufferBytes
 				}

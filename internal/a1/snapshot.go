@@ -4,9 +4,9 @@ package a1
 // store (every policy State plus the global version counter) that a
 // restarted controller loads so intents, their versions, and their last
 // enforcement verdicts survive the restart. Mirrors the tsdb snapshot
-// idiom: magic + version byte, CRC-protected payload, atomic
-// temp-file-and-rename saves, periodic background loop with a final
-// write on stop.
+// idiom: magic + version byte, CRC-protected payload; package snapfile
+// keeps it in a file (atomic temp-file-and-rename saves, periodic
+// background loop with a final write on stop).
 //
 // Format v1 (little-endian):
 //
@@ -29,9 +29,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
-	"time"
 )
 
 const (
@@ -180,71 +177,4 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	s.mu.Unlock()
 	storeTel.active.Set(int64(n))
 	return nil
-}
-
-// SaveFile writes an atomic snapshot: a temp file in path's directory,
-// synced, then renamed over path.
-func (s *Store) SaveFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".a1-snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	if _, err := s.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadFile restores a snapshot file written by SaveFile. A missing file
-// is not an error (fresh start); a malformed one is.
-func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.ReadSnapshot(f)
-}
-
-// SnapshotEvery runs a background loop writing SaveFile(path) every
-// interval until stop is closed, then writes one final snapshot. It
-// returns a done channel that closes after the final write. Errors are
-// reported through onErr (nil ignores them).
-func (s *Store) SnapshotEvery(path string, interval time.Duration, stop <-chan struct{}, onErr func(error)) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var tick <-chan time.Time
-		if interval > 0 {
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			tick = t.C
-		}
-		for {
-			select {
-			case <-tick:
-				if err := s.SaveFile(path); err != nil && onErr != nil {
-					onErr(err)
-				}
-			case <-stop:
-				if err := s.SaveFile(path); err != nil && onErr != nil {
-					onErr(err)
-				}
-				return
-			}
-		}
-	}()
-	return done
 }

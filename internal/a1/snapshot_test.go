@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"flexric/internal/snapfile"
 )
 
 func snapPolicy(id string, agent int) Policy {
@@ -35,11 +37,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "a1.snap")
-	if err := st.SaveFile(path); err != nil {
+	if err := snapfile.Save(st, path); err != nil {
 		t.Fatal(err)
 	}
 	restored := NewStore()
-	if err := restored.LoadFile(path); err != nil {
+	if err := snapfile.Load(restored, path); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(st.List(), restored.List()) {
@@ -65,7 +67,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // byte flip in the payload fails the CRC.
 func TestSnapshotMissingAndCorrupt(t *testing.T) {
 	st := NewStore()
-	if err := st.LoadFile(filepath.Join(t.TempDir(), "absent.snap")); err != nil {
+	if err := snapfile.Load(st, filepath.Join(t.TempDir(), "absent.snap")); err != nil {
 		t.Fatalf("missing snapshot must be a fresh start: %v", err)
 	}
 	if _, err := st.Create(snapPolicy("p", 0)); err != nil {
@@ -103,7 +105,7 @@ func TestSnapshotEvery(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "a1.snap")
 	stop := make(chan struct{})
-	done := st.SnapshotEvery(path, time.Hour, stop, nil)
+	done := snapfile.Every(st, path, time.Hour, stop, nil)
 	close(stop)
 	select {
 	case <-done:
@@ -111,7 +113,7 @@ func TestSnapshotEvery(t *testing.T) {
 		t.Fatal("snapshot loop did not stop")
 	}
 	restored := NewStore()
-	if err := restored.LoadFile(path); err != nil {
+	if err := snapfile.Load(restored, path); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 1 {

@@ -16,63 +16,48 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/transport"
 )
 
-// bs is a simulated base station with a FlexRIC agent and slot loop.
-type bs struct {
-	cell  *ran.Cell
-	agent *agent.Agent
-	fns   []agent.RANFunction
-	stop  chan struct{}
-	done  chan struct{}
-}
-
-func startBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, numRB int) *bs {
+// startBS brings up a base station with the full SM bundle connected to
+// addr, and steps it in the background until the test ends.
+func startBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, numRB int) *station.Station {
 	t.Helper()
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: numRB})
+	b, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: numRB}, SM: scheme, Controller: addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, nodeID)},
+		SMs: []uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats,
+			sm.IDSliceCtrl, sm.IDTrafficCtrl, sm.IDHelloWorld},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: nodeID},
-	})
-	b := &bs{cell: cell, agent: a, stop: make(chan struct{}), done: make(chan struct{})}
-	b.fns = []agent.RANFunction{
-		sm.NewMACStats(cell, scheme, a),
-		sm.NewRLCStats(cell, scheme, a),
-		sm.NewPDCPStats(cell, scheme, a),
-		sm.NewSliceCtrl(cell, scheme),
-		sm.NewTCCtrl(cell, scheme, a),
-		sm.NewHW(),
-	}
-	for _, fn := range b.fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
+	runSlots(t, b)
+	return b
+}
+
+// runSlots steps b, one TTI per ~30 µs, until the test ends; then it
+// closes b.
+func runSlots(t *testing.T, b *station.Station) {
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(b.done)
+		defer close(done)
 		for {
 			select {
-			case <-b.stop:
+			case <-stop:
 				return
 			default:
 			}
-			cell.Step(1)
-			sm.TickAll(b.fns, cell.Now())
+			b.Step(1)
 			time.Sleep(30 * time.Microsecond)
 		}
 	}()
 	t.Cleanup(func() {
-		close(b.stop)
-		<-b.done
-		a.Close()
+		close(stop)
+		<-done
+		b.Close()
 	})
-	return b
 }
 
 func startSrv(t *testing.T) (*server.Server, string) {
@@ -102,10 +87,10 @@ func TestMonitorCollectsAllLayers(t *testing.T) {
 	s, addr := startSrv(t)
 	mon := ctrl.NewMonitor(s, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1, Decode: true})
 	b := startBS(t, addr, 1, sm.SchemeFB, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
+	if err := b.Cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
@@ -159,7 +144,7 @@ func TestSlicingControllerREST(t *testing.T) {
 	}
 	defer sc.Close()
 	b := startBS(t, addr, 1, sm.SchemeASN, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
@@ -191,7 +176,7 @@ func TestSlicingControllerREST(t *testing.T) {
 		t.Fatalf("POST /slices: %s", resp.Status)
 	}
 	resp.Body.Close()
-	if b.cell.SliceMode() != ran.SliceNVS {
+	if b.Cell.SliceMode() != ran.SliceNVS {
 		t.Fatal("cell not sliced via REST")
 	}
 
@@ -201,7 +186,7 @@ func TestSlicingControllerREST(t *testing.T) {
 		t.Fatalf("POST /assoc: %s", resp.Status)
 	}
 	resp.Body.Close()
-	if b.cell.UE(1).SliceID != 2 {
+	if b.Cell.UE(1).SliceID != 2 {
 		t.Fatal("association not applied via REST")
 	}
 
@@ -280,7 +265,7 @@ func TestSlicingRESTRejectsCapacityOutOfRange(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("valid POST /slices: %s", resp.Status)
 	}
-	want := b.cell.Slices()
+	want := b.Cell.Slices()
 	for _, capacity := range []float64{4295.467296, -0.5, 1.5} {
 		resp := postJSON(t, url, ctrl.SliceConfigJSON{Algo: "nvs", Slices: []ctrl.SliceParamJSON{
 			{ID: 1, Kind: "capacity", Capacity: capacity},
@@ -289,7 +274,7 @@ func TestSlicingRESTRejectsCapacityOutOfRange(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("capacity %v: %s, want 400", capacity, resp.Status)
 		}
-		if got := b.cell.Slices(); !reflect.DeepEqual(got, want) {
+		if got := b.Cell.Slices(); !reflect.DeepEqual(got, want) {
 			t.Errorf("capacity %v: cell slices %+v, want %+v", capacity, got, want)
 		}
 	}
@@ -322,7 +307,7 @@ func TestTCControllerBrokerAndREST(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	b := startBS(t, addr, 1, sm.SchemeFB, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
@@ -365,7 +350,7 @@ func TestTCControllerBrokerAndREST(t *testing.T) {
 	resp.Body.Close()
 
 	var st ran.TCStats
-	if err := b.cell.WithUE(1, func(u *ran.UE) error { st = u.TC().Stats(); return nil }); err != nil {
+	if err := b.Cell.WithUE(1, func(u *ran.UE) error { st = u.TC().Stats(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st.Mode != "active" || len(st.Queues) != 2 || st.Filters != 1 {
@@ -532,16 +517,16 @@ func TestRecursiveVirtualization(t *testing.T) {
 	// Shared infrastructure: 50 RB eNB with 4 saturating UEs.
 	b := startBS(t, southAddr, 1, scheme, 50)
 	for i := 1; i <= 4; i++ {
-		if _, err := b.cell.Attach(uint16(i), fmt.Sprintf("imsi-%d", i), "208.95", 28); err != nil {
+		if _, err := b.Cell.Attach(uint16(i), fmt.Sprintf("imsi-%d", i), "208.95", 28); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.cell.AddTraffic(uint16(i), &ran.Saturating{
+		if err := b.Cell.AddTraffic(uint16(i), &ran.Saturating{
 			Flow: ran.FiveTuple{DstIP: uint32(i)}, RateBytesPerMS: 8000,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	await(t, "infra agent at virt layer", func() bool { return b.cell.SliceMode() == ran.SliceNVS })
+	await(t, "infra agent at virt layer", func() bool { return b.Cell.SliceMode() == ran.SliceNVS })
 
 	// Attach tenants (in order).
 	if err := vc.ConnectTenant(0, tenantAddrA); err != nil {
@@ -575,8 +560,8 @@ func TestRecursiveVirtualization(t *testing.T) {
 
 	// Physical state: 4 slices (A: 33%/17%, B: default 50%), IDs in
 	// disjoint intervals.
-	await(t, "physical slices updated", func() bool { return len(b.cell.Slices()) == 3 })
-	phys := b.cell.Slices()
+	await(t, "physical slices updated", func() bool { return len(b.Cell.Slices()) == 3 })
+	phys := b.Cell.Slices()
 	var capSum float64
 	for _, c := range phys {
 		capSum += c.Capacity
@@ -631,11 +616,11 @@ func TestRecursiveVirtualization(t *testing.T) {
 
 	// Isolation: tenant B's UEs together get ~50% of the cell.
 	time.Sleep(300 * time.Millisecond) // let EWMAs settle under load
-	start3, start4 := b.cell.UEDeliveredBits(3), b.cell.UEDeliveredBits(4)
-	startT := b.cell.Now()
-	await(t, "throughput window", func() bool { return b.cell.Now() >= startT+2000 })
-	elapsed := float64(b.cell.Now() - startT)
-	gotB := float64(b.cell.UEDeliveredBits(3)-start3+b.cell.UEDeliveredBits(4)-start4) / elapsed * 1000 / 1e6
+	start3, start4 := b.Cell.UEDeliveredBits(3), b.Cell.UEDeliveredBits(4)
+	startT := b.Cell.Now()
+	await(t, "throughput window", func() bool { return b.Cell.Now() >= startT+2000 })
+	elapsed := float64(b.Cell.Now() - startT)
+	gotB := float64(b.Cell.UEDeliveredBits(3)-start3+b.Cell.UEDeliveredBits(4)-start4) / elapsed * 1000 / 1e6
 	cellMbps := float64(ran.CellCapacityBits(50, 28)) * 1000 / 1e6
 	if gotB < 0.42*cellMbps || gotB > 0.58*cellMbps {
 		t.Fatalf("tenant B throughput %.1f Mbps, want ~50%% of %.1f", gotB, cellMbps)

@@ -2,35 +2,33 @@ package ctrl_test
 
 import (
 	"testing"
-	"time"
 
 	"flexric/internal/agent"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/tsdb"
 )
 
 // startShardedBS is startBS with a multi-shard cell, so the monitoring
-// SMs emit one report payload per shard.
-func startShardedBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, shards int) *bs {
+// SMs emit one report payload per shard. The station package builds
+// single-shard cells only, so this station is put together by hand.
+func startShardedBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, shards int) *station.Station {
 	t.Helper()
 	cell, err := ran.NewCellWithOptions(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25},
 		ran.CellOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: nodeID},
-	})
-	b := &bs{cell: cell, agent: a, stop: make(chan struct{}), done: make(chan struct{})}
-	b.fns = []agent.RANFunction{
+	a := agent.New(agent.Config{NodeID: station.Node(e2ap.NodeENB, nodeID)})
+	b := &station.Station{Cell: cell, Agent: a, Fns: []agent.RANFunction{
 		sm.NewMACStats(cell, scheme, a),
 		sm.NewRLCStats(cell, scheme, a),
 		sm.NewPDCPStats(cell, scheme, a),
-	}
-	for _, fn := range b.fns {
+	}}
+	for _, fn := range b.Fns {
 		if err := a.RegisterFunction(fn); err != nil {
 			t.Fatal(err)
 		}
@@ -38,24 +36,7 @@ func startShardedBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, 
 	if _, err := a.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		defer close(b.done)
-		for {
-			select {
-			case <-b.stop:
-				return
-			default:
-			}
-			cell.Step(1)
-			sm.TickAll(b.fns, cell.Now())
-			time.Sleep(30 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(func() {
-		close(b.stop)
-		<-b.done
-		a.Close()
-	})
+	runSlots(t, b)
 	return b
 }
 
@@ -81,10 +62,10 @@ func TestMonitorMergesShardReports(t *testing.T) {
 
 	const nUE = 8
 	for i := 1; i <= nUE; i++ {
-		if _, err := b.cell.Attach(uint16(i), "", "208.95", 20); err != nil {
+		if _, err := b.Cell.Attach(uint16(i), "", "208.95", 20); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.cell.AddTraffic(uint16(i), &ran.Saturating{
+		if err := b.Cell.AddTraffic(uint16(i), &ran.Saturating{
 			Flow: ran.FiveTuple{DstIP: uint32(i)}, RateBytesPerMS: 500}); err != nil {
 			t.Fatal(err)
 		}

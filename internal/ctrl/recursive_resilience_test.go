@@ -13,6 +13,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 )
 
 // TestVirtCtrlSouthReconnect: a tenant's proxied subscription survives a
@@ -45,32 +46,23 @@ func TestVirtCtrlSouthReconnect(t *testing.T) {
 	// South infrastructure: agent wrapped in a one-shot drop plan, with
 	// resilience so it redials on its own.
 	plan := faultinject.MustParse("drop@150")
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	b, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: scheme, Controller: southAddr,
+		Agent: agent.Config{
+			NodeID: station.Node(e2ap.NodeENB, 1),
+			Resilience: &resilience.Config{
+				KeepaliveInterval: 20 * time.Millisecond,
+				Backoff:           resilience.BackoffPolicy{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
+			},
+			WrapConn: plan.WrapConn,
+		},
+		SMs: []uint16{sm.IDMACStats, sm.IDSliceCtrl},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-		Resilience: &resilience.Config{
-			KeepaliveInterval: 20 * time.Millisecond,
-			Backoff:           resilience.BackoffPolicy{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
-		},
-		WrapConn: plan.WrapConn,
-	})
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, scheme, a),
-		sm.NewSliceCtrl(cell, scheme),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(southAddr); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if _, err := cell.Attach(1, "", "208.95", 28); err != nil {
+	defer b.Close()
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -83,14 +75,13 @@ func TestVirtCtrlSouthReconnect(t *testing.T) {
 				return
 			default:
 			}
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
+			b.Step(1)
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
 	defer func() { close(stop); <-done }()
 
-	await(t, "infra agent at virt layer", func() bool { return cell.SliceMode() == ran.SliceNVS })
+	await(t, "infra agent at virt layer", func() bool { return b.Cell.SliceMode() == ran.SliceNVS })
 	if err := vc.ConnectTenant(0, tenantAddr); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestSharedMonitorSubscriptions(t *testing.T) {
 	}
 
 	b := startBS(t, addr, 1, sm.SchemeFB, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })

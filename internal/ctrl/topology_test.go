@@ -11,6 +11,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/tsdb"
 )
 
@@ -42,34 +43,22 @@ func TestTopologySnapshot(t *testing.T) {
 	})
 	topo := ctrl.NewTopology(srv, ctrl.TopoWithMonitor(mon))
 
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	b, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeFB, Controller: addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 7), Scheme: e2ap.SchemeFB},
+		SMs:   []uint16{sm.IDMACStats},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 7},
-		Scheme: e2ap.SchemeFB,
-	})
-	fns := []agent.RANFunction{sm.NewMACStats(cell, sm.SchemeFB, a)}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if _, err := cell.Attach(1, "", "208.95", 20); err != nil {
+	defer b.Close()
+	if _, err := b.Cell.Attach(1, "", "208.95", 20); err != nil {
 		t.Fatal(err)
 	}
 
 	waitFor(t, "subscription", func() bool { return srv.NumSubscriptions() == 1 })
 	waitFor(t, "ingest", func() bool {
-		for i := 0; i < 5; i++ {
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
-		}
+		b.Step(5)
 		n, _ := mon.Counters()
 		return n > 0 && store.NumSeries() > 0
 	})
@@ -96,7 +85,7 @@ func TestTopologySnapshot(t *testing.T) {
 	}
 
 	// Disconnect: the agent leaves the snapshot.
-	a.Close()
+	b.Close()
 	waitFor(t, "agent removal", func() bool { return len(topo.Snapshot().Agents) == 0 })
 }
 

@@ -16,6 +16,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/transport"
 	"flexric/internal/tsdb"
 )
@@ -28,10 +29,10 @@ func TestMonitorTSDBIngest(t *testing.T) {
 	s, addr := startSrv(t)
 	mon := ctrl.NewMonitor(s, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1, Decode: true, TSDB: st})
 	b := startBS(t, addr, 1, sm.SchemeFB, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
+	if err := b.Cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
@@ -128,7 +129,7 @@ func TestMonitorSeriesRetention(t *testing.T) {
 			var gone atomic.Bool
 			s.OnAgentDisconnect(func(server.AgentInfo) { gone.Store(true) })
 			b := startBS(t, addr, 42, sm.SchemeFB, 25)
-			if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+			if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 				t.Fatal(err)
 			}
 			await(t, "agent", func() bool { return len(s.Agents()) == 1 })
@@ -139,7 +140,7 @@ func TestMonitorSeriesRetention(t *testing.T) {
 			k := tsdb.SeriesKey{Agent: agentKey, Fn: sm.IDMACStats, UE: 1, Field: tsdb.FieldCQI}
 			await(t, "series", func() bool { return len(st.LastK(k, 1, nil)) == 1 })
 
-			b.agent.Close()
+			b.Agent.Close()
 			await(t, "disconnect", gone.Load)
 			if kept := len(st.LastK(k, 1, nil)) == 1; kept != tc.retained {
 				t.Fatalf("series kept after disconnect = %v, want %v (%d series left)", kept, tc.retained, st.NumSeries())
@@ -202,52 +203,22 @@ func TestMonitorTSDBReconnectChurn(t *testing.T) {
 	var reconnects atomic.Int32
 	s.OnAgentReconnect(func(server.AgentInfo) { reconnects.Add(1) })
 
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	cap := &connCapture{}
+	b, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeFB, Controller: addr,
+		Agent: agent.Config{
+			NodeID: station.Node(e2ap.NodeENB, 7), Scheme: e2ap.SchemeFB,
+			Transport: transport.KindSCTPish, Resilience: fastRes(0), WrapConn: cap.wrap,
+		},
+		SMs: []uint16{sm.IDMACStats},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := &connCapture{}
-	a := agent.New(agent.Config{
-		NodeID:     e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 7},
-		Scheme:     e2ap.SchemeFB,
-		Transport:  transport.KindSCTPish,
-		Resilience: fastRes(0),
-		WrapConn:   cap.wrap,
-	})
-	fns := []agent.RANFunction{sm.NewMACStats(cell, sm.SchemeFB, a)}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
-	closed := false
-	t.Cleanup(func() {
-		if !closed {
-			a.Close()
-		}
-	})
-	if _, err := cell.Attach(1, "", "208.95", 28); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
-			time.Sleep(30 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(func() { close(stop); <-done })
+	runSlots(t, b)
 
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
 	id := s.Agents()[0].ID
@@ -278,8 +249,7 @@ func TestMonitorTSDBReconnectChurn(t *testing.T) {
 
 	// Final departure: stop the agent for good. Retention expires, the
 	// disconnect hook fires, and every series of the agent is evicted.
-	closed = true
-	a.Close()
+	b.Close()
 	await(t, "eviction after retention", func() bool { return st.NumSeries() == 0 })
 }
 
@@ -294,10 +264,10 @@ func TestSlicingStatsAgg(t *testing.T) {
 	}
 	defer sc.Close()
 	b := startBS(t, addr, 1, sm.SchemeASN, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
+	if err := b.Cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
@@ -358,10 +328,10 @@ func TestMonitorTSDBCompressed(t *testing.T) {
 	s, addr := startSrv(t)
 	ctrl.NewMonitor(s, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1, Layers: ctrl.MonMAC, Decode: true, TSDB: st})
 	b := startBS(t, addr, 1, sm.SchemeFB, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
+	if err := b.Cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })

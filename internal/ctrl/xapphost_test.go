@@ -14,10 +14,10 @@ func TestXAppHostMergingAndFanOut(t *testing.T) {
 	s, addr := startSrv(t)
 	host := ctrl.NewXAppHost(s)
 	b := startBS(t, addr, 1, sm.SchemeFB, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
+	if err := b.Cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
@@ -159,7 +159,7 @@ func TestXAppHostControl(t *testing.T) {
 	s, addr := startSrv(t)
 	host := ctrl.NewXAppHost(s)
 	b := startBS(t, addr, 1, sm.SchemeFB, 25)
-	if _, err := b.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })

@@ -13,6 +13,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/telemetry"
 )
 
@@ -104,27 +105,19 @@ func Chaos(opts ChaosOptions) (*ChaosResult, error) {
 		Scheme: opts.SMScheme, PeriodMS: 1, Layers: ctrl.MonMAC, Decode: true,
 	})
 
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: opts.SMScheme, Controller: addr,
+		Agent: agent.Config{
+			NodeID: station.Node(e2ap.NodeENB, 1), Scheme: opts.E2Scheme,
+			Resilience: resCfg, WrapConn: connPlan.WrapConn,
+		},
+		SMs: []uint16{sm.IDMACStats},
+	})
 	if err != nil {
 		return nil, err
 	}
-	a := agent.New(agent.Config{
-		NodeID:     e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-		Scheme:     opts.E2Scheme,
-		Resilience: resCfg,
-		WrapConn:   connPlan.WrapConn,
-	})
-	fns := []agent.RANFunction{sm.NewMACStats(cell, opts.SMScheme, a)}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
-		return nil, err
-	}
-	defer a.Close()
-	if _, err := cell.Attach(1, "", "208.95", 20); err != nil {
+	defer bs.Close()
+	if _, err := bs.Cell.Attach(1, "", "208.95", 20); err != nil {
 		return nil, err
 	}
 
@@ -139,10 +132,7 @@ func Chaos(opts ChaosOptions) (*ChaosResult, error) {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("chaos: timeout waiting for %s", what)
 			}
-			for i := 0; i < 20; i++ {
-				cell.Step(1)
-				sm.TickAll(fns, cell.Now())
-			}
+			bs.Step(20)
 			time.Sleep(time.Millisecond)
 		}
 		return nil

@@ -14,12 +14,10 @@ import (
 	"strings"
 	"time"
 
-	"flexric/internal/agent"
 	"flexric/internal/e2ap"
 	"flexric/internal/metrics"
 	"flexric/internal/ran"
 	"flexric/internal/server"
-	"flexric/internal/sm"
 	"flexric/internal/telemetry"
 )
 
@@ -35,109 +33,6 @@ func TelemetryReport() string {
 	var sb strings.Builder
 	_ = telemetry.Dump(&sb)
 	return sb.String()
-}
-
-// BS bundles a simulated base station with its FlexRIC agent and the SM
-// bundle, driven by an explicit slot loop.
-type BS struct {
-	Cell  *ran.Cell
-	Agent *agent.Agent
-	Fns   []agent.RANFunction
-}
-
-// BSOptions configures NewBS.
-type BSOptions struct {
-	NodeID   uint64
-	RAT      ran.RAT
-	NumRB    int
-	E2Scheme e2ap.Scheme
-	SMScheme sm.Scheme
-	// Layers selects which SM functions to register; nil = all.
-	Layers []string
-	// Controller is the E2 address to connect to; empty = no agent.
-	Controller string
-}
-
-// NewBS builds a base station; with Controller set it connects the
-// agent.
-func NewBS(opts BSOptions) (*BS, error) {
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: opts.RAT, NumRB: opts.NumRB})
-	if err != nil {
-		return nil, err
-	}
-	b := &BS{Cell: cell}
-	if opts.Controller == "" {
-		return b, nil
-	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{
-			PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: opts.NodeID,
-		},
-		Scheme: opts.E2Scheme,
-	})
-	b.Agent = a
-	want := map[string]bool{}
-	for _, l := range opts.Layers {
-		want[l] = true
-	}
-	all := len(opts.Layers) == 0
-	add := func(name string, fn agent.RANFunction) error {
-		if all || want[name] {
-			return a.RegisterFunction(fn)
-		}
-		return nil
-	}
-	regs := []struct {
-		name string
-		fn   agent.RANFunction
-	}{
-		{"mac", sm.NewMACStats(cell, opts.SMScheme, a)},
-		{"rlc", sm.NewRLCStats(cell, opts.SMScheme, a)},
-		{"pdcp", sm.NewPDCPStats(cell, opts.SMScheme, a)},
-		{"slice", sm.NewSliceCtrl(cell, opts.SMScheme)},
-		{"tc", sm.NewTCCtrl(cell, opts.SMScheme, a)},
-		{"hw", sm.NewHW()},
-	}
-	for _, r := range regs {
-		if err := add(r.name, r.fn); err != nil {
-			return nil, err
-		}
-		if all || want[r.name] {
-			b.Fns = append(b.Fns, r.fn)
-		}
-	}
-	if _, err := a.Connect(opts.Controller); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Close disconnects the agent.
-func (b *BS) Close() {
-	if b.Agent != nil {
-		b.Agent.Close()
-	}
-}
-
-// RunSim advances the base station by simMS TTIs as fast as possible,
-// ticking SM reporters each TTI.
-func (b *BS) RunSim(simMS int) {
-	for i := 0; i < simMS; i++ {
-		b.Cell.Step(1)
-		sm.TickAll(b.Fns, b.Cell.Now())
-	}
-}
-
-// RunSimPaced advances like RunSim but throttles so the socket receivers
-// keep up (used when indications flow at 1 kHz per layer).
-func (b *BS) RunSimPaced(simMS int, pace time.Duration) {
-	for i := 0; i < simMS; i++ {
-		b.Cell.Step(1)
-		sm.TickAll(b.Fns, b.Cell.Now())
-		if pace > 0 {
-			time.Sleep(pace)
-		}
-	}
 }
 
 // StartServer brings up a FlexRIC server on a loopback port.

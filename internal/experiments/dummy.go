@@ -7,6 +7,7 @@ import (
 
 	"flexric/internal/e2ap"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/transport"
 )
 
@@ -42,9 +43,7 @@ func StartDummyAgent(nodeID uint64, controller string, e2s e2ap.Scheme, sms sm.S
 	codec := e2ap.MustCodec(e2s)
 	setup := &e2ap.SetupRequest{
 		TransactionID: 1,
-		NodeID: e2ap.GlobalE2NodeID{
-			PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: nodeID,
-		},
+		NodeID:        station.Node(e2ap.NodeENB, nodeID),
 		RANFunctions: []e2ap.RANFunctionItem{
 			{ID: sm.IDMACStats, Revision: 1, OID: "dummy-mac"},
 		},

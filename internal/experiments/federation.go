@@ -15,6 +15,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/tsdb"
 )
 
@@ -78,15 +79,7 @@ func (r *FederationResult) String() string {
 	)
 }
 
-// fedBS is one monitored base station of the federated fleet: a cell
-// with saturating traffic, an agent placed on the ring by a Placer and
-// re-homed by it after a shard death.
-type fedBS struct {
-	cell *ran.Cell
-	a    *agent.Agent
-	fns  []agent.RANFunction
-}
-
+// fedRes is the fast-failover resilience of the shards and the fleet.
 func fedRes() *resilience.Config {
 	return &resilience.Config{
 		KeepaliveInterval: raceTimeScale * 20 * time.Millisecond,
@@ -94,47 +87,6 @@ func fedRes() *resilience.Config {
 		RetainFor:         raceTimeScale * 150 * time.Millisecond,
 		Backoff:           resilience.BackoffPolicy{Base: 10 * time.Millisecond, Max: raceTimeScale * 50 * time.Millisecond},
 	}
-}
-
-func newFedBS(nodeID uint64, e2s e2ap.Scheme, sms sm.Scheme, pl *federation.Placer) (*fedBS, error) {
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
-	if err != nil {
-		return nil, err
-	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{
-			PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: nodeID,
-		},
-		Scheme:     e2s,
-		Resilience: fedRes(),
-		Rehome:     pl.Rehome,
-	})
-	b := &fedBS{cell: cell, a: a}
-	b.fns = []agent.RANFunction{sm.NewMACStats(cell, sms, a)}
-	for _, fn := range b.fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := cell.Attach(1, "", "208.95", 24); err != nil {
-		return nil, err
-	}
-	if err := Saturate(cell, 1); err != nil {
-		return nil, err
-	}
-	home, err := pl.Home()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := a.Connect(home); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func (b *fedBS) step() {
-	b.cell.Step(1)
-	sm.TickAll(b.fns, b.cell.Now())
 }
 
 // FederationDemo runs the kill-one-shard acceptance scenario.
@@ -199,18 +151,42 @@ func FederationDemo(opts FederationOptions) (*FederationResult, error) {
 	for name, sh := range shards {
 		addrs[name] = sh.SouthAddr()
 	}
-	var fleet []*fedBS
+	// The fleet: each base station carries a saturated UE before its
+	// agent dials the ring owner, and is re-homed by its Placer after a
+	// shard death.
+	var fleet []*station.Station
 	defer func() {
 		for _, b := range fleet {
-			b.a.Close()
+			b.Close()
 		}
 	}()
 	for id := uint64(1); id <= uint64(opts.Agents); id++ {
-		b, err := newFedBS(id, opts.E2Scheme, opts.SMScheme, federation.NewPlacer(ring, addrs, id))
+		pl := federation.NewPlacer(ring, addrs, id)
+		b, err := station.New(station.Spec{
+			Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: opts.SMScheme,
+			Agent: agent.Config{
+				NodeID: station.Node(e2ap.NodeENB, id), Scheme: opts.E2Scheme,
+				Resilience: fedRes(), Rehome: pl.Rehome,
+			},
+			SMs: []uint16{sm.IDMACStats},
+		})
 		if err != nil {
 			return nil, err
 		}
 		fleet = append(fleet, b)
+		if _, err := b.Cell.Attach(1, "", "208.95", 24); err != nil {
+			return nil, err
+		}
+		if err := Saturate(b.Cell, 1); err != nil {
+			return nil, err
+		}
+		home, err := pl.Home()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := b.Agent.Connect(home); err != nil {
+			return nil, err
+		}
 	}
 
 	// drive steps every cell (real time paces the resilience layer
@@ -225,7 +201,7 @@ func FederationDemo(opts FederationOptions) (*FederationResult, error) {
 			stepMu.Lock()
 			for i := 0; i < 5; i++ {
 				for _, b := range fleet {
-					b.step()
+					b.Step(1)
 				}
 			}
 			stepMu.Unlock()

@@ -5,11 +5,13 @@ import (
 	"sort"
 	"time"
 
+	"flexric/internal/agent"
 	"flexric/internal/broker"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/xapp"
 )
 
@@ -85,10 +87,10 @@ func fig11Run(useXApp bool, simMS int) (*Fig11Run, error) {
 	}
 	defer tcc.Close()
 
-	bs, err := NewBS(BSOptions{
-		NodeID: 1, RAT: ran.RAT4G, NumRB: 25,
-		E2Scheme: e2ap.SchemeFB, SMScheme: sm.SchemeFB,
-		Layers: []string{"rlc", "tc"}, Controller: e2Addr,
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeFB, Controller: e2Addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeFB},
+		SMs:   []uint16{sm.IDRLCStats, sm.IDTrafficCtrl},
 	})
 	if err != nil {
 		return nil, err
@@ -134,8 +136,7 @@ func fig11Run(useXApp bool, simMS int) (*Fig11Run, error) {
 	// Slot loop: sample sojourn every 100 ms of simulated time. A tiny
 	// pace keeps the socket path (stats → broker → xApp) live.
 	for t := 0; t < simMS; t++ {
-		bs.Cell.Step(1)
-		sm.TickAll(bs.Fns, bs.Cell.Now())
+		bs.Step(1)
 		if t%100 == 0 {
 			var s SojournSample
 			s.TimeMS = bs.Cell.Now()

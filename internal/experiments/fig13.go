@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"flexric/internal/agent"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/xapp"
 )
 
@@ -36,7 +38,7 @@ type Fig13aResult struct {
 
 // fig13Stack brings up cell + agent + slicing controller + xApp.
 type fig13Stack struct {
-	bs  *BS
+	bs  *station.Station
 	sc  *ctrl.SlicingController
 	x   *xapp.SliceXApp
 	srv interface{ Close() error }
@@ -52,10 +54,10 @@ func newFig13Stack() (*fig13Stack, error) {
 		srv.Close()
 		return nil, err
 	}
-	bs, err := NewBS(BSOptions{
-		NodeID: 1, RAT: ran.RAT5G, NumRB: 106,
-		E2Scheme: e2ap.SchemeASN, SMScheme: sm.SchemeASN,
-		Layers: []string{"mac", "slice"}, Controller: addr,
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106}, SM: sm.SchemeASN, Controller: addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeASN},
+		SMs:   []uint16{sm.IDMACStats, sm.IDSliceCtrl},
 	})
 	if err != nil {
 		sc.Close()
@@ -78,12 +80,12 @@ func (s *fig13Stack) close() {
 }
 
 // measurePhase runs ms simulated milliseconds and returns per-UE Mbps.
-func measurePhase(bs *BS, rntis []uint16, ms int) map[uint16]float64 {
+func measurePhase(bs *station.Station, rntis []uint16, ms int) map[uint16]float64 {
 	start := make(map[uint16]uint64, len(rntis))
 	for _, r := range rntis {
 		start[r] = bs.Cell.UEDeliveredBits(r)
 	}
-	bs.RunSim(ms)
+	bs.Step(ms)
 	out := make(map[uint16]float64, len(rntis))
 	for _, r := range rntis {
 		out[r] = Mbps(bs.Cell.UEDeliveredBits(r)-start[r], int64(ms))
@@ -239,7 +241,7 @@ func Fig13b(simMS int) (*Fig13bResult, error) {
 		last1, last2 := bs.Cell.UEDeliveredBits(1), bs.Cell.UEDeliveredBits(2)
 		const sample = 1000
 		for t := 0; t < simMS; t += sample {
-			bs.RunSim(sample)
+			bs.Step(sample)
 			b1, b2 := bs.Cell.UEDeliveredBits(1), bs.Cell.UEDeliveredBits(2)
 			series = append(series, Fig13bPoint{
 				TimeMS: bs.Cell.Now(),

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"flexric/internal/agent"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/xapp"
 )
 
@@ -102,7 +104,7 @@ func Fig15(simMS int) (*Fig15Result, error) {
 // slicing controller.
 func fig15Dedicated(simMS int) (*Fig15Series, error) {
 	type op struct {
-		bs  *BS
+		bs  *station.Station
 		sc  *ctrl.SlicingController
 		x   *xapp.SliceXApp
 		srv interface{ Close() error }
@@ -118,10 +120,10 @@ func fig15Dedicated(simMS int) (*Fig15Series, error) {
 			srv.Close()
 			return nil, err
 		}
-		bs, err := NewBS(BSOptions{
-			NodeID: uint64(i + 1), RAT: ran.RAT4G, NumRB: 25,
-			E2Scheme: e2ap.SchemeASN, SMScheme: sm.SchemeASN,
-			Layers: []string{"mac", "slice"}, Controller: addr,
+		bs, err := station.New(station.Spec{
+			Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeASN, Controller: addr,
+			Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, uint64(i+1)), Scheme: e2ap.SchemeASN},
+			SMs:   []uint16{sm.IDMACStats, sm.IDSliceCtrl},
 		})
 		if err != nil {
 			sc.Close()
@@ -162,8 +164,7 @@ func fig15Dedicated(simMS int) (*Fig15Series, error) {
 		// Step both cells in lockstep.
 		for s := 0; s < sample; s++ {
 			for i := range ops {
-				ops[i].bs.Cell.Step(1)
-				sm.TickAll(ops[i].bs.Fns, ops[i].bs.Cell.Now())
+				ops[i].bs.Step(1)
 			}
 		}
 		var p Fig15Point
@@ -216,10 +217,10 @@ func fig15Shared(simMS int) (*Fig15Series, error) {
 	}
 	defer vc.Close()
 
-	bs, err := NewBS(BSOptions{
-		NodeID: 1, RAT: ran.RAT4G, NumRB: 50,
-		E2Scheme: e2ap.SchemeASN, SMScheme: sm.SchemeASN,
-		Layers: []string{"mac", "slice"}, Controller: southAddr,
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 50}, SM: sm.SchemeASN, Controller: southAddr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeASN},
+		SMs:   []uint16{sm.IDMACStats, sm.IDSliceCtrl},
 	})
 	if err != nil {
 		return nil, err
@@ -261,7 +262,7 @@ func fig15Shared(simMS int) (*Fig15Series, error) {
 			}
 			reconfDone = true
 		}
-		bs.RunSim(sample)
+		bs.Step(sample)
 		var p Fig15Point
 		p.TimeMS = bs.Cell.Now()
 		for i, rnti := range []uint16{1, 2, 3, 4} {

@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 
+	"flexric/internal/agent"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/flexran"
 	"flexric/internal/metrics"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 )
 
 // Fig. 6: "Normalized CPU usage of FlexRIC and FlexRAN" at the agent.
@@ -43,7 +45,9 @@ const (
 )
 
 func measureAgentCPU(kind agentKind, rat ran.RAT, numRB, mcs, nUE, simMS int) (float64, error) {
-	var bs *BS
+	phy := ran.PHYConfig{RAT: rat, NumRB: numRB}
+	var cell *ran.Cell
+	var st *station.Station
 	var fr *flexran.Agent
 	switch kind {
 	case agentFlexRIC:
@@ -54,16 +58,16 @@ func measureAgentCPU(kind agentKind, rat ran.RAT, numRB, mcs, nUE, simMS int) (f
 		defer srv.Close()
 		// Raw-storing monitor: the §5.1 controller sink.
 		ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1})
-		bs, err = NewBS(BSOptions{
-			NodeID: 1, RAT: rat, NumRB: numRB,
-			E2Scheme: e2ap.SchemeFB, SMScheme: sm.SchemeFB,
-			Layers:     []string{"mac", "rlc", "pdcp"},
-			Controller: addr,
+		st, err = station.New(station.Spec{
+			Cell: phy, SM: sm.SchemeFB, Controller: addr,
+			Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeFB},
+			SMs:   []uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats},
 		})
 		if err != nil {
 			return 0, err
 		}
-		defer bs.Close()
+		defer st.Close()
+		cell = st.Cell
 		if !WaitUntil(waitShort, func() bool { return len(srv.Agents()) == 1 }) {
 			return 0, fmt.Errorf("agent did not connect")
 		}
@@ -71,10 +75,8 @@ func measureAgentCPU(kind agentKind, rat ran.RAT, numRB, mcs, nUE, simMS int) (f
 		// subscriptions before measuring.
 		if !WaitUntil(waitShort, func() bool {
 			n := 0
-			for _, fn := range bs.Fns {
-				if sf, ok := fn.(*sm.StatsFunction); ok {
-					n += sf.Subscriptions()
-				}
+			for _, fn := range st.Fns {
+				n += fn.(*sm.StatsFunction).Subscriptions()
 			}
 			return n >= 3
 		}) {
@@ -86,11 +88,9 @@ func measureAgentCPU(kind agentKind, rat ran.RAT, numRB, mcs, nUE, simMS int) (f
 			return 0, err
 		}
 		defer fc.Close()
-		cell, err := ran.NewCell(ran.PHYConfig{RAT: rat, NumRB: numRB})
-		if err != nil {
+		if cell, err = ran.NewCell(phy); err != nil {
 			return 0, err
 		}
-		bs = &BS{Cell: cell}
 		fr, err = flexran.NewAgent(1, cell, addr)
 		if err != nil {
 			return 0, err
@@ -103,28 +103,30 @@ func measureAgentCPU(kind agentKind, rat ran.RAT, numRB, mcs, nUE, simMS int) (f
 			return 0, err
 		}
 	default:
-		cell, err := ran.NewCell(ran.PHYConfig{RAT: rat, NumRB: numRB})
-		if err != nil {
+		var err error
+		if cell, err = ran.NewCell(phy); err != nil {
 			return 0, err
 		}
-		bs = &BS{Cell: cell}
 	}
 
 	for i := 1; i <= nUE; i++ {
-		if _, err := bs.Cell.Attach(uint16(i), "", "208.95", mcs); err != nil {
+		if _, err := cell.Attach(uint16(i), "", "208.95", mcs); err != nil {
 			return 0, err
 		}
-		if err := Saturate(bs.Cell, uint16(i)); err != nil {
+		if err := Saturate(cell, uint16(i)); err != nil {
 			return 0, err
 		}
 	}
 	// Warm-up, then measure.
+	step := cell.Step
+	if st != nil {
+		step = st.Step
+	}
 	run := func(ms int) {
 		for i := 0; i < ms; i++ {
-			bs.Cell.Step(1)
-			sm.TickAll(bs.Fns, bs.Cell.Now())
+			step(1)
 			if fr != nil {
-				fr.Tick(bs.Cell.Now())
+				fr.Tick(cell.Now())
 			}
 		}
 	}

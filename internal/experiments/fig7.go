@@ -5,11 +5,13 @@ import (
 	"sort"
 	"time"
 
+	"flexric/internal/agent"
 	"flexric/internal/e2ap"
 	"flexric/internal/flexran"
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 )
 
 // Fig. 7: "Comparison of E2AP/E2SM encoding schemes using E2SM-HW ping".
@@ -143,10 +145,10 @@ func Fig7a(n int, payloads []int) (*Fig7aResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		bs, err := NewBS(BSOptions{
-			NodeID: 1, RAT: ran.RAT4G, NumRB: 25,
-			E2Scheme: combo.E2AP, SMScheme: combo.E2SM,
-			Layers: []string{"hw"}, Controller: addr,
+		bs, err := station.New(station.Spec{
+			Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: combo.E2SM, Controller: addr,
+			Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: combo.E2AP},
+			SMs:   []uint16{sm.IDHelloWorld},
 		})
 		if err != nil {
 			srv.Close()

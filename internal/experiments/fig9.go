@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"time"
 
+	"flexric/internal/agent"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/metrics"
 	"flexric/internal/oranric"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/transport"
 )
 
@@ -53,10 +55,10 @@ func Fig9a(n int, payloads []int) (*Fig9aResult, error) {
 			parent.Close()
 			return nil, err
 		}
-		bs, err := NewBS(BSOptions{
-			NodeID: 1, RAT: ran.RAT4G, NumRB: 25,
-			E2Scheme: combo.E2AP, SMScheme: combo.E2SM,
-			Layers: []string{"hw"}, Controller: relay.SouthAddr(),
+		bs, err := station.New(station.Spec{
+			Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: combo.E2SM, Controller: relay.SouthAddr(),
+			Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: combo.E2AP},
+			SMs:   []uint16{sm.IDHelloWorld},
 		})
 		if err != nil {
 			relay.Close()
@@ -107,10 +109,10 @@ func Fig9a(n int, payloads []int) (*Fig9aResult, error) {
 		return nil, err
 	}
 	defer ric.Close()
-	bs, err := NewBS(BSOptions{
-		NodeID: 1, RAT: ran.RAT4G, NumRB: 25,
-		E2Scheme: e2ap.SchemeASN, SMScheme: sm.SchemeASN,
-		Layers: []string{"hw"}, Controller: ric.Addr(),
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeASN, Controller: ric.Addr(),
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeASN},
+		SMs:   []uint16{sm.IDHelloWorld},
 	})
 	if err != nil {
 		return nil, err

@@ -20,6 +20,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/telemetry"
 	"flexric/internal/tsdb"
 	"flexric/internal/xapp"
@@ -222,36 +223,25 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 
 	// RAN side: one NR cell whose agent dials through the scripted
 	// connection faults; mac + slice SMs, two UEs.
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT5G, NumRB: numRB})
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT5G, NumRB: numRB}, SM: opts.SMScheme, Controller: addr,
+		Agent: agent.Config{
+			NodeID: station.Node(e2ap.NodeGNB, 1), Scheme: opts.E2Scheme,
+			Resilience: resCfg, WrapConn: connPlan.WrapConn,
+		},
+		SMs: []uint16{sm.IDMACStats, sm.IDSliceCtrl},
+	})
 	if err != nil {
 		return nil, err
 	}
-	a := agent.New(agent.Config{
-		NodeID:     e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeGNB, NodeID: 1},
-		Scheme:     opts.E2Scheme,
-		Resilience: resCfg,
-		WrapConn:   connPlan.WrapConn,
-	})
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, opts.SMScheme, a),
-		sm.NewSliceCtrl(cell, opts.SMScheme),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
+	defer bs.Close()
+	if _, err := bs.Cell.Attach(1, "", "208.95", mcs); err != nil {
 		return nil, err
 	}
-	defer a.Close()
-	if _, err := cell.Attach(1, "", "208.95", mcs); err != nil {
+	if err := Saturate(bs.Cell, 1); err != nil {
 		return nil, err
 	}
-	if err := Saturate(cell, 1); err != nil {
-		return nil, err
-	}
-	if _, err := cell.Attach(2, "", "208.95", mcs); err != nil {
+	if _, err := bs.Cell.Attach(2, "", "208.95", mcs); err != nil {
 		return nil, err
 	}
 	if !WaitUntil(waitShort, func() bool { return len(srv.Agents()) == 1 }) {
@@ -328,10 +318,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("slaload: timeout waiting for %s", what)
 			}
-			for i := 0; i < 20; i++ {
-				cell.Step(1)
-				sm.TickAll(fns, cell.Now())
-			}
+			bs.Step(20)
 			ds := x.EnforceOnce()
 			lastMu.Lock()
 			last = ds
@@ -372,7 +359,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 
 	// Phase 2: load surge — slice 2 saturates, slice 1 drops to its
 	// reservation and the SLA breaks.
-	if err := Saturate(cell, 2); err != nil {
+	if err := Saturate(bs.Cell, 2); err != nil {
 		return nil, err
 	}
 	if err := drive("surge VIOLATED", func() bool {

@@ -11,6 +11,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/tsdb"
 )
 
@@ -60,7 +61,7 @@ func startTestAgent(t *testing.T, nodeID uint64, ring *Ring, addrs map[string]st
 	pl := NewPlacer(ring, addrs, nodeID)
 	ta := &testAgent{fn: fn, stop: make(chan struct{})}
 	ta.a = agent.New(agent.Config{
-		NodeID:     e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: nodeID},
+		NodeID:     station.Node(e2ap.NodeENB, nodeID),
 		Scheme:     e2ap.SchemeFB,
 		Resilience: fastRes(),
 		Rehome:     pl.Rehome,

@@ -14,6 +14,7 @@ import (
 	"flexric/internal/resilience"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/snapfile"
 	"flexric/internal/transport"
 	"flexric/internal/tsdb"
 )
@@ -135,7 +136,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		return nil, err
 	}
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery > 0 {
-		s.snapDone = s.db.SnapshotEvery(SnapshotFile(cfg.SnapshotDir, cfg.Name),
+		s.snapDone = snapfile.Every(s.db, SnapshotFile(cfg.SnapshotDir, cfg.Name),
 			cfg.SnapshotEvery, s.stopCh, nil)
 	}
 	return s, nil
@@ -191,7 +192,7 @@ func (s *Shard) Close() error {
 		// evicts a disconnected agent's series — snapshotting after that
 		// would hand the ring successor an empty store.
 		if s.cfg.SnapshotDir != "" {
-			err = s.db.SaveFile(SnapshotFile(s.cfg.SnapshotDir, s.cfg.Name))
+			err = snapfile.Save(s.db, SnapshotFile(s.cfg.SnapshotDir, s.cfg.Name))
 		}
 		s.north.Close()
 		if serr := s.srv.Close(); err == nil {
@@ -213,7 +214,7 @@ func (s *Shard) adopt(t *Takeover) error {
 		return fmt.Errorf("federation: shard %s has no snapshot dir", s.cfg.Name)
 	}
 	path := SnapshotFile(s.cfg.SnapshotDir, t.From)
-	if err := s.db.LoadFile(path); err != nil {
+	if err := snapfile.Load(s.db, path); err != nil {
 		if os.IsNotExist(err) {
 			return nil // dead shard never snapshotted; streams still re-home
 		}

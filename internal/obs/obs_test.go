@@ -16,6 +16,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/telemetry"
 	"flexric/internal/trace"
 )
@@ -112,25 +113,16 @@ func runTraceDemo(t *testing.T, e2Scheme e2ap.Scheme, smScheme sm.Scheme) {
 	defer srv.Close()
 	ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: smScheme, PeriodMS: 1, Layers: ctrl.MonMAC, Decode: true})
 
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: smScheme, Controller: addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2Scheme},
+		SMs:   []uint16{sm.IDMACStats},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-		Scheme: e2Scheme,
-	})
-	fns := []agent.RANFunction{sm.NewMACStats(cell, smScheme, a)}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if _, err := cell.Attach(1, "", "208.95", 20); err != nil {
+	defer bs.Close()
+	if _, err := bs.Cell.Attach(1, "", "208.95", 20); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,10 +137,7 @@ func runTraceDemo(t *testing.T, e2Scheme e2ap.Scheme, smScheme sm.Scheme) {
 	// connect hook, so early iterations may be untraced).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		for i := 0; i < 20; i++ {
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
-		}
+		bs.Step(20)
 		time.Sleep(10 * time.Millisecond) // let dispatch + callback finish
 		code, body := get(t, "http://"+o.Addr()+"/traces?limit=64")
 		if code != http.StatusOK {

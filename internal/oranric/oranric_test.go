@@ -10,34 +10,24 @@ import (
 	"flexric/internal/oranric"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 )
 
 // startAgentBS brings up a simulated BS with a standard FlexRIC agent
 // connected to the O-RAN RIC — proving E2-level interoperability.
-func startAgentBS(t *testing.T, addr string) (*ran.Cell, *agent.Agent, []agent.RANFunction) {
+func startAgentBS(t *testing.T, addr string) *station.Station {
 	t.Helper()
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeASN, Controller: addr,
+		// O-RAN standard encoding.
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 4), Scheme: e2ap.SchemeASN},
+		SMs:   []uint16{sm.IDMACStats, sm.IDHelloWorld},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 4},
-		Scheme: e2ap.SchemeASN, // O-RAN standard encoding
-	})
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, sm.SchemeASN, a),
-		sm.NewHW(),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	return cell, a, fns
+	t.Cleanup(bs.Close)
+	return bs
 }
 
 func TestRICSetupAndSubscription(t *testing.T) {
@@ -47,8 +37,8 @@ func TestRICSetupAndSubscription(t *testing.T) {
 	}
 	defer ric.Close()
 
-	cell, _, fns := startAgentBS(t, ric.Addr())
-	if _, err := cell.Attach(1, "", "208.95", 28); err != nil {
+	bs := startAgentBS(t, ric.Addr())
+	if _, err := bs.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,8 +76,7 @@ func TestRICSetupAndSubscription(t *testing.T) {
 
 	// Drive the BS slot loop; reports must traverse both hops.
 	for i := 0; i < 200 && reports.Load() < 20; i++ {
-		cell.Step(1)
-		sm.TickAll(fns, cell.Now())
+		bs.Step(1)
 		time.Sleep(time.Millisecond)
 	}
 	if reports.Load() < 20 {

@@ -11,66 +11,43 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/transport"
 )
 
-// testBS bundles a simulated base station with a FlexRIC agent exposing
-// the full SM bundle, the composition of Fig. 3.
-type testBS struct {
-	cell  *ran.Cell
-	agent *agent.Agent
-	fns   []agent.RANFunction
-	stop  chan struct{}
-	done  chan struct{}
-}
-
-func startBS(t *testing.T, addr string, scheme sm.Scheme) *testBS {
+// startBS brings up a simulated base station with a FlexRIC agent
+// exposing the full SM bundle — the composition of Fig. 3 — and drives
+// its slot loop in real time until the test ends.
+func startBS(t *testing.T, addr string, scheme sm.Scheme) *station.Station {
 	t.Helper()
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: scheme, Controller: addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1)},
+		SMs: []uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats, sm.IDSliceCtrl,
+			sm.IDTrafficCtrl, sm.IDRRC, sm.IDKPM, sm.IDHelloWorld},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-	})
-	bs := &testBS{cell: cell, agent: a, stop: make(chan struct{}), done: make(chan struct{})}
-	bs.fns = []agent.RANFunction{
-		sm.NewMACStats(cell, scheme, a),
-		sm.NewRLCStats(cell, scheme, a),
-		sm.NewPDCPStats(cell, scheme, a),
-		sm.NewSliceCtrl(cell, scheme),
-		sm.NewTCCtrl(cell, scheme, a),
-		sm.NewRRC(cell, scheme, a),
-		sm.NewKPM(cell, scheme),
-		sm.NewHW(),
-	}
-	for _, fn := range bs.fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	// Real-time slot loop: 1 TTI per iteration, yielding so the test
-	// stays fast while preserving slot semantics.
+	// 1 TTI per iteration, yielding so the test stays fast while
+	// preserving slot semantics.
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(bs.done)
+		defer close(done)
 		for {
 			select {
-			case <-bs.stop:
+			case <-stop:
 				return
 			default:
 			}
-			cell.Step(1)
-			sm.TickAll(bs.fns, cell.Now())
+			bs.Step(1)
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
 	t.Cleanup(func() {
-		close(bs.stop)
-		<-bs.done
-		a.Close()
+		close(stop)
+		<-done
+		bs.Close()
 	})
 	return bs
 }
@@ -104,10 +81,10 @@ func TestMACStatsEndToEnd(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			s, addr := startRIC(t)
 			bs := startBS(t, addr, scheme)
-			if _, err := bs.cell.Attach(1, "imsi-1", "208.95", 28); err != nil {
+			if _, err := bs.Cell.Attach(1, "imsi-1", "208.95", 28); err != nil {
 				t.Fatal(err)
 			}
-			if err := bs.cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 10000}); err != nil {
+			if err := bs.Cell.AddTraffic(1, &ran.Saturating{Flow: ran.FiveTuple{DstIP: 1}, RateBytesPerMS: 10000}); err != nil {
 				t.Fatal(err)
 			}
 			agentID := waitAgents(t, s, 1)
@@ -150,7 +127,7 @@ func TestMACStatsEndToEnd(t *testing.T) {
 func TestSliceControlEndToEnd(t *testing.T) {
 	s, addr := startRIC(t)
 	bs := startBS(t, addr, sm.SchemeASN)
-	if _, err := bs.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := bs.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	agentID := waitAgents(t, s, 1)
@@ -181,13 +158,13 @@ func TestSliceControlEndToEnd(t *testing.T) {
 	if err := apply(cfg); err != nil {
 		t.Fatalf("configure: %v", err)
 	}
-	if bs.cell.SliceMode() != ran.SliceNVS || len(bs.cell.Slices()) != 2 {
-		t.Fatalf("cell not sliced: %v %d", bs.cell.SliceMode(), len(bs.cell.Slices()))
+	if bs.Cell.SliceMode() != ran.SliceNVS || len(bs.Cell.Slices()) != 2 {
+		t.Fatalf("cell not sliced: %v %d", bs.Cell.SliceMode(), len(bs.Cell.Slices()))
 	}
 	if err := apply(&sm.SliceControl{Op: sm.OpAssociateUE, RNTI: 1, SliceID: 2}); err != nil {
 		t.Fatalf("associate: %v", err)
 	}
-	if bs.cell.UE(1).SliceID != 2 {
+	if bs.Cell.UE(1).SliceID != 2 {
 		t.Fatal("association not applied")
 	}
 	// Overbooked configuration must fail admission control at the SM.
@@ -204,7 +181,7 @@ func TestSliceControlEndToEnd(t *testing.T) {
 	if err := apply(&sm.SliceControl{Op: sm.OpDisableSlicing}); err != nil {
 		t.Fatalf("disable: %v", err)
 	}
-	if bs.cell.SliceMode() != ran.SliceNone {
+	if bs.Cell.SliceMode() != ran.SliceNone {
 		t.Fatal("slicing not disabled")
 	}
 }
@@ -212,7 +189,7 @@ func TestSliceControlEndToEnd(t *testing.T) {
 func TestTCControlEndToEnd(t *testing.T) {
 	s, addr := startRIC(t)
 	bs := startBS(t, addr, sm.SchemeFB)
-	if _, err := bs.cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := bs.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	agentID := waitAgents(t, s, 1)
@@ -255,7 +232,7 @@ func TestTCControlEndToEnd(t *testing.T) {
 		t.Fatalf("set pacer: %v", err)
 	}
 	var st ran.TCStats
-	if err := bs.cell.WithUE(1, func(u *ran.UE) error {
+	if err := bs.Cell.WithUE(1, func(u *ran.UE) error {
 		st = u.TC().Stats()
 		return nil
 	}); err != nil {
@@ -292,7 +269,7 @@ func TestRRCNotificationEndToEnd(t *testing.T) {
 	}
 	// Attach only once the agent has admitted the subscription.
 	awaitClosed(t, admitted, "RRC subscription admitted")
-	if _, err := bs.cell.Attach(33, "imsi-33", "208.95", 20); err != nil {
+	if _, err := bs.Cell.Attach(33, "imsi-33", "208.95", 20); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -352,7 +329,7 @@ func TestStatsSubscriptionDelete(t *testing.T) {
 	s, addr := startRIC(t)
 	bs := startBS(t, addr, sm.SchemeASN)
 	agentID := waitAgents(t, s, 1)
-	macFn := bs.fns[0].(*sm.StatsFunction)
+	macFn := bs.Fns[0].(*sm.StatsFunction)
 
 	sub, err := s.Subscribe(agentID, sm.IDMACStats,
 		sm.EncodeTrigger(sm.SchemeASN, sm.Trigger{PeriodMS: 1}), nil,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"flexric/internal/encoding/asn1per"
 	"flexric/internal/encoding/flat"
 )
 
@@ -95,6 +96,41 @@ func TestFlatDecodersBoundAliasedStrings(t *testing.T) {
 	wire := append([]byte{byte(SchemeFB)}, b.Bytes()...)
 	var err error
 	if got := allocatedBy(func() { _, err = DecodeKPMReport(wire) }); got > 64*uint64(len(wire)) {
+		t.Errorf("decoding %d bytes allocated %d bytes", len(wire), got)
+	}
+	if !errors.Is(err, ErrBadPayload) {
+		t.Errorf("err %v, want ErrBadPayload", err)
+	}
+}
+
+// perTCReportHostileCount is a PER TCReport of 8 013 bytes whose queue
+// count claims 8 000 entries. Every entry takes at least 12 bytes on the
+// wire, so the input holds some 660 of them; each takes 72 bytes in
+// memory.
+func perTCReportHostileCount() []byte {
+	var w asn1per.Writer
+	w.WriteBits(uint64(SchemeASN), 8)
+	w.WriteInt(0)       // CellTimeMS
+	w.WriteBits(0, 16)  // RNTI
+	w.WriteBool(false)  // Active
+	w.WriteBits(0, 8)   // Pacer
+	w.WriteBits(0, 32)  // Filters
+	w.WriteLength(8000) // Queues
+	return append(w.Bytes(), make([]byte, 8013-len(w.Bytes()))...)
+}
+
+// A PER list count is bounded by the bytes left, one per element, but a
+// TC queue entry takes 72 bytes in memory: sized by the count alone, the
+// queue list of perTCReportHostileCount took 72.6 bytes per input byte
+// before the decode failed on the truncated input.
+func TestPERTCReportHostileCount(t *testing.T) {
+	wire := perTCReportHostileCount()
+	if len(wire) != 8013 {
+		t.Fatalf("wire is %d bytes, want 8013", len(wire))
+	}
+	var err error
+	DecodeTCReport(wire) // warm up the walker pool
+	if got := allocatedBy(func() { _, err = DecodeTCReport(wire) }); got > 64*uint64(len(wire)) {
 		t.Errorf("decoding %d bytes allocated %d bytes", len(wire), got)
 	}
 	if !errors.Is(err, ErrBadPayload) {

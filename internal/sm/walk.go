@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"flexric/internal/encoding/asn1per"
 	"flexric/internal/encoding/flat"
@@ -49,7 +50,11 @@ func listOf[T any, P interface {
 	*T
 	message
 }](f fields, slot int, s *[]T) {
-	if n := f.list(slot, len(*s)); n != len(*s) {
+	n := f.list(slot, len(*s))
+	if p, ok := f.(*perReader); ok {
+		n = p.fit(n, unsafe.Sizeof(*new(T)))
+	}
+	if n != len(*s) {
 		*s = make([]T, n)
 	}
 	for i := range *s {
@@ -167,6 +172,24 @@ func (p *perReader) octets(_ int, v *[]byte) { read(p, v, (*asn1per.Reader).Read
 func (p *perReader) list(int, int) (n int)   { read(p, &n, (*asn1per.Reader).ReadCount); return n }
 func (p *perReader) item(int)                {}
 func (p *perReader) end()                    {}
+
+// maxListBytesPerByte bounds what a PER list takes in memory per input
+// byte left. ReadCount allows one element per byte left, but an element
+// can take far more memory than that: a TC queue entry takes 72 bytes.
+// No list comes near the bound (no SM list element takes more than 6
+// bytes of memory per input byte the reader takes for it: a TC queue
+// entry, 72 from 12), so a count past it cannot be met by the input.
+const maxListBytesPerByte = 32
+
+// fit returns the count n of a list of elements of size bytes, or fails
+// the decode as truncated when they would outgrow maxListBytesPerByte.
+func (p *perReader) fit(n int, size uintptr) int {
+	if p.err == nil && uint64(n)*uint64(size) > maxListBytesPerByte*uint64(p.r.Remaining()) {
+		p.err = asn1per.ErrTruncated
+		return 0
+	}
+	return n
+}
 
 // flatWriter is the flat encoder of a field walk. A flat.Builder builds
 // one table at a time, and every string, vector and sub-table a table

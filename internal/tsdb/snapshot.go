@@ -25,8 +25,8 @@ package tsdb
 //	               u64 min, max, sum bits)
 //	footer  u32 CRC-32 (IEEE) of the payload bytes
 //
-// Writes are atomic at the file level (SaveFile writes a temp file and
-// renames); each series is internally consistent (serialized under its
+// Writes are atomic at the file level (snapfile.Save writes a temp file
+// and renames); each series is internally consistent (serialized under its
 // lock) but the snapshot is not a cross-series atomic cut — series
 // serialized later may contain samples appended after the write began,
 // which is harmless for windowed-aggregate consumers.
@@ -38,9 +38,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
-	"time"
 )
 
 const (
@@ -393,72 +390,4 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	tel.series.Add(added)
 	tel.snapLoads.Inc()
 	return nil
-}
-
-// SaveFile writes an atomic snapshot: a temp file in path's directory,
-// synced, then renamed over path.
-func (s *Store) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tsdb-snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	if _, err := s.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadFile restores a snapshot file written by SaveFile. A missing
-// file is not an error (fresh start); a malformed one is.
-func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.ReadSnapshot(f)
-}
-
-// SnapshotEvery runs a background loop writing SaveFile(path) every
-// interval until stop is closed, then writes one final snapshot. It
-// returns a done channel that closes after the final write. Errors are
-// reported through onErr (nil ignores them).
-func (s *Store) SnapshotEvery(path string, interval time.Duration, stop <-chan struct{}, onErr func(error)) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var tick <-chan time.Time
-		if interval > 0 {
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			tick = t.C
-		}
-		for {
-			select {
-			case <-tick:
-				if err := s.SaveFile(path); err != nil && onErr != nil {
-					onErr(err)
-				}
-			case <-stop:
-				if err := s.SaveFile(path); err != nil && onErr != nil {
-					onErr(err)
-				}
-				return
-			}
-		}
-	}()
-	return done
 }

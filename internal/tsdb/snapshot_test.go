@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"flexric/internal/snapfile"
 )
 
 // populate fills a store with a realistic mixed workload: two agents,
@@ -47,12 +49,12 @@ func TestSnapshotRestartWindowedAggregates(t *testing.T) {
 	before := New(cfg)
 	populate(before, 8000)
 	path := filepath.Join(t.TempDir(), "tsdb.snap")
-	if err := before.SaveFile(path); err != nil {
+	if err := snapfile.Save(before, path); err != nil {
 		t.Fatal(err)
 	}
 
 	after := New(cfg) // the restarted controller
-	if err := after.LoadFile(path); err != nil {
+	if err := snapfile.Load(after, path); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := after.NumSeries(), before.NumSeries(); got != want {
@@ -173,7 +175,7 @@ func flipByte(b []byte, i int) []byte {
 // that is a clean start, not an error.
 func TestSnapshotLoadMissingFile(t *testing.T) {
 	s := New(Config{})
-	if err := s.LoadFile(filepath.Join(t.TempDir(), "absent.snap")); err != nil {
+	if err := snapfile.Load(s, filepath.Join(t.TempDir(), "absent.snap")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -210,7 +212,7 @@ func TestSnapshotEvery(t *testing.T) {
 	populate(s, 500)
 	path := filepath.Join(t.TempDir(), "periodic.snap")
 	stop := make(chan struct{})
-	done := s.SnapshotEvery(path, 10*time.Millisecond, stop, func(err error) { t.Error(err) })
+	done := snapfile.Every(s, path, 10*time.Millisecond, stop, func(err error) { t.Error(err) })
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := os.Stat(path); err == nil {
@@ -225,7 +227,7 @@ func TestSnapshotEvery(t *testing.T) {
 	close(stop)
 	<-done
 	restored := New(Config{Capacity: 128, Compress: true})
-	if err := restored.LoadFile(path); err != nil {
+	if err := snapfile.Load(restored, path); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := restored.NumSeries(), s.NumSeries(); got != want {

@@ -11,6 +11,7 @@ import (
 	"flexric/internal/ran"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/station"
 	"flexric/internal/xapp"
 )
 
@@ -36,35 +37,24 @@ func TestTCXAppAppliesRemedy(t *testing.T) {
 	}
 	defer tcc.Close()
 
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25})
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeFB, Controller: e2Addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1)},
+		SMs:   []uint16{sm.IDRLCStats, sm.IDTrafficCtrl},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
-	})
-	fns := []agent.RANFunction{
-		sm.NewRLCStats(cell, sm.SchemeFB, a),
-		sm.NewTCCtrl(cell, sm.SchemeFB, a),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(e2Addr); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	defer bs.Close()
 
-	if _, err := cell.Attach(1, "", "208.95", 28); err != nil {
+	if _, err := bs.Cell.Attach(1, "", "208.95", 28); err != nil {
 		t.Fatal(err)
 	}
 	voip := &ran.CBR{Flow: ran.FiveTuple{DstIP: 1, DstPort: 5060, Proto: ran.ProtoUDP}, Size: 172, IntervalMS: 20, ReturnDelayMS: 10}
-	if err := cell.AddTraffic(1, voip); err != nil {
+	if err := bs.Cell.AddTraffic(1, voip); err != nil {
 		t.Fatal(err)
 	}
-	if err := cell.AddTraffic(1, &ran.CubicFlow{Flow: ran.FiveTuple{DstIP: 1, DstPort: 5001, Proto: ran.ProtoTCP}}); err != nil {
+	if err := bs.Cell.AddTraffic(1, &ran.CubicFlow{Flow: ran.FiveTuple{DstIP: 1, DstPort: 5001, Proto: ran.ProtoTCP}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,8 +77,7 @@ func TestTCXAppAppliesRemedy(t *testing.T) {
 				return
 			default:
 			}
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
+			bs.Step(1)
 			time.Sleep(20 * time.Microsecond)
 		}
 	}()
@@ -115,7 +104,7 @@ func TestTCXAppAppliesRemedy(t *testing.T) {
 		t.Fatalf("remedy fired below the windowed limit: %+v", agg)
 	}
 	var st ran.TCStats
-	if err := cell.WithUE(1, func(u *ran.UE) error { st = u.TC().Stats(); return nil }); err != nil {
+	if err := bs.Cell.WithUE(1, func(u *ran.UE) error { st = u.TC().Stats(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st.Mode != "active" || len(st.Queues) != 2 || st.Filters != 1 || st.Pacer != ran.PacerBDP {
@@ -136,26 +125,15 @@ func TestSliceXApp(t *testing.T) {
 	}
 	defer sc.Close()
 
-	cell, err := ran.NewCell(ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106})
+	bs, err := station.New(station.Spec{
+		Cell: ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106}, SM: sm.SchemeASN, Controller: e2Addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeGNB, 2)},
+		SMs:   []uint16{sm.IDMACStats, sm.IDSliceCtrl},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := agent.New(agent.Config{
-		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeGNB, NodeID: 2},
-	})
-	fns := []agent.RANFunction{
-		sm.NewMACStats(cell, sm.SchemeASN, a),
-		sm.NewSliceCtrl(cell, sm.SchemeASN),
-	}
-	for _, fn := range fns {
-		if err := a.RegisterFunction(fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Connect(e2Addr); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	defer bs.Close()
 	// The agent's setup completes before the server lists it; a POST in
 	// between answers 502 "no agent 0".
 	for deadline := time.Now().Add(5 * time.Second); len(srv.Agents()) == 0; {
@@ -164,7 +142,7 @@ func TestSliceXApp(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := cell.Attach(1, "", "208.95", 20); err != nil {
+	if _, err := bs.Cell.Attach(1, "", "208.95", 20); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -176,8 +154,7 @@ func TestSliceXApp(t *testing.T) {
 				return
 			default:
 			}
-			cell.Step(1)
-			sm.TickAll(fns, cell.Now())
+			bs.Step(1)
 			time.Sleep(20 * time.Microsecond)
 		}
 	}()

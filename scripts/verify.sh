@@ -20,6 +20,23 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+echo "==> examples (build and run each)"
+# The examples are the SDK's runnable documentation: each builds, runs
+# its deployment in-process for a few simulated seconds, and must exit 0.
+ex=$(mktemp -d)
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    go build -o "$ex/$name" "./$dir"
+    if ! "$ex/$name" > "$ex/$name.out" 2>&1; then
+        cat "$ex/$name.out"
+        rm -rf "$ex"
+        echo "verify: example $name failed" >&2
+        exit 1
+    fi
+    echo "ok $name"
+done
+rm -rf "$ex"
+
 echo "==> go test (tier-1 suite)"
 go test ./...
 
