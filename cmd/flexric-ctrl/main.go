@@ -55,7 +55,7 @@ func main() {
 	tsdbCompress := flag.Bool("tsdb-compress", false, "seal full series rings into compressed chunks with downsampling tiers instead of overwriting old samples")
 	tsdbSnapshot := flag.String("tsdb-snapshot", "", "time-series snapshot file: loaded at startup, written on shutdown (empty = off)")
 	tsdbSnapshotEvery := flag.Duration("tsdb-snapshot-every", 0, "also write the snapshot periodically (0 = shutdown-only; needs -tsdb-snapshot)")
-	a1On := flag.Bool("a1", false, "A1 policy plane: /a1/* northbound on the obs server plus the SLA enforcement loop (needs -obs, -slicing, and the tsdb)")
+	a1On := flag.Bool("a1", false, "A1 policy plane: /a1/* northbound on the obs server plus the SLA enforcement loop, an in-process iApp that applies remedies through the slicing controller and, with -tc, the TC controller (needs -obs, -slicing, and the tsdb)")
 	slaTick := flag.Uint("sla-tick", 500, "SLA enforcement tick period in ms (needs -a1)")
 	a1Snapshot := flag.String("a1-snapshot", "", "A1 policy-store snapshot file: loaded at startup, written on shutdown (needs -a1)")
 	a1SnapshotEvery := flag.Duration("a1-snapshot-every", 0, "also write the A1 snapshot periodically (0 = shutdown-only; needs -a1-snapshot)")
@@ -245,13 +245,13 @@ func main() {
 
 	if polStore != nil {
 		slaCfg := xapp.SLAConfig{
-			Policies:    polStore,
-			TSDB:        store,
-			SlicingBase: "http://" + sc.Addr(),
-			TickMS:      int(*slaTick),
+			Policies: polStore,
+			TSDB:     store,
+			Slicing:  sc,
+			TickMS:   int(*slaTick),
 		}
 		if tcc != nil {
-			slaCfg.TCBase = "http://" + tcc.Addr()
+			slaCfg.TC = tcc
 		}
 		slax := xapp.NewSLAXApp(slaCfg)
 		go slax.Run()

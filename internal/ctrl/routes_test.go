@@ -152,3 +152,41 @@ func FuzzCtrlRoutes(f *testing.F) {
 		serveInput(t, tc, in)
 	})
 }
+
+// TestAgentParamBounded: an agent ID outside uint32 is the client's
+// error on every route that takes one (400), where a bare Atoi let it
+// reach the control plane and fail there (502). The largest ID still
+// reaches it.
+func TestAgentParamBounded(t *testing.T) {
+	slicing, tc, _, _ := sweepHandlers(t)
+	for _, c := range []struct {
+		h            http.Handler
+		method, path string
+		body         string
+	}{
+		{slicing, http.MethodPost, "/slices", `{"algo":"nvs","slices":[{"id":1,"kind":"capacity","capacity":0.5}]}`},
+		{slicing, http.MethodPost, "/assoc", `{"rnti":1,"sliceId":1}`},
+		{tc, http.MethodPost, "/tc", `{"op":"addQueue","rnti":1}`},
+		{slicing, http.MethodGet, "/slices", ""},
+		{slicing, http.MethodGet, "/stats", ""},
+	} {
+		serve := func(agent string) *httptest.ResponseRecorder {
+			r := httptest.NewRequest(c.method, c.path+"?agent="+agent, strings.NewReader(c.body))
+			r.Header.Set("Content-Type", "application/json")
+			w := httptest.NewRecorder()
+			c.h.ServeHTTP(w, r)
+			return w
+		}
+		for _, agent := range []string{"-1", "%2B1", "4294967296", "9223372036854775807"} {
+			w := serve(agent)
+			if w.Code != http.StatusBadRequest || strings.TrimSpace(w.Body.String()) != "bad agent parameter" {
+				t.Errorf("%s %s?agent=%s: %d %q", c.method, c.path, agent, w.Code, w.Body)
+			}
+		}
+		if c.method == http.MethodPost {
+			if w := serve("4294967295"); w.Code != http.StatusBadGateway {
+				t.Errorf("%s %s?agent=4294967295: %d %q", c.method, c.path, w.Code, w.Body)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -160,17 +159,14 @@ func (c *SlicingController) Addr() string { return c.lis.Addr().String() }
 // Close stops the REST server (the E2 server is owned by the caller).
 func (c *SlicingController) Close() error { return c.http.Close() }
 
-// Status returns a copy of the latest slice status per agent — the
-// slice panel of the topology snapshot (see NewTopology).
-func (c *SlicingController) Status() map[server.AgentID]*sm.SliceStatus {
+// SliceStatus returns the agent's latest SC SM status report, or nil
+// before its first one: the source of GET /slices, the topology's
+// slice panel and the A1 loop. Reports are replaced, never modified;
+// the caller must not modify one.
+func (c *SlicingController) SliceStatus(id server.AgentID) *sm.SliceStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[server.AgentID]*sm.SliceStatus, len(c.status))
-	for id, st := range c.status {
-		cp := *st
-		out[id] = &cp
-	}
-	return out
+	return c.status[id]
 }
 
 // Monitor exposes the stats DB behind /stats.
@@ -185,9 +181,9 @@ func agentParam(r *http.Request) (server.AgentID, error) {
 	if v == "" {
 		return 0, errors.New("missing agent parameter")
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad agent parameter: %v", err)
+	n, ok := tsdb.ParseID(v, 32, false)
+	if !ok {
+		return 0, errors.New("bad agent parameter")
 	}
 	return server.AgentID(n), nil
 }
@@ -271,9 +267,7 @@ func (c *SlicingController) handleSliceStatus(w http.ResponseWriter, r *http.Req
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.mu.Lock()
-	st := c.status[id]
-	c.mu.Unlock()
+	st := c.SliceStatus(id)
 	if st == nil {
 		http.Error(w, "no slice status yet", http.StatusNotFound)
 		return
@@ -291,12 +285,12 @@ func (c *SlicingController) handleSlices(w http.ResponseWriter, r *http.Request)
 	if !readJSON(w, r, &body) {
 		return
 	}
-	ctl, err := sliceControlFromJSON(&body)
+	ctl, err := SliceControlFromJSON(&body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := c.apply(id, ctl); err != nil {
+	if err := c.Apply(id, ctl); err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
@@ -314,14 +308,16 @@ func (c *SlicingController) handleAssoc(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	ctl := &sm.SliceControl{Op: sm.OpAssociateUE, RNTI: body.RNTI, SliceID: body.SliceID}
-	if err := c.apply(id, ctl); err != nil {
+	if err := c.Apply(id, ctl); err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func sliceControlFromJSON(body *SliceConfigJSON) (*sm.SliceControl, error) {
+// SliceControlFromJSON converts and validates a POST /slices body: the
+// one conversion behind the REST handler and the in-process iApps.
+func SliceControlFromJSON(body *SliceConfigJSON) (*sm.SliceControl, error) {
 	if body.Algo == "none" {
 		return &sm.SliceControl{Op: sm.OpDisableSlicing}, nil
 	}
@@ -349,8 +345,8 @@ func sliceControlFromJSON(body *SliceConfigJSON) (*sm.SliceControl, error) {
 	return &sm.SliceControl{Op: sm.OpConfigureSlices, Slices: sm.ParamsFromNVS(cfgs)}, nil
 }
 
-// apply sends an SC SM control and waits for the ack.
-func (c *SlicingController) apply(id server.AgentID, ctl *sm.SliceControl) error {
+// Apply sends an SC SM control to an agent and waits for the ack.
+func (c *SlicingController) Apply(id server.AgentID, ctl *sm.SliceControl) error {
 	_, err := c.srv.ControlWait(id, sm.IDSliceCtrl, nil, sm.EncodeSliceControl(c.scheme, ctl))
 	return err
 }

@@ -11,14 +11,14 @@ import (
 // including every validation error path.
 func TestSliceControlFromJSON(t *testing.T) {
 	t.Run("disable", func(t *testing.T) {
-		ctl, err := sliceControlFromJSON(&SliceConfigJSON{Algo: "none"})
+		ctl, err := SliceControlFromJSON(&SliceConfigJSON{Algo: "none"})
 		if err != nil || ctl.Op != sm.OpDisableSlicing {
 			t.Fatalf("ctl %+v err %v", ctl, err)
 		}
 	})
 
 	t.Run("capacity and default kind", func(t *testing.T) {
-		ctl, err := sliceControlFromJSON(&SliceConfigJSON{
+		ctl, err := SliceControlFromJSON(&SliceConfigJSON{
 			Algo: "nvs",
 			Slices: []SliceParamJSON{
 				{ID: 1, Kind: "capacity", Capacity: 0.66, UESched: "pf"},
@@ -37,7 +37,7 @@ func TestSliceControlFromJSON(t *testing.T) {
 	})
 
 	t.Run("rate kind", func(t *testing.T) {
-		ctl, err := sliceControlFromJSON(&SliceConfigJSON{
+		ctl, err := SliceControlFromJSON(&SliceConfigJSON{
 			Algo:   "nvs",
 			Slices: []SliceParamJSON{{ID: 3, Kind: "rate", RateRsv: 1.5, RateRef: 6.0}},
 		})
@@ -51,14 +51,14 @@ func TestSliceControlFromJSON(t *testing.T) {
 	})
 
 	t.Run("unknown algo", func(t *testing.T) {
-		_, err := sliceControlFromJSON(&SliceConfigJSON{Algo: "static"})
+		_, err := SliceControlFromJSON(&SliceConfigJSON{Algo: "static"})
 		if err == nil || !strings.Contains(err.Error(), `unknown algo "static"`) {
 			t.Fatalf("err %v", err)
 		}
 	})
 
 	t.Run("unknown kind", func(t *testing.T) {
-		_, err := sliceControlFromJSON(&SliceConfigJSON{
+		_, err := SliceControlFromJSON(&SliceConfigJSON{
 			Algo:   "nvs",
 			Slices: []SliceParamJSON{{ID: 1, Kind: "weighted"}},
 		})

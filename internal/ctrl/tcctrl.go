@@ -134,12 +134,12 @@ func (c *TCController) handleTC(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &body) {
 		return
 	}
-	ctl, err := tcControlFromJSON(&body)
+	ctl, err := TCControlFromJSON(&body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	outcome, err := c.apply(id, ctl)
+	outcome, err := c.Apply(id, ctl)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -153,7 +153,9 @@ func (c *TCController) handleTC(w http.ResponseWriter, r *http.Request) {
 	rest.WriteJSON(w, http.StatusOK, res)
 }
 
-func tcControlFromJSON(body *TCCommandJSON) (*sm.TCControl, error) {
+// TCControlFromJSON converts and validates a POST /tc body: the one
+// conversion behind the REST handler and the in-process iApps.
+func TCControlFromJSON(body *TCCommandJSON) (*sm.TCControl, error) {
 	ctl := &sm.TCControl{
 		RNTI:       body.RNTI,
 		Queue:      body.Queue,
@@ -188,6 +190,7 @@ func tcControlFromJSON(body *TCCommandJSON) (*sm.TCControl, error) {
 	return ctl, nil
 }
 
-func (c *TCController) apply(id server.AgentID, ctl *sm.TCControl) ([]byte, error) {
+// Apply sends a TC SM control to an agent and returns its outcome.
+func (c *TCController) Apply(id server.AgentID, ctl *sm.TCControl) ([]byte, error) {
 	return c.mon.srv.ControlWait(id, sm.IDTrafficCtrl, nil, sm.EncodeTCControl(c.mon.scheme, ctl))
 }

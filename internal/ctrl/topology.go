@@ -164,15 +164,11 @@ func (t *Topology) Snapshot() TopologySnapshot {
 		}
 	}
 	if t.slicing != nil {
-		for id, st := range t.slicing.Status() {
-			snap.Slices = append(snap.Slices, TopologySlice{
-				Agent:  int(id),
-				Algo:   st.Algo,
-				Slices: st.Slices,
-				UEs:    st.UEs,
-			})
+		for _, a := range snap.Agents {
+			if st := t.slicing.SliceStatus(server.AgentID(a.ID)); st != nil {
+				snap.Slices = append(snap.Slices, TopologySlice{Agent: a.ID, Algo: st.Algo, Slices: st.Slices, UEs: st.UEs})
+			}
 		}
-		sort.Slice(snap.Slices, func(i, j int) bool { return snap.Slices[i].Agent < snap.Slices[j].Agent })
 	}
 	if t.policies != nil {
 		for _, st := range t.policies.List() {

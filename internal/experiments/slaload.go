@@ -287,7 +287,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 	// one remedy lifts slice 1 from 0.3 to 0.5 of capacity (> the 0.45
 	// target).
 	x := xapp.NewSLAXApp(xapp.SLAConfig{
-		Policies: pols, TSDB: store, SlicingBase: "http://" + sc.Addr(),
+		Policies: pols, TSDB: store, Slicing: sc,
 		HysteresisTicks: 2, StepShare: 0.2,
 	})
 
@@ -335,7 +335,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 		return st.Status
 	}
 	share1 := func() float64 {
-		for _, st := range sc.Status() {
+		if st := sc.SliceStatus(0); st != nil {
 			for _, s := range st.Slices {
 				if s.ID == 1 {
 					return float64(s.CapacityQ) / 1e6

@@ -125,7 +125,7 @@ func ParseQuery(q url.Values, forms Forms) (Query, error) {
 	var ok bool
 	if forms&(FormLast|FormWindow|FormRange) == 0 {
 		if v := q.Get("agent"); v != "" {
-			if p.Agent, ok = parseID(v, 32, false); !ok {
+			if p.Agent, ok = ParseID(v, 32, false); !ok {
 				return p, errors.New("bad agent parameter")
 			}
 		}
@@ -137,13 +137,13 @@ func ParseQuery(q url.Values, forms Forms) (Query, error) {
 		return p, nil
 	}
 	all := forms&FormAll != 0
-	if p.Agent, ok = parseID(q.Get("agent"), 32, all); !ok {
+	if p.Agent, ok = ParseID(q.Get("agent"), 32, all); !ok {
 		return p, errors.New("bad agent parameter")
 	}
 	if p.Fn, ok = parseFn(q.Get("fn")); !ok {
 		return p, errors.New("bad fn parameter")
 	}
-	if p.UE, ok = parseID(q.Get("ue"), 16, all); !ok {
+	if p.UE, ok = ParseID(q.Get("ue"), 16, all); !ok {
 		return p, errors.New("bad ue parameter")
 	}
 	if p.Field, ok = ParseField(q.Get("field")); !ok {
@@ -190,9 +190,9 @@ func ParseQuery(q url.Values, forms Forms) (Query, error) {
 	return p, nil
 }
 
-// parseID parses a decimal ID of the given bit size, or "all" as -1
-// when all is set.
-func parseID(v string, bits int, all bool) (int64, bool) {
+// ParseID parses a decimal ID of the given bit size, or "all" as -1
+// when all is set; the slicing and TC northbounds parse agents with it.
+func ParseID(v string, bits int, all bool) (int64, bool) {
 	if all && v == "all" {
 		return -1, true
 	}

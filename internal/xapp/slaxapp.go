@@ -9,6 +9,7 @@ import (
 
 	"flexric/internal/a1"
 	"flexric/internal/ctrl"
+	"flexric/internal/server"
 	"flexric/internal/sm"
 	"flexric/internal/telemetry"
 	"flexric/internal/trace"
@@ -21,18 +22,16 @@ import (
 // throughput summed over the slice's UEs, worst-UE p95 RLC sojourn),
 // and — when a violation survives the hysteresis filter and the
 // per-policy cooldown — shifts NVS capacity weights through the
-// slicing controller's REST northbound (plus an optional TC pacer
-// remedy for latency violations). Verdicts land back in the policy
-// store as status transitions, so /a1/status and the control-room a1
-// channel show the loop working.
+// slicing controller (plus an optional TC pacer remedy for latency
+// violations). Verdicts land back in the policy store as status
+// transitions, so /a1/status and the control-room a1 channel show the
+// loop working.
 //
-// Like every xApp it talks only to northbounds: the policy store
-// (shared contract), the tsdb (read-only), and the controllers' REST
-// endpoints — never the E2 plane directly.
+// Unlike the REST xApps it is an iApp: it runs in the controller's
+// process and calls the controllers, through the conversion and
+// validation of their REST handlers, never the E2 plane itself.
 type SLAXApp struct {
-	cfg  SLAConfig
-	rest *RESTClient
-	tc   *RESTClient
+	cfg SLAConfig
 
 	mu sync.Mutex
 	rt map[string]*polRuntime
@@ -47,11 +46,10 @@ type SLAConfig struct {
 	Policies *a1.Store
 	// TSDB is the monitoring store the percentile windows read.
 	TSDB *tsdb.Store
-	// SlicingBase is the slicing controller's REST base URL.
-	SlicingBase string
-	// TCBase is the traffic-control REST base URL for latency remedies
-	// (empty = NVS weight remedies only).
-	TCBase string
+	// Slicing reads slice status and applies weight remedies.
+	Slicing Slicer
+	// TC applies latency remedies (nil = NVS weight remedies only).
+	TC TCApplier
 	// TickMS is the enforcement tick period (default 500; Run only).
 	TickMS int
 	// HysteresisTicks is how many consecutive violated ticks are needed
@@ -67,8 +65,19 @@ type SLAConfig struct {
 	// aggregate is trusted (default 3).
 	MinWindowSamples int
 	// PacerTargetMS is the BDP pacer target installed on latency
-	// remedies when TCBase is set (default 4).
+	// remedies when TC is set (default 4).
 	PacerTargetMS uint32
+}
+
+// Slicer is the loop's view of a *ctrl.SlicingController.
+type Slicer interface {
+	SliceStatus(id server.AgentID) *sm.SliceStatus
+	Apply(id server.AgentID, ctl *sm.SliceControl) error
+}
+
+// TCApplier is the loop's view of a *ctrl.TCController.
+type TCApplier interface {
+	Apply(id server.AgentID, ctl *sm.TCControl) ([]byte, error)
 }
 
 // polRuntime is the per-policy hysteresis/cooldown state.
@@ -115,17 +124,12 @@ func NewSLAXApp(cfg SLAConfig) *SLAXApp {
 	if cfg.PacerTargetMS == 0 {
 		cfg.PacerTargetMS = 4
 	}
-	x := &SLAXApp{
+	return &SLAXApp{
 		cfg:  cfg,
-		rest: NewRESTClient(cfg.SlicingBase),
 		rt:   make(map[string]*polRuntime),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if cfg.TCBase != "" {
-		x.tc = NewRESTClient(cfg.TCBase)
-	}
-	return x
 }
 
 // Run ticks EnforceOnce every TickMS until Close.
@@ -189,12 +193,11 @@ func (x *SLAXApp) EnforceOnce() []PolicyDecision {
 
 	var decisions []PolicyDecision
 	for _, agent := range x.cfg.Policies.Agents() {
-		// One status fetch per agent covers all its policies this tick.
-		var status sm.SliceStatus
-		statusErr := x.rest.GetJSON(fmt.Sprintf("/slices?agent=%d", agent), &status)
+		// One status read per agent covers all its policies this tick.
+		status := x.cfg.Slicing.SliceStatus(server.AgentID(agent))
 		for _, st := range x.cfg.Policies.ActiveFor(agent) {
 			psp := trace.StartChild(sp.Context(), "a1.enforce.policy")
-			d := x.enforcePolicy(psp, st, &status, statusErr)
+			d := x.enforcePolicy(psp, st, status)
 			psp.End()
 			decisions = append(decisions, d)
 		}
@@ -203,18 +206,19 @@ func (x *SLAXApp) EnforceOnce() []PolicyDecision {
 }
 
 // enforcePolicy evaluates one policy against the agent's slice status
-// and records the verdict in the store.
-func (x *SLAXApp) enforcePolicy(sp trace.Span, st a1.State, status *sm.SliceStatus, statusErr error) PolicyDecision {
+// (nil before the agent's first report) and records the verdict in the
+// store.
+func (x *SLAXApp) enforcePolicy(sp trace.Span, st a1.State, status *sm.SliceStatus) PolicyDecision {
 	slaTel.evaluated.Inc()
 	pol := st.Policy
 	d := PolicyDecision{PolicyID: pol.ID, Agent: pol.Agent}
 	rt := x.runtime(pol.ID, pol.Version)
 
-	if statusErr != nil || status.Algo != "nvs" {
+	if status == nil || status.Algo != "nvs" {
 		rt.violTicks = 0
 		d.Status = a1.StatusNotApplied
 		d.Reason = "no NVS slice configuration on agent"
-		if statusErr != nil {
+		if status == nil {
 			d.Reason = "no slice status from agent"
 		}
 		x.cfg.Policies.SetStatus(pol.ID, d.Status, d.Reason)
@@ -281,7 +285,7 @@ func (x *SLAXApp) enforcePolicy(sp trace.Span, st a1.State, status *sm.SliceStat
 		d.NewShares = shares
 		slaTel.remedies.Inc()
 	}
-	if x.tc != nil {
+	if x.cfg.TC != nil {
 		x.remedyLatency(pol.Agent, d.Slices, members)
 	}
 	return d
@@ -325,9 +329,6 @@ func (x *SLAXApp) evalTarget(agent int, tgt a1.SliceTarget, rntis []uint16, wind
 				samples = buckets[0].Agg.Count
 			}
 		}
-		if samples == math.MaxInt {
-			samples = 0
-		}
 		ev.ThroughputMbps = sum / 1e6
 		ev.Samples = samples
 		if samples >= x.cfg.MinWindowSamples && ev.ThroughputMbps < tgt.MinThroughputMbps {
@@ -366,9 +367,9 @@ func (x *SLAXApp) evalTarget(agent int, tgt a1.SliceTarget, rntis []uint16, wind
 // remedyWeights shifts NVS capacity shares toward the violated slices:
 // each violated slice gains StepShare, funded proportionally by the
 // non-violated slices' headroom above MinShare, and the new layout is
-// POSTed to the slicing northbound. Returns the new shares, or (nil,
-// nil) when no shift is possible (rate-kind slices present, violated
-// slice already at max, or no donor headroom).
+// applied as a POST /slices body would be. Returns the new shares, or
+// (nil, nil) when no shift is possible (rate-kind slices present,
+// violated slice already at max, or no donor headroom).
 func (x *SLAXApp) remedyWeights(agent int, status *sm.SliceStatus, violated map[uint32]bool) (map[uint32]float64, error) {
 	shares := make(map[uint32]float64, len(status.Slices))
 	scheds := make(map[uint32]string, len(status.Slices))
@@ -409,24 +410,22 @@ func (x *SLAXApp) remedyWeights(agent int, status *sm.SliceStatus, violated map[
 	}
 
 	cfg := ctrl.SliceConfigJSON{Algo: "nvs"}
-	ids := make([]uint32, 0, len(next))
-	for id := range next {
-		ids = append(ids, id)
+	for id, sh := range next {
+		cfg.Slices = append(cfg.Slices, ctrl.SliceParamJSON{ID: id, Kind: "capacity", Capacity: sh, UESched: scheds[id]})
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		cfg.Slices = append(cfg.Slices, ctrl.SliceParamJSON{
-			ID: id, Kind: "capacity", Capacity: next[id], UESched: scheds[id],
-		})
+	sort.Slice(cfg.Slices, func(i, j int) bool { return cfg.Slices[i].ID < cfg.Slices[j].ID })
+	ctl, err := ctrl.SliceControlFromJSON(&cfg)
+	if err != nil {
+		return nil, err
 	}
-	if err := x.rest.PostJSON(fmt.Sprintf("/slices?agent=%d", agent), cfg, nil); err != nil {
+	if err := x.cfg.Slicing.Apply(server.AgentID(agent), ctl); err != nil {
 		return nil, err
 	}
 	return next, nil
 }
 
 // remedyLatency installs the BDP pacer on the worst UE of each
-// latency-violated slice through the TC northbound — the same remedy
+// latency-violated slice through the TC controller — the same remedy
 // the TC xApp applies, driven by policy instead of a watch loop.
 func (x *SLAXApp) remedyLatency(agent int, evals []SliceEval, members map[uint32][]uint16) {
 	for _, ev := range evals {
@@ -434,9 +433,13 @@ func (x *SLAXApp) remedyLatency(agent int, evals []SliceEval, members map[uint32
 			continue
 		}
 		for _, rnti := range members[ev.SliceID] {
-			if err := x.tc.PostJSON(fmt.Sprintf("/tc?agent=%d", agent), ctrl.TCCommandJSON{
+			ctl, err := ctrl.TCControlFromJSON(&ctrl.TCCommandJSON{
 				Op: "setPacer", RNTI: rnti, Pacer: "bdp", PacerTargetMS: x.cfg.PacerTargetMS,
-			}, nil); err == nil {
+			})
+			if err == nil {
+				_, err = x.cfg.TC.Apply(server.AgentID(agent), ctl)
+			}
+			if err == nil {
 				slaTel.tcRemedies.Inc()
 			}
 		}

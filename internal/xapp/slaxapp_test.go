@@ -1,88 +1,69 @@
 package xapp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"flexric/internal/a1"
-	"flexric/internal/ctrl"
+	"flexric/internal/server"
 	"flexric/internal/sm"
 	"flexric/internal/tsdb"
 )
 
-// fakeNorthbound stands in for the slicing + TC controllers' REST
-// surface: GET /slices serves a canned sm.SliceStatus, POST /slices and
-// POST /tc record what the loop sent.
-type fakeNorthbound struct {
-	mu     sync.Mutex
-	status *sm.SliceStatus // nil => 404, exercising the statusErr path
-	slices []ctrl.SliceConfigJSON
-	tc     []ctrl.TCCommandJSON
-	srv    *httptest.Server
+// fakeSlicing stands in for the slicing controller: it serves a canned
+// sm.SliceStatus and records the SC controls the loop applies.
+type fakeSlicing struct {
+	mu      sync.Mutex
+	status  *sm.SliceStatus // nil before the agent's first report
+	applied []*sm.SliceControl
 }
 
-func newFakeNorthbound(t *testing.T) *fakeNorthbound {
-	t.Helper()
-	f := &fakeNorthbound{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/slices", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		switch r.Method {
-		case http.MethodGet:
-			if f.status == nil {
-				http.Error(w, "no slice status yet", http.StatusNotFound)
-				return
-			}
-			_ = json.NewEncoder(w).Encode(f.status)
-		case http.MethodPost:
-			var body ctrl.SliceConfigJSON
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			f.slices = append(f.slices, body)
-			w.WriteHeader(http.StatusOK)
-		}
-	})
-	mux.HandleFunc("/tc", func(w http.ResponseWriter, r *http.Request) {
-		var body ctrl.TCCommandJSON
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		f.mu.Lock()
-		f.tc = append(f.tc, body)
-		f.mu.Unlock()
-		w.WriteHeader(http.StatusOK)
-	})
-	f.srv = httptest.NewServer(mux)
-	t.Cleanup(f.srv.Close)
-	return f
+func (f *fakeSlicing) SliceStatus(server.AgentID) *sm.SliceStatus {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.status
 }
 
-func (f *fakeNorthbound) setStatus(st *sm.SliceStatus) {
+func (f *fakeSlicing) Apply(_ server.AgentID, ctl *sm.SliceControl) error {
+	f.mu.Lock()
+	f.applied = append(f.applied, ctl)
+	f.mu.Unlock()
+	return nil
+}
+
+func (f *fakeSlicing) setStatus(st *sm.SliceStatus) {
 	f.mu.Lock()
 	f.status = st
 	f.mu.Unlock()
 }
 
-func (f *fakeNorthbound) slicePosts() []ctrl.SliceConfigJSON {
+func (f *fakeSlicing) controls() []*sm.SliceControl {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]ctrl.SliceConfigJSON(nil), f.slices...)
+	return append([]*sm.SliceControl(nil), f.applied...)
 }
 
-func (f *fakeNorthbound) tcPosts() []ctrl.TCCommandJSON {
+// fakeTC stands in for the TC controller and records its controls.
+type fakeTC struct {
+	mu      sync.Mutex
+	applied []*sm.TCControl
+}
+
+func (f *fakeTC) Apply(_ server.AgentID, ctl *sm.TCControl) ([]byte, error) {
+	f.mu.Lock()
+	f.applied = append(f.applied, ctl)
+	f.mu.Unlock()
+	return nil, nil
+}
+
+func (f *fakeTC) controls() []*sm.TCControl {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]ctrl.TCCommandJSON(nil), f.tc...)
+	return append([]*sm.TCControl(nil), f.applied...)
 }
 
 // nvsStatus is the canonical two-slice NVS layout the tests use:
@@ -108,7 +89,7 @@ func fillWindow(st *tsdb.Store, agent uint32, fn uint16, ue uint16, field tsdb.F
 	}
 }
 
-func newSLAFixture(t *testing.T, f *fakeNorthbound, pol a1.Policy, tcBase string) (*SLAXApp, *a1.Store, *tsdb.Store) {
+func newSLAFixture(t *testing.T, f *fakeSlicing, pol a1.Policy, tc TCApplier) (*SLAXApp, *a1.Store, *tsdb.Store) {
 	t.Helper()
 	store := a1.NewStore()
 	if _, err := store.Create(pol); err != nil {
@@ -118,8 +99,8 @@ func newSLAFixture(t *testing.T, f *fakeNorthbound, pol a1.Policy, tcBase string
 	x := NewSLAXApp(SLAConfig{
 		Policies:        store,
 		TSDB:            ts,
-		SlicingBase:     f.srv.URL,
-		TCBase:          tcBase,
+		Slicing:         f,
+		TC:              tc,
 		HysteresisTicks: 2,
 	})
 	return x, store, ts
@@ -134,8 +115,8 @@ func slaPolicy() a1.Policy {
 }
 
 func TestSLANotAppliedPaths(t *testing.T) {
-	f := newFakeNorthbound(t)
-	x, store, _ := newSLAFixture(t, f, slaPolicy(), "")
+	f := &fakeSlicing{}
+	x, store, _ := newSLAFixture(t, f, slaPolicy(), nil)
 
 	// No status at all from the agent.
 	ds := x.EnforceOnce()
@@ -156,9 +137,9 @@ func TestSLANotAppliedPaths(t *testing.T) {
 }
 
 func TestSLAEnforcedWhenTargetsMet(t *testing.T) {
-	f := newFakeNorthbound(t)
+	f := &fakeSlicing{}
 	f.setStatus(nvsStatus())
-	x, store, ts := newSLAFixture(t, f, slaPolicy(), "")
+	x, store, ts := newSLAFixture(t, f, slaPolicy(), nil)
 	// 60 Mbps p50 on the slice-1 UE: comfortably above the 45 Mbps target.
 	fillWindow(ts, 0, sm.IDMACStats, 17, tsdb.FieldThroughputBps, 6, 60e6)
 
@@ -173,15 +154,15 @@ func TestSLAEnforcedWhenTargetsMet(t *testing.T) {
 	if st.Status != a1.StatusEnforced {
 		t.Fatalf("store status %v", st.Status)
 	}
-	if got := f.slicePosts(); len(got) != 0 {
+	if got := f.controls(); len(got) != 0 {
 		t.Fatalf("unexpected remedy %+v", got)
 	}
 }
 
 func TestSLAInsufficientSamplesDoNotViolate(t *testing.T) {
-	f := newFakeNorthbound(t)
+	f := &fakeSlicing{}
 	f.setStatus(nvsStatus())
-	x, _, ts := newSLAFixture(t, f, slaPolicy(), "")
+	x, _, ts := newSLAFixture(t, f, slaPolicy(), nil)
 	// Throughput is below target but only 2 samples exist — under the
 	// default MinWindowSamples of 3 the window is not trusted.
 	fillWindow(ts, 0, sm.IDMACStats, 17, tsdb.FieldThroughputBps, 2, 10e6)
@@ -196,9 +177,9 @@ func TestSLAInsufficientSamplesDoNotViolate(t *testing.T) {
 }
 
 func TestSLAHysteresisRemedyAndCooldown(t *testing.T) {
-	f := newFakeNorthbound(t)
+	f := &fakeSlicing{}
 	f.setStatus(nvsStatus())
-	x, store, ts := newSLAFixture(t, f, slaPolicy(), "")
+	x, store, ts := newSLAFixture(t, f, slaPolicy(), nil)
 	// Slice 1 stuck at 20 Mbps p50, below the 45 Mbps target.
 	fillWindow(ts, 0, sm.IDMACStats, 17, tsdb.FieldThroughputBps, 6, 20e6)
 
@@ -221,13 +202,14 @@ func TestSLAHysteresisRemedyAndCooldown(t *testing.T) {
 	if math.Abs(ds[0].NewShares[1]-0.4) > 1e-6 || math.Abs(ds[0].NewShares[2]-0.6) > 1e-6 {
 		t.Fatalf("tick2 shares %+v", ds[0].NewShares)
 	}
-	posts := f.slicePosts()
-	if len(posts) != 1 || posts[0].Algo != "nvs" || len(posts[0].Slices) != 2 {
-		t.Fatalf("remedy posts %+v", posts)
-	}
-	if posts[0].Slices[0].ID != 1 || math.Abs(posts[0].Slices[0].Capacity-0.4) > 1e-6 ||
-		posts[0].Slices[0].Kind != "capacity" || posts[0].Slices[0].UESched != "pf" {
-		t.Fatalf("remedy slice layout %+v", posts[0].Slices)
+	// The control a POST /slices of {0.4, 0.6} converts to: capacity
+	// kind, shares in parts per million, schedulers kept, by slice ID.
+	want := &sm.SliceControl{Op: sm.OpConfigureSlices, Slices: []sm.SliceParams{
+		{ID: 1, Kind: 0, CapacityQ: 400_000, UESched: "pf"},
+		{ID: 2, Kind: 0, CapacityQ: 600_000, UESched: "pf"},
+	}}
+	if ctls := f.controls(); len(ctls) != 1 || !reflect.DeepEqual(ctls[0], want) {
+		t.Fatalf("remedy controls %+v, want %+v", ctls, want)
 	}
 	if st, _ := store.Get("sla-slice1"); st.Status != a1.StatusViolated {
 		t.Fatalf("tick2 store %v", st.Status)
@@ -239,8 +221,8 @@ func TestSLAHysteresisRemedyAndCooldown(t *testing.T) {
 	if ds[0].Status != a1.StatusViolated || ds[0].Remedied {
 		t.Fatalf("tick3 %+v", ds[0])
 	}
-	if got := f.slicePosts(); len(got) != 1 {
-		t.Fatalf("cooldown ignored, posts %+v", got)
+	if got := f.controls(); len(got) != 1 {
+		t.Fatalf("cooldown ignored, controls %+v", got)
 	}
 
 	// Recovery: throughput back above target — ENFORCED again and the
@@ -256,15 +238,38 @@ func TestSLAHysteresisRemedyAndCooldown(t *testing.T) {
 	}
 }
 
+// TestSLARemedyOutOfRangeShareNotApplied: an agent may report a slice
+// share above 1. The shifted layout then fails the (0, 1] capacity
+// check that guards POST /slices, and the loop applies nothing.
+func TestSLARemedyOutOfRangeShareNotApplied(t *testing.T) {
+	f := &fakeSlicing{}
+	st := nvsStatus()
+	st.Slices[0].CapacityQ = 1_000_000 // slice 1 at the full cell gains 0.1
+	st.Slices[1].CapacityQ = 1_500_000
+	f.setStatus(st)
+	x, _, ts := newSLAFixture(t, f, slaPolicy(), nil)
+	fillWindow(ts, 0, sm.IDMACStats, 17, tsdb.FieldThroughputBps, 6, 20e6)
+
+	x.EnforceOnce() // held by hysteresis
+	ds := x.EnforceOnce()
+	if ds[0].Status != a1.StatusViolated || ds[0].Remedied || ds[0].NewShares != nil {
+		t.Fatalf("decision %+v", ds[0])
+	}
+	if got := f.controls(); len(got) != 0 {
+		t.Fatalf("out-of-range layout applied: %+v", got)
+	}
+}
+
 func TestSLALatencyRemedyViaTC(t *testing.T) {
-	f := newFakeNorthbound(t)
+	f := &fakeSlicing{}
 	f.setStatus(nvsStatus())
 	pol := a1.Policy{
 		ID: "sla-lat", TypeID: a1.TypeSliceSLA, Agent: 0,
 		WindowMS: 1000,
 		Targets:  []a1.SliceTarget{{SliceID: 2, MaxLatencyMS: 5}},
 	}
-	x, _, ts := newSLAFixture(t, f, pol, f.srv.URL)
+	tc := &fakeTC{}
+	x, _, ts := newSLAFixture(t, f, pol, tc)
 	// Slice-2 UE sojourn p95 ~ 30 ms, way over the 5 ms budget.
 	fillWindow(ts, 0, sm.IDRLCStats, 18, tsdb.FieldSojournMS, 6, 30)
 
@@ -273,16 +278,17 @@ func TestSLALatencyRemedyViaTC(t *testing.T) {
 	if ds[0].Status != a1.StatusViolated {
 		t.Fatalf("decision %+v", ds[0])
 	}
-	tc := f.tcPosts()
-	if len(tc) != 1 || tc[0].Op != "setPacer" || tc[0].RNTI != 18 || tc[0].Pacer != "bdp" || tc[0].PacerTargetMS != 4 {
-		t.Fatalf("tc posts %+v", tc)
+	// The control a POST /tc of setPacer bdp 4 ms for UE 18 converts to.
+	want := &sm.TCControl{Op: sm.OpSetPacer, RNTI: 18, Pacer: 1, PacerTargetMS: 4}
+	if ctls := tc.controls(); len(ctls) != 1 || !reflect.DeepEqual(ctls[0], want) {
+		t.Fatalf("tc controls %+v, want %+v", ctls, want)
 	}
 }
 
 func TestSLARuntimeResetsOnPolicyUpdate(t *testing.T) {
-	f := newFakeNorthbound(t)
+	f := &fakeSlicing{}
 	f.setStatus(nvsStatus())
-	x, store, ts := newSLAFixture(t, f, slaPolicy(), "")
+	x, store, ts := newSLAFixture(t, f, slaPolicy(), nil)
 	fillWindow(ts, 0, sm.IDMACStats, 17, tsdb.FieldThroughputBps, 6, 20e6)
 
 	x.EnforceOnce() // violTicks = 1
@@ -300,20 +306,10 @@ func TestSLARuntimeResetsOnPolicyUpdate(t *testing.T) {
 }
 
 // BenchmarkSLAEnforceTick measures one enforcement tick over a fleet of
-// policies against a live (local) northbound and a warm tsdb window.
+// policies against an in-process slicing controller and a warm tsdb
+// window.
 func BenchmarkSLAEnforceTick(b *testing.B) {
-	f := &fakeNorthbound{}
-	status := nvsStatus()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/slices", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			_ = json.NewEncoder(w).Encode(status)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	})
-	f.srv = httptest.NewServer(mux)
-	defer f.srv.Close()
+	f := &fakeSlicing{status: nvsStatus()}
 
 	store := a1.NewStore()
 	const nPolicies = 8
@@ -328,7 +324,7 @@ func BenchmarkSLAEnforceTick(b *testing.B) {
 	}
 	ts := tsdb.New(tsdb.Config{Capacity: 256})
 	fillWindow(ts, 0, sm.IDMACStats, 17, tsdb.FieldThroughputBps, 16, 60e6)
-	x := NewSLAXApp(SLAConfig{Policies: store, TSDB: ts, SlicingBase: f.srv.URL})
+	x := NewSLAXApp(SLAConfig{Policies: store, TSDB: ts, Slicing: f})
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,7 +6,9 @@
 //
 // xApps talk only to controller northbounds (broker channels and HTTP),
 // staying functionally isolated from the controller, as the paper's
-// specializations mandate (Tables 3 and 4).
+// specializations mandate (Tables 3 and 4). SLAXApp, the A1 loop, is
+// the exception: an iApp in the controller's process that calls the
+// slicing and TC controllers directly.
 package xapp
 
 import (
@@ -37,30 +39,29 @@ func (c *RESTClient) PostJSON(path string, body, out any) error {
 		return err
 	}
 	resp, err := c.HTTP.Post(c.Base+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("xapp: POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	if out == nil || resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeResponse("POST "+path, resp, err, out)
 }
 
 // GetJSON fetches path and decodes the JSON response into out.
 func (c *RESTClient) GetJSON(path string, out any) error {
 	resp, err := c.HTTP.Get(c.Base + path)
+	return decodeResponse("GET "+path, resp, err, out)
+}
+
+// decodeResponse turns a failed request or a status of 300 or more
+// into an error and otherwise decodes the body into out, unless out is
+// nil or the response has no content.
+func decodeResponse(req string, resp *http.Response, err error, out any) error {
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("xapp: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("xapp: %s: %s: %s", req, resp.Status, bytes.TrimSpace(msg))
+	}
+	if out == nil || resp.StatusCode == http.StatusNoContent {
+		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

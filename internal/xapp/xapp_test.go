@@ -1,9 +1,11 @@
 package xapp_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"flexric/internal/a1"
 	"flexric/internal/agent"
 	"flexric/internal/broker"
 	"flexric/internal/ctrl"
@@ -12,6 +14,7 @@ import (
 	"flexric/internal/server"
 	"flexric/internal/sm"
 	"flexric/internal/station"
+	"flexric/internal/telemetry"
 	"flexric/internal/xapp"
 )
 
@@ -112,18 +115,22 @@ func TestTCXAppAppliesRemedy(t *testing.T) {
 	}
 }
 
-func TestSliceXApp(t *testing.T) {
+// startSliceRig starts an E2 server, a slicing controller and a 106 RB
+// NR station (MAC and SC SMs, agent 0) with UE 1 attached, and steps
+// the cell's slots until the test ends.
+func startSliceRig(t *testing.T) *ctrl.SlicingController {
+	t.Helper()
 	srv := server.New(server.Config{})
 	e2Addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	sc, err := ctrl.NewSlicingController(srv, sm.SchemeASN, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
+	t.Cleanup(func() { sc.Close() })
 
 	bs, err := station.New(station.Spec{
 		Cell: ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106}, SM: sm.SchemeASN, Controller: e2Addr,
@@ -133,9 +140,9 @@ func TestSliceXApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bs.Close()
-	// The agent's setup completes before the server lists it; a POST in
-	// between answers 502 "no agent 0".
+	t.Cleanup(bs.Close)
+	// The agent's setup completes before the server lists it; a control
+	// in between fails with "no agent 0".
 	for deadline := time.Now().Add(5 * time.Second); len(srv.Agents()) == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("agent not listed by the server")
@@ -145,9 +152,9 @@ func TestSliceXApp(t *testing.T) {
 	if _, err := bs.Cell.Attach(1, "", "208.95", 20); err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(done)
 		for {
 			select {
 			case <-stop:
@@ -158,7 +165,12 @@ func TestSliceXApp(t *testing.T) {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}()
+	t.Cleanup(func() { close(stop); <-done })
+	return sc
+}
 
+func TestSliceXApp(t *testing.T) {
+	sc := startSliceRig(t)
 	x := xapp.NewSliceXApp("http://"+sc.Addr(), 0)
 	if err := x.Deploy(ctrl.SliceConfigJSON{
 		Algo: "nvs",
@@ -211,4 +223,83 @@ func TestSliceXApp(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("no windowed aggregate via xApp")
+}
+
+// TestSLAXAppInProcess closes the A1 loop against a real slicing
+// controller and agent: a violated throughput policy is remedied
+// through SlicingController.Apply, the agent's next slice status
+// carries the shifted share, and no request reaches the REST
+// northbound while the loop runs.
+func TestSLAXAppInProcess(t *testing.T) {
+	sc := startSliceRig(t)
+	// Slices 0.3 / 0.7 with UE 1 in slice 1, set up in-process too.
+	layout, err := ctrl.SliceControlFromJSON(&ctrl.SliceConfigJSON{
+		Algo: "nvs",
+		Slices: []ctrl.SliceParamJSON{
+			{ID: 1, Kind: "capacity", Capacity: 0.3, UESched: "pf"},
+			{ID: 2, Kind: "capacity", Capacity: 0.7, UESched: "pf"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Apply(0, layout); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Apply(0, &sm.SliceControl{Op: sm.OpAssociateUE, RNTI: 1, SliceID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// capacityQ is slice 1's share in the agent's latest status, or 0.
+	capacityQ := func() uint32 {
+		st := sc.SliceStatus(0)
+		if st == nil || st.Algo != "nvs" || len(st.UEs) != 1 {
+			return 0
+		}
+		for _, s := range st.Slices {
+			if s.ID == 1 {
+				return s.CapacityQ
+			}
+		}
+		return 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); capacityQ() != 300_000; {
+		if time.Now().After(deadline) {
+			t.Fatalf("slice layout not reported: %+v", sc.SliceStatus(0))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// No cell carries 10 Gbps: the target is violated once the window
+	// holds enough samples.
+	pols := a1.NewStore()
+	if _, err := pols.Create(a1.Policy{
+		ID: "sla-slice1", TypeID: a1.TypeSliceSLA, Agent: 0, WindowMS: 1000,
+		Targets: []a1.SliceTarget{{SliceID: 1, MinThroughputMbps: 10_000}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	x := xapp.NewSLAXApp(xapp.SLAConfig{Policies: pols, TSDB: sc.TSDB(), Slicing: sc, HysteresisTicks: 2})
+
+	requests := telemetry.NewCounter("ctrl.http.requests.slices")
+	before := requests.Load()
+	var d xapp.PolicyDecision
+	for deadline := time.Now().Add(10 * time.Second); !d.Remedied; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no remedy: %+v", d)
+		}
+		d = x.EnforceOnce()[0]
+		time.Sleep(5 * time.Millisecond)
+	}
+	if d.Status != a1.StatusViolated || math.Abs(d.NewShares[1]-0.4) > 1e-9 {
+		t.Fatalf("decision %+v", d)
+	}
+	for deadline := time.Now().Add(10 * time.Second); capacityQ() != 400_000; {
+		if time.Now().After(deadline) {
+			t.Fatalf("remedy not reported by the agent: %+v", sc.SliceStatus(0))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := requests.Load(); after != before {
+		t.Fatalf("the loop sent %d requests to the slicing northbound", after-before)
+	}
 }

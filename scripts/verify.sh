@@ -234,6 +234,22 @@ if ! echo "$ht_out" | grep '^BenchmarkHubTickTSDB' | grep -Eq ' [0-4] allocs/op'
     exit 1
 fi
 
+echo "==> SLA enforcement tick (<=100 allocs/op gate)"
+# One A1 loop tick over 8 policies with a warm tsdb window: the loop is
+# an iApp that reads slice status from its controller in-process. A
+# loopback HTTP round trip per tick would bring back about 90 allocs/op.
+sla_out=$(go test -run xxx -bench 'BenchmarkSLAEnforceTick$' -benchtime 100x ./internal/xapp/ 2>&1)
+echo "$sla_out"
+sla_allocs=$(echo "$sla_out" | awk '/^BenchmarkSLAEnforceTick/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }')
+if [ -z "$sla_allocs" ]; then
+    echo "verify: BenchmarkSLAEnforceTick did not run" >&2
+    exit 1
+fi
+if [ "$sla_allocs" -gt 100 ]; then
+    echo "verify: SLA enforcement tick exceeds 100 allocs/op" >&2
+    exit 1
+fi
+
 echo "==> fuzz targets (3 s each)"
 # Each target's checked-in corpus already runs in the tier-1 suite; this
 # step mutates beyond it briefly. A failing input lands in the package's
