@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench trace-demo chaos-demo controlroom-demo sla-demo federation-demo verify fmt clean
+.PHONY: build test bench trace-demo chaos-demo controlroom-demo sla-demo federation-demo verify fmt loc clean
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,11 @@ federation-demo:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go line counts: cmd/ + internal/, examples/, and per package
+# (scripts/loc.sh).
+loc:
+	sh scripts/loc.sh
 
 # Full pre-merge check: formatting, vet, build, tests (also under the
 # race detector), demo suites and allocation gates. See scripts/verify.sh.

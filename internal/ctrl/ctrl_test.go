@@ -425,12 +425,12 @@ func TestRelayTwoHopPing(t *testing.T) {
 	}
 }
 
-// A control sent after OnAdmitted is lost while the leg is parked: the
-// relay admits a subscription before any south agent exists, then drops
-// a fire-and-forget control with errNoSouth. A north caller cannot tell
-// admitted from placed (ROADMAP 4, proxy-core leftovers).
+// A control sent after OnAdmitted reaches the BS even while the leg is
+// parked: the relay admits a subscription before any south agent
+// exists, holds the fire-and-forget control that follows, and sends it
+// south after the subscription once the BS connects. A north caller
+// cannot tell admitted from placed, so it need not.
 func TestRelayParkedLegControl(t *testing.T) {
-	t.Skip("known defect, ROADMAP 4: a control to an admitted but parked relay leg is dropped")
 	parent, parentAddr := startSrv(t)
 	relay, err := ctrl.NewRelay("127.0.0.1:0", parentAddr, e2ap.SchemeASN, transport.KindSCTPish,
 		[]uint16{sm.IDHelloWorld})
@@ -472,6 +472,23 @@ func TestRelayParkedLegControl(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the control sent to the parked leg never reached the BS")
+	}
+}
+
+// A proxy holds at most 64 fire-and-forget controls for south agents
+// that have not connected, and refuses the next one.
+func TestProxyHeldControlsBounded(t *testing.T) {
+	p, err := ctrl.NewProxy(server.New(server.Config{}), agent.New(agent.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := ctrl.ProxyControl(p, sm.IDHelloWorld, []byte{byte(i)}); err != nil {
+			t.Fatalf("control %d not held: %v", i, err)
+		}
+	}
+	if err := ctrl.ProxyControl(p, sm.IDHelloWorld, nil); err == nil {
+		t.Fatal("a 65th control was held")
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // configurations of it, differing only in their ProxyFns.
 //
 // A subscription whose south agent has not connected yet is admitted
-// and parked; it is placed when a matching agent connects.
+// and parked; it is placed when a matching agent connects. A
+// fire-and-forget control sent meanwhile is held, and follows the
+// placed legs south (control).
 type Proxy struct {
 	srv *server.Server
 
@@ -29,6 +31,21 @@ type Proxy struct {
 	// legs maps each placed north subscription to its south leg.
 	legs   map[legID]server.SubID
 	parked []leg
+	// held are the fire-and-forget controls waiting for a south agent,
+	// at most maxHeld, oldest first.
+	held []heldControl
+}
+
+// maxHeld bounds the controls a proxy holds for south agents that have
+// not connected.
+const maxHeld = 64
+
+// heldControl is a fire-and-forget control kept until an agent that
+// match accepts connects.
+type heldControl struct {
+	match           func(server.AgentInfo) bool
+	fnID            uint16
+	header, payload []byte
 }
 
 // ProxyFn describes one north RAN function of a Proxy.
@@ -103,9 +120,30 @@ func (p *Proxy) Agents() []server.AgentInfo {
 	return slices.Clone(p.agents)
 }
 
-// onConnect records the agent and places the parked legs it matches.
-// The lock is held across the south subscribes so a north delete can
-// never fall between a leg leaving the parked list and entering legs.
+// control sends a fire-and-forget control to the most recently
+// connected south agent match accepts. With none connected it holds the
+// control until one connects, and fails with errNoSouth only when
+// maxHeld controls are held already.
+func (p *Proxy) control(match func(server.AgentInfo) bool, fnID uint16, header, payload []byte) error {
+	p.mu.Lock()
+	south, ok := p.southLocked(match)
+	if !ok {
+		defer p.mu.Unlock()
+		if len(p.held) == maxHeld {
+			return errNoSouth
+		}
+		p.held = append(p.held, heldControl{match, fnID, slices.Clone(header), slices.Clone(payload)})
+		return nil
+	}
+	p.mu.Unlock()
+	return p.srv.Control(south, fnID, header, payload, false, nil)
+}
+
+// onConnect records the agent, places the parked legs it matches, then
+// sends it the held controls it matches, so each follows the
+// subscriptions sent before it. The lock is held across the south
+// subscribes so a north delete can never fall between a leg leaving the
+// parked list and entering legs.
 func (p *Proxy) onConnect(info server.AgentInfo) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -122,6 +160,13 @@ func (p *Proxy) onConnect(info server.AgentInfo) {
 	}
 	clear(p.parked[len(rest):])
 	p.parked = rest
+	p.held = slices.DeleteFunc(p.held, func(c heldControl) bool {
+		if !c.match(info) {
+			return false
+		}
+		_ = p.srv.Control(info.ID, c.fnID, c.header, c.payload, false, nil)
+		return true
+	})
 }
 
 // onDisconnect forgets the agent and the legs the server dropped with it.

@@ -80,14 +80,17 @@ func (r *Relay) Close() error {
 // via Agents, or for tests).
 func (r *Relay) Server() *server.Server { return r.srv }
 
-// control forwards a control message to the southbound agent.
+// control forwards a control message to the southbound agent. A
+// fire-and-forget control sent before the agent connects is held by the
+// proxy; an acknowledged one fails at once rather than stall the north
+// agent until one connects.
 func (r *Relay) control(fnID uint16, req *e2ap.ControlRequest) ([]byte, error) {
+	if !req.AckRequested {
+		return nil, r.proxy.control(anyAgent, fnID, req.Header, req.Payload)
+	}
 	south, ok := r.proxy.south(anyAgent)
 	if !ok {
 		return nil, errNoSouth
-	}
-	if !req.AckRequested {
-		return nil, r.srv.Control(south, fnID, req.Header, req.Payload, false, nil)
 	}
 	return r.srv.ControlWait(south, fnID, req.Header, req.Payload)
 }

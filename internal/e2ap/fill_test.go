@@ -25,6 +25,7 @@ func (f fill) u16(_ int, v *uint16) { *v = uint16(f.rng.Uint32()) }
 func (f fill) u32(_ int, v *uint32) { *v = f.rng.Uint32() }
 
 func (f fill) enum(_ int, v *uint8, card int) { *v = uint8(f.rng.Intn(card)) }
+func (f fill) bool(_ int, v *bool)            { *v = f.rng.Intn(2) == 0 }
 
 func (f fill) str(_ int, v *string) {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789.:-"
@@ -106,12 +107,12 @@ func (f fill) list(int, int) int { return f.rng.Intn(4) }
 func (fill) item(int)            {}
 func (fill) end()                {}
 
-// randomPDU returns a random valid message of type t. The hand-written
-// types have no walk; their fields are filled in wire order by hand.
+// randomPDU returns a random valid message of type t. Indication, the
+// hand-written type, has no walk; its fields are filled in wire order by
+// hand.
 func randomPDU(rng *rand.Rand, t MessageType) PDU {
 	f := fill{rng}
-	switch t {
-	case TypeIndication:
+	if t == TypeIndication {
 		m := &Indication{}
 		walkFunc(f, &m.RequestID, &m.RANFunctionID)
 		f.u8(0, &m.ActionID)
@@ -120,15 +121,6 @@ func randomPDU(rng *rand.Rand, t MessageType) PDU {
 		f.octets(0, &m.Header)
 		f.octets(0, &m.Payload)
 		f.octets(0, &m.CallProcessID)
-		f.traceCtx(&m.Trace)
-		return m
-	case TypeControlRequest:
-		m := &ControlRequest{}
-		walkFunc(f, &m.RequestID, &m.RANFunctionID)
-		f.octets(0, &m.CallProcessID)
-		f.octets(0, &m.Header)
-		f.octets(0, &m.Payload)
-		m.AckRequested = rng.Intn(2) == 0
 		f.traceCtx(&m.Trace)
 		return m
 	}

@@ -106,72 +106,31 @@ func (c *FlatCodec) encodeInto(b *flat.Builder, pdu PDU) error {
 		c.fw.encode(b, m)
 		return nil
 	}
-	// Out-of-line values must exist before the root table starts, so each
-	// case first creates refs, then fills slots.
-	type ref struct {
-		slot int
-		pos  uint32
-	}
-	var refs [8]ref
-	nref := 0
-	addRef := func(slot int, pos uint32) {
-		refs[nref] = ref{slot, pos}
-		nref++
-	}
-	var scalars func(b *flat.Builder)
-
-	switch m := pdu.(type) {
-	case *Indication:
-		if m.Header != nil {
-			addRef(slB, b.CreateByteVector(m.Header))
-		}
-		if m.Payload != nil {
-			addRef(slC, b.CreateByteVector(m.Payload))
-		}
-		if m.CallProcessID != nil {
-			addRef(slD, b.CreateByteVector(m.CallProcessID))
-		}
-		mm := *m
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(mm.RequestID))
-			b.AddUint32(slRANFunc, uint32(mm.RANFunctionID))
-			b.AddUint64(slA, uint64(mm.ActionID)<<40|uint64(mm.Class)<<32|uint64(mm.SN))
-			if mm.Trace.Valid() {
-				b.AddUint64(slTraceID, mm.Trace.TraceID)
-				b.AddUint64(slTraceSpan, mm.Trace.SpanID)
-			}
-		}
-	case *ControlRequest:
-		if m.CallProcessID != nil {
-			addRef(slA, b.CreateByteVector(m.CallProcessID))
-		}
-		if m.Header != nil {
-			addRef(slB, b.CreateByteVector(m.Header))
-		}
-		if m.Payload != nil {
-			addRef(slC, b.CreateByteVector(m.Payload))
-		}
-		id, rf, ack, tr := m.RequestID, m.RANFunctionID, m.AckRequested, m.Trace
-		scalars = func(b *flat.Builder) {
-			b.AddUint32(slReqID, packReqID(id))
-			b.AddUint32(slRANFunc, uint32(rf))
-			b.AddBool(slD, ack)
-			if tr.Valid() {
-				b.AddUint64(slTraceID, tr.TraceID)
-				b.AddUint64(slTraceSpan, tr.SpanID)
-			}
-		}
-	default:
+	m, ok := pdu.(*Indication)
+	if !ok {
 		return fmt.Errorf("%w: %T", ErrUnknownType, pdu)
 	}
-
-	b.StartTable(numSlots)
-	b.AddUint8(slType, uint8(pdu.MsgType()))
-	for i := 0; i < nref; i++ {
-		b.AddRef(refs[i].slot, refs[i].pos)
+	// Out-of-line values must exist before the root table starts: the
+	// header, payload and call process ID go to slots slB, slC and slD.
+	var refs [3]uint32
+	for i, v := range [3][]byte{m.Header, m.Payload, m.CallProcessID} {
+		if v != nil {
+			refs[i] = b.CreateByteVector(v)
+		}
 	}
-	if scalars != nil {
-		scalars(b)
+	b.StartTable(numSlots)
+	b.AddUint8(slType, uint8(TypeIndication))
+	for i, ref := range refs {
+		if ref != 0 {
+			b.AddRef(slB+i, ref)
+		}
+	}
+	b.AddUint32(slReqID, packReqID(m.RequestID))
+	b.AddUint32(slRANFunc, uint32(m.RANFunctionID))
+	b.AddUint64(slA, uint64(m.ActionID)<<40|uint64(m.Class)<<32|uint64(m.SN))
+	if m.Trace.Valid() {
+		b.AddUint64(slTraceID, m.Trace.TraceID)
+		b.AddUint64(slTraceSpan, m.Trace.SpanID)
 	}
 	b.Finish(b.EndTable())
 	return nil
@@ -254,9 +213,8 @@ func (e *flatEnvelope) PDU() (PDU, error) {
 
 // decode materializes the message the envelope views.
 func (e *flatEnvelope) decode() (PDU, error) {
-	tab, cp := e.tab, cloneOctets
-	switch e.typ {
-	case TypeIndication:
+	tab := e.tab
+	if e.typ == TypeIndication {
 		v := tab.Uint64(slA)
 		return &Indication{
 			RequestID:     unpackReqID(tab.Uint32(slReqID)),
@@ -264,19 +222,9 @@ func (e *flatEnvelope) decode() (PDU, error) {
 			ActionID:      uint8(v >> 40),
 			Class:         IndicationClass(uint8(v >> 32)),
 			SN:            uint32(v),
-			Header:        cp(tab.Bytes(slB)),
-			Payload:       cp(tab.Bytes(slC)),
-			CallProcessID: cp(tab.Bytes(slD)),
-			Trace:         flatGetTrace(tab),
-		}, nil
-	case TypeControlRequest:
-		return &ControlRequest{
-			RequestID:     unpackReqID(tab.Uint32(slReqID)),
-			RANFunctionID: uint16(tab.Uint32(slRANFunc)),
-			CallProcessID: cp(tab.Bytes(slA)),
-			Header:        cp(tab.Bytes(slB)),
-			Payload:       cp(tab.Bytes(slC)),
-			AckRequested:  tab.Bool(slD),
+			Header:        cloneOctets(tab.Bytes(slB)),
+			Payload:       cloneOctets(tab.Bytes(slC)),
+			CallProcessID: cloneOctets(tab.Bytes(slD)),
 			Trace:         flatGetTrace(tab),
 		}, nil
 	}
@@ -377,6 +325,14 @@ func (w *flatWriter) u16(slot int, v *uint16)        { w.put(slot, 4, uint64(*v)
 func (w *flatWriter) u32(slot int, v *uint32)        { w.put(slot, 4, uint64(*v)) }
 func (w *flatWriter) enum(slot int, v *uint8, _ int) { w.u8(slot, v) }
 func (w *flatWriter) str(slot int, v *string)        { w.put(slot, 4, uint64(w.b.CreateString(*v))) }
+
+func (w *flatWriter) bool(slot int, v *bool) {
+	var b uint64
+	if *v {
+		b = 1
+	}
+	w.put(slot, 1, b)
+}
 
 func (w *flatWriter) octets(slot int, v *[]byte) {
 	if *v == nil {
@@ -496,6 +452,7 @@ func (r *flatReader) u8(slot int, v *uint8)          { *v = r.top().Uint8(slot) 
 func (r *flatReader) u16(slot int, v *uint16)        { *v = uint16(r.top().Uint32(slot)) }
 func (r *flatReader) u32(slot int, v *uint32)        { *v = r.top().Uint32(slot) }
 func (r *flatReader) enum(slot int, v *uint8, _ int) { r.u8(slot, v) }
+func (r *flatReader) bool(slot int, v *bool)         { *v = r.top().Bool(slot) }
 func (r *flatReader) str(slot int, v *string)        { *v = string(r.bytes(slot)) }
 func (r *flatReader) octets(slot int, v *[]byte)     { *v = cloneOctets(r.bytes(slot)) }
 func (r *flatReader) cause(slot int, v *Cause)       { *v = unpackCause(r.top().Uint32(slot)) }

@@ -74,17 +74,6 @@ func (c *PERCodec) encodeBody(w *asn1per.Writer, pdu PDU) error {
 			w.WriteOctets(m.CallProcessID)
 		}
 		perPutTrace(w, m.Trace)
-	case *ControlRequest:
-		perPutReqID(w, m.RequestID)
-		w.WriteBits(uint64(m.RANFunctionID), 16)
-		w.WriteBool(m.CallProcessID != nil)
-		if m.CallProcessID != nil {
-			w.WriteOctets(m.CallProcessID)
-		}
-		w.WriteOctets(m.Header)
-		w.WriteOctets(m.Payload)
-		w.WriteBool(m.AckRequested)
-		perPutTrace(w, m.Trace)
 	case message:
 		c.pw = perWriter{w: w}
 		m.walk(&c.pw)
@@ -191,22 +180,10 @@ func (c *PERCodec) decodeBody(t MessageType) (PDU, error) {
 		}
 		return m, nil
 	}
-	p := &c.pr
-	*p = perReader{r: &c.r}
-	if t != TypeControlRequest {
-		m := newMessage[t]()
-		m.walk(p)
-		return m, p.err
-	}
-	// Hand-written like its encoder; AckRequested is a bare bit.
-	m := &ControlRequest{}
-	walkFunc(p, &m.RequestID, &m.RANFunctionID)
-	p.optOctets(slA, &m.CallProcessID)
-	p.octets(slB, &m.Header)
-	p.octets(slC, &m.Payload)
-	p.present(slD, &m.AckRequested)
-	p.traceCtx(&m.Trace)
-	return m, p.err
+	c.pr = perReader{r: &c.r}
+	m := newMessage[t]()
+	m.walk(&c.pr)
+	return m, c.pr.err
 }
 
 func perPutReqID(w *asn1per.Writer, id RequestID) {
@@ -291,6 +268,7 @@ func (p *perWriter) enum(_ int, v *uint8, card int) {
 	}
 }
 
+func (p *perWriter) bool(_ int, v *bool)     { p.w.WriteBool(*v) }
 func (p *perWriter) str(_ int, v *string)    { p.w.WriteString(*v) }
 func (p *perWriter) octets(_ int, v *[]byte) { p.w.WriteOctets(*v) }
 
@@ -381,6 +359,8 @@ func (p *perReader) enum(_ int, v *uint8, card int) {
 	*v = uint8(e)
 	p.fail(err)
 }
+
+func (p *perReader) bool(slot int, v *bool) { p.present(slot, v) }
 
 func (p *perReader) str(_ int, v *string) {
 	s, err := p.r.ReadString()

@@ -597,6 +597,14 @@ type ControlRequest struct {
 }
 
 func (*ControlRequest) MsgType() MessageType { return TypeControlRequest }
+func (m *ControlRequest) walk(f fields) {
+	walkFunc(f, &m.RequestID, &m.RANFunctionID)
+	f.optOctets(slA, &m.CallProcessID)
+	f.octets(slB, &m.Header)
+	f.octets(slC, &m.Payload)
+	f.bool(slD, &m.AckRequested)
+	f.traceCtx(&m.Trace)
+}
 
 // ControlAck confirms a control request.
 type ControlAck struct {

@@ -2,11 +2,11 @@ package e2ap
 
 import "flexric/internal/trace"
 
-// Every message type but Indication and ControlRequest describes itself
-// once, as a walk over its fields in wire order: the walk methods beside
-// each type in types.go. Those two keep hand-written arms: an indication
-// crosses the wire every TTI, a control request every control cycle,
-// and the PER envelope reads an indication without copying it. Four
+// Every message type but Indication describes itself once, as a walk
+// over its fields in wire order: the walk methods beside each type in
+// types.go. Indication keeps hand-written arms: it crosses the wire
+// every TTI, the PER envelope reads it without copying it, and the flat
+// one packs its scalars into one slot. Four
 // walkers interpret a walk: the PER writer and reader in per.go and the
 // flat writer and reader in flatcodec.go. A walker moves each field out
 // of the message (writers) or into it (readers) through the same
@@ -23,6 +23,8 @@ type fields interface {
 	u32(slot int, v *uint32)
 	// enum is a u8 with card values; PER writes it in the fewest bits.
 	enum(slot int, v *uint8, card int)
+	// bool is one PER bit; flat stores a u8, set even when false.
+	bool(slot int, v *bool)
 	str(slot int, v *string)
 	// octets is an octet string; empty decodes as nil. The flat writer
 	// leaves a nil one out of the table.
@@ -77,8 +79,8 @@ func newOf[T any, P interface {
 	return P(new(T))
 }
 
-// newMessage holds a constructor per walked type; nil for the
-// hand-written ones.
+// newMessage holds a constructor per walked type; nil for Indication,
+// the one hand-written type.
 var newMessage = [NumMessageTypes]func() message{
 	TypeSetupRequest:               newOf[SetupRequest],
 	TypeSetupResponse:              newOf[SetupResponse],
@@ -102,6 +104,7 @@ var newMessage = [NumMessageTypes]func() message{
 	TypeSubscriptionDeleteRequest:  newOf[SubscriptionDeleteRequest],
 	TypeSubscriptionDeleteResponse: newOf[SubscriptionDeleteResponse],
 	TypeSubscriptionDeleteFailure:  newOf[SubscriptionDeleteFailure],
+	TypeControlRequest:             newOf[ControlRequest],
 	TypeControlAck:                 newOf[ControlAck],
 	TypeControlFailure:             newOf[ControlFailure],
 }

@@ -49,50 +49,6 @@ func (f fill) octets(_ int, v *[]byte) {
 	}
 }
 
-// rows fills a list the way listOf does for the hand-written reports,
-// which have no walk: n rows, nil when n is 0.
-func rows[T any](f fill, s *[]T, row func(*T)) {
-	if n := f.list(0, 0); n > 0 {
-		*s = make([]T, n)
-		for i := range *s {
-			row(&(*s)[i])
-		}
-	}
-}
-
-func fillMAC(f fill, r *MACReport) {
-	f.i64(0, &r.CellTimeMS)
-	rows(f, &r.UEs, func(u *MACUEEntry) {
-		f.u16(0, &u.RNTI)
-		f.u8(1, &u.CQI)
-		f.u8(2, &u.MCS)
-		f.u64(3, &u.RBsUsed)
-		f.u64(4, &u.TxBits)
-		f.f64(5, &u.ThroughputBps)
-	})
-}
-
-func fillRLC(f fill, r *RLCReport) {
-	f.i64(0, &r.CellTimeMS)
-	rows(f, &r.UEs, func(u *RLCUEEntry) {
-		f.u16(0, &u.RNTI)
-		for _, c := range []*uint64{&u.TxPackets, &u.TxBytes, &u.RxPackets, &u.RxBytes,
-			&u.DropPackets, &u.DropBytes, &u.BufferBytes, &u.BufferPkts} {
-			f.u64(0, c)
-		}
-		f.i64(9, &u.SojournMS)
-	})
-}
-
-func fillPDCP(f fill, r *PDCPReport) {
-	f.i64(0, &r.CellTimeMS)
-	rows(f, &r.UEs, func(u *PDCPUEEntry) {
-		f.u16(0, &u.RNTI)
-		f.u64(1, &u.TxPackets)
-		f.u64(2, &u.TxBytes)
-	})
-}
-
 // smType is one SM message type seen through its exported codec: a
 // pointer to a new value, its encoder and decoder, and its generator.
 type smType struct {
@@ -146,9 +102,9 @@ var smTypes = []smType{
 	typeOf("TCControl", EncodeTCControl, DecodeTCControl, walked[TCControl]),
 	typeOf("TCOutcome", EncodeTCOutcome, DecodeTCOutcome, walked[TCOutcome]),
 	typeOf("TCReport", EncodeTCReport, DecodeTCReport, walked[TCReport]),
-	typeOf("MACReport", EncodeMACReport, DecodeMACReport, fillMAC),
-	typeOf("RLCReport", EncodeRLCReport, DecodeRLCReport, fillRLC),
-	typeOf("PDCPReport", EncodePDCPReport, DecodePDCPReport, fillPDCP),
+	typeOf("MACReport", EncodeMACReport, DecodeMACReport, walked[MACReport]),
+	typeOf("RLCReport", EncodeRLCReport, DecodeRLCReport, walked[RLCReport]),
+	typeOf("PDCPReport", EncodePDCPReport, DecodePDCPReport, walked[PDCPReport]),
 }
 
 // emptied returns a copy of the value v points to with every nil slice

@@ -180,37 +180,36 @@ func (f *StatsFunction) Subscriptions() int {
 // visible UEs become one indication payload (same wire format, same
 // CellTimeMS) so large cells stream as a batch of bounded messages
 // instead of one monolithic report; a cell with no visible UEs still
-// emits one empty report as a heartbeat. entry reads one UE's counters;
-// enc encodes a report of such entries after dst, through fb when the
-// scheme is FlatBuffers. The entry list, the encode buffer and fb are
-// reused from report to report.
+// emits one empty report as a heartbeat. entry reads one UE's counters.
+// rep is the report every payload encodes, with its cell time at
+// cellTime and its entry list at ues; it, the encode buffer and the
+// walkers that encode it are reused from report to report.
 func newShardStats[E any](id uint16, oid string, cell *ran.Cell, scheme Scheme, vis Visibility,
-	entry func(u *ran.UE, now int64) E,
-	enc func(dst []byte, s Scheme, cellTimeMS int64, ues []E, fb *fbScratch) []byte) *StatsFunction {
+	rep message, cellTime *int64, ues *[]E, entry func(u *ran.UE, now int64) E) *StatsFunction {
 	var (
-		ues []E
 		buf []byte
-		fb  fbScratch
+		ws  walkers
 	)
 	return NewStatsFunction(id, oid, func(ctrl agent.ControllerID, now int64, emit func([]byte)) {
+		*cellTime = now
 		sent := false
 		for si := 0; si < cell.NumShards(); si++ {
-			ues = ues[:0]
+			*ues = (*ues)[:0]
 			cell.WithShardUEs(si, func(shard []*ran.UE) {
 				for _, u := range shard {
 					if visible(vis, ctrl, u.RNTI) {
-						ues = append(ues, entry(u, now))
+						*ues = append(*ues, entry(u, now))
 					}
 				}
 			})
-			if len(ues) > 0 {
-				buf = enc(buf[:0], scheme, now, ues, &fb)
+			if len(*ues) > 0 {
+				buf = ws.append(buf[:0], scheme, rep)
 				emit(buf)
 				sent = true
 			}
 		}
 		if !sent {
-			buf = enc(buf[:0], scheme, now, nil, &fb)
+			buf = ws.append(buf[:0], scheme, rep)
 			emit(buf)
 		}
 	})
@@ -219,7 +218,8 @@ func newShardStats[E any](id uint16, oid string, cell *ran.Cell, scheme Scheme, 
 // NewMACStats returns the MAC monitoring SM bound to a cell, reporting
 // per UE shard (see newShardStats).
 func NewMACStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
-	return newShardStats(IDMACStats, "1.3.6.1.4.1.53148.1.2.2.142", cell, scheme, vis,
+	var r MACReport
+	return newShardStats(IDMACStats, "1.3.6.1.4.1.53148.1.2.2.142", cell, scheme, vis, &r, &r.CellTimeMS, &r.UEs,
 		func(u *ran.UE, _ int64) MACUEEntry {
 			m := u.MACStats()
 			return MACUEEntry{
@@ -230,14 +230,14 @@ func NewMACStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
 				TxBits:        m.TxBits,
 				ThroughputBps: m.ThroughputBps,
 			}
-		},
-		appendMACReport)
+		})
 }
 
 // NewRLCStats returns the RLC monitoring SM bound to a cell, reporting
 // per UE shard (see newShardStats).
 func NewRLCStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
-	return newShardStats(IDRLCStats, "1.3.6.1.4.1.53148.1.2.2.143", cell, scheme, vis,
+	var r RLCReport
+	return newShardStats(IDRLCStats, "1.3.6.1.4.1.53148.1.2.2.143", cell, scheme, vis, &r, &r.CellTimeMS, &r.UEs,
 		func(u *ran.UE, now int64) RLCUEEntry {
 			st := u.RLC().Stats()
 			return RLCUEEntry{
@@ -252,19 +252,18 @@ func NewRLCStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
 				BufferPkts:  uint64(st.BufferPkts),
 				SojournMS:   u.RLC().OldestSojournMS(now),
 			}
-		},
-		appendRLCReport)
+		})
 }
 
 // NewPDCPStats returns the PDCP monitoring SM bound to a cell, reporting
 // per UE shard (see newShardStats).
 func NewPDCPStats(cell *ran.Cell, scheme Scheme, vis Visibility) *StatsFunction {
-	return newShardStats(IDPDCPStats, "1.3.6.1.4.1.53148.1.2.2.144", cell, scheme, vis,
+	var r PDCPReport
+	return newShardStats(IDPDCPStats, "1.3.6.1.4.1.53148.1.2.2.144", cell, scheme, vis, &r, &r.CellTimeMS, &r.UEs,
 		func(u *ran.UE, _ int64) PDCPUEEntry {
 			st := u.PDCPStats()
 			return PDCPUEEntry{RNTI: u.RNTI, TxPackets: st.TxPackets, TxBytes: st.TxBytes}
-		},
-		appendPDCPReport)
+		})
 }
 
 // NewTCStats returns the TC monitoring SM (one report per UE per period).

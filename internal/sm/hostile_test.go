@@ -103,37 +103,50 @@ func TestFlatDecodersBoundAliasedStrings(t *testing.T) {
 	}
 }
 
-// perTCReportHostileCount is a PER TCReport of 8 013 bytes whose queue
-// count claims 8 000 entries. Every entry takes at least 12 bytes on the
-// wire, so the input holds some 660 of them; each takes 72 bytes in
-// memory.
-func perTCReportHostileCount() []byte {
-	var w asn1per.Writer
-	w.WriteBits(uint64(SchemeASN), 8)
-	w.WriteInt(0)       // CellTimeMS
-	w.WriteBits(0, 16)  // RNTI
-	w.WriteBool(false)  // Active
-	w.WriteBits(0, 8)   // Pacer
-	w.WriteBits(0, 32)  // Filters
-	w.WriteLength(8000) // Queues
-	return append(w.Bytes(), make([]byte, 8013-len(w.Bytes()))...)
-}
-
-// A PER list count is bounded by the bytes left, one per element, but a
-// TC queue entry takes 72 bytes in memory: sized by the count alone, the
-// queue list of perTCReportHostileCount took 72.6 bytes per input byte
-// before the decode failed on the truncated input.
-func TestPERTCReportHostileCount(t *testing.T) {
-	wire := perTCReportHostileCount()
-	if len(wire) != 8013 {
-		t.Fatalf("wire is %d bytes, want 8013", len(wire))
+// A PER list count is bounded by the bytes left, one per element, but an
+// element can take far more memory than a byte: sized by the count
+// alone, the TC queue list (72 bytes an entry) took 72.6 bytes per input
+// byte and the RLC UE list (80 bytes an entry) 80.8 before the decode
+// failed on the truncated input.
+func TestPERDecodersBoundHostileCounts(t *testing.T) {
+	// wire is a PER report of 8 013 bytes: its zero fields (CellTimeMS,
+	// then what head writes) and a list count claiming 8 000 elements,
+	// about one per byte left. Every element takes several bytes on the
+	// wire, so the input holds far fewer.
+	wire := func(head func(w *asn1per.Writer)) []byte {
+		var w asn1per.Writer
+		w.WriteBits(uint64(SchemeASN), 8)
+		w.WriteInt(0) // CellTimeMS
+		head(&w)
+		w.WriteLength(8000)
+		return append(w.Bytes(), make([]byte, 8013-len(w.Bytes()))...)
 	}
-	var err error
-	DecodeTCReport(wire) // warm up the walker pool
-	if got := allocatedBy(func() { _, err = DecodeTCReport(wire) }); got > 64*uint64(len(wire)) {
-		t.Errorf("decoding %d bytes allocated %d bytes", len(wire), got)
-	}
-	if !errors.Is(err, ErrBadPayload) {
-		t.Errorf("err %v, want ErrBadPayload", err)
+	none := func(*asn1per.Writer) {}
+	for _, c := range []struct {
+		name   string
+		wire   []byte
+		decode func([]byte) error
+	}{
+		{"TC", wire(func(w *asn1per.Writer) {
+			w.WriteBits(0, 16) // RNTI
+			w.WriteBool(false) // Active
+			w.WriteBits(0, 8)  // Pacer
+			w.WriteBits(0, 32) // Filters
+		}), func(b []byte) error { _, err := DecodeTCReport(b); return err }},
+		{"MAC", wire(none), func(b []byte) error { _, err := DecodeMACReport(b); return err }},
+		{"RLC", wire(none), func(b []byte) error { _, err := DecodeRLCReport(b); return err }},
+		{"PDCP", wire(none), func(b []byte) error { _, err := DecodePDCPReport(b); return err }},
+	} {
+		if len(c.wire) != 8013 {
+			t.Fatalf("%s: wire is %d bytes, want 8013", c.name, len(c.wire))
+		}
+		var err error
+		c.decode(c.wire) // warm up the walker pool
+		if got := allocatedBy(func() { err = c.decode(c.wire) }); got > 64*uint64(len(c.wire)) {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", c.name, len(c.wire), got)
+		}
+		if !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s: err %v, want ErrBadPayload", c.name, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package sm_test
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
@@ -13,8 +12,9 @@ import (
 	"flexric/internal/sm"
 )
 
-// The MAC/RLC/PDCP reporters reuse one entry list, one encode buffer
-// and one FlatBuffers builder from report to report. These tests pin
+// The MAC/RLC/PDCP reporters reuse one report value with its entry
+// list, the walkers that encode it and one encode buffer from report
+// to report. These tests pin
 // what that reuse must not change: every payload a reporter emits is
 // byte-identical to Encode*Report of a report built from scratch out of
 // the same cell state, whatever the previous report looked like.
@@ -279,55 +279,3 @@ func TestStatsScratchReuseFleet(t *testing.T) {
 		})
 	}
 }
-
-// warmPEREncoders returns, per report kind, an append-style PER encode
-// of a 32-UE report with counters of mixed widths.
-func warmPEREncoders() map[string]func(dst []byte) []byte {
-	mac := &sm.MACReport{CellTimeMS: 123456, UEs: make([]sm.MACUEEntry, 32)}
-	rlc := &sm.RLCReport{CellTimeMS: 123456, UEs: make([]sm.RLCUEEntry, 32)}
-	pdcp := &sm.PDCPReport{CellTimeMS: 123456, UEs: make([]sm.PDCPUEEntry, 32)}
-	for i := 0; i < 32; i++ {
-		n := uint64(i)
-		mac.UEs[i] = sm.MACUEEntry{RNTI: uint16(i + 1), CQI: 9, MCS: 20, RBsUsed: n << 20, TxBits: n << 33, ThroughputBps: 1e6 * float64(i)}
-		rlc.UEs[i] = sm.RLCUEEntry{RNTI: uint16(i + 1), TxPackets: n << 9, TxBytes: n << 30, BufferBytes: n << 12, SojournMS: int64(i)}
-		pdcp.UEs[i] = sm.PDCPUEEntry{RNTI: uint16(i + 1), TxPackets: n << 9, TxBytes: n << 30}
-	}
-	return map[string]func(dst []byte) []byte{
-		"mac":  func(dst []byte) []byte { return sm.AppendMACReport(dst, sm.SchemeASN, mac) },
-		"rlc":  func(dst []byte) []byte { return sm.AppendRLCReport(dst, sm.SchemeASN, rlc) },
-		"pdcp": func(dst []byte) []byte { return sm.AppendPDCPReport(dst, sm.SchemeASN, pdcp) },
-	}
-}
-
-// Into a cold destination a PER report encoder grows the buffer once;
-// into a warm one it does not allocate at all.
-func TestAppendReportPERAllocs(t *testing.T) {
-	// What one buffer growth costs in this build (the race detector
-	// defeats the allocation-free form of slices.Grow, making it 2).
-	var sink []byte
-	once := testing.AllocsPerRun(20, func() { sink = slices.Grow([]byte(nil), 4096) })
-	_ = sink
-	for name, enc := range warmPEREncoders() {
-		if cold := testing.AllocsPerRun(20, func() { enc(nil) }); cold != once {
-			t.Errorf("%s: %.1f allocations into a nil destination, want %.1f (one growth)", name, cold, once)
-		}
-		dst := enc(nil)
-		if warm := testing.AllocsPerRun(100, func() { dst = enc(dst[:0]) }); warm != 0 {
-			t.Errorf("%s: %.1f allocations into a warm destination, want 0", name, warm)
-		}
-	}
-}
-
-func benchAppendPER(b *testing.B, kind string) {
-	enc := warmPEREncoders()[kind]
-	dst := enc(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = enc(dst[:0])
-	}
-}
-
-func BenchmarkAppendMACReportPER(b *testing.B)  { benchAppendPER(b, "mac") }
-func BenchmarkAppendRLCReportPER(b *testing.B)  { benchAppendPER(b, "rlc") }
-func BenchmarkAppendPDCPReportPER(b *testing.B) { benchAppendPER(b, "pdcp") }

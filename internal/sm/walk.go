@@ -11,12 +11,14 @@ import (
 	"flexric/internal/encoding/flat"
 )
 
-// Every SM message type but the MAC, RLC and PDCP reports (stats.go:
-// encoded every TTI, decoded on the monitor's ingest path) describes
-// itself once, beside the type, as a walk over its fields in wire order.
+// Every SM message type describes itself once, beside the type, as a
+// walk over its fields in wire order; there is no hand-written codec.
 // Four walkers interpret a walk: PER and flat writers and readers. A
 // walker moves each field out of the message or into it through the same
 // pointer, so one walk is the encoder and the decoder in both schemes.
+// The walkers keep their scratch, pooled or, in the per-TTI reporter of
+// the MAC, RLC and PDCP SMs, held by the reporter, so an encode into a
+// warm buffer allocates nothing.
 //
 // slot is a field's place in its flat table, which is as wide as the
 // highest slot its walk names; PER ignores it.
@@ -78,10 +80,15 @@ type walkers struct {
 var walkerPool = sync.Pool{New: func() any { return new(walkers) }}
 
 // appendWalk appends m, encoded in scheme s behind its scheme byte, to
-// dst (which may be nil).
+// dst (which may be nil), through pooled walkers.
 func appendWalk(dst []byte, s Scheme, m message) []byte {
 	ws := walkerPool.Get().(*walkers)
 	defer walkerPool.Put(ws)
+	return ws.append(dst, s, m)
+}
+
+// append appends m, encoded in scheme s behind its scheme byte, to dst.
+func (ws *walkers) append(dst []byte, s Scheme, m message) []byte {
 	if s == SchemeFB {
 		return ws.fw.append(dst, m)
 	}
@@ -175,10 +182,10 @@ func (p *perReader) end()                    {}
 
 // maxListBytesPerByte bounds what a PER list takes in memory per input
 // byte left. ReadCount allows one element per byte left, but an element
-// can take far more memory than that: a TC queue entry takes 72 bytes.
-// No list comes near the bound (no SM list element takes more than 6
-// bytes of memory per input byte the reader takes for it: a TC queue
-// entry, 72 from 12), so a count past it cannot be met by the input.
+// can take far more memory than that: an RLC report entry takes 80
+// bytes. No list comes near the bound (no SM list element takes more
+// than 8 bytes of memory per input byte the reader takes for it: an RLC
+// entry, 80 from 11), so a count past it cannot be met by the input.
 const maxListBytesPerByte = 32
 
 // fit returns the count n of a list of elements of size bytes, or fails

@@ -153,3 +153,72 @@ func TestSliceStatusWalkAllocs(t *testing.T) {
 	}
 	walkAllocs(t, st, EncodeSliceStatus, DecodeSliceStatus, [2]float64{1, 4})
 }
+
+// The per-TTI reports with a non-empty UE list: an encode allocates its
+// result, a decode the report and its UE list.
+func TestReportWalkAllocs(t *testing.T) {
+	t.Run("MAC", func(t *testing.T) {
+		walkAllocs(t, &MACReport{CellTimeMS: 7, UEs: []MACUEEntry{{RNTI: 1, CQI: 9}, {RNTI: 2, TxBits: 1 << 20}}},
+			EncodeMACReport, DecodeMACReport, [2]float64{1, 2})
+	})
+	t.Run("RLC", func(t *testing.T) {
+		walkAllocs(t, &RLCReport{CellTimeMS: 7, UEs: []RLCUEEntry{{RNTI: 1, TxBytes: 1500}, {RNTI: 2, SojournMS: -1}}},
+			EncodeRLCReport, DecodeRLCReport, [2]float64{1, 2})
+	})
+	t.Run("PDCP", func(t *testing.T) {
+		walkAllocs(t, &PDCPReport{CellTimeMS: 7, UEs: []PDCPUEEntry{{RNTI: 1, TxPackets: 3}, {RNTI: 2}}},
+			EncodePDCPReport, DecodePDCPReport, [2]float64{1, 2})
+	})
+}
+
+// warmEncoders returns, per report kind and scheme, an append-style
+// encode of a 32-UE report with counters of mixed widths.
+func warmEncoders() map[string]func(dst []byte) []byte {
+	mac := &MACReport{CellTimeMS: 123456, UEs: make([]MACUEEntry, 32)}
+	rlc := &RLCReport{CellTimeMS: 123456, UEs: make([]RLCUEEntry, 32)}
+	pdcp := &PDCPReport{CellTimeMS: 123456, UEs: make([]PDCPUEEntry, 32)}
+	for i := 0; i < 32; i++ {
+		n := uint64(i)
+		mac.UEs[i] = MACUEEntry{RNTI: uint16(i + 1), CQI: 9, MCS: 20, RBsUsed: n << 20, TxBits: n << 33, ThroughputBps: 1e6 * float64(i)}
+		rlc.UEs[i] = RLCUEEntry{RNTI: uint16(i + 1), TxPackets: n << 9, TxBytes: n << 30, BufferBytes: n << 12, SojournMS: int64(i)}
+		pdcp.UEs[i] = PDCPUEEntry{RNTI: uint16(i + 1), TxPackets: n << 9, TxBytes: n << 30}
+	}
+	encs := map[string]func(dst []byte) []byte{}
+	for _, s := range schemes() {
+		encs["mac/"+s.String()] = func(dst []byte) []byte { return AppendMACReport(dst, s, mac) }
+		encs["rlc/"+s.String()] = func(dst []byte) []byte { return AppendRLCReport(dst, s, rlc) }
+		encs["pdcp/"+s.String()] = func(dst []byte) []byte { return AppendPDCPReport(dst, s, pdcp) }
+	}
+	return encs
+}
+
+// Into a cold destination a report encoder grows the buffer once; into
+// a warm one it does not allocate at all.
+func TestAppendReportAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for name, enc := range warmEncoders() {
+		if cold := testing.AllocsPerRun(20, func() { enc(nil) }); cold != 1 {
+			t.Errorf("%s: %.1f allocations into a nil destination, want 1 (one growth)", name, cold)
+		}
+		dst := enc(nil)
+		if warm := testing.AllocsPerRun(100, func() { dst = enc(dst[:0]) }); warm != 0 {
+			t.Errorf("%s: %.1f allocations into a warm destination, want 0", name, warm)
+		}
+	}
+}
+
+func benchAppend(b *testing.B, kind string) {
+	enc := warmEncoders()[kind]
+	dst := enc(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = enc(dst[:0])
+	}
+}
+
+func BenchmarkAppendMACReportPER(b *testing.B)  { benchAppend(b, "mac/asn") }
+func BenchmarkAppendRLCReportPER(b *testing.B)  { benchAppend(b, "rlc/asn") }
+func BenchmarkAppendPDCPReportPER(b *testing.B) { benchAppend(b, "pdcp/asn") }
