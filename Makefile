@@ -23,13 +23,14 @@ bench:
 trace-demo:
 	$(GO) test -run TestTraceDemo -v ./internal/obs/
 
-# End-to-end resilience demo: a monitoring loop survives a scripted
-# fault plan (two connection drops, a listener blackout rejecting the
-# first two redials) under both codecs — the agent reconnects with
-# backoff, the server replays the subscription, the indication stream
-# resumes, and the recovery counters appear on /snapshot.json.
+# End-to-end resilience demo: a monitoring loop survives two transport
+# cuts, closed by the test or by a scripted fault plan (two connection
+# drops, a listener blackout rejecting the first two redials) under both
+# codecs — the agent reconnects with backoff under its old AgentID, the
+# server replays the subscription, the indication stream resumes, and
+# the recovery counters move on /snapshot.json.
 chaos-demo:
-	$(GO) test -run TestChaosDemo -v ./internal/experiments/
+	$(GO) test -run 'TestMonitorTSDBReconnectChurn' -v ./internal/ctrl/
 
 # End-to-end control-room demo: a headless Go WebSocket client dials a
 # live monitoring loop's /stream/ws, subscribes to mac.* deltas (with
@@ -48,14 +49,14 @@ sla-demo:
 	$(GO) test -run TestSLADemo -v ./internal/experiments/
 
 # End-to-end federation demo: a root controller federates 3 shard
-# controllers splitting a 12-agent fleet by consistent hashing, under
+# controllers splitting a 6-agent fleet by consistent hashing, under
 # both codecs. One shard is killed mid-run — its agents re-home to the
 # ring successor, the root's cross-shard subscription streams resume,
 # and a federated windowed query over the pre-kill window returns the
 # pre-kill baseline (the successor restored the dead shard's tsdb
 # snapshot).
 federation-demo:
-	$(GO) test -run TestFederationDemo -v ./internal/experiments/
+	$(GO) test -run 'TestFederationFailover$$' -v ./internal/federation/
 
 fmt:
 	gofmt -w .

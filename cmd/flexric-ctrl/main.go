@@ -13,6 +13,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -33,38 +34,46 @@ import (
 	"flexric/internal/xapp"
 )
 
+// The command line. checkFlags rejects the combinations that one of
+// the three roles (standalone, -root, -shard-of) would ignore.
+var (
+	e2Addr            = flag.String("e2", "127.0.0.1:36421", "E2 (south-bound) listen address")
+	scheme            = flag.String("scheme", "asn", "E2AP encoding scheme: asn or fb")
+	slicing           = flag.String("slicing", "", "REST address for the slicing specialization (empty = off)")
+	tc                = flag.String("tc", "", "REST address for the traffic-control specialization (empty = off)")
+	brokerAddr        = flag.String("broker", "", "message broker to publish stats to (empty = start one)")
+	period            = flag.Uint("period", 100, "monitoring period in ms; also sets the freshness of -slicing's /stats and the rate of -tc's RLC broker feed (use ~10 with -tc: the TC xApp judges a 200 ms sojourn window)")
+	ingestWorkers     = flag.Int("ingest-workers", 0, "monitor ingest pipeline goroutines, hashed by (agent, function); 0 = decode inline on receive loops")
+	telemetryDump     = flag.Bool("telemetry", false, "dump the telemetry snapshot on exit")
+	telemetryEvery    = flag.Duration("telemetry-every", 0, "also dump telemetry periodically (0 = off)")
+	obsAddr           = flag.String("obs", "", "observability HTTP address serving the control-room dashboard, /metrics, /snapshot.json, /traces, /stream/ws and pprof (empty = off)")
+	traceSample       = flag.Uint("trace-sample", 0, "record every Nth E2 control-loop trace (0 = off, 1 = all)")
+	resOn             = flag.Bool("resilience", true, "keepalives, dead-peer detection, and subscription retention/replay across agent reconnects")
+	keepalive         = flag.Duration("keepalive", 0, "idle period before a keepalive frame (0 = default 1s; needs -resilience)")
+	retain            = flag.Duration("retain", 0, "how long to retain a disconnected agent's subscriptions for replay (0 = default 30s)")
+	dialTimeout       = flag.Duration("dial-timeout", 0, "E2 setup handshake timeout per accepted connection (0 = default 5s)")
+	faultPlan         = flag.String("faultplan", "", "scripted listener fault plan, e.g. 'blackout@1=2' (see internal/faultinject)")
+	tsdbCap           = flag.Int("tsdb", 1024, "samples retained per report series in the time-series store (0 = store off)")
+	tsdbAge           = flag.Duration("tsdb-age", 0, "also drop samples older than this from each series (0 = count-only retention)")
+	tsdbCompress      = flag.Bool("tsdb-compress", false, "seal full series rings into compressed chunks with downsampling tiers instead of overwriting old samples")
+	tsdbSnapshot      = flag.String("tsdb-snapshot", "", "time-series snapshot file: loaded at startup, written on shutdown (empty = off)")
+	tsdbSnapshotEvery = flag.Duration("tsdb-snapshot-every", 0, "also write the snapshot periodically (0 = shutdown-only; needs -tsdb-snapshot)")
+	a1On              = flag.Bool("a1", false, "A1 policy plane: /a1/* northbound on the obs server plus the SLA enforcement loop, an in-process iApp that applies remedies through the slicing controller and, with -tc, the TC controller (needs -obs, -slicing, and the tsdb)")
+	slaTick           = flag.Uint("sla-tick", 500, "SLA enforcement tick period in ms (needs -a1)")
+	a1Snapshot        = flag.String("a1-snapshot", "", "A1 policy-store snapshot file: loaded at startup, written on shutdown (needs -a1)")
+	a1SnapshotEvery   = flag.Duration("a1-snapshot-every", 0, "also write the A1 snapshot periodically (0 = shutdown-only; needs -a1-snapshot)")
+	federate          = flag.String("federate", "", "comma-separated shard names forming the federation ring, e.g. 's0,s1,s2' (needs -root or -shard-of)")
+	rootMode          = flag.Bool("root", false, "run as the federation root: -e2 accepts shard northbound connections, -obs serves /federation.json and the federated /tsdb/query")
+	shardOf           = flag.String("shard-of", "", "run as a federation shard under the root at this E2 address; -e2 is the shard's southbound, -obs its /tsdb/partial endpoint")
+	shardName         = flag.String("shard-name", "", "this shard's ring member name (needs -shard-of; must appear in -federate)")
+	fedSnapshots      = flag.String("fed-snapshots", "", "shared directory of per-shard tsdb snapshots enabling failover state transfer (shard mode; -tsdb-snapshot-every adds periodic writes)")
+)
+
 func main() {
-	e2Addr := flag.String("e2", "127.0.0.1:36421", "E2 (south-bound) listen address")
-	scheme := flag.String("scheme", "asn", "E2AP encoding scheme: asn or fb")
-	slicing := flag.String("slicing", "", "REST address for the slicing specialization (empty = off)")
-	tc := flag.String("tc", "", "REST address for the traffic-control specialization (empty = off)")
-	brokerAddr := flag.String("broker", "", "message broker to publish stats to (empty = start one)")
-	period := flag.Uint("period", 100, "monitoring period in ms; also sets the freshness of -slicing's /stats and the rate of -tc's RLC broker feed (use ~10 with -tc: the TC xApp judges a 200 ms sojourn window)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "monitor ingest pipeline goroutines, hashed by (agent, function); 0 = decode inline on receive loops")
-	telemetryDump := flag.Bool("telemetry", false, "dump the telemetry snapshot on exit")
-	telemetryEvery := flag.Duration("telemetry-every", 0, "also dump telemetry periodically (0 = off)")
-	obsAddr := flag.String("obs", "", "observability HTTP address serving the control-room dashboard, /metrics, /snapshot.json, /traces, /stream/ws and pprof (empty = off)")
-	traceSample := flag.Uint("trace-sample", 0, "record every Nth E2 control-loop trace (0 = off, 1 = all)")
-	resOn := flag.Bool("resilience", true, "keepalives, dead-peer detection, and subscription retention/replay across agent reconnects")
-	keepalive := flag.Duration("keepalive", 0, "idle period before a keepalive frame (0 = default 1s; needs -resilience)")
-	retain := flag.Duration("retain", 0, "how long to retain a disconnected agent's subscriptions for replay (0 = default 30s)")
-	dialTimeout := flag.Duration("dial-timeout", 0, "E2 setup handshake timeout per accepted connection (0 = default 5s)")
-	faultPlan := flag.String("faultplan", "", "scripted listener fault plan, e.g. 'blackout@1=2' (see internal/faultinject)")
-	tsdbCap := flag.Int("tsdb", 1024, "samples retained per report series in the time-series store (0 = store off)")
-	tsdbAge := flag.Duration("tsdb-age", 0, "also drop samples older than this from each series (0 = count-only retention)")
-	tsdbCompress := flag.Bool("tsdb-compress", false, "seal full series rings into compressed chunks with downsampling tiers instead of overwriting old samples")
-	tsdbSnapshot := flag.String("tsdb-snapshot", "", "time-series snapshot file: loaded at startup, written on shutdown (empty = off)")
-	tsdbSnapshotEvery := flag.Duration("tsdb-snapshot-every", 0, "also write the snapshot periodically (0 = shutdown-only; needs -tsdb-snapshot)")
-	a1On := flag.Bool("a1", false, "A1 policy plane: /a1/* northbound on the obs server plus the SLA enforcement loop, an in-process iApp that applies remedies through the slicing controller and, with -tc, the TC controller (needs -obs, -slicing, and the tsdb)")
-	slaTick := flag.Uint("sla-tick", 500, "SLA enforcement tick period in ms (needs -a1)")
-	a1Snapshot := flag.String("a1-snapshot", "", "A1 policy-store snapshot file: loaded at startup, written on shutdown (needs -a1)")
-	a1SnapshotEvery := flag.Duration("a1-snapshot-every", 0, "also write the A1 snapshot periodically (0 = shutdown-only; needs -a1-snapshot)")
-	federate := flag.String("federate", "", "comma-separated shard names forming the federation ring, e.g. 's0,s1,s2' (needs -root or -shard-of)")
-	rootMode := flag.Bool("root", false, "run as the federation root: -e2 accepts shard northbound connections, -obs serves /federation.json and the federated /tsdb/query")
-	shardOf := flag.String("shard-of", "", "run as a federation shard under the root at this E2 address; -e2 is the shard's southbound, -obs its /tsdb/partial endpoint")
-	shardName := flag.String("shard-name", "", "this shard's ring member name (needs -shard-of; must appear in -federate)")
-	fedSnapshots := flag.String("fed-snapshots", "", "shared directory of per-shard tsdb snapshots enabling failover state transfer (shard mode; -tsdb-snapshot-every adds periodic writes)")
 	flag.Parse()
+	if err := checkFlags(flag.CommandLine); err != nil {
+		log.Fatal(err)
+	}
 
 	if *traceSample > 0 {
 		trace.SetSampleEvery(uint32(*traceSample))
@@ -102,9 +111,6 @@ func main() {
 	// The federation modes are dedicated processes: a root terminates
 	// shard northbounds only, a shard is a full controller core for its
 	// ring slice. Neither mixes with the standalone specializations.
-	if *rootMode && *shardOf != "" {
-		log.Fatal("-root and -shard-of are mutually exclusive")
-	}
 	if *rootMode || *shardOf != "" {
 		members := splitMembers(*federate)
 		if len(members) == 0 {
@@ -192,13 +198,7 @@ func main() {
 	var polStore *a1.Store
 	var a1SnapStop chan struct{}
 	var a1SnapDone <-chan struct{}
-	if *a1Snapshot != "" && !*a1On {
-		log.Fatal("-a1-snapshot needs -a1")
-	}
 	if *a1On {
-		if *obsAddr == "" || sc == nil || store == nil {
-			log.Fatal("-a1 needs -obs (the /a1/* northbound), -slicing (the remedy path), and the tsdb (-tsdb > 0)")
-		}
 		polStore = a1.NewStore()
 		if *a1Snapshot != "" {
 			if err := snapfile.Load(polStore, *a1Snapshot); err != nil {
@@ -296,6 +296,78 @@ func main() {
 		log.Printf("a1: snapshot written to %s", *a1Snapshot)
 	}
 	dumper.Stop()
+}
+
+// flagRule rejects a command line that sets flag while none of needs
+// is on, or while excl is on. A flag is on when its value is not its
+// type's zero: -tsdb 0 and -resilience=false are off.
+type flagRule struct {
+	flag  string
+	needs []string
+	excl  string
+}
+
+// standaloneFlags configure the standalone controller; neither
+// federation role reads them.
+var standaloneFlags = []string{"slicing", "tc", "broker", "a1", "sla-tick", "a1-snapshot", "a1-snapshot-every",
+	"tsdb", "tsdb-age", "tsdb-compress", "tsdb-snapshot", "ingest-workers", "faultplan", "dial-timeout"}
+
+var flagRules = []flagRule{
+	{flag: "root", excl: "shard-of"},
+	{flag: "tsdb-snapshot-every", excl: "root"},
+	{flag: "shard-name", needs: []string{"shard-of"}},
+	{flag: "fed-snapshots", needs: []string{"shard-of"}},
+	{flag: "federate", needs: []string{"root", "shard-of"}},
+	{flag: "tsdb-snapshot", needs: []string{"tsdb"}},
+	{flag: "tsdb-snapshot-every", needs: []string{"tsdb-snapshot", "fed-snapshots"}},
+	{flag: "a1-snapshot", needs: []string{"a1"}},
+	{flag: "a1-snapshot-every", needs: []string{"a1-snapshot"}},
+	{flag: "sla-tick", needs: []string{"a1"}},
+	// The A1 loop serves /a1/* on -obs, remedies through -slicing and
+	// reads the tsdb.
+	{flag: "a1", needs: []string{"obs"}},
+	{flag: "a1", needs: []string{"slicing"}},
+	{flag: "a1", needs: []string{"tsdb"}},
+	{flag: "broker", needs: []string{"tc"}},
+	{flag: "keepalive", needs: []string{"resilience"}},
+	{flag: "retain", needs: []string{"resilience"}},
+}
+
+// checkFlags returns an error naming both flags of the first
+// combination on the parsed command line fs that flexric-ctrl would
+// otherwise ignore.
+func checkFlags(fs *flag.FlagSet) error {
+	on := func(name string) bool {
+		switch v := fs.Lookup(name).Value.(flag.Getter).Get().(type) {
+		case bool:
+			return v
+		case string:
+			return v != ""
+		case int:
+			return v > 0
+		case uint:
+			return v > 0
+		case time.Duration:
+			return v > 0
+		}
+		return false
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	rules := make([]flagRule, 0, 2*len(standaloneFlags)+len(flagRules))
+	for _, f := range standaloneFlags {
+		rules = append(rules, flagRule{flag: f, excl: "root"}, flagRule{flag: f, excl: "shard-of"})
+	}
+	for _, r := range append(rules, flagRules...) {
+		switch {
+		case !set[r.flag]:
+		case r.excl != "" && on(r.excl):
+			return fmt.Errorf("-%s does not combine with -%s", r.flag, r.excl)
+		case r.needs != nil && !slices.ContainsFunc(r.needs, on):
+			return fmt.Errorf("-%s needs -%s", r.flag, strings.Join(r.needs, " or -"))
+		}
+	}
+	return nil
 }
 
 // splitMembers parses the -federate ring member list.

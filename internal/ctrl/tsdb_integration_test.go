@@ -12,6 +12,8 @@ import (
 	"flexric/internal/agent"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
+	"flexric/internal/faultinject"
+	"flexric/internal/obs"
 	"flexric/internal/ran"
 	"flexric/internal/resilience"
 	"flexric/internal/server"
@@ -182,33 +184,71 @@ func (cc *connCapture) kill() {
 	c.Close()
 }
 
-// TestMonitorTSDBReconnectChurn is the state-leak acceptance test: a
-// resilient agent whose transport dies keeps its AgentID on reconnect,
-// so its series survive and keep growing; only after the agent stays
-// gone past the retention window does the disconnect hook fire and the
-// store evict every series and raw ring of that agent.
+// TestMonitorTSDBReconnectChurn is the state-leak acceptance test and
+// the resilience acceptance run (`make chaos-demo`): a resilient agent
+// whose transport is cut twice keeps its AgentID on reconnect, so its
+// series survive and keep growing, its subscription is replayed and the
+// indication stream resumes; only after the agent stays gone past the
+// retention window does the disconnect hook fire and the store evict
+// every series and raw ring of that agent. The cuts are the input: the
+// test closing the live connection, or a scripted fault plan (two drops
+// of the agent's connection, a listener blackout rejecting the first
+// two redials) under each codec.
 func TestMonitorTSDBReconnectChurn(t *testing.T) {
+	o, err := obs.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { o.Close() })
+	for _, tc := range []struct {
+		name     string
+		e2       e2ap.Scheme
+		sm       sm.Scheme
+		scripted bool // fault plans cut the connection, not the test
+	}{
+		{"kill", e2ap.SchemeFB, sm.SchemeFB, false},
+		{"faultplan_asn", e2ap.SchemeASN, sm.SchemeASN, true},
+		{"faultplan_fb", e2ap.SchemeFB, sm.SchemeFB, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { reconnectChurn(t, o.Addr(), tc.e2, tc.sm, tc.scripted) })
+	}
+}
+
+func reconnectChurn(t *testing.T, obsAddr string, e2s e2ap.Scheme, sms sm.Scheme, scripted bool) {
+	scfg := server.Config{Scheme: e2s, Transport: transport.KindSCTPish, Resilience: fastRes(250 * time.Millisecond)}
+	cap := &connCapture{}
+	wrapConn := cap.wrap
+	var connPlan, lisPlan *faultinject.Plan
+	if scripted {
+		// Two cuts of the agent's connection, each after 120 frames;
+		// after the first accept, the listener rejects two redials.
+		var err error
+		if connPlan, err = faultinject.Parse("drop@120,drop@120"); err != nil {
+			t.Fatal(err)
+		}
+		if lisPlan, err = faultinject.Parse("blackout@1=2"); err != nil {
+			t.Fatal(err)
+		}
+		wrapConn, scfg.WrapListener = connPlan.WrapConn, lisPlan.WrapListener
+	}
+	before := readSnapshot(t, obsAddr)
+
 	st := tsdb.New(tsdb.Config{Capacity: 1024})
-	s := server.New(server.Config{
-		Scheme:     e2ap.SchemeFB,
-		Transport:  transport.KindSCTPish,
-		Resilience: fastRes(250 * time.Millisecond),
-	})
+	s := server.New(scfg)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	ctrl.NewMonitor(s, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1, Layers: ctrl.MonMAC, Decode: true, TSDB: st})
+	mon := ctrl.NewMonitor(s, ctrl.MonitorConfig{Scheme: sms, PeriodMS: 1, Layers: ctrl.MonMAC, Decode: true, TSDB: st})
 	var reconnects atomic.Int32
 	s.OnAgentReconnect(func(server.AgentInfo) { reconnects.Add(1) })
 
-	cap := &connCapture{}
 	b, err := station.New(station.Spec{
-		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeFB, Controller: addr,
+		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sms, Controller: addr,
 		Agent: agent.Config{
-			NodeID: station.Node(e2ap.NodeENB, 7), Scheme: e2ap.SchemeFB,
-			Transport: transport.KindSCTPish, Resilience: fastRes(0), WrapConn: cap.wrap,
+			NodeID: station.Node(e2ap.NodeENB, 7), Scheme: e2s,
+			Transport: transport.KindSCTPish, Resilience: fastRes(0), WrapConn: wrapConn,
 		},
 		SMs: []uint16{sm.IDMACStats},
 	})
@@ -227,13 +267,15 @@ func TestMonitorTSDBReconnectChurn(t *testing.T) {
 		agg, ok := st.Aggregate(k, 0, math.MaxInt64)
 		return ok && agg.Count > 10
 	})
+	subsBefore := readSnapshot(t, obsAddr).Children["server"].Gauges["subscriptions_active"]
 
-	// Churn: kill the transport twice; the supervisor re-associates
+	// Churn: the transport dies twice; the supervisor re-associates
 	// under the same AgentID each time and history must survive.
-	for round := 0; round < 2; round++ {
-		before := reconnects.Load()
-		cap.kill()
-		await(t, "reconnect", func() bool { return reconnects.Load() > before })
+	for round := int32(1); round <= 2; round++ {
+		if !scripted {
+			cap.kill()
+		}
+		await(t, "reconnect", func() bool { return reconnects.Load() >= round })
 		if len(s.Agents()) != 1 || s.Agents()[0].ID != id {
 			t.Fatalf("round %d: AgentID not reused", round)
 		}
@@ -246,11 +288,64 @@ func TestMonitorTSDBReconnectChurn(t *testing.T) {
 			return ok && now.LastTS > agg.LastTS
 		})
 	}
+	// The indication stream advances on the replayed subscription.
+	n0, _ := mon.Counters()
+	await(t, "indication stream resumes", func() bool {
+		n, _ := mon.Counters()
+		return n >= n0+50
+	})
+	if scripted {
+		if n := connPlan.DropsFired(); n != 2 {
+			t.Errorf("drops fired = %d, want 2", n)
+		}
+		if n := lisPlan.BlackoutRejects(); n != 2 {
+			t.Errorf("blackout rejects = %d, want 2", n)
+		}
+	}
+
+	// The recovery is observable from the outside, on /snapshot.json.
+	after := readSnapshot(t, obsAddr)
+	delta := func(layer, name string) uint64 {
+		return after.Children[layer].Counters[name] - before.Children[layer].Counters[name]
+	}
+	if n := delta("server", "subs_replayed"); n < 2 {
+		t.Errorf("subscriptions replayed = %d, want >= 2 (one per reconnect)", n)
+	}
+	if n := after.Children["server"].Gauges["subscriptions_active"]; n != subsBefore {
+		t.Errorf("subscriptions lost: %d before the cuts, %d after", subsBefore, n)
+	}
+	if delta("agent", "reconnects") == 0 {
+		t.Error("agent.reconnects did not move on /snapshot.json")
+	}
+	if delta("server", "agent_reconnects") == 0 {
+		t.Error("server.agent_reconnects did not move on /snapshot.json")
+	}
 
 	// Final departure: stop the agent for good. Retention expires, the
 	// disconnect hook fires, and every series of the agent is evicted.
 	b.Close()
 	await(t, "eviction after retention", func() bool { return st.NumSeries() == 0 })
+}
+
+// snapshotJSON is the part of /snapshot.json the churn test reads.
+type snapshotJSON struct {
+	Counters map[string]uint64       `json:"counters"`
+	Gauges   map[string]int64        `json:"gauges"`
+	Children map[string]snapshotJSON `json:"children"`
+}
+
+func readSnapshot(t *testing.T, obsAddr string) snapshotJSON {
+	t.Helper()
+	resp, err := http.Get("http://" + obsAddr + "/snapshot.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap snapshotJSON
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("/snapshot.json: %v", err)
+	}
+	return snap
 }
 
 // TestSlicingStatsAgg exercises the windowed-aggregate northbound: the

@@ -33,37 +33,10 @@ func Fig8a(agents int, d time.Duration) (*Fig8aResult, error) {
 	res := &Fig8aResult{Agents: agents, Duration: d}
 
 	// --- FlexRIC: server library + raw-storing monitor, FB encoding ---
-	{
-		srv, addr, err := StartServer(e2ap.SchemeFB)
-		if err != nil {
-			return nil, err
-		}
-		mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1, Layers: ctrl.MonMAC})
-		var dummies []*DummyAgent
-		memBase := metrics.HeapInUse()
-		for i := 0; i < agents; i++ {
-			da, err := StartDummyAgent(uint64(i+1), addr, e2ap.SchemeFB, sm.SchemeFB, 32, time.Millisecond)
-			if err != nil {
-				srv.Close()
-				return nil, err
-			}
-			dummies = append(dummies, da)
-		}
-		if !WaitUntil(waitShort, func() bool {
-			n, _ := mon.Counters()
-			return n > uint64(agents)
-		}) {
-			srv.Close()
-			return nil, fmt.Errorf("no indications flowing")
-		}
-		m := metrics.StartCPU()
-		time.Sleep(d)
-		res.FlexRICCPU = m.NormalizedPercent()
-		res.FlexRICMem = heapSinceMB(memBase)
-		for _, da := range dummies {
-			da.Close()
-		}
-		srv.Close()
+	var err error
+	res.FlexRICCPU, res.FlexRICMem, err = flexricMonitor(e2ap.SchemeFB, sm.SchemeFB, agents, d)
+	if err != nil {
+		return nil, err
 	}
 
 	// --- FlexRAN: controller + RIB + 1 ms polling application ---
@@ -182,7 +155,7 @@ func Fig8b(agentCounts []int, d time.Duration) (*Fig8bResult, error) {
 	res := &Fig8bResult{Duration: d}
 	for _, scheme := range []e2ap.Scheme{e2ap.SchemeASN, e2ap.SchemeFB} {
 		for _, n := range agentCounts {
-			cpu, err := fig8bOne(scheme, n, d)
+			cpu, _, err := flexricMonitor(scheme, sm.SchemeFB, n, d)
 			if err != nil {
 				return nil, fmt.Errorf("fig8b %s/%d: %w", scheme, n, err)
 			}
@@ -197,13 +170,20 @@ func Fig8b(agentCounts []int, d time.Duration) (*Fig8bResult, error) {
 	return res, nil
 }
 
-func fig8bOne(scheme e2ap.Scheme, agents int, d time.Duration) (float64, error) {
-	srv, addr, err := StartServer(scheme)
+// flexricMonitor runs the FlexRIC controller of Figs. 8 and 9: the
+// server library plus a raw-storing MAC monitor, fed by agents dummy
+// agents that each export a 32-UE MAC report per millisecond. Once ten
+// indications per agent have arrived it measures for d and returns the
+// normalized CPU % and the controller state grown since the agents
+// started, in MB.
+func flexricMonitor(e2s e2ap.Scheme, sms sm.Scheme, agents int, d time.Duration) (cpu, mb float64, err error) {
+	srv, addr, err := StartServer(e2s)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer srv.Close()
-	mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1, Layers: ctrl.MonMAC})
+	mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sms, PeriodMS: 1, Layers: ctrl.MonMAC})
+	memBase := metrics.HeapInUse()
 	var dummies []*DummyAgent
 	defer func() {
 		for _, da := range dummies {
@@ -211,9 +191,9 @@ func fig8bOne(scheme e2ap.Scheme, agents int, d time.Duration) (float64, error) 
 		}
 	}()
 	for i := 0; i < agents; i++ {
-		da, err := StartDummyAgent(uint64(i+1), addr, scheme, sm.SchemeFB, 32, time.Millisecond)
+		da, err := StartDummyAgent(uint64(i+1), addr, e2s, sms, 32, time.Millisecond)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		dummies = append(dummies, da)
 	}
@@ -221,11 +201,11 @@ func fig8bOne(scheme e2ap.Scheme, agents int, d time.Duration) (float64, error) 
 		n, _ := mon.Counters()
 		return n > uint64(agents*10)
 	}) {
-		return 0, fmt.Errorf("indications not flowing")
+		return 0, 0, fmt.Errorf("flexric: indications not flowing")
 	}
 	m := metrics.StartCPU()
 	time.Sleep(d)
-	return m.NormalizedPercent(), nil
+	return m.NormalizedPercent(), heapSinceMB(memBase), nil
 }
 
 // String renders the Fig. 8b series.

@@ -215,37 +215,11 @@ func Fig9b(agents int, d time.Duration) (*Fig9bResult, error) {
 	res := &Fig9bResult{Agents: agents, Duration: d}
 
 	// --- FlexRIC ---
-	{
-		srv, addr, err := StartServer(e2ap.SchemeASN) // O-RAN-standard encoding on both systems
-		if err != nil {
-			return nil, err
-		}
-		mon := ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeASN, PeriodMS: 1, Layers: ctrl.MonMAC})
-		memBase := metrics.HeapInUse()
-		var dummies []*DummyAgent
-		for i := 0; i < agents; i++ {
-			da, err := StartDummyAgent(uint64(i+1), addr, e2ap.SchemeASN, sm.SchemeASN, 32, time.Millisecond)
-			if err != nil {
-				srv.Close()
-				return nil, err
-			}
-			dummies = append(dummies, da)
-		}
-		if !WaitUntil(waitShort, func() bool {
-			n, _ := mon.Counters()
-			return n > uint64(agents*10)
-		}) {
-			srv.Close()
-			return nil, fmt.Errorf("indications not flowing (flexric)")
-		}
-		m := metrics.StartCPU()
-		time.Sleep(d)
-		res.FlexRICCPU = m.NormalizedPercent()
-		res.FlexRICMem = heapSinceMB(memBase)
-		for _, da := range dummies {
-			da.Close()
-		}
-		srv.Close()
+	var err error
+	// O-RAN-standard encoding on both systems.
+	res.FlexRICCPU, res.FlexRICMem, err = flexricMonitor(e2ap.SchemeASN, sm.SchemeASN, agents, d)
+	if err != nil {
+		return nil, err
 	}
 
 	// --- O-RAN RIC ---

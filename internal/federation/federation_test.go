@@ -40,6 +40,15 @@ func fastRes() *resilience.Config {
 	}
 }
 
+// schemes is one (E2AP, SM) encoding pair.
+type schemes struct {
+	e2 e2ap.Scheme
+	sm sm.Scheme
+}
+
+// testRNTI is the one UE every test agent reports.
+const testRNTI = 5
+
 // testAgent is a minimal monitored E2 node: one MAC stats function
 // emitting one integer-valued UE report per tick, placed on the ring by
 // a Placer and re-homed by the same Placer on reconnect.
@@ -50,19 +59,19 @@ type testAgent struct {
 	wg   sync.WaitGroup
 }
 
-func startTestAgent(t *testing.T, nodeID uint64, ring *Ring, addrs map[string]string) *testAgent {
+func startTestAgent(t *testing.T, nodeID uint64, sc schemes, ring *Ring, addrs map[string]string) *testAgent {
 	t.Helper()
 	fn := sm.NewStatsFunction(sm.IDMACStats, "test-mac", func(_ agent.ControllerID, now int64, emit func([]byte)) {
 		rep := &sm.MACReport{CellTimeMS: now, UEs: []sm.MACUEEntry{{
-			RNTI: 5, CQI: 10, ThroughputBps: float64(nodeID*1000 + uint64(now%97)),
+			RNTI: testRNTI, CQI: 10, ThroughputBps: float64(nodeID*1000 + uint64(now%97)),
 		}}}
-		emit(sm.EncodeMACReport(sm.SchemeFB, rep))
+		emit(sm.EncodeMACReport(sc.sm, rep))
 	})
 	pl := NewPlacer(ring, addrs, nodeID)
 	ta := &testAgent{fn: fn, stop: make(chan struct{})}
 	ta.a = agent.New(agent.Config{
 		NodeID:     station.Node(e2ap.NodeENB, nodeID),
-		Scheme:     e2ap.SchemeFB,
+		Scheme:     sc.e2,
 		Resilience: fastRes(),
 		Rehome:     pl.Rehome,
 	})
@@ -99,13 +108,21 @@ func (ta *testAgent) Close() {
 	ta.a.Close()
 }
 
-// TestFederationFailover is the package-level end-to-end: 3 shards + 6
-// agents behind a root. It pins (a) consistent-hash routing of agents
-// and subscription legs, (b) the federated HTTP aggregate equals a
-// direct merge over the shard stores, (c) shard kill → takeover +
-// re-home to the ring successor + stream resume, and (d) the federated
-// aggregate over the pre-kill window is unchanged by the failover.
+// TestFederationFailover is the package-level end-to-end and the
+// federation acceptance run (`make federation-demo`): 3 shards + 6
+// agents behind a root, once per codec pair. It pins (a)
+// consistent-hash routing of agents and subscription legs, (b) the
+// federated HTTP aggregate equals a direct merge over the shard stores,
+// (c) shard kill → takeover + re-home to the ring successor + stream
+// resume, and (d) the federated aggregate over the pre-kill window is
+// unchanged by the failover.
 func TestFederationFailover(t *testing.T) {
+	for _, sc := range []schemes{{e2ap.SchemeASN, sm.SchemeASN}, {e2ap.SchemeFB, sm.SchemeFB}} {
+		t.Run(string(sc.e2), func(t *testing.T) { federationFailover(t, sc) })
+	}
+}
+
+func federationFailover(t *testing.T, sc schemes) {
 	dir := t.TempDir()
 	members := []string{"s0", "s1", "s2"}
 	ring := NewRing(64, members...)
@@ -114,7 +131,7 @@ func TestFederationFailover(t *testing.T) {
 	for i, name := range members {
 		sh, err := NewShard(ShardConfig{
 			Name: name, Index: i,
-			E2Scheme: e2ap.SchemeFB, SMScheme: sm.SchemeFB,
+			E2Scheme: sc.e2, SMScheme: sc.sm,
 			SouthAddr: "127.0.0.1:0", ObsAddr: "127.0.0.1:0",
 			SnapshotDir: dir,
 			Resilience:  fastRes(),
@@ -127,7 +144,7 @@ func TestFederationFailover(t *testing.T) {
 		shards[name] = sh
 	}
 	root, err := NewRoot(RootConfig{
-		Ring: ring, E2Scheme: e2ap.SchemeFB,
+		Ring: ring, E2Scheme: sc.e2,
 		ListenAddr: "127.0.0.1:0",
 		Resilience: fastRes(), CoordPeriodMS: 20,
 	})
@@ -148,7 +165,7 @@ func TestFederationFailover(t *testing.T) {
 	const nAgents = 6
 	var agents []*testAgent
 	for id := uint64(1); id <= nAgents; id++ {
-		ta := startTestAgent(t, id, ring, addrs)
+		ta := startTestAgent(t, id, sc, ring, addrs)
 		defer ta.Close()
 		agents = append(agents, ta)
 	}
@@ -170,7 +187,7 @@ func TestFederationFailover(t *testing.T) {
 	for id := uint64(1); id <= nAgents; id++ {
 		key := id
 		_, err := root.Subscribe(key, sm.IDMACStats,
-			sm.EncodeTrigger(sm.SchemeFB, sm.Trigger{PeriodMS: 5}),
+			sm.EncodeTrigger(sc.sm, sm.Trigger{PeriodMS: 5}),
 			[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}},
 			server.SubscriptionCallbacks{OnIndication: func(ev server.IndicationEvent) {
 				if rep, err := sm.DecodeMACReport(ev.Env.IndicationPayload()); err == nil && len(rep.UEs) == 1 {
@@ -196,15 +213,18 @@ func TestFederationFailover(t *testing.T) {
 		}
 		return true
 	})
-	// Let the shards ingest a solid window of samples.
-	waitUntil(t, "ingested history on every shard", 5*time.Second, func() bool {
-		total := 0
-		for _, sh := range shards {
-			total += sh.DB().NumSeries()
+	// Let the shards ingest a solid window: every agent's throughput
+	// series holds baseSamples samples on its owner shard.
+	const baseSamples = 20
+	waitUntil(t, "a window of samples from every agent", 5*time.Second, func() bool {
+		for id := uint64(1); id <= nAgents; id++ {
+			k := tsdb.SeriesKey{Agent: uint32(id), Fn: sm.IDMACStats, UE: testRNTI, Field: tsdb.FieldThroughputBps}
+			if len(shards[ring.Owner(id)].DB().LastK(k, baseSamples, nil)) < baseSamples {
+				return false
+			}
 		}
-		return total >= nAgents*5 // 5 MAC fields per agent
+		return true
 	})
-	time.Sleep(150 * time.Millisecond)
 
 	// Baseline: federated HTTP aggregate over a fixed absolute window
 	// equals a direct partial merge over the shard stores.

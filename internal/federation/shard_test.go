@@ -63,7 +63,7 @@ func TestShardParkedLeg(t *testing.T) {
 	waitUntil(t, "parked leg deleted", 5*time.Second, dropped.deleted.Load)
 
 	ring := NewRing(64, "s0")
-	ta := startTestAgent(t, 7, ring, map[string]string{"s0": sh.SouthAddr()})
+	ta := startTestAgent(t, 7, schemes{e2ap.SchemeFB, sm.SchemeFB}, ring, map[string]string{"s0": sh.SouthAddr()})
 	defer ta.Close()
 	waitUntil(t, "parked leg placed", 5*time.Second, func() bool { return kept.inds.Load() > 3 })
 	if n, m := dropped.inds.Load(), other.inds.Load(); n != 0 || m != 0 {

@@ -119,8 +119,8 @@ func TestSetupAndAgentEvents(t *testing.T) {
 			var connected atomic.Int32
 			var gotInfo atomic.Value
 			s.OnAgentConnect(func(info server.AgentInfo) {
+				gotInfo.Store(info) // before the count the test waits on
 				connected.Add(1)
-				gotInfo.Store(info)
 			})
 			connectAgent(t, addr, scheme, nodeID(e2ap.NodeENB, 42), &echoFunction{id: 140})
 			waitFor(t, "agent connect event", func() bool { return connected.Load() == 1 })

@@ -6,6 +6,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# demo RUN PKG runs one acceptance test verbosely, prints its run and
+# pass lines, and fails the check when the test fails.
+demo() {
+    out=$(go test -count=1 -run "$1" -v "$2" 2>&1) || {
+        echo "$out"
+        echo "verify: $1 failed" >&2
+        exit 1
+    }
+    echo "$out" | grep -E '^ *(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
+}
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -60,13 +71,18 @@ echo "==> scale smoke (4 cells x 10k UEs, 95% idle; allocs/UE-slot gate)"
 go test -count=1 -run 'TestScaleSmoke$' -v ./internal/ran/ | grep -E '(=== RUN|--- (PASS|FAIL)|^(PASS|FAIL|ok)|allocs/UE-slot)'
 
 echo "==> seeded chaos suite (scripted drops + blackout, both codecs)"
-go test -count=1 -run 'TestChaosDemo' -v ./internal/experiments/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
+# The reconnect-churn test, once per cut: the test closing the live
+# connection, and the fault plan (drop@120,drop@120 on the agent,
+# blackout@1=2 on the listener) under each codec. Every cut ends in a
+# re-admission under the same AgentID with the subscription replayed,
+# and the recovery counters move on /snapshot.json.
+demo 'TestMonitorTSDBReconnectChurn' ./internal/ctrl/
 
 echo "==> control-room demo (WebSocket stream e2e, both codecs)"
 # A headless WS client dials a live monitoring loop's /stream/ws,
 # subscribes to mac.* deltas plus topology and span channels, receives
 # batched delta frames, and closes with a clean RFC 6455 handshake.
-go test -count=1 -run 'TestControlRoomDemo' -v ./internal/experiments/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
+demo 'TestControlRoomDemo' ./internal/experiments/
 
 echo "==> A1 SLA closed-loop demo (violate -> remedy -> reconnect storm, both codecs)"
 # An SLA policy installed over the /a1/* northbound: a load surge breaks
@@ -75,16 +91,16 @@ echo "==> A1 SLA closed-loop demo (violate -> remedy -> reconnect storm, both co
 # and slice churn plus three scripted connection drops do not unseat the
 # verdict. Status transitions are asserted on the control-room a1
 # channel and at /a1/status.
-go test -count=1 -run 'TestSLADemo' -v ./internal/experiments/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
+demo 'TestSLADemo' ./internal/experiments/
 
 echo "==> federation demo (kill one shard -> re-home + snapshot restore, both codecs)"
-# A root + 3 shards + 12 agents placed by consistent hashing. Killing
-# the shard owning agent 1 must re-home its agents to the ring
-# successor, resume the root's cross-shard subscription streams, and
-# leave a federated windowed query over the pre-kill window equal to
-# the pre-kill baseline — proof the successor restored the dead shard's
-# tsdb snapshot.
-go test -count=1 -run 'TestFederationDemo' -v ./internal/experiments/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
+# A root + 3 shards + 6 agents placed by consistent hashing, once per
+# codec pair. Killing the shard owning agent 1 must re-home its agents
+# to the ring successor, resume the root's cross-shard subscription
+# streams, and leave a federated windowed query over the pre-kill
+# window equal to the pre-kill baseline — proof the successor restored
+# the dead shard's tsdb snapshot.
+demo 'TestFederationFailover$' ./internal/federation/
 
 echo "==> hot-path benchmarks (allocation ceiling)"
 # BenchmarkTransportHotPath guards the framed-TCP echo against telemetry
