@@ -412,10 +412,12 @@ func runFederationRoot(members []string, e2Addr, obsAddr string, e2s e2ap.Scheme
 		log.Printf("federation control room on http://%s (/federation.json, federated /tsdb/query)", o.Addr())
 	}
 
+	dumper := obs.NewDumper(os.Stdout, *telemetryEvery, *telemetryDump)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
+	dumper.Stop()
 }
 
 // runFederationShard runs the process as one federation shard until
@@ -453,10 +455,14 @@ func runFederationShard(members []string, name, rootAddr, e2Addr, obsAddr, snapD
 	log.Printf("federation shard %s: south on %s, obs on http://%s, root at %s",
 		name, sh.SouthAddr(), sh.ObsAddr(), rootAddr)
 
+	dumper := obs.NewDumper(os.Stdout, *telemetryEvery, *telemetryDump)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
+	// Dump while the shard's agents and root leg are still attached:
+	// their per-connection rows leave the registry on Close.
+	dumper.Stop()
 	if err := sh.Close(); err != nil {
 		log.Printf("shard close: %v", err)
 	}

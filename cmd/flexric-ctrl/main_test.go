@@ -97,6 +97,9 @@ func TestFlagRulesAccept(t *testing.T) {
 		"-root -federate s0,s1,s2 -e2 :36421 -obs :9090",
 		"-shard-of 127.0.0.1:36421 -shard-name s0 -federate s0,s1,s2 -e2 :36431 -obs :9091 -fed-snapshots /var/lib/flexric/shards",
 		"-shard-of 127.0.0.1:36421 -shard-name s0 -federate s0,s1,s2 -fed-snapshots /tmp/shards -tsdb-snapshot-every 3s",
+		// the telemetry dump in both federation roles
+		"-root -federate s0,s1,s2 -e2 :36421 -telemetry -telemetry-every 2s",
+		"-shard-of 127.0.0.1:36421 -shard-name s0 -federate s0,s1,s2 -telemetry -telemetry-every 2s",
 		// docs/A1.md, docs/CONTROLROOM.md, docs/RESILIENCE.md
 		"-e2 127.0.0.1:36421 -slicing 127.0.0.1:8080 -tsdb 1024 -obs 127.0.0.1:9090 -a1 -sla-tick 500",
 		"-e2 127.0.0.1:36421 -tsdb 1024 -trace-sample 1 -obs 127.0.0.1:9090",

@@ -1,9 +1,12 @@
 package tsdb
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,9 +145,10 @@ func TestAppendRowShape(t *testing.T) {
 		fields []Field
 		vs     []float64
 	}{
-		"short values": {[]Field{FieldCQI, FieldMCS}, []float64{1}},
-		"short fields": {[]Field{FieldCQI}, []float64{1, 2}},
-		"too wide":     {make([]Field, numFields+1), make([]float64, numFields+1)},
+		"short values":  {[]Field{FieldCQI, FieldMCS}, []float64{1}},
+		"short fields":  {[]Field{FieldCQI}, []float64{1, 2}},
+		"too wide":      {make([]Field, numFields+1), make([]float64, numFields+1)},
+		"unknown field": {[]Field{FieldCQI, numFields}, []float64{1, 2}},
 	} {
 		func() {
 			defer func() {
@@ -157,5 +161,124 @@ func TestAppendRowShape(t *testing.T) {
 	}
 	if n := s.NumSeries(); n != 0 {
 		t.Fatalf("a rejected row created %d series", n)
+	}
+}
+
+// TestFieldOutsideSet: no series can have a Field outside the field set.
+// Append panics on one like AppendRow does, a query for one finds
+// nothing, and neither leaves a lock held behind.
+func TestFieldOutsideSet(t *testing.T) {
+	s := New(Config{Capacity: 8})
+	k := SeriesKey{Agent: 1, Fn: 142, UE: 1, Field: FieldCQI}
+	s.Append(k, 1, 1)
+	bad := k
+	bad.Field = numFields
+	func() {
+		defer func() {
+			// Only the store's own check may fire: a panic from indexing
+			// the row would leave the shard lock held.
+			if r := recover(); !strings.HasPrefix(fmt.Sprint(r), "tsdb: Append:") {
+				t.Fatalf("Append panicked with %v, want the field check", r)
+			}
+		}()
+		s.Append(bad, 2, 2)
+	}()
+	if got := s.LastK(bad, 8, nil); len(got) != 0 {
+		t.Fatalf("LastK found %d samples", len(got))
+	}
+	if _, ok := s.Aggregate(bad, math.MinInt64, math.MaxInt64); ok {
+		t.Fatal("Aggregate found a series")
+	}
+	if _, ok := s.PartialAggregate(bad, math.MinInt64, math.MaxInt64); ok {
+		t.Fatal("PartialAggregate found a series")
+	}
+	s.Append(k, 3, 3)
+	if n, got := s.NumSeries(), s.LastK(k, 8, nil); n != 1 || len(got) != 2 {
+		t.Fatalf("%d series, %d samples after the rejected appends; want 1, 2", n, len(got))
+	}
+}
+
+// TestEvictThenAppendRow: a row appended after its agent was evicted
+// starts fresh series, and the tsdb.series gauge returns to where it was
+// before the eviction.
+func TestEvictThenAppendRow(t *testing.T) {
+	fields := []Field{FieldCQI, FieldMCS, FieldRBsUsed}
+	vs := []float64{1, 2, 3}
+	s := New(Config{Capacity: 8})
+	before := tel.series.Load()
+	for agent := uint32(1); agent <= 2; agent++ {
+		for ue := uint16(0); ue < 4; ue++ {
+			s.AppendRow(SeriesKey{Agent: agent, Fn: 142, UE: ue}, fields, 1, vs)
+		}
+	}
+	full := tel.series.Load()
+	if d := full - before; d != 24 {
+		t.Fatalf("tsdb.series grew by %d, want 24", d)
+	}
+	s.EvictAgent(1)
+	if n, d := s.NumSeries(), full-tel.series.Load(); n != 12 || d != 12 {
+		t.Fatalf("after evict: %d series, gauge down %d; want 12, 12", n, d)
+	}
+	for ue := uint16(0); ue < 4; ue++ {
+		s.AppendRow(SeriesKey{Agent: 1, Fn: 142, UE: ue}, fields, 2, vs)
+	}
+	if n, g := s.NumSeries(), tel.series.Load(); n != 24 || g != full {
+		t.Fatalf("after re-append: %d series, gauge %d; want 24, %d", n, g, full)
+	}
+	for _, f := range fields {
+		got := s.LastK(SeriesKey{Agent: 1, Fn: 142, UE: 3, Field: f}, 8, nil)
+		if len(got) != 1 || got[0].TS != 2 {
+			t.Fatalf("%v: %+v, want the one post-evict sample", f, got)
+		}
+	}
+}
+
+// TestSnapshotThenAppendRow: rows appended after a restore land on the
+// restored series, not beside them.
+func TestSnapshotThenAppendRow(t *testing.T) {
+	fields := []Field{FieldTxPackets, FieldTxBytes}
+	src := New(Config{Capacity: 16})
+	for ue := uint16(0); ue < 3; ue++ {
+		src.AppendRow(SeriesKey{Agent: 7, Fn: 144, UE: ue}, fields, 1, []float64{1, 10})
+	}
+	var buf bytes.Buffer
+	if _, err := src.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := New(Config{Capacity: 16})
+	if err := dst.ReadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := dst.Stats().Series
+	for ue := uint16(0); ue < 3; ue++ {
+		dst.AppendRow(SeriesKey{Agent: 7, Fn: 144, UE: ue}, fields, 2, []float64{2, 20})
+	}
+	if got := dst.Stats().Series; got != want || got != 6 {
+		t.Fatalf("Stats().Series %d after appending, want %d (6)", got, want)
+	}
+	k := SeriesKey{Agent: 7, Fn: 144, UE: 2, Field: FieldTxBytes}
+	if got := dst.LastK(k, 8, nil); !reflect.DeepEqual(got, []Sample{{1, 10}, {2, 20}}) {
+		t.Fatalf("LastK %+v, want the restored sample then the new one", got)
+	}
+}
+
+// TestAppendAndAppendRowShareSeries: Append and AppendRow address one
+// series per (row, field), whichever of them creates it.
+func TestAppendAndAppendRowShareSeries(t *testing.T) {
+	s := New(Config{Capacity: 8})
+	k := SeriesKey{Agent: 1, Fn: 142, UE: 5}
+	cqi, mcs := k, k
+	cqi.Field, mcs.Field = FieldCQI, FieldMCS
+	s.Append(cqi, 1, 1)
+	s.AppendRow(k, []Field{FieldCQI, FieldMCS}, 2, []float64{2, 20})
+	s.Append(mcs, 3, 30)
+	if n := s.NumSeries(); n != 2 {
+		t.Fatalf("%d series, want 2", n)
+	}
+	if got := s.LastK(cqi, 8, nil); !reflect.DeepEqual(got, []Sample{{1, 1}, {2, 2}}) {
+		t.Fatalf("cqi %+v", got)
+	}
+	if got := s.LastK(mcs, 8, nil); !reflect.DeepEqual(got, []Sample{{2, 20}, {3, 30}}) {
+		t.Fatalf("mcs %+v", got)
 	}
 }

@@ -59,10 +59,39 @@ func BenchmarkTSDBAppendHooked(b *testing.B) {
 
 // BenchmarkTSDBAppendRow is the monitor's ingest unit: one nine-field
 // RLC row per op into a warm series set, with and without the stream
-// hub's hook registered. scripts/verify.sh gates both at 0 allocs/op.
+// hub's hook registered, and (fleet) one row per op round-robin over
+// 4096 UEs × the three monitoring functions with their MAC, RLC and PDCP
+// field sets — 12 288 rows, 65 536 series, as in ingest_bulk — so the
+// row probe misses the cache as it does at fleet scale.
+// scripts/verify.sh gates all three at 0 allocs/op.
 func BenchmarkTSDBAppendRow(b *testing.B) {
 	fields := []Field{FieldTxPackets, FieldTxBytes, FieldRxPackets, FieldRxBytes,
 		FieldDropPackets, FieldDropBytes, FieldBufferBytes, FieldBufferPkts, FieldSojournMS}
+	b.Run("fleet", func(b *testing.B) {
+		const ues = 4096
+		fns := []struct {
+			fn     uint16
+			fields []Field
+		}{
+			{142, []Field{FieldCQI, FieldMCS, FieldRBsUsed, FieldTxBits, FieldThroughputBps}},
+			{143, fields},
+			{144, []Field{FieldTxPackets, FieldTxBytes}},
+		}
+		s := New(Config{Capacity: 16})
+		vs := make([]float64, len(fields))
+		for ue := 0; ue < ues; ue++ { // create the series outside the timed loop
+			for _, f := range fns {
+				s.AppendRow(SeriesKey{Agent: 1, Fn: f.fn, UE: uint16(ue)}, f.fields, 0, vs[:len(f.fields)])
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f := &fns[i%len(fns)]
+			vs[0] = float64(i)
+			s.AppendRow(SeriesKey{Agent: 1, Fn: f.fn, UE: uint16(i / len(fns) % ues)}, f.fields, int64(i), vs[:len(f.fields)])
+		}
+	})
 	for _, hooked := range []bool{false, true} {
 		name := "hook=off"
 		if hooked {

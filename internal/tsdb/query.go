@@ -209,11 +209,19 @@ func parseFn(v string) (uint16, bool) {
 	return uint16(n), err == nil
 }
 
-// lookup returns the series for k, or nil.
+// lookup returns the series for k, or nil — also for a Field outside
+// the field set, which no series can have.
 func (s *Store) lookup(k SeriesKey) *series {
-	sh := s.shardFor(k)
+	if k.Field >= numFields {
+		return nil
+	}
+	rk := k.row()
+	sh := s.shardFor(rk)
+	var se *series
 	sh.mu.RLock()
-	se := sh.series[k]
+	if r := sh.rows[rk]; r != nil {
+		se = r[k.Field]
+	}
 	sh.mu.RUnlock()
 	return se
 }
@@ -476,9 +484,14 @@ func (s *Store) walk(match func(SeriesKey) bool, fn func(SeriesKey, *series)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k, se := range sh.series {
-			if match(k) {
-				fn(k, se)
+		for rk, r := range sh.rows {
+			for f, se := range r {
+				if se == nil {
+					continue
+				}
+				if k := (SeriesKey{Agent: rk.Agent, Fn: rk.Fn, UE: rk.UE, Field: Field(f)}); match(k) {
+					fn(k, se)
+				}
 			}
 		}
 		sh.mu.RUnlock()

@@ -101,15 +101,10 @@ func (s *Store) WriteSnapshot(w io.Writer) (int64, error) {
 	// serialization; pointers stay valid even if a shard map mutates.
 	var keys []SeriesKey
 	var sers []*series
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, se := range sh.series {
-			keys = append(keys, k)
-			sers = append(sers, se)
-		}
-		sh.mu.RUnlock()
-	}
+	s.walk(func(SeriesKey) bool { return true }, func(k SeriesKey, se *series) {
+		keys = append(keys, k)
+		sers = append(sers, se)
+	})
 
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
 		return 0, err
@@ -256,6 +251,9 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 			UE:    sr.u16(),
 			Field: Field(sr.u8()),
 		}
+		if k.Field >= numFields {
+			return fmt.Errorf("%w: field %d", ErrSnapshotFormat, k.Field)
+		}
 		se := s.newSeries()
 		// Head.
 		hn := sr.u32()
@@ -379,12 +377,14 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	// CRC verified — publish.
 	var added int64
 	for i, k := range keys {
-		sh := s.shardFor(k)
+		rk := k.row()
+		sh := s.shardFor(rk)
 		sh.mu.Lock()
-		if _, exists := sh.series[k]; !exists {
+		if sh.put(rk, k.Field, sers[i]) != nil {
+			sh.rows[rk][k.Field] = sers[i] // replace the live series
+		} else {
 			added++
 		}
-		sh.series[k] = sers[i]
 		sh.mu.Unlock()
 	}
 	tel.series.Add(added)

@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -150,6 +152,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		"flipped-byte": flipByte(good, len(good)/2),
 		"flipped-crc":  flipByte(good, len(good)-1),
 		"empty":        {},
+		"bad-field":    badFieldSnapshot(t),
 	}
 	for name, data := range tamper {
 		t.Run(name, func(t *testing.T) {
@@ -163,6 +166,22 @@ func TestSnapshotCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// badFieldSnapshot is a one-series snapshot whose key names a Field
+// outside the field set, under a valid CRC.
+func badFieldSnapshot(t *testing.T) []byte {
+	s := New(Config{})
+	s.Append(SeriesKey{Agent: 1, Fn: 142, UE: 1, Field: FieldCQI}, 1, 1)
+	var buf bytes.Buffer
+	if _, err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	const fieldAt = len(snapshotMagic) + 1 + 4 + 4 + 2 + 2 // magic, version, count, agent, fn, ue
+	b[fieldAt] = uint8(numFields)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[len(snapshotMagic)+1:len(b)-4]))
+	return b
 }
 
 func flipByte(b []byte, i int) []byte {

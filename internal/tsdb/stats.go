@@ -35,30 +35,30 @@ type Stats struct {
 // the observability endpoint, not hot paths.
 func (s *Store) Stats() Stats {
 	var st Stats
+	s.walk(func(SeriesKey) bool { return true }, func(_ SeriesKey, se *series) {
+		se.mu.Lock()
+		st.Series++
+		st.HeadSamples += se.n
+		st.Chunks += len(se.chunks)
+		for _, ck := range se.chunks {
+			st.ChunkSamples += ck.count
+			st.ChunkBytes += ck.sizeBytes()
+		}
+		if se.t1 != nil {
+			st.Tier1.Buckets += se.t1.n
+			st.Tier1.Capacity += len(se.t1.start)
+			st.Tier1.Samples += se.t1.samples()
+		}
+		if se.t2 != nil {
+			st.Tier2.Buckets += se.t2.n
+			st.Tier2.Capacity += len(se.t2.start)
+			st.Tier2.Samples += se.t2.samples()
+		}
+		se.mu.Unlock()
+	})
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, se := range sh.series {
-			se.mu.Lock()
-			st.Series++
-			st.HeadSamples += se.n
-			st.Chunks += len(se.chunks)
-			for _, ck := range se.chunks {
-				st.ChunkSamples += ck.count
-				st.ChunkBytes += ck.sizeBytes()
-			}
-			if se.t1 != nil {
-				st.Tier1.Buckets += se.t1.n
-				st.Tier1.Capacity += len(se.t1.start)
-				st.Tier1.Samples += se.t1.samples()
-			}
-			if se.t2 != nil {
-				st.Tier2.Buckets += se.t2.n
-				st.Tier2.Capacity += len(se.t2.start)
-				st.Tier2.Samples += se.t2.samples()
-			}
-			se.mu.Unlock()
-		}
 		for _, rs := range sh.raw {
 			rs.mu.Lock()
 			st.RawPayloads += rs.n

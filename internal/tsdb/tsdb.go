@@ -17,21 +17,22 @@
 //   - Row-striped: series are filed into power-of-two shards by the
 //     hash of their row — (agent, RAN function, UE), not the field — so
 //     every field of one UE report row lives in one shard. A shard's
-//     RWMutex guards only its map; each series carries its own mutex
-//     for ring operations, so appends to different series never
+//     RWMutex guards only its row index; each series carries its own
+//     mutex for ring operations, so appends to different series never
 //     serialize on a shard and a long query never blocks ingest on
 //     anything but the one series it reads.
-//   - Row-at-a-time ingest: AppendRow stores one UE row under one shard
-//     read lock for all its lookups, one telemetry update and one hook
-//     load; Append is its one-field case. Both create series and push
-//     samples through the same two functions, so the ring and seal
-//     logic exists once.
+//   - Row-indexed: a shard maps each row to an array of its series
+//     indexed by Field, so AppendRow finds a whole UE row with one
+//     shard read lock and one map probe, then makes one telemetry update
+//     and one hook load; Append is its one-field case. Both create
+//     series and push samples through the same two functions, so the
+//     ring and seal logic exists once.
 //   - Bounded: each series is a fixed-capacity ring (Config.Capacity)
 //     with optional age-based retention (Config.MaxAge) pruned lazily
 //     on append and query. Memory is O(series × capacity), independent
 //     of run length.
 //   - Allocation-free at steady state: once a row's series exist,
-//     AppendRow is a map lookup plus two ring writes per field — no
+//     AppendRow is one map probe plus two ring writes per field — no
 //     allocation (gated by BenchmarkTSDBAppend and
 //     BenchmarkTSDBAppendRow in scripts/verify.sh). Raw payload
 //     archiving copies into internal/bufpool buffers and recycles the
@@ -265,10 +266,29 @@ type rawSeries struct {
 	n    int
 }
 
+// rowKey identifies one UE report row: every series of one agent's RAN
+// function for one UE. It keys a shard's series index and is what
+// shardFor hashes.
+type rowKey struct {
+	Agent uint32
+	Fn    uint16
+	UE    uint16
+}
+
+func (k SeriesKey) row() rowKey { return rowKey{Agent: k.Agent, Fn: k.Fn, UE: k.UE} }
+
+// row holds one report row's series, indexed by Field; an entry stays
+// nil until a sample of its field is stored.
+type row [numFields]*series
+
+// shard is one lock stripe. mu guards rows, every row's entries and
+// nseries (the non-nil entries across rows); each series has its own
+// lock for its ring.
 type shard struct {
-	mu     sync.RWMutex
-	series map[SeriesKey]*series
-	raw    map[rawKey]*rawSeries
+	mu      sync.RWMutex
+	rows    map[rowKey]*row
+	nseries int
+	raw     map[rawKey]*rawSeries
 }
 
 // AppendHook observes every stored sample, after it is in the ring. It
@@ -297,7 +317,7 @@ func New(cfg Config) *Store {
 		mask:   uint32(cfg.Shards - 1),
 	}
 	for i := range s.shards {
-		s.shards[i].series = make(map[SeriesKey]*series)
+		s.shards[i].rows = make(map[rowKey]*row)
 		s.shards[i].raw = make(map[rawKey]*rawSeries)
 	}
 	return s
@@ -306,10 +326,10 @@ func New(cfg Config) *Store {
 // Config returns the store's resolved configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// shardFor returns the stripe of k's row: it hashes (Agent, Fn, UE) and
-// ignores Field, so every field of one UE report row shares a stripe and
-// AppendRow looks the whole row up under one read lock.
-func (s *Store) shardFor(k SeriesKey) *shard {
+// shardFor returns the stripe of row k: every field of one UE report
+// row shares a stripe, so AppendRow finds the whole row with one read
+// lock and one map probe.
+func (s *Store) shardFor(k rowKey) *shard {
 	h := (k.Agent*0x9e3779b1 ^ uint32(k.Fn)<<16 ^ uint32(k.UE)) * 0x85ebca6b
 	h ^= h >> 15
 	return &s.shards[h&s.mask]
@@ -326,12 +346,17 @@ func (s *Store) shardForRaw(k rawKey) *shard {
 // out-of-order sample is still stored (rings do not re-sort, and queries
 // fall back to scanning the whole write head until it next empties) but
 // age pruning keys off the newest TS seen.
-// Steady-state cost: one shard RLock, one map lookup, one series lock,
+// A Field outside the field set is a programming error and panics.
+// Steady-state cost: one shard RLock, one row probe, one series lock,
 // two ring writes — zero allocations once the series exists.
 func (s *Store) Append(k SeriesKey, ts int64, v float64) {
+	if k.Field >= numFields {
+		panic("tsdb: Append: field outside the field set")
+	}
 	se := s.lookup(k)
 	if se == nil {
-		se = s.createSeries(s.shardFor(k), k)
+		rk := k.row()
+		se = s.createSeries(s.shardFor(rk), rk, k.Field)
 	}
 	if s.pushSample(se, ts, v) {
 		tel.overwritten.Inc()
@@ -344,33 +369,40 @@ func (s *Store) Append(k SeriesKey, ts int64, v float64) {
 
 // AppendRow records one report row: vs[i] goes to the series k with
 // Field = fields[i] (k.Field is ignored), all at timestamp ts. The row's
-// series share a stripe (see shardFor), so one read lock covers every
-// lookup; each series then takes its own lock for its push. The append
-// hook sees the row's samples in field order, after all of them are
-// stored. fields and vs must have the same length, no more than the
-// number of Fields; anything else is a programming error and panics.
-// Steady-state cost per row: one shard RLock, one map lookup and one
+// series hang off one row entry in one stripe (see shardFor), so one
+// read lock and one map probe find them all; each series then takes its
+// own lock for its push. The append hook sees the row's samples in field
+// order, after all of them are stored. fields and vs must have the same
+// length, no more than the number of Fields, and every field must be in
+// the field set; anything else is a programming error and panics.
+// Steady-state cost per row: one shard RLock, one map probe and one
 // series lock per field — zero allocations once the series exist.
 func (s *Store) AppendRow(k SeriesKey, fields []Field, ts int64, vs []float64) {
 	if len(fields) != len(vs) || len(fields) > int(numFields) {
 		panic("tsdb: AppendRow: fields and values differ in length or exceed the field count")
 	}
-	var row [numFields]*series
-	sh := s.shardFor(k)
+	for _, f := range fields {
+		if f >= numFields {
+			panic("tsdb: AppendRow: field outside the field set")
+		}
+	}
+	var ses [numFields]*series
+	rk := k.row()
+	sh := s.shardFor(rk)
 	sh.mu.RLock()
-	for i, f := range fields {
-		k.Field = f
-		row[i] = sh.series[k]
+	if r := sh.rows[rk]; r != nil {
+		for i, f := range fields {
+			ses[i] = r[f]
+		}
 	}
 	sh.mu.RUnlock()
 	for i, f := range fields {
-		if row[i] == nil {
-			k.Field = f
-			row[i] = s.createSeries(sh, k)
+		if ses[i] == nil {
+			ses[i] = s.createSeries(sh, rk, f)
 		}
 	}
 	overwritten := uint64(0)
-	for i, se := range row[:len(fields)] {
+	for i, se := range ses[:len(fields)] {
 		if s.pushSample(se, ts, vs[i]) {
 			overwritten++
 		}
@@ -387,19 +419,35 @@ func (s *Store) AppendRow(k SeriesKey, fields []Field, ts int64, vs []float64) {
 	}
 }
 
-// createSeries returns the series filed under k in sh, creating it when
-// no writer has yet: the one place series come into being on ingest.
-func (s *Store) createSeries(sh *shard, k SeriesKey) *series {
+// createSeries returns the series of field f in row k of sh, creating
+// it (and the row) when no writer has yet: the one place series come
+// into being on ingest. f must be in the field set.
+func (s *Store) createSeries(sh *shard, k rowKey, f Field) *series {
 	se := s.newSeries()
 	sh.mu.Lock()
-	if cur := sh.series[k]; cur != nil {
+	if cur := sh.put(k, f, se); cur != nil {
 		se = cur // lost the race; use the winner
 	} else {
-		sh.series[k] = se
 		tel.series.Add(1)
 	}
 	sh.mu.Unlock()
 	return se
+}
+
+// put files se as field f of row k unless that slot is taken, and
+// returns the series already there (nil when se was filed). Caller holds
+// sh.mu for writing; f must be in the field set.
+func (sh *shard) put(k rowKey, f Field, se *series) (cur *series) {
+	r := sh.rows[k]
+	if r == nil {
+		r = new(row)
+		sh.rows[k] = r
+	}
+	if cur = r[f]; cur == nil {
+		r[f] = se
+		sh.nseries++
+	}
+	return cur
 }
 
 // pushSample stores one sample in se under its lock: age pruning, then
@@ -627,10 +675,16 @@ func (s *Store) EvictAgent(agent uint32) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k := range sh.series {
-			if k.Agent == agent {
-				delete(sh.series, k)
-				evicted++
+		for k, r := range sh.rows {
+			if k.Agent != agent {
+				continue
+			}
+			delete(sh.rows, k)
+			for _, se := range r {
+				if se != nil {
+					evicted++
+					sh.nseries--
+				}
 			}
 		}
 		for k, rs := range sh.raw {
@@ -662,7 +716,7 @@ func (s *Store) NumSeries() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.series)
+		n += sh.nseries
 		sh.mu.RUnlock()
 	}
 	return n
