@@ -45,18 +45,16 @@ func newBaselineCell(cfg PHYConfig) (*baselineCell, error) {
 
 func (c *baselineCell) attach(rnti uint16, mcs int) *baselineUE {
 	u := &baselineUE{rnti: rnti, mcs: mcs}
-	u.rlc = &RLCQueue{}
-	u.tc = NewTC(func(p *Packet, now int64) bool {
-		u.pdcp.TxPackets++
-		u.pdcp.TxBytes += uint64(p.Size)
-		u.pdcp.LastSDUBytes = p.Size
-		return u.rlc.Enqueue(p, now)
-	})
+	u.tc, u.rlc = newBearer(&u.pdcp, u)
 	c.ues = append(c.ues, u)
 	return u
 }
 
 func (u *baselineUE) addSource(s TrafficSource) { u.sources = append(u.sources, s) }
+
+func (u *baselineUE) packetDone(p *Packet, now int64, delivered bool) {
+	sourceDone(u.sources, p, now, delivered)
+}
 
 // step is the pre-change Cell.Step body: four full-fleet passes per TTI.
 func (c *baselineCell) step(n int) {
@@ -67,8 +65,9 @@ func (c *baselineCell) step(n int) {
 			if u.channel != nil {
 				u.mcs = u.channel.NextMCS(now)
 			}
-			for _, s := range u.sources {
-				s.Tick(now, func(p *Packet) { u.tc.Submit(p, now) })
+			for j, s := range u.sources {
+				src := int32(j + 1)
+				s.Tick(now, func(p *Packet) { p.src = src; u.tc.Submit(p, now) })
 			}
 		}
 		for _, u := range c.ues {

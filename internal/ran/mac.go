@@ -62,6 +62,7 @@ type mac struct {
 	// Per-TTI scratch, reused across slots to keep scheduling
 	// allocation-free.
 	dead        []bool
+	heap        pfHeap
 	members     []*UE
 	sliceActive map[uint32]bool
 }
@@ -129,6 +130,9 @@ func (m *mac) scheduleNVS(cands []*UE, numRB int, now int64) int {
 	return bits
 }
 
+// pfAlpha is the proportional-fair averaging factor per TTI.
+const pfAlpha = 1.0 / 128
+
 // scheduleUEs distributes numRB blocks among the given UEs using the
 // selected policy and drains their queues. Work-conserving: blocks
 // unused by a drained UE are offered to the others.
@@ -136,14 +140,37 @@ func (m *mac) scheduleUEs(ues []*UE, policy UESched, numRB int, now int64) int {
 	if len(ues) == 0 || numRB <= 0 {
 		return 0
 	}
-	const pfAlpha = 1.0 / 128
-	totalBits := 0
-	remaining := numRB
 	// Allocate in chunks to bound per-TTI work for large bandwidths.
 	chunk := numRB / (4 * len(ues))
 	if chunk < 1 {
 		chunk = 1
 	}
+	var totalBits int
+	if policy == SchedRR {
+		totalBits = m.scheduleRR(ues, chunk, numRB, now)
+	} else {
+		totalBits = m.schedulePF(ues, chunk, numRB, now)
+	}
+	// Finalize PF averages: decay everyone, credit what they received.
+	for _, u := range ues {
+		u.sh.pf[u.slot] = (1 - pfAlpha) * u.sh.pf[u.slot]
+	}
+	return totalBits
+}
+
+// serve drains up to rbs blocks from u and tentatively raises its PF
+// average, so subsequent chunks in this TTI spread across UEs. It
+// returns the bits sent.
+func serve(u *UE, rbs int, now int64) int {
+	bits := u.drain(rbs, now)
+	u.sh.pf[u.slot] += pfAlpha * float64(bits)
+	return bits
+}
+
+// scheduleRR hands out chunks round robin over the UEs that still have
+// data.
+func (m *mac) scheduleRR(ues []*UE, chunk, remaining int, now int64) int {
+	totalBits := 0
 	live := len(ues)
 	if cap(m.dead) < len(ues) {
 		m.dead = make([]bool, len(ues))
@@ -153,54 +180,106 @@ func (m *mac) scheduleUEs(ues []*UE, policy UESched, numRB int, now int64) int {
 		dead[i] = false
 	}
 	for remaining > 0 && live > 0 {
-		// Pick the next UE per policy.
 		best := -1
-		switch policy {
-		case SchedRR:
-			for i := 0; i < len(ues); i++ {
-				cand := (m.rrCur + i) % len(ues)
-				if !dead[cand] {
-					best = cand
-					m.rrCur = cand + 1
-					break
-				}
-			}
-		default: // PF: max instantaneous-over-average rate
-			bestMetric := -1.0
-			for i, u := range ues {
-				if dead[i] {
-					continue
-				}
-				inst := float64(BitsPerRB(int(u.sh.mcs[u.slot])))
-				metric := inst / (u.sh.pf[u.slot] + 1e-9)
-				if metric > bestMetric {
-					bestMetric = metric
-					best = i
-				}
+		for i := 0; i < len(ues); i++ {
+			cand := (m.rrCur + i) % len(ues)
+			if !dead[cand] {
+				best = cand
+				m.rrCur = cand + 1
+				break
 			}
 		}
 		if best < 0 {
 			break
 		}
-		rbs := chunk
-		if rbs > remaining {
-			rbs = remaining
-		}
+		rbs := min(chunk, remaining)
 		u := ues[best]
-		bits := u.drain(rbs, now)
-		totalBits += bits
+		totalBits += serve(u, rbs, now)
 		remaining -= rbs
-		// Tentatively raise the PF average so subsequent chunks in this
-		// TTI spread across UEs.
-		u.sh.pf[u.slot] += pfAlpha * float64(bits)
 		if !u.hasData() {
 			dead[best] = true
 			live--
 		}
 	}
-	// Finalize PF averages: decay everyone, credit what they received.
-	for _, u := range ues {
-		u.sh.pf[u.slot] = (1 - pfAlpha) * u.sh.pf[u.slot]
-	}
 	return totalBits
+}
+
+// schedulePF hands each chunk to the UE with the highest instantaneous
+// over average rate, the lowest index winning a tie. Serving a UE
+// changes only that UE's metric, so the UEs sit in a heap and only the
+// served one is re-keyed (or popped once its queue is empty): a TTI
+// costs O(log n) per chunk instead of a scan of every UE.
+func (m *mac) schedulePF(ues []*UE, chunk, remaining int, now int64) int {
+	h := m.heap[:0]
+	for i, u := range ues {
+		h = append(h, pfEntry{metric: pfMetric(u), idx: int32(i)})
+	}
+	h.init()
+	totalBits := 0
+	for remaining > 0 && len(h) > 0 {
+		u := ues[h[0].idx]
+		rbs := min(chunk, remaining)
+		totalBits += serve(u, rbs, now)
+		remaining -= rbs
+		if u.hasData() {
+			h[0].metric = pfMetric(u)
+		} else {
+			last := len(h) - 1
+			h[0] = h[last]
+			h = h[:last]
+		}
+		h.down(0)
+	}
+	m.heap = h
+	return totalBits
+}
+
+// pfMetric is a UE's proportional-fair priority: its instantaneous rate
+// per RB over its average.
+func pfMetric(u *UE) float64 {
+	inst := float64(BitsPerRB(int(u.sh.mcs[u.slot])))
+	return inst / (u.sh.pf[u.slot] + 1e-9)
+}
+
+// pfEntry is one UE in the PF heap: its metric and its index among the
+// scheduled UEs.
+type pfEntry struct {
+	metric float64
+	idx    int32
+}
+
+// pfHeap is a binary heap of UEs, highest metric first and lowest index
+// first among equal metrics — the UE a linear scan would pick.
+type pfHeap []pfEntry
+
+func (h pfHeap) before(i, j int) bool {
+	if h[i].metric != h[j].metric {
+		return h[i].metric > h[j].metric
+	}
+	return h[i].idx < h[j].idx
+}
+
+func (h pfHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h pfHeap) down(i int) {
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		c := l
+		if r := l + 1; r < n && h.before(r, l) {
+			c = r
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

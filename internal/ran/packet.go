@@ -1,7 +1,5 @@
 package ran
 
-import "sync"
-
 // Proto identifies a transport protocol in a packet 5-tuple.
 type Proto uint8
 
@@ -23,7 +21,9 @@ type FiveTuple struct {
 }
 
 // Packet is a downlink user-plane packet traversing
-// SDAP → TC → PDCP → RLC → MAC.
+// SDAP → TC → PDCP → RLC → MAC. It holds no pointers: the TC and RLC
+// queues store packets by value, so a million queued packets are one
+// pointer-free buffer per queue that the garbage collector never scans.
 type Packet struct {
 	Flow FiveTuple
 	Size int // bytes
@@ -34,56 +34,90 @@ type Packet struct {
 	EnqueueRLC int64
 	// Sent is when the application handed the packet to the network.
 	Sent int64
-	// onDeliver, if set, is invoked when the MAC completes transmission
-	// (used by traffic sources for ACK/RTT bookkeeping).
-	onDeliver func(p *Packet, now int64)
-	// onDrop, if set, is invoked when a queue discards the packet.
-	onDrop func(p *Packet, now int64)
-	// pooled marks packets obtained from pktPool; only those are
-	// recycled at end of life. Caller-constructed packets (tests,
-	// external Submit users) stay owned by their creators.
-	pooled bool
+	// src is 1 + the index of the emitting traffic source in its UE's
+	// source list; 0 means none. The UE stamps it on emit and uses it
+	// to tell that source how the packet ended.
+	src int32
 }
 
-// pktPool recycles Packets through the SDAP → TC → PDCP → RLC → MAC
-// lifecycle. At million-UE footprints the traffic sources emit tens of
-// thousands of packets per TTI; without recycling those allocations keep
-// the garbage collector re-scanning a multi-gigabyte, pointer-dense heap
-// (every queued packet carries two callback pointers) and GC dominates
-// the slot loop.
-var pktPool = sync.Pool{New: func() any { return new(Packet) }}
+// packetSink learns how a packet ends: delivered, when the MAC sends
+// its last byte, or dropped by a full queue. A traffic source that keeps
+// delivery or loss bookkeeping implements it; a UE implements it to
+// dispatch to the source named by the packet's src. p points into the
+// queue that held the packet and is valid only during the call.
+type packetSink interface {
+	packetDone(p *Packet, now int64, delivered bool)
+}
 
-// newPacket returns a zeroed pool packet. The packet must reach one of
-// the bearer-path death sites (MAC delivery or a queue drop), where it
-// is released back to the pool.
-func newPacket() *Packet {
-	p := pktPool.Get().(*Packet)
-	*p = Packet{pooled: true}
+// sourceDone tells the source in sources that emitted p how p ended,
+// if that source keeps count.
+func sourceDone(sources []TrafficSource, p *Packet, now int64, delivered bool) {
+	if p.src == 0 {
+		return
+	}
+	if s, ok := sources[p.src-1].(packetSink); ok {
+		s.packetDone(p, now, delivered)
+	}
+}
+
+// pktRing is a FIFO of packet values in a circular buffer. It grows on
+// a push into a full buffer and never shrinks, so a queue at steady
+// state enqueues and dequeues without allocating.
+type pktRing struct {
+	buf  []Packet
+	head int // index of the oldest packet
+	n    int // queued packets
+}
+
+// push copies p to the tail of the ring.
+func (r *pktRing) push(p *Packet) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = *p
+	r.n++
+}
+
+// front returns the oldest packet, or nil when the ring is empty. The
+// pointer is valid until the next push.
+func (r *pktRing) front() *Packet {
+	if r.n == 0 {
+		return nil
+	}
+	return &r.buf[r.head]
+}
+
+// pop removes the oldest packet and returns it. The ring must not be
+// empty; the pointer is valid until the next push.
+func (r *pktRing) pop() *Packet {
+	p := &r.buf[r.head]
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
 	return p
 }
 
-// releasePacket returns a dead packet to the pool. The caller must hold
-// the packet's final reference: delivery/drop callbacks have already
-// run, and after release any traffic source in the process may hand the
-// packet out again. Non-pool packets are left untouched.
-func releasePacket(p *Packet) {
-	if !p.pooled {
-		return
+// grow enlarges a full ring: from one slot it doubles up to 256 slots,
+// then grows by a quarter, so a deep queue does not over-reserve by up
+// to half its size. The queued packets are unwrapped to the front.
+func (r *pktRing) grow() {
+	n := len(r.buf)
+	switch {
+	case n == 0:
+		n = 1
+	case n < 256:
+		n *= 2
+	default:
+		n += n / 4
 	}
-	*p = Packet{}
-	pktPool.Put(p)
-}
-
-// Deliver runs the delivery callback.
-func (p *Packet) Deliver(now int64) {
-	if p.onDeliver != nil {
-		p.onDeliver(p, now)
-	}
-}
-
-// Drop runs the drop callback.
-func (p *Packet) Drop(now int64) {
-	if p.onDrop != nil {
-		p.onDrop(p, now)
-	}
+	buf := make([]Packet, n)
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }

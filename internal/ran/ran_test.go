@@ -2,6 +2,7 @@ package ran
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"flexric/internal/nvs"
@@ -199,13 +200,21 @@ func TestNVSSharingVsStaticInCell(t *testing.T) {
 	}
 }
 
+// doneFunc adapts a function to the queues' done hook.
+type doneFunc func(p *Packet, now int64, delivered bool)
+
+func (f doneFunc) packetDone(p *Packet, now int64, delivered bool) { f(p, now, delivered) }
+
 func TestRLCDrainAndSojourn(t *testing.T) {
-	q := &RLCQueue{}
 	now := int64(0)
 	delivered := 0
-	p := &Packet{Size: 1000, Sent: now}
-	p.onDeliver = func(*Packet, int64) { delivered++ }
-	if !q.Enqueue(p, now) {
+	q := &RLCQueue{done: doneFunc(func(p *Packet, at int64, ok bool) {
+		if !ok || p.Seq != 7 || at != 3 {
+			t.Fatalf("done(seq %d, at %d, delivered %v), want (7, 3, true)", p.Seq, at, ok)
+		}
+		delivered++
+	})}
+	if !q.Enqueue(&Packet{Size: 1000, Seq: 7, Sent: now}, now) {
 		t.Fatal("enqueue failed")
 	}
 	if q.Backlog() != 1000 {
@@ -229,17 +238,18 @@ func TestRLCDrainAndSojourn(t *testing.T) {
 }
 
 func TestRLCDropTail(t *testing.T) {
-	q := &RLCQueue{MaxBytes: 2500}
 	drops := 0
-	mk := func() *Packet {
-		p := &Packet{Size: 1000}
-		p.onDrop = func(*Packet, int64) { drops++ }
-		return p
-	}
-	if !q.Enqueue(mk(), 0) || !q.Enqueue(mk(), 0) {
+	q := &RLCQueue{MaxBytes: 2500, done: doneFunc(func(p *Packet, _ int64, delivered bool) {
+		if delivered || p.Seq != 3 {
+			t.Fatalf("done(seq %d, delivered %v), want (3, false)", p.Seq, delivered)
+		}
+		drops++
+	})}
+	mk := func(seq uint64) *Packet { return &Packet{Size: 1000, Seq: seq} }
+	if !q.Enqueue(mk(1), 0) || !q.Enqueue(mk(2), 0) {
 		t.Fatal("first two must fit")
 	}
-	if q.Enqueue(mk(), 0) {
+	if q.Enqueue(mk(3), 0) {
 		t.Fatal("third must be dropped (2500 B cap)")
 	}
 	if drops != 1 {
@@ -263,25 +273,72 @@ func TestRLCOldestSojourn(t *testing.T) {
 	}
 }
 
+// TestRLCCompaction checks that the RLC ring delivers every packet once,
+// in order, through a steady enqueue/drain cycle and through growth while
+// its contents wrap around the end of the buffer.
 func TestRLCCompaction(t *testing.T) {
-	q := &RLCQueue{}
-	for i := 0; i < 500; i++ {
-		q.Enqueue(&Packet{Size: 100}, int64(i))
-		q.Drain(100, int64(i))
-	}
-	if q.Backlog() != 0 {
-		t.Fatalf("backlog %d after full drain", q.Backlog())
-	}
-	st := q.Stats()
-	if st.TxPackets != 500 {
-		t.Fatalf("tx %d", st.TxPackets)
+	for _, tc := range []struct {
+		name string
+		// rounds of (enqueue, then drain) packet counts
+		rounds [][2]int
+	}{
+		{"steady", repeatRound(500, [2]int{1, 1})},
+		// Fill 4 slots, drain 3 so the head sits at slot 3, enqueue 3
+		// so the contents wrap, then enqueue 40 more while wrapped: the
+		// ring grows from 4 to 64 slots through the wrapped state.
+		{"grow-wrapped", [][2]int{{4, 3}, {3, 0}, {40, 0}, {0, 44}}},
+		// Growth past 256 slots switches to the 1.25x step, repeatedly
+		// while wrapped.
+		{"grow-large-wrapped", append(repeatRound(50, [2]int{17, 11}), [2]int{0, 300})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []uint64
+			q := &RLCQueue{done: doneFunc(func(p *Packet, _ int64, delivered bool) {
+				if delivered {
+					got = append(got, p.Seq)
+				}
+			})}
+			seq, now := uint64(0), int64(0)
+			for _, r := range tc.rounds {
+				now++
+				for i := 0; i < r[0]; i++ {
+					seq++
+					if !q.Enqueue(&Packet{Size: 100, Seq: seq}, now) {
+						t.Fatalf("packet %d dropped", seq)
+					}
+				}
+				q.Drain(100*r[1], now)
+				if st := q.Stats(); st.BufferPkts != int(seq)-len(got) || q.Backlog() != 100*st.BufferPkts {
+					t.Fatalf("after round %v: %d queued, %d B backlog; want %d", r, st.BufferPkts, q.Backlog(), int(seq)-len(got))
+				}
+			}
+			if q.Backlog() != 0 {
+				t.Fatalf("backlog %d after full drain", q.Backlog())
+			}
+			if st := q.Stats(); st.TxPackets != seq || len(got) != int(seq) {
+				t.Fatalf("tx %d, delivered %d, want %d", st.TxPackets, len(got), seq)
+			}
+			for i, s := range got {
+				if s != uint64(i+1) {
+					t.Fatalf("delivery %d is seq %d: out of order", i, s)
+				}
+			}
+		})
 	}
 }
 
+func repeatRound(n int, r [2]int) [][2]int {
+	rs := make([][2]int, n)
+	for i := range rs {
+		rs[i] = r
+	}
+	return rs
+}
+
 func TestTCClassifier(t *testing.T) {
-	var forwarded []*Packet
+	var forwarded []Packet
 	tc := NewTC(func(p *Packet, now int64) bool {
-		forwarded = append(forwarded, p)
+		forwarded = append(forwarded, *p)
 		return true
 	})
 	// Transparent: straight through.
@@ -478,6 +535,73 @@ func TestBufferbloatAndTCRemedy(t *testing.T) {
 	}
 }
 
+// TestSourcesLearnPacketEnds checks that a source's delivery and loss
+// counts still arrive once queued packets are values: CBR receptions,
+// drops and RTTs and Saturating drops on one UE, Cubic losses on
+// another, through the RLC drop-tail path and through full TC queues
+// behind the BDP pacer. (The Cubic flow has a UE to itself: a Cubic flow
+// whose every segment is dropped on emit never leaves Tick.)
+func TestSourcesLearnPacketEnds(t *testing.T) {
+	for _, path := range []string{"rlc", "tc"} {
+		t.Run(path, func(t *testing.T) {
+			c := nrCell(t)
+			ue, _ := c.Attach(1, "", "208.95", 28)
+			cbr := &CBR{Flow: FiveTuple{DstPort: 5060}, Size: 172, IntervalMS: 2, ReturnDelayMS: 10}
+			sat := &Saturating{Flow: FiveTuple{DstPort: 9}, RateBytesPerMS: 1 << 20}
+			ue.AddSource(sat) // ticks first, so the CBR packet meets a full queue
+			ue.AddSource(cbr)
+			bulk, _ := c.Attach(2, "", "208.95", 28)
+			cubic := &CubicFlow{Flow: FiveTuple{DstPort: 5001}}
+			bulk.AddSource(cubic)
+			if path == "tc" {
+				ue.TC().SetPacer(PacerBDP, 4)
+				bulk.TC().SetPacer(PacerBDP, 4)
+			} else {
+				bulk.RLC().MaxBytes = 64 << 10
+			}
+			c.Step(4000)
+
+			sent, recvd, cbrDrops := cbr.Counters()
+			if recvd == 0 || cbrDrops == 0 || recvd+cbrDrops > sent {
+				t.Fatalf("CBR sent %d recvd %d dropped %d", sent, recvd, cbrDrops)
+			}
+			if uint64(len(cbr.RTTs())) != recvd {
+				t.Fatalf("CBR %d RTTs for %d receptions", len(cbr.RTTs()), recvd)
+			}
+			if got, want := cbrDrops+sat.Dropped(), queueDrops(t, ue, path); got != want || sat.Dropped() == 0 {
+				t.Fatalf("UE 1 sources counted %d drops (CBR %d, Saturating %d), its %s queue %d",
+					got, cbrDrops, sat.Dropped(), path, want)
+			}
+			if _, losses := cubic.Stats(); losses == 0 {
+				t.Fatal("Cubic saw no loss")
+			}
+			// Every segment is acked, in flight (awaiting its ACK
+			// included) or lost.
+			cubicDrops := cubic.seq - cubic.delivered - uint64(cubic.inflight)
+			if want := queueDrops(t, bulk, path); cubicDrops != want {
+				t.Fatalf("Cubic counted %d dropped segments, its %s queue %d", cubicDrops, path, want)
+			}
+		})
+	}
+}
+
+// queueDrops returns the packets dropped at the UE's RLC ("rlc") or TC
+// ("tc") queues, failing if the other layer dropped any.
+func queueDrops(t *testing.T, u *UE, path string) uint64 {
+	t.Helper()
+	rlc, tc := u.RLC().Stats().DropPackets, uint64(0)
+	for _, q := range u.TC().Stats().Queues {
+		tc += q.DropPackets
+	}
+	if path == "tc" {
+		rlc, tc = tc, rlc
+	}
+	if tc != 0 {
+		t.Fatalf("UE %d: %d drops outside the %s path", u.RNTI, tc, path)
+	}
+	return rlc
+}
+
 func TestSplitNodes(t *testing.T) {
 	c := lteCell(t)
 	cu, du := Split(77, c)
@@ -556,6 +680,69 @@ func TestMACStatsAccounting(t *testing.T) {
 	if c.TotalTxBits() != ms.TxBits {
 		t.Fatalf("cell total %d != ue %d", c.TotalTxBits(), ms.TxBits)
 	}
+}
+
+// TestCellStepSteadyStateAllocs is the RAN slot's allocation gate: once
+// the RLC rings of a cell of saturating UEs have grown to drop-tail
+// steady state, a TTI (traffic, queues, PF pick, drops) allocates
+// nothing — also right after a garbage collection, which empties any
+// free list a pool would keep.
+func TestCellStepSteadyStateAllocs(t *testing.T) {
+	c := lteCell(t)
+	for i := 1; i <= 32; i++ {
+		ue, err := c.Attach(uint16(i), "", "208.95", 4+i%24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ue.AddSource(&Saturating{Flow: FiveTuple{DstIP: uint32(i)}, RateBytesPerMS: 20000})
+	}
+	c.Step(1000) // 3 MB RLC buffers fill in ~150 TTIs
+	if c.UE(1).RLC().Stats().DropPackets == 0 {
+		t.Fatal("warm-up did not reach drop-tail")
+	}
+	// Count from the memory profile at rate 1, not MemStats.Mallocs:
+	// the runtime's own goroutines (the background scavenger re-arming
+	// its timer) allocate now and then, and only Step's objects count.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	const rounds, tti = 5, 100
+	start := stepAllocs(t)
+	for r := 0; r < rounds; r++ {
+		runtime.GC()
+		c.Step(tti)
+	}
+	if n := stepAllocs(t) - start; n != 0 {
+		t.Fatalf("%d steady-state TTIs allocated %d objects, want 0", rounds*tti, n)
+	}
+}
+
+// stepAllocs returns the objects the memory profile has recorded as
+// allocated under Cell.Step.
+func stepAllocs(t *testing.T) int64 {
+	t.Helper()
+	runtime.GC() // the profile is published a cycle late
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		t.Fatal("memory profile grew while being read")
+	}
+	total := int64(0)
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "flexric/internal/ran.(*Cell).Step" {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 func BenchmarkCellStep3UE(b *testing.B) { benchCellStep(b, 3) }

@@ -12,10 +12,13 @@ type RLCQueue struct {
 	// MaxBytes bounds the buffer; 0 means the package default.
 	MaxBytes int
 
-	pkts    []*Packet
-	head    int // index of first unsent packet
-	headRem int // unsent bytes remaining of pkts[head]
+	pkts    pktRing
+	headRem int // unsent bytes remaining of the head packet
 	bytes   int // total queued bytes
+
+	// done, if set, learns how each packet ends: delivered by Drain or
+	// dropped by Enqueue.
+	done packetSink
 
 	stats RLCStats
 }
@@ -44,34 +47,34 @@ func (q *RLCQueue) limit() int {
 	return DefaultRLCBufBytes
 }
 
-// Enqueue accepts p at time now, or drops it when the buffer is full.
-// It reports whether the packet was accepted.
+// Enqueue copies p into the buffer at time now, or drops it when the
+// buffer is full. It reports whether the packet was accepted.
 func (q *RLCQueue) Enqueue(p *Packet, now int64) bool {
 	if q.bytes+p.Size > q.limit() {
 		q.stats.DropPackets++
 		q.stats.DropBytes += uint64(p.Size)
-		p.Drop(now)
-		releasePacket(p)
+		if q.done != nil {
+			q.done.packetDone(p, now, false)
+		}
 		return false
 	}
 	p.EnqueueRLC = now
-	q.pkts = append(q.pkts, p)
+	q.pkts.push(p)
 	q.bytes += p.Size
 	q.stats.RxPackets++
 	q.stats.RxBytes += uint64(p.Size)
 	return true
 }
 
-// Drain transmits up to budget bytes at time now, invoking delivery
-// callbacks for every packet whose last byte leaves the buffer. It
-// returns the bytes actually consumed.
+// Drain transmits up to budget bytes at time now, telling done of every
+// packet whose last byte leaves the buffer. It returns the bytes
+// actually consumed.
 func (q *RLCQueue) Drain(budget int, now int64) int {
 	used := 0
-	for budget > 0 && q.head < len(q.pkts) {
-		p := q.pkts[q.head]
+	for budget > 0 && q.pkts.n > 0 {
 		rem := q.headRem
 		if rem == 0 {
-			rem = p.Size
+			rem = q.pkts.front().Size
 		}
 		take := rem
 		if take > budget {
@@ -86,28 +89,14 @@ func (q *RLCQueue) Drain(budget int, now int64) int {
 		}
 		// Packet fully transmitted.
 		q.headRem = 0
-		q.pkts[q.head] = nil
-		q.head++
+		p := q.pkts.pop()
 		q.bytes -= p.Size
 		q.stats.TxPackets++
 		q.stats.TxBytes += uint64(p.Size)
 		q.stats.SojournMS = now - p.EnqueueRLC
-		p.Deliver(now)
-		releasePacket(p)
-	}
-	// A fully drained queue resets in place, so the next enqueue reuses
-	// the slice capacity instead of regrowing past the dead prefix.
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.pkts) {
-		// Compact once the dead prefix grows.
-		n := copy(q.pkts, q.pkts[q.head:])
-		for i := n; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
+		if q.done != nil {
+			q.done.packetDone(p, now, true)
 		}
-		q.pkts = q.pkts[:n]
-		q.head = 0
 	}
 	return used
 }
@@ -122,16 +111,16 @@ func (q *RLCQueue) HasData() bool { return q.bytes > 0 }
 // queued, or 0 when empty. This is the live sojourn signal the TC xApp
 // monitors in Fig. 11.
 func (q *RLCQueue) OldestSojournMS(now int64) int64 {
-	if q.head >= len(q.pkts) {
-		return 0
+	if p := q.pkts.front(); p != nil {
+		return now - p.EnqueueRLC
 	}
-	return now - q.pkts[q.head].EnqueueRLC
+	return 0
 }
 
 // Stats returns a snapshot of the RLC counters.
 func (q *RLCQueue) Stats() RLCStats {
 	s := q.stats
 	s.BufferBytes = q.bytes
-	s.BufferPkts = len(q.pkts) - q.head
+	s.BufferPkts = q.pkts.n
 	return s
 }

@@ -200,64 +200,129 @@ func TestGoldenShardedVsDense(t *testing.T) {
 	}
 }
 
+// baselineUECase sets up UE i of a TestGoldenBaselineDeliveredBits
+// input: its MCS, a constructor for its traffic sources (called once per
+// engine, so the two never share source state) and, optionally, one for a
+// fading channel.
+type baselineUECase func(i int) (mcs int, sources func() []TrafficSource, channel func() ChannelProcess)
+
 // TestGoldenBaselineDeliveredBits compares the sharded core against the
 // frozen pre-change per-UE loop (baseline.go). The EWMA representations
 // legitimately differ (eager per-slot decay vs closed-form folding), but
 // for TC-free workloads — where EWMAs feed no behavior — the delivered
-// traffic must match exactly.
+// traffic must match exactly. The inputs make the PF pick order matter:
+// a many-UE mix where every chunk is one RB, a few UEs on a wide NR cell
+// where chunks span several RBs, and a cell of identical UEs where every
+// first pick of a TTI is a tie.
 func TestGoldenBaselineDeliveredBits(t *testing.T) {
-	cell, err := NewCell(PHYConfig{RAT: RAT4G, NumRB: 25, Band: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := newBaselineCell(PHYConfig{RAT: RAT4G, NumRB: 25, Band: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nUE = 64
-	for i := 1; i <= nUE; i++ {
-		mcs := 4 + (i*5)%24
-		u, err := cell.Attach(uint16(i), "", "208.95", mcs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bu := base.attach(uint16(i), mcs)
-		flow := FiveTuple{DstIP: uint32(i), DstPort: 5001, Proto: ProtoUDP}
-		switch i % 4 {
-		case 0:
-			u.AddSource(&Saturating{Flow: flow, RateBytesPerMS: 2000,
-				StartMS: int64(i % 30), StopMS: int64(400 + i%90)})
-			bu.addSource(&Saturating{Flow: flow, RateBytesPerMS: 2000,
-				StartMS: int64(i % 30), StopMS: int64(400 + i%90)})
-		case 1:
-			u.AddSource(&CubicFlow{Flow: flow, StartMS: int64(i % 40)})
-			bu.addSource(&CubicFlow{Flow: flow, StartMS: int64(i % 40)})
-		case 2:
-			u.AddSource(&CBR{Flow: flow, Size: 172, IntervalMS: int64(20 + 10*(i%7)), StartMS: int64(i % 23)})
-			bu.addSource(&CBR{Flow: flow, Size: 172, IntervalMS: int64(20 + 10*(i%7)), StartMS: int64(i % 23)})
-		case 3: // idle, some with fading channels
-			if i%8 == 3 {
-				ch := func() ChannelProcess {
-					return &RandomWalkChannel{Min: 3, Max: 28, CoherenceMS: 5, Seed: int64(i)}
+	for _, tc := range []struct {
+		name string
+		cfg  PHYConfig
+		nUE  int
+		ue   baselineUECase
+	}{
+		{"lte-64ue-mixed", PHYConfig{RAT: RAT4G, NumRB: 25, Band: 7}, 64, mixedBaselineUE},
+		{"nr-6ue-chunks", PHYConfig{RAT: RAT5G, NumRB: 106, Band: 78}, 6, func(i int) (int, func() []TrafficSource, func() ChannelProcess) {
+			flow := FiveTuple{DstIP: uint32(i), DstPort: 5001, Proto: ProtoUDP}
+			srcs := func() []TrafficSource {
+				switch i % 3 {
+				case 0:
+					return []TrafficSource{&Saturating{Flow: flow, RateBytesPerMS: 4000 + 1500*i,
+						StartMS: int64(7 * i), StopMS: int64(900 + 200*i)}}
+				case 1:
+					return []TrafficSource{&CubicFlow{Flow: flow, StartMS: int64(11 * i)}}
+				default:
+					return []TrafficSource{&CBR{Flow: flow, Size: 1200, IntervalMS: 3, StartMS: int64(i)},
+						&Saturating{Flow: flow, RateBytesPerMS: 3000, StartMS: 400, StopMS: 1600}}
 				}
-				if err := cell.SetChannel(uint16(i), ch()); err != nil {
+			}
+			var ch func() ChannelProcess
+			if i%2 == 0 {
+				ch = func() ChannelProcess {
+					return &RandomWalkChannel{Min: 5, Max: 27, CoherenceMS: 7, Seed: int64(i)}
+				}
+			}
+			return 6 + 4*i, srcs, ch
+		}},
+		{"lte-16ue-ties", PHYConfig{RAT: RAT4G, NumRB: 25, Band: 7}, 16, func(i int) (int, func() []TrafficSource, func() ChannelProcess) {
+			return 20, func() []TrafficSource {
+				return []TrafficSource{&Saturating{Flow: FiveTuple{DstIP: 1}, RateBytesPerMS: 3000}}
+			}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cell, err := NewCell(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := newBaselineCell(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= tc.nUE; i++ {
+				mcs, srcs, ch := tc.ue(i)
+				u, err := cell.Attach(uint16(i), "", "208.95", mcs)
+				if err != nil {
 					t.Fatal(err)
 				}
-				bu.channel = ch()
+				bu := base.attach(uint16(i), mcs)
+				if srcs != nil {
+					for _, s := range srcs() {
+						u.AddSource(s)
+					}
+					for _, s := range srcs() {
+						bu.addSource(s)
+					}
+				}
+				if ch != nil {
+					if err := cell.SetChannel(uint16(i), ch()); err != nil {
+						t.Fatal(err)
+					}
+					bu.channel = ch()
+				}
 			}
-		}
+			cell.Step(2500)
+			base.step(2500)
+			if cell.TotalTxBits() != base.totalTxBits {
+				t.Fatalf("totalTxBits diverge: sharded %d vs baseline %d", cell.TotalTxBits(), base.totalTxBits)
+			}
+			for _, bu := range base.ues {
+				if got := cell.UEDeliveredBits(bu.rnti); got != bu.deliveredBits {
+					t.Fatalf("UE %d deliveredBits: sharded %d vs baseline %d", bu.rnti, got, bu.deliveredBits)
+				}
+				if u := cell.UE(bu.rnti); u.PDCPStats() != bu.pdcp {
+					t.Fatalf("UE %d pdcp: sharded %+v vs baseline %+v", bu.rnti, u.PDCPStats(), bu.pdcp)
+				}
+			}
+		})
 	}
-	cell.Step(2500)
-	base.step(2500)
-	if cell.TotalTxBits() != base.totalTxBits {
-		t.Fatalf("totalTxBits diverge: sharded %d vs baseline %d", cell.TotalTxBits(), base.totalTxBits)
-	}
-	for _, bu := range base.ues {
-		if got := cell.UEDeliveredBits(bu.rnti); got != bu.deliveredBits {
-			t.Fatalf("UE %d deliveredBits: sharded %d vs baseline %d", bu.rnti, got, bu.deliveredBits)
+}
+
+// mixedBaselineUE is the 64-UE LTE mix: saturating flows that stop,
+// Cubic flows, sparse CBR, and idle UEs, some on fading channels.
+func mixedBaselineUE(i int) (int, func() []TrafficSource, func() ChannelProcess) {
+	mcs := 4 + (i*5)%24
+	flow := FiveTuple{DstIP: uint32(i), DstPort: 5001, Proto: ProtoUDP}
+	switch i % 4 {
+	case 0:
+		return mcs, func() []TrafficSource {
+			return []TrafficSource{&Saturating{Flow: flow, RateBytesPerMS: 2000,
+				StartMS: int64(i % 30), StopMS: int64(400 + i%90)}}
+		}, nil
+	case 1:
+		return mcs, func() []TrafficSource {
+			return []TrafficSource{&CubicFlow{Flow: flow, StartMS: int64(i % 40)}}
+		}, nil
+	case 2:
+		return mcs, func() []TrafficSource {
+			return []TrafficSource{&CBR{Flow: flow, Size: 172, IntervalMS: int64(20 + 10*(i%7)), StartMS: int64(i % 23)}}
+		}, nil
+	default: // idle, some with fading channels
+		if i%8 != 3 {
+			return mcs, nil, nil
 		}
-		if u := cell.UE(bu.rnti); u.PDCPStats() != bu.pdcp {
-			t.Fatalf("UE %d pdcp: sharded %+v vs baseline %+v", bu.rnti, u.PDCPStats(), bu.pdcp)
+		return mcs, nil, func() ChannelProcess {
+			return &RandomWalkChannel{Min: 3, Max: 28, CoherenceMS: 5, Seed: int64(i)}
 		}
 	}
 }

@@ -82,8 +82,7 @@ type TCStats struct {
 
 type tcQueue struct {
 	id    int
-	pkts  []*Packet
-	head  int
+	pkts  pktRing
 	bytes int
 	stats TCQueueStats
 }
@@ -92,47 +91,32 @@ type tcQueue struct {
 // creates backlog here deliberately.
 const tcQueueCap = 8 << 20
 
+// enqueue copies p into the queue, or counts a drop and reports false
+// when the queue is full.
 func (q *tcQueue) enqueue(p *Packet, now int64) bool {
 	if q.bytes+p.Size > tcQueueCap {
 		q.stats.DropPackets++
-		p.Drop(now)
-		releasePacket(p)
 		return false
 	}
 	p.EnqueueTC = now
-	q.pkts = append(q.pkts, p)
+	q.pkts.push(p)
 	q.bytes += p.Size
 	q.stats.EnqPackets++
 	q.stats.EnqBytes += uint64(p.Size)
 	return true
 }
 
-func (q *tcQueue) peek() *Packet {
-	if q.head >= len(q.pkts) {
-		return nil
-	}
-	return q.pkts[q.head]
-}
+// peek returns the head packet, or nil when the queue is empty.
+func (q *tcQueue) peek() *Packet { return q.pkts.front() }
 
+// pop dequeues the head packet. The pointer is valid until the next
+// enqueue.
 func (q *tcQueue) pop(now int64) *Packet {
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
+	p := q.pkts.pop()
 	q.bytes -= p.Size
 	q.stats.DeqPackets++
 	q.stats.DeqBytes += uint64(p.Size)
 	q.stats.SojournMS = now - p.EnqueueTC
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		for i := n; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
-		}
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
 	return p
 }
 
@@ -148,6 +132,8 @@ type TC struct {
 
 	// downstream submits a packet to PDCP/RLC; returns false on drop.
 	downstream func(p *Packet, now int64) bool
+	// done, if set, learns of every packet a full TC queue drops.
+	done packetSink
 }
 
 // NewTC returns a TC sublayer in transparent mode feeding downstream.
@@ -259,7 +245,13 @@ func (t *TC) Submit(p *Packet, now int64) bool {
 	if !t.active {
 		return t.downstream(p, now)
 	}
-	return t.classify(p.Flow).enqueue(p, now)
+	if t.classify(p.Flow).enqueue(p, now) {
+		return true
+	}
+	if t.done != nil {
+		t.done.packetDone(p, now, false)
+	}
+	return false
 }
 
 // Pump runs one TTI of the TC scheduler: a round-robin pass over active
@@ -293,12 +285,14 @@ func (t *TC) Pump(now int64, drbBacklog, drainPerTTI int) {
 			continue
 		}
 		idle = 0
-		if t.pacer == PacerBDP && p.Size > allowance && drbBacklog > 0 {
+		// Read the size before pop: p points into the queue's ring.
+		size := p.Size
+		if t.pacer == PacerBDP && size > allowance && drbBacklog > 0 {
 			// Next packet exceeds the remaining allowance; try next TTI.
 			break
 		}
 		t.downstream(q.pop(now), now)
-		allowance -= p.Size
+		allowance -= size
 	}
 }
 
@@ -324,7 +318,7 @@ func (t *TC) Stats() TCStats {
 		qs := q.stats
 		qs.ID = q.id
 		qs.BufferBytes = q.bytes
-		qs.BufferPkts = len(q.pkts) - q.head
+		qs.BufferPkts = q.pkts.n
 		s.Queues = append(s.Queues, qs)
 	}
 	return s

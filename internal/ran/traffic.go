@@ -4,13 +4,15 @@ import "math"
 
 // TrafficSource generates downlink packets for one UE. Tick is called
 // once per TTI with the current simulator time; emit injects a packet
-// into the UE's bearer path.
+// into the UE's bearer path. emit copies the packet, so a source may
+// fill one scratch Packet and reuse it for every emit.
 //
 // Sources are only ticked while their UE is in the cell's active set. A
 // source that also implements Waker tells the cell when it next needs a
 // tick, letting the UE park in between (idle UEs cost nothing per TTI);
 // sources without Waker are assumed due every TTI, which keeps their UE
-// permanently active.
+// permanently active. A source that keeps delivery or loss counts
+// implements packetSink; its UE tells it how each of its packets ended.
 type TrafficSource interface {
 	Tick(now int64, emit func(*Packet))
 }
@@ -43,9 +45,7 @@ type CBR struct {
 	dropped uint64
 	rtts    []int64
 
-	// Per-packet callbacks, allocated once (packets are per-TTI hot).
-	deliverFn func(p *Packet, dnow int64)
-	dropFn    func(p *Packet, dnow int64)
+	pkt Packet // emit scratch: a local would escape to the heap through emit
 }
 
 // Tick implements TrafficSource.
@@ -56,20 +56,20 @@ func (c *CBR) Tick(now int64, emit func(*Packet)) {
 	if (now-c.StartMS)%c.IntervalMS != 0 {
 		return
 	}
-	if c.deliverFn == nil {
-		c.deliverFn = func(p *Packet, dnow int64) {
-			c.recvd++
-			c.rtts = append(c.rtts, (dnow-p.Sent)+c.ReturnDelayMS)
-		}
-		c.dropFn = func(*Packet, int64) { c.dropped++ }
-	}
 	c.seq++
 	c.sent++
-	p := newPacket()
-	p.Flow, p.Size, p.Seq, p.Sent = c.Flow, c.Size, c.seq, now
-	p.onDeliver = c.deliverFn
-	p.onDrop = c.dropFn
-	emit(p)
+	c.pkt = Packet{Flow: c.Flow, Size: c.Size, Seq: c.seq, Sent: now}
+	emit(&c.pkt)
+}
+
+// packetDone implements packetSink: a delivery records the round trip.
+func (c *CBR) packetDone(p *Packet, now int64, delivered bool) {
+	if !delivered {
+		c.dropped++
+		return
+	}
+	c.recvd++
+	c.rtts = append(c.rtts, (now-p.Sent)+c.ReturnDelayMS)
 }
 
 // NextWakeup implements Waker: the next grid point of the CBR schedule.
@@ -102,16 +102,14 @@ type Saturating struct {
 	seq     uint64
 	carry   int
 	dropped uint64
-	dropFn  func(p *Packet, dnow int64)
+
+	pkt Packet // emit scratch, as in CBR
 }
 
 // Tick implements TrafficSource.
 func (s *Saturating) Tick(now int64, emit func(*Packet)) {
 	if now < s.StartMS || (s.StopMS > 0 && now >= s.StopMS) {
 		return
-	}
-	if s.dropFn == nil {
-		s.dropFn = func(*Packet, int64) { s.dropped++ }
 	}
 	size := s.PktSize
 	if size <= 0 {
@@ -120,13 +118,18 @@ func (s *Saturating) Tick(now int64, emit func(*Packet)) {
 	budget := s.RateBytesPerMS + s.carry
 	for budget >= size {
 		s.seq++
-		p := newPacket()
-		p.Flow, p.Size, p.Seq, p.Sent = s.Flow, size, s.seq, now
-		p.onDrop = s.dropFn
-		emit(p)
+		s.pkt = Packet{Flow: s.Flow, Size: size, Seq: s.seq, Sent: now}
+		emit(&s.pkt)
 		budget -= size
 	}
 	s.carry = budget
+}
+
+// packetDone implements packetSink: only losses are counted.
+func (s *Saturating) packetDone(_ *Packet, _ int64, delivered bool) {
+	if !delivered {
+		s.dropped++
+	}
 }
 
 // NextWakeup implements Waker: due every TTI inside [StartMS, StopMS).
@@ -173,8 +176,7 @@ type CubicFlow struct {
 	delivered uint64 // segments
 	losses    uint64
 
-	deliverFn func(p *Packet, dnow int64)
-	dropFn    func(p *Packet, dnow int64)
+	pkt Packet // emit scratch, as in CBR
 }
 
 type pendingAck struct {
@@ -211,10 +213,6 @@ func (f *CubicFlow) Tick(now int64, emit func(*Packet)) {
 		f.cwnd = 10 // RFC 6928 initial window
 		f.ssthresh = math.Inf(1)
 		f.epoch = -1
-		f.deliverFn = func(p *Packet, dnow int64) {
-			f.acks = append(f.acks, pendingAck{due: dnow + f.ackDelay(), seq: p.Seq})
-		}
-		f.dropFn = func(p *Packet, dnow int64) { f.onLoss(p.Seq, dnow) }
 	}
 	// Process due ACKs.
 	i := 0
@@ -230,12 +228,19 @@ func (f *CubicFlow) Tick(now int64, emit func(*Packet)) {
 	for f.inflight < int(f.cwnd) {
 		f.seq++
 		f.inflight++
-		p := newPacket()
-		p.Flow, p.Size, p.Seq, p.Sent = f.Flow, f.mss(), f.seq, now
-		p.onDeliver = f.deliverFn
-		p.onDrop = f.dropFn
-		emit(p)
+		f.pkt = Packet{Flow: f.Flow, Size: f.mss(), Seq: f.seq, Sent: now}
+		emit(&f.pkt)
 	}
+}
+
+// packetDone implements packetSink: a delivery schedules its ACK on the
+// uplink, a drop is a loss.
+func (f *CubicFlow) packetDone(p *Packet, now int64, delivered bool) {
+	if delivered {
+		f.acks = append(f.acks, pendingAck{due: now + f.ackDelay(), seq: p.Seq})
+		return
+	}
+	f.onLoss(p.Seq, now)
 }
 
 // onAck applies Cubic window growth.

@@ -55,10 +55,12 @@ type UE struct {
 	// allIdx is the UE's position in the cell registry (swap-remove).
 	allIdx int32
 
-	// emit is the Tick callback, allocated once; tickNow carries the
-	// current slot into it so ticking stays allocation-free.
+	// emit is the Tick callback, allocated once; tickNow and tickSrc
+	// carry the current slot and 1 + the ticking source's index into it
+	// so ticking stays allocation-free.
 	emit    func(*Packet)
 	tickNow int64
+	tickSrc int32
 
 	// deliveredBits accumulates for external rate sampling.
 	deliveredBits uint64
@@ -66,20 +68,38 @@ type UE struct {
 
 func newUE(rnti uint16, imsi, plmn string, mcs int) *UE {
 	ue := &UE{RNTI: rnti, IMSI: imsi, PLMNID: plmn, lastMCS: int32(mcs)}
-	ue.rlc = &RLCQueue{}
-	ue.tc = NewTC(func(p *Packet, now int64) bool {
-		ue.pdcp.TxPackets++
-		ue.pdcp.TxBytes += uint64(p.Size)
-		ue.pdcp.LastSDUBytes = p.Size
-		return ue.rlc.Enqueue(p, now)
-	})
+	ue.tc, ue.rlc = newBearer(&ue.pdcp, ue)
 	ue.mac.RNTI = rnti
-	ue.emit = func(p *Packet) { ue.Submit(p, ue.tickNow) }
+	ue.emit = func(p *Packet) {
+		p.src = ue.tickSrc
+		ue.Submit(p, ue.tickNow)
+	}
 	return ue
 }
 
+// newBearer wires one UE's downlink bearer: the TC sublayer feeds PDCP,
+// PDCP feeds the RLC queue, and both queues tell done how each packet
+// ends.
+func newBearer(pdcp *PDCPStats, done packetSink) (*TC, *RLCQueue) {
+	rlc := &RLCQueue{done: done}
+	tc := NewTC(func(p *Packet, now int64) bool {
+		pdcp.TxPackets++
+		pdcp.TxBytes += uint64(p.Size)
+		pdcp.LastSDUBytes = p.Size
+		return rlc.Enqueue(p, now)
+	})
+	tc.done = done
+	return tc, rlc
+}
+
+// packetDone implements packetSink for the UE's bearer: it passes the
+// end of each packet on to the source that emitted it.
+func (u *UE) packetDone(p *Packet, now int64, delivered bool) {
+	sourceDone(u.sources, p, now, delivered)
+}
+
 // Submit hands a downlink packet to the UE's bearer path (SDAP entry)
-// and wakes the UE if it was parked.
+// and wakes the UE if it was parked. The bearer copies the packet.
 func (u *UE) Submit(p *Packet, now int64) bool {
 	ok := u.tc.Submit(p, now)
 	if u.sh != nil {
@@ -141,7 +161,8 @@ func (u *UE) hasData() bool { return u.rlc.HasData() }
 // tickTraffic generates this TTI's application traffic.
 func (u *UE) tickTraffic(now int64) {
 	u.tickNow = now
-	for _, s := range u.sources {
+	for i, s := range u.sources {
+		u.tickSrc = int32(i + 1)
 		s.Tick(now, u.emit)
 	}
 }

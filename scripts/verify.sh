@@ -6,15 +6,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# demo RUN PKG runs one acceptance test verbosely, prints its run and
-# pass lines, and fails the check when the test fails.
+# demo RUN PKG [LOG] runs one acceptance test verbosely, prints its run
+# and pass lines (and the log lines matching LOG), and fails the check
+# when the test fails.
 demo() {
     out=$(go test -count=1 -run "$1" -v "$2" 2>&1) || {
         echo "$out"
         echo "verify: $1 failed" >&2
         exit 1
     }
-    echo "$out" | grep -E '^ *(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
+    echo "$out" | grep -E "^ *(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)${3:+|$3}"
 }
 
 echo "==> gofmt"
@@ -68,7 +69,14 @@ echo "==> scale smoke (4 cells x 10k UEs, 95% idle; allocs/UE-slot gate)"
 # and the whole fleet — parked UEs, wake heap, packet emission — must
 # stay under 0.05 allocations per UE-slot. Catches any per-idle-UE cost
 # creeping back into the slot loop.
-go test -count=1 -run 'TestScaleSmoke$' -v ./internal/ran/ | grep -E '(=== RUN|--- (PASS|FAIL)|^(PASS|FAIL|ok)|allocs/UE-slot)'
+demo 'TestScaleSmoke$' ./internal/ran/ 'allocs/UE-slot'
+
+echo "==> RAN slot at drop-tail steady state (0 allocs per TTI gate)"
+# 32 saturating UEs whose RLC rings have reached their size step 500
+# TTIs, a garbage collection before every 100: the packet path, the PF
+# heap and the drops must allocate nothing (counted from the memory
+# profile, so the runtime's own background allocations do not count).
+demo 'TestCellStepSteadyStateAllocs$' ./internal/ran/
 
 echo "==> seeded chaos suite (scripted drops + blackout, both codecs)"
 # The reconnect-churn test, once per cut: the test closing the live
