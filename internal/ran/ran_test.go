@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"flexric/internal/nvs"
 )
@@ -582,6 +583,42 @@ func TestSourcesLearnPacketEnds(t *testing.T) {
 				t.Fatalf("Cubic counted %d dropped segments, its %s queue %d", cubicDrops, path, want)
 			}
 		})
+	}
+}
+
+// TestCubicBesideSaturatingFinishes: a Cubic flow sharing its UE's
+// queue with a Saturating source meets a full queue that drops its
+// segments on enqueue. It must stop emitting for the tick at the first
+// such drop: its loop used to run until inflight reached cwnd, which
+// the drops themselves kept it from doing.
+func TestCubicBesideSaturatingFinishes(t *testing.T) {
+	c := nrCell(t)
+	ue, _ := c.Attach(1, "", "208.95", 28)
+	sat := &Saturating{Flow: FiveTuple{DstPort: 9}, RateBytesPerMS: 1 << 20}
+	cubic := &CubicFlow{Flow: FiveTuple{DstPort: 5001}}
+	ue.AddSource(sat) // ticks first, so the Cubic segments meet a full queue
+	ue.AddSource(cubic)
+	done := make(chan uint64, 1)
+	go func() {
+		var most uint64
+		for i := 0; i < 20000; i++ {
+			seq := cubic.seq
+			c.Step(1)
+			most = max(most, cubic.seq-seq)
+		}
+		done <- most
+	}()
+	select {
+	case most := <-done:
+		if _, losses := cubic.Stats(); losses == 0 {
+			t.Fatal("Cubic saw no loss: the queue never dropped its segments")
+		}
+		if most > 64 {
+			t.Fatalf("Cubic emitted %d segments in one TTI", most)
+		}
+		t.Logf("at most %d segments emitted per TTI", most)
+	case <-time.After(time.Minute):
+		t.Fatal("20 000 TTIs did not finish within a minute: CubicFlow.Tick spins")
 	}
 }
 

@@ -224,12 +224,20 @@ func (f *CubicFlow) Tick(now int64, emit func(*Packet)) {
 	if i > 0 {
 		f.acks = append(f.acks[:0], f.acks[i:]...)
 	}
-	// Emit while the window allows.
+	// Emit while the window allows. A segment dropped on enqueue comes
+	// back through onLoss inside emit, taking inflight down with it: the
+	// sender stops for this tick, as a real one learns of the loss only
+	// later. Else a queue that drops every segment (full of another
+	// source's packets) would keep inflight below cwnd for ever.
 	for f.inflight < int(f.cwnd) {
 		f.seq++
 		f.inflight++
+		sent := f.inflight
 		f.pkt = Packet{Flow: f.Flow, Size: f.mss(), Seq: f.seq, Sent: now}
 		emit(&f.pkt)
+		if f.inflight < sent {
+			break
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -223,9 +224,10 @@ func BenchmarkTSDBCompressedAppend(b *testing.B) {
 // BenchmarkTSDBChunkSeal is the seal operation in isolation: one op
 // compresses a full 4096-sample counter-like ring into a chunk. The
 // bytes/sample metric is the headline compression ratio (16 bytes raw).
-// With the encoder's pooled scratch warm, a seal allocates the chunk
-// and its exact-size bits only; scripts/verify.sh gates it at ≤ 2
-// allocs/op.
+// With the encoder's pooled scratch warm, a seal onto a chain that
+// still grows allocates the chunk and its bits only; scripts/verify.sh
+// gates it at ≤ 2 allocs/op (BenchmarkTSDBSealRecycled is the full
+// chain).
 func BenchmarkTSDBChunkSeal(b *testing.B) {
 	const n = 4096
 	ts, vs := counterSeries(n)
@@ -237,10 +239,135 @@ func BenchmarkTSDBChunkSeal(b *testing.B) {
 		for j := 0; j < n; j++ {
 			enc.add(ts[j], vs[j])
 		}
-		ck = enc.seal()
+		ck = enc.seal(nil)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(ck.sizeBytes())/float64(ck.count), "bytes/sample")
+}
+
+// wallClock yields the sample shape of ingest_bulk's series: wall-clock
+// nanosecond timestamps 1 ms apart with ±0.5 ms of jitter, so nearly
+// every delta-of-delta takes the 64-bit escape, and a counter growing by
+// a varying step. A local xorshift keeps it deterministic.
+type wallClock struct {
+	x  uint64
+	i  int64
+	ts int64
+	v  float64
+}
+
+func newWallClock() *wallClock { return &wallClock{x: 0x2545f4914f6cdd1d} }
+
+func (w *wallClock) next() (int64, float64) {
+	w.x ^= w.x << 13
+	w.x ^= w.x >> 7
+	w.x ^= w.x << 17
+	w.i++
+	w.ts = 1_700_000_000_000_000_000 + w.i*int64(time.Millisecond) + int64(w.x%1_000_000) - 500_000
+	w.v += float64(1000 + w.x>>54)
+	return w.ts, w.v
+}
+
+// BenchmarkTSDBChunkCodecWallClock seals and decodes one 4096-sample
+// chunk of the wall-clock shape per op: the 64-bit escapes that
+// dominate ingest_bulk's encode and fold.
+func BenchmarkTSDBChunkCodecWallClock(b *testing.B) {
+	const n = 4096
+	ts, vs := make([]int64, n), make([]float64, n)
+	w := newWallClock()
+	for i := range ts {
+		ts[i], vs[i] = w.next()
+	}
+	var ck *chunk
+	b.Run("seal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var enc chunkEncoder
+			for j := 0; j < n; j++ {
+				enc.add(ts[j], vs[j])
+			}
+			ck = enc.seal(ck)
+		}
+		b.ReportMetric(float64(ck.sizeBytes())/float64(ck.count), "bytes/sample")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for it := ck.iter(); it.next(); {
+			}
+		}
+	})
+}
+
+// BenchmarkTSDBSealRecycled is a compressed series at steady state: its
+// chain is full and its tiers are at their caps, so every seal folds the
+// oldest chunk into the tiers and is written into the chunk it retired.
+// One op appends Capacity wall-clock samples: one seal, one fold.
+// scripts/verify.sh gates it at 0 allocs/op.
+func BenchmarkTSDBSealRecycled(b *testing.B) {
+	const capacity = 256
+	s := New(Config{Capacity: capacity, Compress: true, MaxChunks: 4, Tier1Cap: 8, Tier2Cap: 2})
+	k := SeriesKey{Agent: 1, Fn: 142, UE: 3, Field: FieldTxBytes}
+	w := newWallClock()
+	for i := 0; i < 200_000; i++ { // > 3 min: both tiers reach their caps
+		ts, v := w.next()
+		s.Append(k, ts, v)
+	}
+	if st := s.Stats(); st.Chunks != 4 || st.Tier1.Buckets != 8 || st.Tier2.Buckets != 2 {
+		b.Fatalf("not at steady state: %+v", st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < capacity; j++ {
+			ts, v := w.next()
+			s.Append(k, ts, v)
+		}
+	}
+}
+
+// BenchmarkTSDBSeriesFootprint is the live heap a compressed series
+// costs once its chain is full and it has folded two chunks into tier 1
+// (one bucket at the bench caps, about two at the defaults), fed
+// wall-clock samples: ingest_bulk's shape at its caps (Capacity 32,
+// MaxChunks 4, Tier1Cap 64, Tier2Cap 16), the same at the default
+// config, and a ring-mode series of Capacity 32 for comparison. It
+// reports B/series (heap after a GC, divided by the series count).
+func BenchmarkTSDBSeriesFootprint(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		series int
+	}{
+		{"bench-caps", Config{Capacity: 32, Compress: true, MaxChunks: 4, Tier1Cap: 64, Tier2Cap: 16}, 4096},
+		{"defaults", Config{Compress: true}, 64},
+		{"ring", Config{Capacity: 32}, 4096},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := c.cfg.withDefaults()
+			perSeries := cfg.Capacity * (cfg.MaxChunks + 3)
+			var ms runtime.MemStats
+			var perB float64
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.HeapAlloc
+				s := New(c.cfg)
+				w := newWallClock()
+				for j := 0; j < perSeries; j++ {
+					ts, v := w.next()
+					for ue := 0; ue < c.series; ue++ {
+						s.Append(SeriesKey{Agent: 1, Fn: 142, UE: uint16(ue), Field: FieldTxBytes}, ts, v)
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				perB = float64(ms.HeapAlloc-before) / float64(c.series)
+				runtime.KeepAlive(s)
+			}
+			b.ReportMetric(perB, "B/series")
+		})
+	}
 }
 
 // BenchmarkTSDBChunkDecode iterates one sealed 4096-sample chunk per op
@@ -252,7 +379,7 @@ func BenchmarkTSDBChunkDecode(b *testing.B) {
 	for j := 0; j < n; j++ {
 		enc.add(ts[j], vs[j])
 	}
-	ck := enc.seal()
+	ck := enc.seal(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,6 +21,7 @@ package tsdb
 // lock that guards the chunk chain itself.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"sync"
@@ -45,62 +46,93 @@ func (c *chunk) sizeBytes() int { return len(c.bits) }
 
 // --- bit-level I/O -----------------------------------------------------
 
-// bitWriter appends MSB-first bits to a byte slice.
+// bitWriter appends MSB-first bits to a byte slice. Bits collect in a
+// 64-bit accumulator that is stored as one big-endian word whenever it
+// fills; flush stores the partial tail. Between writes b holds the whole
+// words written so far, and after flush exactly ceil(nbits/8) bytes —
+// the same bytes a bit-at-a-time writer produces.
 type bitWriter struct {
 	b     []byte
+	acc   uint64 // pending bits, left-aligned
+	nacc  uint   // pending bit count, < 64
 	nbits int
 }
 
-// writeBits appends the low n bits of v, most significant first.
+// writeBits appends the low n bits of v (0 ≤ n ≤ 64), most significant
+// first.
 func (w *bitWriter) writeBits(v uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	if n < 64 {
-		v <<= 64 - uint(n) // left-align so the next bit to emit is bit 63
-	}
-	for n > 0 {
-		off := w.nbits & 7
-		if off == 0 {
-			w.b = append(w.b, 0)
-		}
-		take := 8 - off
-		if take > n {
-			take = n
-		}
-		w.b[len(w.b)-1] |= byte(v>>56) >> uint(off)
-		v <<= uint(take)
-		n -= take
-		w.nbits += take
+	v <<= 64 - uint(n) // left-align so the next bit to emit is bit 63
+	w.nbits += n
+	w.acc |= v >> w.nacc
+	if free := 64 - w.nacc; uint(n) < free {
+		w.nacc += uint(n)
+	} else {
+		w.b = binary.BigEndian.AppendUint64(w.b, w.acc)
+		w.acc = v << free // shifts of 64 yield 0
+		w.nacc = uint(n) - free
 	}
 }
 
-// bitReader consumes MSB-first bits from a chunk payload.
+// flush stores the pending bits, zero-padded to a whole byte.
+func (w *bitWriter) flush() {
+	for ; w.nacc > 0; w.nacc -= min(w.nacc, 8) {
+		w.b = append(w.b, byte(w.acc>>56))
+		w.acc <<= 8
+	}
+}
+
+// bitReader consumes MSB-first bits from a chunk payload through a
+// 64-bit accumulator refilled one big-endian word at a time.
 type bitReader struct {
 	b     []byte
 	nbits int // total valid bits
-	pos   int
+	pos   int // bits consumed
+	next  int // next byte of b to load
+	acc   uint64
+	nacc  uint // bits buffered in acc, left-aligned
 }
 
-// readBits returns the next n bits as the low bits of a uint64.
-// ok is false when the stream is exhausted (corrupt chunk).
+// readBits returns the next n bits (0 ≤ n ≤ 64) as the low bits of a
+// uint64. ok is false when the stream is exhausted (corrupt chunk).
 func (r *bitReader) readBits(n int) (v uint64, ok bool) {
 	if r.pos+n > r.nbits {
 		return 0, false
 	}
-	for n > 0 {
-		off := r.pos & 7
-		avail := 8 - off
-		take := avail
-		if take > n {
-			take = n
+	r.pos += n
+	un := uint(n)
+	if un > r.nacc {
+		// Take the buffered bits, refill, take the rest.
+		v = r.acc >> (64 - r.nacc) // shifts of 64 yield 0
+		un -= r.nacc
+		r.acc, r.nacc = 0, 0
+		r.refill()
+		if un > r.nacc {
+			return 0, false // nbits claims more than the payload holds
 		}
-		chunkBits := uint64(r.b[r.pos>>3]>>uint(avail-take)) & (1<<uint(take) - 1)
-		v = v<<uint(take) | chunkBits
-		r.pos += take
-		n -= take
+		v <<= un
 	}
+	v |= r.acc >> (64 - un)
+	r.acc <<= un
+	r.nacc -= un
 	return v, true
+}
+
+// refill tops the empty accumulator up from b: a whole word while eight
+// bytes remain, else the bytes that do.
+func (r *bitReader) refill() {
+	if r.next+8 <= len(r.b) {
+		r.acc = binary.BigEndian.Uint64(r.b[r.next:])
+		r.next += 8
+		r.nacc = 64
+		return
+	}
+	for ; r.next < len(r.b); r.next++ {
+		r.acc |= uint64(r.b[r.next]) << (56 - r.nacc)
+		r.nacc += 8
+	}
 }
 
 // predictBits returns the bit pattern the value encoding XORs against:
@@ -124,10 +156,12 @@ func predictBits(prevBits, prevPrevBits uint64) uint64 {
 
 // sealScratch holds the buffers encoders write their bits into. An
 // encoder borrows one at its first sample and returns it at seal, after
-// copying the bits out at their exact size: the scratch never escapes
-// into a chunk, and a warm scratch makes a seal two allocations (the
-// chunk and its bits) however long the chunk. Pointers, so that Get and
-// Put box nothing.
+// copying the bits out: the scratch never escapes into a chunk. A seal
+// onto a full chain writes into the chunk retention just retired — its
+// struct and, when it is big enough, its bit buffer — so a warm steady
+// state seals without allocating; a seal onto a chain that still grows
+// allocates the chunk and one buffer the size of its bits. Pointers, so
+// that Get and Put box nothing.
 var sealScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // chunkEncoder compresses a time-ordered sample stream into a chunk.
@@ -173,18 +207,16 @@ func (e *chunkEncoder) add(ts int64, v float64) {
 		dod := delta - e.prevDelta
 		e.prevDelta = delta
 		e.prevTS = ts
+		// Prefix and payload go out in one write where they fit a word.
 		switch {
 		case dod == 0:
 			e.w.writeBits(0b0, 1)
 		case -63 <= dod && dod <= 64:
-			e.w.writeBits(0b10, 2)
-			e.w.writeBits(uint64(dod+63), 7)
+			e.w.writeBits(0b10<<7|uint64(dod+63), 2+7)
 		case -255 <= dod && dod <= 256:
-			e.w.writeBits(0b110, 3)
-			e.w.writeBits(uint64(dod+255), 9)
+			e.w.writeBits(0b110<<9|uint64(dod+255), 3+9)
 		case -2047 <= dod && dod <= 2048:
-			e.w.writeBits(0b1110, 4)
-			e.w.writeBits(uint64(dod+2047), 12)
+			e.w.writeBits(0b1110<<12|uint64(dod+2047), 4+12)
 		default:
 			e.w.writeBits(0b1111, 4)
 			e.w.writeBits(uint64(dod), 64)
@@ -209,9 +241,7 @@ func (e *chunkEncoder) add(ts int64, v float64) {
 				// + the meaningful bits themselves.
 				sig := 64 - lead - trail
 				e.leading, e.trailing = lead, trail
-				e.w.writeBits(0b11, 2)
-				e.w.writeBits(uint64(lead), 5)
-				e.w.writeBits(uint64(sig-1), 6)
+				e.w.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig-1), 2+5+6)
 				e.w.writeBits(x>>uint(trail), sig)
 			}
 		}
@@ -229,11 +259,28 @@ func (e *chunkEncoder) add(ts int64, v float64) {
 	e.count++
 }
 
-// seal finalizes the encoder into an immutable chunk that owns an
-// exact-size copy of the bits, and returns the scratch to the pool. The
-// encoder is spent afterwards.
-func (e *chunkEncoder) seal() *chunk {
-	ck := &chunk{
+// seal finalizes the encoder into an immutable chunk holding a copy of
+// the bits, and returns the scratch to the pool. The chunk is into when
+// it is not nil — a chunk no reader can reach any more, whose bit buffer
+// is reused when it is big enough — else a new one, with the bits in one
+// new buffer of their size.
+// The encoder is spent afterwards.
+func (e *chunkEncoder) seal(into *chunk) *chunk {
+	e.w.flush()
+	ck := into
+	if ck == nil {
+		ck = new(chunk)
+	}
+	bits := e.w.b
+	if cap(ck.bits) >= len(bits) {
+		bits = append(ck.bits[:0], bits...)
+	} else {
+		// A fresh buffer's capacity is its allocation's size class:
+		// slack the heap holds anyway, which a later seal into this
+		// chunk can use.
+		bits = append([]byte(nil), bits...)
+	}
+	*ck = chunk{
 		count:   e.count,
 		firstTS: e.firstTS,
 		lastTS:  e.prevTS,
@@ -242,10 +289,9 @@ func (e *chunkEncoder) seal() *chunk {
 		sum:     e.sum,
 		first:   e.first,
 		last:    e.last,
-		bits:    make([]byte, len(e.w.b)),
+		bits:    bits,
 		nbits:   e.w.nbits,
 	}
-	copy(ck.bits, e.w.b)
 	if e.scratch != nil {
 		*e.scratch = e.w.b[:0] // keep the grown buffer for the next seal
 		sealScratch.Put(e.scratch)

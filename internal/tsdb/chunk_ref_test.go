@@ -126,10 +126,14 @@ func randStream(rng *rand.Rand) (ts []int64, vs []float64) {
 	return ts, vs
 }
 
+// sizeClass is the capacity the heap gives an n-byte slice: what one
+// allocation for n bytes holds anyway.
+func sizeClass(n int) int { return cap(append([]byte(nil), make([]byte, n)...)) }
+
 // TestSealMatchesReference is the seal property: chunks sealed through
 // the pooled scratch carry exactly the reference encoder's bits and bit
-// count, own them at their exact size, and keep them when later seals
-// reuse (and overwrite) the same scratch.
+// count, own them in one allocation of their size (never the scratch),
+// and keep them when later seals reuse (and overwrite) the same scratch.
 func TestSealMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	type sealed struct {
@@ -144,8 +148,8 @@ func TestSealMatchesReference(t *testing.T) {
 		if !bytes.Equal(ck.bits, want) || ck.nbits != nbits {
 			t.Fatalf("trial %d (%d samples): %d bits % x, reference %d bits % x", trial, len(ts), ck.nbits, ck.bits, nbits, want)
 		}
-		if cap(ck.bits) != len(ck.bits) {
-			t.Fatalf("trial %d: chunk bits have cap %d for len %d", trial, cap(ck.bits), len(ck.bits))
+		if cap(ck.bits) != sizeClass(len(ck.bits)) {
+			t.Fatalf("trial %d: chunk bits have cap %d for len %d, not its allocation's %d", trial, cap(ck.bits), len(ck.bits), sizeClass(len(ck.bits)))
 		}
 		requireRoundTrip(t, ck, ts, vs)
 		all = append(all, sealed{ck, want})
@@ -154,5 +158,48 @@ func TestSealMatchesReference(t *testing.T) {
 		if !bytes.Equal(s.ck.bits, s.want) {
 			t.Fatalf("chunk %d changed after later seals", i)
 		}
+	}
+}
+
+// TestSealIntoRecycledMatchesReference is the seal property for a full
+// chain: a seal written into a retired chunk carries exactly the
+// reference encoder's bits and bit count, reuses the retired buffer
+// when it is big enough (stale bytes past the new length never show),
+// and gets a new one of its size when it is smaller.
+func TestSealIntoRecycledMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	retired := encodeSamples(randStream(rng))
+	var reused, grown int
+	for trial := 0; trial < 400; trial++ {
+		ts, vs := randStream(rng)
+		old, oldCap := retired.bits, cap(retired.bits)
+		var enc chunkEncoder
+		for i := range ts {
+			enc.add(ts[i], vs[i])
+		}
+		ck := enc.seal(retired)
+		want, nbits := refChunk(ts, vs)
+		if ck != retired {
+			t.Fatalf("trial %d: seal did not write into the retired chunk", trial)
+		}
+		if !bytes.Equal(ck.bits, want) || ck.nbits != nbits {
+			t.Fatalf("trial %d (%d samples): %d bits % x, reference %d bits % x", trial, len(ts), ck.nbits, ck.bits, nbits, want)
+		}
+		if oldCap >= len(want) {
+			if &ck.bits[:1][0] != &old[:1][0] {
+				t.Fatalf("trial %d: a %d-byte buffer was not reused for %d bytes", trial, oldCap, len(want))
+			}
+			reused++
+		} else {
+			if cap(ck.bits) != sizeClass(len(ck.bits)) {
+				t.Fatalf("trial %d: new bits have cap %d for len %d, not its allocation's %d", trial, cap(ck.bits), len(ck.bits), sizeClass(len(ck.bits)))
+			}
+			grown++
+		}
+		requireRoundTrip(t, ck, ts, vs)
+		retired = ck
+	}
+	if reused == 0 || grown == 0 {
+		t.Fatalf("reused %d and grew %d buffers; the streams must exercise both", reused, grown)
 	}
 }

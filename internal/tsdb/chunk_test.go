@@ -13,7 +13,7 @@ func encodeSamples(ts []int64, vs []float64) *chunk {
 	for i := range ts {
 		enc.add(ts[i], vs[i])
 	}
-	return enc.seal()
+	return enc.seal(nil)
 }
 
 // requireRoundTrip decodes ck and compares against ts/vs bit-exactly:

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestCompressedQueryEquivalence is the semantic guarantee of the
@@ -88,6 +89,35 @@ func TestChunkRetentionFoldsToTiers(t *testing.T) {
 	}
 }
 
+// TestTierStorageGrowsWithBuckets: at the default caps (Tier1Cap 4096)
+// a compressed series that has folded 10 s of 1 ms samples holds tier-1
+// storage for at most 16 buckets and none for tier 2, and a ring-mode
+// series fed the same samples holds no tier storage and stays at the
+// 128 B a series took when every series carried two tier pointers.
+func TestTierStorageGrowsWithBuckets(t *testing.T) {
+	k := SeriesKey{Agent: 1, Fn: 142, UE: 1, Field: FieldTxBytes}
+	comp, ring := New(Config{Compress: true}), New(Config{})
+	var ts int64
+	for comp.Stats().Tier1.Samples < 10_000 {
+		for i := 0; i < 1024; i++ {
+			comp.Append(k, ts, float64(ts))
+			ring.Append(k, ts, float64(ts))
+			ts += int64(time.Millisecond)
+		}
+	}
+	st := comp.Stats()
+	if st.Tier1.Buckets < 10 || st.Tier1.Capacity > 16 || st.Tier2.Capacity != 0 {
+		t.Fatalf("after %d folded samples: tier 1 holds %d buckets in storage for %d (want ≤ 16), tier 2 storage %d (want 0)",
+			st.Tier1.Samples, st.Tier1.Buckets, st.Tier1.Capacity, st.Tier2.Capacity)
+	}
+	if st := ring.Stats(); st.Tier1 != (TierStats{}) || st.Tier2 != (TierStats{}) || ring.lookup(k).tiers != nil {
+		t.Fatalf("ring-mode series holds tier storage: %+v %+v", st.Tier1, st.Tier2)
+	}
+	if size := unsafe.Sizeof(series{}); size != 128 {
+		t.Fatalf("a series is %d bytes; it is kept at 128, two whole cache lines", size)
+	}
+}
+
 // TestAgeRetentionCompressSealsAndFolds checks MaxAge semantics under
 // compression: aging data is sealed out of the write head and folded
 // into tiers rather than deleted (the uncompressed mode deletes), so
@@ -118,29 +148,39 @@ func TestAgeRetentionCompressSealsAndFolds(t *testing.T) {
 	}
 }
 
-// TestTierBucketFolding exercises the tier ring directly: same-bucket
-// merging, eviction into the next tier, and the final drop.
+// TestTierBucketFolding exercises the tier ladder directly: same-bucket
+// merging, ring growth, eviction into tier 2, and the final drop.
 func TestTierBucketFolding(t *testing.T) {
-	t2 := newTier(tier2Width, 2, nil)
-	t1 := newTier(tier1Width, 2, t2)
-	// Two samples in the same 1 s bucket merge.
-	t1.foldSample(100e6, 5)
-	t1.foldSample(900e6, 7)
-	if t1.n != 1 || t1.count[0] != 2 || t1.min[0] != 5 || t1.max[0] != 7 || t1.sum[0] != 12 {
-		t.Fatalf("same-bucket merge: n=%d count=%v min=%v max=%v sum=%v",
-			t1.n, t1.count[:1], t1.min[:1], t1.max[:1], t1.sum[:1])
+	l := newLadder(2, 2)
+	t1, t2 := &l.t1, &l.t2
+	// Two samples in the same 1 s bucket merge into a one-bucket ring.
+	l.foldSample(100e6, 5)
+	l.foldSample(900e6, 7)
+	if b := t1.at(0); t1.n != 1 || len(t1.b) != 1 || b.count != 2 || b.min != 5 || b.max != 7 || b.sum != 12 {
+		t.Fatalf("same-bucket merge: n=%d cap=%d bucket=%+v", t1.n, len(t1.b), *b)
 	}
-	// Two more buckets: the ring (cap 2) evicts the oldest into t2.
-	t1.foldSample(1_100e6, 1)
-	t1.foldSample(2_100e6, 9)
-	if t1.n != 2 {
-		t.Fatalf("t1 occupancy %d, want 2", t1.n)
+	// A second bucket grows the ring to its cap; a third evicts the
+	// oldest into t2.
+	l.foldSample(1_100e6, 1)
+	if t1.n != 2 || len(t1.b) != 2 || len(t2.b) != 0 {
+		t.Fatalf("t1 n=%d cap=%d, t2 cap=%d; want 2, 2, 0", t1.n, len(t1.b), len(t2.b))
 	}
-	if t2.n != 1 || t2.count[0] != 2 || t2.sum[0] != 12 {
+	l.foldSample(2_100e6, 9)
+	if t1.n != 2 || len(t1.b) != 2 {
+		t.Fatalf("t1 occupancy %d cap %d, want 2 and 2", t1.n, len(t1.b))
+	}
+	if b := t2.at(0); t2.n != 1 || b.count != 2 || b.sum != 12 {
 		t.Fatalf("evicted bucket not in t2: n=%d", t2.n)
 	}
 	if got := t1.samples() + t2.samples(); got != 4 {
 		t.Fatalf("sample conservation: %d, want 4", got)
+	}
+	// t2 wraps at its cap and drops its oldest bucket.
+	for i := int64(1); i <= 4; i++ {
+		l.foldSample(i*tier2Width+3e9, 1)
+	}
+	if t2.n != 2 || len(t2.b) != 2 || t2.at(0).start != tier2Width || t2.at(1).start != 2*tier2Width {
+		t.Fatalf("t2 after wrap: n=%d cap=%d oldest=%d", t2.n, len(t2.b), t2.at(0).start)
 	}
 	// Bucket-start alignment at negative timestamps floors toward -inf.
 	if got := t1.bucketStart(-1); got != -tier1Width {

@@ -316,13 +316,9 @@ func (a *aggState) finish() (Agg, bool) {
 // short window over a long ring costs the samples in it; an unordered
 // head is scanned end to end. Caller holds se.mu.
 func (se *series) visitLocked(from, to int64, bucket func(start int64, count uint32, min, max, sum float64), sample func(ts int64, v float64)) {
-	if bucket != nil {
-		if se.t2 != nil {
-			se.t2.visit(from, to, bucket)
-		}
-		if se.t1 != nil {
-			se.t1.visit(from, to, bucket)
-		}
+	if l := se.tiers; bucket != nil && l != nil {
+		l.t2.visit(from, to, bucket)
+		l.t1.visit(from, to, bucket)
 	}
 	for _, ck := range se.chunks {
 		if ck.lastTS < from || ck.firstTS > to {
@@ -531,8 +527,8 @@ func (s *Store) List(agent int64, fn uint16) []SeriesInfo {
 			Count:  se.n + se.chunkSamples(),
 			Chunks: len(se.chunks),
 		}
-		if se.t1 != nil {
-			info.TierSamples = se.t1.samples() + se.t2.samples()
+		if l := se.tiers; l != nil {
+			info.TierSamples = l.t1.samples() + l.t2.samples()
 		}
 		switch {
 		case len(se.chunks) > 0:

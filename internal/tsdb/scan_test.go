@@ -120,8 +120,8 @@ func linearVisitOf(se *series, from, to int64) visited {
 	var out visited
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	for _, tr := range []*tier{se.t2, se.t1} {
-		if tr != nil {
+	if l := se.tiers; l != nil {
+		for _, tr := range []*tier{&l.t2, &l.t1} {
 			tr.visit(from, to, func(start int64, count uint32, _, _, _ float64) {
 				out.buckets = append(out.buckets, Sample{TS: start, V: float64(count)})
 			})

@@ -143,23 +143,33 @@ func (s *Store) WriteSnapshot(w io.Writer) (int64, error) {
 			sw.u32(uint32(ck.nbits))
 			sw.write(ck.bits)
 		}
-		// Tiers, widest (oldest data) first.
+		// Tiers, widest (oldest data) first. A compressed series that
+		// has not folded yet writes both tiers empty; a tier of width 0
+		// (a ring store's missing tier 2 after a one-tier snapshot) is
+		// not written.
+		l := se.tiers
+		if l == nil && s.cfg.Compress {
+			l = &noTiers
+		}
 		var tiers []*tier
-		if se.t1 != nil {
-			tiers = []*tier{se.t2, se.t1}
+		if l != nil {
+			for _, t := range [...]*tier{&l.t2, &l.t1} {
+				if t.width > 0 {
+					tiers = append(tiers, t)
+				}
+			}
 		}
 		sw.u8(uint8(len(tiers)))
 		for _, t := range tiers {
 			sw.i64(t.width)
 			sw.u32(uint32(t.n))
-			tc := len(t.start)
 			for j := 0; j < t.n; j++ {
-				p := (t.head + j) % tc
-				sw.i64(t.start[p])
-				sw.u32(t.count[p])
-				sw.f64(t.min[p])
-				sw.f64(t.max[p])
-				sw.f64(t.sum[p])
+				b := t.at(j)
+				sw.i64(b.start)
+				sw.u32(b.count)
+				sw.f64(b.min)
+				sw.f64(b.max)
+				sw.f64(b.sum)
 			}
 		}
 		se.mu.Unlock()
@@ -195,6 +205,24 @@ func (sr *snapReader) read(p []byte) {
 		return
 	}
 	sr.crc = crc32.Update(sr.crc, crc32.IEEETable, p)
+}
+
+// snapSlab is the most a chunk payload allocates ahead of the bytes the
+// stream has delivered.
+const snapSlab = 4 << 10
+
+// bytes reads an n-byte payload. Past snapSlab the buffer at most
+// doubles per read, so a corrupt length allocates in proportion to the
+// bytes actually present, not to the length it claims.
+func (sr *snapReader) bytes(n int) []byte {
+	b := make([]byte, min(n, snapSlab))
+	sr.read(b)
+	for len(b) < n && sr.err == nil {
+		k := min(n-len(b), len(b))
+		b = append(b, make([]byte, k)...)
+		sr.read(b[len(b)-k:])
+	}
+	return b
 }
 
 func (sr *snapReader) u8() uint8 { sr.read(sr.buf[:1]); return sr.buf[0] }
@@ -242,8 +270,9 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	if nSeries > maxSnapSeries {
 		return fmt.Errorf("%w: series count %d", ErrSnapshotFormat, nSeries)
 	}
-	keys := make([]SeriesKey, 0, nSeries)
-	sers := make([]*series, 0, nSeries)
+	// Grown as series arrive: a corrupt count must not size them.
+	var keys []SeriesKey
+	var sers []*series
 	for i := uint32(0); i < nSeries; i++ {
 		k := SeriesKey{
 			Agent: sr.u32(),
@@ -305,8 +334,7 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 				return fmt.Errorf("%w: chunk size", ErrSnapshotFormat)
 			}
 			ck.nbits = int(nbits)
-			ck.bits = make([]byte, nbytes)
-			sr.read(ck.bits)
+			ck.bits = sr.bytes(nbytes)
 			se.chunks = append(se.chunks, ck)
 		}
 		// Tiers.
@@ -317,7 +345,6 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		if tn > 2 {
 			return fmt.Errorf("%w: tier count %d", ErrSnapshotFormat, tn)
 		}
-		var restored []*tier
 		for j := uint8(0); j < tn; j++ {
 			width := sr.i64()
 			bn := sr.u32()
@@ -327,39 +354,41 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 			if width <= 0 || bn > maxSnapTierCap {
 				return fmt.Errorf("%w: tier shape", ErrSnapshotFormat)
 			}
-			// Reuse the configured tier when the width matches (the
-			// common restart path); otherwise build one big enough.
-			var t *tier
+			// A compressed store folds the buckets of its own two widths
+			// into the series' ladder, made at the first bucket, and skips
+			// the rest. Any other store keeps the tiers as they came (they
+			// receive no further folds): the first of two is tier 2, a lone
+			// one tier 1, each limited to its bucket count. Either way the
+			// rings grow with the buckets read, not with a header's count.
+			into := 0 // the tier the buckets fold into; 0 skips them
 			switch {
-			case se.t2 != nil && width == se.t2.width:
-				t = se.t2
-			case se.t1 != nil && width == se.t1.width:
-				t = se.t1
-			default:
-				capacity := int(bn)
-				if capacity == 0 {
-					capacity = 1
+			case !s.cfg.Compress:
+				if se.tiers == nil {
+					se.tiers = &ladder{}
 				}
-				t = newTier(width, capacity, nil)
+				t := &se.tiers.t1
+				into = 1
+				if tn == 2 && j == 0 {
+					t, into = &se.tiers.t2, 2
+				}
+				t.width, t.limit = width, max(int(bn), 1)
+			case width == tier1Width:
+				into = 1
+			case width == tier2Width:
+				into = 2
 			}
-			for b := uint32(0); b < bn; b++ {
-				start := sr.i64()
-				count := sr.u32()
-				mn, mx, sum := sr.f64(), sr.f64(), sr.f64()
+			for n := uint32(0); n < bn; n++ {
+				b := bucket{start: sr.i64(), count: sr.u32(), min: sr.f64(), max: sr.f64(), sum: sr.f64()}
 				if sr.err != nil {
 					return sr.err
 				}
-				t.fold(start, count, mn, mx, sum)
+				switch into {
+				case 1:
+					s.ladderLocked(se).fold1(b)
+				case 2:
+					s.ladderLocked(se).fold2(b)
+				}
 			}
-			restored = append(restored, t)
-		}
-		// Snapshot order is widest first (t2 then t1); rebind when the
-		// store had no tiers of its own.
-		if se.t1 == nil && len(restored) == 2 {
-			se.t2, se.t1 = restored[0], restored[1]
-			se.t1.next = se.t2
-		} else if se.t1 == nil && len(restored) == 1 {
-			se.t1 = restored[0]
 		}
 		keys = append(keys, k)
 		sers = append(sers, se)

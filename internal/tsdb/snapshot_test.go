@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -259,4 +260,117 @@ func TestSnapshotEvery(t *testing.T) {
 	if !ok1 || !ok2 || a != b {
 		t.Fatalf("final snapshot stale:\nlive:     %+v\nrestored: %+v", a, b)
 	}
+}
+
+// oneTierSnapshot is a one-series snapshot carrying a single tier (a
+// 1 s tier with one bucket) under a valid CRC. A ring store keeps it as
+// tier 1 and no tier 2: List and WriteSnapshot used to dereference the
+// missing tier 2 and panic, with the series lock held.
+func oneTierSnapshot() []byte {
+	le := binary.LittleEndian
+	p := le.AppendUint32(nil, 1) // series
+	p = le.AppendUint32(p, 1)    // agent
+	p = le.AppendUint16(p, 142)  // fn
+	p = le.AppendUint16(p, 1)    // ue
+	p = append(p, byte(FieldCQI))
+	p = le.AppendUint32(p, 0) // head samples
+	p = le.AppendUint32(p, 0) // chunks
+	p = append(p, 1)          // tiers
+	p = le.AppendUint64(p, uint64(tier1Width))
+	p = le.AppendUint32(p, 1) // buckets
+	p = le.AppendUint64(p, uint64(3*tier1Width))
+	p = le.AppendUint32(p, 5)
+	for _, v := range []float64{1, 9, 25} { // min, max, sum
+		p = le.AppendUint64(p, math.Float64bits(v))
+	}
+	out := append([]byte(snapshotMagic), snapshotVersion)
+	out = append(out, p...)
+	return le.AppendUint32(out, crc32.ChecksumIEEE(p))
+}
+
+// FuzzSnapshotLoad feeds arbitrary bytes to the FXTS reader. The first
+// byte picks the target store (bit 0: compressed, else ring) and whether
+// the footer is rewritten to the payload's CRC (bit 1), so that mutated
+// structure gets past the checksum; the rest is the snapshot. The seeds
+// are the golden snapshots in testdata/, one series per image, in both
+// store modes. Oracle: a load either succeeds or fails with
+// ErrSnapshotFormat (a CRC mismatch included) and publishes nothing; it
+// never panics, and allocates in proportion to the input, not to the
+// counts its headers claim. A store that loaded answers queries, writes
+// a snapshot that loads to the same occupancy, and keeps ingesting:
+// appends seal, retire and fold the chunks it restored.
+func FuzzSnapshotLoad(f *testing.F) {
+	for _, gc := range goldenCases {
+		data, err := os.ReadFile(filepath.Join("testdata", gc.name+".fxts"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, img := range splitImages(f, data) {
+			for mode := byte(0); mode < 4; mode++ {
+				f.Add(append([]byte{mode}, img...))
+			}
+		}
+	}
+	for mode := byte(0); mode < 2; mode++ {
+		f.Add(append([]byte{mode}, oneTierSnapshot()...))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{2, 'F', 'X', 'T', 'S', 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mode, snap := data[0], append([]byte(nil), data[1:]...)
+		if head := len(snapshotMagic) + 1; mode&2 != 0 && len(snap) >= head+4 {
+			binary.LittleEndian.PutUint32(snap[len(snap)-4:], crc32.ChecksumIEEE(snap[head:len(snap)-4]))
+		}
+		cfg := Config{Capacity: 16, Compress: mode&1 != 0, MaxChunks: 2, Tier1Cap: 4, Tier2Cap: 2, Shards: 1}
+		s := New(cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.ReadSnapshot(bytes.NewReader(snap))
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, 128*uint64(len(snap))+1<<20; grew > bound {
+			t.Fatalf("a %d-byte snapshot allocated %d bytes (bound %d)", len(snap), grew, bound)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotFormat) {
+				t.Fatalf("err = %v, want ErrSnapshotFormat", err)
+			}
+			if s.NumSeries() != 0 {
+				t.Fatal("a failed load published series")
+			}
+			return
+		}
+		keys := s.Keys(func(SeriesKey) bool { return true })
+		s.List(-1, 0)
+		for _, k := range keys {
+			s.Aggregate(k, math.MinInt64, math.MaxInt64)
+			s.Window(k, math.MinInt64, math.MaxInt64, math.MaxInt64/64)
+			s.LastK(k, 2*cfg.Capacity, nil)
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again := New(cfg)
+		if err := again.ReadSnapshot(&buf); err != nil {
+			t.Fatalf("a loaded store's snapshot does not load: %v", err)
+		}
+		// A ring store limits restored tiers to the buckets a snapshot
+		// lists, so ring storage may differ; what is held may not.
+		occupancy := func(st Stats) Stats {
+			st.Tier1.Capacity, st.Tier2.Capacity = 0, 0
+			return st
+		}
+		if a, b := occupancy(s.Stats()), occupancy(again.Stats()); a != b {
+			t.Fatalf("rewritten snapshot loads differently:\nfirst:  %+v\nsecond: %+v", a, b)
+		}
+		for _, k := range keys {
+			for i := 0; i <= cfg.Capacity; i++ {
+				s.Append(k, int64(i), float64(i))
+			}
+		}
+		s.Stats()
+	})
 }

@@ -3,12 +3,21 @@ package tsdb
 // TierStats reports one downsampling tier's occupancy, summed across
 // all series.
 type TierStats struct {
-	// Buckets is the live summary-bucket count; Capacity the total ring
-	// capacity (per-series cap × series count).
+	// Buckets is the live summary-bucket count; Capacity the buckets
+	// the tier rings have storage for. A ring is allocated at its first
+	// bucket and doubles up to Config.Tier1Cap / Tier2Cap, so Capacity
+	// is at most twice Buckets until rings reach their cap, and never
+	// more than cap × series.
 	Buckets  int `json:"buckets"`
 	Capacity int `json:"capacity"`
 	// Samples is the raw sample count the live buckets summarize.
 	Samples int `json:"samples"`
+}
+
+func (ts *TierStats) add(t *tier) {
+	ts.Buckets += t.n
+	ts.Capacity += len(t.b)
+	ts.Samples += t.samples()
 }
 
 // Stats is the store-wide occupancy and compression-efficiency summary
@@ -44,15 +53,9 @@ func (s *Store) Stats() Stats {
 			st.ChunkSamples += ck.count
 			st.ChunkBytes += ck.sizeBytes()
 		}
-		if se.t1 != nil {
-			st.Tier1.Buckets += se.t1.n
-			st.Tier1.Capacity += len(se.t1.start)
-			st.Tier1.Samples += se.t1.samples()
-		}
-		if se.t2 != nil {
-			st.Tier2.Buckets += se.t2.n
-			st.Tier2.Capacity += len(se.t2.start)
-			st.Tier2.Samples += se.t2.samples()
+		if l := se.tiers; l != nil {
+			st.Tier1.add(&l.t1)
+			st.Tier2.add(&l.t2)
 		}
 		se.mu.Unlock()
 	})

@@ -195,17 +195,24 @@ if echo "$rows" | grep -vq ' 0 allocs/op'; then
     exit 1
 fi
 
-echo "==> tsdb chunk seal (<=2 allocs/op gate)"
-# A seal encodes into a pooled scratch buffer and allocates only the
-# chunk and its exact-size bits.
-seal_out=$(go test -run xxx -bench 'BenchmarkTSDBChunkSeal$' -benchtime 200x ./internal/tsdb/ 2>&1)
+echo "==> tsdb chunk seal (<=2 allocs/op) and recycled seal (0 allocs/op) gates"
+# A seal encodes into a pooled scratch buffer. Onto a chain that still
+# grows it allocates only the chunk and its exact-size bits; onto a full
+# chain it writes into the chunk retention retires, so a compressed
+# series at steady state (chain full, tiers at their caps) appends,
+# seals and folds without allocating.
+seal_out=$(go test -run xxx -bench 'BenchmarkTSDBChunkSeal$|BenchmarkTSDBSealRecycled$' -benchtime 200x ./internal/tsdb/ 2>&1)
 echo "$seal_out"
-if ! echo "$seal_out" | grep -q 'BenchmarkTSDBChunkSeal'; then
-    echo "verify: BenchmarkTSDBChunkSeal did not run" >&2
+if ! echo "$seal_out" | grep -q 'BenchmarkTSDBChunkSeal' || ! echo "$seal_out" | grep -q 'BenchmarkTSDBSealRecycled'; then
+    echo "verify: BenchmarkTSDBChunkSeal or BenchmarkTSDBSealRecycled did not run" >&2
     exit 1
 fi
 if ! echo "$seal_out" | grep 'BenchmarkTSDBChunkSeal' | grep -Eq ' [0-2] allocs/op'; then
     echo "verify: tsdb chunk seal exceeds 2 allocs/op" >&2
+    exit 1
+fi
+if ! echo "$seal_out" | grep 'BenchmarkTSDBSealRecycled' | grep -q ' 0 allocs/op'; then
+    echo "verify: tsdb steady-state seal allocates" >&2
     exit 1
 fi
 
@@ -278,18 +285,21 @@ fi
 echo "==> fuzz targets (3 s each)"
 # Each target's checked-in corpus already runs in the tier-1 suite; this
 # step mutates beyond it briefly. A failing input lands in the package's
-# testdata/fuzz directory.
+# testdata/fuzz directory. Minimizing an input is capped at 100 runs: a
+# kilobyte seed (FuzzSnapshotLoad's snapshots) takes the default 60 s to
+# minimize, which would leave none of the 3 s for mutation.
 for target in \
     'FuzzEncodeAppendIndication ./internal/e2ap/' \
     'FuzzE2APDecode ./internal/e2ap/' \
     'FuzzSMDecode ./internal/sm/' \
     'FuzzChunkRoundTrip ./internal/tsdb/' \
+    'FuzzSnapshotLoad ./internal/tsdb/' \
     'FuzzPartialLegJSON ./internal/federation/' \
     'FuzzTSDBFrame ./internal/obs/' \
     'FuzzObsRoutes ./internal/obs/' \
     'FuzzCtrlRoutes ./internal/ctrl/'; do
     set -- $target
-    go test -run '^$' -fuzz "^$1\$" -fuzztime 3s "$2"
+    go test -run '^$' -fuzz "^$1\$" -fuzztime 3s -fuzzminimizetime 100x "$2"
 done
 
 echo "==> doc lint (markdown links, documented flags, BENCH_*.json names)"
