@@ -64,7 +64,7 @@ var (
 	a1SnapshotEvery   = flag.Duration("a1-snapshot-every", 0, "also write the A1 snapshot periodically (0 = shutdown-only; needs -a1-snapshot)")
 	federate          = flag.String("federate", "", "comma-separated shard names forming the federation ring, e.g. 's0,s1,s2' (needs -root or -shard-of)")
 	rootMode          = flag.Bool("root", false, "run as the federation root: -e2 accepts shard northbound connections, -obs serves /federation.json and the federated /tsdb/query")
-	shardOf           = flag.String("shard-of", "", "run as a federation shard under the root at this E2 address; -e2 is the shard's southbound, -obs its /tsdb/partial endpoint")
+	shardOf           = flag.String("shard-of", "", "run as a federation shard under the root at this E2 address; -e2 is the shard's southbound, -obs its own tsdb routes (the root's query legs arrive over E2)")
 	shardName         = flag.String("shard-name", "", "this shard's ring member name (needs -shard-of; must appear in -federate)")
 	fedSnapshots      = flag.String("fed-snapshots", "", "shared directory of per-shard tsdb snapshots enabling failover state transfer (shard mode; -tsdb-snapshot-every adds periodic writes)")
 )
@@ -422,8 +422,8 @@ func runFederationRoot(members []string, e2Addr, obsAddr string, e2s e2ap.Scheme
 
 // runFederationShard runs the process as one federation shard until
 // SIGINT/SIGTERM: a full controller core (-e2 southbound, -obs serving
-// /tsdb/partial for the root's fan-out) plus the northbound agent
-// toward the root.
+// the shard's own tsdb routes) plus the northbound agent toward the
+// root, which also carries the root's query legs.
 func runFederationShard(members []string, name, rootAddr, e2Addr, obsAddr, snapDir string,
 	snapEvery time.Duration, e2s e2ap.Scheme, sms sm.Scheme, resCfg *resilience.Config, period uint32) {
 	idx := -1

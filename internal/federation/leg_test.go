@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"testing"
 	"time"
 
-	"flexric/internal/obs"
+	"flexric/internal/e2ap"
+	"flexric/internal/sm"
+	"flexric/internal/telemetry"
 	"flexric/internal/tsdb"
 )
 
@@ -29,15 +32,11 @@ func goodLeg(t testing.TB, windowed bool) []byte {
 			st.Append(k, ts, float64(ts%13)-4)
 		}
 	}
-	keys := st.Keys(func(tsdb.SeriesKey) bool { return true })
-	env := partialEnvelope{Series: len(keys)}
+	q := tsdb.Query{Agent: -1, UE: -1, Fn: 142, Field: tsdb.FieldCQI, From: 0, To: 299}
 	if windowed {
-		env.Buckets = legGrid()
-		st.FoldPartialWindow(keys, env.Buckets)
-	} else {
-		st.FoldPartial(keys, 0, 299, &env.Agg)
+		q.To, q.StepNS = 300, 100
 	}
-	b, err := json.Marshal(env)
+	b, err := json.Marshal(st.Partial(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,17 +55,17 @@ func hostileLeg(lo int64) []byte {
 const maxRun = 1 << 15
 
 // mergeLegs is the root's decode-check-merge over raw leg bodies. It
-// returns the merged envelope and how many legs were accepted.
-func mergeLegs(grid []tsdb.PartialBucket, legs ...[]byte) (partialEnvelope, int) {
-	merged := partialEnvelope{Buckets: append([]tsdb.PartialBucket(nil), grid...)}
+// returns the merged leg and how many legs were accepted.
+func mergeLegs(grid []tsdb.PartialBucket, legs ...[]byte) (tsdb.PartialLeg, int) {
+	merged := tsdb.PartialLeg{Buckets: append([]tsdb.PartialBucket(nil), grid...)}
 	ok := 0
 	for _, body := range legs {
-		env, err := readLeg(bytes.NewReader(body), grid)
+		leg, err := readLeg(body, grid)
 		if err != nil {
 			continue
 		}
 		ok++
-		merged.merge(&env)
+		merged.Merge(&leg)
 	}
 	return merged, ok
 }
@@ -79,7 +78,7 @@ func mergeLegs(grid []tsdb.PartialBucket, legs ...[]byte) (partialEnvelope, int)
 func TestHostileLegsRejected(t *testing.T) {
 	grid := legGrid()
 	for _, lo := range []int64{-1e9, 1e9} {
-		if _, err := readLeg(bytes.NewReader(hostileLeg(lo)), grid); !errors.Is(err, tsdb.ErrBadPartial) {
+		if _, err := readLeg(hostileLeg(lo), grid); !errors.Is(err, tsdb.ErrBadPartial) {
 			t.Fatalf("leg with lo=%d: %v, want ErrBadPartial", lo, err)
 		}
 	}
@@ -89,51 +88,127 @@ func TestHostileLegsRejected(t *testing.T) {
 		t.Fatalf("accepted %d legs with %d series, want the 2 good ones with 8", ok, merged.Series)
 	}
 	shifted := bytes.Replace(good, []byte(`"from_ts":100`), []byte(`"from_ts":101`), 1)
-	if _, err := readLeg(bytes.NewReader(shifted), grid); err == nil {
+	if _, err := readLeg(shifted, grid); err == nil {
 		t.Fatal("a leg on another bucket grid was accepted")
 	}
-	if _, err := readLeg(bytes.NewReader(good), nil); err == nil {
+	if _, err := readLeg(good, nil); err == nil {
 		t.Fatal("a windowed leg was accepted for an aggregate query")
 	}
-	if _, err := readLeg(bytes.NewReader(goodLeg(t, false)), nil); err != nil {
+	if _, err := readLeg(goodLeg(t, false), nil); err != nil {
 		t.Fatalf("aggregate leg rejected: %v", err)
 	}
 }
 
-// TestFederatedWindowOneAgent: a windowed query for one agent returns
-// the owner's buckets even when a shard holding none of that agent's
-// series answers first. (The root used to adopt the first leg's bucket
-// list, and an empty shard's was empty.)
-func TestFederatedWindowOneAgent(t *testing.T) {
-	stores := []*tsdb.Store{tsdb.New(tsdb.Config{}), tsdb.New(tsdb.Config{})}
-	r := &Root{client: &http.Client{Timeout: 5 * time.Second}, shards: map[string]*shardState{}}
-	var addrs []string
-	for i, st := range stores {
-		s, err := obs.NewServer("127.0.0.1:0", obs.WithTSDB(st))
+// startFleet starts a root and n shards (s0, s1, …) joined over E2,
+// with no agents, and returns once the root lists every shard alive.
+// The shards' stores are the test's to fill.
+func startFleet(t *testing.T, n int) (*Root, []*Shard, *Ring) {
+	t.Helper()
+	members := make([]string, n)
+	for i := range members {
+		members[i] = fmt.Sprintf("s%d", i)
+	}
+	ring := NewRing(DefaultReplicas, members...)
+	root, err := NewRoot(RootConfig{Ring: ring, E2Scheme: e2ap.SchemeFB, ListenAddr: "127.0.0.1:0", CoordPeriodMS: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { root.Close() })
+	shards := make([]*Shard, n)
+	for i, name := range members {
+		sh, err := NewShard(ShardConfig{
+			Name: name, Index: i, E2Scheme: e2ap.SchemeFB, SMScheme: sm.SchemeFB,
+			SouthAddr: "127.0.0.1:0", ObsAddr: "127.0.0.1:0",
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		addrs = append(addrs, "http://"+s.Addr())
-		r.shards[fmt.Sprint(i)] = &shardState{alive: true, obs: addrs[i]}
-	}
-	// The root merges legs in address order: give the agent's series to
-	// the shard that sorts last.
-	owner := stores[0]
-	if addrs[0] < addrs[1] {
-		owner = stores[1]
-	}
-	for ts := int64(0); ts < 1e9; ts += 1e7 {
-		owner.Append(tsdb.SeriesKey{Agent: 5, Fn: 142, UE: 1, Field: tsdb.FieldCQI}, ts, 7)
-	}
-	got, err := r.FederatedWindow("5", "mac", "all", "cqi", 0, 1e9, 1e8)
-	if err != nil || len(got) != 10 {
-		t.Fatalf("%d buckets, err %v; want 10", len(got), err)
-	}
-	for i, b := range got {
-		if b.Agg.Count != 10 || b.Agg.Mean != 7 {
-			t.Fatalf("bucket %d: %+v", i, b.Agg)
+		t.Cleanup(func() { sh.Close() })
+		if err := sh.ConnectRoot(root.Addr()); err != nil {
+			t.Fatal(err)
 		}
+		shards[i] = sh
+	}
+	waitUntil(t, "every shard alive at the root", 5*time.Second, func() bool { return aliveShards(root) == n })
+	return root, shards, ring
+}
+
+// aliveShards counts the shards the root's registry holds alive.
+func aliveShards(r *Root) int {
+	n := 0
+	for _, sh := range r.Snapshot().(FedSnapshot).Shards {
+		if sh.Alive {
+			n++
+		}
+	}
+	return n
+}
+
+// fedQuery runs one federated /tsdb/query through the root's handler.
+func fedQuery(t *testing.T, r *Root, u string) (int, fedQueryResponse, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	r.QueryHandler()(rec, httptest.NewRequest("GET", u, nil))
+	var resp fedQueryResponse
+	if rec.Code == 200 {
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("GET %s: %v", u, err)
+		}
+	}
+	return rec.Code, resp, rec.Body.String()
+}
+
+// TestFederatedWindowOneAgent: a windowed query for one agent returns
+// the owner's buckets even when shards holding none of that agent's
+// series answer first (the root once adopted the first leg's bucket
+// list, and an empty shard's was empty), every leg travels over
+// fed-coord — no shard serves a /tsdb/partial request — and with one of
+// three shards closed the query still answers from the other two.
+func TestFederatedWindowOneAgent(t *testing.T) {
+	root, shards, _ := startFleet(t, 3)
+	// The root merges legs in shard-name order: give the agent's series
+	// to the shard that sorts last.
+	owner := shards[len(shards)-1]
+	for ts := int64(0); ts < 1e9; ts += 1e7 {
+		owner.DB().Append(tsdb.SeriesKey{Agent: 5, Fn: 142, UE: 1, Field: tsdb.FieldCQI}, ts, 7)
+	}
+	partials := telemetry.NewCounter("obs.http.requests.tsdb_partial")
+	const u = "/tsdb/query?agent=5&fn=mac&ue=all&field=cqi&from=0&to=1000000000&step_ms=100"
+	for _, c := range []struct {
+		name   string
+		kill   *Shard
+		shards int
+	}{
+		{"one wire", nil, 3},
+		{"dead shard", shards[0], 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// The telemetry registry is process-wide: this one counter
+			// counts the /tsdb/partial requests of every shard.
+			before := partials.Load()
+			if c.kill != nil {
+				if err := c.kill.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			code, resp, body := fedQuery(t, root, u)
+			if code != 200 || resp.Shards != c.shards || resp.Series != 1 || len(resp.Buckets) != 10 {
+				t.Fatalf("%d, %d shards, %d series, %d buckets (%s); want 200, %d shards, 1 series, 10 buckets",
+					code, resp.Shards, resp.Series, len(resp.Buckets), body, c.shards)
+			}
+			got, err := root.FederatedWindow("5", "mac", "all", "cqi", 0, 1e9, 1e8)
+			if err != nil || !reflect.DeepEqual(got, resp.Buckets) {
+				t.Fatalf("FederatedWindow: %v, err %v; the handler answered %v", got, err, resp.Buckets)
+			}
+			for i, b := range got {
+				if b.Agg.Count != 10 || b.Agg.Mean != 7 {
+					t.Fatalf("bucket %d: %+v", i, b.Agg)
+				}
+			}
+			if n := partials.Load() - before; n != 0 {
+				t.Fatalf("the shards served %d /tsdb/partial requests; the legs must ride fed-coord", n)
+			}
+		})
 	}
 }
 
@@ -170,52 +245,58 @@ func FuzzPartialLegJSON(f *testing.F) {
 // TestQueryHandlerWideWindows: the federated /tsdb/query answers a
 // from/to span wider than MaxInt64 nanoseconds with the shards' capped
 // grid, and rejects a step_ms or window_ms whose nanoseconds overflow,
-// or a bad agent, fn or field, with 400 before fanning out.
+// or a bad agent, fn or field, with 400 before fanning out. last=K
+// answers the owner shard's own /tsdb/query samples, 404 for a series
+// without samples and 400 for agent=all.
 func TestQueryHandlerWideWindows(t *testing.T) {
-	st := tsdb.New(tsdb.Config{})
-	k := tsdb.SeriesKey{Agent: 5, Fn: 142, UE: 1, Field: tsdb.FieldCQI}
-	st.Append(k, -8e18, 3)
-	st.Append(k, 8e18, 5)
-	s, err := obs.NewServer("127.0.0.1:0", obs.WithTSDB(st))
-	if err != nil {
-		t.Fatal(err)
+	root, shards, ring := startFleet(t, 3)
+	var owner *Shard
+	for _, sh := range shards {
+		if sh.Name() == ring.Owner(5) {
+			owner = sh
+		}
 	}
-	defer s.Close()
-	r := &Root{client: &http.Client{Timeout: 5 * time.Second}, shards: map[string]*shardState{
-		"0": {alive: true, obs: "http://" + s.Addr()},
-	}}
+	k := tsdb.SeriesKey{Agent: 5, Fn: 142, UE: 1, Field: tsdb.FieldCQI}
+	owner.DB().Append(k, -8e18, 3)
+	owner.DB().Append(k, 8e18, 5)
 	const sel = "/tsdb/query?agent=5&fn=mac&ue=1&field=cqi&"
 	const wide = "from=-9000000000000000000&to=9000000000000000000"
 	for _, c := range []struct {
 		url     string
 		code    int
 		buckets int
+		samples int
 	}{
-		{sel + wide + "&step_ms=10000000000", 200, 1800},
-		{sel + wide + "&step_ms=1000", 200, 4096},
-		{sel + wide + "&step_ms=18446744073710", 400, 0},
-		{sel + wide + "&step_ms=9223372036855", 400, 0},
-		{sel + "window_ms=9223372036855", 400, 0},
-		{sel + "window_ms=18446744073710&step_ms=1000", 400, 0},
-		{"/tsdb/query?agent=5&fn=mac&ue=1&field=bogus&" + wide + "&step_ms=1000", 400, 0},
-		{"/tsdb/query?agent=-1&fn=mac&ue=1&field=cqi&" + wide + "&step_ms=1000", 400, 0},
-		{"/tsdb/query?agent=5&fn=bogus&ue=1&field=cqi&" + wide + "&step_ms=1000", 400, 0},
+		{sel + wide + "&step_ms=10000000000", 200, 1800, 0},
+		{sel + wide + "&step_ms=1000", 200, 4096, 0},
+		{sel + wide + "&step_ms=18446744073710", 400, 0, 0},
+		{sel + wide + "&step_ms=9223372036855", 400, 0, 0},
+		{sel + "window_ms=9223372036855", 400, 0, 0},
+		{sel + "window_ms=18446744073710&step_ms=1000", 400, 0, 0},
+		{"/tsdb/query?agent=5&fn=mac&ue=1&field=bogus&" + wide + "&step_ms=1000", 400, 0, 0},
+		{"/tsdb/query?agent=-1&fn=mac&ue=1&field=cqi&" + wide + "&step_ms=1000", 400, 0, 0},
+		{"/tsdb/query?agent=5&fn=bogus&ue=1&field=cqi&" + wide + "&step_ms=1000", 400, 0, 0},
+		{sel + "last=3", 200, 0, 2},
+		{"/tsdb/query?agent=5&fn=mac&ue=2&field=cqi&last=3", 404, 0, 0},
+		{"/tsdb/query?agent=all&fn=mac&ue=1&field=cqi&last=3", 400, 0, 0},
 	} {
-		rec := httptest.NewRecorder()
-		r.QueryHandler()(rec, httptest.NewRequest("GET", c.url, nil))
-		if rec.Code != c.code {
-			t.Errorf("GET %s: %d %s, want %d", c.url, rec.Code, rec.Body, c.code)
+		code, resp, body := fedQuery(t, root, c.url)
+		if code != c.code {
+			t.Errorf("GET %s: %d %s, want %d", c.url, code, body, c.code)
 			continue
 		}
 		if c.code != 200 {
 			continue
 		}
-		var resp fedQueryResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("GET %s: %v", c.url, err)
+		if c.samples > 0 {
+			want := shardSamples(t, owner, c.url)
+			if resp.Shards != 1 || len(resp.Samples) != c.samples || !reflect.DeepEqual(resp.Samples, want) || resp.Key == nil || *resp.Key != k {
+				t.Errorf("GET %s: key %v, samples %v from %d shards; the owner's /tsdb/query has %v", c.url, resp.Key, resp.Samples, resp.Shards, want)
+			}
+			continue
 		}
-		if len(resp.Buckets) != c.buckets || resp.Shards != 1 {
-			t.Errorf("GET %s: %d buckets from %d shards, want %d from 1", c.url, len(resp.Buckets), resp.Shards, c.buckets)
+		if len(resp.Buckets) != c.buckets || resp.Shards != len(shards) {
+			t.Errorf("GET %s: %d buckets from %d shards, want %d from %d", c.url, len(resp.Buckets), resp.Shards, c.buckets, len(shards))
 		}
 		if c.buckets == 1800 && (resp.Buckets[100].Agg.Count != 1 || resp.Buckets[1700].Agg.Count != 1) {
 			t.Errorf("GET %s: samples at ±8e18 not in buckets 100 and 1700", c.url)
@@ -223,28 +304,87 @@ func TestQueryHandlerWideWindows(t *testing.T) {
 	}
 }
 
-// spaces is an endless run of JSON whitespace, counting what was read.
-type spaces struct{ n int }
-
-func (s *spaces) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = ' '
+// shardSamples asks a shard's own obs server /tsdb/query for the
+// samples of the query path u.
+func shardSamples(t *testing.T, sh *Shard, u string) []tsdb.Sample {
+	t.Helper()
+	resp, err := http.Get("http://" + sh.ObsAddr() + u)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.n += len(p)
-	return len(p), nil
+	defer resp.Body.Close()
+	var body struct {
+		Samples []tsdb.Sample `json:"samples"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("GET %s on the owner: %s, %v", u, resp.Status, err)
+	}
+	return body.Samples
 }
 
-// A shard answer is read up to maxLegBytes and no further: an endless
-// one is dropped like a failed leg instead of growing the root's buffer.
+// A shard answer longer than maxLegBytes is dropped like a failed leg,
+// before it is decoded; one under the bound is read whatever its
+// padding.
 func TestLegBodyBounded(t *testing.T) {
-	endless := &spaces{}
-	if _, err := readLeg(endless, legGrid()); err == nil {
-		t.Fatal("an endless leg was accepted")
+	if _, err := readLeg(bytes.Repeat([]byte(" "), maxLegBytes+1), legGrid()); err == nil {
+		t.Fatal("a leg over the bound was accepted")
 	}
-	if endless.n > maxLegBytes+64<<10 {
-		t.Fatalf("read %d bytes of an endless leg, bound is %d", endless.n, maxLegBytes)
+	if _, err := readSamples(bytes.Repeat([]byte(" "), maxLegBytes+1), 1); err == nil {
+		t.Fatal("samples over the bound were accepted")
 	}
-	if _, err := readLeg(io.MultiReader(bytes.NewReader(bytes.Repeat([]byte(" "), 1<<20)), bytes.NewReader(goodLeg(t, true))), legGrid()); err != nil {
+	padded := append(bytes.Repeat([]byte(" "), 1<<20), goodLeg(t, true)...)
+	if _, err := readLeg(padded, legGrid()); err != nil {
 		t.Fatalf("a padded leg under the bound was rejected: %v", err)
 	}
+}
+
+// FuzzCoordControl feeds the shard's fed-coord control handler arbitrary
+// header and payload bytes over a small store. Whatever the bytes, it
+// must not panic, and it answers with an error or with what the root
+// accepts: for a leg, a body readLeg takes for the grid the query names
+// or, for last=K, at most K samples; for a takeover, nothing.
+func FuzzCoordControl(f *testing.F) {
+	st := tsdb.New(tsdb.Config{})
+	for ue := uint16(0); ue < 4; ue++ {
+		k := tsdb.SeriesKey{Agent: 1, Fn: 142, UE: ue, Field: tsdb.FieldCQI}
+		for ms := int64(0); ms < 300; ms += 7 {
+			st.Append(k, ms*int64(time.Millisecond), float64(ms%13)-4)
+		}
+	}
+	// No snapshot exists in the directory, so a takeover restores
+	// nothing and never reaches the shard's (absent) servers.
+	fn := &coordFn{s: &Shard{cfg: ShardConfig{Name: "s0", SnapshotDir: f.TempDir()}, db: st}}
+	f.Add([]byte(legHeader), []byte("agent=all&fn=mac&ue=all&field=cqi&from=0&to=300000000&step_ms=100"))
+	f.Add([]byte(legHeader), []byte("agent=1&fn=142&ue=all&field=cqi&from=0&to=299999999"))
+	f.Add([]byte(legHeader), []byte("agent=1&fn=mac&ue=2&field=cqi&last=5"))
+	f.Add([]byte(nil), EncodeTakeover(&Takeover{From: "s1", Agents: []uint64{1, 2}}))
+	f.Fuzz(func(t *testing.T, header, payload []byte) {
+		out, err := fn.OnControl(0, &e2ap.ControlRequest{RANFunctionID: IDFedCoord, Header: header, Payload: payload})
+		if err != nil {
+			return
+		}
+		if string(header) != legHeader {
+			if len(out) != 0 {
+				t.Fatalf("a takeover answered %d bytes", len(out))
+			}
+			return
+		}
+		v, err := url.ParseQuery(string(payload))
+		if err != nil {
+			t.Fatalf("leg %q answered, but its query does not parse: %v", payload, err)
+		}
+		q, err := tsdb.ParseQuery(v, tsdb.FormLast|tsdb.FormRange|tsdb.FormAll)
+		if err != nil {
+			t.Fatalf("leg %q answered, but its query does not parse: %v", payload, err)
+		}
+		if q.Last > 0 {
+			if _, err := readSamples(out, q.Last); err != nil {
+				t.Fatalf("last=%d leg %q: the root rejects the answer: %v", q.Last, payload, err)
+			}
+			return
+		}
+		if _, err := readLeg(out, tsdb.NewPartialWindow(q.From, q.To, q.StepNS)); err != nil {
+			t.Fatalf("leg %q: the root rejects the answer: %v", payload, err)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -34,21 +33,19 @@ type RootConfig struct {
 	Resilience *resilience.Config
 	// CoordPeriodMS is the shard report period (default 100).
 	CoordPeriodMS uint32
-	// HTTPTimeout bounds each shard fan-out request (default 5s).
-	HTTPTimeout time.Duration
 }
 
 // Root presents the whole shard fleet as one RIC: shards connect as
 // agents (the recursive idiom one level up), cross-shard subscriptions
 // are routed to the owner shard with RequestIDs remapped by the E2
-// machinery, federated queries fan out to shard obs servers and merge
-// mergeable partials, and a dead shard triggers takeover orders to the
-// ring successors of its agents.
+// machinery, federated queries send each live shard a query leg over
+// the same association and merge the mergeable partials it answers,
+// and a dead shard triggers takeover orders to the ring successors of
+// its agents.
 type Root struct {
-	cfg    RootConfig
-	srv    *server.Server
-	addr   string
-	client *http.Client
+	cfg  RootConfig
+	srv  *server.Server
+	addr string
 
 	mu        sync.Mutex
 	shards    map[string]*shardState
@@ -88,12 +85,8 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 	if cfg.CoordPeriodMS == 0 {
 		cfg.CoordPeriodMS = 100
 	}
-	if cfg.HTTPTimeout == 0 {
-		cfg.HTTPTimeout = 5 * time.Second
-	}
 	r := &Root{
 		cfg:       cfg,
-		client:    &http.Client{Timeout: cfg.HTTPTimeout},
 		shards:    make(map[string]*shardState),
 		byAgentID: make(map[server.AgentID]string),
 		fedSubs:   make(map[FedSubID]*fedSub),
@@ -297,108 +290,118 @@ func (r *Root) NumSubscriptions() int {
 	return len(r.fedSubs)
 }
 
-// --- federated query fan-out ---
+// --- federated queries: legs over fed-coord ---
 
-// partialEnvelope mirrors the shard obs server's /tsdb/partial
-// response.
-type partialEnvelope struct {
-	Series  int                  `json:"series"`
-	Agg     tsdb.PartialAgg      `json:"agg"`
-	Buckets []tsdb.PartialBucket `json:"buckets,omitempty"`
-}
-
-// liveObsAddrs snapshots the obs base URLs of live shards.
-func (r *Root) liveObsAddrs() []string {
+// liveShardIDs returns the E2 agent IDs of the live shards, in name
+// order.
+func (r *Root) liveShardIDs() []server.AgentID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []string
-	for _, st := range r.shards {
-		if st.alive && st.obs != "" {
-			out = append(out, st.obs)
+	names := make([]string, 0, len(r.shards))
+	for name, st := range r.shards {
+		if st.alive {
+			names = append(names, name)
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(names)
+	ids := make([]server.AgentID, len(names))
+	for i, name := range names {
+		ids[i] = r.shards[name].agentID
+	}
+	return ids
 }
 
-// maxLegBytes bounds one shard's /tsdb/partial answer. A windowed leg
-// holds at most 4096 buckets (tsdb's window cap), each a few hundred
-// bytes plus its histogram runs: about 10 MB even if every bucket spans
-// values from 1 to 1e9.
-const maxLegBytes = 16 << 20
+// sendLeg sends one query leg — the URL-encoded tsdb query v — to a
+// shard as a fed-coord control and returns the shard's answer. The
+// server gives up on an answer after 5 s.
+func (r *Root) sendLeg(shard server.AgentID, v url.Values) ([]byte, error) {
+	return r.srv.ControlWait(shard, IDFedCoord, []byte(legHeader), []byte(v.Encode()))
+}
 
-// readLeg decodes one shard's /tsdb/partial answer and checks it before
-// the merge trusts it: at most maxLegBytes, a series count that is not
-// negative, exactly the bucket grid the root asked for (none for an
-// aggregate), and partials that pass tsdb validation — so a corrupt or
-// hostile leg can neither exhaust the root's memory, panic the merge
-// nor grow a histogram past the finite bucket range.
-func readLeg(r io.Reader, grid []tsdb.PartialBucket) (partialEnvelope, error) {
-	var env partialEnvelope
-	if err := json.NewDecoder(io.LimitReader(r, maxLegBytes)).Decode(&env); err != nil {
-		return env, fmt.Errorf("federation: shard answer: %w", err)
+// readLeg decodes one shard's leg answer and checks it before the merge
+// trusts it: at most maxLegBytes, a series count that is not negative,
+// exactly the bucket grid the root asked for (none for an aggregate),
+// and partials that pass tsdb validation — so a corrupt or hostile leg
+// can neither exhaust the root's memory, panic the merge nor grow a
+// histogram past the finite bucket range.
+func readLeg(body []byte, grid []tsdb.PartialBucket) (tsdb.PartialLeg, error) {
+	var leg tsdb.PartialLeg
+	if len(body) > maxLegBytes {
+		return leg, fmt.Errorf("federation: shard answer of %d bytes exceeds %d", len(body), maxLegBytes)
 	}
-	if env.Series < 0 || len(env.Buckets) != len(grid) {
-		return env, fmt.Errorf("federation: shard answer: %d series, %d buckets for %d asked", env.Series, len(env.Buckets), len(grid))
+	if err := json.Unmarshal(body, &leg); err != nil {
+		return leg, fmt.Errorf("federation: shard answer: %w", err)
 	}
-	if err := env.Agg.Validate(); err != nil {
-		return env, fmt.Errorf("federation: shard answer: %w", err)
+	if leg.Series < 0 || len(leg.Buckets) != len(grid) {
+		return leg, fmt.Errorf("federation: shard answer: %d series, %d buckets for %d asked", leg.Series, len(leg.Buckets), len(grid))
 	}
-	for i := range env.Buckets {
-		b := &env.Buckets[i]
+	if err := leg.Agg.Validate(); err != nil {
+		return leg, fmt.Errorf("federation: shard answer: %w", err)
+	}
+	for i := range leg.Buckets {
+		b := &leg.Buckets[i]
 		if b.FromTS != grid[i].FromTS || b.ToTS != grid[i].ToTS {
-			return env, fmt.Errorf("federation: shard answer: bucket %d is [%d, %d), asked [%d, %d)", i, b.FromTS, b.ToTS, grid[i].FromTS, grid[i].ToTS)
+			return leg, fmt.Errorf("federation: shard answer: bucket %d is [%d, %d), asked [%d, %d)", i, b.FromTS, b.ToTS, grid[i].FromTS, grid[i].ToTS)
 		}
 		if err := b.Agg.Validate(); err != nil {
-			return env, fmt.Errorf("federation: shard answer: bucket %d: %w", i, err)
+			return leg, fmt.Errorf("federation: shard answer: bucket %d: %w", i, err)
 		}
 	}
-	return env, nil
+	return leg, nil
 }
 
-// merge folds a checked leg into m.
-func (m *partialEnvelope) merge(leg *partialEnvelope) {
-	m.Series += leg.Series
-	m.Agg.Merge(&leg.Agg)
-	m.Buckets = tsdb.MergePartialWindows(m.Buckets, leg.Buckets)
+// readSamples decodes a last=K leg's answer: at most maxLegBytes
+// holding at most k samples.
+func readSamples(body []byte, k int) ([]tsdb.Sample, error) {
+	if len(body) > maxLegBytes {
+		return nil, fmt.Errorf("federation: shard answer of %d bytes exceeds %d", len(body), maxLegBytes)
+	}
+	var samples []tsdb.Sample
+	if err := json.Unmarshal(body, &samples); err != nil {
+		return nil, fmt.Errorf("federation: shard answer: %w", err)
+	}
+	if len(samples) > k {
+		return nil, fmt.Errorf("federation: shard answer: %d samples for last=%d", len(samples), k)
+	}
+	return samples, nil
 }
 
-// fanOutPartial queries every live shard's /tsdb/partial for the
-// matching series over [from, to] — or, with stepNS > 0, its step
-// windows over [from, to) — and merges the answers into the root's own
-// bucket grid. shardsHit counts shards that answered with a valid leg,
-// series the matched series across them.
-func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64) (merged partialEnvelope, shardsHit int, err error) {
-	addrs := r.liveObsAddrs()
-	if len(addrs) == 0 {
+// fanOutPartial sends every live shard a leg for the matching series
+// over [from, to] — or, with stepNS > 0, its step windows over
+// [from, to) — and merges the answers into the root's own bucket grid.
+// shardsHit counts shards that answered with a valid leg, the merged
+// Series the matched series across them.
+func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64) (merged tsdb.PartialLeg, shardsHit int, err error) {
+	ids := r.liveShardIDs()
+	if len(ids) == 0 {
 		return merged, 0, fmt.Errorf("federation: no live shards")
 	}
 	// Shards take the step in whole milliseconds; the grid must match.
 	stepMS := stepNS / int64(time.Millisecond)
 	merged.Buckets = tsdb.NewPartialWindow(from, to, stepMS*int64(time.Millisecond))
-	query := partialParams(agent, fn, ue, field, from, to, stepMS).Encode()
+	v := legParams(agent, fn, ue, field)
+	v.Set("from", strconv.FormatInt(from, 10))
+	v.Set("to", strconv.FormatInt(to, 10))
+	if stepMS > 0 {
+		v.Set("step_ms", strconv.FormatInt(stepMS, 10))
+	}
 	type result struct {
-		env partialEnvelope
+		leg tsdb.PartialLeg
 		err error
 	}
-	results := make([]result, len(addrs))
+	results := make([]result, len(ids))
 	var wg sync.WaitGroup
-	for i, base := range addrs {
+	for i, id := range ids {
 		wg.Add(1)
-		go func(i int, base string) {
+		go func(i int, id server.AgentID) {
 			defer wg.Done()
-			resp, err := r.client.Get(base + "/tsdb/partial?" + query)
+			out, err := r.sendLeg(id, v)
 			if err != nil {
 				results[i].err = err
 				return
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				results[i].err = fmt.Errorf("federation: shard query: %s", resp.Status)
-				return
-			}
-			results[i].env, results[i].err = readLeg(resp.Body, merged.Buckets)
-		}(i, base)
+			results[i].leg, results[i].err = readLeg(out, merged.Buckets)
+		}(i, id)
 	}
 	wg.Wait()
 	for i := range results {
@@ -409,7 +412,7 @@ func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64
 			continue
 		}
 		shardsHit++
-		merged.merge(&results[i].env)
+		merged.Merge(&results[i].leg)
 	}
 	if shardsHit == 0 {
 		return merged, 0, fmt.Errorf("federation: every shard query failed")
@@ -417,17 +420,13 @@ func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64
 	return merged, shardsHit, nil
 }
 
-func partialParams(agent, fn, ue, field string, from, to, stepMS int64) url.Values {
+// legParams is a leg's series selector.
+func legParams(agent, fn, ue, field string) url.Values {
 	v := url.Values{}
 	v.Set("agent", agent)
 	v.Set("fn", fn)
 	v.Set("ue", ue)
 	v.Set("field", field)
-	v.Set("from", strconv.FormatInt(from, 10))
-	v.Set("to", strconv.FormatInt(to, 10))
-	if stepMS > 0 {
-		v.Set("step_ms", strconv.FormatInt(stepMS, 10))
-	}
 	return v
 }
 
@@ -435,22 +434,22 @@ func partialParams(agent, fn, ue, field string, from, to, stepMS int64) url.Valu
 // series across live shards. agent and ue accept "all" or a number; fn
 // a number or mac/rlc/pdcp alias.
 func (r *Root) FederatedAggregate(agent, fn, ue, field string, from, to int64) (tsdb.Agg, bool, error) {
-	env, _, err := r.fanOutPartial(agent, fn, ue, field, from, to, 0)
+	leg, _, err := r.fanOutPartial(agent, fn, ue, field, from, to, 0)
 	if err != nil {
 		return tsdb.Agg{}, false, err
 	}
-	agg, ok := env.Agg.Finish()
+	agg, ok := leg.Agg.Finish()
 	return agg, ok, nil
 }
 
 // FederatedWindow is the windowed form: aligned shard windows merged
 // bucket-by-bucket.
 func (r *Root) FederatedWindow(agent, fn, ue, field string, from, to, stepNS int64) ([]tsdb.Bucket, error) {
-	env, _, err := r.fanOutPartial(agent, fn, ue, field, from, to, stepNS)
+	leg, _, err := r.fanOutPartial(agent, fn, ue, field, from, to, stepNS)
 	if err != nil {
 		return nil, err
 	}
-	return finishBuckets(env.Buckets), nil
+	return finishBuckets(leg.Buckets), nil
 }
 
 // finishBuckets turns merged partial buckets into answer buckets; an
@@ -469,18 +468,19 @@ func finishBuckets(pb []tsdb.PartialBucket) []tsdb.Bucket {
 // fedQueryResponse is the federated /tsdb/query envelope. It mirrors
 // the single-store response's result fields and adds fan-out metadata.
 type fedQueryResponse struct {
-	Field   string        `json:"field"`
-	Shards  int           `json:"shards"`
-	Series  int           `json:"series"`
-	Agg     *tsdb.Agg     `json:"agg,omitempty"`
-	Buckets []tsdb.Bucket `json:"buckets,omitempty"`
+	Key     *tsdb.SeriesKey `json:"key,omitempty"`
+	Field   string          `json:"field"`
+	Shards  int             `json:"shards"`
+	Series  int             `json:"series"`
+	Samples []tsdb.Sample   `json:"samples,omitempty"`
+	Agg     *tsdb.Agg       `json:"agg,omitempty"`
+	Buckets []tsdb.Bucket   `json:"buckets,omitempty"`
 }
 
 // QueryHandler serves the /tsdb/query contract over the federation:
 // aggregate and window modes fan out to every live shard and merge
-// (agent/ue additionally accept "all"); last=K proxies to the shard
-// owning the agent. Mount on an obs server with
-// obs.WithFederatedQuery.
+// (agent/ue additionally accept "all"); last=K asks the shard owning
+// the agent. Mount on an obs server with obs.WithFederatedQuery.
 func (r *Root) QueryHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		v := req.URL.Query()
@@ -490,20 +490,20 @@ func (r *Root) QueryHandler() http.HandlerFunc {
 			return
 		}
 		if q.Last > 0 {
-			r.proxyLast(w, req, q.Agent)
+			r.queryLast(w, v, q)
 			return
 		}
 		field := v.Get("field")
-		env, hit, err := r.fanOutPartial(v.Get("agent"), v.Get("fn"), v.Get("ue"), field, q.From, q.To, q.StepNS)
+		leg, hit, err := r.fanOutPartial(v.Get("agent"), v.Get("fn"), v.Get("ue"), field, q.From, q.To, q.StepNS)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		resp := fedQueryResponse{Field: field, Shards: hit, Series: env.Series}
+		resp := fedQueryResponse{Field: field, Shards: hit, Series: leg.Series}
 		if q.StepNS > 0 {
-			resp.Buckets = finishBuckets(env.Buckets)
+			resp.Buckets = finishBuckets(leg.Buckets)
 		} else {
-			agg, ok := env.Agg.Finish()
+			agg, ok := leg.Agg.Finish()
 			if !ok {
 				http.Error(w, "no samples in range", http.StatusNotFound)
 				return
@@ -514,44 +514,44 @@ func (r *Root) QueryHandler() http.HandlerFunc {
 	}
 }
 
-// proxyLast forwards a last=K query to the shard owning the agent (the
-// raw-sample mode has no cross-shard merge: one shard holds the series).
-func (r *Root) proxyLast(w http.ResponseWriter, req *http.Request, agent int64) {
-	if agent < 0 {
-		http.Error(w, "last=K needs a numeric agent", http.StatusBadRequest)
+// queryLast answers a last=K query with a leg to the shard owning the
+// agent: the raw-sample mode has no cross-shard merge, one shard holds
+// the series.
+func (r *Root) queryLast(w http.ResponseWriter, v url.Values, q tsdb.Query) {
+	if q.Agent < 0 || q.UE < 0 {
+		http.Error(w, "last=K needs a numeric agent and ue", http.StatusBadRequest)
 		return
 	}
 	r.mu.Lock()
-	owner := r.liveOwnerLocked(uint64(agent))
-	var base string
+	owner := r.liveOwnerLocked(uint64(q.Agent))
+	var id server.AgentID
 	if owner != "" {
-		base = r.shards[owner].obs
+		id = r.shards[owner].agentID
 	}
 	r.mu.Unlock()
-	if base == "" {
+	if owner == "" {
 		http.Error(w, "no live shard for agent", http.StatusBadGateway)
 		return
 	}
-	resp, err := r.client.Get(base + "/tsdb/query?" + req.URL.RawQuery)
+	lv := legParams(v.Get("agent"), v.Get("fn"), v.Get("ue"), v.Get("field"))
+	lv.Set("last", strconv.Itoa(q.Last))
+	out, err := r.sendLeg(id, lv)
+	var samples []tsdb.Sample
+	if err == nil {
+		samples, err = readSamples(out, q.Last)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	defer resp.Body.Close()
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.WriteHeader(resp.StatusCode)
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-		}
-		if rerr != nil {
-			return
-		}
+	if len(samples) == 0 {
+		http.Error(w, "no samples", http.StatusNotFound)
+		return
 	}
+	k := tsdb.SeriesKey{Agent: uint32(q.Agent), Fn: q.Fn, UE: uint16(q.UE), Field: q.Field}
+	rest.WriteJSON(w, http.StatusOK, fedQueryResponse{
+		Key: &k, Field: q.Field.String(), Shards: 1, Series: 1, Samples: samples,
+	})
 }
 
 // --- federation snapshot (for /federation.json and the topology tier) ---

@@ -1,7 +1,9 @@
 package federation
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/url"
 	"os"
 	"slices"
 	"sync"
@@ -31,8 +33,9 @@ type ShardConfig struct {
 	Transport transport.Kind
 	// SouthAddr is where the shard's agents connect (":0" for ephemeral).
 	SouthAddr string
-	// ObsAddr is where the shard's observability server (and therefore
-	// its /tsdb/partial fan-out endpoint) listens.
+	// ObsAddr is where the shard's observability server listens. The
+	// root does not query it: federated query legs arrive over
+	// fed-coord.
 	ObsAddr string
 	// SnapshotDir, when non-empty, is the shared directory of shard
 	// tsdb snapshots: this shard maintains SnapshotFile(dir, Name) and
@@ -214,10 +217,10 @@ func (s *Shard) adopt(t *Takeover) error {
 		return fmt.Errorf("federation: shard %s has no snapshot dir", s.cfg.Name)
 	}
 	path := SnapshotFile(s.cfg.SnapshotDir, t.From)
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		return nil // dead shard never snapshotted; streams still re-home
+	}
 	if err := snapfile.Load(s.db, path); err != nil {
-		if os.IsNotExist(err) {
-			return nil // dead shard never snapshotted; streams still re-home
-		}
 		return err
 	}
 	adopted := make(map[uint32]bool, len(t.Agents))
@@ -251,7 +254,8 @@ func routeByNode(_ agent.ControllerID, trigger []byte) (func(server.AgentInfo) b
 // --- coordination RAN function ---
 
 // coordFn is the federation control plane: the root subscribes for
-// periodic Reports and sends Takeover orders through control.
+// periodic Reports and sends query legs and Takeover orders through
+// control.
 type coordFn struct {
 	s *Shard
 }
@@ -305,6 +309,9 @@ func (f *coordFn) OnSubscriptionDelete(agent.ControllerID, *e2ap.SubscriptionDel
 }
 
 func (f *coordFn) OnControl(_ agent.ControllerID, req *e2ap.ControlRequest) ([]byte, error) {
+	if string(req.Header) == legHeader {
+		return f.s.answerLeg(req.Payload)
+	}
 	t, err := DecodeTakeover(req.Payload)
 	if err != nil {
 		return nil, err
@@ -313,4 +320,35 @@ func (f *coordFn) OnControl(_ agent.ControllerID, req *e2ap.ControlRequest) ([]b
 		return nil, err
 	}
 	return nil, nil
+}
+
+// answerLeg answers one query leg (see legHeader) from the shard's
+// store: the tsdb.PartialLeg of a range query, through the fold
+// /tsdb/partial answers with, or the newest samples of a last=K query.
+func (s *Shard) answerLeg(payload []byte) ([]byte, error) {
+	v, err := url.ParseQuery(string(payload))
+	if err != nil {
+		return nil, fmt.Errorf("federation: bad leg query: %w", err)
+	}
+	q, err := tsdb.ParseQuery(v, tsdb.FormLast|tsdb.FormRange|tsdb.FormAll)
+	if err != nil {
+		return nil, fmt.Errorf("federation: bad leg query: %w", err)
+	}
+	var body any
+	if q.Last > 0 {
+		if q.Agent < 0 || q.UE < 0 {
+			return nil, fmt.Errorf("federation: a last=K leg needs one agent and one ue")
+		}
+		body = s.db.LastK(tsdb.SeriesKey{Agent: uint32(q.Agent), Fn: q.Fn, UE: uint16(q.UE), Field: q.Field}, q.Last, nil)
+	} else {
+		body = s.db.Partial(q)
+	}
+	b, err := json.Marshal(body)
+	if err != nil {
+		return nil, fmt.Errorf("federation: leg answer: %w", err)
+	}
+	if len(b) > maxLegBytes {
+		return nil, fmt.Errorf("federation: leg answer of %d bytes exceeds %d", len(b), maxLegBytes)
+	}
+	return b, nil
 }

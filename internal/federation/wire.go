@@ -4,18 +4,35 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+
+	"flexric/internal/transport"
 )
 
 // IDFedCoord is the RAN-function ID of the federation coordination
 // function every shard's northbound agent registers toward the root.
 // It rides the ordinary E2 machinery: the root subscribes to it for
-// periodic shard reports and uses its control endpoint for takeover
-// orders during failover. The ID lives above the sm package's range
-// (140..148) so it can never shadow a real service model.
+// periodic shard reports and uses its control endpoint for federated
+// query legs and for takeover orders during failover. The ID lives
+// above the sm package's range (140..148) so it can never shadow a
+// real service model.
 const IDFedCoord uint16 = 150
 
 // FedOID is the coordination function's OID.
 const FedOID = "fed-coord"
+
+// legHeader is the control header of a query leg. Its payload is the
+// URL-encoded tsdb query (agent, fn, ue, field, then from/to[/step_ms]
+// or last), and the shard answers in the control outcome: the JSON
+// tsdb.PartialLeg of a range query, or the JSON []tsdb.Sample of a
+// last=K one. A control without this header is a Takeover.
+const legHeader = "leg"
+
+// maxLegBytes bounds one leg answer. A windowed leg holds at most 4096
+// buckets (tsdb's window cap), each a few hundred bytes plus its
+// histogram runs: about 10 MB even if every bucket spans values from 1
+// to 1e9. The bound leaves room for the control outcome's E2 message
+// around the answer in one transport frame.
+const maxLegBytes = transport.MaxMessageSize - 64<<10
 
 // WrapTrigger prefixes an event trigger with the 8-byte big-endian
 // agent key (the target's global E2 node ID). The root wraps every

@@ -14,7 +14,7 @@
 //	GET /tsdb/series      live time-series inventory (WithTSDB only)
 //	GET /tsdb/query       samples / windowed aggregates (WithTSDB only)
 //	GET /tsdb/stats       store occupancy & compression stats (WithTSDB only)
-//	GET /tsdb/partial     mergeable partial aggregates for federation fan-out
+//	GET /tsdb/partial     one mergeable partial leg (tsdb.Store.Partial)
 //	GET /topology.json    controller topology snapshot (WithTopology only)
 //	GET /federation.json  federation-tier snapshot (WithFederation only)
 //	    /a1/...           A1 policy northbound (WithA1 only; see internal/a1)
@@ -103,8 +103,8 @@ func WithFederation(fn func() any) Option {
 }
 
 // WithFederatedQuery mounts h at /tsdb/query on a server with no local
-// store: the federation root serves the same query contract by fanning
-// out to its shards' /tsdb/partial endpoints and merging. Ignored when
+// store: the federation root serves the same query contract by sending
+// its shards query legs over E2 and merging. Ignored when
 // WithTSDB is also set (the local store wins).
 func WithFederatedQuery(h http.HandlerFunc) Option {
 	return func(o *options) { o.fedQuery = h }

@@ -80,7 +80,7 @@ func TestPartialHandlerMatchesMerge(t *testing.T) {
 		{"2", "4", func(k tsdb.SeriesKey) bool { return k.Agent == 2 && k.UE == 4 }},
 		{"99", "all", func(tsdb.SeriesKey) bool { return false }},
 	} {
-		var want partialResponse
+		var want tsdb.PartialLeg
 		for _, info := range st.List(-1, 142) {
 			if info.Key.Field != tsdb.FieldMCS || !sel.match(info.Key) {
 				continue
@@ -95,10 +95,10 @@ func TestPartialHandlerMatchesMerge(t *testing.T) {
 			want.Buckets = tsdb.NewPartialWindow(from, end, step)
 		}
 		base := fmt.Sprintf("/tsdb/partial?agent=%s&fn=mac&ue=%s&field=mcs&from=%d&to=%d", sel.agent, sel.ue, from, end)
-		var windowed, whole partialResponse
+		var windowed, whole tsdb.PartialLeg
 		for _, q := range []struct {
 			url string
-			v   *partialResponse
+			v   *tsdb.PartialLeg
 		}{{base + "&step_ms=200", &windowed}, {base, &whole}} {
 			rec := httptest.NewRecorder()
 			handleTSDBPartial(st)(rec, httptest.NewRequest("GET", q.url, nil))
@@ -110,7 +110,7 @@ func TestPartialHandlerMatchesMerge(t *testing.T) {
 			}
 		}
 		wantJSON, _ := json.Marshal(want)
-		var wantBack partialResponse
+		var wantBack tsdb.PartialLeg
 		if err := json.Unmarshal(wantJSON, &wantBack); err != nil {
 			t.Fatal(err)
 		}

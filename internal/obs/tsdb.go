@@ -8,13 +8,13 @@ import (
 	"flexric/internal/tsdb"
 )
 
-// handleTSDBPartial serves GET /tsdb/partial: the federation fan-out
-// endpoint. It folds every matching series into one mergeable
+// handleTSDBPartial serves GET /tsdb/partial: one shard's
+// tsdb.PartialLeg for a federated query, the fold a fed-coord query leg
+// answers with too. Every matching series is folded into one mergeable
 // tsdb.PartialAgg (or, with step_ms, one list of aligned
-// PartialBuckets, always the full [from, to) grid) that the root
-// combines across shards. agent and ue accept "all" as wildcards (fn
-// and field stay required — a cross-field merge is meaningless);
-// from/to are absolute Unix-ns bounds.
+// PartialBuckets, always the full [from, to) grid). agent and ue accept
+// "all" as wildcards (fn and field stay required — a cross-field merge
+// is meaningless); from/to are absolute Unix-ns bounds.
 //
 //	GET /tsdb/partial?agent=all&fn=mac&ue=all&field=throughput_bps&from=N&to=N[&step_ms=S]
 func handleTSDBPartial(st *tsdb.Store) http.HandlerFunc {
@@ -26,28 +26,8 @@ func handleTSDBPartial(st *tsdb.Store) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		keys := st.Keys(func(k tsdb.SeriesKey) bool {
-			return k.Fn == q.Fn && k.Field == q.Field &&
-				(q.Agent < 0 || k.Agent == uint32(q.Agent)) && (q.UE < 0 || k.UE == uint16(q.UE))
-		})
-		resp := partialResponse{Series: len(keys)}
-		if q.StepNS > 0 {
-			resp.Buckets = tsdb.NewPartialWindow(q.From, q.To, q.StepNS)
-			st.FoldPartialWindow(keys, resp.Buckets)
-		} else {
-			st.FoldPartial(keys, q.From, q.To, &resp.Agg)
-		}
-		rest.WriteJSON(w, http.StatusOK, resp)
+		rest.WriteJSON(w, http.StatusOK, st.Partial(q))
 	}
-}
-
-// partialResponse is the /tsdb/partial envelope: the merged partial of
-// every matching series (Series counts them), as one aggregate or as
-// aligned windows when step_ms is given.
-type partialResponse struct {
-	Series  int                  `json:"series"`
-	Agg     tsdb.PartialAgg      `json:"agg"`
-	Buckets []tsdb.PartialBucket `json:"buckets,omitempty"`
 }
 
 // handleTSDBSeries serves GET /tsdb/series?agent=N&fn=F: the live

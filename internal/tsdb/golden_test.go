@@ -13,10 +13,10 @@ import (
 
 // The golden snapshots pin the FXTS bytes a fixed append sequence
 // produces: the write head, every sealed chunk's bitstream and both
-// downsampling tiers. WriteSnapshot orders series as it finds them in
-// the shard maps, so each golden file holds one single-series image per
-// golden key, back to back. Rewrite them with -update only for a
-// deliberate format change (and bump snapshotVersion with it).
+// downsampling tiers. Each golden file holds one single-series image
+// per golden key, back to back (TestSnapshotDeterministic covers the
+// order of series within one image). Rewrite them with -update only
+// for a deliberate format change (and bump snapshotVersion with it).
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.fxts from the current store")
 
 // goldenCases are the stores the golden snapshots come from. The
@@ -130,6 +130,39 @@ func TestSnapshotGolden(t *testing.T) {
 					t.Fatalf("%v: stats diverge:\nlive:   %+v\nloaded: %+v", k, a, b)
 				}
 				assertSameAnswers(t, k, live, loaded)
+			}
+		})
+	}
+}
+
+// TestSnapshotDeterministic: a store of many series writes its series
+// in key order, so two snapshots of the unchanged store are the same
+// bytes, and so is the snapshot of a store loaded from one.
+func TestSnapshotDeterministic(t *testing.T) {
+	for _, gc := range goldenCases {
+		t.Run(gc.name, func(t *testing.T) {
+			live := New(gc.cfg)
+			for ki := range goldenKeys {
+				goldenFill(live, ki)
+			}
+			for ue := uint16(0); ue < 64; ue++ {
+				for f := FieldCQI; f <= FieldThroughputBps; f++ {
+					k := SeriesKey{Agent: 3 + uint32(ue%5), Fn: 142, UE: ue, Field: f}
+					for i := int64(0); i < 40; i++ {
+						live.Append(k, goldenBase+i*int64(40*time.Millisecond), float64(i*int64(ue+1)))
+					}
+				}
+			}
+			first := snapshotBytes(t, live)
+			if again := snapshotBytes(t, live); !bytes.Equal(again, first) {
+				t.Fatalf("two snapshots of one unchanged store differ (%d and %d bytes)", len(first), len(again))
+			}
+			loaded := New(gc.cfg)
+			if err := loaded.ReadSnapshot(bytes.NewReader(first)); err != nil {
+				t.Fatal(err)
+			}
+			if back := snapshotBytes(t, loaded); !bytes.Equal(back, first) {
+				t.Fatalf("snapshot -> load -> snapshot differs (%d and %d bytes)", len(first), len(back))
 			}
 		})
 	}

@@ -25,8 +25,8 @@ import (
 // first wins. A handler can therefore fold every series of a query
 // into one partial instead of merging one partial per series.
 //
-// The JSON form is the shard obs server's /tsdb/partial payload; it is
-// part of the federation wire contract (docs/FEDERATION.md).
+// The JSON form is part of a PartialLeg, the /tsdb/partial body and
+// the federation's query-leg answer (docs/FEDERATION.md).
 type PartialAgg struct {
 	Count   int     `json:"count"`
 	Min     float64 `json:"min"`
@@ -504,4 +504,43 @@ func MergePartialWindows(dst, src []PartialBucket) []PartialBucket {
 		dst[i].Agg.Merge(&src[i].Agg)
 	}
 	return dst
+}
+
+// PartialLeg is one store's answer to a federated query: the merged
+// partial of every series the query selects (Series counts them), as
+// one aggregate or, for a stepped query, as the full bucket grid. Its
+// JSON form is the /tsdb/partial body and the body of a fed-coord query
+// leg (docs/FEDERATION.md).
+type PartialLeg struct {
+	Series  int             `json:"series"`
+	Agg     PartialAgg      `json:"agg"`
+	Buckets []PartialBucket `json:"buckets,omitempty"`
+}
+
+// Merge folds src into l: series add up, aggregates merge, and bucket
+// lists merge index by index (see MergePartialWindows).
+func (l *PartialLeg) Merge(src *PartialLeg) {
+	l.Series += src.Series
+	l.Agg.Merge(&src.Agg)
+	l.Buckets = MergePartialWindows(l.Buckets, src.Buckets)
+}
+
+// Partial folds every series q selects — fn and field exactly, agent
+// and UE exactly or, when -1, every one — over [q.From, q.To] into one
+// aggregate or, with q.StepNS > 0, over [q.From, q.To) into the
+// StepNS-wide bucket grid NewPartialWindow returns. Series are folded
+// in key order, so the answer repeats bit for bit.
+func (s *Store) Partial(q Query) PartialLeg {
+	keys := s.Keys(func(k SeriesKey) bool {
+		return k.Fn == q.Fn && k.Field == q.Field &&
+			(q.Agent < 0 || k.Agent == uint32(q.Agent)) && (q.UE < 0 || k.UE == uint16(q.UE))
+	})
+	leg := PartialLeg{Series: len(keys)}
+	if q.StepNS > 0 {
+		leg.Buckets = NewPartialWindow(q.From, q.To, q.StepNS)
+		s.FoldPartialWindow(keys, leg.Buckets)
+	} else {
+		s.FoldPartial(keys, q.From, q.To, &leg.Agg)
+	}
+	return leg
 }

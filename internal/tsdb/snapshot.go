@@ -13,7 +13,7 @@ package tsdb
 //	version u8 = 1
 //	payload — CRC-protected:
 //	  u32 series count
-//	  per series:
+//	  per series, in key order (agent, fn, ue, field):
 //	    key        u32 agent, u16 fn, u16 ue, u8 field
 //	    head       u32 n, then n × (i64 ts, u64 value bits)
 //	    chunks     u32 n, each: u32 count, i64 firstTS, i64 lastTS,
@@ -38,6 +38,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 const (
@@ -99,12 +100,17 @@ func (sw *snapWriter) f64(v float64) { sw.u64(math.Float64bits(v)) }
 func (s *Store) WriteSnapshot(w io.Writer) (int64, error) {
 	// Collect series pointers first so no shard lock is held during
 	// serialization; pointers stay valid even if a shard map mutates.
-	var keys []SeriesKey
-	var sers []*series
+	// Series are written in key order, so one store's snapshot repeats
+	// byte for byte.
+	type keyed struct {
+		k  SeriesKey
+		se *series
+	}
+	var all []keyed
 	s.walk(func(SeriesKey) bool { return true }, func(k SeriesKey, se *series) {
-		keys = append(keys, k)
-		sers = append(sers, se)
+		all = append(all, keyed{k, se})
 	})
+	slices.SortFunc(all, func(a, b keyed) int { return compareKeys(a.k, b.k) })
 
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
 		return 0, err
@@ -113,9 +119,9 @@ func (s *Store) WriteSnapshot(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	sw := &snapWriter{w: w}
-	sw.u32(uint32(len(sers)))
-	for i, se := range sers {
-		k := keys[i]
+	sw.u32(uint32(len(all)))
+	for _, ks := range all {
+		k, se := ks.k, ks.se
 		se.mu.Lock()
 		sw.u32(k.Agent)
 		sw.u16(k.Fn)

@@ -232,7 +232,8 @@ if ! echo "$hk_out" | grep 'BenchmarkTSDBAppendHooked' | grep -Eq ' [0-1] allocs
 fi
 
 echo "==> federated partial leg (allocations flat in matching series)"
-# A windowed /tsdb/partial call folds every matching series into one
+# A windowed /tsdb/partial call (Store.Partial, the fold a fed-coord
+# query leg answers with too) folds every matching series into one
 # bucket list: its allocations at 128 series may exceed those at 8 by at
 # most 8 (a per-series merge cost ~3 100 at 128).
 pa_out=$(go test -count=1 -run 'TestPartialHandlerAllocs$' -v ./internal/obs/ 2>&1) || {
@@ -295,6 +296,7 @@ for target in \
     'FuzzChunkRoundTrip ./internal/tsdb/' \
     'FuzzSnapshotLoad ./internal/tsdb/' \
     'FuzzPartialLegJSON ./internal/federation/' \
+    'FuzzCoordControl ./internal/federation/' \
     'FuzzTSDBFrame ./internal/obs/' \
     'FuzzObsRoutes ./internal/obs/' \
     'FuzzCtrlRoutes ./internal/ctrl/'; do
