@@ -20,14 +20,14 @@ import (
 // digits and the 20-bit RIC ID stay inside their PER constraints.
 type fill struct{ rng *rand.Rand }
 
-func (f fill) u8(_ int, v *uint8)   { *v = uint8(f.rng.Uint32()) }
-func (f fill) u16(_ int, v *uint16) { *v = uint16(f.rng.Uint32()) }
-func (f fill) u32(_ int, v *uint32) { *v = f.rng.Uint32() }
+func (f fill) U8(_ int, v *uint8)   { *v = uint8(f.rng.Uint32()) }
+func (f fill) U16(_ int, v *uint16) { *v = uint16(f.rng.Uint32()) }
+func (f fill) U32(_ int, v *uint32) { *v = f.rng.Uint32() }
 
 func (f fill) enum(_ int, v *uint8, card int) { *v = uint8(f.rng.Intn(card)) }
-func (f fill) bool(_ int, v *bool)            { *v = f.rng.Intn(2) == 0 }
+func (f fill) Bool(_ int, v *bool)            { *v = f.rng.Intn(2) == 0 }
 
-func (f fill) str(_ int, v *string) {
+func (f fill) Str(_ int, v *string) {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789.:-"
 	b := make([]byte, f.rng.Intn(10))
 	for i := range b {
@@ -36,7 +36,7 @@ func (f fill) str(_ int, v *string) {
 	*v = string(b)
 }
 
-func (f fill) octets(_ int, v *[]byte) {
+func (f fill) Octets(_ int, v *[]byte) {
 	switch f.rng.Intn(3) {
 	case 0:
 		*v = nil
@@ -48,7 +48,7 @@ func (f fill) octets(_ int, v *[]byte) {
 	}
 }
 
-func (f fill) optOctets(slot int, v *[]byte) { f.octets(slot, v) }
+func (f fill) optOctets(slot int, v *[]byte) { f.Octets(slot, v) }
 
 func (f fill) present(_ int, has *bool) bool {
 	*has = f.rng.Intn(2) == 0
@@ -88,7 +88,7 @@ func (f fill) u16s(_ int, v *[]uint16) {
 	if n := f.count(); n >= 0 {
 		*v = make([]uint16, n)
 		for i := range *v {
-			f.u16(0, &(*v)[i])
+			f.U16(0, &(*v)[i])
 		}
 	}
 }
@@ -98,14 +98,19 @@ func (f fill) strs(_ int, v *[]string) {
 	if n := f.count(); n >= 0 {
 		*v = make([]string, n)
 		for i := range *v {
-			f.str(0, &(*v)[i])
+			f.Str(0, &(*v)[i])
 		}
 	}
 }
 
-func (f fill) list(int, int) int { return f.rng.Intn(4) }
-func (fill) item(int)            {}
-func (fill) end()                {}
+func (f fill) List(int, int, uintptr) int { return f.rng.Intn(4) }
+func (fill) Item(int)                     {}
+func (fill) End()                         {}
+
+// E2AP walks hold no 64-bit or float field.
+func (fill) U64(int, *uint64)  {}
+func (fill) I64(int, *int64)   {}
+func (fill) F64(int, *float64) {}
 
 // randomPDU returns a random valid message of type t. Indication, the
 // hand-written type, has no walk; its fields are filled in wire order by
@@ -115,12 +120,12 @@ func randomPDU(rng *rand.Rand, t MessageType) PDU {
 	if t == TypeIndication {
 		m := &Indication{}
 		walkFunc(f, &m.RequestID, &m.RANFunctionID)
-		f.u8(0, &m.ActionID)
-		f.u32(0, &m.SN)
+		f.U8(0, &m.ActionID)
+		f.U32(0, &m.SN)
 		f.enum(0, (*uint8)(&m.Class), 2)
-		f.octets(0, &m.Header)
-		f.octets(0, &m.Payload)
-		f.octets(0, &m.CallProcessID)
+		f.Octets(0, &m.Header)
+		f.Octets(0, &m.Payload)
+		f.Octets(0, &m.CallProcessID)
 		f.traceCtx(&m.Trace)
 		return m
 	}

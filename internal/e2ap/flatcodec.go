@@ -1,11 +1,11 @@
 package e2ap
 
 import (
-	"errors"
 	"fmt"
 
 	"flexric/internal/encoding/asn1per"
 	"flexric/internal/encoding/flat"
+	"flexric/internal/encoding/walk"
 	"flexric/internal/trace"
 )
 
@@ -196,10 +196,10 @@ func (e *flatEnvelope) IndicationHeader() []byte {
 
 func (e *flatEnvelope) Trace() trace.Context { return flatGetTrace(e.tab) }
 
-// PDU fails only when the copies outgrow the copy budget (see
-// flatReader); an absent or unreadable field decodes as its zero value.
-// A type that can outgrow it is decoded by Envelope, so PDU never fails
-// on an envelope Envelope returned.
+// PDU fails only when the copies outgrow the message (see
+// walk.FlatReader); an absent or unreadable field decodes as its zero
+// value. A type that can outgrow it is decoded by Envelope, so PDU never
+// fails on an envelope Envelope returned.
 func (e *flatEnvelope) PDU() (PDU, error) {
 	if e.pdu == nil {
 		pdu, err := e.decode()
@@ -229,11 +229,10 @@ func (e *flatEnvelope) decode() (PDU, error) {
 		}, nil
 	}
 	m := newMessage[e.typ]()
-	e.rd.frames = append(e.rd.frames[:0], flatRead{tab: tab})
-	e.rd.left, e.rd.err = e.size, nil
+	e.rd.Begin(tab, e.size)
 	m.walk(e.rd)
-	if e.rd.err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, e.typ, e.rd.err)
+	if err := e.rd.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, e.typ, err)
 	}
 	return m, nil
 }
@@ -251,123 +250,48 @@ func flatGetTrace(tab flat.Table) trace.Context {
 func packPLMN(p PLMN) uint32   { return uint32(p.MCC)<<10 | uint32(p.MNC) }
 func unpackPLMN(v uint32) PLMN { return PLMN{MCC: uint16(v >> 10), MNC: uint16(v & 0x3FF)} }
 
-// flatWriter is the flat encoder of a field walk. A flat.Builder builds
-// one table at a time, and every string, vector and sub-table a table
-// refers to must exist before the table starts. So the writer creates
-// out-of-line values as the walk meets them, and parks the slots of
-// every open table on a stack until the table ends. EndTable lays slots
-// out by index, so the order they are parked in changes no byte.
+// flatWriter is the flat encoder of a field walk: package walk's, with
+// E2AP's own kinds and the root slot layout.
 type flatWriter struct {
-	b      *flat.Builder
-	slots  []parkedSlot // slots of every open table, innermost last
-	frames []flatFrame  // open tables and lists, innermost last
-	refs   []uint32     // finished items of every open list
-	u64s   []uint64     // scratch for u16s
-}
-
-// parkedSlot is a slot of an open table: size is 1, 4 or 8 bytes. A
-// reference is a u32 in the table, so it parks as one.
-type parkedSlot struct {
-	slot int
-	size uint8
-	val  uint64
-}
-
-// flatFrame is an open table (mark: its first parked slot; width: one
-// past the highest slot its walk named) or list (mark: its first ref;
-// slot: its slot in the enclosing table).
-type flatFrame struct {
-	list       bool
-	slot, mark int
-	width      int
+	walk.FlatWriter
+	u64s []uint64 // scratch for u16s
 }
 
 // encode builds m into b as the root table.
 func (w *flatWriter) encode(b *flat.Builder, m message) {
-	w.b = b
-	w.slots, w.refs = w.slots[:0], w.refs[:0]
-	w.frames = append(w.frames[:0], flatFrame{width: numSlots})
-	w.put(slType, 1, uint64(m.MsgType()))
+	w.Begin(b, numSlots)
+	w.Put(slType, 1, uint64(m.MsgType()))
 	m.walk(w)
-	b.Finish(w.table(w.frames[0]))
+	w.Finish()
 }
 
-// at widens the innermost table to hold slot.
-func (w *flatWriter) at(slot int) {
-	f := &w.frames[len(w.frames)-1]
-	f.width = max(f.width, slot+1)
-}
-
-func (w *flatWriter) put(slot int, size uint8, v uint64) {
-	w.at(slot)
-	w.slots = append(w.slots, parkedSlot{slot, size, v})
-}
-
-// table builds frame f's parked slots into a table.
-func (w *flatWriter) table(f flatFrame) uint32 {
-	w.b.StartTable(f.width)
-	for _, s := range w.slots[f.mark:] {
-		switch s.size {
-		case 1:
-			w.b.AddUint8(s.slot, uint8(s.val))
-		case 4:
-			w.b.AddUint32(s.slot, uint32(s.val))
-		default:
-			w.b.AddUint64(s.slot, s.val)
-		}
-	}
-	w.slots = w.slots[:f.mark]
-	return w.b.EndTable()
-}
-
-func (w *flatWriter) u8(slot int, v *uint8)          { w.put(slot, 1, uint64(*v)) }
-func (w *flatWriter) u16(slot int, v *uint16)        { w.put(slot, 4, uint64(*v)) }
-func (w *flatWriter) u32(slot int, v *uint32)        { w.put(slot, 4, uint64(*v)) }
-func (w *flatWriter) enum(slot int, v *uint8, _ int) { w.u8(slot, v) }
-func (w *flatWriter) str(slot int, v *string)        { w.put(slot, 4, uint64(w.b.CreateString(*v))) }
-
-func (w *flatWriter) bool(slot int, v *bool) {
-	var b uint64
-	if *v {
-		b = 1
-	}
-	w.put(slot, 1, b)
-}
-
-func (w *flatWriter) octets(slot int, v *[]byte) {
-	if *v == nil {
-		w.at(slot)
-		return
-	}
-	w.put(slot, 4, uint64(w.b.CreateByteVector(*v)))
-}
-
-func (w *flatWriter) optOctets(slot int, v *[]byte) { w.octets(slot, v) }
+func (w *flatWriter) enum(slot int, v *uint8, _ int) { w.U8(slot, v) }
+func (w *flatWriter) optOctets(slot int, v *[]byte)  { w.Octets(slot, v) }
 
 func (w *flatWriter) present(slot int, has *bool) bool {
-	w.at(slot)
+	w.Put(slot, 0, 0)
 	return *has
 }
 
-func (w *flatWriter) cause(slot int, v *Cause) { w.put(slot, 4, uint64(packCause(*v))) }
-func (w *flatWriter) reqID(v *RequestID)       { w.put(slReqID, 4, uint64(packReqID(*v))) }
+func (w *flatWriter) cause(slot int, v *Cause) { w.Put(slot, 4, uint64(packCause(*v))) }
+func (w *flatWriter) reqID(v *RequestID)       { w.Put(slReqID, 4, uint64(packReqID(*v))) }
 
 func (w *flatWriter) nodeID(slot int, v *GlobalE2NodeID) {
-	w.b.StartTable(3)
-	w.b.AddUint32(0, packPLMN(v.PLMN))
-	w.b.AddUint8(1, uint8(v.Type))
-	w.b.AddUint64(2, v.NodeID)
-	w.put(slot, 4, uint64(w.b.EndTable()))
+	w.B.StartTable(3)
+	w.B.AddUint32(0, packPLMN(v.PLMN))
+	w.B.AddUint8(1, uint8(v.Type))
+	w.B.AddUint64(2, v.NodeID)
+	w.Put(slot, 4, uint64(w.B.EndTable()))
 }
 
 func (w *flatWriter) ricID(slot int, v *GlobalRICID) {
-	w.put(slot, 8, uint64(packPLMN(v.PLMN))<<32|uint64(v.RICID))
+	w.Put(slot, 8, uint64(packPLMN(v.PLMN))<<32|uint64(v.RICID))
 }
 
 func (w *flatWriter) traceCtx(v *trace.Context) {
 	if v.Valid() {
-		w.put(slTraceID, 8, v.TraceID)
-		w.put(slTraceSpan, 8, v.SpanID)
+		w.Put(slTraceID, 8, v.TraceID)
+		w.Put(slTraceSpan, 8, v.SpanID)
 	}
 }
 
@@ -376,108 +300,45 @@ func (w *flatWriter) u16s(slot int, v *[]uint16) {
 	for _, x := range *v {
 		w.u64s = append(w.u64s, uint64(x))
 	}
-	w.put(slot, 4, uint64(w.b.CreateUint64Vector(w.u64s)))
+	w.Put(slot, 4, uint64(w.B.CreateUint64Vector(w.u64s)))
 }
 
 func (w *flatWriter) strs(slot int, v *[]string) {
-	w.list(slot, len(*v))
+	w.List(slot, len(*v), 0)
 	for _, s := range *v {
-		w.refs = append(w.refs, w.b.CreateString(s))
+		w.Ref(w.B.CreateString(s))
 	}
-	w.end()
+	w.End()
 }
 
-func (w *flatWriter) list(slot, n int) int {
-	w.frames = append(w.frames, flatFrame{list: true, slot: slot, mark: len(w.refs)})
-	return n
-}
+// flatReader is the flat decoder of a field walk: package walk's, with
+// E2AP's own kinds. A string list is charged to the copy budget like
+// the strings of list items: every entry can name one string.
+type flatReader struct{ walk.FlatReader }
 
-func (w *flatWriter) item(int) { w.frames = append(w.frames, flatFrame{mark: len(w.slots)}) }
-
-func (w *flatWriter) end() {
-	f := w.frames[len(w.frames)-1]
-	w.frames = w.frames[:len(w.frames)-1]
-	if !f.list {
-		w.refs = append(w.refs, w.table(f))
-		return
-	}
-	ref := w.b.CreateRefVector(w.refs[f.mark:])
-	w.refs = w.refs[:f.mark]
-	w.put(f.slot, 4, uint64(ref))
-}
-
-// flatReader is the flat decoder of a field walk: a stack of the tables
-// being read, each with the slot of the list vector it is open on. left
-// is what the body can still hold of the strings and octets copied out
-// of list items and string lists. Those are the reads a message can
-// repeat, since every item can refer to one string; so copying more
-// than the body holds means a hostile buffer, and err is set. A read
-// outside them happens once per slot and is not counted.
-type flatReader struct {
-	frames []flatRead
-	left   int
-	err    error
-}
-
-// errCopyBudget reports a flat message whose copies outgrow its body.
-var errCopyBudget = errors.New("strings copied outgrow the message")
-
-// charge counts a copy of n bytes against the budget.
-func (r *flatReader) charge(n int) bool {
-	if r.left -= n; r.left < 0 {
-		r.err = errCopyBudget
-		return false
-	}
-	return true
-}
-
-// bytes returns the octets in slot, or nil once the copies made in list
-// items outgrow the body.
-func (r *flatReader) bytes(slot int) []byte {
-	b := r.top().Bytes(slot)
-	if len(r.frames) > 1 && !r.charge(len(b)) {
-		return nil
-	}
-	return b
-}
-
-type flatRead struct {
-	tab  flat.Table
-	slot int
-}
-
-func (r *flatReader) top() flat.Table { return r.frames[len(r.frames)-1].tab }
-
-func (r *flatReader) u8(slot int, v *uint8)          { *v = r.top().Uint8(slot) }
-func (r *flatReader) u16(slot int, v *uint16)        { *v = uint16(r.top().Uint32(slot)) }
-func (r *flatReader) u32(slot int, v *uint32)        { *v = r.top().Uint32(slot) }
-func (r *flatReader) enum(slot int, v *uint8, _ int) { r.u8(slot, v) }
-func (r *flatReader) bool(slot int, v *bool)         { *v = r.top().Bool(slot) }
-func (r *flatReader) str(slot int, v *string)        { *v = string(r.bytes(slot)) }
-func (r *flatReader) octets(slot int, v *[]byte)     { *v = cloneOctets(r.bytes(slot)) }
-func (r *flatReader) cause(slot int, v *Cause)       { *v = unpackCause(r.top().Uint32(slot)) }
-func (r *flatReader) reqID(v *RequestID)             { *v = unpackReqID(r.top().Uint32(slReqID)) }
-func (r *flatReader) traceCtx(v *trace.Context)      { *v = flatGetTrace(r.top()) }
-
-func (r *flatReader) optOctets(slot int, v *[]byte) { r.octets(slot, v) }
+func (r *flatReader) enum(slot int, v *uint8, _ int) { r.U8(slot, v) }
+func (r *flatReader) optOctets(slot int, v *[]byte)  { r.Octets(slot, v) }
+func (r *flatReader) cause(slot int, v *Cause)       { *v = unpackCause(r.Top().Uint32(slot)) }
+func (r *flatReader) reqID(v *RequestID)             { *v = unpackReqID(r.Top().Uint32(slReqID)) }
+func (r *flatReader) traceCtx(v *trace.Context)      { *v = flatGetTrace(r.Top()) }
 
 func (r *flatReader) present(slot int, has *bool) bool {
-	*has = r.top().Has(slot)
+	*has = r.Top().Has(slot)
 	return *has
 }
 
 func (r *flatReader) nodeID(slot int, v *GlobalE2NodeID) {
-	t := r.top().SubTable(slot)
+	t := r.Top().SubTable(slot)
 	*v = GlobalE2NodeID{PLMN: unpackPLMN(t.Uint32(0)), Type: NodeType(t.Uint8(1)), NodeID: t.Uint64(2)}
 }
 
 func (r *flatReader) ricID(slot int, v *GlobalRICID) {
-	x := r.top().Uint64(slot)
+	x := r.Top().Uint64(slot)
 	*v = GlobalRICID{PLMN: unpackPLMN(uint32(x >> 32)), RICID: uint32(x)}
 }
 
 func (r *flatReader) u16s(slot int, v *[]uint16) {
-	t := r.top()
+	t := r.Top()
 	if n := t.VectorLen(slot); n > 0 {
 		*v = make([]uint16, n)
 		for i := range *v {
@@ -487,12 +348,12 @@ func (r *flatReader) u16s(slot int, v *[]uint16) {
 }
 
 func (r *flatReader) strs(slot int, v *[]string) {
-	t := r.top()
+	t := r.Top()
 	if n := t.VectorLen(slot); n > 0 {
 		*v = make([]string, n)
 		for i := range *v {
 			b := t.BytesVectorAt(slot, i)
-			if !r.charge(len(b)) {
+			if !r.Charge(len(b)) {
 				*v = nil
 				return
 			}
@@ -501,19 +362,6 @@ func (r *flatReader) strs(slot int, v *[]string) {
 	}
 }
 
-func (r *flatReader) list(slot, _ int) int {
-	t := r.top()
-	r.frames = append(r.frames, flatRead{tab: t, slot: slot})
-	return t.VectorLen(slot)
-}
-
-func (r *flatReader) item(i int) {
-	l := r.frames[len(r.frames)-1]
-	r.frames = append(r.frames, flatRead{tab: l.tab.RefVectorAt(l.slot, i)})
-}
-
-func (r *flatReader) end() { r.frames = r.frames[:len(r.frames)-1] }
-
 // manyRefs marks the walked types whose walk opens a list or a string
 // list: their flat messages can refer to one string from many places,
 // so only a full decode tells whether the copies fit the budget, and
@@ -521,7 +369,7 @@ func (r *flatReader) end() { r.frames = r.frames[:len(r.frames)-1] }
 var manyRefs = func() (m [NumMessageTypes]bool) {
 	for t, newM := range newMessage {
 		if newM != nil {
-			p := refProbe{fields: &perWriter{w: asn1per.NewWriter(64)}}
+			p := refProbe{fields: &perWriter{PERWriter: walk.PERWriter{W: asn1per.NewWriter(64)}}}
 			newM().walk(&p)
 			m[t] = p.found
 		}
@@ -535,9 +383,9 @@ type refProbe struct {
 	found bool
 }
 
-func (p *refProbe) list(slot, n int) int {
+func (p *refProbe) List(slot, n int, size uintptr) int {
 	p.found = true
-	return p.fields.list(slot, n)
+	return p.fields.List(slot, n, size)
 }
 
 func (p *refProbe) strs(slot int, v *[]string) {

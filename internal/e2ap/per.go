@@ -2,8 +2,10 @@ package e2ap
 
 import (
 	"fmt"
+	"unsafe"
 
 	"flexric/internal/encoding/asn1per"
+	"flexric/internal/encoding/walk"
 	"flexric/internal/trace"
 )
 
@@ -20,8 +22,8 @@ type PERCodec struct {
 	// buffer for the duration of one encodeAppend, keeping w's scratch
 	// (and the Encode contract) untouched.
 	wa asn1per.Writer
-	r  asn1per.Reader
-	// pw and pr interpret field walks over the writer in use and over r.
+	// pw interprets field walks into the writer in use, pr out of its
+	// reader, which envelope and the Indication arm read too.
 	pw perWriter
 	pr perReader
 	// denv is the reused dispatch view handed out by envelope(), and ind
@@ -75,7 +77,7 @@ func (c *PERCodec) encodeBody(w *asn1per.Writer, pdu PDU) error {
 		}
 		perPutTrace(w, m.Trace)
 	case message:
-		c.pw = perWriter{w: w}
+		c.pw = perWriter{PERWriter: walk.PERWriter{W: w}}
 		m.walk(&c.pw)
 		return c.pw.err
 	default:
@@ -86,8 +88,8 @@ func (c *PERCodec) encodeBody(w *asn1per.Writer, pdu PDU) error {
 
 // readType positions the codec's reader after the leading message type.
 func (c *PERCodec) readType(wire []byte) (MessageType, error) {
-	c.r.Reset(wire)
-	tv, err := c.r.ReadBits(8)
+	c.pr.R.Reset(wire)
+	tv, err := c.pr.R.ReadBits(8)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
@@ -118,7 +120,7 @@ func (c *PERCodec) envelope(wire []byte) (Envelope, error) {
 	view := t == TypeIndication
 	if view {
 		c.ind = Indication{}
-		pdu, err = &c.ind, perGetIndication(&c.r, &c.ind, (*asn1per.Reader).ReadOctetsZeroCopy)
+		pdu, err = &c.ind, perGetIndication(&c.pr.R, &c.ind, (*asn1per.Reader).ReadOctetsZeroCopy)
 	} else {
 		pdu, err = c.decodeBody(t)
 	}
@@ -171,19 +173,18 @@ func perGetIndication(r *asn1per.Reader, m *Indication, octets func(*asn1per.Rea
 	return err
 }
 
-// decodeBody decodes the body of a type-t message from c.r.
+// decodeBody decodes the body of a type-t message from c.pr.R.
 func (c *PERCodec) decodeBody(t MessageType) (PDU, error) {
 	if t == TypeIndication {
 		m := &Indication{}
-		if err := perGetIndication(&c.r, m, (*asn1per.Reader).ReadOctets); err != nil {
+		if err := perGetIndication(&c.pr.R, m, (*asn1per.Reader).ReadOctets); err != nil {
 			return nil, err
 		}
 		return m, nil
 	}
-	c.pr = perReader{r: &c.r}
 	m := newMessage[t]()
 	m.walk(&c.pr)
-	return m, c.pr.err
+	return m, c.pr.Done()
 }
 
 func perPutReqID(w *asn1per.Writer, id RequestID) {
@@ -252,206 +253,144 @@ func perGetTrace(r *asn1per.Reader) (trace.Context, error) {
 	return tc, nil
 }
 
-// perWriter is the PER encoder of a field walk.
+// perWriter is the PER encoder of a field walk: package walk's, with
+// E2AP's own kinds. err holds the first enumeration out of range.
 type perWriter struct {
-	w   *asn1per.Writer
+	walk.PERWriter
 	err error
 }
 
-func (p *perWriter) u8(_ int, v *uint8)   { p.w.WriteBits(uint64(*v), 8) }
-func (p *perWriter) u16(_ int, v *uint16) { p.w.WriteBits(uint64(*v), 16) }
-func (p *perWriter) u32(_ int, v *uint32) { p.w.WriteBits(uint64(*v), 32) }
-
 func (p *perWriter) enum(_ int, v *uint8, card int) {
-	if err := p.w.WriteEnum(int(*v), card); err != nil && p.err == nil {
+	if err := p.W.WriteEnum(int(*v), card); err != nil && p.err == nil {
 		p.err = err
 	}
 }
 
-func (p *perWriter) bool(_ int, v *bool)     { p.w.WriteBool(*v) }
-func (p *perWriter) str(_ int, v *string)    { p.w.WriteString(*v) }
-func (p *perWriter) octets(_ int, v *[]byte) { p.w.WriteOctets(*v) }
-
 func (p *perWriter) optOctets(slot int, v *[]byte) {
 	if has := *v != nil; p.present(slot, &has) {
-		p.octets(slot, v)
+		p.Octets(slot, v)
 	}
 }
 
-func (p *perWriter) present(_ int, has *bool) bool {
-	p.w.WriteBool(*has)
+func (p *perWriter) present(slot int, has *bool) bool {
+	p.Bool(slot, has)
 	return *has
 }
 
 func (p *perWriter) cause(_ int, v *Cause) {
-	_ = p.w.WriteEnum(int(v.Type), 5)
-	p.w.WriteBits(uint64(v.Value), 8)
+	_ = p.W.WriteEnum(int(v.Type), 5)
+	p.W.WriteBits(uint64(v.Value), 8)
 }
 
-func (p *perWriter) reqID(v *RequestID) { perPutReqID(p.w, *v) }
+func (p *perWriter) reqID(v *RequestID) { perPutReqID(p.W, *v) }
 
 func (p *perWriter) plmn(v PLMN) {
-	_ = p.w.WriteConstrainedInt(int64(v.MCC), 0, 999)
-	_ = p.w.WriteConstrainedInt(int64(v.MNC), 0, 999)
+	_ = p.W.WriteConstrainedInt(int64(v.MCC), 0, 999)
+	_ = p.W.WriteConstrainedInt(int64(v.MNC), 0, 999)
 }
 
 func (p *perWriter) nodeID(_ int, v *GlobalE2NodeID) {
 	p.plmn(v.PLMN)
-	_ = p.w.WriteEnum(int(v.Type), 6)
-	p.w.WriteUint(v.NodeID)
+	_ = p.W.WriteEnum(int(v.Type), 6)
+	p.W.WriteUint(v.NodeID)
 }
 
 func (p *perWriter) ricID(_ int, v *GlobalRICID) {
 	p.plmn(v.PLMN)
-	p.w.WriteBits(uint64(v.RICID), 20)
+	p.W.WriteBits(uint64(v.RICID), 20)
 }
 
-func (p *perWriter) traceCtx(v *trace.Context) { perPutTrace(p.w, *v) }
+func (p *perWriter) traceCtx(v *trace.Context) { perPutTrace(p.W, *v) }
 
-func (p *perWriter) u16s(_ int, v *[]uint16) {
-	p.w.WriteLength(len(*v))
-	for _, x := range *v {
-		p.w.WriteBits(uint64(x), 16)
+func (p *perWriter) u16s(slot int, v *[]uint16) {
+	p.List(slot, len(*v), 0)
+	for i := range *v {
+		p.U16(slot, &(*v)[i])
 	}
 }
 
-func (p *perWriter) strs(_ int, v *[]string) {
-	p.w.WriteLength(len(*v))
-	for _, s := range *v {
-		p.w.WriteString(s)
+func (p *perWriter) strs(slot int, v *[]string) {
+	p.List(slot, len(*v), 0)
+	for i := range *v {
+		p.Str(slot, &(*v)[i])
 	}
 }
 
-func (p *perWriter) list(_, n int) int {
-	p.w.WriteLength(n)
-	return n
-}
-
-func (*perWriter) item(int) {}
-func (*perWriter) end()     {}
-
-// perReader is the PER decoder of a field walk. The first error sticks:
-// the walk runs on, but every list after it reads as empty, so a bad
-// message costs no more than its own length.
-type perReader struct {
-	r   *asn1per.Reader
-	err error
-}
-
-func (p *perReader) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-}
-
-func (p *perReader) bits(n int) uint64 {
-	v, err := p.r.ReadBits(n)
-	p.fail(err)
-	return v
-}
-
-func (p *perReader) u8(_ int, v *uint8)   { *v = uint8(p.bits(8)) }
-func (p *perReader) u16(_ int, v *uint16) { *v = uint16(p.bits(16)) }
-func (p *perReader) u32(_ int, v *uint32) { *v = uint32(p.bits(32)) }
+// perReader is the PER decoder of a field walk: package walk's, with
+// E2AP's own kinds. Those read on after a failure, but Fail keeps the
+// first error and every list after it reads as empty.
+type perReader struct{ walk.PERReader }
 
 func (p *perReader) enum(_ int, v *uint8, card int) {
-	e, err := p.r.ReadEnum(card)
+	e, err := p.R.ReadEnum(card)
 	*v = uint8(e)
-	p.fail(err)
-}
-
-func (p *perReader) bool(slot int, v *bool) { p.present(slot, v) }
-
-func (p *perReader) str(_ int, v *string) {
-	s, err := p.r.ReadString()
-	*v = s
-	p.fail(err)
-}
-
-func (p *perReader) octets(_ int, v *[]byte) {
-	b, err := p.r.ReadOctets()
-	*v = b
-	p.fail(err)
+	p.Fail(err)
 }
 
 func (p *perReader) optOctets(slot int, v *[]byte) {
 	var has bool
 	if p.present(slot, &has) {
-		p.octets(slot, v)
+		p.Octets(slot, v)
 	}
 }
 
-func (p *perReader) present(_ int, has *bool) bool {
-	b, err := p.r.ReadBool()
-	*has = b
-	p.fail(err)
-	return b
+func (p *perReader) present(slot int, has *bool) bool {
+	p.Bool(slot, has)
+	return *has
 }
 
 func (p *perReader) cause(_ int, v *Cause) {
-	t, err := p.r.ReadEnum(5)
-	p.fail(err)
-	*v = Cause{Type: CauseType(t), Value: uint8(p.bits(8))}
+	t, err := p.R.ReadEnum(5)
+	p.Fail(err)
+	*v = Cause{Type: CauseType(t), Value: uint8(p.Bits(8))}
 }
 
 func (p *perReader) reqID(v *RequestID) {
-	*v = RequestID{Requestor: uint16(p.bits(16)), Instance: uint16(p.bits(16))}
+	*v = RequestID{Requestor: uint16(p.Bits(16)), Instance: uint16(p.Bits(16))}
 }
 
 func (p *perReader) plmn() PLMN {
-	mcc, err := p.r.ReadConstrainedInt(0, 999)
-	p.fail(err)
-	mnc, err := p.r.ReadConstrainedInt(0, 999)
-	p.fail(err)
+	mcc, err := p.R.ReadConstrainedInt(0, 999)
+	p.Fail(err)
+	mnc, err := p.R.ReadConstrainedInt(0, 999)
+	p.Fail(err)
 	return PLMN{MCC: uint16(mcc), MNC: uint16(mnc)}
 }
 
 func (p *perReader) nodeID(_ int, v *GlobalE2NodeID) {
 	v.PLMN = p.plmn()
-	t, err := p.r.ReadEnum(6)
-	p.fail(err)
-	id, err := p.r.ReadUint()
-	p.fail(err)
+	t, err := p.R.ReadEnum(6)
+	p.Fail(err)
+	id, err := p.R.ReadUint()
+	p.Fail(err)
 	v.Type, v.NodeID = NodeType(t), id
 }
 
 func (p *perReader) ricID(_ int, v *GlobalRICID) {
 	v.PLMN = p.plmn()
-	v.RICID = uint32(p.bits(20))
+	v.RICID = uint32(p.Bits(20))
 }
 
 func (p *perReader) traceCtx(v *trace.Context) {
-	tc, err := perGetTrace(p.r)
+	tc, err := perGetTrace(&p.R)
 	*v = tc
-	p.fail(err)
-}
-
-// list reads a count of following items, checked against the bytes left.
-func (p *perReader) list(int, int) int {
-	n, err := p.r.ReadCount()
-	if p.fail(err); p.err != nil {
-		return 0
-	}
-	return n
+	p.Fail(err)
 }
 
 func (p *perReader) u16s(slot int, v *[]uint16) {
-	if n := p.list(slot, 0); n > 0 {
+	if n := p.List(slot, 0, unsafe.Sizeof(uint16(0))); n > 0 {
 		*v = make([]uint16, n)
 		for i := range *v {
-			p.u16(slot, &(*v)[i])
+			p.U16(slot, &(*v)[i])
 		}
 	}
 }
 
 func (p *perReader) strs(slot int, v *[]string) {
-	if n := p.list(slot, 0); n > 0 {
+	if n := p.List(slot, 0, unsafe.Sizeof("")); n > 0 {
 		*v = make([]string, n)
 		for i := range *v {
-			p.str(slot, &(*v)[i])
+			p.Str(slot, &(*v)[i])
 		}
 	}
 }
-
-func (*perReader) item(int) {}
-func (*perReader) end()     {}

@@ -18,6 +18,7 @@ package e2ap
 import (
 	"fmt"
 
+	"flexric/internal/encoding/walk"
 	"flexric/internal/trace"
 )
 
@@ -179,9 +180,9 @@ type Action struct {
 }
 
 func (x *Action) walk(f fields) {
-	f.u8(0, &x.ID)
+	f.U8(0, &x.ID)
 	f.enum(1, (*uint8)(&x.Type), 3)
-	f.octets(2, &x.Definition)
+	f.Octets(2, &x.Definition)
 }
 
 // ActionNotAdmitted reports a rejected action.
@@ -191,7 +192,7 @@ type ActionNotAdmitted struct {
 }
 
 func (x *ActionNotAdmitted) walk(f fields) {
-	f.u8(0, &x.ID)
+	f.U8(0, &x.ID)
 	f.cause(1, &x.Cause)
 }
 
@@ -204,10 +205,10 @@ type RANFunctionItem struct {
 }
 
 func (x *RANFunctionItem) walk(f fields) {
-	f.u16(0, &x.ID)
-	f.u16(1, &x.Revision)
-	f.str(2, &x.OID)
-	f.octets(3, &x.Definition)
+	f.U16(0, &x.ID)
+	f.U16(1, &x.Revision)
+	f.Str(2, &x.OID)
+	f.Octets(3, &x.Definition)
 }
 
 // RejectedFunction reports a RAN function the RIC refused.
@@ -217,7 +218,7 @@ type RejectedFunction struct {
 }
 
 func (x *RejectedFunction) walk(f fields) {
-	f.u16(0, &x.ID)
+	f.U16(0, &x.ID)
 	f.cause(1, &x.Cause)
 }
 
@@ -231,10 +232,10 @@ type E2NodeComponentConfig struct {
 }
 
 func (x *E2NodeComponentConfig) walk(f fields) {
-	f.u8(0, &x.InterfaceType)
-	f.str(1, &x.ComponentID)
-	f.octets(2, &x.Request)
-	f.octets(3, &x.Response)
+	f.U8(0, &x.InterfaceType)
+	f.Str(1, &x.ComponentID)
+	f.Octets(2, &x.Request)
+	f.Octets(3, &x.Response)
 }
 
 // ConnectionItem describes a TNL association in connection updates.
@@ -244,8 +245,8 @@ type ConnectionItem struct {
 }
 
 func (x *ConnectionItem) walk(f fields) {
-	f.str(0, &x.TNLAddress)
-	f.u8(1, &x.Usage)
+	f.Str(0, &x.TNLAddress)
+	f.U8(1, &x.Usage)
 }
 
 // ConnectionFailedItem reports a TNL association that failed to set up.
@@ -280,10 +281,10 @@ type SetupRequest struct {
 
 func (*SetupRequest) MsgType() MessageType { return TypeSetupRequest }
 func (m *SetupRequest) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
+	f.U8(slTransaction, &m.TransactionID)
 	f.nodeID(slA, &m.NodeID)
-	listOf(f, slB, &m.RANFunctions)
-	listOf(f, slC, &m.Components)
+	walk.ListOf(f, slB, &m.RANFunctions, (*RANFunctionItem).walk)
+	walk.ListOf(f, slC, &m.Components, (*E2NodeComponentConfig).walk)
 }
 
 // SetupResponse accepts the E2 association.
@@ -296,10 +297,10 @@ type SetupResponse struct {
 
 func (*SetupResponse) MsgType() MessageType { return TypeSetupResponse }
 func (m *SetupResponse) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
+	f.U8(slTransaction, &m.TransactionID)
 	f.ricID(slA, &m.RICID)
 	f.u16s(slB, &m.Accepted)
-	listOf(f, slC, &m.Rejected)
+	walk.ListOf(f, slC, &m.Rejected, (*RejectedFunction).walk)
 }
 
 // SetupFailure rejects the E2 association.
@@ -320,7 +321,7 @@ type ResetRequest struct {
 
 func (*ResetRequest) MsgType() MessageType { return TypeResetRequest }
 func (m *ResetRequest) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
+	f.U8(slTransaction, &m.TransactionID)
 	f.cause(slCause, &m.Cause)
 }
 
@@ -330,7 +331,7 @@ type ResetResponse struct {
 }
 
 func (*ResetResponse) MsgType() MessageType { return TypeResetResponse }
-func (m *ResetResponse) walk(f fields)      { f.u8(slTransaction, &m.TransactionID) }
+func (m *ResetResponse) walk(f fields)      { f.U8(slTransaction, &m.TransactionID) }
 
 // ErrorIndication reports a protocol error outside a procedure. All
 // fields are optional; zero values mean "not present" except HasRequestID.
@@ -344,11 +345,11 @@ type ErrorIndication struct {
 
 func (*ErrorIndication) MsgType() MessageType { return TypeErrorIndication }
 func (m *ErrorIndication) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
+	f.U8(slTransaction, &m.TransactionID)
 	if f.present(slReqID, &m.HasRequestID) {
 		f.reqID(&m.RequestID)
 	}
-	f.u16(slRANFunc, &m.RANFunctionID)
+	f.U16(slRANFunc, &m.RANFunctionID)
 	f.cause(slCause, &m.Cause)
 }
 
@@ -362,9 +363,9 @@ type ServiceUpdate struct {
 
 func (*ServiceUpdate) MsgType() MessageType { return TypeServiceUpdate }
 func (m *ServiceUpdate) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
-	listOf(f, slA, &m.Added)
-	listOf(f, slB, &m.Modified)
+	f.U8(slTransaction, &m.TransactionID)
+	walk.ListOf(f, slA, &m.Added, (*RANFunctionItem).walk)
+	walk.ListOf(f, slB, &m.Modified, (*RANFunctionItem).walk)
 	f.u16s(slC, &m.Deleted)
 }
 
@@ -377,9 +378,9 @@ type ServiceUpdateAck struct {
 
 func (*ServiceUpdateAck) MsgType() MessageType { return TypeServiceUpdateAck }
 func (m *ServiceUpdateAck) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
+	f.U8(slTransaction, &m.TransactionID)
 	f.u16s(slA, &m.Accepted)
-	listOf(f, slB, &m.Rejected)
+	walk.ListOf(f, slB, &m.Rejected, (*RejectedFunction).walk)
 }
 
 // ServiceUpdateFailure rejects a service update.
@@ -402,7 +403,7 @@ type ServiceQuery struct {
 
 func (*ServiceQuery) MsgType() MessageType { return TypeServiceQuery }
 func (m *ServiceQuery) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
+	f.U8(slTransaction, &m.TransactionID)
 	f.u16s(slA, &m.Accepted)
 }
 
@@ -414,8 +415,8 @@ type NodeConfigUpdate struct {
 
 func (*NodeConfigUpdate) MsgType() MessageType { return TypeNodeConfigUpdate }
 func (m *NodeConfigUpdate) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
-	listOf(f, slA, &m.Components)
+	f.U8(slTransaction, &m.TransactionID)
+	walk.ListOf(f, slA, &m.Components, (*E2NodeComponentConfig).walk)
 }
 
 // NodeConfigUpdateAck acknowledges a configuration update.
@@ -426,7 +427,7 @@ type NodeConfigUpdateAck struct {
 
 func (*NodeConfigUpdateAck) MsgType() MessageType { return TypeNodeConfigUpdateAck }
 func (m *NodeConfigUpdateAck) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
+	f.U8(slTransaction, &m.TransactionID)
 	f.strs(slA, &m.Accepted)
 }
 
@@ -452,10 +453,10 @@ type ConnectionUpdate struct {
 
 func (*ConnectionUpdate) MsgType() MessageType { return TypeConnectionUpdate }
 func (m *ConnectionUpdate) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
-	listOf(f, slA, &m.Add)
-	listOf(f, slB, &m.Remove)
-	listOf(f, slC, &m.Modify)
+	f.U8(slTransaction, &m.TransactionID)
+	walk.ListOf(f, slA, &m.Add, (*ConnectionItem).walk)
+	walk.ListOf(f, slB, &m.Remove, (*ConnectionItem).walk)
+	walk.ListOf(f, slC, &m.Modify, (*ConnectionItem).walk)
 }
 
 // ConnectionUpdateAck acknowledges a connection update.
@@ -467,9 +468,9 @@ type ConnectionUpdateAck struct {
 
 func (*ConnectionUpdateAck) MsgType() MessageType { return TypeConnectionUpdateAck }
 func (m *ConnectionUpdateAck) walk(f fields) {
-	f.u8(slTransaction, &m.TransactionID)
-	listOf(f, slA, &m.Setup)
-	listOf(f, slB, &m.Failed)
+	f.U8(slTransaction, &m.TransactionID)
+	walk.ListOf(f, slA, &m.Setup, (*ConnectionItem).walk)
+	walk.ListOf(f, slB, &m.Failed, (*ConnectionFailedItem).walk)
 }
 
 // ConnectionUpdateFailure rejects a connection update.
@@ -500,8 +501,8 @@ type SubscriptionRequest struct {
 func (*SubscriptionRequest) MsgType() MessageType { return TypeSubscriptionRequest }
 func (m *SubscriptionRequest) walk(f fields) {
 	walkFunc(f, &m.RequestID, &m.RANFunctionID)
-	f.octets(slA, &m.EventTrigger)
-	listOf(f, slB, &m.Actions)
+	f.Octets(slA, &m.EventTrigger)
+	walk.ListOf(f, slB, &m.Actions, (*Action).walk)
 	f.traceCtx(&m.Trace)
 }
 
@@ -516,8 +517,8 @@ type SubscriptionResponse struct {
 func (*SubscriptionResponse) MsgType() MessageType { return TypeSubscriptionResponse }
 func (m *SubscriptionResponse) walk(f fields) {
 	walkFunc(f, &m.RequestID, &m.RANFunctionID)
-	f.octets(slA, &m.Admitted)
-	listOf(f, slB, &m.NotAdmitted)
+	f.Octets(slA, &m.Admitted)
+	walk.ListOf(f, slB, &m.NotAdmitted, (*ActionNotAdmitted).walk)
 }
 
 // SubscriptionFailure rejects a subscription entirely.
@@ -600,9 +601,9 @@ func (*ControlRequest) MsgType() MessageType { return TypeControlRequest }
 func (m *ControlRequest) walk(f fields) {
 	walkFunc(f, &m.RequestID, &m.RANFunctionID)
 	f.optOctets(slA, &m.CallProcessID)
-	f.octets(slB, &m.Header)
-	f.octets(slC, &m.Payload)
-	f.bool(slD, &m.AckRequested)
+	f.Octets(slB, &m.Header)
+	f.Octets(slC, &m.Payload)
+	f.Bool(slD, &m.AckRequested)
 	f.traceCtx(&m.Trace)
 }
 
@@ -618,7 +619,7 @@ func (*ControlAck) MsgType() MessageType { return TypeControlAck }
 func (m *ControlAck) walk(f fields) {
 	walkFunc(f, &m.RequestID, &m.RANFunctionID)
 	f.optOctets(slA, &m.CallProcessID)
-	f.octets(slB, &m.Outcome)
+	f.Octets(slB, &m.Outcome)
 }
 
 // ControlFailure rejects a control request.
@@ -635,5 +636,5 @@ func (m *ControlFailure) walk(f fields) {
 	walkFunc(f, &m.RequestID, &m.RANFunctionID)
 	f.optOctets(slA, &m.CallProcessID)
 	f.cause(slCause, &m.Cause)
-	f.octets(slB, &m.Outcome)
+	f.Octets(slB, &m.Outcome)
 }

@@ -1,34 +1,24 @@
 package e2ap
 
-import "flexric/internal/trace"
+import (
+	"flexric/internal/encoding/walk"
+	"flexric/internal/trace"
+)
 
-// Every message type but Indication describes itself once, as a walk
-// over its fields in wire order: the walk methods beside each type in
-// types.go. Indication keeps hand-written arms: it crosses the wire
-// every TTI, the PER envelope reads it without copying it, and the flat
-// one packs its scalars into one slot. Four
-// walkers interpret a walk: the PER writer and reader in per.go and the
-// flat writer and reader in flatcodec.go. A walker moves each field out
-// of the message (writers) or into it (readers) through the same
-// pointer, so one walk is the encoder and the decoder of its type in
-// both schemes.
+// Every message type but Indication describes itself once, as a field
+// walk (package walk): the walk methods beside each type in types.go.
+// Indication keeps hand-written arms: it crosses the wire every TTI, the
+// PER envelope reads it without copying it, and the flat one packs its
+// scalars into one slot. E2AP's four walkers, in per.go and
+// flatcodec.go, embed package walk's and add E2AP's own field kinds.
 //
 // slot names a field's place in the flat table it belongs to: the shared
 // root layout (slReqID, slCause, slA, …) for message fields, its index
-// inside a list item. A flat list item is as wide as the highest slot
-// its walk names. PER ignores slots: it is a bit stream in walk order.
+// inside a list item.
 type fields interface {
-	u8(slot int, v *uint8)
-	u16(slot int, v *uint16)
-	u32(slot int, v *uint32)
+	walk.Fields
 	// enum is a u8 with card values; PER writes it in the fewest bits.
 	enum(slot int, v *uint8, card int)
-	// bool is one PER bit; flat stores a u8, set even when false.
-	bool(slot int, v *bool)
-	str(slot int, v *string)
-	// octets is an octet string; empty decodes as nil. The flat writer
-	// leaves a nil one out of the table.
-	octets(slot int, v *[]byte)
 	// optOctets is an optional octet string, present iff non-nil: PER
 	// spends a bit on its presence.
 	optOctets(slot int, v *[]byte)
@@ -42,34 +32,12 @@ type fields interface {
 	traceCtx(v *trace.Context)
 	u16s(slot int, v *[]uint16)
 	strs(slot int, v *[]string)
-	// list opens a list of n tables in slot and returns its length: n
-	// when writing, the count on the wire when reading. item opens the
-	// i-th table; end closes whatever list or item was opened last.
-	list(slot, n int) int
-	item(i int)
-	end()
 }
 
 // message is a PDU that describes itself as a field walk.
 type message interface {
 	PDU
 	walk(f fields)
-}
-
-// listOf walks the list of tables in slot, each element by its own walk.
-func listOf[T any, P interface {
-	*T
-	walk(fields)
-}](f fields, slot int, s *[]T) {
-	if n := f.list(slot, len(*s)); n != len(*s) {
-		*s = make([]T, n)
-	}
-	for i := range *s {
-		f.item(i)
-		P(&(*s)[i]).walk(f)
-		f.end()
-	}
-	f.end()
 }
 
 func newOf[T any, P interface {
@@ -112,13 +80,13 @@ var newMessage = [NumMessageTypes]func() message{
 // walkFailure is the layout shared by the four *Failure messages of the
 // global procedures.
 func walkFailure(f fields, tid *uint8, c *Cause, ttw *uint32) {
-	f.u8(slTransaction, tid)
+	f.U8(slTransaction, tid)
 	f.cause(slCause, c)
-	f.u32(slA, ttw)
+	f.U32(slA, ttw)
 }
 
 // walkFunc walks the routing fields every functional procedure opens with.
 func walkFunc(f fields, id *RequestID, fn *uint16) {
 	f.reqID(id)
-	f.u16(slRANFunc, fn)
+	f.U16(slRANFunc, fn)
 }

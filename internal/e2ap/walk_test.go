@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"flexric/internal/encoding/asn1per"
 	"flexric/internal/encoding/flat"
 )
 
@@ -124,6 +125,80 @@ func TestFlatHostileVectorCount(t *testing.T) {
 		}
 		binary.LittleEndian.PutUint32(wire[at:], 1<<20)
 		failsClosed(t, c, wire)
+	}
+}
+
+// hostilePER is a PER message of size bytes: its type, what head writes,
+// and a list count claiming one element per byte left. Every element
+// takes at least a byte on the wire, so the input holds far fewer.
+func hostilePER(size int, t MessageType, head func(w *asn1per.Writer)) []byte {
+	var w asn1per.Writer
+	w.WriteBits(uint64(t), 8)
+	head(&w)
+	w.Align()
+	n := size - w.Len() - 2 // a two-byte count
+	w.WriteLength(n)
+	return append(w.Bytes(), make([]byte, n)...)
+}
+
+// perSetupHead writes a SetupRequest up to its RAN-function list: the
+// transaction ID and a zero node ID.
+func perSetupHead(w *asn1per.Writer) {
+	w.WriteBits(0, 8)
+	_ = w.WriteConstrainedInt(0, 0, 999) // MCC
+	_ = w.WriteConstrainedInt(0, 0, 999) // MNC
+	_ = w.WriteEnum(0, 6)                // node type
+	w.WriteUint(0)                       // node ID
+}
+
+// hostileComponents is the 16 010-byte SetupRequest whose component
+// count claims one element per byte left.
+func hostileComponents() []byte {
+	return hostilePER(16010, TypeSetupRequest, func(w *asn1per.Writer) {
+		perSetupHead(w)
+		w.WriteLength(0) // RANFunctions
+	})
+}
+
+// A PER list count is bounded by the bytes left, one per element, but an
+// element can take far more memory than a byte: sized by the count
+// alone, hostileComponents (72 bytes a component) made Decode allocate
+// 72 bytes per input byte before it failed on the truncated input. Each
+// hostile list fails closed within failsClosed's bound; a thousand
+// zero-valued elements of each list still decode (8.0, 18.0 and 10.6
+// bytes of memory per wire byte).
+func TestPERHostileListCount(t *testing.T) {
+	per := NewPERCodec()
+	for _, c := range []struct {
+		name string
+		wire []byte
+	}{
+		{"RANFunctions", hostilePER(16010, TypeSetupRequest, perSetupHead)},
+		{"Components", hostileComponents()},
+		{"Actions", hostilePER(16010, TypeSubscriptionRequest, func(w *asn1per.Writer) {
+			w.WriteBits(0, 32) // RequestID
+			w.WriteBits(0, 16) // RANFunctionID
+			w.WriteOctets(nil) // EventTrigger
+		})},
+	} {
+		if len(c.wire) != 16010 {
+			t.Fatalf("%s: wire is %d bytes, want 16010", c.name, len(c.wire))
+		}
+		if _, err := per.Decode(c.wire); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s: Decode error %v, want ErrBadMessage", c.name, err)
+		}
+		failsClosed(t, per, c.wire)
+	}
+	for _, pdu := range []PDU{
+		&SetupRequest{RANFunctions: make([]RANFunctionItem, 1000)},
+		&SetupRequest{Components: make([]E2NodeComponentConfig, 1000)},
+		&SubscriptionRequest{Actions: make([]Action, 1000)},
+	} {
+		wire := encodeCopy(t, per, pdu)
+		if got, err := per.Decode(wire); err != nil || !reflect.DeepEqual(got, pdu) {
+			t.Errorf("%d-byte %s of 1000 zero elements decodes to error %v", len(wire), pdu.MsgType(), err)
+		}
+		failsClosed(t, per, wire)
 	}
 }
 

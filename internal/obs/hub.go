@@ -107,20 +107,10 @@ type Hub struct {
 	spanSubs atomic.Int64
 	a1Subs   atomic.Int64
 
-	dmu    sync.Mutex
-	deltas []delta // fixed-cap drop-oldest ring
-	dHead  int     // index of oldest entry
-	dLen   int
-
-	smu    sync.Mutex
-	spans  []trace.SpanData
-	spHead int
-	spLen  int
-
-	amu    sync.Mutex
-	a1Evs  []a1.Event
-	a1Head int
-	a1Len  int
+	// Producer rings: the hooks push, tick drains.
+	deltas ring[delta]
+	spans  ring[trace.SpanData]
+	a1Evs  ring[a1.Event]
 
 	cmu     sync.Mutex
 	clients map[*streamClient]struct{}
@@ -155,9 +145,9 @@ func newHub(store *tsdb.Store, topoFn func() any, a1Store *a1.Store, flushMS int
 		topoFn:   topoFn,
 		a1Store:  a1Store,
 		baseTick: time.Duration(flushMS) * time.Millisecond,
-		deltas:   make([]delta, pendingDeltaCap),
-		spans:    make([]trace.SpanData, pendingSpanCap),
-		a1Evs:    make([]a1.Event, pendingA1Cap),
+		deltas:   ring[delta]{buf: make([]delta, pendingDeltaCap)},
+		spans:    ring[trace.SpanData]{buf: make([]trace.SpanData, pendingSpanCap)},
+		a1Evs:    ring[a1.Event]{buf: make([]a1.Event, pendingA1Cap)},
 		clients:  make(map[*streamClient]struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -174,23 +164,47 @@ func newHub(store *tsdb.Store, topoFn func() any, a1Store *a1.Store, flushMS int
 	return h
 }
 
+// ring is a fixed-capacity queue from a producer hook to the flush
+// loop. A full ring drops its oldest item, counted in
+// obs.stream.ring_dropped, rather than block or grow; push takes one
+// mutex and allocates nothing.
+type ring[T any] struct {
+	mu      sync.Mutex
+	buf     []T
+	head, n int // index of the oldest item; items queued
+}
+
+func (r *ring[T]) push(v T) {
+	r.mu.Lock()
+	if r.n == len(r.buf) {
+		r.head = (r.head + 1) % len(r.buf)
+		r.n--
+		streamTel.ringDropped.Inc()
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+	r.mu.Unlock()
+}
+
+// drain empties the ring into dst[:0], oldest first, and returns it.
+func (r *ring[T]) drain(dst []T) []T {
+	dst = dst[:0]
+	r.mu.Lock()
+	for i := range r.n {
+		dst = append(dst, r.buf[(r.head+i)%len(r.buf)])
+	}
+	r.head, r.n = 0, 0
+	r.mu.Unlock()
+	return dst
+}
+
 // onAppend is the tsdb producer hook. It runs on the store's Append
 // hot path: no allocations, one mutex, and an atomic early-out when no
 // client subscribes to the tsdb channel.
 func (h *Hub) onAppend(k tsdb.SeriesKey, ts int64, v float64) {
-	if h.tsdbSubs.Load() == 0 {
-		return
+	if h.tsdbSubs.Load() != 0 {
+		h.deltas.push(delta{k: k, ts: ts, v: v})
 	}
-	h.dmu.Lock()
-	if h.dLen == len(h.deltas) {
-		// Drop the oldest pending delta rather than blocking or growing.
-		h.dHead = (h.dHead + 1) % len(h.deltas)
-		h.dLen--
-		streamTel.ringDropped.Inc()
-	}
-	h.deltas[(h.dHead+h.dLen)%len(h.deltas)] = delta{k: k, ts: ts, v: v}
-	h.dLen++
-	h.dmu.Unlock()
 }
 
 // onA1Event is the policy store hook; same contract as onAppend,
@@ -198,34 +212,16 @@ func (h *Hub) onAppend(k tsdb.SeriesKey, ts int64, v float64) {
 // that the atomic check skips the ring work — the store still fires
 // the hook, which is cheap and rare (policy mutations, not samples).
 func (h *Hub) onA1Event(e a1.Event) {
-	if h.a1Subs.Load() == 0 {
-		return
+	if h.a1Subs.Load() != 0 {
+		h.a1Evs.push(e)
 	}
-	h.amu.Lock()
-	if h.a1Len == len(h.a1Evs) {
-		h.a1Head = (h.a1Head + 1) % len(h.a1Evs)
-		h.a1Len--
-		streamTel.ringDropped.Inc()
-	}
-	h.a1Evs[(h.a1Head+h.a1Len)%len(h.a1Evs)] = e
-	h.a1Len++
-	h.amu.Unlock()
 }
 
 // onSpan is the trace tail hook; same contract as onAppend.
 func (h *Hub) onSpan(d trace.SpanData) {
-	if h.spanSubs.Load() == 0 {
-		return
+	if h.spanSubs.Load() != 0 {
+		h.spans.push(d)
 	}
-	h.smu.Lock()
-	if h.spLen == len(h.spans) {
-		h.spHead = (h.spHead + 1) % len(h.spans)
-		h.spLen--
-		streamTel.ringDropped.Inc()
-	}
-	h.spans[(h.spHead+h.spLen)%len(h.spans)] = d
-	h.spLen++
-	h.smu.Unlock()
 }
 
 // close detaches every client (each gets a shutdown signal so WS
@@ -923,13 +919,7 @@ func (h *Hub) tick() {
 	t0 := time.Now()
 
 	// Drain the producer rings into scratch buffers.
-	h.deltaScratch = h.deltaScratch[:0]
-	h.dmu.Lock()
-	for i := 0; i < h.dLen; i++ {
-		h.deltaScratch = append(h.deltaScratch, h.deltas[(h.dHead+i)%len(h.deltas)])
-	}
-	h.dHead, h.dLen = 0, 0
-	h.dmu.Unlock()
+	h.deltaScratch = h.deltas.drain(h.deltaScratch)
 	if h.tsdbSubs.Load() == 0 {
 		// Nobody streams series: let go of the names and the scratch.
 		h.names, h.deltaScratch = nil, nil
@@ -939,21 +929,8 @@ func (h *Hub) tick() {
 		h.deltaScratch[i].l = h.label(h.deltaScratch[i].k)
 	}
 
-	h.spanScratch = h.spanScratch[:0]
-	h.smu.Lock()
-	for i := 0; i < h.spLen; i++ {
-		h.spanScratch = append(h.spanScratch, h.spans[(h.spHead+i)%len(h.spans)])
-	}
-	h.spHead, h.spLen = 0, 0
-	h.smu.Unlock()
-
-	h.a1Scratch = h.a1Scratch[:0]
-	h.amu.Lock()
-	for i := 0; i < h.a1Len; i++ {
-		h.a1Scratch = append(h.a1Scratch, h.a1Evs[(h.a1Head+i)%len(h.a1Evs)])
-	}
-	h.a1Head, h.a1Len = 0, 0
-	h.amu.Unlock()
+	h.spanScratch = h.spans.drain(h.spanScratch)
+	h.a1Scratch = h.a1Evs.drain(h.a1Scratch)
 
 	h.cmu.Lock()
 	h.clientsTick = h.clientsTick[:0]

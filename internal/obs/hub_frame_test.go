@@ -322,6 +322,31 @@ func TestHubAccOverflow(t *testing.T) {
 	}
 }
 
+// TestHubRingDropsOldest: a producer ring past its capacity keeps the
+// newest items, counts what it shed in ring_dropped, and its tsdb hook
+// allocates nothing.
+func TestHubRingDropsOldest(t *testing.T) {
+	h, _ := newTickHub(t, tsdb.New(tsdb.Config{Capacity: 16}), `{"op":"subscribe","ch":"tsdb","glob":"*"}`)
+	k := tsdb.SeriesKey{Agent: 1, Fn: 142, UE: 2, Field: tsdb.FieldCQI}
+	before := streamTel.ringDropped.Load()
+	for i := range pendingDeltaCap + 3 {
+		h.onAppend(k, int64(i), float64(i))
+	}
+	if got := streamTel.ringDropped.Load() - before; got != 3 {
+		t.Fatalf("ring_dropped rose by %d, want 3", got)
+	}
+	d := h.deltas.drain(nil)
+	if len(d) != pendingDeltaCap || d[0].ts != 3 || d[len(d)-1].ts != pendingDeltaCap+2 {
+		t.Fatalf("drained %d deltas from ts %d to %d, want the newest %d", len(d), d[0].ts, d[len(d)-1].ts, pendingDeltaCap)
+	}
+	if got := h.deltas.drain(d); len(got) != 0 {
+		t.Fatalf("a drained ring drains %d more", len(got))
+	}
+	if a := testing.AllocsPerRun(1000, func() { h.onAppend(k, 1, 1) }); a != 0 {
+		t.Fatalf("onAppend allocates %v per call", a)
+	}
+}
+
 // TestHubNonFinite: a NaN or an infinity is skipped and counted instead
 // of blanking the frame, live and in backfill; a series left with no
 // samples is omitted and a live frame left with no series is not sent.

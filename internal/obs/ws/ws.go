@@ -25,6 +25,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -75,12 +76,17 @@ const DefaultMaxMessage = 1 << 20
 // maxControlPayload is the RFC 6455 §5.5 bound on control frames.
 const maxControlPayload = 125
 
+// frameSlab is the most a frame payload reads ahead of the bytes the
+// connection has delivered.
+const frameSlab = 4 << 10
+
 // Conn is one WebSocket connection, either role. Created by Upgrade
 // (server) or Dial (client).
 type Conn struct {
 	c      net.Conn
 	br     *bufio.Reader // may hold bytes buffered before the hijack
 	client bool          // client role: mask outgoing, require unmasked incoming
+	rbuf   []byte        // frame payloads grow here as their bytes arrive
 
 	// MaxMessageSize bounds one assembled incoming message; 0 means
 	// DefaultMaxMessage. Oversize messages fail the connection with
@@ -194,10 +200,20 @@ func (c *Conn) readFrame(limit int) (frame, error) {
 			return frame{}, err
 		}
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return frame{}, err
+	// The payload grows in rbuf as its bytes arrive, at most doubling
+	// per read, so a header that claims a megabyte costs what the peer
+	// actually sends; the frame gets a copy of the whole.
+	b := c.rbuf[:0]
+	for len(b) < n {
+		k := min(n-len(b), max(len(b), frameSlab))
+		b = slices.Grow(b, k)[:len(b)+k]
+		if _, err := io.ReadFull(c.br, b[len(b)-k:]); err != nil {
+			return frame{}, err
+		}
 	}
+	c.rbuf = b
+	payload := make([]byte, n)
+	copy(payload, b)
 	if masked {
 		for i := range payload {
 			payload[i] ^= mask[i&3]

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -323,4 +324,96 @@ func TestOversizeMessage(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("server did not enforce the size limit")
 	}
+}
+
+// sinkConn is a net.Conn that keeps what is written to it in out (or
+// drops it when out is nil); a Conn reads through its own br.
+type sinkConn struct {
+	net.Conn
+	out *bytes.Buffer
+}
+
+func (s sinkConn) Write(b []byte) (int, error) {
+	if s.out != nil {
+		s.out.Write(b)
+	}
+	return len(b), nil
+}
+
+func (sinkConn) Close() error { return nil }
+
+// wire returns the bytes of the frames write sends as a client (masked)
+// or a server (unmasked).
+func wire(client bool, write func(c *Conn) error) []byte {
+	var out bytes.Buffer
+	c := &Conn{c: sinkConn{out: &out}, client: client}
+	if err := write(c); err != nil {
+		panic(err)
+	}
+	return out.Bytes()
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzWSFrame reads arbitrary bytes as the frames a peer sends, in both
+// roles. Whatever arrives, ReadMessage must not panic, must return
+// either an error or a message within the size limit, and must allocate
+// at most 64 bytes per input byte: no length read off the wire sizes a
+// buffer before the bytes arrive. The slack absorbs the heap's per-span
+// accounting. Seeded with the frames of the tests above and a 14-byte
+// masked header that claims a 1 MiB payload.
+func FuzzWSFrame(f *testing.F) {
+	for _, client := range []bool{false, true} {
+		f.Add(wire(client, func(c *Conn) error {
+			for _, err := range []error{
+				c.writeFrame(OpText, false, []byte("one ")),
+				c.writeFrame(OpContinuation, false, []byte("two ")),
+				c.WritePing([]byte("keepalive")),
+				c.writeFrame(OpContinuation, true, []byte("three")),
+			} {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}))
+		f.Add(wire(client, func(c *Conn) error { return c.writeFrame(OpContinuation, true, []byte("orphan")) }))
+		f.Add(wire(client, func(c *Conn) error { return c.WriteClose(CloseNormal, "bye") }))
+		for _, n := range []int{125, 126, 200, 0xFFFF, 0x10000, 70_000} {
+			f.Add(wire(client, func(c *Conn) error { return c.WriteMessage(OpBinary, bytes.Repeat([]byte{0xA5}, n)) }))
+		}
+		f.Add(wire(client, func(c *Conn) error {
+			if err := c.writeFrame(OpBinary, false, bytes.Repeat([]byte{1}, 48)); err != nil {
+				return err
+			}
+			return c.writeFrame(OpContinuation, true, bytes.Repeat([]byte{2}, 48))
+		}))
+	}
+	f.Add([]byte{0x81, 0x03, 'a', 'b', 'c'})
+	f.Add([]byte{0x81, 0x80 | 16, 1, 2, 3, 4, 'x', 'y', 'z'})
+	f.Add([]byte{0x82, 0x80 | 127, 0, 0, 0, 0, 0, 0x10, 0, 0, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, client := range []bool{false, true} {
+			c := &Conn{c: sinkConn{}, br: bufio.NewReader(bytes.NewReader(in)), client: client}
+			var err error
+			n := allocatedBy(func() {
+				for err == nil {
+					var msg []byte
+					if _, msg, err = c.ReadMessage(); err == nil && len(msg) > c.maxMsg() {
+						t.Fatalf("client=%v: %d-byte message past the %d-byte limit", client, len(msg), c.maxMsg())
+					}
+				}
+			})
+			if n > 64*uint64(len(in))+64<<10 {
+				t.Fatalf("client=%v: reading %d bytes allocated %d bytes: %x", client, len(in), n, in)
+			}
+		}
+	})
 }

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"flexric/internal/encoding/walk"
 )
 
 // fill is a fields walker that writes random valid values: the
@@ -17,18 +19,18 @@ import (
 // nil, empty or filled.
 type fill struct{ rng *rand.Rand }
 
-func (f fill) u8(_ int, v *uint8)    { *v = uint8(f.rng.Uint32()) }
-func (f fill) u16(_ int, v *uint16)  { *v = uint16(f.rng.Uint32()) }
-func (f fill) u32(_ int, v *uint32)  { *v = f.rng.Uint32() }
-func (f fill) u64(_ int, v *uint64)  { *v = f.rng.Uint64() >> f.rng.Intn(64) }
-func (f fill) i64(_ int, v *int64)   { *v = int64(f.rng.Uint64()) >> f.rng.Intn(64) }
-func (f fill) f64(_ int, v *float64) { *v = f.rng.NormFloat64() * 1e6 }
-func (f fill) bool(_ int, v *bool)   { *v = f.rng.Intn(2) == 0 }
-func (f fill) list(int, int) int     { return f.rng.Intn(4) }
-func (fill) item(int)                {}
-func (fill) end()                    {}
+func (f fill) U8(_ int, v *uint8)         { *v = uint8(f.rng.Uint32()) }
+func (f fill) U16(_ int, v *uint16)       { *v = uint16(f.rng.Uint32()) }
+func (f fill) U32(_ int, v *uint32)       { *v = f.rng.Uint32() }
+func (f fill) U64(_ int, v *uint64)       { *v = f.rng.Uint64() >> f.rng.Intn(64) }
+func (f fill) I64(_ int, v *int64)        { *v = int64(f.rng.Uint64()) >> f.rng.Intn(64) }
+func (f fill) F64(_ int, v *float64)      { *v = f.rng.NormFloat64() * 1e6 }
+func (f fill) Bool(_ int, v *bool)        { *v = f.rng.Intn(2) == 0 }
+func (f fill) List(int, int, uintptr) int { return f.rng.Intn(4) }
+func (fill) Item(int)                     {}
+func (fill) End()                         {}
 
-func (f fill) str(_ int, v *string) {
+func (f fill) Str(_ int, v *string) {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789.:-"
 	b := make([]byte, f.rng.Intn(10))
 	for i := range b {
@@ -37,7 +39,7 @@ func (f fill) str(_ int, v *string) {
 	*v = string(b)
 }
 
-func (f fill) octets(_ int, v *[]byte) {
+func (f fill) Octets(_ int, v *[]byte) {
 	switch f.rng.Intn(3) {
 	case 0:
 		*v = nil
@@ -81,7 +83,7 @@ func typeOf[T any](name string, enc func(Scheme, *T) []byte, dec func([]byte) (*
 
 func walked[T any, P interface {
 	*T
-	walk(fields)
+	walk(walk.Fields)
 }](f fill, v *T) {
 	P(v).walk(f)
 }

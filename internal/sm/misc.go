@@ -1,5 +1,7 @@
 package sm
 
+import "flexric/internal/encoding/walk"
+
 // This file carries the remaining shipped SMs: the Hello-World ping SM
 // used by the §5.2 encoding experiments, the RRC UE-notification SM that
 // lets slicing xApps discover UE-to-service associations (§6.1.2), and an
@@ -16,10 +18,10 @@ type HWPing struct {
 	Data []byte
 }
 
-func (p *HWPing) walk(f fields) {
-	f.u64(0, &p.Seq)
-	f.i64(1, &p.T0)
-	f.octets(2, &p.Data)
+func (p *HWPing) walk(f walk.Fields) {
+	f.U64(0, &p.Seq)
+	f.I64(1, &p.T0)
+	f.Octets(2, &p.Data)
 }
 
 // EncodeHWPing serializes a ping payload.
@@ -49,12 +51,12 @@ type RRCEvent struct {
 	IMSI   string
 }
 
-func (e *RRCEvent) walk(f fields) {
-	f.u8(0, (*uint8)(&e.Kind))
-	f.u16(1, &e.RNTI)
-	f.str(2, &e.PLMNID)
-	f.u32(3, &e.SNSSAI)
-	f.str(4, &e.IMSI)
+func (e *RRCEvent) walk(f walk.Fields) {
+	f.U8(0, (*uint8)(&e.Kind))
+	f.U16(1, &e.RNTI)
+	f.Str(2, &e.PLMNID)
+	f.U32(3, &e.SNSSAI)
+	f.Str(4, &e.IMSI)
 }
 
 // EncodeRRCEvent serializes an RRC UE notification.
@@ -69,9 +71,9 @@ type KPMMeasurement struct {
 	Value float64
 }
 
-func (m *KPMMeasurement) walk(f fields) {
-	f.str(0, &m.Name)
-	f.f64(1, &m.Value)
+func (m *KPMMeasurement) walk(f walk.Fields) {
+	f.Str(0, &m.Name)
+	f.F64(1, &m.Value)
 }
 
 // KPMReport is an O-RAN-E2SM-KPM-style report: named performance
@@ -82,10 +84,10 @@ type KPMReport struct {
 	Measurements  []KPMMeasurement
 }
 
-func (r *KPMReport) walk(f fields) {
-	f.i64(0, &r.CellTimeMS)
-	f.u32(1, &r.GranularityMS)
-	listOf(f, 2, &r.Measurements)
+func (r *KPMReport) walk(f walk.Fields) {
+	f.I64(0, &r.CellTimeMS)
+	f.U32(1, &r.GranularityMS)
+	walk.ListOf(f, 2, &r.Measurements, (*KPMMeasurement).walk)
 }
 
 // EncodeKPMReport serializes a KPM report.

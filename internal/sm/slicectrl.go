@@ -3,6 +3,7 @@ package sm
 import (
 	"math"
 
+	"flexric/internal/encoding/walk"
 	"flexric/internal/nvs"
 )
 
@@ -37,14 +38,14 @@ type SliceParams struct {
 	UESched   string
 }
 
-func (p *SliceParams) walk(f fields) {
-	f.u32(0, &p.ID)
-	f.u8(1, &p.Kind)
-	f.u32(2, &p.CapacityQ)
-	f.f64(3, &p.RateRsv)
-	f.f64(4, &p.RateRef)
-	f.bool(5, &p.NoSharing)
-	f.str(6, &p.UESched)
+func (p *SliceParams) walk(f walk.Fields) {
+	f.U32(0, &p.ID)
+	f.U8(1, &p.Kind)
+	f.U32(2, &p.CapacityQ)
+	f.F64(3, &p.RateRsv)
+	f.F64(4, &p.RateRef)
+	f.Bool(5, &p.NoSharing)
+	f.Str(6, &p.UESched)
 }
 
 // capacityScale fixes the SM wire representation of capacity fractions
@@ -95,11 +96,11 @@ type SliceControl struct {
 	SliceID uint32
 }
 
-func (c *SliceControl) walk(f fields) {
-	f.u8(0, (*uint8)(&c.Op))
-	listOf(f, 1, &c.Slices)
-	f.u16(2, &c.RNTI)
-	f.u32(3, &c.SliceID)
+func (c *SliceControl) walk(f walk.Fields) {
+	f.U8(0, (*uint8)(&c.Op))
+	walk.ListOf(f, 1, &c.Slices, (*SliceParams).walk)
+	f.U16(2, &c.RNTI)
+	f.U32(3, &c.SliceID)
 }
 
 // EncodeSliceControl serializes an SC SM control payload.
@@ -122,15 +123,15 @@ type UESliceAssoc struct {
 	SliceID uint32
 }
 
-func (st *SliceStatus) walk(f fields) {
-	f.str(0, &st.Algo)
-	listOf(f, 1, &st.Slices)
-	listOf(f, 2, &st.UEs)
+func (st *SliceStatus) walk(f walk.Fields) {
+	f.Str(0, &st.Algo)
+	walk.ListOf(f, 1, &st.Slices, (*SliceParams).walk)
+	walk.ListOf(f, 2, &st.UEs, (*UESliceAssoc).walk)
 }
 
-func (u *UESliceAssoc) walk(f fields) {
-	f.u16(0, &u.RNTI)
-	f.u32(1, &u.SliceID)
+func (u *UESliceAssoc) walk(f walk.Fields) {
+	f.U16(0, &u.RNTI)
+	f.U32(1, &u.SliceID)
 }
 
 // EncodeSliceStatus serializes an SC SM status report.

@@ -15,6 +15,8 @@ package sm
 import (
 	"errors"
 	"fmt"
+
+	"flexric/internal/encoding/walk"
 )
 
 // Well-known RAN function IDs for the shipped service models.
@@ -71,7 +73,7 @@ type Trigger struct {
 	PeriodMS uint32
 }
 
-func (t *Trigger) walk(f fields) { f.u32(0, &t.PeriodMS) }
+func (t *Trigger) walk(f walk.Fields) { f.U32(0, &t.PeriodMS) }
 
 // EncodeTrigger serializes a periodic event trigger.
 func EncodeTrigger(s Scheme, t Trigger) []byte { return appendWalk(nil, s, &t) }

@@ -1,5 +1,7 @@
 package sm
 
+import "flexric/internal/encoding/walk"
+
 // The monitoring service models: MAC, RLC and PDCP statistics reports,
 // "tailored towards specific RAN sublayers ... to easily integrate the
 // agent library in disaggregated base stations" (§4.1.1). They cover the
@@ -9,7 +11,7 @@ package sm
 //
 // The three reports share one shape, a cell time and a per-UE entry
 // list, and differ only in the entry fields. Like every SM message they
-// are walks (walk.go); the periodic reporter (newShardStats) encodes
+// are walks (package walk); the periodic reporter (newShardStats) encodes
 // every report through one value it reuses.
 
 // MACUEEntry is one UE's MAC statistics.
@@ -22,13 +24,13 @@ type MACUEEntry struct {
 	ThroughputBps float64
 }
 
-func (u *MACUEEntry) walk(f fields) {
-	f.u16(0, &u.RNTI)
-	f.u8(1, &u.CQI)
-	f.u8(2, &u.MCS)
-	f.u64(3, &u.RBsUsed)
-	f.u64(4, &u.TxBits)
-	f.f64(5, &u.ThroughputBps)
+func (u *MACUEEntry) walk(f walk.Fields) {
+	f.U16(0, &u.RNTI)
+	f.U8(1, &u.CQI)
+	f.U8(2, &u.MCS)
+	f.U64(3, &u.RBsUsed)
+	f.U64(4, &u.TxBits)
+	f.F64(5, &u.ThroughputBps)
 }
 
 // MACReport is the MAC stats SM indication payload.
@@ -37,9 +39,9 @@ type MACReport struct {
 	UEs        []MACUEEntry
 }
 
-func (r *MACReport) walk(f fields) {
-	f.i64(0, &r.CellTimeMS)
-	listOf(f, 1, &r.UEs)
+func (r *MACReport) walk(f walk.Fields) {
+	f.I64(0, &r.CellTimeMS)
+	walk.ListOf(f, 1, &r.UEs, (*MACUEEntry).walk)
 }
 
 // EncodeMACReport serializes a MAC stats report in the given scheme.
@@ -68,17 +70,17 @@ type RLCUEEntry struct {
 	SojournMS   int64
 }
 
-func (u *RLCUEEntry) walk(f fields) {
-	f.u16(0, &u.RNTI)
-	f.u64(1, &u.TxPackets)
-	f.u64(2, &u.TxBytes)
-	f.u64(3, &u.RxPackets)
-	f.u64(4, &u.RxBytes)
-	f.u64(5, &u.DropPackets)
-	f.u64(6, &u.DropBytes)
-	f.u64(7, &u.BufferBytes)
-	f.u64(8, &u.BufferPkts)
-	f.i64(9, &u.SojournMS)
+func (u *RLCUEEntry) walk(f walk.Fields) {
+	f.U16(0, &u.RNTI)
+	f.U64(1, &u.TxPackets)
+	f.U64(2, &u.TxBytes)
+	f.U64(3, &u.RxPackets)
+	f.U64(4, &u.RxBytes)
+	f.U64(5, &u.DropPackets)
+	f.U64(6, &u.DropBytes)
+	f.U64(7, &u.BufferBytes)
+	f.U64(8, &u.BufferPkts)
+	f.I64(9, &u.SojournMS)
 }
 
 // RLCReport is the RLC stats SM indication payload.
@@ -87,9 +89,9 @@ type RLCReport struct {
 	UEs        []RLCUEEntry
 }
 
-func (r *RLCReport) walk(f fields) {
-	f.i64(0, &r.CellTimeMS)
-	listOf(f, 1, &r.UEs)
+func (r *RLCReport) walk(f walk.Fields) {
+	f.I64(0, &r.CellTimeMS)
+	walk.ListOf(f, 1, &r.UEs, (*RLCUEEntry).walk)
 }
 
 // EncodeRLCReport serializes an RLC stats report.
@@ -110,10 +112,10 @@ type PDCPUEEntry struct {
 	TxBytes   uint64
 }
 
-func (u *PDCPUEEntry) walk(f fields) {
-	f.u16(0, &u.RNTI)
-	f.u64(1, &u.TxPackets)
-	f.u64(2, &u.TxBytes)
+func (u *PDCPUEEntry) walk(f walk.Fields) {
+	f.U16(0, &u.RNTI)
+	f.U64(1, &u.TxPackets)
+	f.U64(2, &u.TxBytes)
 }
 
 // PDCPReport is the PDCP stats SM indication payload.
@@ -122,9 +124,9 @@ type PDCPReport struct {
 	UEs        []PDCPUEEntry
 }
 
-func (r *PDCPReport) walk(f fields) {
-	f.i64(0, &r.CellTimeMS)
-	listOf(f, 1, &r.UEs)
+func (r *PDCPReport) walk(f walk.Fields) {
+	f.I64(0, &r.CellTimeMS)
+	walk.ListOf(f, 1, &r.UEs, (*PDCPUEEntry).walk)
 }
 
 // EncodePDCPReport serializes a PDCP stats report.

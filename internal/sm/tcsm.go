@@ -1,6 +1,9 @@
 package sm
 
-import "flexric/internal/ran"
+import (
+	"flexric/internal/encoding/walk"
+	"flexric/internal/ran"
+)
 
 // The traffic control SM (TC SM, §6.1.1) abstracts per-UE flow
 // configuration: queues, 5-tuple classifier filters, and pacers. Its
@@ -51,18 +54,18 @@ func (c *TCControl) Match() ran.TCMatch {
 	}
 }
 
-func (c *TCControl) walk(f fields) {
-	f.u8(0, (*uint8)(&c.Op))
-	f.u16(1, &c.RNTI)
-	f.u32(2, &c.Queue)
-	f.u32(3, &c.SrcIP)
-	f.u32(4, &c.DstIP)
-	f.u16(5, &c.SrcPort)
-	f.u16(6, &c.DstPort)
-	f.u8(7, &c.Proto)
-	f.bool(8, &c.MatchProto)
-	f.u8(9, &c.Pacer)
-	f.u32(10, &c.PacerTargetMS)
+func (c *TCControl) walk(f walk.Fields) {
+	f.U8(0, (*uint8)(&c.Op))
+	f.U16(1, &c.RNTI)
+	f.U32(2, &c.Queue)
+	f.U32(3, &c.SrcIP)
+	f.U32(4, &c.DstIP)
+	f.U16(5, &c.SrcPort)
+	f.U16(6, &c.DstPort)
+	f.U8(7, &c.Proto)
+	f.Bool(8, &c.MatchProto)
+	f.U8(9, &c.Pacer)
+	f.U32(10, &c.PacerTargetMS)
 }
 
 // EncodeTCControl serializes a TC SM control payload.
@@ -77,7 +80,7 @@ type TCOutcome struct {
 	Queue uint32
 }
 
-func (o *TCOutcome) walk(f fields) { f.u32(0, &o.Queue) }
+func (o *TCOutcome) walk(f walk.Fields) { f.U32(0, &o.Queue) }
 
 // EncodeTCOutcome serializes a TC SM control outcome.
 func EncodeTCOutcome(s Scheme, o *TCOutcome) []byte { return appendWalk(nil, s, o) }
@@ -98,16 +101,16 @@ type TCQueueEntry struct {
 	SojournMS   int64
 }
 
-func (q *TCQueueEntry) walk(f fields) {
-	f.u32(0, &q.ID)
-	f.u64(1, &q.EnqPackets)
-	f.u64(2, &q.EnqBytes)
-	f.u64(3, &q.DeqPackets)
-	f.u64(4, &q.DeqBytes)
-	f.u64(5, &q.DropPackets)
-	f.u64(6, &q.BufferBytes)
-	f.u64(7, &q.BufferPkts)
-	f.i64(8, &q.SojournMS)
+func (q *TCQueueEntry) walk(f walk.Fields) {
+	f.U32(0, &q.ID)
+	f.U64(1, &q.EnqPackets)
+	f.U64(2, &q.EnqBytes)
+	f.U64(3, &q.DeqPackets)
+	f.U64(4, &q.DeqBytes)
+	f.U64(5, &q.DropPackets)
+	f.U64(6, &q.BufferBytes)
+	f.U64(7, &q.BufferPkts)
+	f.I64(8, &q.SojournMS)
 }
 
 // TCReport is the TC SM indication payload for one UE.
@@ -120,13 +123,13 @@ type TCReport struct {
 	Queues     []TCQueueEntry
 }
 
-func (r *TCReport) walk(f fields) {
-	f.i64(0, &r.CellTimeMS)
-	f.u16(1, &r.RNTI)
-	f.bool(2, &r.Active)
-	f.u8(3, &r.Pacer)
-	f.u32(4, &r.Filters)
-	listOf(f, 5, &r.Queues)
+func (r *TCReport) walk(f walk.Fields) {
+	f.I64(0, &r.CellTimeMS)
+	f.U16(1, &r.RNTI)
+	f.Bool(2, &r.Active)
+	f.U8(3, &r.Pacer)
+	f.U32(4, &r.Filters)
+	walk.ListOf(f, 5, &r.Queues, (*TCQueueEntry).walk)
 }
 
 // EncodeTCReport serializes a TC SM report.

@@ -299,6 +299,7 @@ for target in \
     'FuzzCoordControl ./internal/federation/' \
     'FuzzTSDBFrame ./internal/obs/' \
     'FuzzObsRoutes ./internal/obs/' \
+    'FuzzWSFrame ./internal/obs/ws/' \
     'FuzzCtrlRoutes ./internal/ctrl/'; do
     set -- $target
     go test -run '^$' -fuzz "^$1\$" -fuzztime 3s -fuzzminimizetime 100x "$2"
