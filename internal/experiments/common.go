@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/metrics"
 	"flexric/internal/ran"
@@ -51,6 +52,17 @@ func Saturate(cell *ran.Cell, rnti uint16) error {
 		Flow:           ran.FiveTuple{DstIP: uint32(rnti), DstPort: 5001, Proto: ran.ProtoUDP},
 		RateBytesPerMS: 4 * ran.CellCapacityBits(cell.Config().NumRB, ran.MaxMCS) / 8,
 	})
+}
+
+// nvsSlices is an NVS layout of capacity slices with PF UE scheduling,
+// one per share, numbered from first.
+func nvsSlices(noSharing bool, first uint32, shares ...float64) ctrl.SliceConfigJSON {
+	cfg := ctrl.SliceConfigJSON{Algo: "nvs"}
+	for i, share := range shares {
+		cfg.Slices = append(cfg.Slices, ctrl.SliceParamJSON{ID: first + uint32(i), Kind: "capacity",
+			Capacity: share, NoSharing: noSharing, UESched: "pf"})
+	}
+	return cfg
 }
 
 // WaitUntil polls cond until it holds or the deadline passes.
@@ -110,12 +122,36 @@ func Mbps(bits uint64, ms int64) float64 {
 	return float64(bits) / float64(ms) * 1000 / 1e6
 }
 
-// heapSinceMB returns live-heap growth since base in MB, clamped at zero
-// (GC can shrink the heap below the baseline).
-func heapSinceMB(base uint64) float64 {
-	h := metrics.HeapInUse()
-	if h < base {
-		return 0
+// closers is a cleanup list: what an experiment brings up is added in
+// order and closed in reverse. A list's close is itself a closer.
+type closers []func() error
+
+func (c *closers) add(f func() error) { *c = append(*c, f) }
+
+func (c *closers) close() error {
+	for i := len(*c) - 1; i >= 0; i-- {
+		_ = (*c)[i]()
 	}
-	return metrics.MB(h - base)
+	return nil
+}
+
+// interleaveRounds is how many rounds roundRobin takes over the
+// configurations of one figure.
+const interleaveRounds = 10
+
+// roundRobin runs every step once per round, rounds times, and returns
+// the process CPU and wall time summed per step. Interleaving the
+// configurations lets load from elsewhere fall on every one alike.
+func roundRobin(rounds int, steps []func()) (cpu, wall []time.Duration) {
+	cpu, wall = make([]time.Duration, len(steps)), make([]time.Duration, len(steps))
+	for i := 0; i < rounds; i++ {
+		for k, step := range steps {
+			m := metrics.StartCPU()
+			step()
+			c, w := m.Sample()
+			cpu[k] += c
+			wall[k] += w
+		}
+	}
+	return cpu, wall
 }

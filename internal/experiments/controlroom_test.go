@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,11 +51,20 @@ func TestControlRoomDemo(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer o.Close()
-			da, err := StartDummyAgent(1, addr, sc.e2, sc.sm, 4, time.Millisecond)
+			da, err := StartDummyAgent(1, addr, sc.e2, sc.sm, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer da.Close()
+			// The load driver ticks the dummy agent every millisecond
+			// until the test ends.
+			var stop atomic.Bool
+			ticking := make(chan struct{})
+			go func() {
+				defer close(ticking)
+				(&loadRig{senders: []*DummyAgent{da}}).drive(time.Minute, stop.Load)
+			}()
+			defer func() { stop.Store(true); <-ticking }()
 			if !WaitUntil(waitShort, func() bool {
 				n, _ := mon.Counters()
 				return n > 10 && store.NumSeries() > 0

@@ -89,6 +89,11 @@ func TestFig7aShape(t *testing.T) {
 	if len(res.Rows) != 10 {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
+	for _, r := range res.Rows {
+		if r.RTT.N != 30 {
+			t.Errorf("%s/%d: %d samples, want 30", r.Combo, r.Payload, r.RTT.N)
+		}
+	}
 	// FB/FB must not be clearly slower than ASN/ASN at 1500 B (paper:
 	// ~66 % lower with asn1c; our PER codec is so cheap that socket and
 	// scheduler noise dominate loopback RTTs, so we compare min-RTT with
@@ -243,6 +248,11 @@ func TestFig9aShape(t *testing.T) {
 		}
 		t.Fatalf("missing %s/%d", sys, payload)
 		return RTTStats{}
+	}
+	for _, r := range res.Rows {
+		if r.RTT.N != 30 {
+			t.Errorf("%s/%d: %d samples, want 30", r.System, r.Payload, r.RTT.N)
+		}
 	}
 	// O-RAN must be slower than FlexRIC FB/FB at both payloads (paper:
 	// ≥3x at 100B, ≥2x at 1500B). Min-RTT is the noise-robust signal:

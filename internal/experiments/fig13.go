@@ -36,47 +36,33 @@ type Fig13aResult struct {
 	Phases []Fig13aPhase
 }
 
-// fig13Stack brings up cell + agent + slicing controller + xApp.
-type fig13Stack struct {
-	bs  *station.Station
-	sc  *ctrl.SlicingController
-	x   *xapp.SliceXApp
-	srv interface{ Close() error }
-}
-
-func newFig13Stack() (*fig13Stack, error) {
+// slicingStation brings up a station exporting MAC stats and the
+// slicing SM under a slicing controller (ASN.1 on both levels), and
+// returns it with a slicing xApp against that controller.
+func slicingStation(cl *closers, phy ran.PHYConfig, node uint64) (*station.Station, *xapp.SliceXApp, error) {
 	srv, addr, err := StartServer(e2ap.SchemeASN)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	cl.add(srv.Close)
 	sc, err := ctrl.NewSlicingController(srv, sm.SchemeASN, "127.0.0.1:0")
 	if err != nil {
-		srv.Close()
-		return nil, err
+		return nil, nil, err
 	}
+	cl.add(sc.Close)
 	bs, err := station.New(station.Spec{
-		Cell: ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106}, SM: sm.SchemeASN, Controller: addr,
-		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeASN},
+		Cell: phy, SM: sm.SchemeASN, Controller: addr,
+		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, node), Scheme: e2ap.SchemeASN},
 		SMs:   []uint16{sm.IDMACStats, sm.IDSliceCtrl},
 	})
 	if err != nil {
-		sc.Close()
-		srv.Close()
-		return nil, err
+		return nil, nil, err
 	}
+	cl.add(func() error { bs.Close(); return nil })
 	if !WaitUntil(waitShort, func() bool { return len(srv.Agents()) == 1 }) {
-		bs.Close()
-		sc.Close()
-		srv.Close()
-		return nil, fmt.Errorf("agent connect")
+		return nil, nil, fmt.Errorf("agent connect")
 	}
-	return &fig13Stack{bs: bs, sc: sc, x: xapp.NewSliceXApp("http://"+sc.Addr(), 0), srv: srv}, nil
-}
-
-func (s *fig13Stack) close() {
-	s.bs.Close()
-	s.sc.Close()
-	s.srv.Close()
+	return bs, xapp.NewSliceXApp("http://"+sc.Addr(), 0), nil
 }
 
 // measurePhase runs ms simulated milliseconds and returns per-UE Mbps.
@@ -96,12 +82,12 @@ func measurePhase(bs *station.Station, rntis []uint16, ms int) map[uint16]float6
 // Fig13a reproduces Fig. 13a. phaseMS is the duration of each of the
 // four time instances (paper: ~15 s each).
 func Fig13a(phaseMS int) (*Fig13aResult, error) {
-	st, err := newFig13Stack()
+	var cl closers
+	defer cl.close()
+	bs, x, err := slicingStation(&cl, ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106}, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer st.close()
-	bs, x := st.bs, st.x
 
 	attach := func(rnti uint16) error {
 		if _, err := bs.Cell.Attach(rnti, "", "208.95", 20); err != nil {
@@ -135,13 +121,7 @@ func Fig13a(phaseMS int) (*Fig13aResult, error) {
 	record("t2/None (3 UEs)", []uint16{1, 2, 3}, phaseMS)
 
 	// t3: 50/50 NVS slices; UE 1 alone in slice 1.
-	if err := x.Deploy(ctrl.SliceConfigJSON{
-		Algo: "nvs",
-		Slices: []ctrl.SliceParamJSON{
-			{ID: 1, Kind: "capacity", Capacity: 0.5, UESched: "pf"},
-			{ID: 2, Kind: "capacity", Capacity: 0.5, UESched: "pf"},
-		},
-	}); err != nil {
+	if err := x.Deploy(nvsSlices(false, 1, 0.5, 0.5)); err != nil {
 		return nil, err
 	}
 	for rnti, slice := range map[uint16]uint32{1: 1, 2: 2, 3: 2} {
@@ -152,13 +132,7 @@ func Fig13a(phaseMS int) (*Fig13aResult, error) {
 	record("t3/NVS 50-50", []uint16{1, 2, 3}, phaseMS)
 
 	// t4: 66/34.
-	if err := x.Deploy(ctrl.SliceConfigJSON{
-		Algo: "nvs",
-		Slices: []ctrl.SliceParamJSON{
-			{ID: 1, Kind: "capacity", Capacity: 0.66, UESched: "pf"},
-			{ID: 2, Kind: "capacity", Capacity: 0.34, UESched: "pf"},
-		},
-	}); err != nil {
+	if err := x.Deploy(nvsSlices(false, 1, 0.66, 0.34)); err != nil {
 		return nil, err
 	}
 	record("t4/NVS 66-34", []uint16{1, 2, 3}, phaseMS)
@@ -198,12 +172,12 @@ type Fig13bResult struct {
 // transmits in the middle third of the run. Sampled once per second.
 func Fig13b(simMS int) (*Fig13bResult, error) {
 	run := func(noShare bool) ([]Fig13bPoint, error) {
-		st, err := newFig13Stack()
+		var cl closers
+		defer cl.close()
+		bs, x, err := slicingStation(&cl, ran.PHYConfig{RAT: ran.RAT5G, NumRB: 106}, 1)
 		if err != nil {
 			return nil, err
 		}
-		defer st.close()
-		bs, x := st.bs, st.x
 		if _, err := bs.Cell.Attach(1, "", "208.95", 20); err != nil {
 			return nil, err
 		}
@@ -222,13 +196,7 @@ func Fig13b(simMS int) (*Fig13bResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		if err := x.Deploy(ctrl.SliceConfigJSON{
-			Algo: "nvs",
-			Slices: []ctrl.SliceParamJSON{
-				{ID: 1, Kind: "capacity", Capacity: 0.66, NoSharing: noShare, UESched: "pf"},
-				{ID: 2, Kind: "capacity", Capacity: 0.34, NoSharing: noShare, UESched: "pf"},
-			},
-		}); err != nil {
+		if err := x.Deploy(nvsSlices(noShare, 1, 0.66, 0.34)); err != nil {
 			return nil, err
 		}
 		if err := x.Associate(1, 1); err != nil {

@@ -49,38 +49,23 @@ type Fig15Result struct {
 // but UE 3 pauses in [pauseStart, pauseStop); UE 4 pauses in the final
 // sixth of the run, leaving operator B fully idle.
 func fig15Traffic(cell *ran.Cell, rnti uint16, simMS int) error {
-	rate := 4 * ran.CellCapacityBits(50, 28) / 8
+	src := &ran.Saturating{
+		Flow:           ran.FiveTuple{DstIP: uint32(rnti), DstPort: 5001, Proto: ran.ProtoUDP},
+		RateBytesPerMS: 4 * ran.CellCapacityBits(50, 28) / 8,
+	}
 	switch rnti {
 	case 3:
-		return cell.AddTraffic(rnti, &ran.Saturating{
-			Flow:           ran.FiveTuple{DstIP: uint32(rnti), DstPort: 5001, Proto: ran.ProtoUDP},
-			RateBytesPerMS: rate,
-			StopMS:         int64(simMS / 2),
-		})
+		src.StopMS = int64(simMS / 2)
 	case 4:
-		return cell.AddTraffic(rnti, &ran.Saturating{
-			Flow:           ran.FiveTuple{DstIP: uint32(rnti), DstPort: 5001, Proto: ran.ProtoUDP},
-			RateBytesPerMS: rate,
-			StopMS:         int64(5 * simMS / 6),
-		})
-	default:
-		return cell.AddTraffic(rnti, &ran.Saturating{
-			Flow:           ran.FiveTuple{DstIP: uint32(rnti), DstPort: 5001, Proto: ran.ProtoUDP},
-			RateBytesPerMS: rate,
-		})
+		src.StopMS = int64(5 * simMS / 6)
 	}
+	return cell.AddTraffic(rnti, src)
 }
 
 // opASubSlices is operator A's reconfiguration: sub-slices 66/34 with
 // UE 2 moved into the smaller one.
 func opASubSlices(x *xapp.SliceXApp) error {
-	if err := x.Deploy(ctrl.SliceConfigJSON{
-		Algo: "nvs",
-		Slices: []ctrl.SliceParamJSON{
-			{ID: 0, Kind: "capacity", Capacity: 0.66, UESched: "pf"},
-			{ID: 1, Kind: "capacity", Capacity: 0.34, UESched: "pf"},
-		},
-	}); err != nil {
+	if err := x.Deploy(nvsSlices(false, 0, 0.66, 0.34)); err != nil {
 		return err
 	}
 	return x.Associate(2, 1)
@@ -103,44 +88,23 @@ func Fig15(simMS int) (*Fig15Result, error) {
 // fig15Dedicated: two 25 RB eNBs, one per operator, each with its own
 // slicing controller.
 func fig15Dedicated(simMS int) (*Fig15Series, error) {
-	type op struct {
-		bs  *station.Station
-		sc  *ctrl.SlicingController
-		x   *xapp.SliceXApp
-		srv interface{ Close() error }
-	}
-	var ops [2]op
-	for i := 0; i < 2; i++ {
-		srv, addr, err := StartServer(e2ap.SchemeASN)
+	var cl closers
+	defer cl.close()
+	var bss [2]*station.Station
+	var xA *xapp.SliceXApp
+	for i := range bss {
+		bs, x, err := slicingStation(&cl, ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, uint64(i+1))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("op %d: %w", i, err)
 		}
-		sc, err := ctrl.NewSlicingController(srv, sm.SchemeASN, "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			return nil, err
+		bss[i] = bs
+		if i == 0 {
+			xA = x
 		}
-		bs, err := station.New(station.Spec{
-			Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: 25}, SM: sm.SchemeASN, Controller: addr,
-			Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, uint64(i+1)), Scheme: e2ap.SchemeASN},
-			SMs:   []uint16{sm.IDMACStats, sm.IDSliceCtrl},
-		})
-		if err != nil {
-			sc.Close()
-			srv.Close()
-			return nil, err
-		}
-		if !WaitUntil(waitShort, func() bool { return len(srv.Agents()) == 1 }) {
-			return nil, fmt.Errorf("op %d agent connect", i)
-		}
-		ops[i] = op{bs: bs, sc: sc, x: xapp.NewSliceXApp("http://"+sc.Addr(), 0), srv: srv}
-		defer ops[i].bs.Close()
-		defer ops[i].sc.Close()
-		defer srv.Close()
 	}
 	// Operator A's UEs 1,2 on eNB 0; operator B's UEs 3,4 on eNB 1.
 	for i, rnti := range []uint16{1, 2, 3, 4} {
-		bs := ops[i/2].bs
+		bs := bss[i/2]
 		if _, err := bs.Cell.Attach(rnti, "", "208.95", 28); err != nil {
 			return nil, err
 		}
@@ -149,34 +113,15 @@ func fig15Dedicated(simMS int) (*Fig15Series, error) {
 		}
 	}
 
-	series := &Fig15Series{Deployment: "dedicated"}
-	reconfAt := simMS / 6
-	reconfDone := false
-	var last [4]uint64
-	const sample = 1000
-	for t := 0; t < simMS; t += sample {
-		if !reconfDone && t >= reconfAt {
-			if err := opASubSlices(ops[0].x); err != nil {
-				return nil, err
-			}
-			reconfDone = true
-		}
-		// Step both cells in lockstep.
-		for s := 0; s < sample; s++ {
-			for i := range ops {
-				ops[i].bs.Step(1)
+	// Step both cells in lockstep.
+	step := func(ms int) {
+		for s := 0; s < ms; s++ {
+			for _, bs := range bss {
+				bs.Step(1)
 			}
 		}
-		var p Fig15Point
-		p.TimeMS = ops[0].bs.Cell.Now()
-		for i, rnti := range []uint16{1, 2, 3, 4} {
-			bits := ops[i/2].bs.Cell.UEDeliveredBits(rnti)
-			p.UE[i] = Mbps(bits-last[i], sample)
-			last[i] = bits
-		}
-		series.Points = append(series.Points, p)
 	}
-	return series, nil
+	return fig15Timeline("dedicated", simMS, xA, step, [4]*ran.Cell{bss[0].Cell, bss[0].Cell, bss[1].Cell, bss[1].Cell})
 }
 
 // fig15Shared: one 50 RB eNB, the virtualization controller, and the
@@ -250,23 +195,28 @@ func fig15Shared(simMS int) (*Fig15Series, error) {
 	}
 	xA := xapp.NewSliceXApp("http://"+scA.Addr(), 0)
 
-	series := &Fig15Series{Deployment: "shared"}
-	reconfAt := simMS / 6
+	return fig15Timeline("shared", simMS, xA, bs.Step, [4]*ran.Cell{bs.Cell, bs.Cell, bs.Cell, bs.Cell})
+}
+
+// fig15Timeline runs simMS in 1 s samples: operator A's xApp
+// reconfigures at a sixth of the run, and each sample records the
+// throughput of UEs 1–4, UE i+1 served by cells[i].
+func fig15Timeline(deployment string, simMS int, xA *xapp.SliceXApp, step func(ms int), cells [4]*ran.Cell) (*Fig15Series, error) {
+	series := &Fig15Series{Deployment: deployment}
 	reconfDone := false
 	var last [4]uint64
 	const sample = 1000
 	for t := 0; t < simMS; t += sample {
-		if !reconfDone && t >= reconfAt {
+		if !reconfDone && t >= simMS/6 {
 			if err := opASubSlices(xA); err != nil {
 				return nil, err
 			}
 			reconfDone = true
 		}
-		bs.Step(sample)
-		var p Fig15Point
-		p.TimeMS = bs.Cell.Now()
-		for i, rnti := range []uint16{1, 2, 3, 4} {
-			bits := bs.Cell.UEDeliveredBits(rnti)
+		step(sample)
+		p := Fig15Point{TimeMS: cells[0].Now()}
+		for i, cell := range cells {
+			bits := cell.UEDeliveredBits(uint16(i + 1))
 			p.UE[i] = Mbps(bits-last[i], sample)
 			last[i] = bits
 		}

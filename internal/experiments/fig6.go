@@ -7,7 +7,6 @@ import (
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/flexran"
-	"flexric/internal/metrics"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
 	"flexric/internal/station"
@@ -35,7 +34,6 @@ type Fig6aResult struct {
 	SimMS int
 }
 
-// agentScenario measures CPU per simulated second for a BS workload.
 type agentKind int
 
 const (
@@ -44,33 +42,40 @@ const (
 	agentFlexRAN
 )
 
-func measureAgentCPU(kind agentKind, rat ran.RAT, numRB, mcs, nUE, simMS int) (float64, error) {
-	phy := ran.PHYConfig{RAT: rat, NumRB: numRB}
+// scenario is one Fig. 6 configuration: a cell of numRB RBs with nUE
+// saturating UEs at mcs and, per kind, an agent exporting its MAC, RLC
+// and PDCP stats every 1 ms.
+type scenario struct {
+	kind            agentKind
+	rat             ran.RAT
+	numRB, mcs, nUE int
+}
+
+// up brings the scenario up, adds what it opens to cl and returns the
+// step that advances it by ms TTIs.
+func (s scenario) up(cl *closers) (func(ms int), error) {
+	phy := ran.PHYConfig{RAT: s.rat, NumRB: s.numRB}
 	var cell *ran.Cell
-	var st *station.Station
-	var fr *flexran.Agent
-	switch kind {
+	var tti func()
+	switch s.kind {
 	case agentFlexRIC:
 		srv, addr, err := StartServer(e2ap.SchemeFB)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		defer srv.Close()
+		cl.add(srv.Close)
 		// Raw-storing monitor: the §5.1 controller sink.
 		ctrl.NewMonitor(srv, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1})
-		st, err = station.New(station.Spec{
+		st, err := station.New(station.Spec{
 			Cell: phy, SM: sm.SchemeFB, Controller: addr,
 			Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, 1), Scheme: e2ap.SchemeFB},
 			SMs:   []uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats},
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		defer st.Close()
-		cell = st.Cell
-		if !WaitUntil(waitShort, func() bool { return len(srv.Agents()) == 1 }) {
-			return 0, fmt.Errorf("agent did not connect")
-		}
+		cl.add(func() error { st.Close(); return nil })
+		cell, tti = st.Cell, func() { st.Step(1) }
 		// The monitor subscribes on connect; wait for the agent-side
 		// subscriptions before measuring.
 		if !WaitUntil(waitShort, func() bool {
@@ -80,92 +85,106 @@ func measureAgentCPU(kind agentKind, rat ran.RAT, numRB, mcs, nUE, simMS int) (f
 			}
 			return n >= 3
 		}) {
-			return 0, fmt.Errorf("subscriptions not established")
+			return nil, fmt.Errorf("subscriptions not established")
 		}
 	case agentFlexRAN:
 		fc, addr, err := flexran.NewController("127.0.0.1:0")
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		defer fc.Close()
+		cl.add(fc.Close)
 		if cell, err = ran.NewCell(phy); err != nil {
-			return 0, err
+			return nil, err
 		}
-		fr, err = flexran.NewAgent(1, cell, addr)
+		fr, err := flexran.NewAgent(1, cell, addr)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		defer fr.Close()
-		if !WaitUntil(waitShort, func() bool { return len(fc.Agents()) == 1 }) {
-			return 0, fmt.Errorf("flexran agent did not register")
-		}
-		if err := fc.RequestStats(1, 1, flexran.FlagMAC|flexran.FlagRLC|flexran.FlagPDCP); err != nil {
-			return 0, err
+		cl.add(fr.Close)
+		tti = func() { cell.Step(1); fr.Tick(cell.Now()) }
+		// Request stats once the agent registers, then step until reports
+		// reach the RIB (the agent takes the request on its own goroutine).
+		if !WaitUntil(waitShort, func() bool {
+			return fc.RequestStats(1, 1, flexran.FlagMAC|flexran.FlagRLC|flexran.FlagPDCP) == nil
+		}) || !WaitUntil(waitShort, func() bool { tti(); return len(fc.Poll()) == 1 }) {
+			return nil, fmt.Errorf("flexran agent does not report")
 		}
 	default:
 		var err error
 		if cell, err = ran.NewCell(phy); err != nil {
-			return 0, err
+			return nil, err
 		}
+		tti = func() { cell.Step(1) }
 	}
 
-	for i := 1; i <= nUE; i++ {
-		if _, err := cell.Attach(uint16(i), "", "208.95", mcs); err != nil {
-			return 0, err
+	for i := 1; i <= s.nUE; i++ {
+		if _, err := cell.Attach(uint16(i), "", "208.95", s.mcs); err != nil {
+			return nil, err
 		}
 		if err := Saturate(cell, uint16(i)); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	// Warm-up, then measure.
-	step := cell.Step
-	if st != nil {
-		step = st.Step
-	}
-	run := func(ms int) {
+	return func(ms int) {
 		for i := 0; i < ms; i++ {
-			step(1)
-			if fr != nil {
-				fr.Tick(cell.Now())
-			}
+			tti()
 		}
+	}, nil
+}
+
+// scenarioCPU brings up every scenario, steps each a tenth of simMS (at
+// least 500 TTIs) as warm-up and then simMS in rounds chunks, round
+// robin, and returns each one's CPU per simulated second.
+func scenarioCPU(simMS, rounds int, scenarios ...scenario) ([]float64, error) {
+	var cl closers
+	defer cl.close()
+	chunk := simMS / rounds
+	steps := make([]func(), len(scenarios))
+	for i, s := range scenarios {
+		run, err := s.up(&cl)
+		if err != nil {
+			return nil, err
+		}
+		// A saturated cell's RLC queues grow, and allocate, for its
+		// first ~350 TTIs: warm up past that.
+		run(max(simMS/10, 500))
+		steps[i] = func() { run(chunk) }
 	}
-	run(simMS / 10)
-	m := metrics.StartCPU()
-	run(simMS)
-	return m.CPUPerSimSecond(int64(simMS)), nil
+	cpu, _ := roundRobin(rounds, steps)
+	perSimSecond := make([]float64, len(cpu))
+	for i, c := range cpu {
+		perSimSecond[i] = 100 * c.Seconds() / (float64(chunk*rounds) / 1000)
+	}
+	return perSimSecond, nil
 }
 
 // Fig6a reproduces Fig. 6a. simMS is the simulated duration per bar
-// (paper-scale ≥ 10 s).
+// (paper-scale ≥ 10 s). The user-plane baseline is measured once per
+// cell, the two cells stepped round robin in chunks: they do no
+// asynchronous work, so each chunk's CPU is its own cell's.
 func Fig6a(simMS int) (*Fig6aResult, error) {
-	type cfg struct {
-		label string
-		kind  agentKind
-		rat   ran.RAT
-		numRB, mcs,
-		nUE int
-	}
-	cfgs := []cfg{
-		{"4G (8c) FlexRIC", agentFlexRIC, ran.RAT4G, 25, 28, 3},
-		{"4G (8c) FlexRAN", agentFlexRAN, ran.RAT4G, 25, 28, 3},
-		{"5G (16c) FlexRIC", agentFlexRIC, ran.RAT5G, 106, 20, 3},
+	cells := []scenario{{agentNone, ran.RAT4G, 25, 28, 3}, {agentNone, ran.RAT5G, 106, 20, 3}}
+	base, err := scenarioCPU(simMS, interleaveRounds, cells...)
+	if err != nil {
+		return nil, fmt.Errorf("fig6a baseline: %w", err)
 	}
 	res := &Fig6aResult{SimMS: simMS}
-	for _, c := range cfgs {
-		base, err := measureAgentCPU(agentNone, c.rat, c.numRB, c.mcs, c.nUE, simMS)
+	for _, row := range []struct {
+		label string
+		kind  agentKind
+		cell  int
+	}{
+		{"4G (8c) FlexRIC", agentFlexRIC, 0},
+		{"4G (8c) FlexRAN", agentFlexRAN, 0},
+		{"5G (16c) FlexRIC", agentFlexRIC, 1},
+	} {
+		s := cells[row.cell]
+		s.kind = row.kind
+		with, err := scenarioCPU(simMS, 1, s)
 		if err != nil {
-			return nil, fmt.Errorf("fig6a %s baseline: %w", c.label, err)
+			return nil, fmt.Errorf("fig6a %s: %w", row.label, err)
 		}
-		with, err := measureAgentCPU(c.kind, c.rat, c.numRB, c.mcs, c.nUE, simMS)
-		if err != nil {
-			return nil, fmt.Errorf("fig6a %s: %w", c.label, err)
-		}
-		over := with - base
-		if over < 0 {
-			over = 0
-		}
-		res.Rows = append(res.Rows, Fig6aRow{Label: c.label, AgentCPU: over, BaselineCPU: base})
+		res.Rows = append(res.Rows, Fig6aRow{Label: row.label, AgentCPU: max(with[0]-base[row.cell], 0), BaselineCPU: base[row.cell]})
 	}
 	return res, nil
 }
@@ -200,25 +219,20 @@ type Fig6bResult struct {
 }
 
 // Fig6b reproduces Fig. 6b: the L2-simulator UE sweep on a 25 RB cell.
+// The three scenarios of a point are up together and measured one after
+// the other.
 func Fig6b(ueCounts []int, simMS int) (*Fig6bResult, error) {
 	if len(ueCounts) == 0 {
 		ueCounts = []int{1, 4, 8, 16, 24, 32}
 	}
 	res := &Fig6bResult{SimMS: simMS}
 	for _, n := range ueCounts {
-		var p Fig6bPoint
-		p.UEs = n
-		var err error
-		if p.NoAgent, err = measureAgentCPU(agentNone, ran.RAT4G, 25, 28, n, simMS); err != nil {
+		cpu, err := scenarioCPU(simMS, 1, scenario{agentNone, ran.RAT4G, 25, 28, n},
+			scenario{agentFlexRIC, ran.RAT4G, 25, 28, n}, scenario{agentFlexRAN, ran.RAT4G, 25, 28, n})
+		if err != nil {
 			return nil, err
 		}
-		if p.FlexRIC, err = measureAgentCPU(agentFlexRIC, ran.RAT4G, 25, 28, n, simMS); err != nil {
-			return nil, err
-		}
-		if p.FlexRAN, err = measureAgentCPU(agentFlexRAN, ran.RAT4G, 25, 28, n, simMS); err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, p)
+		res.Points = append(res.Points, Fig6bPoint{UEs: n, NoAgent: cpu[0], FlexRIC: cpu[1], FlexRAN: cpu[2]})
 	}
 	return res, nil
 }

@@ -250,13 +250,7 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 
 	// Slice layout: 0.3 / 0.7 with sharing on; UE 1 carries the SLA.
 	sx := xapp.NewSliceXApp("http://"+sc.Addr(), 0)
-	if err := sx.Deploy(ctrl.SliceConfigJSON{
-		Algo: "nvs",
-		Slices: []ctrl.SliceParamJSON{
-			{ID: 1, Kind: "capacity", Capacity: 0.3, UESched: "pf"},
-			{ID: 2, Kind: "capacity", Capacity: 0.7, UESched: "pf"},
-		},
-	}); err != nil {
+	if err := sx.Deploy(nvsSlices(false, 1, 0.3, 0.7)); err != nil {
 		return nil, err
 	}
 	if err := sx.Associate(1, 1); err != nil {

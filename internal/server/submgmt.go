@@ -20,10 +20,9 @@ type subManager struct {
 	controls map[SubID]func(outcome []byte, err error)
 	// Requestor namespaces: subscriptions and controls use distinct
 	// requestor IDs so their instance counters are independent.
-	subSeq  uint16
-	ctlSeq  uint16
-	fafSeq  uint16
-	dropped uint64 // indications without a matching subscription
+	subSeq uint16
+	ctlSeq uint16
+	fafSeq uint16
 }
 
 // Requestor namespaces for RequestID.Requestor.
@@ -123,9 +122,6 @@ func (m *subManager) dispatchIndication(agent AgentID, env e2ap.Envelope) {
 	sub := m.subs[id]
 	m.mu.Unlock()
 	if sub == nil || sub.cb.OnIndication == nil {
-		m.mu.Lock()
-		m.dropped++
-		m.mu.Unlock()
 		serverTel.dropped.Inc()
 		sp.End()
 		return
@@ -231,12 +227,4 @@ func (m *subManager) replayItems(agent AgentID) []replayItem {
 		}
 	}
 	return items
-}
-
-// DroppedIndications reports indications that arrived without a matching
-// subscription (diagnostics).
-func (m *subManager) droppedCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dropped
 }

@@ -52,6 +52,32 @@ rm -rf "$ex"
 echo "==> go test (tier-1 suite)"
 go test ./...
 
+echo "==> figure shapes under load (beside the tsdb and ran test binaries)"
+# The comparison figures measure their configurations interleaved, so
+# load from a parallel package falls on every configuration alike. The
+# tsdb and ran test binaries run in a loop beside three runs of the
+# figure shape tests; only the figure tests' outcome counts.
+fig=$(mktemp -d)
+for p in experiments tsdb ran; do
+    go test -c -o "$fig/$p.test" "./internal/$p/"
+done
+for p in tsdb ran; do
+    (cd "internal/$p" && while [ ! -e "$fig/done" ]; do "$fig/$p.test" > /dev/null 2>&1 || true; done) &
+done
+fig_rc=0
+(cd internal/experiments && "$fig/experiments.test" -test.run 'TestFig(6a|7a|8b|9a)Shape$' \
+    -test.count=3 -test.v) > "$fig/out" 2>&1 || fig_rc=$?
+touch "$fig/done"
+wait
+if [ "$fig_rc" -ne 0 ]; then
+    cat "$fig/out"
+    rm -rf "$fig"
+    echo "verify: figure shapes failed under load" >&2
+    exit 1
+fi
+grep -E '^(--- (PASS|FAIL)|PASS|FAIL)' "$fig/out"
+rm -rf "$fig"
+
 echo "==> go test -race -short"
 # -short skips the reduced-scale experiment shape tests: they assert CPU
 # bounds that are meaningless under the race detector's ~10x
