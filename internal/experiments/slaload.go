@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -304,23 +305,33 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 		return
 	}
 
-	// drive advances the simulated cell (~20 sim ms per wall ms) and
-	// runs one enforcement tick per wall millisecond while polling cond.
-	drive := func(what string, cond func() bool) error {
+	// step advances the simulated cell (~20 sim ms per wall ms) while
+	// polling cond; with enforce it also runs one enforcement tick per
+	// wall millisecond and records every remedy it fires.
+	var remedied []string
+	step := func(what string, enforce bool, cond func() bool) error {
 		deadline := time.Now().Add(30 * time.Second)
 		for !cond() {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("slaload: timeout waiting for %s", what)
 			}
 			bs.Step(20)
-			ds := x.EnforceOnce()
-			lastMu.Lock()
-			last = ds
-			lastMu.Unlock()
+			if enforce {
+				ds := x.EnforceOnce()
+				lastMu.Lock()
+				last = ds
+				lastMu.Unlock()
+				for _, d := range ds {
+					if d.Remedied {
+						remedied = append(remedied, fmt.Sprintf("%s to shares %v (%s)", d.PolicyID, d.NewShares, d.Reason))
+					}
+				}
+			}
 			time.Sleep(time.Millisecond)
 		}
 		return nil
 	}
+	drive := func(what string, cond func() bool) error { return step(what, true, cond) }
 	status := func() a1.Status {
 		st, ok := pols.Get(pol.ID)
 		if !ok {
@@ -342,6 +353,25 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 	remedies0 := telemetry.TakeSnapshot().Counter("a1.enforce.remedies")
 
 	// Phase 1: baseline — slice 2 idle, slice 1 borrows, target met.
+	// The cell first steps without enforcement until the store holds a
+	// full policy window of slice 1 (its one UE) above the target, so a
+	// slow start cannot read as a violation and fire a remedy before the
+	// surge; then the loop must find the target met.
+	k1 := tsdb.SeriesKey{Agent: uint32(pol.Agent), Fn: sm.IDMACStats, UE: 1, Field: tsdb.FieldThroughputBps}
+	windowNS := pol.WindowMS * int64(time.Millisecond)
+	var firstTS int64
+	if err := step("a full baseline window", false, func() bool {
+		now := time.Now().UnixNano()
+		if firstTS == 0 {
+			if agg, ok := store.Aggregate(k1, 0, now); ok {
+				firstTS = agg.FirstTS
+			}
+		}
+		agg, ok := store.Aggregate(k1, now-windowNS, now)
+		return firstTS != 0 && now-firstTS >= windowNS && ok && agg.P50/1e6 > targetMbps
+	}); err != nil {
+		return nil, err
+	}
 	if err := drive("baseline ENFORCED", func() bool {
 		mbps, _ := slice1()
 		return status() == a1.StatusEnforced && mbps > targetMbps
@@ -350,6 +380,9 @@ func SLALoad(opts SLALoadOptions) (*SLALoadResult, error) {
 	}
 	res.BaselineMbps, _ = slice1()
 	res.Share0 = share1()
+	if len(remedied) > 0 {
+		return nil, fmt.Errorf("slaload: remedy fired before the surge: %s", strings.Join(remedied, "; "))
+	}
 
 	// Phase 2: load surge — slice 2 saturates, slice 1 drops to its
 	// reservation and the SLA breaks.

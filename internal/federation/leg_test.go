@@ -1,14 +1,15 @@
 package federation
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,9 +23,9 @@ import (
 // 100 ns buckets.
 func legGrid() []tsdb.PartialBucket { return tsdb.NewPartialWindow(0, 300, 100) }
 
-// goodLeg is a leg a real shard would send: four series folded into the
-// grid (windowed) or into one aggregate.
-func goodLeg(t testing.TB, windowed bool) []byte {
+// goodPartial is the leg a real shard would answer: four series folded
+// into the grid (windowed) or into one aggregate.
+func goodPartial(windowed bool) tsdb.PartialLeg {
 	st := tsdb.New(tsdb.Config{})
 	for ue := uint16(0); ue < 4; ue++ {
 		k := tsdb.SeriesKey{Agent: 1, Fn: 142, UE: ue, Field: tsdb.FieldCQI}
@@ -36,18 +37,24 @@ func goodLeg(t testing.TB, windowed bool) []byte {
 	if windowed {
 		q.To, q.StepNS = 300, 100
 	}
-	b, err := json.Marshal(st.Partial(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return st.Partial(q)
 }
+
+// encodeLeg is a leg's body on the wire.
+func encodeLeg(l tsdb.PartialLeg) []byte { return tsdb.AppendLeg(nil, &l) }
+
+// goodLeg is goodPartial's body.
+func goodLeg(windowed bool) []byte { return encodeLeg(goodPartial(windowed)) }
 
 // hostileLeg claims one raw sample in a histogram run starting at lo.
 func hostileLeg(lo int64) []byte {
-	return []byte(fmt.Sprintf(`{"series":1,"agg":{"count":1,"raw_n":1,"pos":{"lo":%d,"n":[1]}},"buckets":[`+
-		`{"from_ts":0,"to_ts":100,"agg":{"count":1,"raw_n":1,"neg":{"lo":%d,"n":[1]}}},`+
-		`{"from_ts":100,"to_ts":200,"agg":{}},{"from_ts":200,"to_ts":300,"agg":{}}]}`, lo, lo))
+	one := tsdb.PartialAgg{Count: 1, RawN: 1}
+	pos, neg := one, one
+	pos.Pos = tsdb.Hist{Lo: lo, N: []int64{1}}
+	neg.Neg = tsdb.Hist{Lo: lo, N: []int64{1}}
+	buckets := legGrid()
+	buckets[0].Agg = neg
+	return encodeLeg(tsdb.PartialLeg{Series: 1, Agg: pos, Buckets: buckets})
 }
 
 // maxRun bounds any histogram run a checked merge can produce: the
@@ -82,19 +89,20 @@ func TestHostileLegsRejected(t *testing.T) {
 			t.Fatalf("leg with lo=%d: %v, want ErrBadPartial", lo, err)
 		}
 	}
-	good := goodLeg(t, true)
+	good := goodLeg(true)
 	merged, ok := mergeLegs(grid, hostileLeg(-1e9), good, hostileLeg(1e9), good)
 	if ok != 2 || merged.Series != 8 {
 		t.Fatalf("accepted %d legs with %d series, want the 2 good ones with 8", ok, merged.Series)
 	}
-	shifted := bytes.Replace(good, []byte(`"from_ts":100`), []byte(`"from_ts":101`), 1)
-	if _, err := readLeg(shifted, grid); err == nil {
+	shifted := goodPartial(true)
+	shifted.Buckets[1].FromTS = 101
+	if _, err := readLeg(encodeLeg(shifted), grid); err == nil {
 		t.Fatal("a leg on another bucket grid was accepted")
 	}
 	if _, err := readLeg(good, nil); err == nil {
 		t.Fatal("a windowed leg was accepted for an aggregate query")
 	}
-	if _, err := readLeg(goodLeg(t, false), nil); err != nil {
+	if _, err := readLeg(goodLeg(false), nil); err != nil {
 		t.Fatalf("aggregate leg rejected: %v", err)
 	}
 }
@@ -212,17 +220,18 @@ func TestFederatedWindowOneAgent(t *testing.T) {
 	}
 }
 
-// FuzzPartialLegJSON feeds the root's decode-check-merge two arbitrary
+// FuzzPartialLeg feeds the root's decode-check-merge two arbitrary
 // shard answers. Whatever the bytes, it must not panic, and what it
 // accepts must merge into histogram runs no wider than the finite
 // bucket range.
-func FuzzPartialLegJSON(f *testing.F) {
-	good, goodAgg := goodLeg(f, true), goodLeg(f, false)
+func FuzzPartialLeg(f *testing.F) {
+	good, goodAgg := goodLeg(true), goodLeg(false)
 	f.Add(good, good, true)
 	f.Add(goodAgg, goodAgg, false)
 	f.Add(hostileLeg(-1e9), hostileLeg(1e9), true)
-	f.Add([]byte(`{"series":-1}`), []byte(`{"agg":{"count":1,"raw_n":1,"zeros":1}}`), false)
-	f.Add([]byte(`{"agg":{"count":3,"raw_n":3,"pos":{"lo":-9205,"n":[1]},"neg":{"lo":9222,"n":[2]}}}`), []byte(`[`), false)
+	f.Add(encodeLeg(tsdb.PartialLeg{Series: -1}), encodeLeg(tsdb.PartialLeg{Agg: tsdb.PartialAgg{Count: 1, RawN: 1, Zeros: 1}}), false)
+	f.Add(encodeLeg(tsdb.PartialLeg{Agg: tsdb.PartialAgg{Count: 3, RawN: 3,
+		Pos: tsdb.Hist{Lo: -9205, N: []int64{1}}, Neg: tsdb.Hist{Lo: 9222, N: []int64{2}}}}), goodAgg[:1], false)
 	f.Fuzz(func(t *testing.T, a, b []byte, windowed bool) {
 		var grid []tsdb.PartialBucket
 		if windowed {
@@ -323,18 +332,39 @@ func shardSamples(t *testing.T, sh *Shard, u string) []tsdb.Sample {
 }
 
 // A shard answer longer than maxLegBytes is dropped like a failed leg,
-// before it is decoded; one under the bound is read whatever its
-// padding.
+// before it is decoded; a leg of megabytes under the bound is read,
+// and a body with bytes after its leg or its samples is not.
 func TestLegBodyBounded(t *testing.T) {
-	if _, err := readLeg(bytes.Repeat([]byte(" "), maxLegBytes+1), legGrid()); err == nil {
-		t.Fatal("a leg over the bound was accepted")
+	over := append(goodLeg(true), make([]byte, maxLegBytes)...)
+	if _, err := readLeg(over, legGrid()); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("a leg over the bound: %v, want the bound's error", err)
 	}
-	if _, err := readSamples(bytes.Repeat([]byte(" "), maxLegBytes+1), 1); err == nil {
-		t.Fatal("samples over the bound were accepted")
+	samples := tsdb.AppendSamples(nil, []tsdb.Sample{{TS: 1, V: 2}})
+	if _, err := readSamples(append(samples, make([]byte, maxLegBytes)...), 1); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("samples over the bound: %v, want the bound's error", err)
 	}
-	padded := append(bytes.Repeat([]byte(" "), 1<<20), goodLeg(t, true)...)
-	if _, err := readLeg(padded, legGrid()); err != nil {
-		t.Fatalf("a padded leg under the bound was rejected: %v", err)
+	// 4096 buckets, each holding a run of 300 histogram buckets.
+	grid := tsdb.NewPartialWindow(0, 4096, 1)
+	wide := tsdb.PartialLeg{Series: 1, Buckets: tsdb.NewPartialWindow(0, 4096, 1)}
+	for i := range wide.Buckets {
+		n := make([]int64, 300)
+		for j := range n {
+			n[j] = 1
+		}
+		wide.Buckets[i].Agg = tsdb.PartialAgg{Count: 300, RawN: 300, Pos: tsdb.Hist{N: n}}
+	}
+	body := encodeLeg(wide)
+	if len(body) < 1<<20 || len(body) > maxLegBytes {
+		t.Fatalf("wide leg of %d bytes, want megabytes under %d", len(body), maxLegBytes)
+	}
+	if _, err := readLeg(body, grid); err != nil {
+		t.Fatalf("a leg of %d bytes under the bound was rejected: %v", len(body), err)
+	}
+	if _, err := readLeg(append(goodLeg(true), 0), legGrid()); err == nil {
+		t.Fatal("a leg with a trailing byte was accepted")
+	}
+	if _, err := readSamples(append(samples, 0), 1); err == nil {
+		t.Fatal("samples with a trailing byte were accepted")
 	}
 }
 
@@ -387,4 +417,84 @@ func FuzzCoordControl(f *testing.F) {
 			t.Fatalf("leg %q: the root rejects the answer: %v", payload, err)
 		}
 	})
+}
+
+// TestNonFiniteLeg: a shard whose window holds +Inf, -Inf and NaN
+// samples answers its leg and the root merges it, so no shard drops
+// out of the answer; the federated /tsdb/query whose buckets then hold
+// +Inf answers 500, not an empty 200.
+func TestNonFiniteLeg(t *testing.T) {
+	root, shards, _ := startFleet(t, 3)
+	db := shards[0].DB()
+	k := tsdb.SeriesKey{Agent: 5, Fn: 142, UE: 1, Field: tsdb.FieldCQI}
+	db.Append(k, 0, 1)
+	db.Append(k, 1e8, math.Inf(1))
+	k.UE = 2
+	db.Append(k, 2e8, math.Inf(-1))
+	db.Append(k, 3e8, math.NaN())
+	leg, hit, err := root.fanOutPartial("5", "mac", "all", "cqi", 0, 1e9, 1e8)
+	if err != nil || hit != 3 || leg.Series != 2 {
+		t.Fatalf("%d shards, %d series, %v; want 3 shards and 2 series", hit, leg.Series, err)
+	}
+	for i, b := range leg.Buckets {
+		want := int64(0)
+		if i < 4 {
+			want = 1
+		}
+		if b.Agg.Count != want {
+			t.Fatalf("bucket %d holds %d samples, want %d", i, b.Agg.Count, want)
+		}
+	}
+	if v := leg.Buckets[1].Agg.Max; !math.IsInf(v, 1) {
+		t.Fatalf("bucket 1 max %v, want +Inf", v)
+	}
+	code, _, body := fedQuery(t, root, "/tsdb/query?agent=5&fn=mac&ue=1&field=cqi&from=0&to=1000000000&step_ms=100")
+	if code != http.StatusInternalServerError {
+		t.Fatalf("query over +Inf: %d %s, want 500", code, body)
+	}
+}
+
+// TestLegTelemetry reads bytes per leg from the federation counters on
+// a fixed 3-shard fleet: each query counts one leg per shard, the body
+// bytes every shard answered and one latency observation per leg, and
+// a leg to a closed shard counts as dropped.
+func TestLegTelemetry(t *testing.T) {
+	root, shards, _ := startFleet(t, 3)
+	for i, sh := range shards {
+		for ue := uint16(0); ue < 8; ue++ {
+			k := tsdb.SeriesKey{Agent: uint32(i + 1), Fn: 142, UE: ue, Field: tsdb.FieldCQI}
+			for ts := int64(0); ts < 1e9; ts += 1e7 {
+				sh.DB().Append(k, ts, float64(1+(int64(ue)+ts/1e7)%15))
+			}
+		}
+	}
+	q := tsdb.Query{Agent: -1, UE: -1, Fn: 142, Field: tsdb.FieldCQI, From: 0, To: 1e9, StepNS: 1e8}
+	var wantBytes uint64
+	for _, sh := range shards {
+		leg := sh.DB().Partial(q)
+		wantBytes += uint64(len(tsdb.AppendLeg(nil, &leg)))
+	}
+	legs := telemetry.NewCounter("federation.legs")
+	legBytes := telemetry.NewCounter("federation.leg_bytes")
+	dropped := telemetry.NewCounter("federation.legs_dropped")
+	lat := telemetry.NewHistogram("federation.leg_latency")
+	l0, b0, d0, h0 := legs.Load(), legBytes.Load(), dropped.Load(), lat.Count()
+	const queries = 4
+	for range queries {
+		if _, hit, err := root.fanOutPartial("all", "mac", "all", "cqi", 0, 1e9, 1e8); err != nil || hit != 3 {
+			t.Fatalf("%d shards answered: %v", hit, err)
+		}
+	}
+	n, b := legs.Load()-l0, legBytes.Load()-b0
+	if n != 3*queries || b != queries*wantBytes || lat.Count()-h0 != n || dropped.Load() != d0 {
+		t.Fatalf("%d legs of %d bytes, %d timed, %d dropped; want %d legs of %d bytes, each timed, none dropped",
+			n, b, lat.Count()-h0, dropped.Load()-d0, 3*queries, queries*wantBytes)
+	}
+	t.Logf("%d bytes per leg", b/n)
+	if err := shards[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := root.fanOutPartial("all", "mac", "all", "cqi", 0, 1e9, 1e8); err != nil || hit != 2 || dropped.Load()-d0 != 1 {
+		t.Fatalf("with a shard closed: %d shards answered, %d legs dropped, %v; want 2 and 1", hit, dropped.Load()-d0, err)
+	}
 }

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -311,25 +310,26 @@ func (r *Root) liveShardIDs() []server.AgentID {
 	return ids
 }
 
-// sendLeg sends one query leg — the URL-encoded tsdb query v — to a
-// shard as a fed-coord control and returns the shard's answer. The
-// server gives up on an answer after 5 s.
-func (r *Root) sendLeg(shard server.AgentID, v url.Values) ([]byte, error) {
-	return r.srv.ControlWait(shard, IDFedCoord, []byte(legHeader), []byte(v.Encode()))
+// sendLeg sends one query leg — a URL-encoded tsdb query — to a shard
+// as a fed-coord control and returns the shard's answer. The server
+// gives up on an answer after 5 s.
+func (r *Root) sendLeg(shard server.AgentID, query []byte) ([]byte, error) {
+	return r.srv.ControlWait(shard, IDFedCoord, []byte(legHeader), query)
 }
 
 // readLeg decodes one shard's leg answer and checks it before the merge
-// trusts it: at most maxLegBytes, a series count that is not negative,
-// exactly the bucket grid the root asked for (none for an aggregate),
-// and partials that pass tsdb validation — so a corrupt or hostile leg
-// can neither exhaust the root's memory, panic the merge nor grow a
-// histogram past the finite bucket range.
+// trusts it: at most maxLegBytes, one PER leg with nothing after it, a
+// series count that is not negative, exactly the bucket grid the root
+// asked for (none for an aggregate), and partials that pass tsdb
+// validation — so a corrupt or hostile leg can neither exhaust the
+// root's memory, panic the merge nor grow a histogram past the finite
+// bucket range.
 func readLeg(body []byte, grid []tsdb.PartialBucket) (tsdb.PartialLeg, error) {
-	var leg tsdb.PartialLeg
 	if len(body) > maxLegBytes {
-		return leg, fmt.Errorf("federation: shard answer of %d bytes exceeds %d", len(body), maxLegBytes)
+		return tsdb.PartialLeg{}, fmt.Errorf("federation: shard answer of %d bytes exceeds %d", len(body), maxLegBytes)
 	}
-	if err := json.Unmarshal(body, &leg); err != nil {
+	leg, err := tsdb.DecodeLeg(body)
+	if err != nil {
 		return leg, fmt.Errorf("federation: shard answer: %w", err)
 	}
 	if leg.Series < 0 || len(leg.Buckets) != len(grid) {
@@ -351,13 +351,13 @@ func readLeg(body []byte, grid []tsdb.PartialBucket) (tsdb.PartialLeg, error) {
 }
 
 // readSamples decodes a last=K leg's answer: at most maxLegBytes
-// holding at most k samples.
+// holding one PER sample list of at most k samples.
 func readSamples(body []byte, k int) ([]tsdb.Sample, error) {
 	if len(body) > maxLegBytes {
 		return nil, fmt.Errorf("federation: shard answer of %d bytes exceeds %d", len(body), maxLegBytes)
 	}
-	var samples []tsdb.Sample
-	if err := json.Unmarshal(body, &samples); err != nil {
+	samples, err := tsdb.DecodeSamples(body)
+	if err != nil {
 		return nil, fmt.Errorf("federation: shard answer: %w", err)
 	}
 	if len(samples) > k {
@@ -385,6 +385,7 @@ func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64
 	if stepMS > 0 {
 		v.Set("step_ms", strconv.FormatInt(stepMS, 10))
 	}
+	query := []byte(v.Encode())
 	type result struct {
 		leg tsdb.PartialLeg
 		err error
@@ -395,7 +396,7 @@ func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64
 		wg.Add(1)
 		go func(i int, id server.AgentID) {
 			defer wg.Done()
-			out, err := r.sendLeg(id, v)
+			out, err := r.sendLeg(id, query)
 			if err != nil {
 				results[i].err = err
 				return
@@ -409,6 +410,7 @@ func (r *Root) fanOutPartial(agent, fn, ue, field string, from, to, stepNS int64
 			// A shard dying mid-query is expected during failover, and a
 			// leg that fails its checks is dropped the same way; the merge
 			// proceeds over the shards that answered.
+			tel.legsDropped.Inc()
 			continue
 		}
 		shardsHit++
@@ -499,7 +501,7 @@ func (r *Root) QueryHandler() http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		resp := fedQueryResponse{Field: field, Shards: hit, Series: leg.Series}
+		resp := fedQueryResponse{Field: field, Shards: hit, Series: int(leg.Series)}
 		if q.StepNS > 0 {
 			resp.Buckets = finishBuckets(leg.Buckets)
 		} else {
@@ -535,12 +537,13 @@ func (r *Root) queryLast(w http.ResponseWriter, v url.Values, q tsdb.Query) {
 	}
 	lv := legParams(v.Get("agent"), v.Get("fn"), v.Get("ue"), v.Get("field"))
 	lv.Set("last", strconv.Itoa(q.Last))
-	out, err := r.sendLeg(id, lv)
+	out, err := r.sendLeg(id, []byte(lv.Encode()))
 	var samples []tsdb.Sample
 	if err == nil {
 		samples, err = readSamples(out, q.Last)
 	}
 	if err != nil {
+		tel.legsDropped.Inc()
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}

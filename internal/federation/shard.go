@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/url"
 	"os"
@@ -324,8 +323,10 @@ func (f *coordFn) OnControl(_ agent.ControllerID, req *e2ap.ControlRequest) ([]b
 
 // answerLeg answers one query leg (see legHeader) from the shard's
 // store: the tsdb.PartialLeg of a range query, through the fold
-// /tsdb/partial answers with, or the newest samples of a last=K query.
+// /tsdb/partial answers with, or the newest samples of a last=K query,
+// each as its PER body.
 func (s *Shard) answerLeg(payload []byte) ([]byte, error) {
+	t0 := time.Now()
 	v, err := url.ParseQuery(string(payload))
 	if err != nil {
 		return nil, fmt.Errorf("federation: bad leg query: %w", err)
@@ -334,21 +335,21 @@ func (s *Shard) answerLeg(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("federation: bad leg query: %w", err)
 	}
-	var body any
+	var b []byte
 	if q.Last > 0 {
 		if q.Agent < 0 || q.UE < 0 {
 			return nil, fmt.Errorf("federation: a last=K leg needs one agent and one ue")
 		}
-		body = s.db.LastK(tsdb.SeriesKey{Agent: uint32(q.Agent), Fn: q.Fn, UE: uint16(q.UE), Field: q.Field}, q.Last, nil)
+		b = tsdb.AppendSamples(nil, s.db.LastK(tsdb.SeriesKey{Agent: uint32(q.Agent), Fn: q.Fn, UE: uint16(q.UE), Field: q.Field}, q.Last, nil))
 	} else {
-		body = s.db.Partial(q)
-	}
-	b, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("federation: leg answer: %w", err)
+		leg := s.db.Partial(q)
+		b = tsdb.AppendLeg(nil, &leg)
 	}
 	if len(b) > maxLegBytes {
 		return nil, fmt.Errorf("federation: leg answer of %d bytes exceeds %d", len(b), maxLegBytes)
 	}
+	tel.legs.Inc()
+	tel.legBytes.Add(uint64(len(b)))
+	tel.legLat.Observe(time.Since(t0))
 	return b, nil
 }

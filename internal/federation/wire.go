@@ -22,15 +22,16 @@ const FedOID = "fed-coord"
 
 // legHeader is the control header of a query leg. Its payload is the
 // URL-encoded tsdb query (agent, fn, ue, field, then from/to[/step_ms]
-// or last), and the shard answers in the control outcome: the JSON
-// tsdb.PartialLeg of a range query, or the JSON []tsdb.Sample of a
-// last=K one. A control without this header is a Takeover.
+// or last), and the shard answers in the control outcome with a PER
+// body (tsdb.AppendLeg): the tsdb.PartialLeg of a range query, or the
+// []tsdb.Sample of a last=K one. A control without this header is a
+// Takeover.
 const legHeader = "leg"
 
 // maxLegBytes bounds one leg answer. A windowed leg holds at most 4096
-// buckets (tsdb's window cap), each a few hundred bytes plus its
-// histogram runs: about 10 MB even if every bucket spans values from 1
-// to 1e9. The bound leaves room for the control outcome's E2 message
+// buckets (tsdb's window cap), each under 150 bytes plus a few bytes
+// per histogram bucket: a few MB even if every bucket spans values from
+// 1 to 1e9. The bound leaves room for the control outcome's E2 message
 // around the answer in one transport frame.
 const maxLegBytes = transport.MaxMessageSize - 64<<10
 
@@ -79,9 +80,10 @@ type Takeover struct {
 	Agents []uint64 `json:"agents"`
 }
 
-// EncodeReport / DecodeReport, and friends: the coordination plane is
-// low-rate (one report per shard per period), so plain JSON keeps the
-// wire format debuggable without touching the SM codecs.
+// EncodeReport / DecodeReport, and friends: reports, triggers and
+// takeovers are low-rate (one report per shard per period), so they
+// stay plain JSON. Query legs, one per shard per query, travel as PER
+// walks (legHeader).
 
 func EncodeReport(r *Report) []byte { b, _ := json.Marshal(r); return b }
 

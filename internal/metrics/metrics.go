@@ -54,18 +54,6 @@ func (m *CPUMeter) NormalizedPercent() float64 {
 	return 100 * float64(cpu) / float64(wall)
 }
 
-// CPUPerSimSecond expresses CPU cost against simulated time: CPU seconds
-// consumed per simulated second, as a percentage. This is the meaningful
-// normalization when the workload runs a discrete-event simulation
-// faster than real time.
-func (m *CPUMeter) CPUPerSimSecond(simMS int64) float64 {
-	if simMS <= 0 {
-		return 0
-	}
-	cpu, _ := m.Sample()
-	return 100 * cpu.Seconds() / (float64(simMS) / 1000)
-}
-
 // HeapInUse reports live heap bytes after a GC cycle — the steady-state
 // memory of the measured structures.
 func HeapInUse() uint64 {
@@ -73,17 +61,6 @@ func HeapInUse() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapInuse
-}
-
-// HeapDelta runs f and returns the live-heap growth it caused.
-func HeapDelta(f func()) uint64 {
-	before := HeapInUse()
-	f()
-	after := HeapInUse()
-	if after < before {
-		return 0
-	}
-	return after - before
 }
 
 // MB formats bytes as mebibytes.

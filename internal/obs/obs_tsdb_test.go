@@ -3,7 +3,10 @@ package obs_test
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,5 +187,31 @@ func TestTSDBStatsEndpoint(t *testing.T) {
 	}
 	if got.RawPayloads != 1 || got.RawPayloadBytes != len("payload") {
 		t.Fatalf("raw archive: %+v", got)
+	}
+}
+
+// TestTSDBQueryNonFinite: a /tsdb/query whose answer holds +Inf, which
+// JSON cannot carry, answers 500 naming the encoder's error instead of
+// 200 with an empty body.
+func TestTSDBQueryNonFinite(t *testing.T) {
+	st := tsdb.New(tsdb.Config{})
+	k := tsdb.SeriesKey{Agent: 1, Fn: sm.IDMACStats, UE: 7, Field: tsdb.FieldCQI}
+	st.Append(k, 1, 3)
+	st.Append(k, 2, math.Inf(1))
+	s, err := obs.NewServer("127.0.0.1:0", obs.WithTSDB(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, q := range []string{"last=2", "from=0&to=10", "from=0&to=10&step_ms=1"} {
+		resp, err := http.Get("http://" + s.Addr() + "/tsdb/query?agent=1&fn=mac&ue=7&field=cqi&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "unsupported value") {
+			t.Errorf("%s: %s %q, want 500 naming the unsupported value", q, resp.Status, body)
+		}
 	}
 }

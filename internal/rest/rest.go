@@ -7,12 +7,14 @@
 package rest
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
+	"sync"
 	"time"
 
 	"flexric/internal/telemetry"
@@ -76,9 +78,30 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	return http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err)
 }
 
-// WriteJSON answers code with v as a JSON body.
+// bodies holds the buffers WriteJSON encodes into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer WriteJSON returns to its pool; a
+// larger one, from a rare wide answer, is left to the collector.
+const maxPooledBody = 1 << 20
+
+// WriteJSON answers code with v as a JSON body. It encodes v before it
+// writes the status, so a value that does not encode (a non-finite
+// float, say) answers 500 with the encoder's error instead of code with
+// a truncated body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }

@@ -1,6 +1,7 @@
 package rest
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,5 +96,21 @@ func TestHandleCountsAndRoutesMethods(t *testing.T) {
 	lat := telemetry.NewHistogram("rest_test.http.latency.thing").Count()
 	if reqs != 2 || lat != 2 {
 		t.Fatalf("counted %d requests and %d latencies, want 2 each", reqs, lat)
+	}
+}
+
+// TestWriteJSONEncodeError: a value JSON cannot carry answers 500 with
+// the encoder's error, not the asked status with a truncated body; an
+// encodable one answers the asked status.
+func TestWriteJSONEncodeError(t *testing.T) {
+	w := httptest.NewRecorder()
+	WriteJSON(w, http.StatusOK, map[string]float64{"v": math.Inf(1)})
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "unsupported value") {
+		t.Fatalf("+Inf: %d %q, want 500 naming the unsupported value", w.Code, w.Body)
+	}
+	w = httptest.NewRecorder()
+	WriteJSON(w, http.StatusCreated, map[string]int{"n": 1})
+	if w.Code != http.StatusCreated || w.Body.String() != "{\"n\":1}\n" || w.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("encodable value: %d %q %q", w.Code, w.Body, w.Header().Get("Content-Type"))
 	}
 }

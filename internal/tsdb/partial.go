@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"flexric/internal/encoding/walk"
 )
 
 // PartialAgg is the mergeable form of Agg: the commutative summary one
@@ -25,10 +27,12 @@ import (
 // first wins. A handler can therefore fold every series of a query
 // into one partial instead of merging one partial per series.
 //
-// The JSON form is part of a PartialLeg, the /tsdb/partial body and
-// the federation's query-leg answer (docs/FEDERATION.md).
+// A PartialAgg travels inside a PartialLeg: as JSON in the
+// /tsdb/partial body, and as the PER form of its field walk in the
+// federation's query-leg answer (docs/FEDERATION.md). The counters are
+// int64 so that the walk moves them in place.
 type PartialAgg struct {
-	Count   int     `json:"count"`
+	Count   int64   `json:"count"`
 	Min     float64 `json:"min"`
 	Max     float64 `json:"max"`
 	Sum     float64 `json:"sum"`
@@ -37,7 +41,7 @@ type PartialAgg struct {
 
 	// Raw-sample bookkeeping for the counter rate: earliest and latest
 	// raw sample across every merged input.
-	RawN       int     `json:"raw_n"`
+	RawN       int64   `json:"raw_n"`
 	RawFirstTS int64   `json:"raw_first_ts"`
 	RawLastTS  int64   `json:"raw_last_ts"`
 	FirstV     float64 `json:"first_v"`
@@ -45,9 +49,29 @@ type PartialAgg struct {
 
 	// Log-scale value histogram over raw samples: Pos counts v > 0 by
 	// histIdx(v), Neg counts v < 0 by histIdx(-v), Zeros the rest.
-	Zeros int  `json:"zeros,omitempty"`
-	Pos   Hist `json:"pos,omitzero"`
-	Neg   Hist `json:"neg,omitzero"`
+	Zeros int64 `json:"zeros,omitempty"`
+	Pos   Hist  `json:"pos,omitzero"`
+	Neg   Hist  `json:"neg,omitzero"`
+}
+
+// walk is the partial's field walk (package walk). It takes slots 0–15,
+// so a bucket or a leg that walks it inline adds its own fields from
+// slot 16 and stays one flat table.
+func (p *PartialAgg) walk(f walk.Fields) {
+	f.I64(0, &p.Count)
+	f.F64(1, &p.Min)
+	f.F64(2, &p.Max)
+	f.F64(3, &p.Sum)
+	f.I64(4, &p.FirstTS)
+	f.I64(5, &p.LastTS)
+	f.I64(6, &p.RawN)
+	f.I64(7, &p.RawFirstTS)
+	f.I64(8, &p.RawLastTS)
+	f.F64(9, &p.FirstV)
+	f.F64(10, &p.LastV)
+	f.I64(11, &p.Zeros)
+	p.Pos.walk(f, 12)
+	p.Neg.walk(f, 14)
 }
 
 // Hist is a dense run of log-scale bucket counts: N[i] samples fell in
@@ -55,34 +79,58 @@ type PartialAgg struct {
 // highest one observed, so a window of similar values costs a few
 // dozen ints however many samples it holds.
 type Hist struct {
-	Lo int   `json:"lo"`
-	N  []int `json:"n"`
+	Lo int64   `json:"lo"`
+	N  []int64 `json:"n"`
 }
+
+// walk is the run's field walk: Lo in slot, the counts in slot+1.
+func (h *Hist) walk(f walk.Fields, slot int) {
+	f.I64(slot, &h.Lo)
+	walk.ListOf(f, slot+1, &h.N, walkCount)
+}
+
+func walkCount(n *int64, f walk.Fields) { f.I64(0, n) }
 
 // IsZero reports an empty run; the JSON encoder omits it.
 func (h Hist) IsZero() bool { return len(h.N) == 0 }
 
+// histHeadroom is the capacity a run starts with: the buckets of CQI
+// 1–15 (0–35) fit in it, so a run folded from such values is allocated
+// once instead of regrowing as the extremes arrive. A run that outgrows
+// it moves to at least histWide buckets, eight decades of values.
+const (
+	histHeadroom = 64
+	histWide     = 256
+)
+
 // cover extends the run to include bucket indices lo..hi.
-func (h *Hist) cover(lo, hi int) {
+func (h *Hist) cover(lo, hi int64) {
 	if len(h.N) == 0 {
-		h.Lo = lo
-		h.N = append(h.N[:0], make([]int, hi-lo+1)...)
+		n := int(hi - lo + 1)
+		h.Lo, h.N = lo, make([]int64, n, max(n, histHeadroom))
 		return
 	}
-	if lo < h.Lo {
-		d := h.Lo - lo
-		h.N = append(h.N, make([]int, d)...)
-		copy(h.N[d:], h.N)
+	top := h.Lo + int64(len(h.N)) - 1
+	if lo >= h.Lo && hi <= top {
+		return
+	}
+	lo, hi = min(lo, h.Lo), max(hi, top)
+	n, d, old := int(hi-lo+1), int(h.Lo-lo), len(h.N)
+	if n > cap(h.N) {
+		grown := make([]int64, n, max(n, 2*cap(h.N), histWide))
+		copy(grown[d:], h.N)
+		h.N = grown
+	} else {
+		h.N = h.N[:n]
+		copy(h.N[d:], h.N[:old])
 		clear(h.N[:d])
-		h.Lo = lo
+		clear(h.N[d+old:])
 	}
-	if top := h.Lo + len(h.N) - 1; hi > top {
-		h.N = append(h.N, make([]int, hi-top)...)
-	}
+	h.Lo = lo
 }
 
-func (h *Hist) add(idx int) {
-	if idx < h.Lo || idx >= h.Lo+len(h.N) {
+func (h *Hist) add(idx int64) {
+	if idx < h.Lo || idx >= h.Lo+int64(len(h.N)) {
 		h.cover(idx, idx)
 	}
 	h.N[idx-h.Lo]++
@@ -92,24 +140,24 @@ func (h *Hist) merge(src *Hist) {
 	if len(src.N) == 0 {
 		return
 	}
-	h.cover(src.Lo, src.Lo+len(src.N)-1)
-	d := src.Lo - h.Lo
+	h.cover(src.Lo, src.Lo+int64(len(src.N))-1)
+	dst := h.N[src.Lo-h.Lo:]
 	for i, n := range src.N {
-		h.N[d+i] += n
+		dst[i] += n
 	}
 }
 
 // total sums the run's counts after checking that it lies inside the
 // finite bucket range, that no count is negative and that the counts
 // add up to at most limit.
-func (h *Hist) total(limit int) (int, error) {
+func (h *Hist) total(limit int64) (int64, error) {
 	if len(h.N) == 0 {
 		return 0, nil
 	}
-	if h.Lo < histMinIdx || h.Lo > histMaxIdx || len(h.N) > histMaxIdx-h.Lo+1 {
+	if lo, hi := int64(histMinIdx), int64(histMaxIdx); h.Lo < lo || h.Lo > hi || int64(len(h.N)) > hi-h.Lo+1 {
 		return 0, fmt.Errorf("%w: histogram run [%d, +%d) outside [%d, %d]", ErrBadPartial, h.Lo, len(h.N), histMinIdx, histMaxIdx)
 	}
-	sum := 0
+	var sum int64
 	for _, n := range h.N {
 		if n < 0 || n > limit-sum {
 			return 0, fmt.Errorf("%w: histogram counts", ErrBadPartial)
@@ -124,6 +172,12 @@ type PartialBucket struct {
 	FromTS int64      `json:"from_ts"`
 	ToTS   int64      `json:"to_ts"`
 	Agg    PartialAgg `json:"agg"`
+}
+
+func (b *PartialBucket) walk(f walk.Fields) {
+	f.I64(16, &b.FromTS)
+	f.I64(17, &b.ToTS)
+	b.Agg.walk(f)
 }
 
 // HistGamma is the histogram's bucket growth factor. 1.08 keeps the
@@ -212,9 +266,9 @@ func (p *PartialAgg) observe(ts int64, v float64) {
 	p.RawN++
 	switch {
 	case v > 0:
-		p.Pos.add(histIdx(v))
+		p.Pos.add(int64(histIdx(v)))
 	case v < 0:
-		p.Neg.add(histIdx(-v))
+		p.Neg.add(int64(histIdx(-v)))
 	default:
 		p.Zeros++
 	}
@@ -245,7 +299,7 @@ func (p *PartialAgg) observeBucket(start int64, count uint32, min, max, sum floa
 		}
 	}
 	p.Sum += sum
-	p.Count += int(count)
+	p.Count += int64(count)
 }
 
 // Merge folds src into p. Merging is commutative and associative up to
@@ -320,11 +374,11 @@ func (p *PartialAgg) Validate() error {
 // upper-biased like the tier-only degradation (P95 = Max) rather than
 // under-reporting tail latencies.
 func (p *PartialAgg) quantile(q float64) float64 {
-	rank := int(math.Ceil(q / 100 * float64(p.RawN-1)))
-	cum := 0
+	rank := int64(math.Ceil(q / 100 * float64(p.RawN-1)))
+	var cum int64
 	for i := len(p.Neg.N) - 1; i >= 0; i-- {
 		if cum += p.Neg.N[i]; cum > rank {
-			return p.clamp(-histRep(p.Neg.Lo + i))
+			return p.clamp(-histRep(int(p.Neg.Lo) + i))
 		}
 	}
 	if cum += p.Zeros; cum > rank {
@@ -332,7 +386,7 @@ func (p *PartialAgg) quantile(q float64) float64 {
 	}
 	for i, n := range p.Pos.N {
 		if cum += n; cum > rank {
-			return p.clamp(histRep(p.Pos.Lo + i))
+			return p.clamp(histRep(int(p.Pos.Lo) + i))
 		}
 	}
 	return p.Max
@@ -355,7 +409,7 @@ func (p *PartialAgg) Finish() (Agg, bool) {
 		return Agg{}, false
 	}
 	a := Agg{
-		Count:   p.Count,
+		Count:   int(p.Count),
 		Min:     p.Min,
 		Max:     p.Max,
 		Mean:    p.Sum / float64(p.Count),
@@ -509,12 +563,19 @@ func MergePartialWindows(dst, src []PartialBucket) []PartialBucket {
 // PartialLeg is one store's answer to a federated query: the merged
 // partial of every series the query selects (Series counts them), as
 // one aggregate or, for a stepped query, as the full bucket grid. Its
-// JSON form is the /tsdb/partial body and the body of a fed-coord query
-// leg (docs/FEDERATION.md).
+// JSON form is the /tsdb/partial body; the PER form of its field walk
+// (AppendLeg, DecodeLeg) is the body of a fed-coord query leg
+// (docs/FEDERATION.md).
 type PartialLeg struct {
-	Series  int             `json:"series"`
+	Series  int64           `json:"series"`
 	Agg     PartialAgg      `json:"agg"`
 	Buckets []PartialBucket `json:"buckets,omitempty"`
+}
+
+func (l *PartialLeg) walk(f walk.Fields) {
+	f.I64(16, &l.Series)
+	l.Agg.walk(f)
+	walk.ListOf(f, 17, &l.Buckets, (*PartialBucket).walk)
 }
 
 // Merge folds src into l: series add up, aggregates merge, and bucket
@@ -535,7 +596,7 @@ func (s *Store) Partial(q Query) PartialLeg {
 		return k.Fn == q.Fn && k.Field == q.Field &&
 			(q.Agent < 0 || k.Agent == uint32(q.Agent)) && (q.UE < 0 || k.UE == uint16(q.UE))
 	})
-	leg := PartialLeg{Series: len(keys)}
+	leg := PartialLeg{Series: int64(len(keys))}
 	if q.StepNS > 0 {
 		leg.Buckets = NewPartialWindow(q.From, q.To, q.StepNS)
 		s.FoldPartialWindow(keys, leg.Buckets)

@@ -320,7 +320,7 @@ func TestPartialValidate(t *testing.T) {
 	for name, mut := range map[string]func(p *PartialAgg){
 		"lo far below":      func(p *PartialAgg) { p.Pos.Lo = -1e9 },
 		"lo far above":      func(p *PartialAgg) { p.Neg.Lo = 1e9 },
-		"run past the top":  func(p *PartialAgg) { p.Pos.Lo = histMaxIdx - 1 },
+		"run past the top":  func(p *PartialAgg) { p.Pos.Lo = int64(histMaxIdx) - 1 },
 		"negative count":    func(p *PartialAgg) { p.Pos.N[0], p.Pos.N[1] = -1, p.Pos.N[1]+p.Pos.N[0]+1 },
 		"counts exceed raw": func(p *PartialAgg) { p.Neg.N[0] += 1 << 40 },
 		"counts short":      func(p *PartialAgg) { p.RawN++; p.Count++ },
@@ -331,8 +331,8 @@ func TestPartialValidate(t *testing.T) {
 		},
 	} {
 		p := good
-		p.Pos.N = append([]int(nil), good.Pos.N...)
-		p.Neg.N = append([]int(nil), good.Neg.N...)
+		p.Pos.N = append([]int64(nil), good.Pos.N...)
+		p.Neg.N = append([]int64(nil), good.Neg.N...)
 		mut(&p)
 		if err := p.Validate(); !errors.Is(err, ErrBadPartial) {
 			t.Errorf("%s: Validate = %v, want ErrBadPartial", name, err)

@@ -321,7 +321,7 @@ for target in \
     'FuzzSMDecode ./internal/sm/' \
     'FuzzChunkRoundTrip ./internal/tsdb/' \
     'FuzzSnapshotLoad ./internal/tsdb/' \
-    'FuzzPartialLegJSON ./internal/federation/' \
+    'FuzzPartialLeg ./internal/federation/' \
     'FuzzCoordControl ./internal/federation/' \
     'FuzzTSDBFrame ./internal/obs/' \
     'FuzzObsRoutes ./internal/obs/' \
