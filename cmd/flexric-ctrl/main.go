@@ -53,12 +53,12 @@ var (
 	retain            = flag.Duration("retain", 0, "how long to retain a disconnected agent's subscriptions for replay (0 = default 30s)")
 	dialTimeout       = flag.Duration("dial-timeout", 0, "E2 setup handshake timeout per accepted connection (0 = default 5s)")
 	faultPlan         = flag.String("faultplan", "", "scripted listener fault plan, e.g. 'blackout@1=2' (see internal/faultinject)")
-	tsdbCap           = flag.Int("tsdb", 1024, "samples retained per report series in the time-series store (0 = store off)")
+	tsdbCap           = flag.Int("tsdb", 1024, "samples retained per report series in the time-series store (<= 0 = the store's default, 1024)")
 	tsdbAge           = flag.Duration("tsdb-age", 0, "also drop samples older than this from each series (0 = count-only retention)")
 	tsdbCompress      = flag.Bool("tsdb-compress", false, "seal full series rings into compressed chunks with downsampling tiers instead of overwriting old samples")
 	tsdbSnapshot      = flag.String("tsdb-snapshot", "", "time-series snapshot file: loaded at startup, written on shutdown (empty = off)")
 	tsdbSnapshotEvery = flag.Duration("tsdb-snapshot-every", 0, "also write the snapshot periodically (0 = shutdown-only; needs -tsdb-snapshot)")
-	a1On              = flag.Bool("a1", false, "A1 policy plane: /a1/* northbound on the obs server plus the SLA enforcement loop, an in-process iApp that applies remedies through the slicing controller and, with -tc, the TC controller (needs -obs, -slicing, and the tsdb)")
+	a1On              = flag.Bool("a1", false, "A1 policy plane: /a1/* northbound on the obs server plus the SLA enforcement loop, an in-process iApp that applies remedies through the slicing controller and, with -tc, the TC controller (needs -obs and -slicing)")
 	slaTick           = flag.Uint("sla-tick", 500, "SLA enforcement tick period in ms (needs -a1)")
 	a1Snapshot        = flag.String("a1-snapshot", "", "A1 policy-store snapshot file: loaded at startup, written on shutdown (needs -a1)")
 	a1SnapshotEvery   = flag.Duration("a1-snapshot-every", 0, "also write the A1 snapshot periodically (0 = shutdown-only; needs -a1-snapshot)")
@@ -78,23 +78,20 @@ func main() {
 	if *traceSample > 0 {
 		trace.SetSampleEvery(uint32(*traceSample))
 	}
-	var store *tsdb.Store
+	store := tsdb.New(tsdb.Config{Capacity: *tsdbCap, MaxAge: *tsdbAge, Compress: *tsdbCompress})
 	var snapStop chan struct{}
 	var snapDone <-chan struct{}
-	if *tsdbCap > 0 {
-		store = tsdb.New(tsdb.Config{Capacity: *tsdbCap, MaxAge: *tsdbAge, Compress: *tsdbCompress})
-		if *tsdbSnapshot != "" {
-			if err := snapfile.Load(store, *tsdbSnapshot); err != nil {
-				log.Fatalf("tsdb snapshot load: %v", err)
-			}
-			if n := store.NumSeries(); n > 0 {
-				log.Printf("tsdb: restored %d series from %s", n, *tsdbSnapshot)
-			}
-			snapStop = make(chan struct{})
-			snapDone = snapfile.Every(store, *tsdbSnapshot, *tsdbSnapshotEvery, snapStop, func(err error) {
-				log.Printf("tsdb snapshot write: %v", err)
-			})
+	if *tsdbSnapshot != "" {
+		if err := snapfile.Load(store, *tsdbSnapshot); err != nil {
+			log.Fatalf("tsdb snapshot load: %v", err)
 		}
+		if n := store.NumSeries(); n > 0 {
+			log.Printf("tsdb: restored %d series from %s", n, *tsdbSnapshot)
+		}
+		snapStop = make(chan struct{})
+		snapDone = snapfile.Every(store, *tsdbSnapshot, *tsdbSnapshotEvery, snapStop, func(err error) {
+			log.Printf("tsdb snapshot write: %v", err)
+		})
 	}
 	e2s := e2ap.SchemeASN
 	sms := sm.SchemeASN
@@ -229,9 +226,7 @@ func main() {
 		oo := []obs.Option{
 			obs.WithStream(0),
 			obs.WithTopology(func() any { return topo.Snapshot() }),
-		}
-		if store != nil {
-			oo = append(oo, obs.WithTSDB(store))
+			obs.WithTSDB(store),
 		}
 		if polStore != nil {
 			oo = append(oo, obs.WithA1(polStore))
@@ -300,7 +295,7 @@ func main() {
 
 // flagRule rejects a command line that sets flag while none of needs
 // is on, or while excl is on. A flag is on when its value is not its
-// type's zero: -tsdb 0 and -resilience=false are off.
+// type's zero: -ingest-workers 0 and -resilience=false are off.
 type flagRule struct {
 	flag  string
 	needs []string
@@ -318,16 +313,13 @@ var flagRules = []flagRule{
 	{flag: "shard-name", needs: []string{"shard-of"}},
 	{flag: "fed-snapshots", needs: []string{"shard-of"}},
 	{flag: "federate", needs: []string{"root", "shard-of"}},
-	{flag: "tsdb-snapshot", needs: []string{"tsdb"}},
 	{flag: "tsdb-snapshot-every", needs: []string{"tsdb-snapshot", "fed-snapshots"}},
 	{flag: "a1-snapshot", needs: []string{"a1"}},
 	{flag: "a1-snapshot-every", needs: []string{"a1-snapshot"}},
 	{flag: "sla-tick", needs: []string{"a1"}},
-	// The A1 loop serves /a1/* on -obs, remedies through -slicing and
-	// reads the tsdb.
+	// The A1 loop serves /a1/* on -obs and remedies through -slicing.
 	{flag: "a1", needs: []string{"obs"}},
 	{flag: "a1", needs: []string{"slicing"}},
-	{flag: "a1", needs: []string{"tsdb"}},
 	{flag: "broker", needs: []string{"tc"}},
 	{flag: "keepalive", needs: []string{"resilience"}},
 	{flag: "retain", needs: []string{"resilience"}},

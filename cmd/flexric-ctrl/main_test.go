@@ -56,7 +56,6 @@ func TestFlagRulesReject(t *testing.T) {
 		{"-fed-snapshots /tmp/shards", "fed-snapshots", "shard-of"},
 		{"-root -federate s0 -fed-snapshots /tmp/shards", "fed-snapshots", "shard-of"},
 		{"-federate s0,s1", "federate", "root"},
-		{"-tsdb 0 -tsdb-snapshot /tmp/t.snap", "tsdb-snapshot", "tsdb"},
 		{"-tsdb-snapshot-every 3s", "tsdb-snapshot-every", "tsdb-snapshot"},
 		{"-shard-of 127.0.0.1:36421 -shard-name s0 -federate s0 -tsdb-snapshot-every 3s", "tsdb-snapshot-every", "fed-snapshots"},
 		{"-root -federate s0 -tsdb-snapshot-every 3s", "tsdb-snapshot-every", "root"},
@@ -65,7 +64,6 @@ func TestFlagRulesReject(t *testing.T) {
 		{"-sla-tick 200", "sla-tick", "a1"},
 		{"-a1 -slicing :8080", "a1", "obs"},
 		{"-a1 -obs :9090", "a1", "slicing"},
-		{"-a1 -obs :9090 -slicing :8080 -tsdb 0", "a1", "tsdb"},
 		{"-broker 127.0.0.1:4222", "broker", "tc"},
 		{"-keepalive 1s -resilience=false", "keepalive", "resilience"},
 		{"-retain 30s -resilience=false", "retain", "resilience"},
@@ -105,6 +103,9 @@ func TestFlagRulesAccept(t *testing.T) {
 		"-e2 127.0.0.1:36421 -tsdb 1024 -trace-sample 1 -obs 127.0.0.1:9090",
 		"-resilience -keepalive 1s -retain 30s -dial-timeout 5s -faultplan blackout@1=2",
 		"-resilience=false -tc :8081 -broker 127.0.0.1:4222 -ingest-workers 2",
+		// -tsdb 0 takes the store's default capacity; the store is on.
+		"-tsdb 0 -tsdb-snapshot /tmp/t.snap",
+		"-a1 -obs :9090 -slicing :8080 -tsdb 0",
 	} {
 		if err := checkFlags(parse(t, args)); err != nil {
 			t.Errorf("%q: %v", args, err)

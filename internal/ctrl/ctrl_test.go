@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +25,15 @@ import (
 // addr, and steps it in the background until the test ends.
 func startBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, numRB int) *station.Station {
 	t.Helper()
+	b := startIdleBS(t, addr, nodeID, scheme, numRB)
+	runSlots(t, b)
+	return b
+}
+
+// startIdleBS is startBS without the background stepping: the test
+// steps the station itself. The station is closed when the test ends.
+func startIdleBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, numRB int) *station.Station {
+	t.Helper()
 	b, err := station.New(station.Spec{
 		Cell: ran.PHYConfig{RAT: ran.RAT4G, NumRB: numRB}, SM: scheme, Controller: addr,
 		Agent: agent.Config{NodeID: station.Node(e2ap.NodeENB, nodeID)},
@@ -33,7 +43,7 @@ func startBS(t *testing.T, addr string, nodeID uint64, scheme sm.Scheme, numRB i
 	if err != nil {
 		t.Fatal(err)
 	}
-	runSlots(t, b)
+	t.Cleanup(b.Close)
 	return b
 }
 
@@ -106,20 +116,59 @@ func TestMonitorCollectsAllLayers(t *testing.T) {
 	if inds == 0 || bytesIn == 0 {
 		t.Fatalf("counters: %d %d", inds, bytesIn)
 	}
+	// Built without TSDB, the monitor keeps its series in its own store.
+	if n := mon.TSDB().NumSeries(); n == 0 {
+		t.Fatal("no series in the monitor's default store")
+	}
 }
 
+// TestMonitorRawMode: a raw-mode monitor built without TSDB archives
+// payloads undecoded in its own store and hands out the caller's copy of
+// the latest — mutating it leaves the next Raw intact — until the agent
+// disconnects.
 func TestMonitorRawMode(t *testing.T) {
 	s, addr := startSrv(t)
 	mon := ctrl.NewMonitor(s, ctrl.MonitorConfig{Scheme: sm.SchemeFB, PeriodMS: 1, Layers: ctrl.MonMAC})
-	startBS(t, addr, 1, sm.SchemeFB, 25)
+	// Registered after the monitor's hook, so it fires after it.
+	var gone atomic.Bool
+	s.OnAgentDisconnect(func(server.AgentInfo) { gone.Store(true) })
+	b := startIdleBS(t, addr, 1, sm.SchemeFB, 25)
 	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
 	id := s.Agents()[0].ID
-	await(t, "raw payloads", func() bool { return mon.Raw(id, sm.IDMACStats) != nil })
+	// Step until a payload is archived, then until no indication is in
+	// flight, so the latest payload stays put.
+	await(t, "raw payload", func() bool {
+		b.Step(1)
+		return mon.Raw(id, sm.IDMACStats) != nil
+	})
+	await(t, "quiet", func() bool {
+		n, _ := mon.Counters()
+		time.Sleep(50 * time.Millisecond)
+		m, _ := mon.Counters()
+		return n == m
+	})
 	if mon.MAC(id) != nil {
 		t.Fatal("raw mode must not decode")
 	}
-	if _, err := sm.DecodeMACReport(mon.Raw(id, sm.IDMACStats)); err != nil {
+	got := mon.Raw(id, sm.IDMACStats)
+	if _, err := sm.DecodeMACReport(got); err != nil {
 		t.Fatalf("raw payload must stay decodable: %v", err)
+	}
+	want := bytes.Clone(got)
+	for i := range got {
+		got[i] ^= 0xff
+	}
+	if again := mon.Raw(id, sm.IDMACStats); !bytes.Equal(again, want) {
+		t.Fatal("mutating Raw's result changed the monitor's payload")
+	}
+	if mon.TSDB().RawCount(uint32(id), sm.IDMACStats) == 0 {
+		t.Fatal("raw payloads not archived in the monitor's default store")
+	}
+
+	b.Close()
+	await(t, "disconnect", gone.Load)
+	if p := mon.Raw(id, sm.IDMACStats); p != nil {
+		t.Fatalf("payload of a departed agent: %d bytes", len(p))
 	}
 }
 

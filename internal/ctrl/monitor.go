@@ -9,6 +9,7 @@ package ctrl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,13 +41,12 @@ var monLayers = [...]uint16{sm.IDMACStats, sm.IDRLCStats, sm.IDPDCPStats}
 
 // Monitor is the statistics controller specialization of §5.3: an iApp
 // that subscribes to the monitoring SMs of every connecting agent and
-// "saves incoming messages to an in-memory data structure". The latest
-// report per agent/layer is retained for event-driven consumers; when a
-// tsdb.Store is attached, every decoded report is additionally broken
-// into per-(agent, function, UE, field) series so control loops can
-// query windowed history instead of a single snapshot, and raw-mode
-// payloads are archived in the store's pooled ring instead of a
-// freshly allocated copy per indication.
+// "saves incoming messages to an in-memory data structure". That
+// structure is a tsdb.Store: every decoded report is broken into
+// per-(agent, function, UE, field) series so control loops can query
+// windowed history instead of a single snapshot, and raw-mode payloads
+// are archived in the store's pooled ring. The latest decoded report per
+// agent/layer is also retained for event-driven consumers.
 type Monitor struct {
 	srv      *server.Server
 	scheme   sm.Scheme
@@ -63,7 +63,6 @@ type Monitor struct {
 	mac  map[server.AgentID]*sm.MACReport
 	rlc  map[server.AgentID]*sm.RLCReport
 	pdcp map[server.AgentID]*sm.PDCPReport
-	raw  map[server.AgentID]map[uint16][]byte
 	sid  map[server.AgentID]uint32 // SeriesAgent remap, when configured
 
 	// taps holds the OnIndication callback per monitoring SM, in
@@ -72,10 +71,12 @@ type Monitor struct {
 
 	// pipes, when non-nil, carry decode + tsdb-ingest work off the
 	// server's receive goroutines onto a fixed worker pool, hashed by
-	// (agent, function) so each report stream stays ordered.
-	pipes     []chan ingestJob
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	// (agent, function) so each report stream stays ordered. closeMu
+	// guards closed: a disconnect never sends on a closed pipe.
+	pipes   []chan ingestJob
+	wg      sync.WaitGroup
+	closeMu sync.Mutex
+	closed  bool
 
 	indications atomic.Uint64
 	bytesIn     atomic.Uint64
@@ -83,12 +84,15 @@ type Monitor struct {
 
 // ingestJob is one indication handed to an ingest pipeline. The payload
 // is a pooled copy (the receive buffer is recycled as soon as the server
-// callback returns) and is returned to the pool after ingest.
+// callback returns) and is returned to the pool after ingest. A job with
+// forget set carries no payload: it follows a departed agent's queued
+// reports down one pipe, and the last pipe to reach it forgets the agent.
 type ingestJob struct {
 	agent   server.AgentID
 	fnID    uint16
 	payload []byte
 	tc      trace.Context
+	forget  *atomic.Int32
 }
 
 // MonitorConfig parameterizes a Monitor.
@@ -96,12 +100,12 @@ type MonitorConfig struct {
 	Scheme   sm.Scheme
 	PeriodMS uint32
 	Layers   MonitorLayers
-	// Decode materializes reports; false stores raw payload copies.
+	// Decode materializes reports; false archives raw payloads.
 	Decode bool
-	// TSDB, when non-nil, receives every decoded report as per-field
-	// time series and every raw-mode payload into its archive ring.
-	// The monitor evicts an agent's series when it disconnects, unless
-	// SeriesAgent is set.
+	// TSDB receives every decoded report as per-field time series and
+	// every raw-mode payload into its archive ring (default: a store of
+	// tsdb.Config's defaults). The monitor evicts an agent's series and
+	// ring when it disconnects, unless SeriesAgent is set.
 	TSDB *tsdb.Store
 	// IngestWorkers > 0 moves report decode and database ingest onto
 	// that many pipeline goroutines, hashed by (agent, function): the
@@ -135,6 +139,9 @@ func NewMonitor(srv *server.Server, cfg MonitorConfig) *Monitor {
 	if cfg.Layers == 0 {
 		cfg.Layers = MonAll
 	}
+	if cfg.TSDB == nil {
+		cfg.TSDB = tsdb.New(tsdb.Config{})
+	}
 	m := &Monitor{
 		srv:         srv,
 		scheme:      cfg.Scheme,
@@ -146,7 +153,6 @@ func NewMonitor(srv *server.Server, cfg MonitorConfig) *Monitor {
 		mac:         make(map[server.AgentID]*sm.MACReport),
 		rlc:         make(map[server.AgentID]*sm.RLCReport),
 		pdcp:        make(map[server.AgentID]*sm.PDCPReport),
-		raw:         make(map[server.AgentID]map[uint16][]byte),
 		sid:         make(map[server.AgentID]uint32),
 	}
 	if cfg.IngestWorkers > 0 {
@@ -158,6 +164,12 @@ func NewMonitor(srv *server.Server, cfg MonitorConfig) *Monitor {
 			go func() {
 				defer m.wg.Done()
 				for job := range pipe {
+					if job.forget != nil {
+						if job.forget.Add(-1) == 0 {
+							m.forget(job.agent)
+						}
+						continue
+					}
 					m.ingestOne(job.tc, job.agent, job.fnID, job.payload)
 					bufpool.Put(job.payload)
 				}
@@ -165,20 +177,56 @@ func NewMonitor(srv *server.Server, cfg MonitorConfig) *Monitor {
 		}
 	}
 	srv.OnAgentConnect(func(info server.AgentInfo) { m.onAgent(info) })
-	srv.OnAgentDisconnect(func(info server.AgentInfo) {
-		sid := m.seriesID(info.ID)
-		m.mu.Lock()
-		delete(m.mac, info.ID)
-		delete(m.rlc, info.ID)
-		delete(m.pdcp, info.ID)
-		delete(m.raw, info.ID)
-		delete(m.sid, info.ID)
-		m.mu.Unlock()
-		if m.db != nil && m.seriesAgent == nil {
-			m.db.EvictAgent(sid)
-		}
-	})
+	srv.OnAgentDisconnect(func(info server.AgentInfo) { m.onDisconnect(info.ID) })
 	return m
+}
+
+// onDisconnect forgets a departed agent once the reports it already
+// queued are ingested, lest a queued report bring the agent back: it
+// sends a forget job down each pipe that carries one of the agent's
+// streams. Without pipes, or after Close, it forgets at once.
+func (m *Monitor) onDisconnect(id server.AgentID) {
+	m.closeMu.Lock()
+	defer m.closeMu.Unlock()
+	if m.pipes == nil || m.closed {
+		m.forget(id)
+		return
+	}
+	var pipes []chan ingestJob
+	for i, fnID := range monLayers {
+		if m.layers&(1<<i) == 0 {
+			continue
+		}
+		if p := m.pipe(id, fnID); !slices.Contains(pipes, p) {
+			pipes = append(pipes, p)
+		}
+	}
+	left := new(atomic.Int32)
+	left.Store(int32(len(pipes)))
+	for _, p := range pipes {
+		p <- ingestJob{agent: id, forget: left}
+	}
+}
+
+// forget drops the agent's latest reports and series-key remap and,
+// unless SeriesAgent keeps history across disconnects, its series and
+// raw ring.
+func (m *Monitor) forget(id server.AgentID) {
+	sid := m.seriesID(id)
+	m.mu.Lock()
+	delete(m.mac, id)
+	delete(m.rlc, id)
+	delete(m.pdcp, id)
+	delete(m.sid, id)
+	m.mu.Unlock()
+	if m.seriesAgent == nil {
+		m.db.EvictAgent(sid)
+	}
+}
+
+// pipe returns the ingest pipe of the (agent, function) stream.
+func (m *Monitor) pipe(id server.AgentID, fnID uint16) chan ingestJob {
+	return m.pipes[(uint32(id)*31+uint32(fnID))%uint32(len(m.pipes))]
 }
 
 // seriesID resolves the tsdb agent-key component for a connected agent:
@@ -251,38 +299,24 @@ func (m *Monitor) store(ev server.IndicationEvent, fnID uint16, tap *atomic.Poin
 		// blocks when the pipeline is full: backpressure reaches the
 		// one slow agent instead of dropping its reports.
 		cp := append(bufpool.Get(len(payload))[:0], payload...)
-		h := (uint32(ev.Agent)*31 + uint32(fnID)) % uint32(len(m.pipes))
-		m.pipes[h] <- ingestJob{agent: ev.Agent, fnID: fnID, payload: cp, tc: sp.Context()}
+		m.pipe(ev.Agent, fnID) <- ingestJob{agent: ev.Agent, fnID: fnID, payload: cp, tc: sp.Context()}
 		return
 	}
 	m.ingestOne(sp.Context(), ev.Agent, fnID, payload)
 }
 
 // ingestOne decodes (or archives) one indication payload and updates the
-// latest-report maps and the attached time-series store. Per-shard
+// latest-report maps and the time-series store. Per-shard
 // reports carrying the same CellTimeMS are merged: the UE lists append
 // onto the retained report (copy-on-write, so a reader holding the
 // previous pointer never observes mutation).
 func (m *Monitor) ingestOne(tc trace.Context, agent server.AgentID, fnID uint16, payload []byte) {
 	if !m.decode {
-		if m.db != nil {
-			// Archive into the pooled raw ring: the store copies the
-			// payload into a reused slot buffer, so the per-indication
-			// allocation of the map path disappears.
-			asp := trace.StartChild(tc, "tsdb.append")
-			m.db.AppendRaw(m.seriesID(agent), fnID, time.Now().UnixNano(), payload)
-			asp.End()
-			return
-		}
-		cp := append([]byte(nil), payload...)
-		m.mu.Lock()
-		per := m.raw[agent]
-		if per == nil {
-			per = make(map[uint16][]byte)
-			m.raw[agent] = per
-		}
-		per[fnID] = cp
-		m.mu.Unlock()
+		// Archive into the pooled raw ring: the store copies the payload
+		// into a reused slot buffer.
+		asp := trace.StartChild(tc, "tsdb.append")
+		m.db.AppendRaw(m.seriesID(agent), fnID, time.Now().UnixNano(), payload)
+		asp.End()
 		return
 	}
 	switch fnID {
@@ -356,17 +390,15 @@ func (l *layerTable[R, E]) ingest(m *Monitor, tc trace.Context, agent server.Age
 		return
 	}
 	cellTimeMS, ues := l.report(rep)
-	if m.db != nil {
-		asp := trace.StartChild(tc, "tsdb.append")
-		now := time.Now().UnixNano()
-		k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: l.fn}
-		for i := range *ues {
-			var vs [maxRowFields]float64
-			k.UE, vs = l.row(&(*ues)[i])
-			m.db.AppendRow(k, l.fields, now, vs[:len(l.fields)])
-		}
-		asp.End()
+	asp := trace.StartChild(tc, "tsdb.append")
+	now := time.Now().UnixNano()
+	k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: l.fn}
+	for i := range *ues {
+		var vs [maxRowFields]float64
+		k.UE, vs = l.row(&(*ues)[i])
+		m.db.AppendRow(k, l.fields, now, vs[:len(l.fields)])
 	}
+	asp.End()
 	m.mu.Lock()
 	latest := l.latest(m)
 	if cur := latest[agent]; cur != nil {
@@ -399,27 +431,15 @@ func (m *Monitor) PDCP(id server.AgentID) *sm.PDCPReport {
 	return m.pdcp[id]
 }
 
-// Raw returns the latest raw payload for (agent, function) in raw mode.
-// With an attached tsdb.Store the archive ring is authoritative and the
-// returned slice is the caller's copy; without one it aliases the
-// monitor's latest-payload map as before.
+// Raw returns a copy of the latest raw payload for (agent, function) in
+// raw mode, read from the store's archive ring, or nil when there is none.
 func (m *Monitor) Raw(id server.AgentID, fnID uint16) []byte {
-	if m.db != nil {
-		payload, _, ok := m.db.LastRaw(m.seriesID(id), fnID, nil)
-		if !ok {
-			return nil
-		}
-		return payload
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if per := m.raw[id]; per != nil {
-		return per[fnID]
-	}
-	return nil
+	payload, _, _ := m.db.LastRaw(m.seriesID(id), fnID, nil)
+	return payload
 }
 
-// TSDB returns the attached time-series store, or nil.
+// TSDB returns the monitor's time-series store: the configured one, or
+// the default store NewMonitor built. It is never nil.
 func (m *Monitor) TSDB() *tsdb.Store { return m.db }
 
 // Counters reports total indications and payload bytes received.
@@ -431,10 +451,13 @@ func (m *Monitor) Counters() (indications, bytes uint64) {
 // IngestWorkers). Call it only after the server has stopped delivering
 // indications; it is idempotent.
 func (m *Monitor) Close() {
-	m.closeOnce.Do(func() {
+	m.closeMu.Lock()
+	if !m.closed {
+		m.closed = true
 		for _, p := range m.pipes {
 			close(p)
 		}
-		m.wg.Wait()
-	})
+	}
+	m.closeMu.Unlock()
+	m.wg.Wait()
 }

@@ -1,12 +1,16 @@
 package ctrl_test
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flexric/internal/agent"
 	"flexric/internal/ctrl"
 	"flexric/internal/e2ap"
 	"flexric/internal/ran"
+	"flexric/internal/server"
 	"flexric/internal/sm"
 	"flexric/internal/station"
 	"flexric/internal/tsdb"
@@ -123,4 +127,60 @@ func TestMonitorEmptyCellHeartbeat(t *testing.T) {
 		rep := mon.MAC(id)
 		return rep != nil && len(rep.UEs) == 0
 	})
+}
+
+// TestMonitorPipelineForgetsAfterQueued: with an ingest pipeline, a
+// disconnect forgets the agent only after its queued reports are
+// ingested, so a report still in the pipe cannot bring back the series
+// or latest report of an agent that left.
+func TestMonitorPipelineForgetsAfterQueued(t *testing.T) {
+	s, addr := startSrv(t)
+	db := tsdb.New(tsdb.Config{Capacity: 64})
+	mon := ctrl.NewMonitor(s, ctrl.MonitorConfig{
+		Scheme: sm.SchemeFB, PeriodMS: 1, Layers: ctrl.MonMAC, Decode: true,
+		TSDB: db, IngestWorkers: 1,
+	})
+	defer func() {
+		s.Close()
+		mon.Close()
+	}()
+	// The first appended row stalls the one worker until release.
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	db.SetAppendHook(func(tsdb.SeriesKey, int64, float64) {
+		once.Do(func() {
+			close(stalled)
+			<-release
+		})
+	})
+	var gone atomic.Bool
+	s.OnAgentDisconnect(func(server.AgentInfo) { gone.Store(true) })
+	b := startIdleBS(t, addr, 1, sm.SchemeFB, 25)
+	if _, err := b.Cell.Attach(1, "", "208.95", 28); err != nil {
+		t.Fatal(err)
+	}
+	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
+	id := s.Agents()[0].ID
+	await(t, "worker stalled on a report", func() bool {
+		select {
+		case <-stalled:
+			return true
+		default:
+			b.Step(1)
+			time.Sleep(time.Millisecond)
+			return false
+		}
+	})
+
+	b.Close()
+	await(t, "disconnect", gone.Load)
+	close(release)
+	s.Close()
+	mon.Close() // drains the pipe
+	if n := db.NumSeries(); n != 0 {
+		t.Fatalf("%d series of a departed agent", n)
+	}
+	if mon.MAC(id) != nil {
+		t.Fatal("latest MAC report of a departed agent")
+	}
 }

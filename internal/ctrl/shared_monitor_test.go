@@ -107,7 +107,8 @@ func TestSharedMonitorSubscriptions(t *testing.T) {
 }
 
 // TestSharedMonitorRequirements: a shared monitor must carry what the
-// controller reads from it, and a storeless one answers /stats/agg 503.
+// controller reads from it, and one built without TSDB answers
+// /stats/agg from its own store: 404 before any sample.
 func TestSharedMonitorRequirements(t *testing.T) {
 	brk, brkAddr, err := broker.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -134,8 +135,8 @@ func TestSharedMonitorRequirements(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/stats/agg without a store: %s", resp.Status)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/stats/agg before any sample: %s", resp.Status)
 	}
 }
 

@@ -49,9 +49,10 @@ type slicingOptions struct {
 }
 
 // WithMonitor serves /stats from mon's latest MAC reports and
-// /stats/agg from mon's store instead of a private MAC subscription, so
-// a process with one monitor subscribes to each agent's MAC once. mon
-// must subscribe to MAC and decode.
+// /stats/agg from mon's store (its own default one when it was built
+// without TSDB) instead of a private MAC subscription, so a process
+// with one monitor subscribes to each agent's MAC once. mon must
+// subscribe to MAC and decode.
 func WithMonitor(mon *Monitor) SlicingOption {
 	return func(o *slicingOptions) { o.mon = mon }
 }
@@ -97,9 +98,7 @@ func NewSlicingController(srv *server.Server, scheme sm.Scheme, httpAddr string,
 	}
 	if c.mon == nil {
 		// Internal DB for RAN stats, as in Table 4.
-		c.mon = NewMonitor(srv, MonitorConfig{
-			Scheme: scheme, PeriodMS: 10, Layers: MonMAC, Decode: true, TSDB: tsdb.New(tsdb.Config{}),
-		})
+		c.mon = NewMonitor(srv, MonitorConfig{Scheme: scheme, PeriodMS: 10, Layers: MonMAC, Decode: true})
 	}
 	// Evict the per-agent slice status when an agent leaves; without
 	// this the map grows forever under agent churn (the monitor maps
@@ -172,8 +171,7 @@ func (c *SlicingController) SliceStatus(id server.AgentID) *sm.SliceStatus {
 // Monitor exposes the stats DB behind /stats.
 func (c *SlicingController) Monitor() *Monitor { return c.mon }
 
-// TSDB exposes the time-series store behind /stats/agg, or nil when the
-// shared monitor has none.
+// TSDB exposes the time-series store behind /stats/agg: the monitor's.
 func (c *SlicingController) TSDB() *tsdb.Store { return c.mon.TSDB() }
 
 func agentParam(r *http.Request) (server.AgentID, error) {
@@ -247,13 +245,8 @@ func (c *SlicingController) handleStatsAgg(w http.ResponseWriter, r *http.Reques
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	store := c.mon.TSDB()
-	if store == nil {
-		http.Error(w, "no time-series store", http.StatusServiceUnavailable)
-		return
-	}
 	k := tsdb.SeriesKey{Agent: uint32(q.Agent), Fn: q.Fn, UE: uint16(q.UE), Field: q.Field}
-	agg, ok := store.Aggregate(k, q.From, q.To)
+	agg, ok := c.mon.TSDB().Aggregate(k, q.From, q.To)
 	if !ok {
 		http.Error(w, "no samples in window", http.StatusNotFound)
 		return

@@ -159,9 +159,7 @@ func (t *Topology) Snapshot() TopologySnapshot {
 	sort.Slice(snap.Agents, func(i, j int) bool { return snap.Agents[i].ID < snap.Agents[j].ID })
 	if t.mon != nil {
 		snap.Indications, snap.BytesIn = t.mon.Counters()
-		if db := t.mon.TSDB(); db != nil {
-			snap.Series = db.NumSeries()
-		}
+		snap.Series = t.mon.TSDB().NumSeries()
 	}
 	if t.slicing != nil {
 		for _, a := range snap.Agents {

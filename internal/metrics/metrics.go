@@ -3,8 +3,7 @@
 // time, normalized by cores) from OS accounting and memory from docker
 // stats; this package provides the equivalents available in-process:
 // getrusage-based CPU time and runtime heap statistics. It also carries
-// the latency-sample helpers (interpolated percentiles, figure-style
-// duration formatting) the experiment harness reports with.
+// the interpolated percentile that internal/tsdb reports with.
 //
 // For live counters and histograms on running SDK components, see
 // internal/telemetry; this package is for offline sample sets collected
@@ -12,7 +11,6 @@
 package metrics
 
 import (
-	"fmt"
 	"runtime"
 	"syscall"
 	"time"
@@ -66,23 +64,9 @@ func HeapInUse() uint64 {
 // MB formats bytes as mebibytes.
 func MB(b uint64) float64 { return float64(b) / (1 << 20) }
 
-// FmtDuration renders µs-scale durations the way the paper's figures
-// label them.
-func FmtDuration(d time.Duration) string {
-	switch {
-	case d < time.Millisecond:
-		return fmt.Sprintf("%.0fµs", float64(d.Microseconds()))
-	case d < time.Second:
-		return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
-	default:
-		return d.String()
-	}
-}
-
 // PercentileFloats returns the p-th percentile (0..100) of a sorted
 // float64 sample set with linear interpolation between adjacent order
-// statistics — the same estimator as Percentile, for the scalar series
-// internal/tsdb aggregates.
+// statistics, for the scalar series internal/tsdb aggregates.
 func PercentileFloats(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -100,26 +84,4 @@ func PercentileFloats(sorted []float64, p float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-}
-
-// Percentile returns the p-th percentile (0..100) of samples with linear
-// interpolation between adjacent order statistics; the slice is sorted in
-// place by the caller beforehand.
-func Percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if frac == 0 || lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo] + time.Duration(frac*float64(sorted[lo+1]-sorted[lo]))
 }

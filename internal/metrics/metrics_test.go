@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestProcessCPUMonotone(t *testing.T) {
 	a := ProcessCPU()
@@ -39,54 +35,23 @@ func TestCPUMeter(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	var s []time.Duration
-	for i := 1; i <= 100; i++ {
-		s = append(s, time.Duration(i)*time.Millisecond)
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if p := Percentile(s, 50); p < 49*time.Millisecond || p > 52*time.Millisecond {
-		t.Fatalf("p50 %v", p)
-	}
-	if Percentile(s, 0) != time.Millisecond {
-		t.Fatal("p0")
-	}
-	if Percentile(s, 100) != 100*time.Millisecond {
-		t.Fatal("p100")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty")
-	}
-}
-
 // TestPercentileInterpolation pins the linear-interpolation contract on
-// small samples, where rank truncation used to bias results low.
+// small samples, where rank truncation would bias results low.
 func TestPercentileInterpolation(t *testing.T) {
-	two := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if p := Percentile(two, 50); p != 15*time.Millisecond {
-		t.Fatalf("p50 of {10,20}ms = %v, want 15ms", p)
+	two := []float64{10, 20}
+	if v := PercentileFloats(two, 50); v != 15 {
+		t.Fatalf("p50 of {10,20} = %v, want 15", v)
 	}
-	if p := Percentile(two, 75); p != 17500*time.Microsecond {
-		t.Fatalf("p75 of {10,20}ms = %v, want 17.5ms", p)
+	if v := PercentileFloats(two, 75); v != 17.5 {
+		t.Fatalf("p75 of {10,20} = %v, want 17.5", v)
 	}
-	one := []time.Duration{42 * time.Millisecond}
-	for _, p := range []float64{0, 50, 99, 100} {
-		if v := Percentile(one, p); v != 42*time.Millisecond {
-			t.Fatalf("p%v of single sample = %v", p, v)
-		}
-	}
-	five := []time.Duration{10, 20, 30, 40, 50}
-	if p := Percentile(five, 25); p != 20 {
-		t.Fatalf("p25 of 10..50 = %v, want 20", p)
-	}
-	if p := Percentile(five, 90); p != 46 {
-		// rank 3.6 → 40 + 0.6*(50-40)
-		t.Fatalf("p90 of 10..50 = %v, want 46", p)
+	five := []float64{10, 20, 30, 40, 50}
+	if v := PercentileFloats(five, 25); v != 20 {
+		t.Fatalf("p25 of 10..50 = %v, want 20", v)
 	}
 }
 
-// TestPercentileFloats mirrors the duration variant's contract for the
-// float64 series internal/tsdb aggregates.
+// TestPercentileFloats checks the float64 percentile the tsdb aggregates use.
 func TestPercentileFloats(t *testing.T) {
 	if PercentileFloats(nil, 50) != 0 {
 		t.Fatal("empty")
@@ -110,14 +75,5 @@ func TestPercentileFloats(t *testing.T) {
 	}
 	if v := PercentileFloats(five, 100); v != 50 {
 		t.Fatalf("p100 = %v", v)
-	}
-}
-
-func TestFmtDuration(t *testing.T) {
-	if s := FmtDuration(250 * time.Microsecond); s != "250µs" {
-		t.Fatal(s)
-	}
-	if s := FmtDuration(2500 * time.Microsecond); s != "2.50ms" {
-		t.Fatal(s)
 	}
 }

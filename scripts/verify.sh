@@ -65,7 +65,7 @@ for p in tsdb ran; do
     (cd "internal/$p" && while [ ! -e "$fig/done" ]; do "$fig/$p.test" > /dev/null 2>&1 || true; done) &
 done
 fig_rc=0
-(cd internal/experiments && "$fig/experiments.test" -test.run 'TestFig(6a|7a|8b|9a)Shape$' \
+(cd internal/experiments && "$fig/experiments.test" -test.run 'TestFig(6a|7a|8a|8b|9a)Shape$' \
     -test.count=3 -test.v) > "$fig/out" 2>&1 || fig_rc=$?
 touch "$fig/done"
 wait
