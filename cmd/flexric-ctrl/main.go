@@ -427,9 +427,6 @@ func runFederationShard(members []string, name, rootAddr, e2Addr, obsAddr, snapD
 	if idx < 0 {
 		log.Fatalf("-shard-name %q is not in the -federate ring %v", name, members)
 	}
-	if obsAddr == "" {
-		obsAddr = "127.0.0.1:0"
-	}
 	sh, err := federation.NewShard(federation.ShardConfig{
 		Name: name, Index: idx,
 		E2Scheme: e2s, SMScheme: sms,
@@ -444,8 +441,12 @@ func runFederationShard(members []string, name, rootAddr, e2Addr, obsAddr, snapD
 		sh.Close()
 		log.Fatal(err)
 	}
-	log.Printf("federation shard %s: south on %s, obs on http://%s, root at %s",
-		name, sh.SouthAddr(), sh.ObsAddr(), rootAddr)
+	obsURL := "off"
+	if a := sh.ObsAddr(); a != "" {
+		obsURL = "http://" + a
+	}
+	log.Printf("federation shard %s: south on %s, obs %s, root at %s",
+		name, sh.SouthAddr(), obsURL, rootAddr)
 
 	dumper := obs.NewDumper(os.Stdout, *telemetryEvery, *telemetryDump)
 	sig := make(chan os.Signal, 1)

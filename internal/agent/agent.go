@@ -70,8 +70,9 @@ type Config struct {
 	// Components describes the node's component configuration, sent in
 	// the setup request.
 	Components []e2ap.E2NodeComponentConfig
-	// DialTimeout bounds connection establishment per Connect (and per
-	// reconnect attempt). 0 means transport.DefaultDialTimeout.
+	// DialTimeout bounds connection establishment and, separately, the
+	// wait for the E2 setup reply, per Connect (and per reconnect
+	// attempt). 0 means transport.DefaultDialTimeout.
 	DialTimeout time.Duration
 	// Resilience enables keepalives, dead-peer detection, and the
 	// reconnect supervisor (capped exponential backoff, E2 setup re-run,
@@ -80,7 +81,7 @@ type Config struct {
 	// receive loop for good.
 	Resilience *resilience.Config
 	// WrapConn, when non-nil, wraps every dialed transport connection
-	// before the resilience layer and the E2 handshake — the fault
+	// before the E2 handshake and the resilience layer — the fault
 	// injection hook (internal/faultinject).
 	WrapConn func(transport.Conn) transport.Conn
 	// Rehome, when non-nil, picks the controller address for each
@@ -204,11 +205,14 @@ func (a *Agent) Connect(addr string) (ControllerID, error) {
 }
 
 // dialAndSetup establishes one controller association: dial (bounded by
-// Config.DialTimeout), the optional fault wrap, the optional resilience
-// wrap (so keepalives police the association from the first frame), and
-// the synchronous E2 setup handshake announcing the currently
-// registered RAN functions. The handshake uses a dedicated codec: on a
-// reconnect the conn's codecs may be busy under concurrent senders.
+// Config.DialTimeout), the optional fault wrap, the synchronous E2 setup
+// handshake announcing the currently registered RAN functions, and the
+// optional resilience wrap. The handshake's receive is bounded by the
+// same timeout, as the server bounds its side, so a controller that
+// accepts and never answers fails Connect instead of hanging it; once
+// the association is live, keepalives and dead-peer detection police
+// it. The handshake uses a dedicated codec: on a reconnect the conn's
+// codecs may be busy under concurrent senders.
 func (a *Agent) dialAndSetup(addr string) (transport.Conn, error) {
 	tc, err := transport.DialTimeout(a.cfg.Transport, addr, a.cfg.DialTimeout)
 	if err != nil {
@@ -217,48 +221,57 @@ func (a *Agent) dialAndSetup(addr string) (transport.Conn, error) {
 	if a.cfg.WrapConn != nil {
 		tc = a.cfg.WrapConn(tc)
 	}
+	if err := a.setup(tc); err != nil {
+		tc.Close()
+		return nil, err
+	}
 	if a.res != nil {
 		tc = a.res.WrapConn(tc)
 	}
+	return tc, nil
+}
+
+// setup runs the E2 setup handshake on tc under a receive deadline of
+// Config.DialTimeout, cleared once the reply is in.
+func (a *Agent) setup(tc transport.Conn) error {
+	timeout := a.cfg.DialTimeout
+	if timeout <= 0 {
+		timeout = transport.DefaultDialTimeout
+	}
+	if err := tc.SetRecvDeadline(time.Now().Add(timeout)); err != nil {
+		return fmt.Errorf("agent: setup deadline: %w", err)
+	}
 	cod := e2ap.MustCodec(a.cfg.Scheme)
-	setup := &e2ap.SetupRequest{
+	wire, err := cod.Encode(&e2ap.SetupRequest{
 		TransactionID: uint8(a.txSeq.Add(1)),
 		NodeID:        a.cfg.NodeID,
 		RANFunctions:  a.Functions(),
 		Components:    a.cfg.Components,
-	}
-	wire, err := cod.Encode(setup)
+	})
 	if err != nil {
-		tc.Close()
-		return nil, fmt.Errorf("agent: setup encode: %w", err)
+		return fmt.Errorf("agent: setup encode: %w", err)
 	}
 	if err := tc.Send(wire); err != nil {
-		tc.Close()
-		return nil, fmt.Errorf("agent: setup send: %w", err)
+		return fmt.Errorf("agent: setup send: %w", err)
 	}
 	// Synchronous setup response, as the E2 setup procedure is the
 	// association handshake.
-	reply, err := tc.Recv()
+	reply, err := tc.Recv(nil)
 	if err != nil {
-		tc.Close()
-		return nil, fmt.Errorf("agent: setup recv: %w", err)
+		return fmt.Errorf("agent: setup recv: %w", err)
 	}
 	pdu, err := cod.Decode(reply)
 	if err != nil {
-		tc.Close()
-		return nil, fmt.Errorf("agent: setup decode: %w", err)
+		return fmt.Errorf("agent: setup decode: %w", err)
 	}
 	switch m := pdu.(type) {
 	case *e2ap.SetupResponse:
-		// Accepted.
+		return tc.SetRecvDeadline(time.Time{})
 	case *e2ap.SetupFailure:
-		tc.Close()
-		return nil, fmt.Errorf("agent: setup rejected: %v", m.Cause)
+		return fmt.Errorf("agent: setup rejected: %v", m.Cause)
 	default:
-		tc.Close()
-		return nil, fmt.Errorf("agent: unexpected setup reply %s", pdu.MsgType())
+		return fmt.Errorf("agent: unexpected setup reply %s", pdu.MsgType())
 	}
-	return tc, nil
 }
 
 // Close terminates all controller connections.

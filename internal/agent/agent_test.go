@@ -1,11 +1,14 @@
 package agent_test
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"flexric/internal/agent"
 	"flexric/internal/e2ap"
+	"flexric/internal/resilience"
 	"flexric/internal/transport"
 )
 
@@ -39,7 +42,7 @@ func startFake(t *testing.T, name string) *fakeController {
 		}
 		f.conn = conn
 		// E2 setup handshake.
-		wire, err := conn.Recv()
+		wire, err := conn.Recv(nil)
 		if err != nil {
 			return
 		}
@@ -71,7 +74,7 @@ func (f *fakeController) send(pdu e2ap.PDU) {
 
 func (f *fakeController) recv() e2ap.PDU {
 	f.t.Helper()
-	wire, err := f.conn.Recv()
+	wire, err := f.conn.Recv(nil)
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -196,5 +199,67 @@ func TestAgentFunctionsListing(t *testing.T) {
 	}
 	if a.Controllers() != 0 {
 		t.Fatal("no controllers yet")
+	}
+}
+
+// A controller that accepts the association and never answers E2 setup
+// must fail Connect within a few DialTimeouts — with and without
+// resilience, whose dead-peer bound is much longer — and leave no
+// goroutine behind.
+func TestConnectBoundsSetupWait(t *testing.T) {
+	const dialTimeout = 200 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		res  *resilience.Config
+	}{
+		{"plain", nil},
+		{"resilience", &resilience.Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			lis, err := transport.Listen(transport.KindSCTPish, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			held := make(chan transport.Conn, 1)
+			go func() {
+				if c, err := lis.Accept(); err == nil {
+					held <- c // accepted, never answered
+				}
+			}()
+			a := agent.New(agent.Config{
+				Scheme:      e2ap.SchemeASN,
+				DialTimeout: dialTimeout,
+				Resilience:  tc.res,
+			})
+			done := make(chan error, 1)
+			t0 := time.Now()
+			go func() {
+				_, err := a.Connect(lis.Addr())
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, transport.ErrTimeout) {
+					t.Fatalf("Connect to a silent controller = %v, want ErrTimeout", err)
+				}
+				if el := time.Since(t0); el > 5*dialTimeout {
+					t.Fatalf("Connect failed after %v, want within 5 x %v", el, dialTimeout)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Connect still blocked after 10s: the E2 setup wait is unbounded")
+			}
+			a.Close()
+			(<-held).Close()
+			lis.Close()
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-before)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

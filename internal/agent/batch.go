@@ -105,7 +105,7 @@ func (b *IndicationBatch) Flush() error {
 		// (b.ind still carries the lone indication's trace context).
 		err = transport.TracedSend(c.tc, b.frames[0], b.ind.Trace)
 	} else {
-		err = transport.SendBatch(c.tc, b.frames)
+		err = c.tc.SendBatch(b.frames)
 	}
 	c.sendMu.Unlock()
 	// Transports do not retain the batch: frames go back to the pool.

@@ -75,7 +75,7 @@ func (c *conn) sendIndication(ind e2ap.Indication) error {
 // connection closes.
 func (c *conn) recvLoop() {
 	for {
-		wire, err := c.tc.Recv()
+		wire, err := c.tc.Recv(nil)
 		if err != nil {
 			return
 		}

@@ -182,7 +182,7 @@ func (s *Server) serve(c *serverConn) {
 	var buf, out []byte
 	var dsts []*serverConn
 	for {
-		wire, err := transport.RecvBuf(c.tc, buf)
+		wire, err := c.tc.Recv(buf)
 		if err != nil {
 			return
 		}
@@ -297,14 +297,14 @@ func (c *Client) Close() error {
 }
 
 // recvLoop delivers broker messages to local subscribers. It reads with
-// plain Recv deliberately: each frame arrives in a buffer the loop owns
+// Recv(nil) deliberately: each frame arrives in a buffer the loop owns
 // exclusively and never recycles, so a single subscriber can be handed a
 // view of the wire itself — the copy is paid only when several local
 // subscribers share a channel and must not see each other's payload as
 // aliased mutable state.
 func (c *Client) recvLoop() {
 	for {
-		wire, err := c.tc.Recv()
+		wire, err := c.tc.Recv(nil)
 		if err != nil {
 			c.mu.Lock()
 			for _, sub := range c.subs {

@@ -217,7 +217,7 @@ func StartDummyAgent(nodeID uint64, controller string, e2s e2ap.Scheme, sms sm.S
 		err = tc.Send(wire)
 	}
 	if err == nil {
-		wire, err = tc.Recv()
+		wire, err = tc.Recv(nil)
 	}
 	var pdu e2ap.PDU
 	if err == nil {
@@ -235,7 +235,7 @@ func StartDummyAgent(nodeID uint64, controller string, e2s e2ap.Scheme, sms sm.S
 	ind.Store(new([]byte))
 	go func() {
 		for {
-			wire, err := tc.Recv()
+			wire, err := tc.Recv(nil)
 			if err != nil {
 				return
 			}

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -9,20 +8,14 @@ import (
 )
 
 // WrapConn returns c with the plan's connection faults applied. A nil
-// plan returns c unchanged. The wrapper preserves the optional
-// transport interfaces of the inner connection: receive deadlines are
-// forwarded, and RecvTimer is exposed only when the inner connection
-// measures reassembly (so a wrapped pipe conn still reports no
-// reassembly time, matching the unwrapped behavior).
+// plan returns c unchanged. Receive deadlines and the reassembly time
+// are forwarded to the inner connection, so a wrapped pipe conn still
+// reports no reassembly time.
 func (p *Plan) WrapConn(c transport.Conn) transport.Conn {
 	if p == nil || c == nil {
 		return c
 	}
-	fc := &faultConn{p: p, inner: c}
-	if _, ok := c.(transport.RecvTimer); ok {
-		return &faultConnTimer{fc}
-	}
-	return fc
+	return &faultConn{p: p, inner: c}
 }
 
 // WrapListener returns l with the plan's blackout windows applied, and
@@ -132,7 +125,7 @@ func (c *faultConn) Send(b []byte) error {
 	return nil
 }
 
-// SendBatch implements transport.BatchSender. The batch counts one
+// SendBatch implements transport.Conn. The batch counts one
 // frame per message against the drop budget, but the drop check happens
 // once up front: a batch is one wire operation, so it drops (or
 // survives) atomically, exactly like the stream transport's single
@@ -149,24 +142,19 @@ func (c *faultConn) SendBatch(msgs [][]byte) error {
 	if d := c.p.delay(c.p.SendLat); d > 0 {
 		time.Sleep(d)
 	}
-	if err := transport.SendBatch(c.inner, msgs); err != nil {
+	if err := c.inner.SendBatch(msgs); err != nil {
 		return err
 	}
 	c.sent.Add(uint64(len(msgs)))
 	return nil
 }
 
-// Recv implements transport.Conn. A stall sleeps before the inner Recv,
-// so an absolute receive deadline set on the connection expires during
-// the stall and surfaces as ErrTimeout — exactly how a silent peer
-// looks to the dead-peer detector.
-func (c *faultConn) Recv() ([]byte, error) { return c.recv(nil) }
-
-// RecvBuf implements transport.BufRecver, forwarding the recycled
-// buffer to the inner connection.
-func (c *faultConn) RecvBuf(dst []byte) ([]byte, error) { return c.recv(dst) }
-
-func (c *faultConn) recv(dst []byte) ([]byte, error) {
+// Recv implements transport.Conn, forwarding the recycled buffer to the
+// inner connection. A stall sleeps before the inner Recv, so an
+// absolute receive deadline set on the connection expires during the
+// stall and surfaces as ErrTimeout — exactly how a silent peer looks to
+// the dead-peer detector.
+func (c *faultConn) Recv(dst []byte) ([]byte, error) {
 	if c.dropped.Load() {
 		return nil, transport.ErrClosed
 	}
@@ -181,7 +169,7 @@ func (c *faultConn) recv(dst []byte) ([]byte, error) {
 	if d := c.p.delay(c.p.RecvLat); d > 0 {
 		time.Sleep(d)
 	}
-	b, err := transport.RecvBuf(c.inner, dst)
+	b, err := c.inner.Recv(dst)
 	if err != nil {
 		return nil, err
 	}
@@ -195,27 +183,11 @@ func (c *faultConn) Close() error { return c.inner.Close() }
 // RemoteAddr implements transport.Conn.
 func (c *faultConn) RemoteAddr() string { return c.inner.RemoteAddr() }
 
-// SetRecvDeadline implements transport.RecvDeadliner by forwarding to
-// the inner connection. Both shipped transports support deadlines; a
-// hypothetical one that does not surfaces as an error here.
-func (c *faultConn) SetRecvDeadline(t time.Time) error {
-	rd, ok := c.inner.(transport.RecvDeadliner)
-	if !ok {
-		return fmt.Errorf("faultinject: %T does not support receive deadlines", c.inner)
-	}
-	return rd.SetRecvDeadline(t)
-}
+// SetRecvDeadline implements transport.Conn.
+func (c *faultConn) SetRecvDeadline(t time.Time) error { return c.inner.SetRecvDeadline(t) }
 
-// faultConnTimer additionally forwards RecvTimer for inner connections
-// that measure frame reassembly (the stream transport).
-type faultConnTimer struct {
-	*faultConn
-}
-
-// LastRecvDuration implements transport.RecvTimer.
-func (c *faultConnTimer) LastRecvDuration() time.Duration {
-	return c.inner.(transport.RecvTimer).LastRecvDuration()
-}
+// LastRecvDuration implements transport.Conn.
+func (c *faultConn) LastRecvDuration() time.Duration { return c.inner.LastRecvDuration() }
 
 // faultListener rejects accepted connections during blackout windows
 // and fault-wraps the ones it lets through.

@@ -56,11 +56,11 @@ func TestDropAfterFrames(t *testing.T) {
 	// The drop closed the inner conn: the peer still drains the three
 	// buffered frames (socket semantics), then sees teardown.
 	for i := 0; i < 3; i++ {
-		if _, err := server.Recv(); err != nil {
+		if _, err := server.Recv(nil); err != nil {
 			t.Fatalf("draining frame %d: %v", i, err)
 		}
 	}
-	if _, err := server.Recv(); !errors.Is(err, transport.ErrClosed) {
+	if _, err := server.Recv(nil); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("peer Recv after drop = %v, want ErrClosed", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestDropsSharedAcrossConns(t *testing.T) {
 	if err := fc.Send([]byte("alive")); err != nil {
 		t.Fatalf("post-budget send: %v", err)
 	}
-	if b, err := server.Recv(); err != nil || string(b) != "alive" {
+	if b, err := server.Recv(nil); err != nil || string(b) != "alive" {
 		t.Fatalf("peer got %q, %v", b, err)
 	}
 }
@@ -121,11 +121,11 @@ func TestStallTripsRecvDeadline(t *testing.T) {
 	if err := server.Send([]byte("delayed")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fc.(transport.RecvDeadliner).SetRecvDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+	if err := fc.SetRecvDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	_, err = fc.Recv()
+	_, err = fc.Recv(nil)
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("Recv under stall = %v, want ErrTimeout", err)
 	}
@@ -133,10 +133,10 @@ func TestStallTripsRecvDeadline(t *testing.T) {
 		t.Fatalf("stall not imposed: Recv returned after %v", elapsed)
 	}
 	// The stall fires once; with the deadline cleared the frame arrives.
-	if err := fc.(transport.RecvDeadliner).SetRecvDeadline(time.Time{}); err != nil {
+	if err := fc.SetRecvDeadline(time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if b, err := fc.Recv(); err != nil || string(b) != "delayed" {
+	if b, err := fc.Recv(nil); err != nil || string(b) != "delayed" {
 		t.Fatalf("post-stall Recv = %q, %v", b, err)
 	}
 }
@@ -149,7 +149,7 @@ func TestSendLatency(t *testing.T) {
 	fc := p.WrapConn(client)
 	go func() {
 		for {
-			if _, err := server.Recv(); err != nil {
+			if _, err := server.Recv(nil); err != nil {
 				return
 			}
 		}
@@ -204,7 +204,7 @@ func TestListenerBlackout(t *testing.T) {
 	if err := c1.Send([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if b, err := s1.Recv(); err != nil || string(b) != "one" {
+	if b, err := s1.Recv(nil); err != nil || string(b) != "one" {
 		t.Fatalf("first conn: %q, %v", b, err)
 	}
 
@@ -212,7 +212,7 @@ func TestListenerBlackout(t *testing.T) {
 	// on first read, and the server's Accept never returns them.
 	for i := 0; i < 2; i++ {
 		c := dial()
-		if _, err := c.Recv(); !errors.Is(err, transport.ErrClosed) {
+		if _, err := c.Recv(nil); !errors.Is(err, transport.ErrClosed) {
 			t.Fatalf("blackout dial %d: Recv = %v, want ErrClosed", i, err)
 		}
 	}
@@ -223,65 +223,12 @@ func TestListenerBlackout(t *testing.T) {
 	if err := c4.Send([]byte("four")); err != nil {
 		t.Fatal(err)
 	}
-	if b, err := s4.Recv(); err != nil || string(b) != "four" {
+	if b, err := s4.Recv(nil); err != nil || string(b) != "four" {
 		t.Fatalf("post-blackout conn: %q, %v", b, err)
 	}
 	select {
 	case c := <-accepted:
 		t.Fatalf("server saw a blacked-out conn: %v", c.RemoteAddr())
 	default:
-	}
-}
-
-// The wrapper must preserve the inner connection's optional interfaces:
-// RecvTimer only where the inner conn measures reassembly.
-func TestWrapPreservesOptionalInterfaces(t *testing.T) {
-	p := MustParse("seed=1")
-
-	pc, _ := pipePair(t, "fi-iface")
-	wrapped := p.WrapConn(pc)
-	if _, ok := wrapped.(transport.RecvTimer); ok {
-		t.Error("wrapped pipe conn must not implement RecvTimer")
-	}
-	if _, ok := wrapped.(transport.RecvDeadliner); !ok {
-		t.Error("wrapped pipe conn must implement RecvDeadliner")
-	}
-
-	l, err := transport.Listen(transport.KindSCTPish, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			defer c.Close()
-			// Hold the conn open until the listener closes.
-			_, _ = c.Recv()
-		}
-	}()
-	sc, err := transport.Dial(transport.KindSCTPish, l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	swrapped := p.WrapConn(sc)
-	if _, ok := swrapped.(transport.RecvTimer); !ok {
-		t.Error("wrapped stream conn must implement RecvTimer")
-	}
-	if _, ok := swrapped.(transport.RecvDeadliner); !ok {
-		t.Error("wrapped stream conn must implement RecvDeadliner")
-	}
-	if got, want := swrapped.RemoteAddr(), sc.RemoteAddr(); got != want {
-		t.Errorf("RemoteAddr = %q, want %q", got, want)
-	}
-
-	// A nil plan wraps to the identity.
-	var nilPlan *Plan
-	if nilPlan.WrapConn(sc) != sc {
-		t.Error("nil plan WrapConn must be identity")
-	}
-	if nilPlan.WrapListener(l) != l {
-		t.Error("nil plan WrapListener must be identity")
 	}
 }

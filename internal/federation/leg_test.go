@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"flexric/internal/e2ap"
+	"flexric/internal/resilience"
 	"flexric/internal/sm"
 	"flexric/internal/telemetry"
 	"flexric/internal/tsdb"
@@ -112,12 +113,19 @@ func TestHostileLegsRejected(t *testing.T) {
 // The shards' stores are the test's to fill.
 func startFleet(t *testing.T, n int) (*Root, []*Shard, *Ring) {
 	t.Helper()
+	return startFleetWith(t, n, nil, "127.0.0.1:0")
+}
+
+// startFleetWith is startFleet with the root's resilience config and
+// the shards' obs address chosen by the test.
+func startFleetWith(t *testing.T, n int, rootRes *resilience.Config, obsAddr string) (*Root, []*Shard, *Ring) {
+	t.Helper()
 	members := make([]string, n)
 	for i := range members {
 		members[i] = fmt.Sprintf("s%d", i)
 	}
 	ring := NewRing(DefaultReplicas, members...)
-	root, err := NewRoot(RootConfig{Ring: ring, E2Scheme: e2ap.SchemeFB, ListenAddr: "127.0.0.1:0", CoordPeriodMS: 20})
+	root, err := NewRoot(RootConfig{Ring: ring, E2Scheme: e2ap.SchemeFB, ListenAddr: "127.0.0.1:0", CoordPeriodMS: 20, Resilience: rootRes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +134,7 @@ func startFleet(t *testing.T, n int) (*Root, []*Shard, *Ring) {
 	for i, name := range members {
 		sh, err := NewShard(ShardConfig{
 			Name: name, Index: i, E2Scheme: e2ap.SchemeFB, SMScheme: sm.SchemeFB,
-			SouthAddr: "127.0.0.1:0", ObsAddr: "127.0.0.1:0",
+			SouthAddr: "127.0.0.1:0", ObsAddr: obsAddr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -457,9 +465,12 @@ func TestNonFiniteLeg(t *testing.T) {
 // TestLegTelemetry reads bytes per leg from the federation counters on
 // a fixed 3-shard fleet: each query counts one leg per shard, the body
 // bytes every shard answered and one latency observation per leg, and
-// a leg to a closed shard counts as dropped.
+// a leg to a closed shard counts as dropped. The root retains a lost
+// shard for a minute before declaring it dead, so the closed shard is
+// still in the registry when the query goes out.
 func TestLegTelemetry(t *testing.T) {
-	root, shards, _ := startFleet(t, 3)
+	retain := &resilience.Config{KeepaliveInterval: -1, DeadAfter: -1, RetainFor: time.Minute}
+	root, shards, _ := startFleetWith(t, 3, retain, "127.0.0.1:0")
 	for i, sh := range shards {
 		for ue := uint16(0); ue < 8; ue++ {
 			k := tsdb.SeriesKey{Agent: uint32(i + 1), Fn: 142, UE: ue, Field: tsdb.FieldCQI}
@@ -494,7 +505,26 @@ func TestLegTelemetry(t *testing.T) {
 	if err := shards[0].Close(); err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, "the root's server to lose the closed shard", 5*time.Second, func() bool { return len(root.srv.Agents()) == 2 })
+	if aliveShards(root) != 3 {
+		t.Fatal("the root declared the closed shard dead inside its retention window")
+	}
 	if _, hit, err := root.fanOutPartial("all", "mac", "all", "cqi", 0, 1e9, 1e8); err != nil || hit != 2 || dropped.Load()-d0 != 1 {
 		t.Fatalf("with a shard closed: %d shards answered, %d legs dropped, %v; want 2 and 1", hit, dropped.Load()-d0, err)
+	}
+}
+
+// A shard with no obs address starts no obs server: ObsAddr and the
+// root's registry say so, and Close has no server to stop.
+func TestShardWithoutObs(t *testing.T) {
+	root, shards, _ := startFleetWith(t, 1, nil, "")
+	if a := shards[0].ObsAddr(); a != "" {
+		t.Fatalf("ObsAddr = %q, want empty", a)
+	}
+	if got := root.Snapshot().(FedSnapshot).Shards[0].Obs; got != "" {
+		t.Fatalf("the root lists obs %q for a shard without one", got)
+	}
+	if err := shards[0].Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -32,9 +32,9 @@ type ShardConfig struct {
 	Transport transport.Kind
 	// SouthAddr is where the shard's agents connect (":0" for ephemeral).
 	SouthAddr string
-	// ObsAddr is where the shard's observability server listens. The
-	// root does not query it: federated query legs arrive over
-	// fed-coord.
+	// ObsAddr is where the shard's observability server listens; empty
+	// starts none. The root does not query it: federated query legs
+	// arrive over fed-coord.
 	ObsAddr string
 	// SnapshotDir, when non-empty, is the shared directory of shard
 	// tsdb snapshots: this shard maintains SnapshotFile(dir, Name) and
@@ -68,6 +68,9 @@ type Shard struct {
 	proxy     *ctrl.Proxy
 	southAddr string
 
+	// stopMu orders every report loop's wg.Add before Close's
+	// wg.Wait: a coord subscription arriving during Close starts none.
+	stopMu    sync.Mutex
 	stopCh    chan struct{}
 	snapDone  <-chan struct{}
 	closeOnce sync.Once
@@ -132,10 +135,11 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if s.southAddr, err = s.srv.Start(cfg.SouthAddr); err != nil {
 		return nil, err
 	}
-	s.obsSrv, err = obs.NewServer(cfg.ObsAddr, obs.WithTSDB(s.db))
-	if err != nil {
-		s.srv.Close()
-		return nil, err
+	if cfg.ObsAddr != "" {
+		if s.obsSrv, err = obs.NewServer(cfg.ObsAddr, obs.WithTSDB(s.db)); err != nil {
+			s.srv.Close()
+			return nil, err
+		}
 	}
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery > 0 {
 		s.snapDone = snapfile.Every(s.db, SnapshotFile(cfg.SnapshotDir, cfg.Name),
@@ -153,8 +157,14 @@ func (s *Shard) ConnectRoot(rootAddr string) error {
 // SouthAddr returns the address the shard's agents connect to.
 func (s *Shard) SouthAddr() string { return s.southAddr }
 
-// ObsAddr returns the shard's observability base address (host:port).
-func (s *Shard) ObsAddr() string { return s.obsSrv.Addr() }
+// ObsAddr returns the shard's observability base address (host:port),
+// or "" when it runs no obs server.
+func (s *Shard) ObsAddr() string {
+	if s.obsSrv == nil {
+		return ""
+	}
+	return s.obsSrv.Addr()
+}
 
 // Name returns the shard's ring member name.
 func (s *Shard) Name() string { return s.cfg.Name }
@@ -182,17 +192,20 @@ func (s *Shard) AgentKeys() []uint64 {
 func (s *Shard) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
+		s.stopMu.Lock()
 		close(s.stopCh)
+		s.stopMu.Unlock()
 		s.wg.Wait()
 		if s.snapDone != nil {
 			// The snapshot loop writes a final snapshot on stop; wait so
 			// ours below cannot race an older in-flight write.
 			<-s.snapDone
 		}
-		// The failover snapshot must be written BEFORE the south server
-		// goes down: closing it disconnects every agent, and the monitor
-		// evicts a disconnected agent's series — snapshotting after that
-		// would hand the ring successor an empty store.
+		// The failover snapshot is written before the north agent
+		// closes: the root starts failover when that association drops,
+		// and the ring successor restores this file. Closing the south
+		// server does not empty the store: the monitor keys series by
+		// node ID (SeriesAgent) and keeps them across disconnects.
 		if s.cfg.SnapshotDir != "" {
 			err = snapfile.Save(s.db, SnapshotFile(s.cfg.SnapshotDir, s.cfg.Name))
 		}
@@ -201,8 +214,10 @@ func (s *Shard) Close() error {
 			err = serr
 		}
 		s.mon.Close()
-		if cerr := s.obsSrv.Close(); err == nil {
-			err = cerr
+		if s.obsSrv != nil {
+			if cerr := s.obsSrv.Close(); err == nil {
+				err = cerr
+			}
 		}
 	})
 	return err
@@ -273,6 +288,17 @@ func (f *coordFn) OnSubscription(_ agent.ControllerID, req *e2ap.SubscriptionReq
 	if period <= 0 {
 		period = 100 * time.Millisecond
 	}
+	obsURL := s.ObsAddr()
+	if obsURL != "" {
+		obsURL = "http://" + obsURL
+	}
+	s.stopMu.Lock()
+	defer s.stopMu.Unlock()
+	select {
+	case <-s.stopCh:
+		return fmt.Errorf("federation: shard %s is closing", s.cfg.Name)
+	default:
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -282,7 +308,7 @@ func (f *coordFn) OnSubscription(_ agent.ControllerID, req *e2ap.SubscriptionReq
 			rep := &Report{
 				Name:   s.cfg.Name,
 				E2:     s.southAddr,
-				Obs:    "http://" + s.obsSrv.Addr(),
+				Obs:    obsURL,
 				Agents: s.AgentKeys(),
 				TS:     time.Now().UnixNano(),
 			}

@@ -62,7 +62,7 @@ func UnwrapTrigger(b []byte) (uint64, []byte, error) {
 type Report struct {
 	Name   string   `json:"name"`
 	E2     string   `json:"e2"`
-	Obs    string   `json:"obs"`
+	Obs    string   `json:"obs"` // obs base URL; empty when the shard runs none
 	Agents []uint64 `json:"agents"`
 	TS     int64    `json:"ts"`
 }

@@ -54,7 +54,7 @@ func (a *Agent) Close() error {
 
 func (a *Agent) recvLoop() {
 	for {
-		wire, err := a.tc.Recv()
+		wire, err := a.tc.Recv(nil)
 		if err != nil {
 			return
 		}

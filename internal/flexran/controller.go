@@ -88,7 +88,7 @@ func (c *Controller) serve(tc transport.Conn) {
 	var bsID uint64
 	registered := false
 	for {
-		wire, err := tc.Recv()
+		wire, err := tc.Recv(nil)
 		if err != nil {
 			break
 		}

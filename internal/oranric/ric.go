@@ -179,7 +179,7 @@ func (r *RIC) acceptAgents() {
 
 func (r *RIC) serveAgent(tc transport.Conn) {
 	dec := e2ap.NewPERCodec()
-	wire, err := tc.Recv()
+	wire, err := tc.Recv(nil)
 	if err != nil {
 		tc.Close()
 		return
@@ -213,7 +213,7 @@ func (r *RIC) serveAgent(tc transport.Conn) {
 	// into an RMR frame toward the xApp host.
 	relayEnc := e2ap.NewPERCodec()
 	for {
-		wire, err := tc.Recv()
+		wire, err := tc.Recv(nil)
 		if err != nil {
 			break
 		}

@@ -32,7 +32,7 @@ func rmrSend(tc transport.Conn, mu *sync.Mutex, m rmrMsg) error {
 
 func rmrRecv(tc transport.Conn, mu *sync.Mutex) (rmrMsg, error) {
 	mu.Lock()
-	wire, err := tc.Recv()
+	wire, err := tc.Recv(nil)
 	mu.Unlock()
 	if err != nil {
 		return rmrMsg{}, err

@@ -24,9 +24,12 @@ import (
 // blocking read; if nothing arrives within DeadAfter, Recv returns
 // ErrPeerDead and the connection must be abandoned.
 //
-// The wrapper preserves RecvTimer when the inner connection measures
-// reassembly. It does not expose RecvDeadliner: the deadline is owned
-// by the dead-peer detector.
+// SetRecvDeadline and LastRecvDuration are forwarded to the inner
+// connection. While dead-peer detection is on, the detector owns the
+// receive deadline: every Recv re-arms it to DeadAfter, so a caller's
+// deadline is replaced before it can fire and a silent peer surfaces as
+// ErrPeerDead after DeadAfter. With detection off, a caller's deadline
+// holds and surfaces as transport.ErrTimeout.
 func (c Config) WrapConn(tc transport.Conn) transport.Conn {
 	if tc == nil || (c.KeepaliveInterval <= 0 && c.DeadAfter <= 0) {
 		return tc
@@ -42,17 +45,9 @@ func (c Config) WrapConn(tc transport.Conn) transport.Conn {
 			dead:  telemetry.NewCounter("resilience.dead_peers"),
 		},
 	}
-	if c.DeadAfter > 0 {
-		// Dead-peer detection needs receive deadlines; a transport
-		// without them degrades to keepalive emission only.
-		k.rd, _ = tc.(transport.RecvDeadliner)
-	}
 	k.lastSendNS.Store(time.Now().UnixNano())
 	if c.KeepaliveInterval > 0 {
 		go k.keepaliveLoop()
-	}
-	if _, ok := tc.(transport.RecvTimer); ok {
-		return &kaConnTimer{k}
 	}
 	return k
 }
@@ -67,9 +62,8 @@ type kaTel struct {
 // connection.
 type kaConn struct {
 	inner     transport.Conn
-	rd        transport.RecvDeadliner // nil: no dead-peer detection
 	interval  time.Duration
-	deadAfter time.Duration
+	deadAfter time.Duration // <= 0: no dead-peer detection
 
 	// sendMu serializes application sends with the keepalive loop: the
 	// transport contract forbids concurrent Sends.
@@ -95,13 +89,13 @@ func (k *kaConn) Send(b []byte) error {
 	return err
 }
 
-// SendBatch implements transport.BatchSender with the same liveness
+// SendBatch implements transport.Conn with the same liveness
 // bookkeeping as Send; the inner batch path (a single vectored write on
 // the stream transport) is preserved through the wrapper, keeping the
 // batch fast path available on resilient connections.
 func (k *kaConn) SendBatch(msgs [][]byte) error {
 	k.sendMu.Lock()
-	err := transport.SendBatch(k.inner, msgs)
+	err := k.inner.SendBatch(msgs)
 	k.sendMu.Unlock()
 	if err == nil {
 		k.lastSendNS.Store(time.Now().UnixNano())
@@ -109,25 +103,20 @@ func (k *kaConn) SendBatch(msgs [][]byte) error {
 	return err
 }
 
-// Recv implements transport.Conn. Keepalive frames are consumed
-// silently; a receive deadline armed before every blocking read turns a
-// silent peer into ErrPeerDead.
-func (k *kaConn) Recv() ([]byte, error) { return k.recv(nil) }
-
-// RecvBuf implements transport.BufRecver, forwarding the recycled
-// buffer to the inner connection.
-func (k *kaConn) RecvBuf(dst []byte) ([]byte, error) { return k.recv(dst) }
-
-func (k *kaConn) recv(dst []byte) ([]byte, error) {
+// Recv implements transport.Conn, forwarding the recycled buffer to the
+// inner connection. Keepalive frames are consumed silently; a receive
+// deadline armed before every blocking read turns a silent peer into
+// ErrPeerDead.
+func (k *kaConn) Recv(dst []byte) ([]byte, error) {
 	for {
-		if k.rd != nil {
-			if err := k.rd.SetRecvDeadline(time.Now().Add(k.deadAfter)); err != nil {
+		if k.deadAfter > 0 {
+			if err := k.inner.SetRecvDeadline(time.Now().Add(k.deadAfter)); err != nil {
 				return nil, err
 			}
 		}
-		b, err := transport.RecvBuf(k.inner, dst)
+		b, err := k.inner.Recv(dst)
 		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
+			if k.deadAfter > 0 && errors.Is(err, transport.ErrTimeout) {
 				k.tel.dead.Inc()
 				return nil, ErrPeerDead
 			}
@@ -153,6 +142,13 @@ func (k *kaConn) Close() error {
 
 // RemoteAddr implements transport.Conn.
 func (k *kaConn) RemoteAddr() string { return k.inner.RemoteAddr() }
+
+// SetRecvDeadline implements transport.Conn. See WrapConn for what a
+// caller's deadline means while dead-peer detection is on.
+func (k *kaConn) SetRecvDeadline(t time.Time) error { return k.inner.SetRecvDeadline(t) }
+
+// LastRecvDuration implements transport.Conn.
+func (k *kaConn) LastRecvDuration() time.Duration { return k.inner.LastRecvDuration() }
 
 // keepaliveLoop emits a zero-length frame whenever a full interval
 // passes without an application send. It exits when the connection
@@ -180,15 +176,4 @@ func (k *kaConn) keepaliveLoop() {
 			k.tel.sent.Inc()
 		}
 	}
-}
-
-// kaConnTimer additionally forwards RecvTimer for inner connections
-// that measure frame reassembly (the stream transport).
-type kaConnTimer struct {
-	*kaConn
-}
-
-// LastRecvDuration implements transport.RecvTimer.
-func (k *kaConnTimer) LastRecvDuration() time.Duration {
-	return k.inner.(transport.RecvTimer).LastRecvDuration()
 }

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"testing"
+	"time"
 
 	"flexric/internal/transport"
 )
@@ -10,10 +11,13 @@ import (
 // allocates nothing, so the benchmark isolates the wrapper's overhead.
 type nullConn struct{}
 
-func (nullConn) Send([]byte) error     { return nil }
-func (nullConn) Recv() ([]byte, error) { <-make(chan struct{}); return nil, nil }
-func (nullConn) Close() error          { return nil }
-func (nullConn) RemoteAddr() string    { return "null" }
+func (nullConn) Send([]byte) error               { return nil }
+func (nullConn) SendBatch([][]byte) error        { return nil }
+func (nullConn) Recv([]byte) ([]byte, error)     { <-make(chan struct{}); return nil, nil }
+func (nullConn) SetRecvDeadline(time.Time) error { return nil }
+func (nullConn) LastRecvDuration() time.Duration { return 0 }
+func (nullConn) Close() error                    { return nil }
+func (nullConn) RemoteAddr() string              { return "null" }
 
 // BenchmarkResilienceSendHotPath gates the documented contract of
 // kaConn.Send: the resilience wrapper adds one mutex and one atomic

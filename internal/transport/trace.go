@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"time"
-
-	"flexric/internal/trace"
-)
+import "flexric/internal/trace"
 
 // TracedSend sends b on c, recording a "transport.send" span under tc
 // when the message belongs to a sampled trace. The E2 send paths route
@@ -18,17 +14,4 @@ func TracedSend(c Conn, b []byte, tc trace.Context) error {
 	err := c.Send(b)
 	sp.End()
 	return err
-}
-
-// RecvTimer is implemented by transports that measure frame reassembly
-// time (the sctpish stream transport). Receive loops use it to record a
-// retroactive "transport.recv" span once the message's trace context
-// has been decoded — the duration is measured before the context is
-// known. The pipe transport has no reassembly work and deliberately
-// does not implement it.
-type RecvTimer interface {
-	// LastRecvDuration returns the reassembly duration of the most
-	// recent Recv on this connection. Valid only on the goroutine that
-	// called Recv, before the next Recv.
-	LastRecvDuration() time.Duration
 }

@@ -34,7 +34,7 @@ var (
 	// ErrMessageTooLarge reports a frame exceeding MaxMessageSize.
 	ErrMessageTooLarge = errors.New("transport: message too large")
 	// ErrTimeout reports a Recv that exceeded the receive deadline set
-	// via RecvDeadliner. On the stream transport the frame may have been
+	// via SetRecvDeadline. On the stream transport the frame may have been
 	// partially consumed, so the connection must be closed afterwards —
 	// the deadline exists to unmask dead peers, not to pace reads.
 	ErrTimeout = errors.New("transport: recv timeout")
@@ -47,31 +47,54 @@ const MaxMessageSize = 16 << 20
 // caller does not choose a timeout (see DialTimeout).
 const DefaultDialTimeout = 5 * time.Second
 
-// Conn is a reliable, ordered, message-oriented connection. Send and Recv
-// may be used concurrently with each other; neither may be called
-// concurrently with itself.
+// Conn is a reliable, ordered, message-oriented connection: the one
+// contract every transport and every wrapper (fault injection,
+// resilience) implements. Send and Recv may be used concurrently with
+// each other; neither may be called concurrently with itself, and
+// SendBatch counts as a Send. See docs/PERFORMANCE.md for the buffer
+// ownership rules.
 type Conn interface {
 	// Send transmits one message. The implementation does not retain b.
 	Send(b []byte) error
-	// Recv returns the next message. The returned slice is owned by the
-	// caller.
-	Recv() ([]byte, error)
+	// SendBatch transmits msgs in order, each as its own message. On
+	// the stream transport every header and payload goes out in one
+	// vectored write, so a TTI's worth of indications costs one
+	// syscall. Like Send it retains no msgs element; an error may leave
+	// the batch partially transmitted, and the connection is then
+	// broken.
+	SendBatch(msgs [][]byte) error
+	// Recv returns the next message, recycling dst: ownership of dst
+	// transfers to the connection, and the caller must use only the
+	// returned slice, which may or may not alias dst. nil dst receives
+	// into a fresh pooled buffer. The canonical receive loop
+	//
+	//	buf, err = c.Recv(buf)
+	//
+	// receives every frame into a recycled buffer after warm-up and
+	// allocates nothing.
+	Recv(dst []byte) ([]byte, error)
+	// SetRecvDeadline sets the absolute deadline for Recv calls: a Recv
+	// in progress (or started) past it fails with ErrTimeout, and the
+	// zero time clears it. Deadlines are the dead-peer primitive: a
+	// silent peer surfaces as ErrTimeout instead of blocking Recv
+	// forever.
+	SetRecvDeadline(t time.Time) error
+	// LastRecvDuration returns the reassembly duration of the most
+	// recent Recv — from the arrival of the frame's header to its last
+	// byte — so the receive loop can record a retroactive
+	// "transport.recv" span once the message's trace context is
+	// decoded. 0 means no reassembly (the pipe hands messages over
+	// whole). Valid only on the goroutine that called Recv, before the
+	// next Recv.
+	LastRecvDuration() time.Duration
 	// Close terminates the connection; pending Recv calls fail.
 	Close() error
 	// RemoteAddr describes the peer, for logging and the RAN database.
 	RemoteAddr() string
 }
 
-// RecvDeadliner is implemented by connections that support receive
-// deadlines. A Recv in progress (or started) past the deadline fails
-// with ErrTimeout; the zero time clears the deadline. Both shipped
-// transports implement it. Deadlines are the dead-peer primitive of the
-// resilience layer: a silent peer surfaces as ErrTimeout instead of
-// blocking Recv forever.
-type RecvDeadliner interface {
-	// SetRecvDeadline sets the absolute deadline for Recv calls.
-	SetRecvDeadline(t time.Time) error
-}
+// RecvBuf receives the next message on c into dst: c.Recv(dst).
+func RecvBuf(c Conn, dst []byte) ([]byte, error) { return c.Recv(dst) }
 
 // Listener accepts incoming connections.
 type Listener interface {
@@ -167,7 +190,7 @@ type streamConn struct {
 	closeErr  error
 
 	// lastRecvNS is the reassembly duration of the most recent Recv,
-	// read by the receive loop via RecvTimer to record a retroactive
+	// read by the receive loop via LastRecvDuration to record a retroactive
 	// transport.recv span. Only the Recv caller touches it (Recv may not
 	// be called concurrently with itself), so a plain field suffices.
 	lastRecvNS int64
@@ -198,7 +221,7 @@ func (s *streamConn) Send(b []byte) error {
 	return nil
 }
 
-// SendBatch implements BatchSender: all headers and payloads leave in a
+// SendBatch implements Conn: all headers and payloads leave in a
 // single vectored write under one lock acquisition, so the kernel sees
 // the whole batch at once and a per-TTI burst of indications costs one
 // syscall. The scratch header and iovec slices are retained by the
@@ -244,15 +267,10 @@ func (s *streamConn) writeIov() error {
 	return err
 }
 
-// Recv implements Conn.
-func (s *streamConn) Recv() ([]byte, error) { return s.recvFrame(nil) }
-
-// RecvBuf implements BufRecver: the frame is read into dst when it fits,
+// Recv implements Conn: the frame is read into dst when it fits,
 // otherwise dst is recycled through the buffer pool and a pooled
-// replacement is used. Ownership of dst transfers to the connection.
-func (s *streamConn) RecvBuf(dst []byte) ([]byte, error) { return s.recvFrame(dst) }
-
-func (s *streamConn) recvFrame(dst []byte) ([]byte, error) {
+// replacement is used.
+func (s *streamConn) Recv(dst []byte) ([]byte, error) {
 	s.recvMu.Lock()
 	defer s.recvMu.Unlock()
 	if _, err := io.ReadFull(s.c, s.recvHdr[:]); err != nil {
@@ -281,14 +299,14 @@ func (s *streamConn) recvFrame(dst []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// LastRecvDuration implements RecvTimer.
+// LastRecvDuration implements Conn.
 func (s *streamConn) LastRecvDuration() time.Duration {
 	return time.Duration(s.lastRecvNS)
 }
 
-// SetRecvDeadline implements RecvDeadliner.
+// SetRecvDeadline implements Conn.
 func (s *streamConn) SetRecvDeadline(t time.Time) error {
-	return s.c.SetReadDeadline(t)
+	return mapErr(s.c.SetReadDeadline(t))
 }
 
 // mapErr normalizes stream errors: peer or local teardown surfaces as

@@ -44,7 +44,7 @@ func startEcho(t *testing.T, kind Kind, addr string) string {
 			go func(c Conn) {
 				defer c.Close()
 				for {
-					m, err := c.Recv()
+					m, err := c.Recv(nil)
 					if err != nil {
 						return
 					}
@@ -79,7 +79,7 @@ func TestEchoRoundTrip(t *testing.T) {
 				}
 			}
 			for _, want := range msgs {
-				got, err := c.Recv()
+				got, err := c.Recv(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func TestMessageBoundariesPreserved(t *testing.T) {
 				}
 			}
 			for j := 0; j < n; j++ {
-				m, err := c.Recv()
+				m, err := c.Recv(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +135,7 @@ func TestSenderDoesNotRetainBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 			buf[0] = 99 // mutate after send
-			got, err := c.Recv()
+			got, err := c.Recv(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestCloseUnblocksRecv(t *testing.T) {
 			}
 			errCh := make(chan error, 1)
 			go func() {
-				_, err := c.Recv()
+				_, err := c.Recv(nil)
 				errCh <- err
 			}()
 			time.Sleep(10 * time.Millisecond)
@@ -300,7 +300,7 @@ func TestConcurrentSenders(t *testing.T) {
 			go func() {
 				defer close(recvDone)
 				for j := 0; j < senders*per; j++ {
-					m, err := c.Recv()
+					m, err := c.Recv(nil)
 					if err != nil {
 						t.Errorf("recv: %v", err)
 						return
@@ -344,7 +344,7 @@ func benchSendRecv(b *testing.B, kind Kind, addr string) {
 		}
 		defer c.Close()
 		for {
-			m, err := c.Recv()
+			m, err := c.Recv(nil)
 			if err != nil {
 				return
 			}
@@ -365,7 +365,7 @@ func benchSendRecv(b *testing.B, kind Kind, addr string) {
 		if err := c.Send(msg); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Recv(); err != nil {
+		if _, err := c.Recv(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,7 +460,7 @@ func TestOversizeFrameHeaderOnRecv(t *testing.T) {
 	}
 	c := <-accepted
 	defer c.Close()
-	if _, err := c.Recv(); !errors.Is(err, ErrMessageTooLarge) {
+	if _, err := c.Recv(nil); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("want ErrMessageTooLarge, got %v", err)
 	}
 }
@@ -481,7 +481,7 @@ func TestSendRecvAfterClose(t *testing.T) {
 			if err := c.Send([]byte("after close")); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Send after Close: want ErrClosed, got %v", err)
 			}
-			if _, err := c.Recv(); !errors.Is(err, ErrClosed) {
+			if _, err := c.Recv(nil); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Recv after Close: want ErrClosed, got %v", err)
 			}
 		})
@@ -520,7 +520,7 @@ func TestCloseDuringTraffic(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for {
-					if _, err := c.Recv(); err != nil {
+					if _, err := c.Recv(nil); err != nil {
 						if !errors.Is(err, ErrClosed) {
 							t.Errorf("recv: %v", err)
 						}
@@ -538,5 +538,43 @@ func TestCloseDuringTraffic(t *testing.T) {
 				t.Fatal("goroutines did not unwind after Close")
 			}
 		})
+	}
+}
+
+// A stream frame whose bytes trickle in one at a time is reassembled
+// whole, the next frame's boundary holds, and the reassembly time runs
+// from the first payload byte: a pause mid-payload shows in it.
+func TestStreamReassemblesTrickledFrames(t *testing.T) {
+	near, far := net.Pipe()
+	defer far.Close()
+	sc := newStreamConn(near)
+	defer sc.Close()
+	const pause = 20 * time.Millisecond
+	payloads := [][]byte{bytes.Repeat([]byte{0xA5}, 300), []byte("next")}
+	go func() {
+		for _, p := range payloads {
+			frame := binary.BigEndian.AppendUint32(nil, uint32(len(p)))
+			frame = append(frame, p...)
+			for i := range frame {
+				if i == 6 {
+					time.Sleep(pause)
+				}
+				if _, err := far.Write(frame[i : i+1]); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	for i, want := range payloads {
+		got, err := sc.Recv(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: got %d bytes, want %d", i, len(got), len(want))
+		}
+		if d := sc.LastRecvDuration(); i == 0 && d < pause {
+			t.Fatalf("LastRecvDuration = %v across a %v mid-payload pause", d, pause)
+		}
 	}
 }

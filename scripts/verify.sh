@@ -90,6 +90,13 @@ echo "==> proxy core under -race, ten runs"
 # subscription and a south connect rarely shows in a single run.
 go test -race -count=10 -run 'Proxy|Relay|VirtCtrl|Recursive|Parked' ./internal/ctrl/ ./internal/federation/
 
+echo "==> connection contract and leg telemetry under -race, ten runs"
+# Every Conn (stream, pipe, each under the fault and keepalive wrappers)
+# against the one contract, and the dropped-leg count on a shard the
+# root still lists but can no longer reach.
+go test -race -count=10 -run 'TestConnContract|TestWrapNothingIsIdentity|TestStreamReassemblesTrickledFrames' ./internal/transport/
+go test -race -count=10 -run 'TestLegTelemetry' ./internal/federation/
+
 echo "==> scale smoke (4 cells x 10k UEs, 95% idle; allocs/UE-slot gate)"
 # The sharded RAN core at a CI-sized footprint: 40k UEs step 400 slots
 # and the whole fleet — parked UEs, wake heap, packet emission — must
